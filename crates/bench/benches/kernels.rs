@@ -39,6 +39,8 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "lp/raw_simplex_20x8",
     "simproc/smt4_coschedule_5k_cycles",
     "simproc/quadcore_coschedule_5k_cycles",
+    "simproc/smt4_coschedule_paper_window",
+    "simproc/quadcore_coschedule_paper_window",
     "fcfs/event_sim_5k_jobs",
     "fcfs/markov_chain_35_states",
     "fcfs/markov_sparse_n12_k4",
@@ -237,6 +239,24 @@ fn main() {
     results.push(bench("simproc/quadcore_coschedule_5k_cycles", || {
         black_box(
             quad.simulate(&[&suite[0], &suite[5], &suite[7], &suite[11]])
+                .expect("simulates"),
+        );
+    }));
+    // One coschedule at the paper's windows (60 k warm-up + 240 k measured
+    // cycles): the unit of work behind every cold paper-scale table build.
+    let paper_smt4 = Machine::new(MachineConfig::smt4()).expect("valid config");
+    results.push(bench("simproc/smt4_coschedule_paper_window", || {
+        black_box(
+            paper_smt4
+                .simulate(&[&suite[0], &suite[5], &suite[7], &suite[11]])
+                .expect("simulates"),
+        );
+    }));
+    let paper_quad = Machine::new(MachineConfig::quadcore()).expect("valid config");
+    results.push(bench("simproc/quadcore_coschedule_paper_window", || {
+        black_box(
+            paper_quad
+                .simulate(&[&suite[0], &suite[5], &suite[7], &suite[11]])
                 .expect("simulates"),
         );
     }));

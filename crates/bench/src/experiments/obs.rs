@@ -191,10 +191,7 @@ mod tests {
         // from pool worker threads.
         let sm = &res.sweep_metrics;
         assert_eq!(sm.counters["sweep.items"], SWEEP_WORKLOADS as u64);
-        assert_eq!(
-            sm.histograms["sweep.item_us"].count,
-            SWEEP_WORKLOADS as u64
-        );
+        assert_eq!(sm.histograms["sweep.item_us"].count, SWEEP_WORKLOADS as u64);
         assert!(
             sm.histograms.contains_key("optimal.lp_solve"),
             "missing LP span: {sm}"
@@ -213,7 +210,10 @@ mod tests {
         assert!(vm.gauges["serve.queue_depth"].max >= 1);
         assert!(vm.histograms["serve.place_us"].count >= 1);
         assert!(vm.counters.get("twin.refits").copied().unwrap_or(0) >= 1);
-        assert!(vm.histograms.contains_key("serve.run"), "missing span: {vm}");
+        assert!(
+            vm.histograms.contains_key("serve.run"),
+            "missing span: {vm}"
+        );
     }
 
     #[test]

@@ -724,9 +724,8 @@ mod tests {
 
     #[test]
     fn from_args_parses_trace() {
-        let cfg =
-            StudyConfig::from_args(["--fast", "--trace", "/tmp/t.jsonl"].map(String::from))
-                .unwrap();
+        let cfg = StudyConfig::from_args(["--fast", "--trace", "/tmp/t.jsonl"].map(String::from))
+            .unwrap();
         assert_eq!(cfg.trace, Some(PathBuf::from("/tmp/t.jsonl")));
         assert!(StudyConfig::from_args(["--trace".to_owned()]).is_err());
         // Same env-fallback contract as the table cache: env fills in when

@@ -199,7 +199,11 @@ impl QueueState {
         if self.reports[id].is_none() && self.inflight[id] == 0 && !self.pending.contains(&id) {
             self.pending.push_back(id);
             self.requeues += 1;
-            obs::event!(Debug, "dist.chunk_requeued", "chunk {id} returned to the queue");
+            obs::event!(
+                Debug,
+                "dist.chunk_requeued",
+                "chunk {id} returned to the queue"
+            );
         }
     }
 }
@@ -491,7 +495,11 @@ impl Coordinator {
         detail: &str,
     ) -> Result<(), DistError> {
         *strikes += 1;
-        obs::event!(Debug, "dist.strike", "strike {strikes} against {peer}: {detail}");
+        obs::event!(
+            Debug,
+            "dist.strike",
+            "strike {strikes} against {peer}: {detail}"
+        );
         let mut state = self.lock(shared);
         state.strikes += 1;
         for id in held.drain(..) {

@@ -649,7 +649,10 @@ fn chaos_stats_account_for_every_injected_fault_exactly() {
     let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
     let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
     assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(matches!(victim.join().unwrap(), Err(DistError::Protocol(_))));
+    assert!(matches!(
+        victim.join().unwrap(),
+        Err(DistError::Protocol(_))
+    ));
     survivor.join().unwrap().expect("survivor completes");
     assert_eq!(
         *stats.lock().unwrap(),
@@ -702,7 +705,10 @@ fn chaos_stats_account_for_every_injected_fault_exactly() {
     let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
     let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
     assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(matches!(victim.join().unwrap(), Err(DistError::Protocol(_))));
+    assert!(matches!(
+        victim.join().unwrap(),
+        Err(DistError::Protocol(_))
+    ));
     survivor.join().unwrap().expect("survivor completes");
     assert_eq!(
         *stats.lock().unwrap(),

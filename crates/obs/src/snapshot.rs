@@ -171,11 +171,7 @@ impl fmt::Display for MetricsSnapshot {
             }
         }
         if !self.histograms.is_empty() {
-            writeln!(
-                f,
-                "histograms{:>45}{:>13}{:>13}",
-                "count", "mean", "~p90"
-            )?;
+            writeln!(f, "histograms{:>45}{:>13}{:>13}", "count", "mean", "~p90")?;
             for (name, h) in &self.histograms {
                 let p90 = h.approx_quantile(0.9);
                 let p90 = if p90.is_finite() {
@@ -231,10 +227,12 @@ mod tests {
     fn merge_adds_counts_and_keeps_gauge_peaks() {
         let mut a = MetricsSnapshot::default();
         a.counters.insert("c".into(), 2);
-        a.gauges.insert("g".into(), GaugeSummary { value: 1, max: 4 });
+        a.gauges
+            .insert("g".into(), GaugeSummary { value: 1, max: 4 });
         let mut b = MetricsSnapshot::default();
         b.counters.insert("c".into(), 3);
-        b.gauges.insert("g".into(), GaugeSummary { value: 2, max: 3 });
+        b.gauges
+            .insert("g".into(), GaugeSummary { value: 2, max: 3 });
         b.histograms.insert(
             "h".into(),
             HistogramSummary {
@@ -260,7 +258,10 @@ mod tests {
         assert!(text.contains("gauges"), "{text}");
         assert!(text.contains("histograms"), "{text}");
         assert!(text.contains("layer.things"), "{text}");
-        assert_eq!(format!("{}", MetricsSnapshot::default()).trim(), "(no metrics recorded)");
+        assert_eq!(
+            format!("{}", MetricsSnapshot::default()).trim(),
+            "(no metrics recorded)"
+        );
     }
 
     #[test]

@@ -178,7 +178,8 @@ pub fn validate_line(line: &str) -> Result<(), String> {
         other => return Err(format!("unknown kind {other:?}")),
     };
     for (key, _) in &fields {
-        let known = key == "kind" || key == "seq" || key == "ts_us" || extra.contains(&key.as_str());
+        let known =
+            key == "kind" || key == "seq" || key == "ts_us" || extra.contains(&key.as_str());
         if !known {
             return Err(format!("unknown field {key:?} on kind {kind:?}"));
         }
@@ -232,29 +233,34 @@ mod tests {
 
     #[test]
     fn rejects_missing_fields_and_bad_types() {
-        assert!(validate_line(r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","depth":0}"#)
-            .unwrap_err()
-            .contains("dur_us"));
         assert!(
-            validate_line(r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","dur_us":"x","depth":0}"#)
+            validate_line(r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","depth":0}"#)
                 .unwrap_err()
-                .contains("must be a number")
+                .contains("dur_us")
         );
+        assert!(validate_line(
+            r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","dur_us":"x","depth":0}"#
+        )
+        .unwrap_err()
+        .contains("must be a number"));
         assert!(validate_line(r#"{"kind":"mystery","seq":0,"ts_us":1}"#)
             .unwrap_err()
             .contains("unknown kind"));
-        assert!(
-            validate_line(r#"{"kind":"event","seq":0,"ts_us":1,"level":"loud","name":"n","message":"m"}"#)
-                .unwrap_err()
-                .contains("unknown level")
-        );
+        assert!(validate_line(
+            r#"{"kind":"event","seq":0,"ts_us":1,"level":"loud","name":"n","message":"m"}"#
+        )
+        .unwrap_err()
+        .contains("unknown level"));
     }
 
     #[test]
     fn rejects_malformed_json() {
         assert!(validate_line("not json").is_err());
         assert!(validate_line(r#"{"kind":"counter""#).is_err());
-        assert!(validate_line(r#"{"kind":"counter","seq":0,"ts_us":1,"name":"c","value":1} extra"#).is_err());
+        assert!(validate_line(
+            r#"{"kind":"counter","seq":0,"ts_us":1,"name":"c","value":1} extra"#
+        )
+        .is_err());
         assert!(validate_trace("\n\n").is_err(), "empty trace rejected");
     }
 }

@@ -353,8 +353,12 @@ impl TwinLoop {
         if let Some(rec) = &ctx {
             rec.histogram("twin.refit_us")
                 .record(refit_started.elapsed().as_micros() as f64);
-            rec.counter(if ok { "twin.refits" } else { "twin.refit_failures" })
-                .add(1);
+            rec.counter(if ok {
+                "twin.refits"
+            } else {
+                "twin.refit_failures"
+            })
+            .add(1);
         }
         let mut progress = shared
             .progress

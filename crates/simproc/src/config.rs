@@ -360,6 +360,24 @@ impl MachineConfig {
                 }
             }
         }
+        if self.core.rob_partitioning == RobPartitioning::Dynamic && self.core.dynamic_reservation {
+            // Each of a core's n running threads reserves
+            // max(rob_size / 4n, 2) entries; fewer jobs reserve fewer in
+            // total, so a full core is the binding case.
+            let rob_size = self.core.rob_size as usize;
+            let n = match self.topology {
+                Topology::SmtCore { threads } => threads,
+                Topology::Multicore { .. } => 1,
+            };
+            let guarantee = (rob_size / (4 * n)).max(2);
+            if rob_size < n * guarantee {
+                return Err(format!(
+                    "dynamic ROB reservation needs {} entries ({n} threads x {guarantee}), \
+                     ROB has {rob_size}",
+                    n * guarantee
+                ));
+            }
+        }
         if self.core.mshrs_per_thread == 0 {
             return Err("need at least one MSHR per thread".into());
         }
@@ -473,6 +491,31 @@ mod tests {
         let mut cfg = MachineConfig::smt4();
         cfg.l2.line_bytes = 128;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn rob_too_small_for_dynamic_reservation_rejected() {
+        // 4 threads x 2 reserved entries do not fit in 6.
+        let mut cfg = MachineConfig::smt4();
+        cfg.core.rob_size = 6;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("reservation"), "{err}");
+        cfg.core.rob_size = 8;
+        cfg.validate().unwrap();
+        // Without the reservation, or with static shares, 6 entries are
+        // enough for 4 threads.
+        cfg.core.rob_size = 6;
+        cfg.core.dynamic_reservation = false;
+        cfg.validate().unwrap();
+        cfg.core.dynamic_reservation = true;
+        cfg.core.rob_partitioning = RobPartitioning::Static;
+        cfg.validate().unwrap();
+        // A single-threaded core still reserves 2 entries.
+        let mut quad = MachineConfig::quadcore();
+        quad.core.rob_size = 1;
+        assert!(quad.validate().is_err());
+        quad.core.rob_size = 2;
+        quad.validate().unwrap();
     }
 
     #[test]

@@ -12,6 +12,30 @@
 //! * shared or partitioned ROB entries,
 //! * shared caches at the configured levels,
 //! * a shared memory bus with queueing (bandwidth contention).
+//!
+//! # Next-event advance
+//!
+//! Every cycle runs commit, then dispatch. A cycle is *idle* when commit
+//! retired nothing and dispatch issued nothing; an idle cycle changes no
+//! state at all (caches, bus, MSHRs and ROBs are only touched by a
+//! retirement or a dispatched instruction). After an idle cycle `c` each
+//! thread is blocked either by its front end (`fetch_resume > c`) or by a
+//! full ROB share, and every ROB head completes after `c`. Nothing can
+//! change until the earliest of
+//!
+//! * any thread's ROB-head completion time (frees an entry and may unblock
+//!   any thread sharing the ROB), and
+//! * any thread's `fetch_resume` that is still in the future (`> c`; a
+//!   value of `c + 1` is an event one cycle later).
+//!
+//! The cycles in between would all be idle, so the engine jumps straight to
+//! that event, clamped to the end of the current window. Round-robin
+//! arbitration and commit rotation are functions of the cycle number alone,
+//! so a jump reproduces them exactly: results are bitwise identical to
+//! stepping every cycle. Because a skipped stretch changes no counter, the
+//! clamp only keeps `cycle` on the warm-up boundary (where the counters
+//! reset) and on the window end; what must never happen is a step *at* a
+//! window's end cycle, which the `engine_parity` golden digests catch.
 
 use std::collections::VecDeque;
 
@@ -79,10 +103,48 @@ impl ThreadState {
     }
 }
 
-/// Private (per-core) cache levels.
-struct CoreCaches {
+/// One core: its private cache levels, its hardware contexts, the ROB
+/// limits those contexts share (fixed at construction) and the ROB
+/// occupancy, kept in step with the threads' queues by `execute` and
+/// `commit`.
+struct Core {
     l1d: Cache,
     l2: Cache,
+    /// Indices of the threads running on this core, in slot order.
+    threads: Vec<usize>,
+    /// Dynamic sharing with reservation: entries guaranteed to each thread.
+    guarantee: usize,
+    /// Dynamic sharing with reservation: entries pooled above the
+    /// guarantees.
+    shared_capacity: usize,
+    /// Static partitioning: entries owned by each thread.
+    share: usize,
+    /// ROB entries held by this core's threads.
+    used: usize,
+    /// Entries held above the per-thread guarantees (the shared pool's
+    /// occupancy).
+    shared_used: usize,
+}
+
+impl Core {
+    fn new(cfg: &MachineConfig, threads: Vec<usize>) -> Self {
+        let rob_size = cfg.core.rob_size as usize;
+        let n = threads.len().max(1);
+        let guarantee = (rob_size / (4 * n)).max(2);
+        let shared_capacity = rob_size
+            .checked_sub(n * guarantee)
+            .expect("MachineConfig::validate guarantees room for every reservation");
+        Core {
+            l1d: Cache::new(&cfg.l1d),
+            l2: Cache::new(&cfg.l2),
+            threads,
+            guarantee,
+            shared_capacity,
+            share: (rob_size / n).max(1),
+            used: 0,
+            shared_used: 0,
+        }
+    }
 }
 
 /// The simulated chip: cores, threads, caches, bus.
@@ -90,14 +152,13 @@ pub(crate) struct Chip<'a> {
     cfg: &'a MachineConfig,
     threads: Vec<ThreadState>,
     /// One entry for an SMT core; one per core for a multicore.
-    core_caches: Vec<CoreCaches>,
+    cores: Vec<Core>,
     l3: Cache,
     bus: MemoryBus,
+    /// Current cycle; also the rotation state of round-robin arbitration.
     cycle: u64,
-    /// Per-core rotation state for round-robin arbitration.
-    rr_offset: u64,
-    /// Scratch: thread indices per core (built once).
-    core_threads: Vec<Vec<usize>>,
+    /// Scratch: one core's threads in dispatch priority order.
+    order: Vec<usize>,
 }
 
 impl<'a> Chip<'a> {
@@ -127,21 +188,18 @@ impl<'a> Chip<'a> {
         for (i, t) in threads.iter().enumerate() {
             core_threads[t.core].push(i);
         }
-        let core_caches = (0..num_cores)
-            .map(|_| CoreCaches {
-                l1d: Cache::new(&cfg.l1d),
-                l2: Cache::new(&cfg.l2),
-            })
+        let cores = core_threads
+            .into_iter()
+            .map(|members| Core::new(cfg, members))
             .collect();
         Chip {
             cfg,
             threads,
-            core_caches,
+            cores,
             l3: Cache::new(&cfg.l3),
             bus: MemoryBus::new(&cfg.mem),
             cycle: 0,
-            rr_offset: 0,
-            core_threads,
+            order: Vec::with_capacity(threads_per_core),
         }
     }
 
@@ -149,22 +207,18 @@ impl<'a> Chip<'a> {
     pub(crate) fn run(&mut self) -> SimResult {
         let warmup = self.cfg.warmup_cycles;
         let measure = self.cfg.measure_cycles;
-        for _ in 0..warmup {
-            self.step();
-        }
+        self.run_until(warmup);
         // Reset counters at the measurement boundary.
         for t in &mut self.threads {
             t.committed = 0;
         }
-        for cc in &mut self.core_caches {
-            cc.l1d.reset_stats();
-            cc.l2.reset_stats();
+        for c in &mut self.cores {
+            c.l1d.reset_stats();
+            c.l2.reset_stats();
         }
         self.l3.reset_stats();
         self.bus.reset_stats();
-        for _ in 0..measure {
-            self.step();
-        }
+        self.run_until(warmup + measure);
         let committed: Vec<u64> = self.threads.iter().map(|t| t.committed).collect();
         let ipc = committed
             .iter()
@@ -172,11 +226,11 @@ impl<'a> Chip<'a> {
             .collect();
         let mut l1d = CacheStats::default();
         let mut l2 = CacheStats::default();
-        for cc in &self.core_caches {
-            l1d.accesses += cc.l1d.stats().accesses;
-            l1d.hits += cc.l1d.stats().hits;
-            l2.accesses += cc.l2.stats().accesses;
-            l2.hits += cc.l2.stats().hits;
+        for c in &self.cores {
+            l1d.accesses += c.l1d.stats().accesses;
+            l1d.hits += c.l1d.stats().hits;
+            l2.accesses += c.l2.stats().accesses;
+            l2.hits += c.l2.stats().hits;
         }
         SimResult {
             cycles: measure,
@@ -189,31 +243,57 @@ impl<'a> Chip<'a> {
         }
     }
 
-    /// Advances the chip by one cycle: commit, then dispatch.
-    fn step(&mut self) {
-        self.commit();
-        self.dispatch();
-        self.cycle += 1;
-        self.rr_offset = self.rr_offset.wrapping_add(1);
+    /// Simulates until `cycle == end`: each cycle commits, then dispatches;
+    /// after an idle cycle the chip jumps to the next event (see the module
+    /// documentation for why that is exact).
+    fn run_until(&mut self, end: u64) {
+        while self.cycle < end {
+            let retired = self.commit();
+            let issued = self.dispatch();
+            self.cycle = if retired || issued {
+                self.cycle + 1
+            } else {
+                self.next_event().clamp(self.cycle + 1, end)
+            };
+        }
+    }
+
+    /// After an idle cycle: the earliest ROB-head completion or future
+    /// front-end resume over all threads (`u64::MAX` if there is none).
+    fn next_event(&self) -> u64 {
+        let mut next = u64::MAX;
+        for t in &self.threads {
+            if let Some(&done) = t.rob.front() {
+                next = next.min(done);
+            }
+            if t.fetch_resume > self.cycle {
+                next = next.min(t.fetch_resume);
+            }
+        }
+        next
     }
 
     /// In-order, bandwidth-limited commit, fair-rotating across the threads
-    /// of each core.
-    fn commit(&mut self) {
+    /// of each core. Returns whether any instruction retired.
+    fn commit(&mut self) -> bool {
         let width = self.cfg.core.commit_width as usize;
-        for core in 0..self.core_caches.len() {
-            let members = &self.core_threads[core];
+        let mut retired = false;
+        for core in &mut self.cores {
+            let members = &core.threads;
             if members.is_empty() {
                 continue;
             }
             let mut budget = width;
-            let start = (self.rr_offset as usize) % members.len();
-            for k in 0..members.len() {
-                let ti = members[(start + k) % members.len()];
+            let (before, from) = members.split_at(self.cycle as usize % members.len());
+            for &ti in from.iter().chain(before) {
                 let t = &mut self.threads[ti];
                 while budget > 0 {
                     match t.rob.front() {
                         Some(&done) if done <= self.cycle => {
+                            core.used -= 1;
+                            if t.rob.len() > core.guarantee {
+                                core.shared_used -= 1;
+                            }
                             t.rob.pop_front();
                             t.committed += 1;
                             budget -= 1;
@@ -225,20 +305,25 @@ impl<'a> Chip<'a> {
                     break;
                 }
             }
+            retired |= budget < width;
         }
+        retired
     }
 
     /// Dispatches up to `dispatch_width` instructions per core, choosing
-    /// threads according to the fetch policy.
-    fn dispatch(&mut self) {
+    /// threads according to the fetch policy. Returns whether any
+    /// instruction was dispatched.
+    fn dispatch(&mut self) -> bool {
         let width = self.cfg.core.dispatch_width as usize;
-        for core in 0..self.core_caches.len() {
-            let members = self.core_threads[core].clone();
-            if members.is_empty() {
+        let mut issued = false;
+        let mut order = std::mem::take(&mut self.order);
+        for core in 0..self.cores.len() {
+            // Establish thread priority order.
+            order.clear();
+            order.extend_from_slice(&self.cores[core].threads);
+            if order.is_empty() {
                 continue;
             }
-            // Establish thread priority order.
-            let mut order = members;
             match self.cfg.core.fetch_policy {
                 FetchPolicy::Icount => {
                     // Fewest in-flight instructions first (stable sort keeps
@@ -246,8 +331,7 @@ impl<'a> Chip<'a> {
                     order.sort_by_key(|&ti| self.threads[ti].rob.len());
                 }
                 FetchPolicy::RoundRobin => {
-                    let n = order.len();
-                    let start = (self.rr_offset as usize) % n;
+                    let start = self.cycle as usize % order.len();
                     order.rotate_left(start);
                 }
             }
@@ -258,7 +342,10 @@ impl<'a> Chip<'a> {
                 }
                 budget = self.dispatch_thread(core, ti, budget);
             }
+            issued |= budget < width;
         }
+        self.order = order;
+        issued
     }
 
     /// Dispatches from one thread until its budget share runs out or it
@@ -290,32 +377,23 @@ impl<'a> Chip<'a> {
     /// The `dynamic_reservation` config switch ablates it (see the
     /// `reservation_ablation_quantifies_the_guard` test).
     fn rob_has_space(&self, core: usize, ti: usize) -> bool {
-        let rob_size = self.cfg.core.rob_size as usize;
-        let members = &self.core_threads[core];
+        let c = &self.cores[core];
+        let len = self.threads[ti].rob.len();
+        debug_assert_eq!(
+            (c.used, c.shared_used),
+            c.threads.iter().fold((0, 0), |(used, shared), &i| {
+                let l = self.threads[i].rob.len();
+                (used + l, shared + l.saturating_sub(c.guarantee))
+            }),
+            "ROB occupancy counters out of sync"
+        );
         match self.cfg.core.rob_partitioning {
-            RobPartitioning::Dynamic => {
-                if !self.cfg.core.dynamic_reservation {
-                    // Ablation mode: a fully shared pool with no guarantee.
-                    let used: usize = members.iter().map(|&i| self.threads[i].rob.len()).sum();
-                    return used < rob_size;
-                }
-                let n = members.len().max(1);
-                let guarantee = (rob_size / (4 * n)).max(2);
-                let len = self.threads[ti].rob.len();
-                if len < guarantee {
-                    return true;
-                }
-                let shared_capacity = rob_size - n * guarantee;
-                let shared_used: usize = members
-                    .iter()
-                    .map(|&i| self.threads[i].rob.len().saturating_sub(guarantee))
-                    .sum();
-                shared_used < shared_capacity
+            // Ablation mode: a fully shared pool with no guarantee.
+            RobPartitioning::Dynamic if !self.cfg.core.dynamic_reservation => {
+                c.used < self.cfg.core.rob_size as usize
             }
-            RobPartitioning::Static => {
-                let share = rob_size / members.len().max(1);
-                self.threads[ti].rob.len() < share.max(1)
-            }
+            RobPartitioning::Dynamic => len < c.guarantee || c.shared_used < c.shared_capacity,
+            RobPartitioning::Static => len < c.share,
         }
     }
 
@@ -376,6 +454,11 @@ impl<'a> Chip<'a> {
             t.fetch_resume = t.fetch_resume.max(now + 2);
             stall = true;
         }
+        let c = &mut self.cores[core];
+        c.used += 1;
+        if t.rob.len() >= c.guarantee {
+            c.shared_used += 1;
+        }
         t.rob.push_back(done);
         stall
     }
@@ -383,11 +466,11 @@ impl<'a> Chip<'a> {
     /// Cache-hierarchy lookup for `addr`; returns `(hit latency, l3 miss)`.
     /// On an L3 miss the memory path latency is handled by the caller.
     fn access_memory(&mut self, core: usize, addr: u64, _ready: u64) -> (u64, bool) {
-        let cc = &mut self.core_caches[core];
-        if cc.l1d.access(addr) {
+        let c = &mut self.cores[core];
+        if c.l1d.access(addr) {
             return (self.cfg.l1d.latency, false);
         }
-        if cc.l2.access(addr) {
+        if c.l2.access(addr) {
             return (self.cfg.l2.latency, false);
         }
         if self.l3.access(addr) {

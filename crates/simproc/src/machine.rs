@@ -114,12 +114,15 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        let mut cfg = MachineConfig::smt4();
-        cfg.core.rob_size = 0;
-        assert!(matches!(
-            Machine::new(cfg),
-            Err(MachineError::InvalidConfig(_))
-        ));
+        // 6 entries cannot hold four threads' ROB reservations of 2.
+        for rob_size in [0, 6] {
+            let mut cfg = MachineConfig::smt4();
+            cfg.core.rob_size = rob_size;
+            assert!(matches!(
+                Machine::new(cfg),
+                Err(MachineError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -9,6 +9,15 @@ use crate::rng::SplitMix64;
 /// disjoint region tagged with its slot index.
 const THREAD_SPACE_SHIFT: u32 = 44;
 
+/// Integer threshold for a Bernoulli draw with probability `p`: the draw
+/// `SplitMix64::chance(p)`, i.e. `(u >> 11) as f64 * 2^-53 < p`, holds
+/// exactly when `u >> 11 < threshold(p)`. Scaling by 2^53 is exact, and an
+/// integer lies below a real iff it lies below its ceiling; the saturating
+/// cast keeps `p <= 0` never true and `p >= 1` always true.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// An endless, deterministic stream of [`Insn`]s drawn from a
 /// [`BenchmarkProfile`].
 ///
@@ -29,20 +38,21 @@ const THREAD_SPACE_SHIFT: u32 = 44;
 #[derive(Debug, Clone)]
 pub struct TraceGen {
     rng: SplitMix64,
-    // Cached probability thresholds (cumulative mix).
-    p_load: f64,
-    p_store: f64,
-    p_branch: f64,
-    p_long: f64,
-    mispredict_rate: f64,
-    dep_frac: f64,
-    frontend_stall_rate: f64,
+    // Integer draw thresholds (see `threshold`); the class mix is
+    // cumulative.
+    p_load: u64,
+    p_store: u64,
+    p_branch: u64,
+    p_long: u64,
+    mispredict_rate: u64,
+    dep_frac: u64,
+    frontend_stall_rate: u64,
     stack_lines: u64,
-    stack_frac: f64,
+    stack_frac: u64,
     hot_lines: u64,
     footprint_lines: u64,
-    hot_frac: f64,
-    streaming_frac: f64,
+    hot_frac: u64,
+    streaming_frac: u64,
     line_bytes: u64,
     thread_tag: u64,
     stream_pos: u64,
@@ -64,22 +74,21 @@ impl TraceGen {
         let rng = SplitMix64::new(profile.seed).derive(slot as u64);
         TraceGen {
             rng,
-            p_load: profile.load_frac,
-            p_store: profile.load_frac + profile.store_frac,
-            p_branch: profile.load_frac + profile.store_frac + profile.branch_frac,
-            p_long: profile.load_frac
-                + profile.store_frac
-                + profile.branch_frac
-                + profile.long_op_frac,
-            mispredict_rate: profile.mispredict_rate,
-            dep_frac: profile.dep_frac,
-            frontend_stall_rate: profile.frontend_stall_rate,
+            p_load: threshold(profile.load_frac),
+            p_store: threshold(profile.load_frac + profile.store_frac),
+            p_branch: threshold(profile.load_frac + profile.store_frac + profile.branch_frac),
+            p_long: threshold(
+                profile.load_frac + profile.store_frac + profile.branch_frac + profile.long_op_frac,
+            ),
+            mispredict_rate: threshold(profile.mispredict_rate),
+            dep_frac: threshold(profile.dep_frac),
+            frontend_stall_rate: threshold(profile.frontend_stall_rate),
             stack_lines: profile.stack_lines,
-            stack_frac: profile.stack_frac,
+            stack_frac: threshold(profile.stack_frac),
             hot_lines: profile.hot_lines,
             footprint_lines: profile.footprint_lines,
-            hot_frac: profile.hot_frac,
-            streaming_frac: profile.streaming_frac,
+            hot_frac: threshold(profile.hot_frac),
+            streaming_frac: threshold(profile.streaming_frac),
             line_bytes: line_bytes as u64,
             thread_tag: (slot as u64 + 1) << THREAD_SPACE_SHIFT,
             stream_pos: 0,
@@ -88,9 +97,9 @@ impl TraceGen {
 
     /// Produces the next dynamic instruction.
     pub fn next_insn(&mut self) -> Insn {
-        let class_draw = self.rng.next_f64();
-        let on_chain = self.rng.chance(self.dep_frac);
-        let fetch_bubble = self.rng.chance(self.frontend_stall_rate);
+        let class_draw = self.draw();
+        let on_chain = self.draw() < self.dep_frac;
+        let fetch_bubble = self.draw() < self.frontend_stall_rate;
         if class_draw < self.p_load {
             Insn {
                 kind: InsnKind::Load,
@@ -112,7 +121,7 @@ impl TraceGen {
                 kind: InsnKind::Branch,
                 addr: 0,
                 on_chain: true, // branch resolution waits on its inputs
-                mispredicted: self.rng.chance(self.mispredict_rate),
+                mispredicted: self.draw() < self.mispredict_rate,
                 fetch_bubble,
             }
         } else if class_draw < self.p_long {
@@ -134,17 +143,23 @@ impl TraceGen {
         }
     }
 
+    /// Uniform 53-bit draw: the integer numerator of `SplitMix64::next_f64`,
+    /// compared against thresholds from `threshold`.
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
     /// Next data address (line-aligned, inside this thread's region).
     fn next_addr(&mut self) -> u64 {
-        let line = if self.rng.chance(self.streaming_frac) {
+        let line = if self.draw() < self.streaming_frac {
             // Sequential walk over the whole footprint: minimal temporal
             // reuse, maximal cache pollution.
             self.stream_pos = (self.stream_pos + 1) % self.footprint_lines;
             self.stream_pos
-        } else if self.rng.chance(self.stack_frac) {
+        } else if self.draw() < self.stack_frac {
             // Innermost tier: stack frames / loop-resident data (L1-sized).
             self.rng.next_range(self.stack_lines)
-        } else if self.rng.chance(self.hot_frac) {
+        } else if self.draw() < self.hot_frac {
             self.rng.next_range(self.hot_lines)
         } else {
             self.rng.next_range(self.footprint_lines)
@@ -269,6 +284,38 @@ mod tests {
         }
         let rate = missed as f64 / branches as f64;
         assert!((rate - 0.10).abs() < 0.01, "rate {rate}");
+    }
+
+    #[test]
+    fn thresholds_reproduce_float_bernoulli_draws() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        for p in [
+            0.0,
+            1e-300,
+            1e-9,
+            0.01,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            0.7,
+            1.0 - 1e-16,
+            1.0,
+        ] {
+            let t = threshold(p);
+            // `x < t` iff `x * 2^-53 < p`, checked at the boundary ...
+            if t > 0 {
+                assert!(((t - 1) as f64) * scale < p, "p = {p}");
+            }
+            if t < 1 << 53 {
+                assert!((t as f64) * scale >= p, "p = {p}");
+            }
+            // ... and on a live stream.
+            let mut a = SplitMix64::new(99);
+            let mut b = a.clone();
+            for _ in 0..10_000 {
+                assert_eq!(a.chance(p), (b.next_u64() >> 11) < t, "p = {p}");
+            }
+        }
     }
 
     #[test]

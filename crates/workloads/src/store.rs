@@ -341,6 +341,13 @@ fn hash_geometry(fnv: &mut Fnv64, g: &CacheGeometry) {
 /// Stable fingerprint of everything a [`PerfTable::build`] depends on: the
 /// complete machine configuration (topology, core, caches, memory, windows)
 /// and every profile parameter of the suite, plus the file-format version.
+///
+/// The key carries no simulator version: the store assumes the same inputs
+/// always simulate to the same table. Any change to `simproc` that alters a
+/// `SimResult` must therefore bump `VERSION`, or tables cached by the old
+/// simulator are served as current without any error. Speed-only engine
+/// changes are held bitwise by `simproc`'s `engine_parity` test and need no
+/// bump.
 pub fn table_fingerprint(config: &MachineConfig, suite: &[BenchmarkProfile]) -> u64 {
     let mut fnv = Fnv64::new();
     fnv.write_u64(VERSION as u64);
