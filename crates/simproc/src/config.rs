@@ -142,6 +142,20 @@ pub struct CoreParams {
     pub long_op_latency: u64,
 }
 
+impl CoreParams {
+    /// ROB split of dynamic sharing with reservation on a core running
+    /// `threads` jobs: each thread is guaranteed `max(rob_size / 4·threads,
+    /// 2)` entries and the rest form a pool shared above the guarantees.
+    /// Returns `(guarantee, shared_capacity)`, or `None` if the ROB cannot
+    /// hold every guarantee.
+    pub(crate) fn rob_reservation(&self, threads: usize) -> Option<(usize, usize)> {
+        let rob_size = self.rob_size as usize;
+        let n = threads.max(1);
+        let guarantee = (rob_size / (4 * n)).max(2);
+        Some((guarantee, rob_size.checked_sub(n * guarantee)?))
+    }
+}
+
 impl Default for CoreParams {
     fn default() -> Self {
         CoreParams {
@@ -361,20 +375,16 @@ impl MachineConfig {
             }
         }
         if self.core.rob_partitioning == RobPartitioning::Dynamic && self.core.dynamic_reservation {
-            // Each of a core's n running threads reserves
-            // max(rob_size / 4n, 2) entries; fewer jobs reserve fewer in
-            // total, so a full core is the binding case.
-            let rob_size = self.core.rob_size as usize;
+            // A full core is the binding case: fewer jobs reserve fewer
+            // entries in total.
             let n = match self.topology {
                 Topology::SmtCore { threads } => threads,
                 Topology::Multicore { .. } => 1,
             };
-            let guarantee = (rob_size / (4 * n)).max(2);
-            if rob_size < n * guarantee {
+            if self.core.rob_reservation(n).is_none() {
                 return Err(format!(
-                    "dynamic ROB reservation needs {} entries ({n} threads x {guarantee}), \
-                     ROB has {rob_size}",
-                    n * guarantee
+                    "a {}-entry ROB cannot hold the dynamic reservation of {n} threads",
+                    self.core.rob_size
                 ));
             }
         }

@@ -103,46 +103,52 @@ impl ThreadState {
     }
 }
 
-/// One core: its private cache levels, its hardware contexts, the ROB
-/// limits those contexts share (fixed at construction) and the ROB
-/// occupancy, kept in step with the threads' queues by `execute` and
-/// `commit`.
+/// How a core's ROB entries are divided among its threads.
+enum RobLimit {
+    /// Dynamic sharing without reservation: one pool of this many entries.
+    Pooled(usize),
+    /// Dynamic sharing with reservation: entries guaranteed to each thread,
+    /// and the pool shared above the guarantees.
+    Reserved {
+        guarantee: usize,
+        shared_capacity: usize,
+    },
+    /// Static partitioning: entries owned by each thread.
+    Static(usize),
+}
+
+/// One core: its private cache levels, its hardware contexts and the ROB
+/// limit those contexts share (fixed at construction).
 struct Core {
     l1d: Cache,
     l2: Cache,
     /// Indices of the threads running on this core, in slot order.
     threads: Vec<usize>,
-    /// Dynamic sharing with reservation: entries guaranteed to each thread.
-    guarantee: usize,
-    /// Dynamic sharing with reservation: entries pooled above the
-    /// guarantees.
-    shared_capacity: usize,
-    /// Static partitioning: entries owned by each thread.
-    share: usize,
-    /// ROB entries held by this core's threads.
-    used: usize,
-    /// Entries held above the per-thread guarantees (the shared pool's
-    /// occupancy).
-    shared_used: usize,
+    rob: RobLimit,
 }
 
 impl Core {
     fn new(cfg: &MachineConfig, threads: Vec<usize>) -> Self {
         let rob_size = cfg.core.rob_size as usize;
-        let n = threads.len().max(1);
-        let guarantee = (rob_size / (4 * n)).max(2);
-        let shared_capacity = rob_size
-            .checked_sub(n * guarantee)
-            .expect("MachineConfig::validate guarantees room for every reservation");
+        let rob = match cfg.core.rob_partitioning {
+            RobPartitioning::Dynamic if !cfg.core.dynamic_reservation => RobLimit::Pooled(rob_size),
+            RobPartitioning::Dynamic => {
+                let (guarantee, shared_capacity) = cfg
+                    .core
+                    .rob_reservation(threads.len())
+                    .expect("MachineConfig::validate leaves room for every reservation");
+                RobLimit::Reserved {
+                    guarantee,
+                    shared_capacity,
+                }
+            }
+            RobPartitioning::Static => RobLimit::Static((rob_size / threads.len().max(1)).max(1)),
+        };
         Core {
             l1d: Cache::new(&cfg.l1d),
             l2: Cache::new(&cfg.l2),
             threads,
-            guarantee,
-            shared_capacity,
-            share: (rob_size / n).max(1),
-            used: 0,
-            shared_used: 0,
+            rob,
         }
     }
 }
@@ -278,7 +284,7 @@ impl<'a> Chip<'a> {
     fn commit(&mut self) -> bool {
         let width = self.cfg.core.commit_width as usize;
         let mut retired = false;
-        for core in &mut self.cores {
+        for core in &self.cores {
             let members = &core.threads;
             if members.is_empty() {
                 continue;
@@ -290,10 +296,6 @@ impl<'a> Chip<'a> {
                 while budget > 0 {
                     match t.rob.front() {
                         Some(&done) if done <= self.cycle => {
-                            core.used -= 1;
-                            if t.rob.len() > core.guarantee {
-                                core.shared_used -= 1;
-                            }
                             t.rob.pop_front();
                             t.committed += 1;
                             budget -= 1;
@@ -379,21 +381,27 @@ impl<'a> Chip<'a> {
     fn rob_has_space(&self, core: usize, ti: usize) -> bool {
         let c = &self.cores[core];
         let len = self.threads[ti].rob.len();
-        debug_assert_eq!(
-            (c.used, c.shared_used),
-            c.threads.iter().fold((0, 0), |(used, shared), &i| {
-                let l = self.threads[i].rob.len();
-                (used + l, shared + l.saturating_sub(c.guarantee))
-            }),
-            "ROB occupancy counters out of sync"
-        );
-        match self.cfg.core.rob_partitioning {
+        match c.rob {
             // Ablation mode: a fully shared pool with no guarantee.
-            RobPartitioning::Dynamic if !self.cfg.core.dynamic_reservation => {
-                c.used < self.cfg.core.rob_size as usize
+            RobLimit::Pooled(size) => {
+                let used: usize = c.threads.iter().map(|&i| self.threads[i].rob.len()).sum();
+                used < size
             }
-            RobPartitioning::Dynamic => len < c.guarantee || c.shared_used < c.shared_capacity,
-            RobPartitioning::Static => len < c.share,
+            RobLimit::Reserved {
+                guarantee,
+                shared_capacity,
+            } => {
+                if len < guarantee {
+                    return true;
+                }
+                let shared_used: usize = c
+                    .threads
+                    .iter()
+                    .map(|&i| self.threads[i].rob.len().saturating_sub(guarantee))
+                    .sum();
+                shared_used < shared_capacity
+            }
+            RobLimit::Static(share) => len < share,
         }
     }
 
@@ -453,11 +461,6 @@ impl<'a> Chip<'a> {
         if insn.fetch_bubble {
             t.fetch_resume = t.fetch_resume.max(now + 2);
             stall = true;
-        }
-        let c = &mut self.cores[core];
-        c.used += 1;
-        if t.rob.len() >= c.guarantee {
-            c.shared_used += 1;
         }
         t.rob.push_back(done);
         stall

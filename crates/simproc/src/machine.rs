@@ -110,7 +110,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MachineConfig;
+    use crate::config::{MachineConfig, RobPartitioning};
 
     #[test]
     fn invalid_config_is_rejected() {
@@ -122,6 +122,31 @@ mod tests {
                 Machine::new(cfg),
                 Err(MachineError::InvalidConfig(_))
             ));
+        }
+    }
+
+    #[test]
+    fn small_robs_without_reservation_simulate() {
+        // Only dynamic sharing with reservation needs room for every
+        // thread's guarantee; these configs pass validation and must run.
+        let mut pooled = MachineConfig::smt4().with_windows(100, 400);
+        pooled.core.rob_size = 6;
+        pooled.core.dynamic_reservation = false;
+        let mut split = pooled
+            .clone()
+            .with_rob_partitioning(RobPartitioning::Static);
+        split.core.dynamic_reservation = true;
+        let mut quad = MachineConfig::quadcore()
+            .with_windows(100, 400)
+            .with_rob_partitioning(RobPartitioning::Static);
+        quad.core.rob_size = 1;
+        let p = BenchmarkProfile::balanced("small-rob", 4);
+        for cfg in [pooled, split, quad] {
+            let res = Machine::new(cfg.clone())
+                .unwrap()
+                .simulate(&[&p; 4])
+                .unwrap();
+            assert!(res.committed.iter().all(|&c| c > 0), "{cfg:?}");
         }
     }
 
