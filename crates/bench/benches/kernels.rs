@@ -53,6 +53,7 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "des/latency_2k_jobs_fcfs",
     "des/latency_2k_jobs_maxit",
     "des/latency_2k_jobs_srpt",
+    "des/latency_saturated_2k_jobs_srpt",
     "sweep/latency_fig5_leg",
     "predict/fit_sampled_n12_k8",
     "serve/steady_state_jobs_sec",
@@ -349,6 +350,20 @@ fn main() {
             black_box(run_latency_experiment(&des_rates, sched.as_mut(), &des_cfg).expect("runs"));
         }));
     }
+    // Saturation (Figure 6 style): arrivals at twice the machine's
+    // capacity of 2.5 work units per cycle, so thousands of jobs queue and
+    // every SRPT decision reads the remaining-work index. Guards the
+    // index's O(K log n) per-event cost.
+    let saturated_cfg = LatencyConfig {
+        arrival_rate: 5.0,
+        ..des_cfg.clone()
+    };
+    results.push(bench("des/latency_saturated_2k_jobs_srpt", || {
+        let mut sched = Policy::Srpt.latency_scheduler(&[]).expect("latency policy");
+        black_box(
+            run_latency_experiment(&des_rates, sched.as_mut(), &saturated_cfg).expect("runs"),
+        );
+    }));
 
     // The latency fan-out behind the migrated Figure 5 leg: one shared
     // synthetic table, the four Section VI schedulers per workload

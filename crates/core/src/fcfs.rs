@@ -82,6 +82,7 @@ pub fn fcfs_throughput(
             "need at least {k} jobs to load the machine, got {jobs}"
         )));
     }
+    let _span = obs::span!("fcfs.event_sim");
     let n = rates.num_types();
     let mut rng = SplitMix64::new(seed);
     let draw_job = |rng: &mut SplitMix64| {

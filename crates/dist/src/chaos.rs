@@ -265,6 +265,21 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         Ok(frame)
     }
 
+    fn recv_timeout(&self) -> Duration {
+        // A dead or hung end answers `recv` at once.
+        self.inner
+            .as_ref()
+            .map_or(Duration::ZERO, Transport::recv_timeout)
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError> {
+        // A dead or hung end has no inner transport left to configure.
+        match self.inner.as_mut() {
+            Some(inner) => inner.set_recv_timeout(timeout),
+            None => Ok(()),
+        }
+    }
+
     fn peer(&self) -> String {
         self.peer.clone()
     }

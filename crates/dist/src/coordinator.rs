@@ -67,8 +67,9 @@ pub struct DistConfig {
     pub retry_budget: usize,
     /// Per-connection read timeout on the coordinator side; a worker that
     /// holds a chunk silently for longer is treated as lost and its chunk
-    /// re-queued. Also bounds how long an idle worker waits for the queue
-    /// to move. Default 120 s.
+    /// re-queued. [`Coordinator::run`] caps every transport's own read
+    /// timeout at this value. Also bounds how long an idle worker waits
+    /// for the queue to move. Default 120 s.
     pub recv_timeout: Duration,
     /// How long [`Coordinator::serve_listener`] waits for the expected
     /// number of workers to connect. Default 60 s.
@@ -298,17 +299,25 @@ impl Coordinator {
     /// per worker), blocking until every chunk is answered or the run
     /// fails. This is the transport-agnostic core; TCP callers use
     /// [`Coordinator::serve_tcp`] / [`Coordinator::serve_listener`].
+    /// Every transport's read timeout is capped at
+    /// [`DistConfig::recv_timeout`] first; one configured shorter keeps
+    /// its own.
     ///
     /// # Errors
     ///
     /// [`DistError::Sweep`] when a worker reports a deterministic
     /// evaluation failure, [`DistError::RetryExhausted`] when one chunk
     /// burns through its attempt budget, [`DistError::Incomplete`] when
-    /// every worker is gone with work outstanding, or
-    /// [`DistError::Config`] when `workers` is empty.
-    pub fn run<T: Transport + Send>(&self, workers: Vec<T>) -> Result<DistOutcome, DistError> {
+    /// every worker is gone with work outstanding,
+    /// [`DistError::Config`] when `workers` is empty, or
+    /// [`DistError::Io`] when a transport rejects the read timeout.
+    pub fn run<T: Transport + Send>(&self, mut workers: Vec<T>) -> Result<DistOutcome, DistError> {
         if workers.is_empty() {
             return Err(DistError::Config("no workers to run on".into()));
+        }
+        for transport in &mut workers {
+            let timeout = transport.recv_timeout().min(self.config.recv_timeout);
+            transport.set_recv_timeout(timeout)?;
         }
         let shared = Shared {
             state: Mutex::new(QueueState {

@@ -53,6 +53,21 @@ pub trait Transport {
     /// malformed bytes.
     fn recv(&mut self) -> Result<Frame, DistError>;
 
+    /// How long `recv` blocks before reporting [`DistError::Timeout`]
+    /// (`Duration::MAX` when it blocks indefinitely).
+    fn recv_timeout(&self) -> Duration;
+
+    /// Sets how long `recv` blocks before reporting
+    /// [`DistError::Timeout`]. [`crate::Coordinator::run`] caps every
+    /// transport it serves at [`crate::DistConfig::recv_timeout`] through
+    /// this.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Io`] when the transport cannot take the timeout (TCP
+    /// rejects a zero duration).
+    fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError>;
+
     /// Human-readable peer label for error messages and accounting.
     fn peer(&self) -> String {
         "peer".into()
@@ -120,6 +135,18 @@ impl Transport for TcpTransport {
         self.stream.read_exact(&mut wire[4..])?;
         record_wire(false, wire.len());
         Frame::decode_wire(&wire)
+    }
+
+    fn recv_timeout(&self) -> Duration {
+        match self.stream.read_timeout() {
+            Ok(Some(timeout)) => timeout,
+            _ => Duration::MAX,
+        }
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError> {
+        self.stream.set_read_timeout(Some(timeout))?;
+        Ok(())
     }
 
     fn peer(&self) -> String {
@@ -220,6 +247,15 @@ impl Transport for LoopbackTransport {
         Frame::decode_wire(&wire)
     }
 
+    fn recv_timeout(&self) -> Duration {
+        self.recv_timeout
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError> {
+        self.recv_timeout = timeout;
+        Ok(())
+    }
+
     fn peer(&self) -> String {
         self.label.clone()
     }
@@ -244,6 +280,30 @@ mod tests {
         let (c, _w) = loopback_pair();
         let mut c = c.with_recv_timeout(Duration::from_millis(10));
         assert!(matches!(c.recv(), Err(DistError::Timeout(_))));
+    }
+
+    #[test]
+    fn recv_timeouts_are_settable_on_every_transport() {
+        let (c, w) = loopback_pair_with_chaos(ChaosPlan::default());
+        let mut c: Box<dyn Transport> = Box::new(c);
+        let mut w: Box<dyn Transport> = Box::new(w);
+        assert_eq!(c.recv_timeout(), Duration::from_secs(120));
+        c.set_recv_timeout(Duration::from_millis(10)).unwrap();
+        assert_eq!(c.recv_timeout(), Duration::from_millis(10));
+        assert!(matches!(c.recv(), Err(DistError::Timeout(_))));
+        // The chaos end forwards to the loopback end it wraps.
+        w.set_recv_timeout(Duration::from_millis(10)).unwrap();
+        assert_eq!(w.recv_timeout(), Duration::from_millis(10));
+        assert!(matches!(w.recv(), Err(DistError::Timeout(_))));
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut tcp = TcpTransport::from_stream(client, Duration::from_secs(120)).unwrap();
+        assert_eq!(tcp.recv_timeout(), Duration::from_secs(120));
+        // Socket timeouts round to kernel ticks; 100 ms is whole on any.
+        tcp.set_recv_timeout(Duration::from_millis(100)).unwrap();
+        assert_eq!(tcp.recv_timeout(), Duration::from_millis(100));
+        assert!(tcp.set_recv_timeout(Duration::ZERO).is_err());
     }
 
     #[test]

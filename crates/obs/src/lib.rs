@@ -54,6 +54,9 @@
 //! | solver | `fcfs.markov_solve` | span | whole stationary solve |
 //! | solver | `solver.lp.dense` / `.colgen` | counter | `ScheduleLp::solve` dispatch |
 //! | solver | `optimal.lp_solve` | span | whole LP solve |
+//! | FCFS event sim | `fcfs.event_sim` | span | whole `symbiosis::fcfs_throughput` |
+//! | Section VI DES | `queueing.latency_run` | span | whole `queueing::run_latency_experiment` |
+//! | Section VI DES | `queueing.batch_run` | span | whole `queueing::run_batch_experiment` |
 //! | sweep | `sweep.items` | counter | per workload evaluated |
 //! | sweep | `sweep.item_us` | histogram | per-workload latency in the pool |
 //! | sweep | `sweep.pool_active` | gauge (peak) | concurrent workers at item start |

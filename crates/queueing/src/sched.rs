@@ -40,24 +40,41 @@ pub trait Scheduler {
 /// ```
 pub fn feasible_multisets(avail: &[u32], size: u32) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
-    let mut current = vec![0u32; avail.len()];
-    fill(&mut out, &mut current, avail, 0, size);
+    for_each_multiset(avail, size, |counts| out.push(counts.to_vec()));
     out
 }
 
-fn fill(out: &mut Vec<Vec<u32>>, current: &mut Vec<u32>, avail: &[u32], ty: usize, left: u32) {
+/// Visits every multiset [`feasible_multisets`] returns, in the same order,
+/// through one reused count buffer instead of allocating each.
+fn for_each_multiset(avail: &[u32], size: u32, mut visit: impl FnMut(&[u32])) {
+    // capacity_after[ty] = jobs available in types ty.. (one extra 0 entry).
+    let mut capacity_after = vec![0u32; avail.len() + 1];
+    for ty in (0..avail.len()).rev() {
+        capacity_after[ty] = capacity_after[ty + 1] + avail[ty];
+    }
+    let mut current = vec![0u32; avail.len()];
+    fill(&mut current, avail, &capacity_after, 0, size, &mut visit);
+}
+
+fn fill(
+    current: &mut [u32],
+    avail: &[u32],
+    capacity_after: &[u32],
+    ty: usize,
+    left: u32,
+    visit: &mut impl FnMut(&[u32]),
+) {
     if ty == avail.len() {
         if left == 0 {
-            out.push(current.clone());
+            visit(current);
         }
         return;
     }
-    let remaining_capacity: u32 = avail[ty + 1..].iter().sum();
-    let min_here = left.saturating_sub(remaining_capacity);
+    let min_here = left.saturating_sub(capacity_after[ty + 1]);
     let max_here = left.min(avail[ty]);
     for c in (min_here..=max_here).rev() {
         current[ty] = c;
-        fill(out, current, avail, ty + 1, left - c);
+        fill(current, avail, capacity_after, ty + 1, left - c, visit);
         current[ty] = 0;
     }
 }
@@ -71,6 +88,16 @@ fn jobs_for_counts_oldest(pool: &mut JobPool, counts: &[u32]) -> Vec<JobId> {
         }
     }
     out
+}
+
+/// Sum of the arrival times of the jobs [`jobs_for_counts_oldest`] picks:
+/// MAXIT's tie-break key (smaller = older jobs).
+fn age_of(pool: &mut JobPool, counts: &[u32]) -> f64 {
+    let selected = jobs_for_counts_oldest(pool, counts);
+    selected
+        .iter()
+        .map(|&id| pool.get(id).expect("selected job exists").arrival)
+        .sum()
 }
 
 /// First-come first-served: run the `K` oldest jobs in the system.
@@ -103,41 +130,37 @@ pub struct MaxItScheduler;
 impl MaxItScheduler {
     /// Best feasible multiset by instantaneous throughput (ties: oldest
     /// jobs). Shared with the MAXTP fallback path.
+    ///
+    /// Ages are summed only when a candidate comes within `1e-12` of the
+    /// best so far; the best's own age is computed on its first tie. A
+    /// multiset's age depends only on the pool, which `select` does not
+    /// change, so the choice is the one eager ages would make.
     fn best_counts(pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<u32> {
         let size = pool.len().min(contexts) as u32;
-        let candidates = feasible_multisets(pool.counts(), size);
-        debug_assert!(!candidates.is_empty());
-        let mut best: Option<(f64, f64, Vec<u32>)> = None;
-        for counts in candidates {
-            let it = rates.instantaneous_throughput(&counts);
-            // Tie-break: smaller total arrival time = older jobs.
-            let need_age = match &best {
-                Some((bit, _, _)) => (it - bit).abs() < 1e-12 || it > *bit,
-                None => true,
+        let avail = pool.counts().to_vec();
+        // (throughput, age once computed, counts)
+        let mut best: Option<(f64, Option<f64>, Vec<u32>)> = None;
+        for_each_multiset(&avail, size, |counts| {
+            let it = rates.instantaneous_throughput(counts);
+            let Some((bit, bage, bcounts)) = &mut best else {
+                best = Some((it, None, counts.to_vec()));
+                return;
             };
+            let need_age = (it - *bit).abs() < 1e-12 || it > *bit;
             if !need_age {
-                continue;
+                return;
             }
-            let mut selected = Vec::new();
-            for (ty, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    selected.extend(pool.oldest_of_type(ty, c as usize));
-                }
-            }
-            let age: f64 = selected
-                .iter()
-                .map(|&id| pool.get(id).expect("selected job exists").arrival)
-                .sum();
-            let better = match &best {
-                None => true,
-                Some((bit, bage, _)) => {
-                    it > bit + 1e-12 || ((it - bit).abs() <= 1e-12 && age < *bage)
+            let better = it > *bit + 1e-12 || {
+                (it - *bit).abs() <= 1e-12 && {
+                    let age = age_of(pool, counts);
+                    let best_age = *bage.get_or_insert_with(|| age_of(pool, bcounts));
+                    age < best_age
                 }
             };
             if better {
-                best = Some((it, age, counts));
+                best = Some((it, None, counts.to_vec()));
             }
-        }
+        });
         best.expect("at least one candidate").2
     }
 }
@@ -165,26 +188,42 @@ impl Scheduler for SrptScheduler {
 
     fn select(&mut self, pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<JobId> {
         let size = pool.len().min(contexts) as u32;
-        let candidates = feasible_multisets(pool.counts(), size);
+        let avail = pool.counts().to_vec();
+        // Per type, the shortest jobs any candidate can take, each paired
+        // with the remaining work summed over its type's jobs up to and
+        // including it: `shortest[start[ty] + c - 1].1` is
+        // `shortest_remaining_sum(ty, c)`, added in the same order.
+        let mut shortest: Vec<(JobId, f64)> = Vec::new();
+        let mut start = Vec::with_capacity(avail.len());
+        for (ty, &have) in avail.iter().enumerate() {
+            start.push(shortest.len());
+            let mut sum = 0.0;
+            for (id, remaining) in pool.shortest(ty).take(have.min(size) as usize) {
+                sum += remaining;
+                shortest.push((id, sum));
+            }
+        }
         let mut best: Option<(f64, Vec<u32>)> = None;
-        for counts in candidates {
+        for_each_multiset(&avail, size, |counts| {
             let mut total_time = 0.0;
             for (ty, &c) in counts.iter().enumerate() {
                 if c > 0 {
-                    let rate = rates.per_job_rate(&counts, ty);
-                    total_time += pool.shortest_remaining_sum(ty, c as usize) / rate;
+                    let rate = rates.per_job_rate(counts, ty);
+                    total_time += shortest[start[ty] + c as usize - 1].1 / rate;
                 }
             }
             if best.as_ref().is_none_or(|(bt, _)| total_time < *bt) {
-                best = Some((total_time, counts));
+                best = Some((total_time, counts.to_vec()));
             }
-        }
+        });
         let counts = best.expect("at least one candidate").1;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(size as usize);
         for (ty, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                out.extend(pool.shortest_of_type(ty, c as usize));
-            }
+            out.extend(
+                shortest[start[ty]..][..c as usize]
+                    .iter()
+                    .map(|&(id, _)| id),
+            );
         }
         out
     }
