@@ -56,6 +56,7 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "des/latency_saturated_2k_jobs_srpt",
     "sweep/latency_fig5_leg",
     "predict/fit_sampled_n12_k8",
+    "predict/error_against_n8_k8",
     "serve/steady_state_jobs_sec",
     "dist/sweep_495_mixes_3_workers",
     "enumerate/coschedules_12_choose_4_multiset",
@@ -432,6 +433,35 @@ fn main() {
             )
             .expect("fits"),
         );
+    }));
+
+    // The model-error evaluation the serve twin runs after every refit:
+    // one `error_against` over all 6 435 full coschedules of an 8-type,
+    // 8-context truth (grid evaluation included), for a model fitted to
+    // the solo and pair coschedules.
+    let grid_truth = symbiosis::AnalyticModel::new(8, 8, |counts: &[u32], ty| {
+        let distinct = counts.iter().filter(|&&c| c > 0).count() as f64;
+        let load: u32 = counts.iter().sum();
+        (0.6 + 0.05 * ty as f64) * (1.0 + 0.1 * (distinct - 1.0))
+            / (1.0 + 0.3 * (load as f64 - 1.0))
+    });
+    let grid_model = predict::PredictedModel::fit(
+        8,
+        8,
+        (1..=2)
+            .flat_map(|size| CoscheduleIter::new(8, size))
+            .map(|c| predict::RateSample {
+                counts: c.counts().to_vec(),
+                rates: (0..8)
+                    .map(|ty| RateModel::total_rate(&grid_truth, c.counts(), ty))
+                    .collect(),
+            })
+            .collect(),
+        Box::new(predict::InterferenceFitter),
+    )
+    .expect("fits");
+    results.push(bench("predict/error_against_n8_k8", || {
+        black_box(grid_model.error_against(&grid_truth).expect("same shape"));
     }));
 
     // The online-service loop: one complete steady-state serve run —

@@ -152,13 +152,7 @@ impl fmt::Display for Fairness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
-    }
+    use crate::study::fast_study;
 
     #[test]
     fn rebalancing_helps_optimal_but_not_others() {

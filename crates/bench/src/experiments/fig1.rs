@@ -177,13 +177,7 @@ impl fmt::Display for Fig1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
-    }
+    use crate::study::fast_study;
 
     #[test]
     fn fig1_reproduces_paper_shape() {

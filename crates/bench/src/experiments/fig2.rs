@@ -118,13 +118,7 @@ impl fmt::Display for Fig2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
-    }
+    use crate::study::fast_study;
 
     #[test]
     fn fcfs_sits_between_bounds_and_bridges_most_of_the_gap() {

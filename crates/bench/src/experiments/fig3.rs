@@ -148,13 +148,7 @@ impl fmt::Display for Fig3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
-    }
+    use crate::study::fast_study;
 
     #[test]
     fn bottleneck_error_tracks_variability() {

@@ -214,7 +214,7 @@ pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy,
             fitter: model.fitter_name(),
             samples: model.samples().len(),
             fit: model.fit_error(),
-            full: model.error_against(&truth),
+            full: model.error_against(&truth).map_err(|e| err(&e))?,
             rank_tau: tau,
         });
     }
@@ -291,7 +291,7 @@ fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedAccuracy, String> {
         train: model.samples().len(),
         total,
         fit: model.fit_error(),
-        full: model.error_against(&truth),
+        full: model.error_against(&truth).map_err(|e| err(&e))?,
     })
 }
 

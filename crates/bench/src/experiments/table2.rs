@@ -129,13 +129,7 @@ impl fmt::Display for Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{Chip, StudyConfig};
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
-    }
+    use crate::study::{fast_study, Chip};
 
     #[test]
     fn table2_reproduces_paper_shape() {

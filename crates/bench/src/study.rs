@@ -547,6 +547,14 @@ impl Study {
     }
 }
 
+/// The shared `StudyConfig::fast()` study of the experiment unit tests,
+/// built once per test binary.
+#[cfg(test)]
+pub(crate) fn fast_study() -> &'static Study {
+    static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
+    STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -177,8 +177,8 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinsysError> {
 /// equations `A^T A x = A^T b`.
 ///
 /// When `A^T A` is singular a tiny ridge term (`1e-10` on the diagonal) is
-/// added, which is adequate for the well-scaled fitting problems in this
-/// workspace.
+/// added ([`solve_normal_equations`]), which is adequate for the
+/// well-scaled fitting problems in this workspace.
 ///
 /// # Errors
 ///
@@ -192,18 +192,32 @@ pub fn least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinsysError> {
         });
     }
     let at = a.transpose();
-    let ata = at.mul(a);
-    let atb = at.mul_vec(b);
-    match solve(&ata, &atb) {
-        Ok(x) => Ok(x),
+    solve_normal_equations(at.mul(a), &at.mul_vec(b))
+}
+
+/// Solves the normal equations `A^T A x = A^T b` from a prebuilt Gram
+/// matrix `ata` and right-hand side `atb`, the shared back end of
+/// [`least_squares`] and of callers that assemble `A^T A` without forming
+/// `A`.
+///
+/// When `ata` is singular a tiny ridge term (`1e-10` on the diagonal) is
+/// added and the system solved again.
+///
+/// # Errors
+///
+/// Returns [`LinsysError::DimensionMismatch`] if `ata` is not square or
+/// `atb` does not match it, and [`LinsysError::Singular`] if even the
+/// regularised system cannot be solved.
+pub fn solve_normal_equations(ata: Matrix, atb: &[f64]) -> Result<Vec<f64>, LinsysError> {
+    match solve(&ata, atb) {
         Err(LinsysError::Singular) => {
             let mut ridged = ata;
             for i in 0..ridged.rows() {
                 ridged[(i, i)] += 1e-10;
             }
-            solve(&ridged, &atb)
+            solve(&ridged, atb)
         }
-        Err(e) => Err(e),
+        other => other,
     }
 }
 
@@ -294,6 +308,22 @@ mod tests {
                 assert!(residual_ss(&a, &cand, &b) >= best - 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn normal_equations_ridge_a_singular_gram() {
+        // Two identical columns: A^T A is singular, so the solve takes the
+        // ridge path and splits the weight evenly.
+        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
+        let b = [2.0, 4.0, 6.0];
+        let at = a.transpose();
+        assert_eq!(
+            solve(&at.mul(&a), &at.mul_vec(&b)),
+            Err(LinsysError::Singular)
+        );
+        let x = solve_normal_equations(at.mul(&a), &at.mul_vec(&b)).unwrap();
+        assert_close(&x, &[1.0, 1.0], 1e-6);
+        assert_eq!(least_squares(&a, &b).unwrap(), x);
     }
 
     #[test]

@@ -76,7 +76,9 @@
 //! | serve | `serve.queue_depth` | gauge (peak) | run loop, before each drain |
 //! | serve | `serve.shed` | counter | arrivals bounced by the full queue |
 //! | serve | `serve.place_us` | histogram | dispatcher fill latency |
+//! | predict | `predict.fit` | span | the fitter call in `PredictedModel::refit` (every fit and refit) |
 //! | serve | `twin.refit_us` | histogram | model refit duration (inline or worker) |
+//! | serve | `twin.error_us` | histogram | each error-trajectory point in `run_serve` (predictor over the truth grid) |
 //! | serve | `twin.refits` / `twin.refit_failures` | counter | twin loop |
 //! | serve | `serve.breaker_open` / `serve.breaker_close` | event (debug) | circuit-breaker transitions |
 //!

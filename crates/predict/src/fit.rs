@@ -207,10 +207,23 @@ impl Fitter for BottleneckFitter {
 /// "richer" [`Fitter`] of the pair.
 ///
 /// For each type `b`, the per-job rate in multiset `s` is modelled as
-/// `θ_b0 + sum_j θ_bj · c_j(s)` and fitted (via [`lp::linsys`]'s normal
-/// equations, ridge-regularised when rank-deficient) over every sample in
-/// which the type appears — all coschedule sizes, so solos anchor the
-/// intercepts and partial multisets interpolate.
+/// `θ_b0 + sum_j θ_bj · c_j(s)` and fitted (via
+/// [`linsys::solve_normal_equations`], ridge-regularised when
+/// rank-deficient) over every sample in which the type appears — all
+/// coschedule sizes, so solos anchor the intercepts and partial multisets
+/// interpolate.
+///
+/// The normal equations are assembled straight from the samples, without
+/// forming the design matrix `A` (rows `[1, c_1(s), ..., c_N(s)]`):
+///
+/// * every Gram entry `(AᵀA)_ij` is a sum of products of small integer
+///   counts, so it is accumulated exactly in `u64` and converted once.
+///   Below 2⁵³ every partial sum is exact in `f64` too, whatever the
+///   order, so the matrix equals a dense `Aᵀ · A` product bit for bit;
+/// * `Aᵀy` keeps one `f64` accumulator per column, starts it from `-0.0`
+///   (the value `Iterator::sum` starts from) and adds `a_ij · y_i` for
+///   every row in sample order, zero counts included — the exact sequence
+///   of operations a dense `Aᵀ.mul_vec(y)` performs, so it rounds the same.
 ///
 /// [`RatePredictor::coefficients`] layout: row `b` is
 /// `[θ_b0, θ_b1, ..., θ_bN]`.
@@ -246,24 +259,57 @@ impl Fitter for InterferenceFitter {
         _contexts: usize,
         samples: &[RateSample],
     ) -> Result<Box<dyn RatePredictor>, PredictError> {
+        // One pass over the samples fills every type's normal equations:
+        // type `b`'s rows are the samples it appears in, in sample order.
+        let dim = num_types + 1;
+        let mut gram = vec![0u64; num_types * dim * dim];
+        let mut aty = vec![-0.0; num_types * dim];
+        let mut present: Vec<(usize, u64)> = Vec::with_capacity(num_types);
+        for s in samples {
+            present.clear();
+            present.extend(
+                s.counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(j, &c)| (j, u64::from(c))),
+            );
+            for &(b, count) in &present {
+                // Upper triangle of type `b`'s AᵀA, row-major; row and
+                // column 0 are the intercept. Zero counts add nothing.
+                let g = &mut gram[b * dim * dim..(b + 1) * dim * dim];
+                g[0] += 1;
+                for (i, &(j, cj)) in present.iter().enumerate() {
+                    g[j + 1] += cj;
+                    for &(l, cl) in &present[i..] {
+                        g[(j + 1) * dim + l + 1] += cj * cl;
+                    }
+                }
+                let y = s.rates[b] / count as f64;
+                let a = &mut aty[b * dim..(b + 1) * dim];
+                a[0] += y;
+                for (j, &c) in s.counts.iter().enumerate() {
+                    a[j + 1] += c as f64 * y;
+                }
+            }
+        }
         let mut theta = Vec::with_capacity(num_types);
         for b in 0..num_types {
-            let rows: Vec<&RateSample> = samples.iter().filter(|s| s.counts[b] > 0).collect();
-            if rows.is_empty() {
+            let g = &gram[b * dim * dim..(b + 1) * dim * dim];
+            if g[0] == 0 {
                 return Err(PredictError::NotEnoughSamples(format!(
                     "type {b} appears in no sample"
                 )));
             }
-            let mut a = Matrix::zeros(rows.len(), num_types + 1);
-            let mut y = Vec::with_capacity(rows.len());
-            for (i, s) in rows.iter().enumerate() {
-                a[(i, 0)] = 1.0;
-                for (j, &c) in s.counts.iter().enumerate() {
-                    a[(i, j + 1)] = c as f64;
+            let mut ata = Matrix::zeros(dim, dim);
+            for i in 0..dim {
+                for j in i..dim {
+                    let v = g[i * dim + j] as f64;
+                    ata[(i, j)] = v;
+                    ata[(j, i)] = v;
                 }
-                y.push(s.rates[b] / s.counts[b] as f64);
             }
-            let coef = linsys::least_squares(&a, &y)
+            let coef = linsys::solve_normal_equations(ata, &aty[b * dim..(b + 1) * dim])
                 .map_err(|e| PredictError::Fit(format!("type {b}: {e}")))?;
             theta.push(coef);
         }

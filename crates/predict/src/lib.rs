@@ -74,7 +74,7 @@ use workloads::TableError;
 pub use fit::{
     BottleneckFitter, Fitter, InterferenceFitter, RatePredictor, RateSample, MIN_PREDICTED_RATE,
 };
-pub use model::{samples_from_table, ErrorSummary, PredictedModel, Residual};
+pub use model::{samples_from_table, ErrorSummary, PredictedModel, Residual, TruthGrid};
 pub use sample::{stratified_plan, SamplePlan, Stratum};
 
 /// Errors from sampling, fitting or predicting.

@@ -10,7 +10,7 @@
 //! predicted [`PerfTable`] (consume it with [`WorkUnit::Plain`] — the
 //! emitted per-slot "IPCs" *are* predicted rates).
 
-use symbiosis::{Coschedule, RateModel, WorkloadRates};
+use symbiosis::{Coschedule, CoscheduleIter, RateModel, WorkloadRates};
 use workloads::{PerfTable, WorkUnit};
 
 use crate::fit::{Fitter, RatePredictor, RateSample};
@@ -54,6 +54,51 @@ impl ErrorSummary {
             p95_abs_rel: p95,
             max_abs_rel: *errors.last().expect("non-empty"),
         }
+    }
+}
+
+/// A ground truth evaluated once over every *full* coschedule: each
+/// coschedule's counts (flattened, one row of type counts per coschedule)
+/// and its measured instantaneous throughput, in [`CoscheduleIter`] order.
+///
+/// The truth never changes while a model is refitted against it, so a
+/// loop tracking model error after every refit builds the grid once and
+/// calls [`PredictedModel::error_against_grid`], which evaluates only the
+/// predictor. [`PredictedModel::error_against`] is a wrapper that builds
+/// a grid and takes the same path, so both report the same bits.
+#[derive(Debug, Clone)]
+pub struct TruthGrid {
+    num_types: usize,
+    contexts: usize,
+    counts: Vec<u32>,
+    measured: Vec<f64>,
+}
+
+impl TruthGrid {
+    /// Evaluates `truth` over every full coschedule of its shape.
+    ///
+    /// # Errors
+    ///
+    /// [`PredictError::Shape`] when `truth` has no types or no contexts.
+    pub fn new(truth: &dyn RateModel) -> Result<TruthGrid, PredictError> {
+        let (num_types, contexts) = (truth.num_types(), truth.contexts());
+        if num_types == 0 || contexts == 0 {
+            return Err(PredictError::Shape(
+                "truth needs at least one type and one context".into(),
+            ));
+        }
+        let mut counts = Vec::new();
+        let mut measured = Vec::new();
+        for s in CoscheduleIter::new(num_types, contexts) {
+            counts.extend_from_slice(s.counts());
+            measured.push(truth.instantaneous_throughput(s.counts()));
+        }
+        Ok(TruthGrid {
+            num_types,
+            contexts,
+            counts,
+            measured,
+        })
     }
 }
 
@@ -107,7 +152,7 @@ impl PredictedModel {
             position: std::collections::HashMap::new(),
             residuals: Vec::new(),
         };
-        model.refit(&samples)?;
+        model.merge_and_refit(samples)?;
         Ok(model)
     }
 
@@ -145,7 +190,13 @@ impl PredictedModel {
     ///
     /// As [`PredictedModel::fit`].
     pub fn refit(&mut self, new_samples: &[RateSample]) -> Result<(), PredictError> {
-        for sample in new_samples {
+        self.merge_and_refit(new_samples.to_vec())
+    }
+
+    /// [`PredictedModel::refit`] on owned samples, which move into the
+    /// training set instead of being copied.
+    fn merge_and_refit(&mut self, new_samples: Vec<RateSample>) -> Result<(), PredictError> {
+        for sample in &new_samples {
             sample.validate(self.num_types, self.contexts)?;
         }
         // Apply in place, remembering how to revert if the fit fails.
@@ -154,7 +205,7 @@ impl PredictedModel {
         for sample in new_samples {
             match self.position.get(&sample.counts) {
                 Some(&i) => {
-                    let old = std::mem::replace(&mut self.samples[i], sample.clone());
+                    let old = std::mem::replace(&mut self.samples[i], sample);
                     // Keep only the oldest value per slot: a batch may
                     // re-measure the same multiset more than once.
                     if i < appended_from && !replaced.iter().any(|(j, _)| *j == i) {
@@ -164,7 +215,7 @@ impl PredictedModel {
                 None => {
                     self.position
                         .insert(sample.counts.clone(), self.samples.len());
-                    self.samples.push(sample.clone());
+                    self.samples.push(sample);
                 }
             }
         }
@@ -173,16 +224,25 @@ impl PredictedModel {
                 "predicted model needs at least one sample".into(),
             ));
         }
-        match self
-            .fitter
-            .fit(self.num_types, self.contexts, &self.samples)
-        {
+        let fitted = {
+            let _span = obs::span!("predict.fit");
+            self.fitter
+                .fit(self.num_types, self.contexts, &self.samples)
+        };
+        match fitted {
             Ok(predictor) => {
-                self.residuals = self
-                    .samples
-                    .iter()
-                    .map(|s| residual_for(&*predictor, s))
-                    .collect();
+                // Sample `i` keeps its multiset across refits, so existing
+                // ledger entries are refreshed in place.
+                for (i, sample) in self.samples.iter().enumerate() {
+                    if i == self.residuals.len() {
+                        self.residuals.push(Residual {
+                            counts: sample.counts.clone(),
+                            per_type: Vec::with_capacity(self.num_types),
+                            rel_throughput: 0.0,
+                        });
+                    }
+                    fill_residual(&*predictor, sample, &mut self.residuals[i]);
+                }
                 self.predictor = predictor;
                 Ok(())
             }
@@ -245,17 +305,50 @@ impl PredictedModel {
     /// Error summary against a ground-truth rate source, over every *full*
     /// coschedule of the model's shape — the predicted-vs-measured
     /// headline number (most of those coschedules were never sampled).
-    pub fn error_against(&self, truth: &dyn RateModel) -> ErrorSummary {
-        assert_eq!(truth.num_types(), self.num_types, "type count mismatch");
-        assert_eq!(truth.contexts(), self.contexts, "context count mismatch");
-        let errors: Vec<f64> = symbiosis::CoscheduleIter::new(self.num_types, self.contexts)
-            .map(|s| {
-                let measured = truth.instantaneous_throughput(s.counts());
-                let predicted = self.instantaneous_throughput(s.counts());
+    ///
+    /// Builds a [`TruthGrid`] and calls
+    /// [`PredictedModel::error_against_grid`]; build the grid yourself to
+    /// compare several models against one truth.
+    ///
+    /// # Errors
+    ///
+    /// [`PredictError::Shape`] when `truth` has a different type or
+    /// context count than the model.
+    pub fn error_against(&self, truth: &dyn RateModel) -> Result<ErrorSummary, PredictError> {
+        self.check_truth_shape(truth.num_types(), truth.contexts())?;
+        self.error_against_grid(&TruthGrid::new(truth)?)
+    }
+
+    /// Error summary against a pre-evaluated ground truth: the relative
+    /// error `|predicted − measured| / measured` of the instantaneous
+    /// throughput, over every coschedule of `grid`.
+    ///
+    /// # Errors
+    ///
+    /// [`PredictError::Shape`] when `grid` has a different type or context
+    /// count than the model.
+    pub fn error_against_grid(&self, grid: &TruthGrid) -> Result<ErrorSummary, PredictError> {
+        self.check_truth_shape(grid.num_types, grid.contexts)?;
+        let errors: Vec<f64> = grid
+            .counts
+            .chunks_exact(self.num_types)
+            .zip(&grid.measured)
+            .map(|(counts, &measured)| {
+                let predicted = self.instantaneous_throughput(counts);
                 (predicted - measured).abs() / measured
             })
             .collect();
-        ErrorSummary::from_abs_rel(errors)
+        Ok(ErrorSummary::from_abs_rel(errors))
+    }
+
+    fn check_truth_shape(&self, num_types: usize, contexts: usize) -> Result<(), PredictError> {
+        if (num_types, contexts) == (self.num_types, self.contexts) {
+            return Ok(());
+        }
+        Err(PredictError::Shape(format!(
+            "truth has {num_types} types and {contexts} contexts, model has {} and {}",
+            self.num_types, self.contexts
+        )))
     }
 
     /// The predicted full-coschedule [`WorkloadRates`] table for a
@@ -361,25 +454,23 @@ impl RatePredictor for Unfitted {
     }
 }
 
-fn residual_for(predictor: &dyn RatePredictor, sample: &RateSample) -> Residual {
-    let mut per_type = Vec::with_capacity(sample.counts.len());
+/// Recomputes `out` (the ledger entry of `sample`'s multiset) against
+/// `predictor`.
+fn fill_residual(predictor: &dyn RatePredictor, sample: &RateSample, out: &mut Residual) {
+    out.per_type.clear();
     let mut measured_it = 0.0;
     let mut predicted_it = 0.0;
     for (b, (&c, &measured)) in sample.counts.iter().zip(&sample.rates).enumerate() {
         if c == 0 {
-            per_type.push(0.0);
+            out.per_type.push(0.0);
             continue;
         }
         let predicted = c as f64 * predictor.per_job_rate(&sample.counts, b);
-        per_type.push(measured - predicted);
+        out.per_type.push(measured - predicted);
         measured_it += measured;
         predicted_it += predicted;
     }
-    Residual {
-        counts: sample.counts.clone(),
-        per_type,
-        rel_throughput: (predicted_it - measured_it).abs() / measured_it,
-    }
+    out.rel_throughput = (predicted_it - measured_it).abs() / measured_it;
 }
 
 /// Extracts [`RateSample`]s from every recorded combo of `table` composed
@@ -503,7 +594,7 @@ mod tests {
         let model = PredictedModel::fit(3, 3, samples, Box::new(InterferenceFitter)).unwrap();
         let fit = model.fit_error();
         assert!(fit.max_abs_rel < 1e-9, "max rel err {}", fit.max_abs_rel);
-        let against = model.error_against(&truth);
+        let against = model.error_against(&truth).unwrap();
         assert!(against.max_abs_rel < 1e-9);
         assert_eq!(against.coschedules, 10); // C(3+2, 3)
     }
@@ -536,7 +627,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(model.samples().len(), 30);
-        let summary = model.error_against(&truth);
+        let summary = model.error_against(&truth).unwrap();
         assert_eq!(summary.coschedules, 35);
         assert!(summary.max_abs_rel < 1e-6, "max {}", summary.max_abs_rel);
     }
@@ -554,14 +645,14 @@ mod tests {
         let early = truth_samples(&truth, 1..=2);
         let mut model =
             PredictedModel::fit(2, 3, early.clone(), Box::new(InterferenceFitter)).unwrap();
-        let before = model.error_against(&truth);
+        let before = model.error_against(&truth).unwrap();
         let n_before = model.samples().len();
 
         // New measurements arrive: the full-size coschedules.
         model.refit(&truth_samples(&truth, 3..=3)).unwrap();
         assert_eq!(model.samples().len(), n_before + 4); // C(2+2, 3) = 4
         assert_eq!(model.residuals().len(), model.samples().len());
-        let after = model.error_against(&truth);
+        let after = model.error_against(&truth).unwrap();
         assert!(
             after.mean_abs_rel < before.mean_abs_rel,
             "refit must use the new evidence: {} vs {}",
@@ -580,6 +671,25 @@ mod tests {
         assert_eq!(model.samples().len(), n);
         let replaced = model.samples().iter().find(|s| s.counts == [1, 1]).unwrap();
         assert_eq!(replaced.rates, vec![0.55, 0.54]);
+    }
+
+    #[test]
+    fn refit_ledger_matches_a_fresh_fit_of_the_same_samples() {
+        // The refit refreshes existing residual entries in place; they must
+        // equal the entries a one-shot fit of the merged set builds.
+        let truth = AnalyticModel::new(3, 3, |counts: &[u32], ty| {
+            let n: u32 = counts.iter().sum();
+            (1.0 + 0.1 * ty as f64) / (1.0 + 0.3 * (n as f64 - 1.0)).powi(2)
+        });
+        let early = truth_samples(&truth, 1..=2);
+        let late = truth_samples(&truth, 3..=3);
+        let mut refitted =
+            PredictedModel::fit(3, 3, early.clone(), Box::new(InterferenceFitter)).unwrap();
+        refitted.refit(&late).unwrap();
+        let merged: Vec<RateSample> = early.into_iter().chain(late).collect();
+        let fresh = PredictedModel::fit(3, 3, merged, Box::new(InterferenceFitter)).unwrap();
+        assert_eq!(refitted.samples(), fresh.samples());
+        assert_eq!(refitted.residuals(), fresh.residuals());
     }
 
     #[test]
@@ -674,6 +784,63 @@ mod tests {
         assert!(samples_from_table(&table, &[], WorkUnit::Plain).is_err());
         assert!(samples_from_table(&table, &[2, 0], WorkUnit::Plain).is_err());
         assert!(samples_from_table(&table, &[0, 7], WorkUnit::Plain).is_err());
+    }
+
+    #[test]
+    fn error_against_rejects_a_truth_of_another_shape() {
+        let truth = affine_truth(3, 3);
+        let model = PredictedModel::fit(
+            3,
+            3,
+            truth_samples(&truth, 1..=3),
+            Box::new(InterferenceFitter),
+        )
+        .unwrap();
+        for (n, k) in [(4, 3), (3, 4)] {
+            let other = affine_truth(n, k);
+            assert!(matches!(
+                model.error_against(&other),
+                Err(PredictError::Shape(_))
+            ));
+            let grid = TruthGrid::new(&other).unwrap();
+            assert!(matches!(
+                model.error_against_grid(&grid),
+                Err(PredictError::Shape(_))
+            ));
+        }
+        struct NoTypes;
+        impl RateModel for NoTypes {
+            fn num_types(&self) -> usize {
+                0
+            }
+            fn contexts(&self) -> usize {
+                3
+            }
+            fn per_job_rate(&self, _counts: &[u32], _ty: usize) -> f64 {
+                unreachable!("a type-less truth has no jobs")
+            }
+        }
+        assert!(matches!(
+            TruthGrid::new(&NoTypes),
+            Err(PredictError::Shape(_))
+        ));
+    }
+
+    #[test]
+    fn error_against_grid_matches_error_against_bit_for_bit() {
+        let truth = affine_truth(3, 4);
+        let model = PredictedModel::fit(
+            3,
+            4,
+            truth_samples(&truth, 1..=2),
+            Box::new(InterferenceFitter),
+        )
+        .unwrap();
+        let from_grid = model
+            .error_against_grid(&TruthGrid::new(&truth).unwrap())
+            .unwrap();
+        assert_eq!(from_grid.coschedules, 15); // C(3+3, 4)
+        assert_eq!(from_grid, model.error_against(&truth).unwrap());
     }
 
     #[test]

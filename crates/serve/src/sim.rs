@@ -19,7 +19,7 @@ use crate::dispatch::{Dispatcher, Placement};
 use crate::placer::Placer;
 use crate::queue::{Queue, SubmitError};
 use crate::twin::{RefitRecord, TwinError, TwinLoop};
-use predict::{PredictedModel, RateSample};
+use predict::{PredictedModel, RateSample, TruthGrid};
 use queueing::Job;
 use symbiosis::rng::SplitMix64;
 use symbiosis::RateModel;
@@ -193,6 +193,21 @@ pub fn run_serve(
     let depth_gauge = ctx.as_ref().map(|r| r.gauge("serve.queue_depth"));
     let shed_counter = ctx.as_ref().map(|r| r.counter("serve.shed"));
     let place_hist = ctx.as_ref().map(|r| r.histogram("serve.place_us"));
+    let error_hist = ctx.as_ref().map(|r| r.histogram("twin.error_us"));
+
+    // The truth never changes during the run: evaluate it once, so each
+    // error-trajectory point only evaluates the live predictor.
+    let grid = TruthGrid::new(truth).map_err(|e| ServeError::Config(e.to_string()))?;
+    let model_error = |model: &PredictedModel| -> Result<f64, ServeError> {
+        let started = std::time::Instant::now();
+        let summary = model
+            .error_against_grid(&grid)
+            .map_err(|e| ServeError::Config(e.to_string()))?;
+        if let Some(h) = &error_hist {
+            h.record(started.elapsed().as_micros() as f64);
+        }
+        Ok(summary.mean_abs_rel)
+    };
 
     let mut rng = SplitMix64::new(cfg.seed);
     let (producer, queue) = Queue::bounded(cfg.queue_capacity);
@@ -230,7 +245,7 @@ pub fn run_serve(
         generation: 0,
         time: 0.0,
         completed: 0,
-        mean_abs_rel: twin.read().error_against(truth).mean_abs_rel,
+        mean_abs_rel: model_error(&twin.read())?,
     }];
 
     let mut now = 0.0;
@@ -313,7 +328,7 @@ pub fn run_serve(
                     generation: twin.generation(),
                     time: now,
                     completed,
-                    mean_abs_rel: twin.read().error_against(truth).mean_abs_rel,
+                    mean_abs_rel: model_error(&twin.read())?,
                 });
             }
         }
@@ -369,7 +384,7 @@ pub fn run_serve(
         generation: refits.last().map_or(0, |r| r.generation),
         time: now,
         completed,
-        mean_abs_rel: final_model.error_against(truth).mean_abs_rel,
+        mean_abs_rel: model_error(&final_model)?,
     });
 
     drop(_span);

@@ -237,7 +237,9 @@ fn analytic_truth_serve_runs_match_golden_digests() {
 #[test]
 fn k8_view_truth_serve_runs_match_golden_digests() {
     let table = synthetic_table();
-    let view = table.workload_view(&[0, 1, 2, 3, 4]).expect("valid workload");
+    let view = table
+        .workload_view(&[0, 1, 2, 3, 4])
+        .expect("valid workload");
     let got = serve_cases("view_k8", &view, 400, 11);
     check(
         &got,
@@ -262,7 +264,10 @@ fn interference_fitter_coefficients_match_golden_digests() {
         ("rank_deficient", 3, 4, &rank_deficient),
     ] {
         let predictor = InterferenceFitter.fit(n, k, samples).expect("fit");
-        got.push((label.to_string(), coefficient_digest(&predictor.coefficients())));
+        got.push((
+            label.to_string(),
+            coefficient_digest(&predictor.coefficients()),
+        ));
     }
     check(
         &got,
@@ -277,13 +282,15 @@ fn interference_fitter_coefficients_match_golden_digests() {
 fn error_against_summaries_match_golden_digests() {
     let analytic = analytic_truth();
     let table = synthetic_table();
-    let view = table.workload_view(&[0, 1, 2, 3, 4]).expect("valid workload");
+    let view = table
+        .workload_view(&[0, 1, 2, 3, 4])
+        .expect("valid workload");
     let mut got = Vec::new();
     for (label, truth) in [
         ("analytic", &analytic as &dyn RateModel),
         ("view_k8", &view as &dyn RateModel),
     ] {
-        let summary = seed_model(truth).error_against(truth);
+        let summary = seed_model(truth).error_against(truth).expect("same shape");
         got.push((label.to_string(), summary_digest(&summary)));
     }
     check(

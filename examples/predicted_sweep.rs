@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fitters: [Box<dyn Fitter>; 2] = [Box::new(BottleneckFitter), Box::new(InterferenceFitter)];
     for fitter in fitters {
         let model = PredictedModel::from_table(&sampled, &types, WorkUnit::Weighted, fitter)?;
-        let table_err = model.error_against(&measured.workload_rates(&types)?);
+        let table_err = model.error_against(&measured.workload_rates(&types)?)?;
 
         let predicted_table = model.to_table(names.clone())?;
         let predicted_sweep = Session::sweep()

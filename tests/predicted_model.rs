@@ -136,6 +136,8 @@ fn sampled_fit_tracks_the_measured_optimal_landscape() {
         .collect();
     let tau = stats::kendall_tau(&measured, &predicted).expect("tau");
     assert!(tau > 0.8, "rank agreement too weak: tau = {tau}");
-    let err = model.error_against(&full.workload_rates(&[0, 1, 2, 3, 4, 5]).unwrap());
+    let err = model
+        .error_against(&full.workload_rates(&[0, 1, 2, 3, 4, 5]).unwrap())
+        .unwrap();
     assert!(err.mean_abs_rel < 0.05, "mean error {}", err.mean_abs_rel);
 }
