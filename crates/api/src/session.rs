@@ -12,7 +12,8 @@ use queueing::{
 use simproc::{Machine, MachineConfig, MachineError};
 use symbiosis::{
     fcfs_throughput, fcfs_throughput_markov_tuned, JobSize, Objective, RateModel, Schedule,
-    ScheduleLp, SymbiosisError, WorkloadRates,
+    ScheduleLp, SymbiosisError, WorkloadRates, DEFAULT_MARKOV_ACCEL_LIMIT,
+    DEFAULT_MARKOV_DENSE_LIMIT,
 };
 use workloads::{spec2006, PerfTable, TableError};
 
@@ -226,9 +227,6 @@ pub struct SessionBuilder<'a> {
     job_size: JobSize,
     seed: u64,
     latency: Option<LatencyConfig>,
-    lp_dense_limit: usize,
-    markov_dense_limit: usize,
-    markov_accel_limit: usize,
 }
 
 /// A configured experiment: machine/workload (or a ready rate model) plus
@@ -279,9 +277,6 @@ impl Session {
             job_size: JobSize::Deterministic,
             seed: 0x5EED,
             latency: None,
-            lp_dense_limit: symbiosis::DEFAULT_LP_DENSE_LIMIT,
-            markov_dense_limit: symbiosis::DEFAULT_MARKOV_DENSE_LIMIT,
-            markov_accel_limit: symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT,
         }
     }
 }
@@ -315,8 +310,10 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// OS threads for simulated table building (default: available
-    /// parallelism).
+    /// OS threads for simulated table building and for FCFS-MARKOV chains
+    /// past [`symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT`] states, where one
+    /// thread runs sequential SOR and more run the multicolor sweep
+    /// (default: available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -381,35 +378,6 @@ impl<'a> SessionBuilder<'a> {
     /// fixed-batch (makespan) experiment.
     pub fn latency(mut self, config: LatencyConfig) -> Self {
         self.latency = Some(config);
-        self
-    }
-
-    /// Largest coschedule count the scheduling LP solves on the dense
-    /// tableau; bigger tables go through column generation
-    /// (default: [`symbiosis::DEFAULT_LP_DENSE_LIMIT`]). `0` forces column
-    /// generation, `usize::MAX` forces the dense tableau.
-    pub fn lp_dense_limit(mut self, limit: usize) -> Self {
-        self.lp_dense_limit = limit;
-        self
-    }
-
-    /// Largest Markov-chain state count solved by dense LU; bigger chains
-    /// go through the sparse Gauss–Seidel path
-    /// (default: [`symbiosis::DEFAULT_MARKOV_DENSE_LIMIT`]). `0` forces the
-    /// sparse path, `usize::MAX` the dense one.
-    pub fn markov_dense_limit(mut self, limit: usize) -> Self {
-        self.markov_dense_limit = limit;
-        self
-    }
-
-    /// Largest sparse Markov-chain state count solved by sequential
-    /// Gauss–Seidel; bigger chains go through the multi-colored parallel
-    /// SOR sweep (default: [`symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT`]).
-    /// `0` forces the accelerated path, `usize::MAX` sequential
-    /// Gauss–Seidel. Only consulted above
-    /// [`SessionBuilder::markov_dense_limit`].
-    pub fn markov_accel_limit(mut self, limit: usize) -> Self {
-        self.markov_accel_limit = limit;
         self
     }
 
@@ -487,9 +455,7 @@ impl<'a> SessionBuilder<'a> {
             .iter()
             .any(|p| matches!(p, Policy::Optimal | Policy::Worst | Policy::MaxTp));
         let lp: Option<ScheduleLp<'_>> = if needs_lp {
-            table
-                .as_ref()
-                .map(|t| ScheduleLp::with_dense_limit(t, self.lp_dense_limit))
+            table.as_ref().map(ScheduleLp::new)
         } else {
             None
         };
@@ -555,8 +521,8 @@ impl<'a> SessionBuilder<'a> {
                 Policy::FcfsMarkov => {
                     let outcome = fcfs_throughput_markov_tuned(
                         table.as_ref().expect("table materialised"),
-                        self.markov_dense_limit,
-                        self.markov_accel_limit,
+                        DEFAULT_MARKOV_DENSE_LIMIT,
+                        DEFAULT_MARKOV_ACCEL_LIMIT,
                         self.threads,
                     )?;
                     PolicyReport {

@@ -231,9 +231,6 @@ struct SweepKnobs {
     job_size: JobSize,
     seed: u64,
     latency: Option<LatencyConfig>,
-    lp_dense_limit: usize,
-    markov_dense_limit: usize,
-    markov_accel_limit: usize,
 }
 
 impl SweepKnobs {
@@ -244,10 +241,7 @@ impl SweepKnobs {
             .objective(self.objective)
             .fcfs_jobs(self.fcfs_jobs)
             .job_size(self.job_size)
-            .seed(self.seed)
-            .lp_dense_limit(self.lp_dense_limit)
-            .markov_dense_limit(self.markov_dense_limit)
-            .markov_accel_limit(self.markov_accel_limit);
+            .seed(self.seed);
         if let Some(cfg) = &self.latency {
             builder = builder.latency(cfg.clone());
         }
@@ -309,7 +303,7 @@ impl<'a> SweepItem<'a> {
 
     /// A single-workload [`Session`] builder preconfigured with this
     /// sweep's experiment knobs (objective, event-leg jobs/sizes/seed,
-    /// latency configuration, solver thresholds) — exactly the builder
+    /// latency configuration) — exactly the builder
     /// [`SweepBuilder::run`] evaluates per workload.
     ///
     /// This is how custom maps run *policy rows* whose configuration
@@ -349,13 +343,6 @@ pub struct SweepSpec {
     pub seed: u64,
     /// Poisson-arrival configuration for latency policies, if any.
     pub latency: Option<LatencyConfig>,
-    /// Dense-tableau threshold for the scheduling LP.
-    pub lp_dense_limit: usize,
-    /// Dense-LU threshold for the FCFS Markov chain.
-    pub markov_dense_limit: usize,
-    /// Sequential Gauss–Seidel threshold for sparse FCFS Markov chains;
-    /// bigger chains use the multi-colored parallel SOR sweep.
-    pub markov_accel_limit: usize,
 }
 
 impl SweepSpec {
@@ -372,10 +359,7 @@ impl SweepSpec {
             .objective(self.objective)
             .fcfs_jobs(self.fcfs_jobs)
             .job_size(self.job_size)
-            .seed(self.seed)
-            .lp_dense_limit(self.lp_dense_limit)
-            .markov_dense_limit(self.markov_dense_limit)
-            .markov_accel_limit(self.markov_accel_limit);
+            .seed(self.seed);
         if let Some(cfg) = &self.latency {
             builder = builder.latency(cfg.clone());
         }
@@ -437,9 +421,6 @@ impl Session {
                 job_size: JobSize::Deterministic,
                 seed: 0x5EED,
                 latency: None,
-                lp_dense_limit: symbiosis::DEFAULT_LP_DENSE_LIMIT,
-                markov_dense_limit: symbiosis::DEFAULT_MARKOV_DENSE_LIMIT,
-                markov_accel_limit: symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT,
             },
         }
     }
@@ -546,30 +527,6 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Dense-tableau threshold for the scheduling LP, forwarded to every
-    /// per-workload session (see
-    /// [`crate::SessionBuilder::lp_dense_limit`]).
-    pub fn lp_dense_limit(mut self, limit: usize) -> Self {
-        self.knobs.lp_dense_limit = limit;
-        self
-    }
-
-    /// Dense-LU threshold for the FCFS Markov chain, forwarded to every
-    /// per-workload session (see
-    /// [`crate::SessionBuilder::markov_dense_limit`]).
-    pub fn markov_dense_limit(mut self, limit: usize) -> Self {
-        self.knobs.markov_dense_limit = limit;
-        self
-    }
-
-    /// Sequential Gauss–Seidel threshold for sparse FCFS Markov chains,
-    /// forwarded to every per-workload session (see
-    /// [`crate::SessionBuilder::markov_accel_limit`]).
-    pub fn markov_accel_limit(mut self, limit: usize) -> Self {
-        self.knobs.markov_accel_limit = limit;
-        self
-    }
-
     /// The transportable half of this builder: its per-workload
     /// configuration as a plain-data [`SweepSpec`] (policies by name, unit,
     /// experiment knobs). `spec().sweep(table)` reconstructs an equivalent
@@ -590,9 +547,6 @@ impl<'a> SweepBuilder<'a> {
             job_size: self.knobs.job_size,
             seed: self.knobs.seed,
             latency: self.knobs.latency.clone(),
-            lp_dense_limit: self.knobs.lp_dense_limit,
-            markov_dense_limit: self.knobs.markov_dense_limit,
-            markov_accel_limit: self.knobs.markov_accel_limit,
         }
     }
 

@@ -7,11 +7,14 @@
 //! the CI smoke job runs it against the committed baseline so a PR cannot
 //! silently slow a pinned kernel down.
 //!
-//! The parser is deliberately tiny: it only reads the flat one-object-per-
-//! line layout our own harness emits (no external JSON dependency), and
-//! errors out loudly on anything else rather than guessing.
+//! The parser only reads the flat one-object-per-line layout our own
+//! harness emits, through the same flat-object parser that checks trace
+//! captures (no external JSON dependency), and errors out loudly on
+//! anything else rather than guessing.
 
 use std::fmt;
+
+use obs::validate::{parse_flat_object, JsonVal};
 
 /// One kernel's median from a trajectory file.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,48 +27,32 @@ pub struct KernelMedian {
 }
 
 /// Parses the `BENCH_session.json` layout written by `benches/kernels.rs`:
-/// one `{"name": ..., "median_ns_per_iter": ...}` object per line.
+/// one `{"name": ..., "median_ns_per_iter": ...}` object per line, each
+/// read whole by [`obs::validate::parse_flat_object`].
 pub fn parse_session(text: &str) -> Result<Vec<KernelMedian>, String> {
     let mut out = Vec::new();
     for line in text.lines() {
-        let Some(npos) = line.find("\"name\":") else {
+        let line = line.trim();
+        if !line.starts_with("{\"name\"") {
             continue;
+        }
+        let object = line.strip_suffix(',').unwrap_or(line);
+        let fields = parse_flat_object(object).map_err(|e| format!("{e}: {line}"))?;
+        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let name = match get("name") {
+            Some(JsonVal::Str(name)) => name.clone(),
+            _ => return Err(format!("name must be a string: {line}")),
         };
-        let rest = &line[npos + "\"name\":".len()..];
-        let q0 = rest
-            .find('"')
-            .ok_or_else(|| format!("malformed name field: {line}"))?;
-        let q1 = rest[q0 + 1..]
-            .find('"')
-            .ok_or_else(|| format!("unterminated name: {line}"))?;
-        let name = rest[q0 + 1..q0 + 1 + q1].to_string();
-
-        let key = "\"median_ns_per_iter\":";
-        let mpos = line
-            .find(key)
-            .ok_or_else(|| format!("kernel {name} has no median_ns_per_iter"))?;
-        let tail = line[mpos + key.len()..].trim_start();
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        let median_ns: f64 = num
-            .parse()
-            .map_err(|e| format!("kernel {name}: bad median {num:?}: {e}"))?;
+        let Some(JsonVal::Num(median_ns)) = get("median_ns_per_iter").cloned() else {
+            return Err(format!("kernel {name} has no numeric median_ns_per_iter"));
+        };
         if !median_ns.is_finite() || median_ns <= 0.0 {
             return Err(format!("kernel {name}: non-positive median {median_ns}"));
         }
-
         // Optional convergence figure (older baselines predate it).
-        let solver_iters = match line.find("\"solver_iters\":") {
-            Some(spos) => {
-                let tail = line[spos + "\"solver_iters\":".len()..].trim_start();
-                let num: String = tail.chars().take_while(char::is_ascii_digit).collect();
-                Some(
-                    num.parse::<u64>()
-                        .map_err(|e| format!("kernel {name}: bad solver_iters {num:?}: {e}"))?,
-                )
-            }
+        let solver_iters = match get("solver_iters") {
+            Some(JsonVal::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Some(other) => return Err(format!("kernel {name}: bad solver_iters {other:?}")),
             None => None,
         };
         out.push(KernelMedian {
@@ -208,7 +195,7 @@ impl fmt::Display for DeltaReport {
     }
 }
 
-/// Driver for the `bench-delta` binary: compares `base_path` against
+/// Driver for `paperbench bench-delta`: compares `base_path` against
 /// `new_path` and returns an error listing every kernel that regressed by
 /// more than `threshold`. Missing/added kernels are reported but do not
 /// fail the run (the harness's own coverage guard owns completeness).
@@ -295,6 +282,12 @@ mod tests {
         assert!(parse_session("{}").is_err());
         assert!(parse_session("{\"name\": \"x\", \"median_ns_per_iter\": -3}").is_err());
         assert!(parse_session("{\"name\": \"x\"}").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_truncated_row() {
+        let err = parse_session("{\"name\": \"a\", \"median_ns_per_iter\": 5").unwrap_err();
+        assert!(err.contains("expected ',' or '}'"), "{err}");
     }
 
     #[test]

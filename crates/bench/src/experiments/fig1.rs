@@ -97,7 +97,7 @@ pub fn workload_variability(
 /// # Errors
 ///
 /// Propagates failures from the underlying analyses as strings (the
-/// binaries report and exit).
+/// driver reports and exits).
 pub fn run(study: &Study) -> Result<Fig1, String> {
     let workloads = study.workloads();
     let mut chips = Vec::new();

@@ -103,11 +103,9 @@ impl ExperimentContext {
 /// Implementations are thin adapters over the experiment modules' `run`
 /// functions: they pull what they need from the [`ExperimentContext`]
 /// (the shared study, or just the config) and render the artefact with its
-/// `Display` implementation — the exact text the per-experiment binaries
-/// have always printed.
+/// `Display` implementation.
 pub trait Experiment: Sync {
-    /// Registry key, e.g. `fig1` (also the name of the compatibility
-    /// binary).
+    /// Registry key, e.g. `fig1`, as in `paperbench fig1`.
     fn name(&self) -> &'static str;
 
     /// Which figure/table/section of the paper this reproduces.

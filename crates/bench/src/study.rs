@@ -97,18 +97,6 @@ pub struct StudyConfig {
     /// `--table-cache PATH` or the `SYMBIOSIS_TABLE_CACHE` environment
     /// variable.
     pub table_cache: Option<PathBuf>,
-    /// Dense-tableau threshold for the scheduling LP, forwarded to every
-    /// session and sweep this config starts (`--lp-dense-limit N`; `0`
-    /// forces column generation, [`usize::MAX`] the dense tableau).
-    pub lp_dense_limit: usize,
-    /// Dense-LU threshold for the FCFS Markov chain, forwarded to every
-    /// session and sweep this config starts (`--markov-dense-limit N`).
-    pub markov_dense_limit: usize,
-    /// Sequential Gauss–Seidel threshold for sparse FCFS Markov chains,
-    /// forwarded to every session and sweep this config starts
-    /// (`--markov-accel-limit N`; `0` forces the multi-colored parallel
-    /// SOR sweep, [`usize::MAX`] sequential Gauss–Seidel).
-    pub markov_accel_limit: usize,
     /// Opt-in (`--simulated-k8`): run the K = 8 experiment legs against a
     /// *really simulated* 8-way SMT table ([`simproc::MachineConfig::smt8`]
     /// over the [`StudyConfig::K8_SUITE`] sub-suite) instead of only the
@@ -153,9 +141,6 @@ impl Default for StudyConfig {
                 .unwrap_or(4),
             seed: 0x15_BA_55,
             table_cache: None,
-            lp_dense_limit: symbiosis::DEFAULT_LP_DENSE_LIMIT,
-            markov_dense_limit: symbiosis::DEFAULT_MARKOV_DENSE_LIMIT,
-            markov_accel_limit: symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT,
             simulated_k8: false,
             worker: None,
             distribute: None,
@@ -188,9 +173,6 @@ impl StudyConfig {
             .fcfs_jobs(self.fcfs_jobs)
             .seed(self.seed)
             .threads(self.threads)
-            .lp_dense_limit(self.lp_dense_limit)
-            .markov_dense_limit(self.markov_dense_limit)
-            .markov_accel_limit(self.markov_accel_limit)
     }
 
     /// Starts a [`Session::sweep`] builder over `table` and `workloads`
@@ -203,9 +185,6 @@ impl StudyConfig {
             .fcfs_jobs(self.fcfs_jobs)
             .seed(self.seed)
             .threads(self.threads)
-            .lp_dense_limit(self.lp_dense_limit)
-            .markov_dense_limit(self.markov_dense_limit)
-            .markov_accel_limit(self.markov_accel_limit)
     }
 
     /// The distributed-sweep tuning this config carries: the default
@@ -337,16 +316,17 @@ impl StudyConfig {
         }
     }
 
-    /// Parses command-line arguments shared by the experiment binaries:
-    /// `--fast` (test-scale), `--sample N`, `--jobs N`, `--threads N`,
-    /// `--table-cache PATH`, `--lp-dense-limit N`,
-    /// `--markov-dense-limit N`. When the cache flag is absent, the
-    /// `SYMBIOSIS_TABLE_CACHE` environment variable supplies the cache
-    /// directory.
+    /// Parses the command-line flags shared by every experiment of the
+    /// `paperbench` driver: `--fast` (test-scale), `--full`, `--sample N`,
+    /// `--jobs N`, `--threads N`, `--table-cache PATH`, `--trace PATH`,
+    /// `--simulated-k8` and the distribution flags. When the cache flag
+    /// is absent, the `SYMBIOSIS_TABLE_CACHE` environment variable
+    /// supplies the cache directory.
     ///
     /// # Errors
     ///
-    /// Returns a usage message on unknown flags or malformed numbers.
+    /// Returns a usage message on unknown flags, malformed numbers, or a
+    /// zero `--sample` or `--dist-timeout-secs`.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         Self::from_args_with_env(
             args,
@@ -382,11 +362,13 @@ impl StudyConfig {
             match arg.as_str() {
                 "--fast" => {}
                 "--sample" => {
-                    cfg.sample = Some(
-                        grab("--sample")?
-                            .parse()
-                            .map_err(|e| format!("--sample: {e}"))?,
-                    )
+                    let n = grab("--sample")?
+                        .parse()
+                        .map_err(|e| format!("--sample: {e}"))?;
+                    if n == 0 {
+                        return Err("--sample must be positive".into());
+                    }
+                    cfg.sample = Some(n);
                 }
                 "--full" => cfg.sample = None,
                 "--jobs" => {
@@ -401,21 +383,6 @@ impl StudyConfig {
                 }
                 "--table-cache" => table_cache = Some(PathBuf::from(grab("--table-cache")?)),
                 "--trace" => trace = Some(PathBuf::from(grab("--trace")?)),
-                "--lp-dense-limit" => {
-                    cfg.lp_dense_limit = grab("--lp-dense-limit")?
-                        .parse()
-                        .map_err(|e| format!("--lp-dense-limit: {e}"))?
-                }
-                "--markov-dense-limit" => {
-                    cfg.markov_dense_limit = grab("--markov-dense-limit")?
-                        .parse()
-                        .map_err(|e| format!("--markov-dense-limit: {e}"))?
-                }
-                "--markov-accel-limit" => {
-                    cfg.markov_accel_limit = grab("--markov-accel-limit")?
-                        .parse()
-                        .map_err(|e| format!("--markov-accel-limit: {e}"))?
-                }
                 "--simulated-k8" => cfg.simulated_k8 = true,
                 "--worker" => cfg.worker = Some(grab("--worker")?),
                 "--distribute" => {
@@ -438,8 +405,7 @@ impl StudyConfig {
                 other => {
                     return Err(format!(
                         "unknown flag {other}; supported: --fast --full --sample N --jobs N \
-                         --threads N --table-cache PATH --trace PATH --lp-dense-limit N \
-                         --markov-dense-limit N --markov-accel-limit N \
+                         --threads N --table-cache PATH --trace PATH \
                          --simulated-k8 --worker ADDR \
                          --distribute ADDR:NWORKERS --dist-retries N \
                          --dist-timeout-secs N --dist-hedge"
@@ -573,33 +539,24 @@ mod tests {
     }
 
     #[test]
-    fn from_args_parses_solver_thresholds() {
-        let cfg = StudyConfig::from_args(
-            [
-                "--lp-dense-limit",
-                "0",
-                "--markov-dense-limit",
-                "64",
-                "--markov-accel-limit",
-                "2048",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(cfg.lp_dense_limit, 0, "0 forces column generation");
-        assert_eq!(cfg.markov_dense_limit, 64);
-        assert_eq!(cfg.markov_accel_limit, 2048);
-        let default = StudyConfig::default();
-        assert_eq!(default.lp_dense_limit, symbiosis::DEFAULT_LP_DENSE_LIMIT);
-        assert_eq!(
-            default.markov_dense_limit,
-            symbiosis::DEFAULT_MARKOV_DENSE_LIMIT
-        );
-        assert_eq!(
-            default.markov_accel_limit,
-            symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT
-        );
-        assert!(StudyConfig::from_args(["--lp-dense-limit".to_owned()]).is_err());
+    fn from_args_rejects_the_removed_solver_thresholds() {
+        for flag in [
+            "--lp-dense-limit",
+            "--markov-dense-limit",
+            "--markov-accel-limit",
+        ] {
+            let err = StudyConfig::from_args([flag, "64"].map(String::from)).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag {flag}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_args_rejects_a_zero_sample() {
+        let err =
+            StudyConfig::from_args(["--fast", "--sample", "0"].map(String::from)).unwrap_err();
+        assert_eq!(err, "--sample must be positive");
+        let cfg = StudyConfig::from_args(["--sample", "1"].map(String::from)).unwrap();
+        assert_eq!(cfg.sample, Some(1));
     }
 
     #[test]

@@ -197,8 +197,8 @@ pub const DEFAULT_MARKOV_DENSE_LIMIT: usize = 512;
 /// keeps every historical sparse scenario (1365 states at N = 12 on K = 4)
 /// bitwise identical to the sequential sweeps while the big-machine chains
 /// (75 582 states at N = 12 / K = 8, 352 716 at K = 10) take the fast
-/// path. Same dispatch pattern as [`DEFAULT_MARKOV_DENSE_LIMIT`]: `0`
-/// forces acceleration, [`usize::MAX`] forces sequential Gauss–Seidel.
+/// path. Through [`fcfs_throughput_markov_tuned`]'s `accel_limit`, `0`
+/// forces acceleration and [`usize::MAX`] sequential Gauss–Seidel.
 pub const DEFAULT_MARKOV_ACCEL_LIMIT: usize = 4096;
 
 /// Exact FCFS throughput under exponential job sizes via the stationary
@@ -214,7 +214,7 @@ pub const DEFAULT_MARKOV_ACCEL_LIMIT: usize = 4096;
 /// generator in CSR form — each state has at most `N * K` outgoing
 /// transitions, so the matrix is ~99.9% sparse at scale — and iterate
 /// Gauss–Seidel to a residual tolerance
-/// ([`fcfs_throughput_markov_with`] picks the threshold explicitly).
+/// ([`fcfs_throughput_markov_tuned`] picks the thresholds explicitly).
 ///
 /// # Errors
 ///
@@ -222,28 +222,17 @@ pub const DEFAULT_MARKOV_ACCEL_LIMIT: usize = 4096;
 /// system is singular or the iteration fails to converge (cannot happen
 /// for valid rate tables).
 pub fn fcfs_throughput_markov(rates: &WorkloadRates) -> Result<FcfsOutcome, SymbiosisError> {
-    fcfs_throughput_markov_with(rates, DEFAULT_MARKOV_DENSE_LIMIT)
+    fcfs_throughput_markov_tuned(
+        rates,
+        DEFAULT_MARKOV_DENSE_LIMIT,
+        DEFAULT_MARKOV_ACCEL_LIMIT,
+        0,
+    )
 }
 
-/// [`fcfs_throughput_markov`] with an explicit dense-solver threshold:
-/// chains with more than `dense_limit` states go through the sparse
-/// path. `0` forces the sparse path, `usize::MAX` the dense one. The
-/// sparse path itself dispatches at [`DEFAULT_MARKOV_ACCEL_LIMIT`] with
-/// auto-detected threads ([`fcfs_throughput_markov_tuned`] exposes both
-/// knobs).
-///
-/// # Errors
-///
-/// Same conditions as [`fcfs_throughput_markov`].
-pub fn fcfs_throughput_markov_with(
-    rates: &WorkloadRates,
-    dense_limit: usize,
-) -> Result<FcfsOutcome, SymbiosisError> {
-    fcfs_throughput_markov_tuned(rates, dense_limit, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
-}
-
-/// The fully tuned Markov dispatch: chains of up to `dense_limit` states
-/// solve by dense LU, up to `accel_limit` by sequential Gauss–Seidel
+/// The Markov dispatch with explicit thresholds: chains of up to
+/// `dense_limit` states solve by dense LU, up to `accel_limit` by
+/// sequential Gauss–Seidel
 /// (bitwise identical to pre-acceleration releases), and beyond that by
 /// the accelerated adaptive-SOR multi-colored sweep across `threads` OS
 /// threads (`0` auto-detects; a resolved single worker runs the
@@ -564,8 +553,10 @@ mod tests {
                 .collect()
         })
         .unwrap();
-        let dense = fcfs_throughput_markov_with(&rates, usize::MAX).unwrap();
-        let sparse = fcfs_throughput_markov_with(&rates, 0).unwrap();
+        let dense = fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+            .unwrap();
+        let sparse =
+            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0).unwrap();
         assert!(
             (dense.throughput - sparse.throughput).abs() < 1e-9,
             "dense {} vs sparse {}",

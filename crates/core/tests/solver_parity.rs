@@ -10,8 +10,8 @@
 use lp::sparse::{stationary_gauss_seidel, stationary_multicolor, stationary_sor, SparseError};
 use symbiosis::rng::SplitMix64;
 use symbiosis::{
-    enumerate_coschedules, fcfs_throughput_markov_tuned, fcfs_throughput_markov_with, markov_chain,
-    markov_coloring, CoscheduleIter, Objective, ScheduleLp, WorkloadRates,
+    enumerate_coschedules, fcfs_throughput_markov_tuned, markov_chain, markov_coloring,
+    CoscheduleIter, Objective, ScheduleLp, WorkloadRates, DEFAULT_MARKOV_ACCEL_LIMIT,
 };
 
 /// A seeded random rate table: every present type gets a positive rate
@@ -109,8 +109,11 @@ fn sparse_markov_matches_dense_lu() {
     for &(n, k) in SHAPES {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
-            let dense = fcfs_throughput_markov_with(&rates, usize::MAX).expect("dense solves");
-            let sparse = fcfs_throughput_markov_with(&rates, 0).expect("sparse solves");
+            let dense =
+                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                    .expect("dense solves");
+            let sparse = fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                .expect("sparse solves");
             assert!(
                 (dense.throughput - sparse.throughput).abs() <= 1e-7,
                 "shape ({n},{k}) seed {seed}: dense {} vs sparse {}",
@@ -171,7 +174,9 @@ fn accelerated_dispatch_matches_dense_lu_within_1e9() {
     for &(n, k) in SHAPES {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
-            let dense = fcfs_throughput_markov_with(&rates, usize::MAX).expect("dense solves");
+            let dense =
+                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                    .expect("dense solves");
             // accel_limit = usize::MAX forces sequential Gauss–Seidel;
             // accel_limit = 0 with threads = 1 forces natural-order SOR,
             // with threads = 4 the multi-colored parallel sweep.
@@ -218,8 +223,9 @@ fn sub_accel_limit_dispatch_is_bitwise_sequential_gauss_seidel() {
     // equality, not tolerance agreement.
     for &(n, k) in SHAPES {
         let rates = random_rates(n, k, 11);
-        assert!(rates.coschedules().len() <= symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT);
-        let via_default = fcfs_throughput_markov_with(&rates, 0).unwrap();
+        assert!(rates.coschedules().len() <= DEFAULT_MARKOV_ACCEL_LIMIT);
+        let via_default =
+            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0).unwrap();
         let via_gs = fcfs_throughput_markov_tuned(&rates, 0, usize::MAX, 0).unwrap();
         assert_eq!(via_default, via_gs, "shape ({n},{k}): sparse tier fallback");
     }
@@ -268,7 +274,9 @@ fn default_dispatch_is_bitwise_dense_below_the_threshold() {
             .unwrap();
         assert_eq!(via_default, via_dense, "shape ({n},{k}) LP path");
         let m_default = symbiosis::fcfs_throughput_markov(&rates).unwrap();
-        let m_dense = fcfs_throughput_markov_with(&rates, usize::MAX).unwrap();
+        let m_dense =
+            fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                .unwrap();
         assert_eq!(m_default, m_dense, "shape ({n},{k}) Markov path");
     }
 }

@@ -20,7 +20,7 @@ use workloads::WorkUnit;
 use crate::DistError;
 
 /// Version spoken by this build; bumped on any wire-visible change.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on one frame's body length. Large enough for any real
 /// table (the N=12/K=8 SMT table is ~4 MiB) with two orders of magnitude
@@ -398,9 +398,6 @@ fn put_spec(buf: &mut Vec<u8>, spec: &SweepSpec) {
             put_u64(buf, cfg.seed);
         }
     }
-    put_u64(buf, spec.lp_dense_limit as u64);
-    put_u64(buf, spec.markov_dense_limit as u64);
-    put_u64(buf, spec.markov_accel_limit as u64);
 }
 
 fn get_spec(dec: &mut Dec<'_>) -> Result<SweepSpec, DistError> {
@@ -441,9 +438,6 @@ fn get_spec(dec: &mut Dec<'_>) -> Result<SweepSpec, DistError> {
         }),
         v => return Err(DistError::Protocol(format!("bad latency flag {v}"))),
     };
-    let lp_dense_limit = dec.u64()? as usize;
-    let markov_dense_limit = dec.u64()? as usize;
-    let markov_accel_limit = dec.u64()? as usize;
     Ok(SweepSpec {
         policies,
         unit,
@@ -452,9 +446,6 @@ fn get_spec(dec: &mut Dec<'_>) -> Result<SweepSpec, DistError> {
         job_size,
         seed,
         latency,
-        lp_dense_limit,
-        markov_dense_limit,
-        markov_accel_limit,
     })
 }
 
@@ -568,9 +559,6 @@ mod tests {
                 sizes: SizeDist::Exponential,
                 seed: 7,
             }),
-            lp_dense_limit: 64,
-            markov_dense_limit: 32,
-            markov_accel_limit: 512,
         }
     }
 
@@ -626,6 +614,7 @@ mod tests {
 
     #[test]
     fn every_frame_round_trips_through_its_wire_image() {
+        assert_eq!(PROTOCOL_VERSION, 3);
         for frame in sample_frames() {
             let wire = frame.encode();
             let back = Frame::decode_wire(&wire).expect("decode what we encoded");

@@ -471,28 +471,61 @@ fn workers_cache_the_table_and_reuse_it_across_sweeps() {
 fn version_skew_is_rejected_without_killing_the_run() {
     use dist::{Frame, Transport, PROTOCOL_VERSION};
 
-    let coordinator = Coordinator::from_sweep(reference_sweep(), DistConfig::default()).unwrap();
-    // One impostor speaking a future protocol, one honest worker.
-    let (c1, mut w1) = loopback_pair();
-    let (c2, w2) = loopback_pair();
-    let impostor = std::thread::spawn(move || {
-        w1.send(&Frame::Hello {
-            version: PROTOCOL_VERSION + 1,
-        })
-        .unwrap();
-        w1.recv()
-    });
-    let honest = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator
-        .run(vec![c1, c2])
-        .expect("the honest worker carries the sweep");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    let answer = impostor.join().unwrap().expect("impostor gets an answer");
-    assert!(
-        matches!(&answer, Frame::Error { message } if message.contains("version")),
-        "unexpected answer: {answer:?}"
+    // One impostor speaking the previous or a future protocol, one honest
+    // worker.
+    for theirs in [2, PROTOCOL_VERSION + 1] {
+        let coordinator =
+            Coordinator::from_sweep(reference_sweep(), DistConfig::default()).unwrap();
+        let (c1, mut w1) = loopback_pair();
+        let (c2, w2) = loopback_pair();
+        let impostor = std::thread::spawn(move || {
+            w1.send(&Frame::Hello { version: theirs }).unwrap();
+            w1.recv()
+        });
+        let honest = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
+        let outcome = coordinator
+            .run(vec![c1, c2])
+            .expect("the honest worker carries the sweep");
+        assert_bitwise_equal(&outcome.report, reference_report());
+        let answer = impostor.join().unwrap().expect("impostor gets an answer");
+        let mismatch = DistError::VersionMismatch {
+            ours: PROTOCOL_VERSION,
+            theirs,
+        };
+        assert_eq!(
+            answer,
+            Frame::Error {
+                message: mismatch.to_string()
+            }
+        );
+        honest.join().unwrap().expect("honest worker completes");
+    }
+}
+
+#[test]
+fn a_worker_refuses_a_version_2_coordinator() {
+    use dist::{Frame, Transport, PROTOCOL_VERSION};
+
+    let (mut c, w) = loopback_pair();
+    let worker = std::thread::spawn(move || run_worker(w, &WorkerConfig::default()));
+    assert_eq!(
+        c.recv().unwrap(),
+        Frame::Hello {
+            version: PROTOCOL_VERSION
+        }
     );
-    honest.join().unwrap().expect("honest worker completes");
+    c.send(&Frame::Welcome {
+        version: 2,
+        table_fingerprint: 0,
+        spec: reference_sweep().spec(),
+        total_workloads: 10,
+    })
+    .unwrap();
+    let err = worker.join().unwrap().expect_err("version 2 is refused");
+    assert!(
+        matches!(err, DistError::VersionMismatch { ours, theirs: 2 } if ours == PROTOCOL_VERSION),
+        "{err:?}"
+    );
 }
 
 #[test]

@@ -26,11 +26,14 @@
 //! |--------|----------|----------------------|---------------------|
 //! | dense LU (`linsys::solve`) | chain fits a dense matrix; bitwise-stable reference | ≤ `DEFAULT_MARKOV_DENSE_LIMIT` = 512 states | direct solve — none, but O(n³) |
 //! | [`stationary_gauss_seidel`] | mid-size chains; bitwise-stable sequential baseline | ≤ `DEFAULT_MARKOV_ACCEL_LIMIT` = 4096 states | linear rate ρ(GS); slows as the chain's mixing worsens |
-//! | [`stationary_sor`] | large chains, one core; same memory as GS | kernels / explicit call | omega is estimated after a Gauss–Seidel warmup; a mis-estimate is self-healed by backoff, costing a few extra sweeps |
-//! | [`stationary_multicolor`] | large chains, many cores | > `DEFAULT_MARKOV_ACCEL_LIMIT` (the `symbiosis` crate's default dispatch) | update *order* differs from natural-order GS, so iterates differ in trajectory (not in fixed point); needs a valid coloring — an invalid one is rejected, not repaired |
+//! | [`stationary_sor`] | large chains, one core; same memory as GS | > `DEFAULT_MARKOV_ACCEL_LIMIT` states on one thread | omega is estimated after a Gauss–Seidel warmup; a mis-estimate is self-healed by backoff, costing a few extra sweeps |
+//! | [`stationary_multicolor`] | large chains, many cores | > `DEFAULT_MARKOV_ACCEL_LIMIT` states on two or more threads | update *order* differs from natural-order GS, so iterates differ in trajectory (not in fixed point); needs a valid coloring — an invalid one is rejected, not repaired |
 //!
 //! (`DEFAULT_MARKOV_DENSE_LIMIT` / `DEFAULT_MARKOV_ACCEL_LIMIT` live in the
-//! `symbiosis` crate, which owns the Markov-chain dispatch.) All iterative
+//! `symbiosis` crate, which owns the Markov-chain dispatch. Sessions and
+//! sweeps always dispatch at these defaults; only a direct
+//! `fcfs_throughput_markov_tuned` call picks other thresholds, as the
+//! parity tests and kernels do to force each path.) All iterative
 //! solvers share the same residual definition — relative balance error
 //! `max_j |inflow_j(pi) - pi_j outflow_j| / max_j(pi_j outflow_j)` — so a
 //! tolerance means the same thing on every path; results agree within the

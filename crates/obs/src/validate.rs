@@ -20,14 +20,21 @@ use crate::Level;
 
 /// A parsed flat JSON value (the trace schema needs nothing deeper).
 #[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
+pub enum JsonVal {
     Str(String),
     Num(f64),
 }
 
 /// Parses one flat JSON object (`{"k": "v", "n": 1.5, ...}`): string or
-/// numeric values only, which is all the trace emitter produces.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
+/// numeric values only, which is all the trace emitter and the bench
+/// harness's `BENCH_session.json` rows produce. Fields come back in
+/// source order.
+///
+/// # Errors
+///
+/// A description of the first syntax error, including a truncated object
+/// and trailing bytes after the closing brace.
+pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
     let mut chars = line.trim().chars().peekable();
     let mut out = Vec::new();
     if chars.next() != Some('{') {

@@ -19,8 +19,7 @@
 //! Performance data is supplied through the workspace-wide
 //! [`symbiosis::RateModel`] trait (re-exported here), implemented by the
 //! `workloads` crate for simulated tables and by [`ContentionModel`] for
-//! analytic toy systems. The crate-local `CoscheduleRates` trait this crate
-//! used to define is a deprecated alias of `RateModel`.
+//! analytic toy systems.
 //!
 //! # Examples
 //!
@@ -65,6 +64,3 @@ pub use sim::{
     run_batch_experiment, run_latency_experiment, BatchConfig, BatchReport, LatencyConfig,
     LatencyReport, SizeDist,
 };
-
-#[allow(deprecated)]
-pub use rates::CoscheduleRates;

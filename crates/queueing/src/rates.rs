@@ -1,18 +1,8 @@
 //! The interface between the latency simulator and performance data.
 //!
-//! Since the `RateModel` unification the schedulers consume
-//! [`symbiosis::RateModel`] directly; the old crate-local `CoscheduleRates`
-//! trait survives as a deprecated alias so existing implementations keep
-//! compiling unchanged (the method set is identical).
+//! The schedulers consume [`symbiosis::RateModel`] directly.
 
 use symbiosis::RateModel;
-
-/// Former name of the shared rate abstraction.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `symbiosis::RateModel` (identical method set)"
-)]
-pub use symbiosis::RateModel as CoscheduleRates;
 
 /// A simple analytic rate model for tests and examples: each job runs at
 /// `solo[ty]` scaled by a contention factor `1 / (1 + alpha * (n - 1))`

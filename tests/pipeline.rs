@@ -2,6 +2,7 @@
 //! scheduling analyses, on a reduced scale.
 
 use symbiotic_scheduling::prelude::*;
+use symbiotic_scheduling::symbiosis;
 
 fn small_table(config: MachineConfig) -> PerfTable {
     let machine = Machine::new(config.with_windows(2_000, 8_000)).expect("valid config");
@@ -149,11 +150,10 @@ fn latency_experiment_runs_on_simulated_view() {
     assert!(latency.empty_fraction < 0.5);
 }
 
-/// The deprecated free-function shims must keep producing exactly the
-/// numbers the session path produces — old call sites lose nothing.
+/// The engine functions behind the session must produce exactly the
+/// numbers the session path reports.
 #[test]
-#[allow(deprecated)]
-fn legacy_shims_agree_with_sessions() {
+fn engine_functions_agree_with_sessions() {
     let table = small_table(MachineConfig::smt4());
     let rates = table.workload_rates(&[0, 1, 2, 3]).expect("valid workload");
     let report = Session::builder()
@@ -168,9 +168,10 @@ fn legacy_shims_agree_with_sessions() {
         .seed(11)
         .run()
         .expect("session runs");
-    let (worst, best) = throughput_bounds(&rates).expect("lp solves");
-    let fcfs = fcfs_throughput(&rates, 10_000, JobSize::Deterministic, 11).expect("fcfs runs");
-    let markov = fcfs_throughput_markov(&rates).expect("chain solves");
+    let (worst, best) = symbiosis::throughput_bounds(&rates).expect("lp solves");
+    let fcfs =
+        symbiosis::fcfs_throughput(&rates, 10_000, JobSize::Deterministic, 11).expect("fcfs runs");
+    let markov = symbiosis::fcfs_throughput_markov(&rates).expect("chain solves");
     assert_eq!(Some(best.throughput), report.throughput(Policy::Optimal));
     assert_eq!(Some(worst.throughput), report.throughput(Policy::Worst));
     assert_eq!(Some(fcfs.throughput), report.throughput(Policy::FcfsEvent));

@@ -5,7 +5,6 @@
 //! (plan → sampled table → fit → analyse) runs through the facade alone.
 
 use symbiotic_scheduling::prelude::*;
-// The non-deprecated spelling (the prelude's is the legacy shim).
 use symbiotic_scheduling::symbiosis::optimal_schedule;
 
 /// Ground-truth contention law over a 6-benchmark suite on 4 contexts:
