@@ -42,6 +42,7 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "simproc/smt4_coschedule_paper_window",
     "simproc/quadcore_coschedule_paper_window",
     "fcfs/event_sim_5k_jobs",
+    "fcfs/event_sim_40k_jobs_exp",
     "fcfs/markov_chain_35_states",
     "fcfs/markov_sparse_n12_k4",
     "fcfs/markov_sparse_n12_k8",
@@ -265,6 +266,11 @@ fn main() {
 
     results.push(bench("fcfs/event_sim_5k_jobs", || {
         black_box(fcfs_throughput(&rates, 5_000, JobSize::Deterministic, 1).expect("runs"));
+    }));
+    // The FCFS-EVENT shape of every analysis sweep row: a 4-type table on
+    // 4 contexts, exponential job sizes, 40 000 jobs.
+    results.push(bench("fcfs/event_sim_40k_jobs_exp", || {
+        black_box(fcfs_throughput(&rates, 40_000, JobSize::Exponential, 1).expect("runs"));
     }));
     results.push(bench("fcfs/markov_chain_35_states", || {
         black_box(fcfs_throughput_markov(&rates).expect("solves"));

@@ -5,8 +5,8 @@
 //! (job types i.i.d. uniform). Two estimators are provided:
 //!
 //! * [`fcfs_throughput`] — an event-driven *maximum throughput experiment*:
-//!   a fully loaded machine executes `jobs` equal-work jobs; throughput is
-//!   total work over makespan. This mirrors the TPCalc construction the
+//!   a fully loaded machine runs a random job stream until `jobs` jobs
+//!   complete; throughput is total work over makespan. This mirrors the TPCalc construction the
 //!   paper cites (Eyerman et al., TACO 2014).
 //! * [`fcfs_throughput_markov`] — an exact continuous-time Markov-chain
 //!   solution under exponentially distributed job sizes: the coschedule
@@ -42,21 +42,28 @@ pub struct FcfsOutcome {
     /// Fraction of time spent in each coschedule (aligned with
     /// [`WorkloadRates::coschedules`]); sums to ~1.
     pub fractions: Vec<f64>,
-    /// Number of jobs completed.
+    /// Number of jobs completed (0 for the Markov solution). The event
+    /// experiment stops after the event that reaches the requested count,
+    /// and several slots can finish in that event, so this can exceed the
+    /// requested `jobs` by up to K − 1.
     pub completed: u64,
 }
 
+/// Most contexts the event experiment supports: each event finds its
+/// finished slots through one `u64` bit mask.
+const MAX_EVENT_CONTEXTS: usize = 64;
+
 /// Runs the event-driven FCFS maximum-throughput experiment.
 ///
-/// `jobs` equal-probability jobs of each type are processed by a fully
-/// loaded machine: whenever a job finishes, the next job from the random
-/// arrival order takes its slot. Returns throughput and per-coschedule time
-/// fractions.
+/// A fully loaded machine runs a random job stream until `jobs` jobs in
+/// total have completed: job types are drawn i.i.d. uniform, and whenever
+/// a job finishes, the next job of the stream takes its slot. Returns
+/// throughput and per-coschedule time fractions.
 ///
 /// # Errors
 ///
-/// Returns [`SymbiosisError::InvalidParameter`] if `jobs` is smaller than
-/// the number of contexts.
+/// Returns [`SymbiosisError::InvalidParameter`] if the table has more
+/// than 64 contexts, or if `jobs` is smaller than the number of contexts.
 ///
 /// # Examples
 ///
@@ -77,13 +84,110 @@ pub fn fcfs_throughput(
     seed: u64,
 ) -> Result<FcfsOutcome, SymbiosisError> {
     let k = rates.contexts();
+    if k > MAX_EVENT_CONTEXTS {
+        return Err(SymbiosisError::InvalidParameter(format!(
+            "the event experiment supports at most {MAX_EVENT_CONTEXTS} contexts, got {k}"
+        )));
+    }
     if jobs < k as u64 {
         return Err(SymbiosisError::InvalidParameter(format!(
             "need at least {k} jobs to load the machine, got {jobs}"
         )));
     }
     let _span = obs::span!("fcfs.event_sim");
-    let n = rates.num_types();
+    let tables = EventTables::new(rates);
+    // Small machines run at their exact size; larger ones pad to the next
+    // capacity, since a kernel per K would only add code size.
+    Ok(match k {
+        1 => event_loop::<1>(&tables, jobs, sizes, seed),
+        2 => event_loop::<2>(&tables, jobs, sizes, seed),
+        3 => event_loop::<3>(&tables, jobs, sizes, seed),
+        4 => event_loop::<4>(&tables, jobs, sizes, seed),
+        5..=8 => event_loop::<8>(&tables, jobs, sizes, seed),
+        9..=16 => event_loop::<16>(&tables, jobs, sizes, seed),
+        _ => event_loop::<MAX_EVENT_CONTEXTS>(&tables, jobs, sizes, seed),
+    })
+}
+
+/// The per-run lookup tables of the event loop.
+struct EventTables<'a> {
+    rates: &'a WorkloadRates,
+    /// Rate of one job of type `ty` in coschedule `si`, at
+    /// `per_job[si * (n + 1) + ty]`. Column `n` is the padding type of
+    /// [`event_loop`]: all zeros.
+    per_job: Vec<f64>,
+    /// Completing one `from` job and admitting one `to` job maps state
+    /// `si` to `transitions[(si * n + from) * n + to]`, so the loop never
+    /// rebuilds count vectors or ranks coschedules per completion.
+    transitions: Vec<u32>,
+}
+
+impl<'a> EventTables<'a> {
+    fn new(rates: &'a WorkloadRates) -> Self {
+        let n = rates.num_types();
+        let n_states = rates.coschedules().len();
+        let per_job = (0..n_states)
+            .flat_map(|si| {
+                (0..n)
+                    .map(move |ty| rates.per_job_rate(si, ty))
+                    .chain(std::iter::once(0.0))
+            })
+            .collect();
+        // A state's whole neighbor row comes from incremental rank deltas
+        // (the enumeration index is the rank); `from -> from` stays put.
+        let mut transitions = vec![NO_STATE; n_states * n * n];
+        let rank = rates.rank_table();
+        for (si, s) in rates.coschedules().iter().enumerate() {
+            for from in 0..n {
+                if s.count(from) == 0 {
+                    continue;
+                }
+                let row = (si * n + from) * n;
+                transitions[row + from] = si as u32;
+                rank.replace_ranks(s.counts(), si, from, |to, ti| {
+                    transitions[row + to] = ti as u32;
+                });
+            }
+        }
+        EventTables {
+            rates,
+            per_job,
+            transitions,
+        }
+    }
+}
+
+/// Marks a transition out of a state without a job of the `from` type.
+const NO_STATE: u32 = u32::MAX;
+
+/// The event loop over `CAP >= K` slots held in stack arrays, so the
+/// per-event passes unroll into registers.
+///
+/// Slots `K..CAP` are padding and leave every result bit unchanged: their
+/// type is the sentinel `n`, whose per-job rate is `0.0` in every state,
+/// and their remaining work is `+inf`. So their time to finish is
+/// `inf / 0.0 = inf`, which never lowers the event's `dt`; their progress
+/// is `0.0 * dt = +0.0`, which adds exactly nothing to `work_done` (a sum
+/// of non-negative terms that starts at `+0.0`); and their remaining work
+/// stays `+inf`, so they never finish. The real slots see the same
+/// operations in the same order as an exact-size loop.
+///
+/// Finished slots are collected in a `u64` mask during the progress pass
+/// and replaced after it, in ascending slot order. The event's rate row
+/// and `dt` are fixed before either pass and a new job makes no progress
+/// in the event that admits it, so this draws the RNG, walks the state
+/// transitions and sums `work_done` in the same sequence as replacing
+/// each slot the moment it finishes.
+fn event_loop<const CAP: usize>(
+    tables: &EventTables<'_>,
+    jobs: u64,
+    sizes: JobSize,
+    seed: u64,
+) -> FcfsOutcome {
+    let rates = tables.rates;
+    let (n, k) = (rates.num_types(), rates.contexts());
+    debug_assert!(k <= CAP && CAP <= MAX_EVENT_CONTEXTS);
+    let stride = n + 1;
     let mut rng = SplitMix64::new(seed);
     let draw_job = |rng: &mut SplitMix64| {
         let ty = rng.next_range(n as u64) as usize;
@@ -94,94 +198,64 @@ pub fn fcfs_throughput(
         (ty, work)
     };
 
-    // Running jobs: (type, remaining work) per slot.
-    let mut slots: Vec<(usize, f64)> = (0..k).map(|_| draw_job(&mut rng)).collect();
-    let mut started = k as u64;
+    // Running jobs: type and remaining work per slot.
+    let mut ty = [n; CAP];
+    let mut rem = [f64::INFINITY; CAP];
+    let mut counts = vec![0u32; n];
+    for j in 0..k {
+        (ty[j], rem[j]) = draw_job(&mut rng);
+        counts[ty[j]] += 1;
+    }
+    // Current coschedule index, maintained incrementally via transitions.
+    let mut si = rates
+        .index_of_counts(&counts)
+        .expect("full coschedule must be in the table");
     let mut completed = 0u64;
     let mut now = 0.0f64;
     let mut work_done = 0.0f64;
-    let n_states = rates.coschedules().len();
-    let mut fractions = vec![0.0f64; n_states];
-
-    // Precompute the full state-transition table: completing one `from` job
-    // and admitting one `to` job maps state `si` to `transitions[(si * n +
-    // from) * n + to]`. The hot loop then never rebuilds count vectors or
-    // hashes coschedule keys per completion (formerly an O(K) rebuild plus
-    // a heap-allocating table lookup for every finished job).
-    const NO_STATE: u32 = u32::MAX;
-    let mut transitions = vec![NO_STATE; n_states * n * n];
-    for (si, s) in rates.coschedules().iter().enumerate() {
-        for from in 0..n {
-            if s.count(from) == 0 {
-                continue;
-            }
-            for to in 0..n {
-                let next = s.replace(from, to).expect("type `from` present");
-                let ni = rates
-                    .index_of(&next)
-                    .expect("full coschedule must be in the table");
-                transitions[(si * n + from) * n + to] = ni as u32;
-            }
-        }
-    }
-
-    // Cache per-job rates as a dense [state][type] matrix for the hot loop.
-    let per_job: Vec<f64> = (0..n_states)
-        .flat_map(|si| (0..n).map(move |ty| rates.per_job_rate(si, ty)))
-        .collect();
-
-    // Current coschedule index, maintained incrementally via transitions.
-    let mut si = {
-        let mut counts = vec![0u32; n];
-        for &(ty, _) in &slots {
-            counts[ty] += 1;
-        }
-        rates
-            .index_of(&crate::Coschedule::from_counts(counts))
-            .expect("full coschedule must be in the table")
-    };
+    let mut fractions = vec![0.0f64; rates.coschedules().len()];
 
     while completed < jobs {
-        // Per-job rates in the current coschedule.
         // Advance time until the earliest completion.
-        let row = &per_job[si * n..(si + 1) * n];
+        let row = &tables.per_job[si * stride..(si + 1) * stride];
+        let mut rate = [0.0f64; CAP];
         let mut dt = f64::INFINITY;
-        for &(ty, remaining) in &slots {
-            let r = row[ty];
-            debug_assert!(r > 0.0, "running job must make progress");
-            dt = dt.min(remaining / r);
+        for j in 0..CAP {
+            rate[j] = row[ty[j]];
+            debug_assert!(j >= k || rate[j] > 0.0, "running job must make progress");
+            dt = dt.min(rem[j] / rate[j]);
         }
         debug_assert!(dt.is_finite());
         now += dt;
         fractions[si] += dt;
-        // Progress all jobs; replace those that finish.
-        let mut finished_any = false;
-        for slot in slots.iter_mut() {
-            let r = row[slot.0];
-            let progress = r * dt;
-            work_done += progress.min(slot.1);
-            slot.1 -= progress;
-            if slot.1 <= 1e-12 {
-                finished_any = true;
-                completed += 1;
-                let (ty, work) = draw_job(&mut rng);
-                si = transitions[(si * n + slot.0) * n + ty] as usize;
-                debug_assert_ne!(si, NO_STATE as usize, "transition must exist");
-                *slot = (ty, work);
-                started += 1;
-            }
+        // Progress all jobs, collecting the finished ones in a bit mask.
+        let mut done = 0u64;
+        for j in 0..CAP {
+            let progress = rate[j] * dt;
+            work_done += progress.min(rem[j]);
+            rem[j] -= progress;
+            done |= u64::from(rem[j] <= 1e-12) << j;
         }
-        debug_assert!(finished_any, "time step must finish at least one job");
+        debug_assert_ne!(done, 0, "time step must finish at least one job");
+        // Replace the finished jobs in ascending slot order.
+        while done != 0 {
+            let j = done.trailing_zeros() as usize;
+            done &= done - 1;
+            completed += 1;
+            let (next, work) = draw_job(&mut rng);
+            si = tables.transitions[(si * n + ty[j]) * n + next] as usize;
+            debug_assert_ne!(si, NO_STATE as usize, "transition must exist");
+            (ty[j], rem[j]) = (next, work);
+        }
     }
-    let _ = started;
     for f in &mut fractions {
         *f /= now;
     }
-    Ok(FcfsOutcome {
+    FcfsOutcome {
         throughput: work_done / now,
         fractions,
         completed,
-    })
+    }
 }
 
 /// Largest state count solved by the dense LU path; larger chains go
@@ -477,6 +551,18 @@ mod tests {
         let rates = insensitive(&[1.0, 1.0], 2);
         assert!(matches!(
             fcfs_throughput(&rates, 1, JobSize::Deterministic, 0),
+            Err(SymbiosisError::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
+    fn more_than_64_contexts_rejected() {
+        let widest = insensitive(&[0.5], 64);
+        let out = fcfs_throughput(&widest, 1_000, JobSize::Exponential, 3).unwrap();
+        assert!((out.throughput - 32.0).abs() < 1e-9, "{}", out.throughput);
+        let rates = insensitive(&[0.5], 65);
+        assert!(matches!(
+            fcfs_throughput(&rates, 1_000, JobSize::Deterministic, 0),
             Err(SymbiosisError::InvalidParameter(_))
         ));
     }
