@@ -11,9 +11,8 @@ use queueing::{
 };
 use simproc::{Machine, MachineConfig, MachineError};
 use symbiosis::{
-    fcfs_throughput, fcfs_throughput_markov_tuned, JobSize, Objective, RateModel, Schedule,
-    ScheduleLp, SymbiosisError, WorkloadRates, DEFAULT_MARKOV_ACCEL_LIMIT,
-    DEFAULT_MARKOV_DENSE_LIMIT,
+    fcfs_throughput, fcfs_throughput_markov, JobSize, Objective, RateModel, Schedule, ScheduleLp,
+    SymbiosisError, WorkloadRates,
 };
 use workloads::{spec2006, PerfTable, TableError};
 
@@ -310,10 +309,9 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// OS threads for simulated table building and for FCFS-MARKOV chains
-    /// past [`symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT`] states, where one
-    /// thread runs sequential SOR and more run the multicolor sweep
-    /// (default: available parallelism).
+    /// OS threads for simulated table building (default: available
+    /// parallelism). Every policy evaluation runs on the calling thread,
+    /// so the thread count never changes a reported number.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -519,12 +517,8 @@ impl<'a> SessionBuilder<'a> {
                     }
                 }
                 Policy::FcfsMarkov => {
-                    let outcome = fcfs_throughput_markov_tuned(
-                        table.as_ref().expect("table materialised"),
-                        DEFAULT_MARKOV_DENSE_LIMIT,
-                        DEFAULT_MARKOV_ACCEL_LIMIT,
-                        self.threads,
-                    )?;
+                    let outcome =
+                        fcfs_throughput_markov(table.as_ref().expect("table materialised"))?;
                     PolicyReport {
                         policy,
                         throughput: outcome.throughput,

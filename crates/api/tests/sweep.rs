@@ -492,3 +492,54 @@ fn shard_validates_before_handing_out_parts() {
         Err(SweepError::Config(SessionError::UnknownPolicy(_)))
     ));
 }
+
+#[test]
+fn fcfs_markov_rows_past_the_accel_limit_do_not_depend_on_the_thread_count() {
+    // Nine synthetic types on eight contexts: every 8-type workload is a
+    // C(15, 8) = 6 435-state chain, past DEFAULT_MARKOV_ACCEL_LIMIT, so
+    // FCFS-MARKOV takes the accelerated tier.
+    let names: Vec<String> = (0..9).map(|b| format!("synth{b}")).collect();
+    let table = PerfTable::synthetic(names, 8, |combo| {
+        let distinct = 1 + combo.windows(2).filter(|w| w[0] != w[1]).count();
+        let tilt = 0.8 + 0.3 * distinct as f64 / combo.len() as f64;
+        combo
+            .iter()
+            .map(|&b| (0.5 + 0.07 * b as f64) * tilt / combo.len() as f64)
+            .collect()
+    })
+    .expect("synthetic table builds");
+    let workloads = vec![(0..8).collect::<Vec<_>>(), (1..9).collect()];
+    let rates = table.workload_rates(&workloads[0]).expect("valid workload");
+    assert!(rates.coschedules().len() > symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT);
+
+    let session = |threads: usize| {
+        Session::builder()
+            .rates(&rates)
+            .policy(Policy::FcfsMarkov)
+            .threads(threads)
+            .run()
+            .expect("session runs")
+    };
+    assert_eq!(session(1), session(2), "single session, 1 vs 2 threads");
+
+    let sweep = |threads: usize| {
+        Session::sweep()
+            .table(&table)
+            .workloads(workloads.clone())
+            .policy(Policy::FcfsMarkov)
+            .threads(threads)
+            .run()
+            .expect("sweep runs")
+            .rows
+    };
+    let (one, two) = (sweep(1), sweep(2));
+    assert_eq!(one.len(), 2);
+    for (a, b) in one.iter().zip(&two) {
+        assert_eq!(
+            a.report, b.report,
+            "sweep row {:?}, 1 vs 2 threads",
+            a.workload
+        );
+    }
+    assert_eq!(one[0].report, session(1), "sweep row equals a lone session");
+}

@@ -71,7 +71,6 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
 const SOLVER_ITER_COUNTERS: &[&str] = &[
     "lp.gauss_seidel.sweeps",
     "lp.sor.sweeps",
-    "lp.multicolor.sweeps",
     "lp.colgen.pricing_rounds",
 ];
 
@@ -278,7 +277,9 @@ fn main() {
 
     // Sparse Markov chains: 1365 states (N = 12, K = 4) would already be a
     // ~2.5 Gflop dense LU; 75 582 states (K = 8) is flatly out of reach
-    // dense. Both run CSR + Gauss–Seidel through the default dispatch.
+    // dense. Through the default dispatch K = 4 runs CSR + Gauss–Seidel and
+    // K = 8 (past DEFAULT_MARKOV_ACCEL_LIMIT) the color-ordered SOR sweep
+    // over the chain assembled in that order, both on one core.
     let scaling_k4 = scaling_rates(12, 4);
     results.push(bench("fcfs/markov_sparse_n12_k4", || {
         black_box(fcfs_throughput_markov(&scaling_k4).expect("solves"));
@@ -289,14 +290,17 @@ fn main() {
 
     // The raw stationary solve on the prebuilt 75 582-state chain: chain
     // assembly is hoisted out of the timer, so this kernel isolates the
-    // adaptive-omega SOR iteration the accelerated dispatch runs.
+    // adaptive-omega SOR iteration. It sweeps the chain in natural state
+    // order; the default dispatch sweeps it in color order instead.
     let (huge_inflow, huge_outflow) = markov_chain(&huge);
     results.push(bench("fcfs/markov_sor_n12_k8", || {
-        black_box(stationary_sor(&huge_inflow, &huge_outflow, 1e-12, 20_000).expect("solves"));
+        black_box(
+            stationary_sor(&huge_inflow, &huge_outflow, None, 1e-12, 20_000).expect("solves"),
+        );
     }));
 
     // K = 10 stress shape: 352 716 states — past DEFAULT_MARKOV_ACCEL_LIMIT,
-    // so the default dispatch runs the multi-colored parallel SOR sweep.
+    // so the default dispatch runs the color-ordered sequential SOR sweep.
     let scaling_k10 = scaling_rates(12, 10);
     results.push(bench("fcfs/markov_sparse_n12_k10", || {
         black_box(fcfs_throughput_markov(&scaling_k10).expect("solves"));

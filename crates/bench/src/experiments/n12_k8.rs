@@ -32,7 +32,7 @@ pub const SUITE: usize = 12;
 /// Benchmarks in the K = 10 stress leg's sub-suite. Eight types on ten
 /// contexts put the single full workload at `C(17, 10)` = 19 448
 /// coschedules — past both the LP dense limit (column generation) and the
-/// Markov acceleration limit (multi-colored parallel SOR) — while the
+/// Markov acceleration limit (color-ordered sequential SOR) — while the
 /// sub-suite table stays cheap enough to build on every run.
 pub const K10_SUITE: usize = 8;
 
@@ -197,7 +197,7 @@ pub fn run_for(cfg: &StudyConfig, ns: &[usize]) -> Result<N12K8, String> {
 /// The K = 10 stress leg: builds the sub-suite synthetic table for the
 /// ten-context machine and sweeps its single full workload with
 /// OPTIMAL (column generation) vs FCFS-MARKOV (19 448 states, the
-/// accelerated multi-colored SOR path).
+/// accelerated color-ordered SOR path).
 fn k10_leg(cfg: &StudyConfig) -> Result<K10Leg, String> {
     let contexts = MachineConfig::smt10().contexts();
     let names: Vec<String> = suite_names().into_iter().take(K10_SUITE).collect();
@@ -309,7 +309,7 @@ impl fmt::Display for N12K8 {
         writeln!(
             f,
             "\nLP legs past {} coschedules run column generation; sparse FCFS Markov\n\
-             chains past {} states run the multi-colored parallel SOR sweep. The\n\
+             chains past {} states run a color-ordered sequential SOR sweep. The\n\
              N = 12 table (75 582 coschedules) was the ROADMAP's 'bigger machines'\n\
              blocker; the K = 10 leg's 19 448-state chain proves the accelerated\n\
              stationary solver end-to-end.",

@@ -265,9 +265,9 @@ fn event_loop<const CAP: usize>(
 /// beyond stream through the sparse one.
 pub const DEFAULT_MARKOV_DENSE_LIMIT: usize = 512;
 
-/// Largest state count solved by *sequential* Gauss–Seidel on the sparse
-/// path; larger chains switch to the accelerated solver (adaptive-omega
-/// SOR over a multi-colored sweep, fanned out across threads). The default
+/// Largest state count solved by plain Gauss–Seidel on the sparse path;
+/// larger chains switch to the accelerated solver (adaptive-omega SOR over
+/// the chain stored and swept in color-class order). The default
 /// keeps every historical sparse scenario (1365 states at N = 12 on K = 4)
 /// bitwise identical to the sequential sweeps while the big-machine chains
 /// (75 582 states at N = 12 / K = 8, 352 716 at K = 10) take the fast
@@ -287,8 +287,11 @@ pub const DEFAULT_MARKOV_ACCEL_LIMIT: usize = 4096;
 /// LU (bitwise identical to pre-sparse releases); larger chains build the
 /// generator in CSR form — each state has at most `N * K` outgoing
 /// transitions, so the matrix is ~99.9% sparse at scale — and iterate
-/// Gauss–Seidel to a residual tolerance
+/// Gauss–Seidel, or past [`DEFAULT_MARKOV_ACCEL_LIMIT`] states
+/// color-ordered SOR, to a residual tolerance
 /// ([`fcfs_throughput_markov_tuned`] picks the thresholds explicitly).
+/// Every path runs on the calling thread, so the result does not depend
+/// on the host's core count.
 ///
 /// # Errors
 ///
@@ -300,18 +303,15 @@ pub fn fcfs_throughput_markov(rates: &WorkloadRates) -> Result<FcfsOutcome, Symb
         rates,
         DEFAULT_MARKOV_DENSE_LIMIT,
         DEFAULT_MARKOV_ACCEL_LIMIT,
-        0,
     )
 }
 
 /// The Markov dispatch with explicit thresholds: chains of up to
 /// `dense_limit` states solve by dense LU, up to `accel_limit` by
-/// sequential Gauss–Seidel
-/// (bitwise identical to pre-acceleration releases), and beyond that by
-/// the accelerated adaptive-SOR multi-colored sweep across `threads` OS
-/// threads (`0` auto-detects; a resolved single worker runs the
-/// natural-order sequential SOR sweep instead, which converges faster
-/// than a one-thread colored sweep).
+/// Gauss–Seidel (bitwise identical to pre-acceleration releases), and
+/// beyond that by adaptive-omega SOR over [`markov_chain_colored`], swept
+/// sequentially in color-class order. The results are bitwise the same
+/// on every host.
 ///
 /// # Errors
 ///
@@ -320,7 +320,6 @@ pub fn fcfs_throughput_markov_tuned(
     rates: &WorkloadRates,
     dense_limit: usize,
     accel_limit: usize,
-    threads: usize,
 ) -> Result<FcfsOutcome, SymbiosisError> {
     let n_s = rates.coschedules().len();
     let _span = obs::span!("fcfs.markov_solve");
@@ -328,7 +327,7 @@ pub fn fcfs_throughput_markov_tuned(
         obs::count!("solver.markov.dense", 1);
         markov_stationary_dense(rates)?
     } else {
-        markov_stationary_sparse(rates, accel_limit, threads)?
+        markov_stationary_sparse(rates, accel_limit)?
     };
     let throughput = pi
         .iter()
@@ -412,98 +411,114 @@ fn for_each_markov_transition<F: FnMut(usize, usize, f64)>(rates: &WorkloadRates
 /// Self-loops (a completion replaced by the same type) cancel from both
 /// sides of the balance equations, hence the `(n - 1) / n` outflow factor.
 pub fn markov_chain(rates: &WorkloadRates) -> (lp::Csr, Vec<f64>) {
+    assemble_markov_chain(rates, |state| state)
+}
+
+/// The chain of [`markov_chain`] stored in the accelerated tier's sweep
+/// order, plus that order as a state → row map (`position[j]` is the row
+/// of state `j`; rows, columns and outflow entries are all positions).
+///
+/// The order colors each state by its count-weighted type sum mod N. Every
+/// transition moves one job from type `b` to a *different* type `c`,
+/// shifting the weighted sum by `c - b ≠ 0 (mod N)`, so no transition
+/// stays inside a color class: N classes of ~1/N of the chain each, the
+/// natural generalisation of a red/black partition to this lattice. Rows
+/// go class by class in ascending color, states in index order within a
+/// class. Each row receives its entries in the same order as in
+/// [`markov_chain`], so every inflow sum adds the same terms in the same
+/// order.
+pub fn markov_chain_colored(rates: &WorkloadRates) -> (lp::Csr, Vec<f64>, Vec<u32>) {
+    let n = rates.num_types();
+    // Colors first, then an in-place counting sort turns each color into
+    // the state's row.
+    let mut position: Vec<u32> = rates
+        .coschedules()
+        .iter()
+        .map(|s| {
+            let weighted: usize = s
+                .counts()
+                .iter()
+                .enumerate()
+                .map(|(b, &c)| b * c as usize)
+                .sum();
+            (weighted % n) as u32
+        })
+        .collect();
+    let mut next_row = vec![0u32; n];
+    for &color in &position {
+        next_row[color as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next_row {
+        start += std::mem::replace(slot, start);
+    }
+    for p in &mut position {
+        let color = *p as usize;
+        *p = next_row[color];
+        next_row[color] += 1;
+    }
+    let (inflow, outflow) = assemble_markov_chain(rates, |state| position[state] as usize);
+    (inflow, outflow, position)
+}
+
+/// The two-pass CSR assembly behind [`markov_chain`] and
+/// [`markov_chain_colored`], storing state `j` as row `row_of(j)`.
+fn assemble_markov_chain(
+    rates: &WorkloadRates,
+    row_of: impl Fn(usize) -> usize,
+) -> (lp::Csr, Vec<f64>) {
     let n_s = rates.coschedules().len();
     let n = rates.num_types() as f64;
     let mut builder = lp::sparse::CsrBuilder::new(n_s, n_s);
     // Structural pass: derive every transition target's multiset rank
-    // exactly once, recording it for the value pass — the rank arithmetic
-    // dominates assembly at scale, so it must not run per pass.
+    // exactly once, recording its row for the value pass — the rank
+    // arithmetic dominates assembly at scale, so it must not run per pass.
     let mut targets: Vec<u32> = Vec::new();
     for_each_markov_transition(rates, |_, to, _| {
-        builder.count(to);
-        targets.push(u32::try_from(to).expect("state count fits u32"));
+        let row = row_of(to);
+        builder.count(row);
+        targets.push(u32::try_from(row).expect("state count fits u32"));
     });
     builder.finish_counts();
     // Value pass: replay the recorded targets in the same traversal order
     // (state-major, then present type, then n - 1 replacement types).
     let mut cursor = 0usize;
+    let mut outflow = vec![0.0; n_s];
     for (from, s) in rates.coschedules().iter().enumerate() {
+        let col = row_of(from);
         for b in 0..rates.num_types() {
             if s.count(b) == 0 {
                 continue;
             }
             let per_target = rates.rate(from, b) / n;
             for _ in 0..rates.num_types() - 1 {
-                builder.push(targets[cursor] as usize, from, per_target);
+                builder.push(targets[cursor] as usize, col, per_target);
                 cursor += 1;
             }
         }
+        let total: f64 = (0..rates.num_types()).map(|b| rates.rate(from, b)).sum();
+        outflow[col] = total * (n - 1.0) / n;
     }
     debug_assert_eq!(cursor, targets.len(), "value pass must replay every target");
-    let inflow = builder.build();
-    let outflow: Vec<f64> = (0..n_s)
-        .map(|from| {
-            let total: f64 = (0..rates.num_types()).map(|b| rates.rate(from, b)).sum();
-            total * (n - 1.0) / n
-        })
-        .collect();
-    (inflow, outflow)
+    (builder.build(), outflow)
 }
 
-/// A closed-form proper coloring of the coschedule chain: color a state by
-/// its count-weighted type sum mod N. Every transition moves one job from
-/// type `b` to a *different* type `c`, shifting the weighted sum by
-/// `c - b ≠ 0 (mod N)`, so adjacent states always change color — exactly N
-/// colors, each class ~1/N of the chain, with no graph traversal. (The
-/// natural generalisation of a red/black partition to this lattice.)
-pub fn markov_coloring(rates: &WorkloadRates) -> Vec<u32> {
-    let n = rates.num_types() as u64;
-    rates
-        .coschedules()
-        .iter()
-        .map(|s| {
-            let weighted: u64 = s
-                .counts()
-                .iter()
-                .enumerate()
-                .map(|(b, &c)| b as u64 * c as u64)
-                .sum();
-            (weighted % n) as u32
-        })
-        .collect()
-}
-
-/// The sparse path: the CSR chain of [`markov_chain`] solved sequentially
-/// (Gauss–Seidel) up to `accel_limit` states and by adaptive-omega SOR
-/// beyond it — natural-order on a single worker, the multi-colored
-/// parallel sweep when more than one thread is available.
+/// The sparse path: sequential Gauss–Seidel over [`markov_chain`] up to
+/// `accel_limit` states, and beyond it adaptive-omega SOR swept in color
+/// order over [`markov_chain_colored`]. Both run on the calling thread,
+/// so the result is the same on every host.
 fn markov_stationary_sparse(
     rates: &WorkloadRates,
     accel_limit: usize,
-    threads: usize,
 ) -> Result<Vec<f64>, SymbiosisError> {
-    let n_s = rates.coschedules().len();
-    let (inflow, outflow) = markov_chain(rates);
-    let solved = if n_s <= accel_limit {
+    let solved = if rates.coschedules().len() <= accel_limit {
         obs::count!("solver.markov.gauss_seidel", 1);
+        let (inflow, outflow) = markov_chain(rates);
         lp::sparse::stationary_gauss_seidel(&inflow, &outflow, 1e-12, 20_000)
     } else {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        if threads <= 1 {
-            // A lone worker gains nothing from the colored sweep, and the
-            // class-major update order converges slower than the natural
-            // sweep — sequential adaptive SOR is strictly better here.
-            obs::count!("solver.markov.sor", 1);
-            lp::sparse::stationary_sor(&inflow, &outflow, 1e-12, 20_000)
-        } else {
-            obs::count!("solver.markov.multicolor", 1);
-            let colors = markov_coloring(rates);
-            lp::sparse::stationary_multicolor(&inflow, &outflow, &colors, 1e-12, 20_000, threads)
-        }
+        obs::count!("solver.markov.sor", 1);
+        let (inflow, outflow, position) = markov_chain_colored(rates);
+        lp::sparse::stationary_sor(&inflow, &outflow, Some(&position), 1e-12, 20_000)
     };
     solved.map_err(|e| SymbiosisError::InvalidParameter(format!("sparse markov solve: {e}")))
 }
@@ -639,10 +654,9 @@ mod tests {
                 .collect()
         })
         .unwrap();
-        let dense = fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
-            .unwrap();
-        let sparse =
-            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0).unwrap();
+        let dense =
+            fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT).unwrap();
+        let sparse = fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT).unwrap();
         assert!(
             (dense.throughput - sparse.throughput).abs() < 1e-9,
             "dense {} vs sparse {}",

@@ -69,7 +69,8 @@ pub use error::SymbiosisError;
 pub use fairness::{fairness_experiment, rebalanced_heterogeneous, FairnessExperiment};
 pub use fcfs::{
     fcfs_throughput, fcfs_throughput_markov, fcfs_throughput_markov_tuned, markov_chain,
-    markov_coloring, FcfsOutcome, JobSize, DEFAULT_MARKOV_ACCEL_LIMIT, DEFAULT_MARKOV_DENSE_LIMIT,
+    markov_chain_colored, FcfsOutcome, JobSize, DEFAULT_MARKOV_ACCEL_LIMIT,
+    DEFAULT_MARKOV_DENSE_LIMIT,
 };
 pub use heterogeneity::{
     heterogeneity_table, heterogeneity_table_from_parts, random_draw_heterogeneity_probability,

@@ -6,7 +6,8 @@
 //! `(N, K)` shape fold into one pinned digest, so a failure names the
 //! shape that moved. The digests fix the colored sweep order — classes
 //! by count-weighted type sum mod N ascending, states in index order
-//! within a class — so they hold on any host, whatever its core count.
+//! within a class — and hold on any host, whatever its core count (CI
+//! also runs this file pinned to one core).
 //!
 //! The cases cover:
 //!
@@ -20,8 +21,8 @@
 
 use symbiosis::rng::SplitMix64;
 use symbiosis::{
-    fcfs_throughput_markov_tuned, FcfsOutcome, WorkloadRates, DEFAULT_MARKOV_ACCEL_LIMIT,
-    DEFAULT_MARKOV_DENSE_LIMIT,
+    fcfs_throughput_markov, fcfs_throughput_markov_tuned, FcfsOutcome, WorkloadRates,
+    DEFAULT_MARKOV_ACCEL_LIMIT,
 };
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -88,7 +89,7 @@ fn accelerated_tier_matches_golden_digests() {
         let mut words = Vec::new();
         for seed in SEEDS {
             let rates = random_rates(n, k, seed);
-            let out = fcfs_throughput_markov_tuned(&rates, 0, 0, 2).expect("solves");
+            let out = fcfs_throughput_markov_tuned(&rates, 0, 0).expect("solves");
             words.extend(outcome_words(&out));
         }
         let got = fnv1a(words);
@@ -104,13 +105,7 @@ fn default_dispatch_past_the_accel_limit_matches_golden_digest() {
     let rates = random_rates(12, 6, 1);
     assert_eq!(rates.coschedules().len(), 12_376);
     assert!(rates.coschedules().len() > DEFAULT_MARKOV_ACCEL_LIMIT);
-    let out = fcfs_throughput_markov_tuned(
-        &rates,
-        DEFAULT_MARKOV_DENSE_LIMIT,
-        DEFAULT_MARKOV_ACCEL_LIMIT,
-        2,
-    )
-    .expect("solves");
+    let out = fcfs_throughput_markov(&rates).expect("solves");
     let got = fnv1a(outcome_words(&out));
     assert_eq!(
         got, 0x7b55_9cc5_bacc_c61a,

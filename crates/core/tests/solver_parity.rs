@@ -3,14 +3,15 @@
 //!
 //! * column-generation `ScheduleLp` vs the dense-tableau `solve_standard`
 //!   path, across objectives and several `(N, K)` shapes;
-//! * the sparse Gauss–Seidel Markov path vs the dense LU path;
+//! * the sparse Gauss–Seidel and color-ordered SOR Markov paths vs the
+//!   dense LU path;
 //! * the streaming `CoscheduleIter` vs the materialised
 //!   `enumerate_coschedules`, exact sequence equality.
 
-use lp::sparse::{stationary_gauss_seidel, stationary_multicolor, stationary_sor, SparseError};
+use lp::sparse::{stationary_gauss_seidel, stationary_sor, SparseError};
 use symbiosis::rng::SplitMix64;
 use symbiosis::{
-    enumerate_coschedules, fcfs_throughput_markov_tuned, markov_chain, markov_coloring,
+    enumerate_coschedules, fcfs_throughput_markov_tuned, markov_chain, markov_chain_colored,
     CoscheduleIter, Objective, ScheduleLp, WorkloadRates, DEFAULT_MARKOV_ACCEL_LIMIT,
 };
 
@@ -110,9 +111,9 @@ fn sparse_markov_matches_dense_lu() {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
             let dense =
-                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT)
                     .expect("dense solves");
-            let sparse = fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+            let sparse = fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT)
                 .expect("sparse solves");
             assert!(
                 (dense.throughput - sparse.throughput).abs() <= 1e-7,
@@ -137,18 +138,19 @@ const SWEEPS: usize = 20_000;
 
 #[test]
 fn sor_and_multicolor_match_gauss_seidel_on_markov_chains() {
-    // The accelerated stationary solvers must agree with the sequential
+    // The accelerated stationary solver must agree with the sequential
     // Gauss–Seidel oracle to 1e-9 on every real FCFS chain shape the
-    // parity suite sweeps — not just on synthetic graphs.
+    // parity suite sweeps — not just on synthetic graphs — in natural
+    // order and in the color order the dispatch sweeps.
     for &(n, k) in SHAPES {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
             let (inflow, outflow) = markov_chain(&rates);
             let gs = stationary_gauss_seidel(&inflow, &outflow, TOL, SWEEPS).expect("gs solves");
-            let sor = stationary_sor(&inflow, &outflow, TOL, SWEEPS).expect("sor solves");
-            let colors = markov_coloring(&rates);
-            let par = stationary_multicolor(&inflow, &outflow, &colors, TOL, SWEEPS, 4)
-                .expect("multicolor solves");
+            let sor = stationary_sor(&inflow, &outflow, None, TOL, SWEEPS).expect("sor solves");
+            let (colored, colored_out, position) = markov_chain_colored(&rates);
+            let by_color = stationary_sor(&colored, &colored_out, Some(&position), TOL, SWEEPS)
+                .expect("color-ordered sor solves");
             for i in 0..gs.len() {
                 assert!(
                     (gs[i] - sor[i]).abs() <= 1e-9,
@@ -157,10 +159,10 @@ fn sor_and_multicolor_match_gauss_seidel_on_markov_chains() {
                     sor[i]
                 );
                 assert!(
-                    (gs[i] - par[i]).abs() <= 1e-9,
-                    "shape ({n},{k}) seed {seed}: pi[{i}] gs {} vs multicolor {}",
+                    (gs[i] - by_color[i]).abs() <= 1e-9,
+                    "shape ({n},{k}) seed {seed}: pi[{i}] gs {} vs color-ordered sor {}",
                     gs[i],
-                    par[i]
+                    by_color[i]
                 );
             }
         }
@@ -170,20 +172,18 @@ fn sor_and_multicolor_match_gauss_seidel_on_markov_chains() {
 #[test]
 fn accelerated_dispatch_matches_dense_lu_within_1e9() {
     // End-to-end: force each sparse tier through the public dispatch and
-    // pin all of them against the dense LU oracle.
+    // pin both against the dense LU oracle.
     for &(n, k) in SHAPES {
         for &seed in SEEDS {
             let rates = random_rates(n, k, seed);
             let dense =
-                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
+                fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT)
                     .expect("dense solves");
-            // accel_limit = usize::MAX forces sequential Gauss–Seidel;
-            // accel_limit = 0 with threads = 1 forces natural-order SOR,
-            // with threads = 4 the multi-colored parallel sweep.
-            let gs = fcfs_throughput_markov_tuned(&rates, 0, usize::MAX, 0).expect("gs solves");
-            let sor = fcfs_throughput_markov_tuned(&rates, 0, 0, 1).expect("sor solves");
-            let par = fcfs_throughput_markov_tuned(&rates, 0, 0, 4).expect("multicolor solves");
-            for out in [&gs, &sor, &par] {
+            // accel_limit = usize::MAX forces sequential Gauss–Seidel,
+            // accel_limit = 0 the color-ordered SOR sweep.
+            let gs = fcfs_throughput_markov_tuned(&rates, 0, usize::MAX).expect("gs solves");
+            let sor = fcfs_throughput_markov_tuned(&rates, 0, 0).expect("sor solves");
+            for out in [&gs, &sor] {
                 assert!(
                     (dense.throughput - out.throughput).abs() <= 1e-9,
                     "shape ({n},{k}) seed {seed}: dense {} vs accelerated {}",
@@ -202,20 +202,6 @@ fn accelerated_dispatch_matches_dense_lu_within_1e9() {
 }
 
 #[test]
-fn multicolor_is_deterministic_across_thread_counts() {
-    // Colored sweeps order writes by color class, so the parallel solver
-    // must return bitwise-identical vectors no matter the thread count.
-    let rates = random_rates(6, 4, 0xC0FFEE);
-    let (inflow, outflow) = markov_chain(&rates);
-    let colors = markov_coloring(&rates);
-    let one = stationary_multicolor(&inflow, &outflow, &colors, TOL, SWEEPS, 1).unwrap();
-    for threads in [2, 3, 4, 8] {
-        let t = stationary_multicolor(&inflow, &outflow, &colors, TOL, SWEEPS, threads).unwrap();
-        assert_eq!(one, t, "threads={threads} must be bitwise-stable");
-    }
-}
-
-#[test]
 fn sub_accel_limit_dispatch_is_bitwise_sequential_gauss_seidel() {
     // Every parity shape is far below DEFAULT_MARKOV_ACCEL_LIMIT, so the
     // tuned dispatch with default thresholds must be the *same
@@ -225,8 +211,8 @@ fn sub_accel_limit_dispatch_is_bitwise_sequential_gauss_seidel() {
         let rates = random_rates(n, k, 11);
         assert!(rates.coschedules().len() <= DEFAULT_MARKOV_ACCEL_LIMIT);
         let via_default =
-            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT, 0).unwrap();
-        let via_gs = fcfs_throughput_markov_tuned(&rates, 0, usize::MAX, 0).unwrap();
+            fcfs_throughput_markov_tuned(&rates, 0, DEFAULT_MARKOV_ACCEL_LIMIT).unwrap();
+        let via_gs = fcfs_throughput_markov_tuned(&rates, 0, usize::MAX).unwrap();
         assert_eq!(via_default, via_gs, "shape ({n},{k}): sparse tier fallback");
     }
 }
@@ -234,30 +220,30 @@ fn sub_accel_limit_dispatch_is_bitwise_sequential_gauss_seidel() {
 #[test]
 fn chain_level_error_cases_surface_from_every_accelerated_solver() {
     // An absorbing (all-zero outflow) chain is degenerate; a one-sweep
-    // budget cannot converge a real chain. Both accelerated paths must
+    // budget cannot converge a real chain. SOR in either sweep order must
     // report the same error classes as sequential Gauss–Seidel.
     let rates = random_rates(4, 4, 3);
     let (inflow, outflow) = markov_chain(&rates);
-    let colors = markov_coloring(&rates);
+    let (colored, colored_out, position) = markov_chain_colored(&rates);
     let absorbing = vec![0.0; outflow.len()];
     assert!(matches!(
         stationary_gauss_seidel(&inflow, &absorbing, TOL, SWEEPS),
         Err(SparseError::Degenerate(_))
     ));
     assert!(matches!(
-        stationary_sor(&inflow, &absorbing, TOL, SWEEPS),
+        stationary_sor(&inflow, &absorbing, None, TOL, SWEEPS),
         Err(SparseError::Degenerate(_))
     ));
     assert!(matches!(
-        stationary_multicolor(&inflow, &absorbing, &colors, TOL, SWEEPS, 2),
+        stationary_sor(&colored, &absorbing, Some(&position), TOL, SWEEPS),
         Err(SparseError::Degenerate(_))
     ));
     assert!(matches!(
-        stationary_sor(&inflow, &outflow, TOL, 1),
+        stationary_sor(&inflow, &outflow, None, TOL, 1),
         Err(SparseError::NoConvergence(_))
     ));
     assert!(matches!(
-        stationary_multicolor(&inflow, &outflow, &colors, TOL, 1, 2),
+        stationary_sor(&colored, &colored_out, Some(&position), TOL, 1),
         Err(SparseError::NoConvergence(_))
     ));
 }
@@ -275,8 +261,7 @@ fn default_dispatch_is_bitwise_dense_below_the_threshold() {
         assert_eq!(via_default, via_dense, "shape ({n},{k}) LP path");
         let m_default = symbiosis::fcfs_throughput_markov(&rates).unwrap();
         let m_dense =
-            fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT, 0)
-                .unwrap();
+            fcfs_throughput_markov_tuned(&rates, usize::MAX, DEFAULT_MARKOV_ACCEL_LIMIT).unwrap();
         assert_eq!(m_default, m_dense, "shape ({n},{k}) Markov path");
     }
 }

@@ -18,9 +18,9 @@
 //!   distributions and the paper's linear-bottleneck analysis).
 //! * [`sparse`] — CSR storage and the stationary-distribution solvers for
 //!   the large, ~99.9%-sparse coschedule Markov chains: sequential
-//!   Gauss–Seidel (the bitwise-stable baseline), adaptive-omega SOR, and a
-//!   multi-colored parallel SOR sweep (see the solver-selection matrix in
-//!   the module docs).
+//!   Gauss–Seidel (the bitwise-stable baseline) and adaptive-omega SOR
+//!   swept in any caller-chosen storage order (see the solver-selection
+//!   matrix in the module docs).
 //!
 //! # Dense tableau vs revised simplex / column generation
 //!
@@ -65,7 +65,4 @@ pub mod sparse;
 pub use dense::Matrix;
 pub use problem::{LinearProgram, Relation, Sense, Solution, SolveError};
 pub use revised::{solve_colgen, BasisColumn, ColGenOptions, ColGenSolution, PricedColumn};
-pub use sparse::{
-    greedy_coloring, stationary_gauss_seidel, stationary_multicolor, stationary_sor, Csr,
-    CsrBuilder, SparseError,
-};
+pub use sparse::{stationary_gauss_seidel, stationary_sor, Csr, CsrBuilder, SparseError};

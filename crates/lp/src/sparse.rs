@@ -13,12 +13,10 @@
 //!   per-state outflow, by Gauss–Seidel sweeps with a residual tolerance;
 //! * [`stationary_sor`] — the same iteration accelerated by successive
 //!   over-relaxation with an *adaptive* omega estimated from the observed
-//!   convergence rate;
-//! * [`stationary_multicolor`] — multi-colored SOR: states are
-//!   partitioned into color classes with no transitions inside a class, so
-//!   each class updates in parallel across threads ([`greedy_coloring`]
-//!   derives a valid partition from any CSR when the caller has no
-//!   structural coloring at hand).
+//!   convergence rate, swept in the order the chain is stored in (an
+//!   optional state → row map lets the caller store it in any order, such
+//!   as the colored order `symbiosis` uses, and still get the result in
+//!   state order).
 //!
 //! # Solver selection
 //!
@@ -26,8 +24,7 @@
 //! |--------|----------|----------------------|---------------------|
 //! | dense LU (`linsys::solve`) | chain fits a dense matrix; bitwise-stable reference | ≤ `DEFAULT_MARKOV_DENSE_LIMIT` = 512 states | direct solve — none, but O(n³) |
 //! | [`stationary_gauss_seidel`] | mid-size chains; bitwise-stable sequential baseline | ≤ `DEFAULT_MARKOV_ACCEL_LIMIT` = 4096 states | linear rate ρ(GS); slows as the chain's mixing worsens |
-//! | [`stationary_sor`] | large chains, one core; same memory as GS | > `DEFAULT_MARKOV_ACCEL_LIMIT` states on one thread | omega is estimated after a Gauss–Seidel warmup; a mis-estimate is self-healed by backoff, costing a few extra sweeps |
-//! | [`stationary_multicolor`] | large chains, many cores | > `DEFAULT_MARKOV_ACCEL_LIMIT` states on two or more threads | update *order* differs from natural-order GS, so iterates differ in trajectory (not in fixed point); needs a valid coloring — an invalid one is rejected, not repaired |
+//! | [`stationary_sor`] | large chains; same memory as GS, one core, bitwise the same on any host | > `DEFAULT_MARKOV_ACCEL_LIMIT` states, stored and swept in color-class order | omega is estimated after a Gauss–Seidel warmup; a mis-estimate is self-healed by backoff, costing a few extra sweeps; the sweep order changes the trajectory (not the fixed point) |
 //!
 //! (`DEFAULT_MARKOV_DENSE_LIMIT` / `DEFAULT_MARKOV_ACCEL_LIMIT` live in the
 //! `symbiosis` crate, which owns the Markov-chain dispatch. Sessions and
@@ -75,14 +72,6 @@ pub enum SparseError {
     /// A state has zero outflow (the chain is not irreducible over the
     /// supplied states) or the iterate degenerated to all zeros.
     Degenerate(String),
-    /// Two adjacent states share a color, so the multi-colored sweep would
-    /// race on their updates.
-    InvalidColoring {
-        /// The state being updated.
-        state: usize,
-        /// Its same-colored in-neighbor.
-        neighbor: usize,
-    },
 }
 
 impl fmt::Display for SparseError {
@@ -95,10 +84,6 @@ impl fmt::Display for SparseError {
                 write!(f, "iteration stalled at residual {res:.3e}")
             }
             SparseError::Degenerate(msg) => write!(f, "degenerate chain: {msg}"),
-            SparseError::InvalidColoring { state, neighbor } => write!(
-                f,
-                "states {state} and {neighbor} are adjacent but share a color"
-            ),
         }
     }
 }
@@ -381,7 +366,7 @@ fn check_stationary_inputs(inflow: &Csr, outflow: &[f64]) -> Result<usize, Spars
     Ok(n)
 }
 
-/// Adaptive over-relaxation control shared by the accelerated solvers.
+/// Adaptive over-relaxation control of [`stationary_sor`].
 ///
 /// Sweeps start at `omega = 1` (plain Gauss–Seidel). After a warmup window
 /// the observed per-sweep residual contraction `rho` approximates the GS
@@ -454,12 +439,26 @@ impl OmegaSchedule {
 /// two agree on the fixed point while SOR typically needs several times
 /// fewer sweeps on slowly mixing chains.
 ///
+/// Rows are swept in storage order. With `position = None` the chain is
+/// in state order. With `Some(position)`, state `j` is stored as row
+/// `position[j]`: `inflow`'s rows *and* column indices and `outflow`'s
+/// entries are all positions. The normalising sum then still adds the
+/// iterate in state order (a gather through `position`), and the result
+/// comes back in state order, so only the update order differs from the
+/// `None` sweep of the same chain.
+///
 /// # Errors
 ///
-/// Same conditions as [`stationary_gauss_seidel`].
+/// Same conditions as [`stationary_gauss_seidel`], plus
+/// [`SparseError::DimensionMismatch`] if `position` has the wrong length.
+///
+/// # Panics
+///
+/// Panics if `position` is not a permutation of the rows.
 pub fn stationary_sor(
     inflow: &Csr,
     outflow: &[f64],
+    position: Option<&[u32]>,
     tol: f64,
     max_sweeps: usize,
 ) -> Result<Vec<f64>, SparseError> {
@@ -467,6 +466,24 @@ pub fn stationary_sor(
     if n == 1 {
         return Ok(vec![1.0]);
     }
+    if let Some(position) = position {
+        if position.len() != n {
+            return Err(SparseError::DimensionMismatch {
+                expected: n,
+                found: position.len(),
+            });
+        }
+        let mut seen = vec![false; n];
+        for &row in position {
+            assert!(
+                !std::mem::replace(&mut seen[row as usize], true),
+                "position {row} is used twice"
+            );
+        }
+    }
+    // The row holding state `j`: the normalising sum and the result read
+    // the iterate in state order, whatever order it is stored in.
+    let row_of = |j: usize| position.map_or(j, |position| position[j] as usize);
 
     let mut pi = vec![1.0 / n as f64; n];
     let mut residual = f64::INFINITY;
@@ -489,7 +506,7 @@ pub fn stationary_sor(
             let relaxed = (1.0 - omega) * old + omega * (incoming / outflow[j]);
             pi[j] = relaxed.max(0.0);
         }
-        let total: f64 = pi.iter().sum();
+        let total: f64 = (0..n).map(|j| pi[row_of(j)]).sum();
         if total <= 0.0 || !total.is_finite() {
             return Err(SparseError::Degenerate(
                 "iterate degenerated to a non-positive distribution".into(),
@@ -506,252 +523,11 @@ pub fn stationary_sor(
         };
         if residual < tol {
             record_stationary_solve("lp.sor.sweeps", sweep + 1, residual);
-            return Ok(pi);
+            return Ok((0..n).map(|j| pi[row_of(j)]).collect());
         }
         omega = schedule.observe(residual);
     }
     record_stationary_solve("lp.sor.sweeps", max_sweeps, residual);
-    Err(SparseError::NoConvergence(residual))
-}
-
-/// A proper coloring of the states of a (structurally symmetric view of a)
-/// sparse matrix: adjacent states — any pair linked by a stored entry in
-/// either direction — receive different colors. Greedy first-fit in state
-/// order; for the lattice-like coschedule chains this yields a handful of
-/// colors, each class large enough to split across threads.
-///
-/// # Panics
-///
-/// Panics if the matrix is not square.
-pub fn greedy_coloring(matrix: &Csr) -> Vec<u32> {
-    let n = matrix.nrows();
-    assert_eq!(n, matrix.ncols(), "coloring needs a square matrix");
-    // Symmetrized adjacency in CSR form (duplicates are harmless to
-    // first-fit, so no dedup pass).
-    let mut deg = vec![0usize; n + 1];
-    for j in 0..n {
-        let (cols, _) = matrix.row(j);
-        for &i in cols {
-            if i as usize != j {
-                deg[j + 1] += 1;
-                deg[i as usize + 1] += 1;
-            }
-        }
-    }
-    for v in 1..=n {
-        deg[v] += deg[v - 1];
-    }
-    let mut adj = vec![0u32; deg[n]];
-    let mut cursor = deg[..n].to_vec();
-    for j in 0..n {
-        let (cols, _) = matrix.row(j);
-        for &i in cols {
-            if i as usize != j {
-                adj[cursor[j]] = i;
-                cursor[j] += 1;
-                adj[cursor[i as usize]] = j as u32;
-                cursor[i as usize] += 1;
-            }
-        }
-    }
-    let mut colors = vec![0u32; n];
-    // `stamp[c] == j` marks color c as used by a neighbor of state j.
-    let mut stamp = vec![usize::MAX; n + 1];
-    for j in 0..n {
-        for &nb in &adj[deg[j]..deg[j + 1]] {
-            if (nb as usize) < j {
-                stamp[colors[nb as usize] as usize] = j;
-            }
-        }
-        let mut c = 0;
-        while stamp[c] == j {
-            c += 1;
-        }
-        colors[j] = c as u32;
-    }
-    colors
-}
-
-/// Multi-colored SOR: the stationary solver of [`stationary_sor`] with the
-/// sweep reordered by color class so every class updates in parallel.
-///
-/// `colors[j]` assigns state `j` to a class; within a class no state reads
-/// another (the coloring is validated against `inflow` up front), so class
-/// members update concurrently across up to `threads` OS threads
-/// (`0` auto-detects, `1` runs inline). The update *order* — classes in
-/// ascending color, states in index order within a class — is fixed, so
-/// results are bitwise identical for every thread count.
-///
-/// Callers that know the chain's structure can supply a closed-form
-/// coloring (the `symbiosis` crate colors the coschedule chain by a
-/// weighted count sum mod N); [`greedy_coloring`] covers the rest.
-///
-/// # Errors
-///
-/// The conditions of [`stationary_gauss_seidel`], plus
-/// [`SparseError::InvalidColoring`] if two adjacent states share a color
-/// and [`SparseError::DimensionMismatch`] if `colors` has the wrong length.
-pub fn stationary_multicolor(
-    inflow: &Csr,
-    outflow: &[f64],
-    colors: &[u32],
-    tol: f64,
-    max_sweeps: usize,
-    threads: usize,
-) -> Result<Vec<f64>, SparseError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let n = check_stationary_inputs(inflow, outflow)?;
-    if n == 1 {
-        return Ok(vec![1.0]);
-    }
-    if colors.len() != n {
-        return Err(SparseError::DimensionMismatch {
-            expected: n,
-            found: colors.len(),
-        });
-    }
-    for j in 0..n {
-        let (cols, _) = inflow.row(j);
-        for &i in cols {
-            if i as usize != j && colors[i as usize] == colors[j] {
-                return Err(SparseError::InvalidColoring {
-                    state: j,
-                    neighbor: i as usize,
-                });
-            }
-        }
-    }
-
-    // Bucket states by color, preserving index order within each class.
-    let ncolors = colors.iter().map(|&c| c as usize + 1).max().unwrap_or(1);
-    let mut class_ptr = vec![0usize; ncolors + 1];
-    for &c in colors {
-        class_ptr[c as usize + 1] += 1;
-    }
-    for c in 1..=ncolors {
-        class_ptr[c] += class_ptr[c - 1];
-    }
-    let mut classes = vec![0u32; n];
-    let mut cursor = class_ptr[..ncolors].to_vec();
-    for (j, &c) in colors.iter().enumerate() {
-        classes[cursor[c as usize]] = j as u32;
-        cursor[c as usize] += 1;
-    }
-
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    // The iterate lives in atomic bit-pattern cells so concurrent class
-    // updates are safe Rust; relaxed ordering suffices because no state
-    // reads a cell being written (the coloring guarantees it) and thread
-    // join/spawn fences each sweep. Single-threaded runs reuse the same
-    // path, so the arithmetic is identical everywhere.
-    let pi: Vec<AtomicU64> = (0..n)
-        .map(|_| AtomicU64::new((1.0 / n as f64).to_bits()))
-        .collect();
-
-    // One color class's contiguous span of the state list, relaxed with the
-    // current omega; returns this span's residual contributions.
-    let relax_span = |span: &[u32], omega: f64| -> (f64, f64) {
-        let mut max_gap = 0.0f64;
-        let mut max_flow = 0.0f64;
-        for &j in span {
-            let j = j as usize;
-            let (cols, vals) = inflow.row(j);
-            let incoming: f64 = cols
-                .iter()
-                .zip(vals)
-                .map(|(&i, &q)| f64::from_bits(pi[i as usize].load(Ordering::Relaxed)) * q)
-                .sum();
-            let old = f64::from_bits(pi[j].load(Ordering::Relaxed));
-            let old_flow = old * outflow[j];
-            max_gap = max_gap.max((incoming - old_flow).abs());
-            max_flow = max_flow.max(old_flow.max(incoming));
-            let relaxed = (1.0 - omega) * old + omega * (incoming / outflow[j]);
-            pi[j].store(relaxed.max(0.0).to_bits(), Ordering::Relaxed);
-        }
-        (max_gap, max_flow)
-    };
-
-    let mut residual = f64::INFINITY;
-    let mut schedule = OmegaSchedule::new();
-    let mut omega = 1.0;
-    for sweep in 0..max_sweeps {
-        let (mut max_gap, mut max_flow) = (0.0f64, 0.0f64);
-        if threads <= 1 {
-            for c in 0..ncolors {
-                let (gap, flow) = relax_span(&classes[class_ptr[c]..class_ptr[c + 1]], omega);
-                max_gap = max_gap.max(gap);
-                max_flow = max_flow.max(flow);
-            }
-        } else {
-            // One scope per sweep; a barrier separates color classes so a
-            // class never reads values its predecessor is still writing.
-            let barrier = std::sync::Barrier::new(threads);
-            let mut partials = vec![(0.0f64, 0.0f64); threads];
-            std::thread::scope(|s| {
-                for (tid, slot) in partials.iter_mut().enumerate() {
-                    let barrier = &barrier;
-                    let relax_span = &relax_span;
-                    let class_ptr = &class_ptr;
-                    let classes = &classes;
-                    s.spawn(move || {
-                        let (mut gap, mut flow) = (0.0f64, 0.0f64);
-                        for c in 0..ncolors {
-                            let class = &classes[class_ptr[c]..class_ptr[c + 1]];
-                            let chunk = class.len().div_ceil(threads);
-                            let lo = (tid * chunk).min(class.len());
-                            let hi = ((tid + 1) * chunk).min(class.len());
-                            let (g, f) = relax_span(&class[lo..hi], omega);
-                            gap = gap.max(g);
-                            flow = flow.max(f);
-                            barrier.wait();
-                        }
-                        *slot = (gap, flow);
-                    });
-                }
-            });
-            for &(gap, flow) in &partials {
-                max_gap = max_gap.max(gap);
-                max_flow = max_flow.max(flow);
-            }
-        }
-
-        let total: f64 = pi
-            .iter()
-            .map(|p| f64::from_bits(p.load(Ordering::Relaxed)))
-            .sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(SparseError::Degenerate(
-                "iterate degenerated to a non-positive distribution".into(),
-            ));
-        }
-        let inv = 1.0 / total;
-        for p in &pi {
-            let v = f64::from_bits(p.load(Ordering::Relaxed)) * inv;
-            p.store(v.to_bits(), Ordering::Relaxed);
-        }
-        residual = if max_flow > 0.0 {
-            max_gap / max_flow
-        } else {
-            f64::INFINITY
-        };
-        let done = residual < tol;
-        if done {
-            record_stationary_solve("lp.multicolor.sweeps", sweep + 1, residual);
-            return Ok(pi
-                .into_iter()
-                .map(|p| f64::from_bits(p.into_inner()))
-                .collect());
-        }
-        omega = schedule.observe(residual);
-    }
-    record_stationary_solve("lp.multicolor.sweeps", max_sweeps, residual);
     Err(SparseError::NoConvergence(residual))
 }
 
@@ -796,7 +572,7 @@ mod tests {
         let _guard = obs::install(&recorder);
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
         stationary_gauss_seidel(&inflow, &[1.0, 2.0], 1e-13, 10_000).unwrap();
-        stationary_sor(&inflow, &[1.0, 2.0], 1e-13, 10_000).unwrap();
+        stationary_sor(&inflow, &[1.0, 2.0], None, 1e-13, 10_000).unwrap();
         let snap = recorder.snapshot();
         assert!(snap.counters["lp.gauss_seidel.sweeps"] >= 1);
         assert!(snap.counters["lp.sor.sweeps"] >= 1);
@@ -886,7 +662,7 @@ mod tests {
             for seed in [1u64, 0xBEEF, 0x1234_5678] {
                 let (inflow, out) = random_chain(n, seed);
                 let gs = stationary_gauss_seidel(&inflow, &out, 1e-13, 200_000).unwrap();
-                let sor = stationary_sor(&inflow, &out, 1e-13, 200_000).unwrap();
+                let sor = stationary_sor(&inflow, &out, None, 1e-13, 200_000).unwrap();
                 for (a, b) in gs.iter().zip(&sor) {
                     assert!((a - b).abs() < 1e-9, "n={n} seed={seed}: {a} vs {b}");
                 }
@@ -894,84 +670,98 @@ mod tests {
         }
     }
 
+    /// `inflow` / `outflow` stored in the order `position` (state `j` as
+    /// row `position[j]`, columns relabelled the same way).
+    fn reordered(inflow: &Csr, outflow: &[f64], position: &[u32]) -> (Csr, Vec<f64>) {
+        let n = inflow.nrows();
+        let mut trips = Vec::with_capacity(inflow.nnz());
+        let mut out = vec![0.0; n];
+        for j in 0..n {
+            let (cols, vals) = inflow.row(j);
+            for (&i, &q) in cols.iter().zip(vals) {
+                trips.push((position[j] as usize, position[i as usize] as usize, q));
+            }
+            out[position[j] as usize] = outflow[j];
+        }
+        (Csr::from_triplets(n, n, &trips), out)
+    }
+
     #[test]
-    fn multicolor_matches_gauss_seidel_for_every_thread_count() {
+    fn reordered_sor_matches_gauss_seidel_in_state_order() {
         for n in [2, 9, 64] {
             for seed in [3u64, 0xABCD] {
                 let (inflow, out) = random_chain(n, seed);
-                let colors = greedy_coloring(&inflow);
                 let gs = stationary_gauss_seidel(&inflow, &out, 1e-13, 200_000).unwrap();
-                let seq = stationary_multicolor(&inflow, &out, &colors, 1e-13, 200_000, 1).unwrap();
-                let par = stationary_multicolor(&inflow, &out, &colors, 1e-13, 200_000, 4).unwrap();
-                assert_eq!(seq, par, "thread count must not change the result");
-                for (a, b) in gs.iter().zip(&seq) {
+                // Odd states first, then even ones: a two-class sweep order.
+                let mut position = vec![0u32; n];
+                let mut next = 0;
+                for parity in [1, 0] {
+                    for j in (0..n).filter(|j| j % 2 == parity) {
+                        position[j] = next;
+                        next += 1;
+                    }
+                }
+                let (perm_inflow, perm_out) = reordered(&inflow, &out, &position);
+                let sor = stationary_sor(&perm_inflow, &perm_out, Some(&position), 1e-13, 200_000)
+                    .unwrap();
+                for (a, b) in gs.iter().zip(&sor) {
                     assert!((a - b).abs() < 1e-9, "n={n} seed={seed}: {a} vs {b}");
                 }
+                // The identity map is the natural-order sweep, bit for bit.
+                let identity: Vec<u32> = (0..n as u32).collect();
+                assert_eq!(
+                    stationary_sor(&inflow, &out, Some(&identity), 1e-13, 200_000).unwrap(),
+                    stationary_sor(&inflow, &out, None, 1e-13, 200_000).unwrap(),
+                );
             }
         }
     }
 
     #[test]
-    fn greedy_coloring_is_proper() {
-        for n in [2, 9, 64, 200] {
-            let (inflow, _) = random_chain(n, 0x5EED);
-            let colors = greedy_coloring(&inflow);
-            for j in 0..n {
-                let (cols, _) = inflow.row(j);
-                for &i in cols {
-                    assert_ne!(
-                        colors[i as usize], colors[j],
-                        "edge {i} -> {j} shares color"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multicolor_rejects_invalid_colorings() {
+    fn sor_rejects_a_position_map_of_the_wrong_length() {
         let (inflow, out) = random_chain(8, 42);
-        let bad = vec![0u32; 8];
         assert!(matches!(
-            stationary_multicolor(&inflow, &out, &bad, 1e-10, 100, 2),
-            Err(SparseError::InvalidColoring { .. })
+            stationary_sor(&inflow, &out, Some(&[0, 1, 2]), 1e-10, 100),
+            Err(SparseError::DimensionMismatch {
+                expected: 8,
+                found: 3
+            })
         ));
-        let short = vec![0u32; 3];
-        assert!(matches!(
-            stationary_multicolor(&inflow, &out, &short, 1e-10, 100, 2),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "used twice")]
+    fn sor_panics_on_a_position_map_that_is_not_a_permutation() {
+        let (inflow, out) = random_chain(3, 42);
+        let _ = stationary_sor(&inflow, &out, Some(&[0, 2, 0]), 1e-10, 100);
     }
 
     #[test]
     fn accelerated_solvers_share_degenerate_and_budget_errors() {
-        // Zero outflow (absorbing state) is degenerate on every path.
+        // Zero outflow (absorbing state) is degenerate in every sweep order.
         let inflow = Csr::from_triplets(2, 2, &[(0, 1, 1.0)]);
-        assert!(matches!(
-            stationary_sor(&inflow, &[1.0, 0.0], 1e-10, 100),
-            Err(SparseError::Degenerate(_))
-        ));
-        assert!(matches!(
-            stationary_multicolor(&inflow, &[1.0, 0.0], &[0, 1], 1e-10, 100, 1),
-            Err(SparseError::Degenerate(_))
-        ));
+        for order in [None, Some(&[1, 0][..])] {
+            assert!(matches!(
+                stationary_sor(&inflow, &[1.0, 0.0], order, 1e-10, 100),
+                Err(SparseError::Degenerate(_))
+            ));
+        }
         // Exhausted sweep budgets surface the last residual.
         let flip = Csr::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
-        assert!(matches!(
-            stationary_sor(&flip, &[1.0, 2.0], 1e-15, 1),
-            Err(SparseError::NoConvergence(_))
-        ));
-        assert!(matches!(
-            stationary_multicolor(&flip, &[1.0, 2.0], &[0, 1], 1e-15, 1, 2),
-            Err(SparseError::NoConvergence(_))
-        ));
-        // Single-state chains are trivial on every path.
+        for order in [None, Some(&[1, 0][..])] {
+            assert!(matches!(
+                stationary_sor(&flip, &[1.0, 2.0], order, 1e-15, 1),
+                Err(SparseError::NoConvergence(_))
+            ));
+        }
+        // Single-state chains are trivial in every sweep order.
         let one = Csr::from_triplets(1, 1, &[]);
-        assert_eq!(stationary_sor(&one, &[0.0], 1e-10, 10).unwrap(), vec![1.0]);
-        assert_eq!(
-            stationary_multicolor(&one, &[0.0], &[0], 1e-10, 10, 4).unwrap(),
-            vec![1.0]
-        );
+        for order in [None, Some(&[0][..])] {
+            assert_eq!(
+                stationary_sor(&one, &[0.0], order, 1e-10, 10).unwrap(),
+                vec![1.0]
+            );
+        }
     }
 
     #[test]
@@ -995,7 +785,7 @@ mod tests {
         }
         let inflow = Csr::from_triplets(n, n, &trips);
         let gs = stationary_gauss_seidel(&inflow, &out, 1e-12, 1_000_000).unwrap();
-        let sor = stationary_sor(&inflow, &out, 1e-12, 1_000_000).unwrap();
+        let sor = stationary_sor(&inflow, &out, None, 1e-12, 1_000_000).unwrap();
         for (a, b) in gs.iter().zip(&sor) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }

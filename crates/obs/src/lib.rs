@@ -47,10 +47,9 @@
 //! |-------|------|------|------|
 //! | solver | `lp.gauss_seidel.sweeps` | counter | `lp::sparse::stationary_gauss_seidel` |
 //! | solver | `lp.sor.sweeps` | counter | `lp::sparse::stationary_sor` |
-//! | solver | `lp.multicolor.sweeps` | counter | `lp::sparse::stationary_multicolor` |
-//! | solver | `lp.solve.residual_neglog10` | histogram | final residual, all three stationary solvers |
+//! | solver | `lp.solve.residual_neglog10` | histogram | final residual, both stationary solvers |
 //! | solver | `lp.colgen.pricing_rounds` | counter | `lp::revised::solve_colgen` |
-//! | solver | `solver.markov.dense` / `.gauss_seidel` / `.sor` / `.multicolor` | counter | dense↔sparse dispatch in `symbiosis::fcfs` |
+//! | solver | `solver.markov.dense` / `.gauss_seidel` / `.sor` | counter | Markov tier dispatch in `symbiosis::fcfs` (`.sor`: the accelerated color-ordered sweep past `DEFAULT_MARKOV_ACCEL_LIMIT` states) |
 //! | solver | `fcfs.markov_solve` | span | whole stationary solve |
 //! | solver | `solver.lp.dense` / `.colgen` | counter | `ScheduleLp::solve` dispatch |
 //! | solver | `optimal.lp_solve` | span | whole LP solve |
