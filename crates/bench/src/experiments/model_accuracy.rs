@@ -389,6 +389,13 @@ impl fmt::Display for ModelAccuracy {
 mod tests {
     use super::*;
 
+    /// Golden FNV-1a digests of the printed artefact plus its `Debug` form
+    /// (every float bit for bit), at the configurations the tests below
+    /// run. A change meant to move one re-pins it and says why in
+    /// CHANGES.md.
+    const GOLDEN: u64 = 0x2735_3d93_15cd_cd01;
+    const SIMULATED_GOLDEN: u64 = 0x3aea_17d7_cb81_cca3;
+
     /// The whole pipeline at debug-test scale: LP-only headline (the
     /// 75 582-state Markov chain runs in the release binaries and CI),
     /// reduced rank-agreement sample.
@@ -398,6 +405,8 @@ mod tests {
         cfg.sample = Some(4);
         let res = run_with(&cfg, &[Policy::Optimal]).unwrap();
         assert!(res.simulated.is_none(), "simulated leg is opt-in");
+        let digest = crate::study::artefact_digest(&format!("{res}\n{res:?}"));
+        assert_eq!(digest, GOLDEN, "digest moved: {digest:#018x}\n{res}");
 
         // Acceptance: the budget stays within 10% of the full sweep.
         assert_eq!(res.budget, SAMPLE_BUDGET);
@@ -452,6 +461,8 @@ mod tests {
         cfg.measure_cycles = 1_500;
         cfg.simulated_k8 = true;
         let res = simulated_leg(&cfg).unwrap();
+        let digest = crate::study::artefact_digest(&format!("{res:?}"));
+        assert_eq!(digest, SIMULATED_GOLDEN, "digest moved: {digest:#018x}");
         assert_eq!(res.suite, 6);
         assert_eq!(res.total, 3_002);
         // The 300-combo budget, minus any combos starved by the tiny test

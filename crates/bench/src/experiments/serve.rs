@@ -301,13 +301,21 @@ mod tests {
         );
     }
 
-    /// The whole study is deterministic from the config seed.
+    /// Golden FNV-1a digest of the printed artefact plus its `Debug`
+    /// form (every float bit for bit) at [`fast_cfg`]. A change meant to
+    /// move it re-pins it and says why in CHANGES.md.
+    const GOLDEN: u64 = 0x1ff1_d61a_f843_b25d;
+
+    /// The whole study is deterministic from the config seed, and matches
+    /// its golden digest.
     #[test]
     fn study_is_deterministic_from_the_seed() {
         let cfg = fast_cfg();
         let a = run(&cfg).unwrap();
         let b = run(&cfg).unwrap();
         assert_eq!(a, b);
+        let digest = crate::study::artefact_digest(&format!("{a}\n{a:?}"));
+        assert_eq!(digest, GOLDEN, "serve digest moved: {digest:#018x}\n{a}");
     }
 
     /// Each run's twin learns: the error after the last refit is below

@@ -10,6 +10,11 @@
 //! duplication is the test. If the sweep surface ever stops reproducing
 //! the old numbers (or the Display formatting drifts), the byte
 //! comparison fails.
+//!
+//! A reference recomputed in the same tree moves with any shared layer
+//! (the rate models, the Section VI DES), so fig5 and fig6 are also pinned
+//! by golden FNV-1a digests of their printed artefacts. A change that is
+//! meant to move them must re-pin the digest and say why in CHANGES.md.
 
 use std::sync::OnceLock;
 
@@ -36,6 +41,12 @@ fn parity_config() -> StudyConfig {
     cfg
 }
 
+/// Golden digest of the fig5 artefact at [`parity_config`].
+const FIG5_GOLDEN: u64 = 0xf461_cbed_81f3_75ac;
+
+/// Golden digest of the fig6 artefact at [`parity_config`].
+const FIG6_GOLDEN: u64 = 0xd0d5_e2ce_a3c0_c3d0;
+
 fn context() -> &'static ExperimentContext {
     static CTX: OnceLock<ExperimentContext> = OnceLock::new();
     CTX.get_or_init(|| ExperimentContext::new(parity_config()))
@@ -51,6 +62,25 @@ fn registry_artefact(name: &str) -> String {
         .unwrap_or_else(|| panic!("{name} is registered"))
         .run(context())
         .unwrap_or_else(|e| panic!("{name} runs: {e}"))
+}
+
+/// FNV-1a over the bytes of a printed artefact.
+fn fnv1a(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Asserts the golden digest of `name`'s printed artefact.
+fn assert_golden(name: &str, artefact: &str, golden: u64) {
+    let got = fnv1a(artefact);
+    assert_eq!(
+        got, golden,
+        "{name} artefact digest moved: got {got:#018x}, pinned {golden:#018x}\n{artefact}"
+    );
 }
 
 /// The old MAXTP target derivation: LP-optimal coschedule fractions.
@@ -208,7 +238,9 @@ fn fig5_artefact_matches_free_function_reference() {
         workloads: workloads.len(),
     }
     .to_string();
-    assert_eq!(registry_artefact("fig5"), reference);
+    let artefact = registry_artefact("fig5");
+    assert_eq!(artefact, reference);
+    assert_golden("fig5", &artefact, FIG5_GOLDEN);
 }
 
 #[test]
@@ -256,7 +288,9 @@ fn fig6_artefact_matches_free_function_reference() {
         maxtp: mean(&points.iter().map(|p| p.maxtp).collect::<Vec<_>>()),
     };
     let reference = fig6::Fig6 { points, means }.to_string();
-    assert_eq!(registry_artefact("fig6"), reference);
+    let artefact = registry_artefact("fig6");
+    assert_eq!(artefact, reference);
+    assert_golden("fig6", &artefact, FIG6_GOLDEN);
 }
 
 #[test]
