@@ -5,8 +5,10 @@
 //!
 //! * a rate source — any [`symbiosis::RateModel`]: a measured
 //!   `workloads::WorkloadView`, an analytic [`symbiosis::AnalyticModel`],
-//!   a memoizing [`symbiosis::CachedModel`], or a machine + workload pair
-//!   this crate simulates for you;
+//!   a pre-evaluated [`symbiosis::RateGrid`], or a machine + workload pair
+//!   this crate simulates for you. A session with latency policies
+//!   evaluates its rate source into one `RateGrid` that every
+//!   event-driven run reads;
 //! * the [`Policy`] registry — the paper's four throughput analyses and
 //!   four latency schedulers, addressable by name;
 //! * the builder-style [`Session`], which evaluates any set of policies on

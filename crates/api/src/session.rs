@@ -11,8 +11,8 @@ use queueing::{
 };
 use simproc::{Machine, MachineConfig, MachineError};
 use symbiosis::{
-    fcfs_throughput, fcfs_throughput_markov, JobSize, Objective, RateModel, Schedule, ScheduleLp,
-    SymbiosisError, WorkloadRates,
+    fcfs_throughput, fcfs_throughput_markov, JobSize, Objective, RateGrid, RateModel, Schedule,
+    ScheduleLp, SymbiosisError, WorkloadRates,
 };
 use workloads::{spec2006, PerfTable, TableError};
 
@@ -434,7 +434,19 @@ impl<'a> SessionBuilder<'a> {
             }
         }
 
-        // Materialise the full table once if any policy needs it.
+        // Evaluate the model once for every latency run: each run then
+        // copies this grid instead of asking the model again, and a model
+        // that breaks the rate contract fails here, before any run.
+        let grid: Option<RateGrid> = if policies.iter().any(|p| p.kind() == PolicyKind::Latency) {
+            Some(RateGrid::new(model)?)
+        } else {
+            None
+        };
+
+        // Materialise the full table once if any policy needs it. It comes
+        // from the model itself, not the grid: a measured view's table sums
+        // slot rates, which a grid's `count * per_job_rate` would not
+        // reproduce bit for bit.
         let needs_table = policies
             .iter()
             .any(|p| p.kind() == PolicyKind::Throughput || *p == Policy::MaxTp);
@@ -543,12 +555,13 @@ impl<'a> SessionBuilder<'a> {
                     }
                 }
                 Policy::Fcfs | Policy::MaxIt | Policy::Srpt | Policy::MaxTp => {
+                    let grid = grid.as_ref().expect("grid built for latency policies");
                     let mut sched = policy
                         .latency_scheduler(&targets)
                         .expect("latency policy has a scheduler");
                     match &self.latency {
                         Some(cfg) => {
-                            let report = run_latency_experiment(model, sched.as_mut(), cfg)
+                            let report = run_latency_experiment(grid, sched.as_mut(), cfg)
                                 .map_err(SessionError::Experiment)?;
                             PolicyReport {
                                 policy,
@@ -564,7 +577,7 @@ impl<'a> SessionBuilder<'a> {
                                 sizes,
                                 seed: self.seed,
                             };
-                            let report = run_batch_experiment(model, sched.as_mut(), &cfg)
+                            let report = run_batch_experiment(grid, sched.as_mut(), &cfg)
                                 .map_err(SessionError::Experiment)?;
                             PolicyReport {
                                 policy,

@@ -2,7 +2,7 @@
 
 use queueing::{ContentionModel, LatencyConfig, SizeDist};
 use session::{Policy, PolicyKind, Session, SessionError};
-use symbiosis::{AnalyticModel, CachedModel, JobSize, RateModel};
+use symbiosis::{AnalyticModel, JobSize, RateGrid, RateModel, SymbiosisError};
 
 /// Mixing distinct types is faster than running clones together.
 fn symbiotic_model() -> AnalyticModel<impl Fn(&[u32], usize) -> f64> {
@@ -229,7 +229,7 @@ fn cached_wrapper_is_transparent_to_a_session() {
         .job_size(JobSize::Exponential)
         .run()
         .unwrap();
-    let cached_model = CachedModel::new(symbiotic_model());
+    let cached_model = RateGrid::new(&symbiotic_model()).unwrap();
     let cached = Session::builder()
         .rates(&cached_model)
         .policies([Policy::FcfsEvent, Policy::MaxIt])
@@ -239,7 +239,35 @@ fn cached_wrapper_is_transparent_to_a_session() {
         .run()
         .unwrap();
     assert_eq!(plain, cached, "memoization must not change any number");
-    assert!(cached_model.cached_multisets() > 0);
+    assert!(!cached_model.is_empty());
+}
+
+#[test]
+fn latency_policies_reject_a_contract_breaking_model() {
+    // Type 0 stalls (rate 0, then NaN) when two of its jobs co-run.
+    for stalled in [0.0, f64::NAN] {
+        let broken = AnalyticModel::new(
+            2,
+            2,
+            move |counts: &[u32], _ty| {
+                if counts == [2, 0] {
+                    stalled
+                } else {
+                    0.5
+                }
+            },
+        );
+        for latency in [None, Some(LatencyConfig::default())] {
+            let mut builder = Session::builder().rates(&broken).policy(Policy::Fcfs);
+            if let Some(cfg) = latency {
+                builder = builder.latency(cfg);
+            }
+            assert!(matches!(
+                builder.run(),
+                Err(SessionError::Symbiosis(SymbiosisError::InvalidRates(_)))
+            ));
+        }
+    }
 }
 
 #[test]

@@ -114,7 +114,7 @@ pub struct ChaosStudy {
     pub duplicates_discarded: usize,
     /// Protocol strikes recorded against connections.
     pub strikes: usize,
-    /// Wall time of the storm (bounded by [`STORM_WALL_BOUND`]).
+    /// Wall time of the storm (bounded by `STORM_WALL_BOUND`, 60 s).
     pub storm_wall: Duration,
     /// Jobs streamed through each serve leg.
     pub serve_jobs: usize,

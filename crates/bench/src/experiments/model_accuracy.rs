@@ -405,7 +405,7 @@ mod tests {
         cfg.sample = Some(4);
         let res = run_with(&cfg, &[Policy::Optimal]).unwrap();
         assert!(res.simulated.is_none(), "simulated leg is opt-in");
-        let digest = crate::study::artefact_digest(&format!("{res}\n{res:?}"));
+        let digest = crate::artefact_digest(&format!("{res}\n{res:?}"));
         assert_eq!(digest, GOLDEN, "digest moved: {digest:#018x}\n{res}");
 
         // Acceptance: the budget stays within 10% of the full sweep.
@@ -461,7 +461,7 @@ mod tests {
         cfg.measure_cycles = 1_500;
         cfg.simulated_k8 = true;
         let res = simulated_leg(&cfg).unwrap();
-        let digest = crate::study::artefact_digest(&format!("{res:?}"));
+        let digest = crate::artefact_digest(&format!("{res:?}"));
         assert_eq!(digest, SIMULATED_GOLDEN, "digest moved: {digest:#018x}");
         assert_eq!(res.suite, 6);
         assert_eq!(res.total, 3_002);

@@ -314,7 +314,7 @@ mod tests {
         let a = run(&cfg).unwrap();
         let b = run(&cfg).unwrap();
         assert_eq!(a, b);
-        let digest = crate::study::artefact_digest(&format!("{a}\n{a:?}"));
+        let digest = crate::artefact_digest(&format!("{a}\n{a:?}"));
         assert_eq!(digest, GOLDEN, "serve digest moved: {digest:#018x}\n{a}");
     }
 

@@ -23,7 +23,7 @@ pub mod experiments;
 pub mod study;
 
 pub use experiments::{by_name, Experiment, ExperimentContext, REGISTRY};
-pub use study::{Chip, Study, StudyConfig, StudyError};
+pub use study::{artefact_digest, Chip, Study, StudyConfig, StudyError};
 
 // The aggregation helpers migrated into the API layer next to
 // `session::SweepReport`; they are re-exported here so experiment code and

@@ -521,10 +521,9 @@ pub(crate) fn fast_study() -> &'static Study {
     STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
 }
 
-/// FNV-1a over the bytes of a printed artefact: the golden digests the
-/// experiment unit tests pin their outputs with.
-#[cfg(test)]
-pub(crate) fn artefact_digest(text: &str) -> u64 {
+/// FNV-1a over the bytes of a printed artefact: the golden digest the
+/// experiment tests pin their outputs with.
+pub fn artefact_digest(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
         h ^= b as u64;

@@ -19,7 +19,7 @@
 use std::sync::OnceLock;
 
 use paperbench::experiments::{fig2, fig3, fig5, fig6};
-use paperbench::{by_name, mean, pearson, ExperimentContext, Study, StudyConfig};
+use paperbench::{artefact_digest, by_name, mean, pearson, ExperimentContext, Study, StudyConfig};
 use queueing::{
     run_batch_experiment, run_latency_experiment, BatchConfig, LatencyConfig, SizeDist,
 };
@@ -64,19 +64,9 @@ fn registry_artefact(name: &str) -> String {
         .unwrap_or_else(|e| panic!("{name} runs: {e}"))
 }
 
-/// FNV-1a over the bytes of a printed artefact.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Asserts the golden digest of `name`'s printed artefact.
 fn assert_golden(name: &str, artefact: &str, golden: u64) {
-    let got = fnv1a(artefact);
+    let got = artefact_digest(artefact);
     assert_eq!(
         got, golden,
         "{name} artefact digest moved: got {got:#018x}, pinned {golden:#018x}\n{artefact}"

@@ -1,6 +1,7 @@
 //! Coschedules: multisets of job types running simultaneously.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// A coschedule — the multiset of job types occupying the machine's
 /// hardware contexts at one instant.
@@ -207,7 +208,7 @@ impl CoscheduleIter {
 
     /// Advances `counts` to its lexicographic successor (descending count
     /// order); returns `false` when the sequence is exhausted.
-    fn advance(counts: &mut [u32]) -> bool {
+    pub(crate) fn advance(counts: &mut [u32]) -> bool {
         let n = counts.len();
         // Find the rightmost position before the last with a job to move.
         let Some(i) = (0..n - 1).rev().find(|&i| counts[i] > 0) else {
@@ -451,6 +452,92 @@ impl CoscheduleRank {
             }
             (cursor - start) as u32
         })
+    }
+}
+
+/// Perfect index over the multisets of a range of sizes: sizes ascending,
+/// [`CoscheduleIter`] order within a size. A multiset's index is its size
+/// stratum's offset plus its [`CoscheduleRank`], so a probe is
+/// O(`num_types`) arithmetic with no allocation and no hashing. Over sizes
+/// `1..=K` this is `workloads::PerfTable`'s combo index space; a
+/// [`RateGrid`](crate::RateGrid) keys its cells with it when digit keys
+/// would not fit.
+///
+/// ```
+/// use symbiosis::{CoscheduleIndex, CoscheduleIter};
+///
+/// let index = CoscheduleIndex::new(3, 1..=2);
+/// let order = (1..=2).flat_map(|size| CoscheduleIter::new(3, size));
+/// for (i, s) in order.enumerate() {
+///     assert_eq!(index.index(s.counts()), Some(i));
+///     assert_eq!(index.index_sorted_slots(&s.slots()), Some(i));
+/// }
+/// assert_eq!(index.total(), 3 + 6);
+/// assert_eq!(index.index(&[1, 1, 1]), None, "size 3 is not indexed");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoscheduleIndex {
+    min_size: usize,
+    /// Rank table and index offset per size, ascending from `min_size`.
+    strata: Vec<(CoscheduleRank, usize)>,
+    total: usize,
+}
+
+impl CoscheduleIndex {
+    /// Indexes the multisets of every size in `sizes` over `num_types`
+    /// types.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_types == 0` or `sizes` is empty or contains 0.
+    pub fn new(num_types: usize, sizes: RangeInclusive<usize>) -> Self {
+        assert!(!sizes.is_empty(), "need at least one multiset size");
+        let min_size = *sizes.start();
+        let mut total = 0;
+        let strata = sizes
+            .map(|size| {
+                let rank = CoscheduleRank::new(num_types, size);
+                let offset = total;
+                total += rank.total();
+                (rank, offset)
+            })
+            .collect();
+        CoscheduleIndex {
+            min_size,
+            strata,
+            total,
+        }
+    }
+
+    /// Number of multisets indexed.
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Index of the size-`size` multiset with `count_of(ty)` jobs of type
+    /// `ty`, or `None` if the size is not indexed or the counts do not sum
+    /// to it.
+    pub fn index_with<F: FnMut(usize) -> u32>(&self, size: usize, count_of: F) -> Option<usize> {
+        let (rank, offset) = self.strata.get(size.checked_sub(self.min_size)?)?;
+        Some(offset + rank.rank_with(count_of)?)
+    }
+
+    /// Index of a count vector, or `None` for a wrong length or a size
+    /// that is not indexed.
+    pub fn index(&self, counts: &[u32]) -> Option<usize> {
+        if counts.len() != self.strata[0].0.num_types() {
+            return None;
+        }
+        let size = counts.iter().map(|&c| c as usize).sum();
+        self.index_with(size, |ty| counts[ty])
+    }
+
+    /// Index of a sorted slot list (see
+    /// [`CoscheduleRank::rank_sorted_slots`]), or `None` if it is
+    /// malformed or its length is not an indexed size.
+    pub fn index_sorted_slots(&self, slots: &[usize]) -> Option<usize> {
+        let (rank, offset) = self.strata.get(slots.len().checked_sub(self.min_size)?)?;
+        Some(offset + rank.rank_sorted_slots(slots)?)
     }
 }
 

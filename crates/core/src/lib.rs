@@ -63,7 +63,8 @@ pub use bottleneck::{
     fit_linear_bottleneck, fit_linear_bottleneck_rows, per_type_rate_difference, BottleneckFit,
 };
 pub use coschedule::{
-    enumerate_coschedules, enumerate_workloads, Coschedule, CoscheduleIter, CoscheduleRank,
+    enumerate_coschedules, enumerate_workloads, Coschedule, CoscheduleIndex, CoscheduleIter,
+    CoscheduleRank,
 };
 pub use error::SymbiosisError;
 pub use fairness::{fairness_experiment, rebalanced_heterogeneous, FairnessExperiment};
@@ -80,9 +81,7 @@ pub use metrics::Spread;
 pub use optimal::{
     optimal_schedule, throughput_bounds, Objective, Schedule, ScheduleLp, DEFAULT_LP_DENSE_LIMIT,
 };
-pub use rates::{
-    assert_rate_model_conformance, AnalyticModel, CachedModel, RateModel, WorkloadRates,
-};
+pub use rates::{assert_rate_model_conformance, AnalyticModel, RateGrid, RateModel, WorkloadRates};
 pub use variability::{
     analyze_variability, instantaneous_spread, per_job_spreads, FcfsParams, WorkloadVariability,
 };

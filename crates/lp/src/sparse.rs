@@ -432,9 +432,9 @@ impl OmegaSchedule {
 }
 
 /// Solves `pi Q = 0`, `sum(pi) = 1` by successive over-relaxation with an
-/// adaptive omega ([`OmegaSchedule`]-controlled): the Gauss–Seidel update
-/// relaxed as `pi_j <- (1 - w) pi_j + w inflow_j(pi) / outflow_j`, projected
-/// onto non-negative values. Inputs, residual definition and error
+/// adaptive omega (set by the private `OmegaSchedule`): the Gauss–Seidel
+/// update relaxed as `pi_j <- (1 - w) pi_j + w inflow_j(pi) / outflow_j`,
+/// projected onto non-negative values. Inputs, residual definition and error
 /// conditions match [`stationary_gauss_seidel`]; at the same tolerance the
 /// two agree on the fixed point while SOR typically needs several times
 /// fewer sweeps on slowly mixing chains.

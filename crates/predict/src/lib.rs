@@ -27,6 +27,12 @@
 //!   analyses and [`PredictedModel::to_table`] for
 //!   `session::Session::sweep` (use [`workloads::WorkUnit::Plain`] — the
 //!   emitted "IPCs" are already predicted rates).
+//! * [`PredictedModel::error_against`] — the predicted-vs-measured error
+//!   over every full coschedule, asking the ground truth once per
+//!   coschedule. A loop that re-checks the model after every refit
+//!   evaluates the truth once into a [`symbiosis::RateGrid`] and calls
+//!   [`PredictedModel::error_against_grid`], which reads the grid's stored
+//!   throughputs and reports the same bits.
 //!
 //! # Example
 //!
@@ -74,7 +80,7 @@ use workloads::TableError;
 pub use fit::{
     BottleneckFitter, Fitter, InterferenceFitter, RatePredictor, RateSample, MIN_PREDICTED_RATE,
 };
-pub use model::{samples_from_table, ErrorSummary, PredictedModel, Residual, TruthGrid};
+pub use model::{samples_from_table, ErrorSummary, PredictedModel, Residual};
 pub use sample::{stratified_plan, SamplePlan, Stratum};
 
 /// Errors from sampling, fitting or predicting.

@@ -10,7 +10,7 @@
 //! predicted [`PerfTable`] (consume it with [`WorkUnit::Plain`] — the
 //! emitted per-slot "IPCs" *are* predicted rates).
 
-use symbiosis::{Coschedule, CoscheduleIter, RateModel, WorkloadRates};
+use symbiosis::{Coschedule, CoscheduleIter, RateGrid, RateModel, WorkloadRates};
 use workloads::{PerfTable, WorkUnit};
 
 use crate::fit::{Fitter, RatePredictor, RateSample};
@@ -54,51 +54,6 @@ impl ErrorSummary {
             p95_abs_rel: p95,
             max_abs_rel: *errors.last().expect("non-empty"),
         }
-    }
-}
-
-/// A ground truth evaluated once over every *full* coschedule: each
-/// coschedule's counts (flattened, one row of type counts per coschedule)
-/// and its measured instantaneous throughput, in [`CoscheduleIter`] order.
-///
-/// The truth never changes while a model is refitted against it, so a
-/// loop tracking model error after every refit builds the grid once and
-/// calls [`PredictedModel::error_against_grid`], which evaluates only the
-/// predictor. [`PredictedModel::error_against`] is a wrapper that builds
-/// a grid and takes the same path, so both report the same bits.
-#[derive(Debug, Clone)]
-pub struct TruthGrid {
-    num_types: usize,
-    contexts: usize,
-    counts: Vec<u32>,
-    measured: Vec<f64>,
-}
-
-impl TruthGrid {
-    /// Evaluates `truth` over every full coschedule of its shape.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError::Shape`] when `truth` has no types or no contexts.
-    pub fn new(truth: &dyn RateModel) -> Result<TruthGrid, PredictError> {
-        let (num_types, contexts) = (truth.num_types(), truth.contexts());
-        if num_types == 0 || contexts == 0 {
-            return Err(PredictError::Shape(
-                "truth needs at least one type and one context".into(),
-            ));
-        }
-        let mut counts = Vec::new();
-        let mut measured = Vec::new();
-        for s in CoscheduleIter::new(num_types, contexts) {
-            counts.extend_from_slice(s.counts());
-            measured.push(truth.instantaneous_throughput(s.counts()));
-        }
-        Ok(TruthGrid {
-            num_types,
-            contexts,
-            counts,
-            measured,
-        })
     }
 }
 
@@ -306,9 +261,11 @@ impl PredictedModel {
     /// coschedule of the model's shape — the predicted-vs-measured
     /// headline number (most of those coschedules were never sampled).
     ///
-    /// Builds a [`TruthGrid`] and calls
-    /// [`PredictedModel::error_against_grid`]; build the grid yourself to
-    /// compare several models against one truth.
+    /// Asks `truth` for each full coschedule's instantaneous throughput
+    /// once. A loop that checks one model after every refit against a
+    /// truth that does not change evaluates it once into a [`RateGrid`]
+    /// and calls [`PredictedModel::error_against_grid`], which reports the
+    /// same bits.
     ///
     /// # Errors
     ///
@@ -316,29 +273,31 @@ impl PredictedModel {
     /// context count than the model.
     pub fn error_against(&self, truth: &dyn RateModel) -> Result<ErrorSummary, PredictError> {
         self.check_truth_shape(truth.num_types(), truth.contexts())?;
-        self.error_against_grid(&TruthGrid::new(truth)?)
+        let errors = CoscheduleIter::new(self.num_types, self.contexts)
+            .map(|s| self.rel_error(s.counts(), truth.instantaneous_throughput(s.counts())))
+            .collect();
+        Ok(ErrorSummary::from_abs_rel(errors))
     }
 
-    /// Error summary against a pre-evaluated ground truth: the relative
-    /// error `|predicted − measured| / measured` of the instantaneous
-    /// throughput, over every coschedule of `grid`.
+    /// [`PredictedModel::error_against`] over a pre-evaluated ground truth:
+    /// every full coschedule of `grid`, read from its stored cells.
     ///
     /// # Errors
     ///
     /// [`PredictError::Shape`] when `grid` has a different type or context
     /// count than the model.
-    pub fn error_against_grid(&self, grid: &TruthGrid) -> Result<ErrorSummary, PredictError> {
-        self.check_truth_shape(grid.num_types, grid.contexts)?;
-        let errors: Vec<f64> = grid
-            .counts
-            .chunks_exact(self.num_types)
-            .zip(&grid.measured)
-            .map(|(counts, &measured)| {
-                let predicted = self.instantaneous_throughput(counts);
-                (predicted - measured).abs() / measured
-            })
+    pub fn error_against_grid(&self, grid: &RateGrid) -> Result<ErrorSummary, PredictError> {
+        self.check_truth_shape(grid.num_types(), grid.contexts())?;
+        let errors = grid
+            .full_cells()
+            .map(|(counts, measured)| self.rel_error(counts, measured))
             .collect();
         Ok(ErrorSummary::from_abs_rel(errors))
+    }
+
+    /// `|predicted − measured| / measured` of the instantaneous throughput.
+    fn rel_error(&self, counts: &[u32], measured: f64) -> f64 {
+        (self.instantaneous_throughput(counts) - measured).abs() / measured
     }
 
     fn check_truth_shape(&self, num_types: usize, contexts: usize) -> Result<(), PredictError> {
@@ -802,7 +761,7 @@ mod tests {
                 model.error_against(&other),
                 Err(PredictError::Shape(_))
             ));
-            let grid = TruthGrid::new(&other).unwrap();
+            let grid = RateGrid::full(&other).unwrap();
             assert!(matches!(
                 model.error_against_grid(&grid),
                 Err(PredictError::Shape(_))
@@ -821,8 +780,8 @@ mod tests {
             }
         }
         assert!(matches!(
-            TruthGrid::new(&NoTypes),
-            Err(PredictError::Shape(_))
+            RateGrid::full(&NoTypes),
+            Err(symbiosis::SymbiosisError::InvalidParameter(_))
         ));
     }
 
@@ -837,10 +796,13 @@ mod tests {
         )
         .unwrap();
         let from_grid = model
-            .error_against_grid(&TruthGrid::new(&truth).unwrap())
+            .error_against_grid(&RateGrid::full(&truth).unwrap())
             .unwrap();
         assert_eq!(from_grid.coschedules, 15); // C(3+3, 4)
         assert_eq!(from_grid, model.error_against(&truth).unwrap());
+        // A grid over every size reads the same full stratum.
+        let all_sizes = RateGrid::new(&truth).unwrap();
+        assert_eq!(model.error_against_grid(&all_sizes).unwrap(), from_grid);
     }
 
     #[test]

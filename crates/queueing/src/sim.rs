@@ -5,36 +5,27 @@
 //! Between events (arrival / completion) the running coschedule is fixed,
 //! so time advances analytically to the next event — no time-stepping.
 //!
-//! # The per-call rate memo
+//! # The per-call rate grid
 //!
 //! A run asks the same few multisets for their rates at every event: the
 //! running coschedule, and every candidate MAXIT or SRPT compares. Each
-//! call of [`run_latency_experiment`] and [`run_batch_experiment`] therefore
-//! wraps its rate model in a private memo, built when the call starts and
-//! dropped when it returns. It is the rate model both the scheduler and
-//! the event loop see.
+//! call of [`run_latency_experiment`] and [`run_batch_experiment`]
+//! therefore evaluates its rate model once, into a [`RateGrid`] over every
+//! multiset of `1..=K` jobs, when the call starts. The grid is the rate
+//! model both the scheduler and the event loop see, and the event loop
+//! reads the running coschedule's rates from one lookup per event.
 //!
-//! The memo is a dense table keyed by the count vector read as a number in
-//! base `K + 1`: a lookup is one multiply-add per type, with no branch on
-//! the counts. (A key by multiset rank, `symbiosis::CoscheduleRank`, packs
-//! the table tighter, but on a 2.1 GHz x86-64 core it measured 17.5 ns a
-//! lookup against 6.7 ns, more than a `ContentionModel` evaluation costs.)
-//! The table holds `(K + 1)^types` keys: 625 keys and 3 125 cells for the
-//! paper's four types on four contexts.
-//!
-//! The memo's contract is bitwise: every `per_job_rate` and
-//! `instantaneous_throughput` it returns is a value the wrapped model
-//! itself returned for the same arguments, computed on first use; every
-//! other [`RateModel`] method forwards unchanged. For a model whose
-//! answers depend only on the multiset (every model in the workspace), a
-//! run is therefore bit-for-bit the run the bare model would produce.
-//! Models whose multiset space is too large to tabulate cheaply are passed
-//! through unmemoised.
-
-use std::cell::Cell;
+//! Every value in the grid is one the model itself returned for the same
+//! arguments, so for a model whose answers depend only on the multiset
+//! (every model in the workspace) a run is bit-for-bit the run the bare
+//! model would produce. A model that breaks the rate contract (a
+//! non-finite or non-positive rate for a present type, which would stall
+//! or corrupt the clock) fails the call with an error before the first
+//! event. Handing a run a grid, as `session::Session` does for its
+//! latency policies, makes the per-call evaluation a table copy.
 
 use symbiosis::rng::SplitMix64;
-use symbiosis::{RateModel, SymbiosisError, WorkloadRates};
+use symbiosis::{RateGrid, RateModel};
 
 use crate::job::{Job, JobId, JobPool};
 use crate::sched::Scheduler;
@@ -102,7 +93,8 @@ pub struct LatencyReport {
 /// # Errors
 ///
 /// Returns a description of the first invalid parameter (non-positive
-/// arrival rate or zero measured jobs).
+/// arrival rate, zero measured jobs, a full-only rate model) or of the
+/// first rate that breaks the [`RateModel`] contract.
 ///
 /// # Examples
 ///
@@ -148,7 +140,7 @@ pub fn run_latency_experiment(
         );
     }
     let _span = obs::span!("queueing.latency_run");
-    let rates = RateMemo::new(rates);
+    let rates = RateGrid::new(rates).map_err(|e| e.to_string())?;
     let n_types = rates.num_types();
     let contexts = rates.contexts();
     let mut rng = SplitMix64::new(config.seed);
@@ -279,7 +271,9 @@ pub struct BatchReport {
 ///
 /// # Errors
 ///
-/// Returns a description of the first invalid parameter.
+/// Returns a description of the first invalid parameter (an empty batch,
+/// a full-only rate model) or of the first rate that breaks the
+/// [`RateModel`] contract.
 ///
 /// # Examples
 ///
@@ -313,7 +307,7 @@ pub fn run_batch_experiment(
         );
     }
     let _span = obs::span!("queueing.batch_run");
-    let rates = RateMemo::new(rates);
+    let rates = RateGrid::new(rates).map_err(|e| e.to_string())?;
     let n_types = rates.num_types();
     let mut rng = SplitMix64::new(config.seed);
     let mut pool = JobPool::new(n_types);
@@ -357,7 +351,7 @@ pub fn run_batch_experiment(
 fn run_next(
     scheduler: &mut dyn Scheduler,
     pool: &mut JobPool,
-    rates: &RateMemo<'_>,
+    rates: &RateGrid,
     counts: &mut [u32],
     sel_rates: &mut Vec<(JobId, f64)>,
 ) -> f64 {
@@ -367,12 +361,12 @@ fn run_next(
     for &id in &selection {
         counts[pool.get(id).expect("selected job exists").ty] += 1;
     }
-    let key = rates.key(counts);
+    let per_job = rates.per_job_rates(counts);
     let mut dt_complete = f64::INFINITY;
     sel_rates.clear();
     for &id in &selection {
         let job = pool.get(id).expect("selected job exists");
-        let r = rates.per_job_rate_at(key, counts, job.ty);
+        let r = per_job[job.ty];
         debug_assert!(r > 0.0, "running jobs must progress");
         dt_complete = dt_complete.min(job.remaining / r);
         sel_rates.push((id, r));
@@ -394,122 +388,14 @@ fn advance(pool: &mut JobPool, sel_rates: &[(JobId, f64)], dt: f64, mut done: im
     }
 }
 
-/// Cells a [`RateMemo`] may allocate (`keys * (types + 1)`, 2 MiB of
-/// `f64`); larger multiset spaces run unmemoised.
-const MEMO_CELLS: usize = 1 << 18;
-
-/// The per-call rate memo described in the module docs.
-struct RateMemo<'a> {
-    model: &'a dyn RateModel,
-    /// `place[ty]` = `(K + 1)^ty`, the weight of type `ty`'s count in a
-    /// multiset's key; empty when the memo is disabled.
-    place: Vec<usize>,
-    contexts: u64,
-    /// `per_job[key * types + ty]`; NaN until filled.
-    per_job: Vec<Cell<f64>>,
-    /// Instantaneous throughput per key; NaN until filled.
-    throughput: Vec<Cell<f64>>,
-}
-
-impl<'a> RateMemo<'a> {
-    fn new(model: &'a dyn RateModel) -> Self {
-        let (n, k) = (model.num_types(), model.contexts());
-        let mut memo = RateMemo {
-            model,
-            place: Vec::new(),
-            contexts: k as u64,
-            per_job: Vec::new(),
-            throughput: Vec::new(),
-        };
-        let keys = (k + 1)
-            .checked_pow(n as u32)
-            .filter(|&keys| n > 0 && keys.saturating_mul(n + 1) <= MEMO_CELLS);
-        if let Some(keys) = keys {
-            memo.place = (0..n as u32).map(|ty| (k + 1).pow(ty)).collect();
-            memo.per_job = (0..keys * n).map(|_| Cell::new(f64::NAN)).collect();
-            memo.throughput = (0..keys).map(|_| Cell::new(f64::NAN)).collect();
-        }
-        memo
-    }
-
-    /// Memo key of a multiset: its counts read as digits in base `K + 1`.
-    /// A multiset of at most `K` jobs has every digit `<= K`, so distinct
-    /// multisets get distinct keys. `None` when the multiset is not
-    /// tabulated (malformed or oversized counts, or the memo is disabled).
-    fn key(&self, counts: &[u32]) -> Option<usize> {
-        if counts.len() != self.place.len() {
-            return None;
-        }
-        let (mut key, mut size) = (0usize, 0u64);
-        for (&c, &place) in counts.iter().zip(&self.place) {
-            key += c as usize * place;
-            size += u64::from(c);
-        }
-        (size <= self.contexts).then_some(key)
-    }
-
-    /// `per_job_rate(counts, ty)` given `counts`' precomputed key.
-    fn per_job_rate_at(&self, key: Option<usize>, counts: &[u32], ty: usize) -> f64 {
-        let cell = key
-            .filter(|_| ty < counts.len())
-            .map(|key| &self.per_job[key * counts.len() + ty]);
-        let Some(cell) = cell else {
-            return self.model.per_job_rate(counts, ty);
-        };
-        memoised(cell, || self.model.per_job_rate(counts, ty))
-    }
-}
-
-/// The cell's value, computing and storing it on first use.
-fn memoised(cell: &Cell<f64>, compute: impl FnOnce() -> f64) -> f64 {
-    let v = cell.get();
-    if !v.is_nan() {
-        return v;
-    }
-    let v = compute();
-    cell.set(v);
-    v
-}
-
-impl RateModel for RateMemo<'_> {
-    fn num_types(&self) -> usize {
-        self.model.num_types()
-    }
-
-    fn contexts(&self) -> usize {
-        self.model.contexts()
-    }
-
-    fn per_job_rate(&self, counts: &[u32], ty: usize) -> f64 {
-        self.per_job_rate_at(self.key(counts), counts, ty)
-    }
-
-    fn total_rate(&self, counts: &[u32], ty: usize) -> f64 {
-        self.model.total_rate(counts, ty)
-    }
-
-    fn instantaneous_throughput(&self, counts: &[u32]) -> f64 {
-        match self.key(counts) {
-            Some(key) => memoised(&self.throughput[key], || {
-                self.model.instantaneous_throughput(counts)
-            }),
-            None => self.model.instantaneous_throughput(counts),
-        }
-    }
-
-    fn supports_partial(&self) -> bool {
-        self.model.supports_partial()
-    }
-
-    fn full_table(&self) -> Result<WorkloadRates, SymbiosisError> {
-        self.model.full_table()
-    }
-}
-
+/// The per-call rate grid: keys, bits, model calls, and models that break
+/// the rate contract.
 #[cfg(test)]
 mod memo_tests {
     use super::*;
     use crate::rates::ContentionModel;
+    use crate::sched::{FcfsScheduler, MaxItScheduler, SrptScheduler};
+    use std::cell::Cell;
     use symbiosis::CoscheduleIter;
 
     /// Counts the calls reaching the wrapped model.
@@ -536,18 +422,19 @@ mod memo_tests {
     #[test]
     fn memo_keys_are_distinct_and_reject_oversized_multisets() {
         let model = ContentionModel::new(vec![1.0; 3], 0.0, 4);
-        let memo = RateMemo::new(&model);
+        let grid = RateGrid::new(&model).unwrap();
         let mut seen = std::collections::HashSet::new();
         for size in 1..=4 {
             for s in CoscheduleIter::new(3, size) {
-                let key = memo.key(s.counts()).expect("tabulated");
-                assert!(key < memo.throughput.len());
-                assert!(seen.insert(key));
+                let cell = grid.index_of(s.counts()).expect("tabulated");
+                assert!(cell < grid.len());
+                assert!(seen.insert(cell));
             }
         }
-        assert_eq!(memo.key(&[2, 2, 1]), None);
-        assert_eq!(memo.key(&[1, 1]), None);
-        assert_eq!(memo.key(&[u32::MAX, 1, 0]), None);
+        assert_eq!(seen.len(), grid.len());
+        assert_eq!(grid.index_of(&[2, 2, 1]), None);
+        assert_eq!(grid.index_of(&[1, 1]), None);
+        assert_eq!(grid.index_of(&[u32::MAX, 1, 0]), None);
     }
 
     #[test]
@@ -556,26 +443,26 @@ mod memo_tests {
             inner: ContentionModel::new(vec![1.0, 0.7, 0.45], 0.3, 4),
             calls: Cell::new(0),
         };
-        let memo = RateMemo::new(&model);
+        let grid = RateGrid::new(&model).unwrap();
         for _ in 0..2 {
             for size in 1..=4 {
                 for s in CoscheduleIter::new(3, size) {
                     let counts = s.counts();
                     assert_eq!(
-                        memo.instantaneous_throughput(counts).to_bits(),
+                        grid.instantaneous_throughput(counts).to_bits(),
                         model.inner.instantaneous_throughput(counts).to_bits()
                     );
                     for ty in (0..3).filter(|&ty| counts[ty] > 0) {
                         assert_eq!(
-                            memo.per_job_rate(counts, ty).to_bits(),
+                            grid.per_job_rate(counts, ty).to_bits(),
                             model.inner.per_job_rate(counts, ty).to_bits()
                         );
                     }
                 }
             }
         }
-        // First pass: one call per present (multiset, type) for the rate,
-        // and one per present type for each throughput. Second pass: none.
+        // Construction: one call per present (multiset, type) for the rate,
+        // and one per present type for each throughput. Lookups: none.
         let present: u64 = (1..=4)
             .flat_map(|size| CoscheduleIter::new(3, size))
             .map(|s| s.counts().iter().filter(|&&c| c > 0).count() as u64)
@@ -584,22 +471,35 @@ mod memo_tests {
     }
 
     #[test]
-    fn oversized_models_pass_through() {
-        // 9^12 keys: far past the cell budget.
-        let model = Counting {
-            inner: ContentionModel::new(vec![1.0; 12], 0.1, 8),
-            calls: Cell::new(0),
-        };
-        let memo = RateMemo::new(&model);
-        let mut counts = vec![0u32; 12];
-        counts[3] = 8;
-        for _ in 0..3 {
-            assert_eq!(
-                memo.per_job_rate(&counts, 3),
-                model.inner.per_job_rate(&counts, 3)
+    fn contract_breaking_models_fail_instead_of_stalling() {
+        for rate in [0.0, f64::NAN] {
+            // Type 0 gets `rate` when two of its jobs co-run.
+            let model = symbiosis::AnalyticModel::new(
+                2,
+                2,
+                move |c: &[u32], _| {
+                    if c == [2, 0] {
+                        rate
+                    } else {
+                        0.5
+                    }
+                },
             );
+            let batch = BatchConfig {
+                jobs: 200,
+                sizes: SizeDist::Deterministic,
+                seed: 1,
+            };
+            let latency = LatencyConfig::default();
+            let schedulers: [&mut dyn Scheduler; 3] =
+                [&mut FcfsScheduler, &mut MaxItScheduler, &mut SrptScheduler];
+            for sched in schedulers {
+                let err = run_batch_experiment(&model, sched, &batch).unwrap_err();
+                assert!(err.contains("per-job rate"), "{err}");
+                let err = run_latency_experiment(&model, sched, &latency).unwrap_err();
+                assert!(err.contains("per-job rate"), "{err}");
+            }
         }
-        assert_eq!(model.calls.get(), 3);
     }
 }
 

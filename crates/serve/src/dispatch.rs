@@ -7,13 +7,13 @@
 //! non-preemptive: a placed job keeps its context until it completes.
 //!
 //! Time is external: the driver asks for the next completion horizon
-//! under a ground-truth rate source and then advances the dispatcher by
-//! explicit `dt` steps, so the same dispatcher works under a virtual
-//! clock (deterministic sim) or wall time.
+//! under a ground truth, evaluated into a [`RateGrid`], and then advances
+//! the dispatcher by explicit `dt` steps, so the same dispatcher works
+//! under a virtual clock (deterministic sim) or wall time.
 
 use crate::placer::Placer;
 use queueing::{Job, JobId, JobPool};
-use symbiosis::RateModel;
+use symbiosis::{RateGrid, RateModel};
 
 /// Numerical slack below which remaining work counts as finished
 /// (matches the latency simulator's completion threshold).
@@ -183,29 +183,25 @@ impl Dispatcher {
 
     /// Time until the next running job completes under `truth`, or `None`
     /// when nothing is running.
-    pub fn time_to_next_completion(&self, truth: &dyn RateModel) -> Option<f64> {
+    pub fn time_to_next_completion(&self, truth: &RateGrid) -> Option<f64> {
+        if self.running.is_empty() {
+            return None;
+        }
+        let rates = truth.per_job_rates(&self.running_counts);
         self.running
             .iter()
-            .map(|job| job.remaining / truth.per_job_rate(&self.running_counts, job.ty))
+            .map(|job| job.remaining / rates[job.ty])
             .min_by(|a, b| a.total_cmp(b))
     }
 
     /// Advances every running job by `dt` at the rates `truth` assigns to
     /// the current coschedule, removing and returning the completions
     /// (ordered by id, deterministic).
-    pub fn advance(&mut self, truth: &dyn RateModel, dt: f64, now: f64) -> Vec<Completion> {
+    pub fn advance(&mut self, truth: &RateGrid, dt: f64, now: f64) -> Vec<Completion> {
         if self.running.is_empty() {
             return Vec::new();
         }
-        let rates: Vec<f64> = (0..self.running_counts.len())
-            .map(|ty| {
-                if self.running_counts[ty] > 0 {
-                    truth.per_job_rate(&self.running_counts, ty)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        let rates = truth.per_job_rates(&self.running_counts);
         let mut done = Vec::new();
         let mut i = 0;
         while i < self.running.len() {
@@ -269,7 +265,7 @@ mod tests {
 
     #[test]
     fn advance_completes_jobs_and_frees_contexts() {
-        let truth = flat_model(1, 2);
+        let truth = RateGrid::new(&flat_model(1, 2)).unwrap();
         let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs()));
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 2.0, 0.0));
@@ -294,17 +290,14 @@ mod tests {
     #[test]
     fn completion_rates_follow_the_coschedule() {
         // Two jobs of the same type slow each other down by 2x.
-        let truth = AnalyticModel::new(
-            1,
-            2,
-            |counts: &[u32], _ty| {
-                if counts[0] > 1 {
-                    0.5
-                } else {
-                    1.0
-                }
-            },
-        );
+        let truth = RateGrid::new(&AnalyticModel::new(1, 2, |counts: &[u32], _ty| {
+            if counts[0] > 1 {
+                0.5
+            } else {
+                1.0
+            }
+        }))
+        .unwrap();
         let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs()));
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 1.0, 0.0));

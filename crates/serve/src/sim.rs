@@ -2,13 +2,14 @@
 //!
 //! Drives the whole stack — queue → dispatcher → twin loop — under a
 //! deterministic virtual clock: seeded Poisson arrivals are pushed through
-//! the bounded [`Queue`](crate::Queue), the [`Dispatcher`] places them by
-//! pricing candidates through the *live predicted model*, and `truth`
+//! the bounded [`Queue`], the [`Dispatcher`] places them by pricing
+//! candidates through the *live predicted model*, and `truth`
 //! (any partial-capable [`RateModel`] — typically a measured
 //! `PerfTable` view) decides how fast the placed coschedules actually
 //! run. Completions feed measurements back into the [`TwinLoop`], which
 //! refits and emits active probe requests; the harness services those
-//! probes against `truth` as well.
+//! probes against `truth` as well. `truth` is evaluated once, into a
+//! [`RateGrid`], when the run starts, and every truth query reads it.
 //!
 //! Everything is seeded and event-ordered, so a report — including the
 //! full placement trace and the model-error trajectory — is reproducible
@@ -19,10 +20,10 @@ use crate::dispatch::{Dispatcher, Placement};
 use crate::placer::Placer;
 use crate::queue::{Queue, SubmitError};
 use crate::twin::{RefitRecord, TwinError, TwinLoop};
-use predict::{PredictedModel, RateSample, TruthGrid};
+use predict::{PredictedModel, RateSample};
 use queueing::Job;
 use symbiosis::rng::SplitMix64;
-use symbiosis::RateModel;
+use symbiosis::{RateGrid, RateModel};
 
 /// Configuration for one [`run_serve`] experiment.
 #[derive(Debug, Clone)]
@@ -156,7 +157,8 @@ fn measure(truth: &dyn RateModel, counts: &[u32]) -> RateSample {
 /// # Errors
 ///
 /// [`ServeError::Config`] when shapes mismatch, `truth` cannot price
-/// partial multisets, or rates/counts are degenerate.
+/// partial multisets or breaks the rate contract (a non-finite or
+/// non-positive rate for a present type), or rates/counts are degenerate.
 pub fn run_serve(
     truth: &dyn RateModel,
     model: PredictedModel,
@@ -195,9 +197,11 @@ pub fn run_serve(
     let place_hist = ctx.as_ref().map(|r| r.histogram("serve.place_us"));
     let error_hist = ctx.as_ref().map(|r| r.histogram("twin.error_us"));
 
-    // The truth never changes during the run: evaluate it once, so each
-    // error-trajectory point only evaluates the live predictor.
-    let grid = TruthGrid::new(truth).map_err(|e| ServeError::Config(e.to_string()))?;
+    // The truth never changes during the run: evaluate it once. Every
+    // truth query below (progress, completions, measurements, solo rates,
+    // the error trajectory) reads the grid instead of the model.
+    let grid = RateGrid::new(truth).map_err(|e| ServeError::Config(e.to_string()))?;
+    let truth = &grid;
     let model_error = |model: &PredictedModel| -> Result<f64, ServeError> {
         let started = std::time::Instant::now();
         let summary = model
@@ -621,6 +625,35 @@ mod tests {
             matches!(err, ServeError::Twin(_)),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn a_contract_breaking_truth_is_rejected_before_the_run() {
+        // Type 0 stalls (rate 0, then NaN) when two of its jobs co-run.
+        for stalled in [0.0, f64::NAN] {
+            let broken = AnalyticModel::new(
+                2,
+                2,
+                move |counts: &[u32], _ty| {
+                    if counts == [2, 0] {
+                        stalled
+                    } else {
+                        0.5
+                    }
+                },
+            );
+            let err = run_serve(
+                &broken,
+                seed_model(&truth(2, 2)),
+                Box::new(PolicyPlacer::greedy()),
+                &small_cfg(),
+            )
+            .expect_err("a stalled type must not run");
+            assert!(
+                matches!(&err, ServeError::Config(msg) if msg.contains("per-job rate")),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     #[test]

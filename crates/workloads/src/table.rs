@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use simproc::{BenchmarkProfile, Machine, MachineError};
-use symbiosis::{CoscheduleIter, CoscheduleRank, RateModel, SymbiosisError, WorkloadRates};
+use symbiosis::{CoscheduleIndex, CoscheduleIter, RateModel, SymbiosisError, WorkloadRates};
 
 /// Errors from building, querying or persisting a [`PerfTable`].
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +99,7 @@ pub enum WorkUnit {
 /// Internally the rows live twice: in a `HashMap` (the (de)serialisation
 /// and equality boundary — [`PerfTable::to_bytes`] and
 /// [`PerfTable::recorded_combos`] iterate it in sorted order) and in a
-/// [`FlatIndex`] (the hot-path layout — every `slot_ipcs`/rate probe is
+/// flat rank-indexed layout (the hot path — every `slot_ipcs`/rate probe is
 /// O(size) rank arithmetic into dense arrays, no hashing, no allocation).
 #[derive(Debug, Clone)]
 pub struct PerfTable {
@@ -126,16 +126,14 @@ impl PartialEq for PerfTable {
 ///
 /// The combo key space is the streamed enumeration of sizes `1..=contexts`
 /// (the [`CoscheduleIter`] order, sizes concatenated ascending) — exactly
-/// the index space [`PerfTable::build_sampled`] selections address. A
-/// combo's global index is `offsets[size - 1] + rank-in-stratum`, where the
-/// per-size rank comes from the [`CoscheduleRank`] perfect index, so a
-/// probe is O(size) integer arithmetic with zero allocation and zero
-/// hashing. `starts[global]` points into the packed `vals` array
-/// (`u32::MAX` marks combos a sampled build did not record).
+/// the index space [`PerfTable::build_sampled`] selections address, and
+/// the one a [`CoscheduleIndex`] numbers, so a probe is O(size) integer
+/// arithmetic with zero allocation and zero hashing. `starts[global]`
+/// points into the packed `vals` array (`u32::MAX` marks combos a sampled
+/// build did not record).
 #[derive(Debug, Clone)]
 pub(crate) struct FlatIndex {
-    ranks: Vec<CoscheduleRank>,
-    offsets: Vec<usize>,
+    index: CoscheduleIndex,
     starts: Vec<u32>,
     vals: Vec<f64>,
 }
@@ -145,57 +143,40 @@ impl FlatIndex {
     /// sorted-combo order (the [`PerfTable::recorded_combos`] order), so
     /// identical tables always produce identical flat layouts.
     fn build(n_benchmarks: usize, k: usize, co_ipc: &HashMap<Vec<usize>, Vec<f64>>) -> Self {
-        let ranks: Vec<CoscheduleRank> = (1..=k)
-            .map(|size| CoscheduleRank::new(n_benchmarks, size))
-            .collect();
-        let mut offsets = Vec::with_capacity(k);
-        let mut total = 0usize;
-        for rank in &ranks {
-            offsets.push(total);
-            total += rank.total();
-        }
+        let index = CoscheduleIndex::new(n_benchmarks, 1..=k);
         let mut rows: Vec<(&Vec<usize>, &Vec<f64>)> = co_ipc.iter().collect();
         rows.sort_unstable_by_key(|&(combo, _)| combo);
-        let mut starts = vec![u32::MAX; total];
+        let mut starts = vec![u32::MAX; index.total()];
         let mut vals = Vec::with_capacity(rows.iter().map(|&(c, _)| c.len()).sum());
-        let mut index = FlatIndex {
-            ranks,
-            offsets,
-            starts: Vec::new(),
-            vals: Vec::new(),
-        };
         for (combo, ipcs) in rows {
             let global = index
-                .global_rank(combo)
+                .index_sorted_slots(combo)
                 .expect("recorded combos are sorted, sized 1..=contexts, in range");
             starts[global] = u32::try_from(vals.len()).expect("flat table exceeds u32 offsets");
             vals.extend_from_slice(ipcs);
         }
-        index.starts = starts;
-        index.vals = vals;
-        index
-    }
-
-    /// Global enumeration index of a sorted combo, or `None` if the combo
-    /// is malformed (empty, oversized, unsorted, index out of range).
-    fn global_rank(&self, combo: &[usize]) -> Option<usize> {
-        let size = combo.len();
-        if size == 0 || size > self.ranks.len() {
-            return None;
+        FlatIndex {
+            index,
+            starts,
+            vals,
         }
-        let rank = self.ranks[size - 1].rank_sorted_slots(combo)?;
-        Some(self.offsets[size - 1] + rank)
     }
 
-    /// Per-slot IPCs for a sorted combo, if recorded.
-    fn get(&self, combo: &[usize]) -> Option<&[f64]> {
-        let global = self.global_rank(combo)?;
+    /// The `size` slot IPCs recorded at global index `global`, if any.
+    fn row(&self, global: usize, size: usize) -> Option<&[f64]> {
         let start = self.starts[global];
         if start == u32::MAX {
             return None;
         }
         let start = start as usize;
-        Some(&self.vals[start..start + combo.len()])
+        Some(&self.vals[start..start + size])
+    }
+
+    /// Per-slot IPCs for a sorted combo, if recorded. Malformed combos
+    /// (empty, oversized, unsorted, index out of range) read as unrecorded.
+    fn get(&self, combo: &[usize]) -> Option<&[f64]> {
+        let global = self.index.index_sorted_slots(combo)?;
+        self.row(global, combo.len())
     }
 
     /// Per-slot IPCs for the size-`size` combo whose benchmark multiplicity
@@ -203,16 +184,8 @@ impl FlatIndex {
     /// rate conversions, which hold per-type counts rather than expanded
     /// combos. `None` if unrecorded or the counts do not sum to `size`.
     fn get_counts<F: FnMut(usize) -> u32>(&self, size: usize, count_of: F) -> Option<&[f64]> {
-        if size == 0 || size > self.ranks.len() {
-            return None;
-        }
-        let rank = self.ranks[size - 1].rank_with(count_of)?;
-        let start = self.starts[self.offsets[size - 1] + rank];
-        if start == u32::MAX {
-            return None;
-        }
-        let start = start as usize;
-        Some(&self.vals[start..start + size])
+        let global = self.index.index_with(size, count_of)?;
+        self.row(global, size)
     }
 }
 

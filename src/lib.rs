@@ -72,8 +72,8 @@
 //! ```
 //!
 //! Rate sources need not come from the simulator — an analytic model (or a
-//! [`prelude::CachedModel`] around an expensive predictor) plugs into the
-//! same session:
+//! [`prelude::RateGrid`] holding an expensive predictor's answers,
+//! evaluated once) plugs into the same session:
 //!
 //! ```
 //! use symbiotic_scheduling::prelude::*;
@@ -88,6 +88,14 @@
 //!     .policy_names(["worst", "fcfs-markov", "optimal"])
 //!     .run()?;
 //! assert!(report.throughput(Policy::Optimal) >= report.throughput(Policy::FcfsMarkov));
+//!
+//! // Every answer of the model, evaluated once: the same numbers.
+//! let grid = RateGrid::new(&model)?;
+//! let from_grid = Session::builder()
+//!     .rates(&grid)
+//!     .policy_names(["worst", "fcfs-markov", "optimal"])
+//!     .run()?;
+//! assert_eq!(from_grid, report);
 //! # Ok(())
 //! # }
 //! ```
@@ -114,8 +122,8 @@ pub mod prelude {
     };
     pub use symbiosis::{
         assert_rate_model_conformance, enumerate_coschedules, enumerate_workloads, AnalyticModel,
-        BottleneckFit, CachedModel, Coschedule, FairnessExperiment, FcfsOutcome, FcfsParams,
-        HeterogeneityTable, JobSize, Objective, RateModel, Schedule, SymbiosisError, WorkloadRates,
+        BottleneckFit, Coschedule, FairnessExperiment, FcfsOutcome, FcfsParams, HeterogeneityTable,
+        JobSize, Objective, RateGrid, RateModel, Schedule, SymbiosisError, WorkloadRates,
         WorkloadVariability,
     };
 
