@@ -7,6 +7,10 @@
 //!   error-trajectory point and the summary statistics — with inline and
 //!   background twins, on an [`AnalyticModel`] truth and on a K = 8
 //!   synthetic-table [`workloads::WorkloadView`] truth;
+//! * the other placement and admission paths on the analytic truth: the
+//!   FCFS, greedy MAXIT and SRPT [`PolicyPlacer`]s, a tripped circuit
+//!   breaker (its [`serve::BreakerReport`] folded in) and a saturated
+//!   run behind a one-slot queue;
 //! * [`InterferenceFitter`] coefficients on a full-rank sample set and on
 //!   a rank-deficient set that needs the ridge fallback;
 //! * [`PredictedModel::error_against`] mean, p95 and max.
@@ -16,7 +20,11 @@
 //! the digests from the failure message.
 
 use predict::{ErrorSummary, Fitter, InterferenceFitter, PredictedModel, RateSample};
-use serve::{run_serve, BeamPlacer, ServeConfig, ServeReport};
+use serve::{
+    run_serve, BeamPlacer, BreakerConfig, BreakerReport, Placer, PolicyPlacer, ServeConfig,
+    ServeReport,
+};
+use session::Policy;
 use symbiosis::{AnalyticModel, CoscheduleIter, RateModel};
 use workloads::PerfTable;
 
@@ -68,6 +76,20 @@ fn report_digest(r: &ServeReport) -> u64 {
             e.completed,
             e.mean_abs_rel.to_bits(),
         ]);
+    }
+    fnv1a(words)
+}
+
+fn breaker_digest(report_digest: u64, b: &BreakerReport) -> u64 {
+    let mut words = vec![
+        report_digest,
+        b.trips as u64,
+        b.recoveries as u64,
+        b.fallback_calls as u64,
+        b.events.len() as u64,
+    ];
+    for e in &b.events {
+        words.extend([e.generation, e.opened as u64, e.q90.to_bits()]);
     }
     fnv1a(words)
 }
@@ -141,21 +163,27 @@ fn capacity(truth: &dyn RateModel) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// The pinned configuration: 80% of capacity, an unbounded-in-practice
+/// queue, no breaker.
+fn base_cfg(truth: &dyn RateModel, jobs: usize, seed: u64, background: bool) -> ServeConfig {
+    ServeConfig {
+        arrival_rate: 0.8 * capacity(truth),
+        jobs,
+        seed,
+        queue_capacity: 512,
+        batch: 40,
+        probes: 3,
+        background_twin: background,
+        breaker: None,
+        twin_panic_at_batch: None,
+    }
+}
+
 /// Runs both twin modes on `truth`, labelled `"{model}/{mode}"`.
 fn serve_cases(model: &str, truth: &dyn RateModel, jobs: usize, seed: u64) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for background in [false, true] {
-        let cfg = ServeConfig {
-            arrival_rate: 0.8 * capacity(truth),
-            jobs,
-            seed,
-            queue_capacity: 512,
-            batch: 40,
-            probes: 3,
-            background_twin: background,
-            breaker: None,
-            twin_panic_at_batch: None,
-        };
+        let cfg = base_cfg(truth, jobs, seed, background);
         let report = run_serve(truth, seed_model(truth), Box::new(BeamPlacer::new(4)), &cfg)
             .expect("serve run");
         let mode = if background { "background" } else { "inline" };
@@ -246,6 +274,72 @@ fn k8_view_truth_serve_runs_match_golden_digests() {
         &[
             ("view_k8/inline", 0x1f77b44cd635252e),
             ("view_k8/background", 0x1f77b44cd635252e),
+        ],
+    );
+}
+
+#[test]
+fn placer_breaker_and_shedding_paths_match_golden_digests() {
+    let truth = analytic_truth();
+    let base = base_cfg(&truth, 500, 0xD1617, false);
+    let run = |placer: Box<dyn Placer>, cfg: &ServeConfig| {
+        run_serve(&truth, seed_model(&truth), placer, cfg).expect("serve run")
+    };
+    let mut got = Vec::new();
+    for (label, placer) in [
+        ("fcfs", PolicyPlacer::fcfs()),
+        ("greedy", PolicyPlacer::greedy()),
+        (
+            "srpt",
+            PolicyPlacer::from_policy(Policy::Srpt).expect("latency policy"),
+        ),
+    ] {
+        let report = run(Box::new(placer), &base);
+        got.push((label.to_string(), report_digest(&report)));
+    }
+
+    // A zero trip threshold opens the breaker at the first refit and the
+    // negative recovery threshold keeps it open.
+    let tripped = ServeConfig {
+        breaker: Some(BreakerConfig {
+            trip_q90: 0.0,
+            recover_q90: -1.0,
+        }),
+        ..base.clone()
+    };
+    let report = run(Box::new(PolicyPlacer::greedy()), &tripped);
+    let breaker = report.breaker.as_ref().expect("breaker report");
+    assert_eq!(breaker.trips, 1);
+    assert!(breaker.fallback_calls > 0);
+    got.push((
+        "breaker_tripped".to_string(),
+        breaker_digest(report_digest(&report), breaker),
+    ));
+
+    // Arrivals above capacity into a one-slot queue. `run_serve` drains
+    // the queue into the dispatcher after every event, so even this queue
+    // never fills: nothing is shed and the backlog builds in the
+    // dispatcher's pool instead.
+    let saturated = ServeConfig {
+        arrival_rate: 1.5 * capacity(&truth),
+        queue_capacity: 1,
+        ..base
+    };
+    let report = run(Box::new(BeamPlacer::new(4)), &saturated);
+    assert_eq!((report.submitted, report.rejected), (500, 0));
+    got.push((
+        "saturated_one_slot_queue".to_string(),
+        report_digest(&report),
+    ));
+
+    check(
+        &got,
+        &[
+            ("fcfs", 0x535221320a08fb50),
+            ("greedy", 0x6e330e0dd919b2a7),
+            ("srpt", 0x7620d7f96e3937c0),
+            ("breaker_tripped", 0xac2d0d56f6193a82),
+            ("saturated_one_slot_queue", 0x32ab25640a771674),
         ],
     );
 }
