@@ -166,21 +166,11 @@ impl fmt::Display for Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| {
-            let mut cfg = StudyConfig::fast();
-            cfg.sample = Some(6);
-            Study::new(cfg).expect("study builds")
-        })
-    }
+    use crate::study::sampled_fast_study;
 
     #[test]
     fn fig5_produces_sane_grid() {
-        let fig = run(fast_study()).unwrap();
+        let fig = run(sampled_fast_study()).unwrap();
         assert_eq!(fig.loads.len(), 3);
         for row in &fig.cells {
             assert_eq!(row.len(), POLICIES.len());

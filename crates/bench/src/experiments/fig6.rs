@@ -123,21 +123,11 @@ impl fmt::Display for Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| {
-            let mut cfg = StudyConfig::fast();
-            cfg.sample = Some(6);
-            Study::new(cfg).expect("study builds")
-        })
-    }
+    use crate::study::sampled_fast_study;
 
     #[test]
     fn fig6_schedulers_respect_lp_bounds() {
-        let fig = run(fast_study()).unwrap();
+        let fig = run(sampled_fast_study()).unwrap();
         for p in &fig.points {
             // Every achieved throughput lies within the theoretical bounds
             // (small tolerance for finite-run noise).
@@ -175,7 +165,7 @@ mod tests {
 
     #[test]
     fn points_sorted_by_lp_max() {
-        let fig = run(fast_study()).unwrap();
+        let fig = run(sampled_fast_study()).unwrap();
         for pair in fig.points.windows(2) {
             assert!(pair[0].lp_max <= pair[1].lp_max + 1e-12);
         }

@@ -79,21 +79,11 @@ impl fmt::Display for N8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| {
-            let mut cfg = StudyConfig::fast();
-            cfg.sample = Some(6);
-            Study::new(cfg).expect("study builds")
-        })
-    }
+    use crate::study::sampled_fast_study;
 
     #[test]
     fn more_types_do_not_unlock_large_gains() {
-        let res = run(fast_study()).unwrap();
+        let res = run(sampled_fast_study()).unwrap();
         assert!(res.gain_n4 >= -1e-9);
         assert!(res.gain_n8 >= -1e-9);
         // The paper's point: even with twice the types, gains stay small.

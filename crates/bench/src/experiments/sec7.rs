@@ -228,21 +228,11 @@ impl fmt::Display for Sec7 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StudyConfig;
-    use std::sync::OnceLock;
-
-    fn fast_study() -> &'static Study {
-        static STUDY: OnceLock<Study> = OnceLock::new();
-        STUDY.get_or_init(|| {
-            let mut cfg = StudyConfig::fast();
-            cfg.sample = Some(6);
-            Study::new(cfg).expect("study builds")
-        })
-    }
+    use crate::study::sampled_fast_study;
 
     #[test]
     fn policy_study_produces_positive_throughputs() {
-        let res = run(fast_study()).unwrap();
+        let res = run(sampled_fast_study()).unwrap();
         assert_eq!(res.rows.len(), 4);
         for r in &res.rows {
             assert!(r.fcfs > 0.0);

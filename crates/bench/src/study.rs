@@ -521,6 +521,18 @@ pub(crate) fn fast_study() -> &'static Study {
     STUDY.get_or_init(|| Study::new(StudyConfig::fast()).expect("study builds"))
 }
 
+/// `StudyConfig::fast()` sampled down to six workloads: the shared study of
+/// the n8, sec7, fig5 and fig6 unit tests, built once per test binary.
+#[cfg(test)]
+pub(crate) fn sampled_fast_study() -> &'static Study {
+    static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
+    STUDY.get_or_init(|| {
+        let mut cfg = StudyConfig::fast();
+        cfg.sample = Some(6);
+        Study::new(cfg).expect("study builds")
+    })
+}
+
 /// FNV-1a over the bytes of a printed artefact: the golden digest the
 /// experiment tests pin their outputs with.
 pub fn artefact_digest(text: &str) -> u64 {

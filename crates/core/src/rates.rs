@@ -819,23 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_model_passes_conformance_and_memoizes() {
-        let inner = contention(2, 3);
-        let cached = RateGrid::new(&inner).unwrap();
-        assert_rate_model_conformance(&cached);
-        let before = cached.len();
-        assert!(before > 0, "construction must populate the grid");
-        // Replaying queries must not grow the grid.
-        let _ = cached.per_job_rate(&[1, 1], 0);
-        assert_eq!(cached.len(), before);
-        // Cached answers match the inner model.
-        assert_eq!(
-            cached.per_job_rate(&[2, 1], 1),
-            inner.per_job_rate(&[2, 1], 1)
-        );
-    }
-
-    #[test]
     fn workload_rates_passes_conformance_as_full_only_model() {
         let table = toy_rates(3, 3);
         assert!(!RateModel::supports_partial(&table));

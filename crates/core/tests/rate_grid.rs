@@ -1,9 +1,10 @@
 //! `RateGrid` against the models it evaluates: the conformance contract,
 //! bit-for-bit cells on both key arms (digits at N = 4, K = 4; ranks at
-//! N = 8, K = 8), full-only grids, grids of grids, and models that break
-//! the rate contract.
+//! N = 8, K = 8), how often construction asks the model, full-only grids,
+//! grids of grids, and models that break the rate contract.
 
 use queueing::ContentionModel;
+use std::cell::Cell;
 use symbiosis::{
     assert_rate_model_conformance, AnalyticModel, CoscheduleIter, RateGrid, RateModel,
     SymbiosisError,
@@ -102,6 +103,50 @@ fn both_key_arms_store_the_models_answers_bit_for_bit() {
             assert!(full.full_cells().eq(grid.full_cells()));
         }
     }
+}
+
+/// Counts the calls reaching the wrapped model.
+struct Counting {
+    inner: ContentionModel,
+    calls: Cell<u64>,
+}
+
+impl RateModel for Counting {
+    fn num_types(&self) -> usize {
+        self.inner.num_types()
+    }
+
+    fn contexts(&self) -> usize {
+        self.inner.contexts()
+    }
+
+    fn per_job_rate(&self, counts: &[u32], ty: usize) -> f64 {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.per_job_rate(counts, ty)
+    }
+}
+
+#[test]
+fn construction_asks_the_model_once_and_lookups_never() {
+    let model = Counting {
+        inner: ContentionModel::new(vec![1.0, 0.7, 0.45], 0.3, 4),
+        calls: Cell::new(0),
+    };
+    let grid = RateGrid::new(&model).expect("valid model");
+    // One call per present (multiset, type) for the rate, and one per
+    // present type for each throughput.
+    let present: u64 = (1..=4)
+        .flat_map(|size| CoscheduleIter::new(3, size))
+        .map(|s| s.counts().iter().filter(|&&c| c > 0).count() as u64)
+        .sum();
+    assert_eq!(model.calls.get(), 2 * present);
+    for size in 1..=4 {
+        for s in CoscheduleIter::new(3, size) {
+            let _ = grid.instantaneous_throughput(s.counts());
+            let _ = grid.per_job_rates(s.counts());
+        }
+    }
+    assert_eq!(model.calls.get(), 2 * present, "lookups reached the model");
 }
 
 #[test]

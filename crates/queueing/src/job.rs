@@ -56,9 +56,9 @@ struct Keyed {
 #[derive(Debug, Default)]
 pub struct JobPool {
     jobs: Vec<Option<Job>>,
-    /// Arrival order (ids are dense and monotonically assigned).
+    /// Insertion order: arrival order when ids are inserted as assigned.
     fifo: VecDeque<JobId>,
-    /// Arrival order per type (pruned lazily); keeps `oldest_of_type`
+    /// Insertion order per type (pruned lazily); keeps `oldest_of_type`
     /// O(want) even when thousands of jobs queue under saturation.
     fifo_by_type: Vec<VecDeque<JobId>>,
     /// Per type: jobs ordered by remaining work. Empty until the first
@@ -106,7 +106,9 @@ impl JobPool {
         &self.counts
     }
 
-    /// Adds a job; its `id` must be fresh and monotonically increasing.
+    /// Adds a job; its `id` must be fresh. Ids index a dense table, so
+    /// they should be small (assigned in arrival order); jobs iterate in
+    /// insertion order.
     ///
     /// # Panics
     ///

@@ -7,7 +7,12 @@
 //! **empty time** when jobs arrive over time?
 //!
 //! * [`run_latency_experiment`] — a discrete-event simulation with Poisson
-//!   arrivals and coschedule-dependent service rates;
+//!   arrivals and coschedule-dependent service rates, and
+//!   [`run_batch_experiment`], the same event loop draining a batch present
+//!   at time zero with no arrivals;
+//! * [`Running`] — the one event step both loops (and `serve`'s
+//!   dispatcher) advance jobs through: price the running multiset from a
+//!   [`symbiosis::RateGrid`], find the earliest completion, run for `dt`;
 //! * the four policies of the paper: [`FcfsScheduler`], [`MaxItScheduler`]
 //!   (maximise instantaneous throughput), [`SrptScheduler`] (shortest total
 //!   remaining processing time) and [`MaxTpScheduler`] (follow the
@@ -62,5 +67,5 @@ pub use rates::ContentionModel;
 pub use sched::{FcfsScheduler, MaxItScheduler, MaxTpScheduler, Scheduler, SrptScheduler};
 pub use sim::{
     run_batch_experiment, run_latency_experiment, BatchConfig, BatchReport, LatencyConfig,
-    LatencyReport, SizeDist,
+    LatencyReport, Running, SizeDist,
 };

@@ -5,6 +5,15 @@
 //! Between events (arrival / completion) the running coschedule is fixed,
 //! so time advances analytically to the next event — no time-stepping.
 //!
+//! # One event step
+//!
+//! [`Running`] is that step: it prices a set of jobs with one rate-grid
+//! lookup, returns the time to their first completion, and runs them for
+//! a `dt`, handing back the finished jobs in start order. The latency
+//! experiment takes one step per event. The fixed-batch experiment is the
+//! same event loop, started with every job present and no arrivals, and
+//! `serve`'s dispatcher advances its placed jobs through the same step.
+//!
 //! # The per-call rate grid
 //!
 //! A run asks the same few multisets for their rates at every event: the
@@ -12,8 +21,7 @@
 //! call of [`run_latency_experiment`] and [`run_batch_experiment`]
 //! therefore evaluates its rate model once, into a [`RateGrid`] over every
 //! multiset of `1..=K` jobs, when the call starts. The grid is the rate
-//! model both the scheduler and the event loop see, and the event loop
-//! reads the running coschedule's rates from one lookup per event.
+//! model both the scheduler and the event step see.
 //!
 //! Every value in the grid is one the model itself returned for the same
 //! arguments, so for a model whose answers depend only on the multiset
@@ -38,6 +46,15 @@ pub enum SizeDist {
     /// Exponential with mean one (the M/M/c-style setting used by the
     /// paper's Section VI experiments and by Snavely et al.).
     Exponential,
+}
+
+impl SizeDist {
+    fn draw(self, rng: &mut SplitMix64) -> f64 {
+        match self {
+            SizeDist::Deterministic => 1.0,
+            SizeDist::Exponential => rng.next_exp(1.0),
+        }
+    }
 }
 
 /// Parameters of a latency experiment.
@@ -141,100 +158,24 @@ pub fn run_latency_experiment(
     }
     let _span = obs::span!("queueing.latency_run");
     let rates = RateGrid::new(rates).map_err(|e| e.to_string())?;
-    let n_types = rates.num_types();
-    let contexts = rates.contexts();
     let mut rng = SplitMix64::new(config.seed);
-
-    let mut pool = JobPool::new(n_types);
-    let mut now = 0.0f64;
-    let mut next_arrival = rng.next_exp(1.0 / config.arrival_rate);
-    let mut next_id: u64 = 0;
-    let mut counts = vec![0u32; n_types];
-    let mut sel_rates = Vec::with_capacity(contexts);
-
+    let arrivals = Arrivals {
+        next: rng.next_exp(1.0 / config.arrival_rate),
+        next_id: 0,
+        rng,
+        config,
+    };
+    let pool = JobPool::new(rates.num_types());
     let target = config.warmup_jobs + config.measured_jobs;
-    let mut completed_total: u64 = 0;
-
-    // Measurement accumulators (active after warm-up).
-    let mut measuring = config.warmup_jobs == 0;
-    let mut t_start = 0.0f64;
-    let mut busy_time = 0.0f64;
-    let mut empty_time = 0.0f64;
-    let mut jobs_time = 0.0f64;
-    let mut work_done = 0.0f64;
-    let mut turnaround_sum = 0.0f64;
-    let mut measured_completions: u64 = 0;
-
-    while completed_total < target {
-        if pool.is_empty() {
-            // Idle until the next arrival.
-            let dt = next_arrival - now;
-            if measuring {
-                empty_time += dt;
-            }
-            now = next_arrival;
-            pool.insert(Job {
-                id: next_id,
-                ty: rng.next_range(n_types as u64) as usize,
-                remaining: match config.sizes {
-                    SizeDist::Deterministic => 1.0,
-                    SizeDist::Exponential => rng.next_exp(1.0),
-                },
-                arrival: now,
-            });
-            next_id += 1;
-            next_arrival = now + rng.next_exp(1.0 / config.arrival_rate);
-            continue;
-        }
-
-        let dt_complete = run_next(scheduler, &mut pool, &rates, &mut counts, &mut sel_rates);
-        let dt = dt_complete.min(next_arrival - now);
-        let end = now + dt;
-
-        if measuring {
-            busy_time += sel_rates.len() as f64 * dt;
-            jobs_time += pool.len() as f64 * dt;
-            work_done += sel_rates.iter().map(|(_, r)| r * dt).sum::<f64>();
-        }
-        scheduler.observe(&counts, dt);
-
-        advance(&mut pool, &sel_rates, dt, |job| {
-            completed_total += 1;
-            if measuring {
-                turnaround_sum += end - job.arrival;
-                measured_completions += 1;
-            }
-            if !measuring && completed_total >= config.warmup_jobs {
-                measuring = true;
-                t_start = end;
-            }
-        });
-        now = end;
-        // Admit an arrival that falls exactly at or before the new time.
-        if next_arrival <= now + 1e-15 {
-            pool.insert(Job {
-                id: next_id,
-                ty: rng.next_range(n_types as u64) as usize,
-                remaining: match config.sizes {
-                    SizeDist::Deterministic => 1.0,
-                    SizeDist::Exponential => rng.next_exp(1.0),
-                },
-                arrival: next_arrival,
-            });
-            next_id += 1;
-            next_arrival = now + rng.next_exp(1.0 / config.arrival_rate);
-        }
-    }
-
-    let elapsed = (now - t_start).max(1e-12);
-    Ok(LatencyReport {
-        mean_turnaround: turnaround_sum / measured_completions.max(1) as f64,
-        utilization: busy_time / elapsed,
-        empty_fraction: empty_time / elapsed,
-        throughput: work_done / elapsed,
-        mean_jobs_in_system: jobs_time / elapsed,
-        completed: measured_completions,
-    })
+    let (report, _) = event_loop(
+        pool,
+        scheduler,
+        &rates,
+        Some(arrivals),
+        config.warmup_jobs,
+        target,
+    );
+    Ok(report)
 }
 
 /// Parameters of a fixed-batch (makespan / maximum-throughput) experiment.
@@ -313,10 +254,7 @@ pub fn run_batch_experiment(
     let mut pool = JobPool::new(n_types);
     let mut total_work = 0.0;
     for id in 0..config.jobs {
-        let size = match config.sizes {
-            SizeDist::Deterministic => 1.0,
-            SizeDist::Exponential => rng.next_exp(1.0),
-        };
+        let size = config.sizes.draw(&mut rng);
         total_work += size;
         pool.insert(Job {
             id,
@@ -326,148 +264,275 @@ pub fn run_batch_experiment(
         });
     }
 
-    let mut counts = vec![0u32; n_types];
-    let mut sel_rates = Vec::with_capacity(rates.contexts());
-    let mut now = 0.0f64;
-    let mut turnaround_sum = 0.0f64;
-    while !pool.is_empty() {
-        let dt = run_next(scheduler, &mut pool, &rates, &mut counts, &mut sel_rates);
-        now += dt;
-        scheduler.observe(&counts, dt);
-        advance(&mut pool, &sel_rates, dt, |job| {
-            turnaround_sum += now - job.arrival;
-        });
-    }
+    // Every job completes inside the measurement window, so the report's
+    // mean turnaround is the batch's.
+    let (report, makespan) = event_loop(pool, scheduler, &rates, None, 0, config.jobs);
     Ok(BatchReport {
-        makespan: now,
-        throughput: total_work / now,
-        mean_turnaround: turnaround_sum / config.jobs as f64,
+        makespan,
+        throughput: total_work / makespan,
+        mean_turnaround: report.mean_turnaround,
     })
 }
 
-/// One scheduling decision: asks `scheduler` for the running coschedule,
-/// fills `counts` with its multiset and `sel_rates` with each selected
-/// job's rate, and returns the time until its earliest completion.
-fn run_next(
-    scheduler: &mut dyn Scheduler,
-    pool: &mut JobPool,
-    rates: &RateGrid,
-    counts: &mut [u32],
-    sel_rates: &mut Vec<(JobId, f64)>,
-) -> f64 {
-    let selection = scheduler.select(pool, rates.contexts(), rates);
-    debug_assert!(!selection.is_empty());
-    counts.fill(0);
-    for &id in &selection {
-        counts[pool.get(id).expect("selected job exists").ty] += 1;
-    }
-    let per_job = rates.per_job_rates(counts);
-    let mut dt_complete = f64::INFINITY;
-    sel_rates.clear();
-    for &id in &selection {
-        let job = pool.get(id).expect("selected job exists");
-        let r = per_job[job.ty];
-        debug_assert!(r > 0.0, "running jobs must progress");
-        dt_complete = dt_complete.min(job.remaining / r);
-        sel_rates.push((id, r));
-    }
-    dt_complete
+/// Poisson arrivals of uniformly typed jobs: the latency experiment's job
+/// source.
+struct Arrivals<'a> {
+    config: &'a LatencyConfig,
+    rng: SplitMix64,
+    next_id: JobId,
+    /// Time of the next arrival.
+    next: f64,
 }
 
-/// Runs the selected jobs for `dt`, then removes every job that finished
-/// (remaining work `<= 1e-12`) in selection order, handing each to `done`.
-fn advance(pool: &mut JobPool, sel_rates: &[(JobId, f64)], dt: f64, mut done: impl FnMut(Job)) {
-    for &(id, r) in sel_rates {
-        let left = pool.get(id).expect("selected job exists").remaining - r * dt;
-        pool.set_remaining(id, left);
+impl Arrivals<'_> {
+    /// Admits the arrival due at `self.next` into `pool` and draws the
+    /// next one, a gap after `now`.
+    fn admit(&mut self, pool: &mut JobPool, now: f64) {
+        pool.insert(Job {
+            id: self.next_id,
+            ty: self.rng.next_range(pool.counts().len() as u64) as usize,
+            remaining: self.config.sizes.draw(&mut self.rng),
+            arrival: self.next,
+        });
+        self.next_id += 1;
+        self.next = now + self.rng.next_exp(1.0 / self.config.arrival_rate);
     }
-    for &(id, _) in sel_rates {
-        if pool.get(id).expect("job exists").remaining <= 1e-12 {
-            done(pool.remove(id));
+}
+
+/// The Section VI event loop: until `target` jobs have completed, the
+/// scheduler picks the running coschedule from `pool` and time advances to
+/// the next completion or arrival, whichever comes first. The first
+/// `warmup` completions are not measured. Without `arrivals` the loop
+/// drains `pool`. Returns the report and the time of the last event.
+fn event_loop(
+    mut pool: JobPool,
+    scheduler: &mut dyn Scheduler,
+    rates: &RateGrid,
+    mut arrivals: Option<Arrivals>,
+    warmup: u64,
+    target: u64,
+) -> (LatencyReport, f64) {
+    let mut running = Running::new(rates.num_types());
+    let mut now = 0.0f64;
+    let mut completed_total: u64 = 0;
+
+    // Measurement accumulators (active after warm-up).
+    let mut measuring = warmup == 0;
+    let mut t_start = 0.0f64;
+    let mut busy_time = 0.0f64;
+    let mut empty_time = 0.0f64;
+    let mut jobs_time = 0.0f64;
+    let mut work_done = 0.0f64;
+    let mut turnaround_sum = 0.0f64;
+    let mut measured_completions: u64 = 0;
+
+    while completed_total < target {
+        let next_arrival = arrivals.as_ref().map_or(f64::INFINITY, |a| a.next);
+        if pool.is_empty() {
+            // Idle until the next arrival.
+            let Some(source) = arrivals.as_mut() else {
+                break;
+            };
+            if measuring {
+                empty_time += next_arrival - now;
+            }
+            now = next_arrival;
+            source.admit(&mut pool, now);
+            continue;
+        }
+
+        let selection = scheduler.select(&mut pool, rates.contexts(), rates);
+        debug_assert!(!selection.is_empty());
+        let dt = running
+            .start(&pool, selection, rates)
+            .min(next_arrival - now);
+        let end = now + dt;
+
+        if measuring {
+            busy_time += running.len() as f64 * dt;
+            jobs_time += pool.len() as f64 * dt;
+            work_done += running.jobs.iter().map(|(_, r)| r * dt).sum::<f64>();
+        }
+        scheduler.observe(running.counts(), dt);
+
+        running.advance(&mut pool, dt, |job| {
+            completed_total += 1;
+            if measuring {
+                turnaround_sum += end - job.arrival;
+                measured_completions += 1;
+            }
+            if !measuring && completed_total >= warmup {
+                measuring = true;
+                t_start = end;
+            }
+        });
+        now = end;
+        // Admit an arrival that falls exactly at or before the new time.
+        if let Some(source) = arrivals.as_mut().filter(|a| a.next <= now + 1e-15) {
+            source.admit(&mut pool, now);
+        }
+    }
+
+    let elapsed = (now - t_start).max(1e-12);
+    let report = LatencyReport {
+        mean_turnaround: turnaround_sum / measured_completions.max(1) as f64,
+        utilization: busy_time / elapsed,
+        empty_fraction: empty_time / elapsed,
+        throughput: work_done / elapsed,
+        mean_jobs_in_system: jobs_time / elapsed,
+        completed: measured_completions,
+    };
+    (report, now)
+}
+
+/// The running coschedule between two events: the one event step of the
+/// Section VI loops.
+///
+/// [`Running::start`] takes a set of [`JobPool`] jobs, prices them with
+/// one [`RateGrid`] lookup and returns the time to the first completion;
+/// [`Running::advance`] runs them for `dt` and hands the finished jobs
+/// back in start order. The set is fixed between the two calls.
+///
+/// # Examples
+///
+/// ```
+/// use queueing::{ContentionModel, Job, JobPool, Running};
+/// use symbiosis::RateGrid;
+///
+/// // Two unit-rate contexts, no contention.
+/// let grid = RateGrid::new(&ContentionModel::new(vec![1.0], 0.0, 2)).unwrap();
+/// let mut pool = JobPool::new(1);
+/// for (id, size) in [(0, 2.0), (1, 0.5)] {
+///     pool.insert(Job { id, ty: 0, remaining: size, arrival: 0.0 });
+/// }
+/// let mut running = Running::new(1);
+/// let dt = running.start(&pool, [0, 1], &grid);
+/// assert_eq!(dt, 0.5);
+/// let mut done = Vec::new();
+/// running.advance(&mut pool, dt, |job| done.push(job.id));
+/// assert_eq!(done, [1]);
+/// assert_eq!(pool.get(0).unwrap().remaining, 1.5);
+/// ```
+#[derive(Debug)]
+pub struct Running {
+    /// Each started job and its per-job rate, in start order.
+    jobs: Vec<(JobId, f64)>,
+    counts: Vec<u32>,
+}
+
+impl Running {
+    /// An empty running set for `num_types` job types.
+    pub fn new(num_types: usize) -> Self {
+        Running {
+            jobs: Vec::new(),
+            counts: vec![0; num_types],
+        }
+    }
+
+    /// Replaces the running set with the jobs `ids` of `pool`, prices them
+    /// with one `rates` lookup, and returns the time until the first of
+    /// them completes (infinite for an empty set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is not in `pool`, or the set is not a multiset of
+    /// `rates`.
+    pub fn start(
+        &mut self,
+        pool: &JobPool,
+        ids: impl IntoIterator<Item = JobId>,
+        rates: &RateGrid,
+    ) -> f64 {
+        self.jobs.clear();
+        self.counts.fill(0);
+        for id in ids {
+            self.counts[pool.get(id).expect("started job exists").ty] += 1;
+            self.jobs.push((id, 0.0));
+        }
+        if self.jobs.is_empty() {
+            return f64::INFINITY;
+        }
+        let per_job = rates.per_job_rates(&self.counts);
+        let mut dt_complete = f64::INFINITY;
+        for (id, rate) in &mut self.jobs {
+            let job = pool.get(*id).expect("started job exists");
+            *rate = per_job[job.ty];
+            debug_assert!(*rate > 0.0, "running jobs must progress");
+            dt_complete = dt_complete.min(job.remaining / *rate);
+        }
+        dt_complete
+    }
+
+    /// The running multiset, as per-type counts.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Number of running jobs.
+    pub fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// True when nothing runs.
+    pub fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Runs every job for `dt` at the rates priced by the last
+    /// [`Running::start`], then removes from `pool` each job that
+    /// finished (remaining work `<= 1e-12`), in start order, handing it to
+    /// `done`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a running job has left `pool` since it started.
+    pub fn advance(&self, pool: &mut JobPool, dt: f64, mut done: impl FnMut(Job)) {
+        for &(id, r) in &self.jobs {
+            let left = pool.get(id).expect("running job exists").remaining - r * dt;
+            pool.set_remaining(id, left);
+        }
+        for &(id, _) in &self.jobs {
+            if pool.get(id).expect("running job exists").remaining <= 1e-12 {
+                done(pool.remove(id));
+            }
         }
     }
 }
 
-/// The per-call rate grid: keys, bits, model calls, and models that break
-/// the rate contract.
+/// The event step, and models that break the rate contract.
 #[cfg(test)]
-mod memo_tests {
+mod des_tests {
     use super::*;
     use crate::rates::ContentionModel;
     use crate::sched::{FcfsScheduler, MaxItScheduler, SrptScheduler};
-    use std::cell::Cell;
-    use symbiosis::CoscheduleIter;
-
-    /// Counts the calls reaching the wrapped model.
-    struct Counting {
-        inner: ContentionModel,
-        calls: Cell<u64>,
-    }
-
-    impl RateModel for Counting {
-        fn num_types(&self) -> usize {
-            self.inner.num_types()
-        }
-
-        fn contexts(&self) -> usize {
-            self.inner.contexts()
-        }
-
-        fn per_job_rate(&self, counts: &[u32], ty: usize) -> f64 {
-            self.calls.set(self.calls.get() + 1);
-            self.inner.per_job_rate(counts, ty)
-        }
-    }
 
     #[test]
-    fn memo_keys_are_distinct_and_reject_oversized_multisets() {
-        let model = ContentionModel::new(vec![1.0; 3], 0.0, 4);
-        let grid = RateGrid::new(&model).unwrap();
-        let mut seen = std::collections::HashSet::new();
-        for size in 1..=4 {
-            for s in CoscheduleIter::new(3, size) {
-                let cell = grid.index_of(s.counts()).expect("tabulated");
-                assert!(cell < grid.len());
-                assert!(seen.insert(cell));
-            }
+    fn the_step_finishes_jobs_in_start_order_and_idles_when_empty() {
+        let grid = RateGrid::new(&ContentionModel::new(vec![1.0, 0.5], 0.0, 4)).unwrap();
+        let mut pool = JobPool::new(2);
+        for (id, ty, size) in [(0, 0, 3.0), (1, 1, 0.5), (2, 0, 1.0), (3, 1, 2.0)] {
+            pool.insert(Job {
+                id,
+                ty,
+                remaining: size,
+                arrival: 0.0,
+            });
         }
-        assert_eq!(seen.len(), grid.len());
-        assert_eq!(grid.index_of(&[2, 2, 1]), None);
-        assert_eq!(grid.index_of(&[1, 1]), None);
-        assert_eq!(grid.index_of(&[u32::MAX, 1, 0]), None);
-    }
+        let mut running = Running::new(2);
+        // Job 1 (rate 0.5) and job 2 (rate 1) both finish after one unit.
+        let dt = running.start(&pool, [3, 2, 0, 1], &grid);
+        assert_eq!(dt, 1.0);
+        assert_eq!(running.counts(), &[2, 2]);
+        let mut done = Vec::new();
+        running.advance(&mut pool, dt, |job| done.push(job.id));
+        assert_eq!(done, [2, 1]);
+        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.get(3).unwrap().remaining, 1.5);
 
-    #[test]
-    fn memo_answers_bitwise_and_asks_the_model_once() {
-        let model = Counting {
-            inner: ContentionModel::new(vec![1.0, 0.7, 0.45], 0.3, 4),
-            calls: Cell::new(0),
-        };
-        let grid = RateGrid::new(&model).unwrap();
-        for _ in 0..2 {
-            for size in 1..=4 {
-                for s in CoscheduleIter::new(3, size) {
-                    let counts = s.counts();
-                    assert_eq!(
-                        grid.instantaneous_throughput(counts).to_bits(),
-                        model.inner.instantaneous_throughput(counts).to_bits()
-                    );
-                    for ty in (0..3).filter(|&ty| counts[ty] > 0) {
-                        assert_eq!(
-                            grid.per_job_rate(counts, ty).to_bits(),
-                            model.inner.per_job_rate(counts, ty).to_bits()
-                        );
-                    }
-                }
-            }
-        }
-        // Construction: one call per present (multiset, type) for the rate,
-        // and one per present type for each throughput. Lookups: none.
-        let present: u64 = (1..=4)
-            .flat_map(|size| CoscheduleIter::new(3, size))
-            .map(|s| s.counts().iter().filter(|&&c| c > 0).count() as u64)
-            .sum();
-        assert_eq!(model.calls.get(), 2 * present);
+        assert_eq!(running.start(&pool, [], &grid), f64::INFINITY);
+        assert!(running.is_empty());
+        running.advance(&mut pool, 1.0, |_| unreachable!("nothing runs"));
+        assert_eq!(pool.get(0).unwrap().remaining, 2.0);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! Time is external: the driver asks for the next completion horizon
 //! under a ground truth, evaluated into a [`RateGrid`], and then advances
 //! the dispatcher by explicit `dt` steps, so the same dispatcher works
-//! under a virtual clock (deterministic sim) or wall time.
+//! under a virtual clock (deterministic sim) or wall time. Placed jobs
+//! live in a second [`JobPool`] and advance through [`queueing::Running`],
+//! the event step of the offline Section VI experiments, so the service
+//! and the offline study run jobs on the same machine model.
 
 use crate::placer::Placer;
-use queueing::{Job, JobId, JobPool};
+use queueing::{Job, JobId, JobPool, Running};
 use symbiosis::{RateGrid, RateModel};
-
-/// Numerical slack below which remaining work counts as finished
-/// (matches the latency simulator's completion threshold).
-const DONE_EPS: f64 = 1e-12;
 
 /// One placement decision, for deterministic-trace assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,25 +47,23 @@ pub struct Completion {
     pub finished_at: f64,
 }
 
-struct RunningJob {
+/// What a running job's [`Completion`] needs beyond its [`Job`].
+struct Placed {
     id: JobId,
-    ty: usize,
-    remaining: f64,
     size: f64,
-    arrival: f64,
-    placed_at: f64,
+    at: f64,
 }
 
 /// Fills free machine contexts from a pool of admitted jobs.
 pub struct Dispatcher {
     queued: JobPool,
-    running: Vec<RunningJob>,
-    running_counts: Vec<u32>,
+    running: JobPool,
+    /// One entry per running job.
+    placed: Vec<Placed>,
+    step: Running,
     contexts: usize,
     placer: Box<dyn Placer>,
     trace: Vec<Placement>,
-    placed_total: u64,
-    completed_total: u64,
 }
 
 impl Dispatcher {
@@ -80,13 +77,12 @@ impl Dispatcher {
         assert!(contexts > 0, "need at least one context");
         Dispatcher {
             queued: JobPool::new(num_types),
-            running: Vec::new(),
-            running_counts: vec![0; num_types],
+            running: JobPool::new(num_types),
+            placed: Vec::with_capacity(contexts),
+            step: Running::new(num_types),
             contexts,
             placer,
             trace: Vec::new(),
-            placed_total: 0,
-            completed_total: 0,
         }
     }
 
@@ -117,17 +113,12 @@ impl Dispatcher {
 
     /// The running multiset, as per-type counts.
     pub fn running_counts(&self) -> &[u32] {
-        &self.running_counts
+        self.running.counts()
     }
 
     /// True when nothing is queued or running.
     pub fn is_idle(&self) -> bool {
         self.running.is_empty() && self.queued.is_empty()
-    }
-
-    /// Jobs placed / completed so far (for loss accounting).
-    pub fn totals(&self) -> (u64, u64) {
-        (self.placed_total, self.completed_total)
     }
 
     /// Every placement decision so far.
@@ -151,7 +142,7 @@ impl Dispatcher {
             }
             let ids = self
                 .placer
-                .place(&mut self.queued, &self.running_counts, free, model);
+                .place(&mut self.queued, self.running.counts(), free, model);
             if ids.is_empty() {
                 return;
             }
@@ -162,67 +153,56 @@ impl Dispatcher {
             );
             for &id in &ids {
                 let job = self.queued.remove(id);
-                self.running_counts[job.ty] += 1;
-                self.running.push(RunningJob {
-                    id: job.id,
-                    ty: job.ty,
-                    remaining: job.remaining,
+                self.placed.push(Placed {
+                    id,
                     size: job.remaining,
-                    arrival: job.arrival,
-                    placed_at: now,
+                    at: now,
                 });
-                self.placed_total += 1;
+                self.running.insert(job);
             }
             self.trace.push(Placement {
                 time: now,
                 placed: ids,
-                running_after: self.running_counts.clone(),
+                running_after: self.running.counts().to_vec(),
             });
         }
     }
 
-    /// Time until the next running job completes under `truth`, or `None`
-    /// when nothing is running.
-    pub fn time_to_next_completion(&self, truth: &RateGrid) -> Option<f64> {
-        if self.running.is_empty() {
-            return None;
-        }
-        let rates = truth.per_job_rates(&self.running_counts);
-        self.running
-            .iter()
-            .map(|job| job.remaining / rates[job.ty])
-            .min_by(|a, b| a.total_cmp(b))
+    /// Prices the running jobs under `truth` and returns the time until
+    /// the first of them completes (infinite when nothing runs). The next
+    /// [`Dispatcher::advance`] runs them at these rates.
+    pub fn time_to_next_completion(&mut self, truth: &RateGrid) -> f64 {
+        let ids = self.placed.iter().map(|p| p.id);
+        self.step.start(&self.running, ids, truth)
     }
 
-    /// Advances every running job by `dt` at the rates `truth` assigns to
-    /// the current coschedule, removing and returning the completions
-    /// (ordered by id, deterministic).
-    pub fn advance(&mut self, truth: &RateGrid, dt: f64, now: f64) -> Vec<Completion> {
-        if self.running.is_empty() {
-            return Vec::new();
-        }
-        let rates = truth.per_job_rates(&self.running_counts);
+    /// Advances every running job by `dt` at the rates the last
+    /// [`Dispatcher::time_to_next_completion`] priced, removing and
+    /// returning the completions (ordered by id, deterministic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if jobs were placed since the running set was priced.
+    pub fn advance(&mut self, dt: f64, now: f64) -> Vec<Completion> {
+        assert_eq!(
+            self.step.len(),
+            self.running.len(),
+            "placements since the running set was priced"
+        );
+        let placed = &mut self.placed;
         let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.running.len() {
-            let job = &mut self.running[i];
-            job.remaining -= rates[job.ty] * dt;
-            if job.remaining <= DONE_EPS {
-                let job = self.running.swap_remove(i);
-                self.running_counts[job.ty] -= 1;
-                self.completed_total += 1;
-                done.push(Completion {
-                    id: job.id,
-                    ty: job.ty,
-                    size: job.size,
-                    arrival: job.arrival,
-                    placed_at: job.placed_at,
-                    finished_at: now,
-                });
-            } else {
-                i += 1;
-            }
-        }
+        self.step.advance(&mut self.running, dt, |job| {
+            let at = placed.iter().position(|p| p.id == job.id);
+            let p = placed.swap_remove(at.expect("running job was placed"));
+            done.push(Completion {
+                id: job.id,
+                ty: job.ty,
+                size: p.size,
+                arrival: job.arrival,
+                placed_at: p.at,
+                finished_at: now,
+            });
+        });
         done.sort_by_key(|c| c.id);
         done
     }
@@ -270,21 +250,23 @@ mod tests {
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 2.0, 0.0));
         disp.fill(&truth, 0.0);
-        let dt = disp.time_to_next_completion(&truth).unwrap();
+        let dt = disp.time_to_next_completion(&truth);
         assert!((dt - 1.0).abs() < 1e-12);
-        let done = disp.advance(&truth, dt, dt);
+        let done = disp.advance(dt, dt);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 0);
         assert!((done[0].finished_at - 1.0).abs() < 1e-12);
         assert_eq!(disp.running_len(), 1);
         assert_eq!(disp.free(), 1);
         // The second job still needs one more unit of work.
-        let dt2 = disp.time_to_next_completion(&truth).unwrap();
+        let dt2 = disp.time_to_next_completion(&truth);
         assert!((dt2 - 1.0).abs() < 1e-9);
-        let done2 = disp.advance(&truth, dt2, dt + dt2);
+        let done2 = disp.advance(dt2, dt + dt2);
         assert_eq!(done2.len(), 1);
-        assert_eq!(disp.totals(), (2, 2));
+        assert_eq!(done2[0].size, 2.0);
+        assert_eq!(done2[0].placed_at, 0.0);
         assert!(disp.is_idle());
+        assert_eq!(disp.time_to_next_completion(&truth), f64::INFINITY);
     }
 
     #[test]
@@ -302,10 +284,10 @@ mod tests {
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 1.0, 0.0));
         disp.fill(&truth, 0.0);
-        let dt = disp.time_to_next_completion(&truth).unwrap();
+        let dt = disp.time_to_next_completion(&truth);
         assert!((dt - 2.0).abs() < 1e-12, "contended pair runs at 0.5");
         // Both complete at the same instant; order is by id.
-        let done = disp.advance(&truth, dt, dt);
+        let done = disp.advance(dt, dt);
         assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), vec![0, 1]);
     }
 }

@@ -16,8 +16,9 @@
 //!   ▼
 //!  ┌───────────────┐ drain  ┌──────────────────────────────┐
 //!  │  serve::Queue │ ─────▶ │          Dispatcher          │
-//!  │ bounded MPSC  │        │  JobPool ──[Placer]──▶ run   │
-//!  └───────────────┘        │   (FCFS / MAXIT / BEAM)      │
+//!  │ bounded MPSC  │        │ queued ──[Placer]──▶ running │
+//!  └───────────────┘        │ JobPool  FCFS/MAXIT/ JobPool │
+//!                           │          BEAM        Running │
 //!                           └──────┬────────────▲──────────┘
 //!                    completions / │            │ placement pricing
 //!                    measurements  │            │ (RwLock read)
@@ -32,6 +33,11 @@
 //!
 //! * [`Queue`] — a bounded MPSC front end over `Mutex`/`Condvar`:
 //!   producers block (or shed) when a burst outruns the dispatcher.
+//! * [`Dispatcher`] — admitted jobs wait in one `queueing::JobPool`
+//!   and placed jobs run in another. Placed jobs advance through
+//!   [`queueing::Running`], the event step of the offline Section VI
+//!   experiments, against a [`symbiosis::RateGrid`] of the truth, so the
+//!   service and the offline study run jobs on one machine model.
 //! * [`Placer`] — fills *free* contexts non-preemptively:
 //!   [`PolicyPlacer`] reuses the Section VI schedulers via
 //!   [`OccupiedModel`] re-pricing, [`BeamPlacer`] adds a bounded
@@ -48,7 +54,10 @@
 //! * [`sim`] — closes the loop against ground truth (a measured
 //!   `PerfTable` view or any partial-capable
 //!   [`symbiosis::RateModel`]) under a seeded virtual clock, so whole
-//!   service runs are deterministic and testable.
+//!   service runs are deterministic and testable. Each iteration of
+//!   [`run_serve`] advances to the next arrival or completion, then
+//!   drains the queue and fills free contexts once. Its event clock is
+//!   absolute time, unlike the offline DES's `dt` clock.
 //!
 //! # Example
 //!

@@ -36,7 +36,7 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Queue bound; arrivals hitting a full queue are shed.
     pub queue_capacity: usize,
-    /// Twin staleness bound: refit every `batch` measurements.
+    /// Twin staleness bound: refit every `batch` measurements (at least 1).
     pub batch: usize,
     /// Active probe requests per refit.
     pub probes: usize,
@@ -158,7 +158,8 @@ fn measure(truth: &dyn RateModel, counts: &[u32]) -> RateSample {
 ///
 /// [`ServeError::Config`] when shapes mismatch, `truth` cannot price
 /// partial multisets or breaks the rate contract (a non-finite or
-/// non-positive rate for a present type), or rates/counts are degenerate.
+/// non-positive rate for a present type), or the arrival rate, job count,
+/// queue capacity or twin batch is not positive.
 pub fn run_serve(
     truth: &dyn RateModel,
     model: PredictedModel,
@@ -182,9 +183,9 @@ pub fn run_serve(
         )));
     }
     let rate_ok = cfg.arrival_rate.is_finite() && cfg.arrival_rate > 0.0;
-    if !rate_ok || cfg.jobs == 0 || cfg.queue_capacity == 0 {
+    if !rate_ok || cfg.jobs == 0 || cfg.queue_capacity == 0 || cfg.batch == 0 {
         return Err(ServeError::Config(
-            "need positive arrival rate, jobs and queue capacity".into(),
+            "need positive arrival rate, jobs, queue capacity and twin batch".into(),
         ));
     }
 
@@ -263,100 +264,82 @@ pub fn run_serve(
     let mut makespan = 0.0;
 
     loop {
-        let next_completion = dispatcher
-            .time_to_next_completion(truth)
-            .map(|dt| now + dt)
-            .unwrap_or(f64::INFINITY);
+        let next_completion = now + dispatcher.time_to_next_completion(truth);
         let arrival_due = arrivals_left > 0 && next_arrival <= next_completion;
-        if !arrival_due && !next_completion.is_finite() {
-            if queue.is_empty() && dispatcher.is_idle() {
-                // No arrivals left, nothing queued, nothing running: done.
-                break;
-            }
-            // Nothing running yet but the queue holds work: dispatch it.
-            if let Some(g) = &depth_gauge {
-                g.set(queue.len() as i64);
-            }
-            for job in queue.drain() {
-                dispatcher.admit(job);
-            }
-            let placing = std::time::Instant::now();
-            let model = twin.read();
-            dispatcher.fill(&*model, now);
-            if let Some(h) = &place_hist {
-                h.record(placing.elapsed().as_micros() as f64);
-            }
-            continue;
-        }
-
-        // Advance the running coschedule to the next event — arrival or
-        // completion — so every job progresses across every interval.
-        let event_time = if arrival_due {
-            next_arrival
-        } else {
-            next_completion
-        };
-        let dt = event_time - now;
-        now = event_time;
-        let ran = dispatcher.running_counts().to_vec();
-        let done = dispatcher.advance(truth, dt, now);
-        if !done.is_empty() {
-            // Completions: the coschedule that ran yields a measurement,
-            // jobs finish, the twin may refit.
-            for c in &done {
-                completed += 1;
-                work_done += c.size;
-                let turnaround = now - c.arrival;
-                turnaround_sum += turnaround;
-                slowdown_sum += turnaround / (c.size / solo_rates[c.ty]);
-            }
-            makespan = now;
-            if twin.record(measure(truth, &ran)) {
-                // Staleness boundary: service the active probe requests
-                // and record an error-trajectory point.
-                for probe in twin.probe_requests() {
-                    twin.record(measure(truth, &probe));
-                }
-                // Feed the freshest refit's health signal through the
-                // circuit breaker, so degradation reacts within one
-                // staleness bound of the model going bad (or healing).
-                if let Some(breaker) = &breaker {
-                    if let Some(last) = twin.history().last() {
-                        breaker
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .observe(last.generation, last.fit_q90);
-                    }
-                }
-                errors.push(ErrorPoint {
-                    generation: twin.generation(),
-                    time: now,
-                    completed,
-                    mean_abs_rel: model_error(&twin.read())?,
-                });
-            }
-        }
-        if arrival_due {
-            // Arrival event: a producer pushes one job at the queue.
-            let job = Job {
-                id: next_id,
-                ty: rng.next_range(n as u64) as usize,
-                remaining: rng.next_exp(1.0),
-                arrival: now,
+        if arrival_due || next_completion.is_finite() {
+            // Advance the running coschedule to the next event — arrival
+            // or completion — so every job progresses across every
+            // interval.
+            let event_time = if arrival_due {
+                next_arrival
+            } else {
+                next_completion
             };
-            next_id += 1;
-            arrivals_left -= 1;
-            match producer.try_submit(job) {
-                Ok(()) => {}
-                Err(SubmitError::Full(_)) => {
-                    // Shed; counted by the queue's own stats too.
-                    if let Some(c) = &shed_counter {
-                        c.add(1);
-                    }
+            let dt = event_time - now;
+            now = event_time;
+            let ran = dispatcher.running_counts().to_vec();
+            let done = dispatcher.advance(dt, now);
+            if !done.is_empty() {
+                // Completions: the coschedule that ran yields a
+                // measurement, jobs finish, the twin may refit.
+                for c in &done {
+                    completed += 1;
+                    work_done += c.size;
+                    let turnaround = now - c.arrival;
+                    turnaround_sum += turnaround;
+                    slowdown_sum += turnaround / (c.size / solo_rates[c.ty]);
                 }
-                Err(SubmitError::Closed(_)) => unreachable!("queue closed early"),
+                makespan = now;
+                if twin.record(measure(truth, &ran)) {
+                    // Staleness boundary: service the active probe
+                    // requests and record an error-trajectory point.
+                    for probe in twin.probe_requests() {
+                        twin.record(measure(truth, &probe));
+                    }
+                    // Feed the freshest refit's health signal through the
+                    // circuit breaker, so degradation reacts within one
+                    // staleness bound of the model going bad (or healing).
+                    if let Some(breaker) = &breaker {
+                        if let Some(last) = twin.history().last() {
+                            breaker
+                                .lock()
+                                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                                .observe(last.generation, last.fit_q90);
+                        }
+                    }
+                    errors.push(ErrorPoint {
+                        generation: twin.generation(),
+                        time: now,
+                        completed,
+                        mean_abs_rel: model_error(&twin.read())?,
+                    });
+                }
             }
-            next_arrival = now + rng.next_exp(1.0 / cfg.arrival_rate);
+            if arrival_due {
+                // Arrival event: a producer pushes one job at the queue.
+                let job = Job {
+                    id: next_id,
+                    ty: rng.next_range(n as u64) as usize,
+                    remaining: rng.next_exp(1.0),
+                    arrival: now,
+                };
+                next_id += 1;
+                arrivals_left -= 1;
+                match producer.try_submit(job) {
+                    Ok(()) => {}
+                    Err(SubmitError::Full(_)) => {
+                        // Shed; counted by the queue's own stats too.
+                        if let Some(c) = &shed_counter {
+                            c.add(1);
+                        }
+                    }
+                    Err(SubmitError::Closed(_)) => unreachable!("queue closed early"),
+                }
+                next_arrival = now + rng.next_exp(1.0 / cfg.arrival_rate);
+            }
+        } else if queue.is_empty() && dispatcher.is_idle() {
+            // No arrivals left, nothing queued, nothing running: done.
+            break;
         }
 
         // Dispatch path: drain the queue and fill free contexts, pricing
@@ -367,21 +350,16 @@ pub fn run_serve(
         for job in queue.drain() {
             dispatcher.admit(job);
         }
-        {
-            let placing = std::time::Instant::now();
-            let model = twin.read();
-            dispatcher.fill(&*model, now);
-            if let Some(h) = &place_hist {
-                h.record(placing.elapsed().as_micros() as f64);
-            }
+        let placing = std::time::Instant::now();
+        dispatcher.fill(&*twin.read(), now);
+        if let Some(h) = &place_hist {
+            h.record(placing.elapsed().as_micros() as f64);
         }
     }
 
     queue.close();
     let stats = queue.stats();
-    let (placed_total, completed_total) = dispatcher.totals();
     assert_eq!(stats.depth, 0, "jobs left in the queue at shutdown");
-    assert_eq!(placed_total, completed_total, "running jobs at shutdown");
 
     let (final_model, refits) = twin.shutdown().map_err(ServeError::Twin)?;
     errors.push(ErrorPoint {
@@ -659,15 +637,21 @@ mod tests {
     #[test]
     fn degenerate_configs_are_rejected() {
         let t = truth(2, 2);
-        let model = seed_model(&t);
-        let bad = ServeConfig {
-            jobs: 0,
-            ..ServeConfig::default()
-        };
-        assert!(matches!(
-            run_serve(&t, model, Box::new(PolicyPlacer::fcfs()), &bad),
-            Err(ServeError::Config(_))
-        ));
+        for bad in [
+            ServeConfig {
+                jobs: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                batch: 0,
+                ..ServeConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                run_serve(&t, seed_model(&t), Box::new(PolicyPlacer::fcfs()), &bad),
+                Err(ServeError::Config(_))
+            ));
+        }
         let other = truth(3, 2);
         assert!(run_serve(
             &other,
