@@ -233,7 +233,7 @@ registry! {
     Serve {
         name: "serve",
         artefact: "Beyond the paper — online service with a live digital-twin model loop",
-        desc: "streams seeded arrivals through queue/dispatcher/twin and compares placers against offline bounds",
+        desc: "streams seeded arrivals through dispatcher/twin and compares placers against offline bounds",
         run: |ctx| Ok(self::serve::run(ctx.config())?.to_string())
     },
     DistSweepExp {

@@ -39,8 +39,8 @@ pub const SWEEP_N: usize = 3;
 /// `enumerate_workloads(12, SWEEP_N)` in request order).
 pub const SWEEP_WORKLOADS: usize = 8;
 
-/// Jobs the serve leg streams — enough for queue-depth motion, sheds
-/// under load, and several background twin refits.
+/// Jobs the serve leg streams — enough for waiting-pool motion and
+/// several background twin refits.
 pub const SERVE_JOBS: usize = 200;
 
 /// Result of the observability check.

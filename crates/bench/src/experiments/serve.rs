@@ -43,9 +43,9 @@ pub const BEAM_WIDTH: usize = 8;
 /// arrival stream loads the machine with. The balanced coschedule is
 /// near-optimal, so realized FCFS-mix service capacity sits well below
 /// it: 0.80 puts the symbiosis-blind placer near its saturation point
-/// while symbiosis-aware placement keeps real headroom — the queue is
-/// deep enough that coschedule choice matters, but every placer stays
-/// stable.
+/// while symbiosis-aware placement keeps real headroom — the waiting
+/// pool is deep enough that coschedule choice matters, but every placer
+/// stays stable.
 pub const LOAD_FACTOR: f64 = 0.80;
 
 /// One placer's scorecard over the shared arrival stream.
@@ -59,7 +59,7 @@ pub struct PlacerRow {
     pub throughput: f64,
     /// Mean slowdown (turnaround over solo execution time).
     pub mean_slowdown: f64,
-    /// Jobs shed at the full queue.
+    /// Jobs shed at the full waiting pool.
     pub rejected: u64,
     /// Twin refits performed during the run.
     pub refits: usize,

@@ -72,8 +72,8 @@
 //! | dist | `dist.worker.table_cache_write_failed` | event (warn) | worker table-cache write failure |
 //! | dist | `chaos.drop` / `chaos.delay` / `chaos.duplicate` / `chaos.corrupt` / `chaos.hang` / `chaos.crash` | counter | `ChaosTransport` fault injection |
 //! | serve | `serve.run` | span | whole `run_serve` |
-//! | serve | `serve.queue_depth` | gauge (peak) | run loop, before each drain |
-//! | serve | `serve.shed` | counter | arrivals bounced by the full queue |
+//! | serve | `serve.queue_depth` | gauge (peak) | jobs waiting for a context, before each fill |
+//! | serve | `serve.shed` | counter | arrivals shed at a full waiting pool |
 //! | serve | `serve.place_us` | histogram | dispatcher fill latency |
 //! | predict | `predict.fit` | span | the fitter call in `PredictedModel::refit` (every fit and refit) |
 //! | serve | `twin.refit_us` | histogram | model refit duration (inline or worker) |

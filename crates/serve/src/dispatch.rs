@@ -1,7 +1,7 @@
 //! The dispatcher: owns the waiting pool and the running coschedule.
 //!
-//! Jobs admitted from the queue wait in a [`JobPool`]; whenever contexts
-//! are free, the configured [`Placer`] picks queued jobs, priced through
+//! Admitted jobs wait in a [`JobPool`]; whenever contexts are free, the
+//! configured [`Placer`] picks queued jobs, priced through
 //! whatever [`RateModel`] the caller passes (the live predicted model in
 //! the service, ground truth in oracle experiments). Placement is
 //! non-preemptive: a placed job keeps its context until it completes.
@@ -39,7 +39,7 @@ pub struct Completion {
     pub ty: usize,
     /// Total work the job brought.
     pub size: f64,
-    /// When it arrived (entered the queue).
+    /// When it arrived (was admitted to the waiting pool).
     pub arrival: f64,
     /// When it was placed on a context.
     pub placed_at: f64,
@@ -53,6 +53,26 @@ struct Placed {
     size: f64,
     at: f64,
 }
+
+/// Why [`Dispatcher::new`] refused a machine shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchError {
+    /// No job types.
+    NoTypes,
+    /// No contexts.
+    NoContexts,
+}
+
+impl std::fmt::Display for DispatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DispatchError::NoTypes => write!(f, "need at least one job type"),
+            DispatchError::NoContexts => write!(f, "need at least one context"),
+        }
+    }
+}
+
+impl std::error::Error for DispatchError {}
 
 /// Fills free machine contexts from a pool of admitted jobs.
 pub struct Dispatcher {
@@ -69,13 +89,21 @@ pub struct Dispatcher {
 impl Dispatcher {
     /// A dispatcher for `num_types` job types on `contexts` contexts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if either dimension is zero.
-    pub fn new(num_types: usize, contexts: usize, placer: Box<dyn Placer>) -> Self {
-        assert!(num_types > 0, "need at least one job type");
-        assert!(contexts > 0, "need at least one context");
-        Dispatcher {
+    /// [`DispatchError`] if either dimension is zero.
+    pub fn new(
+        num_types: usize,
+        contexts: usize,
+        placer: Box<dyn Placer>,
+    ) -> Result<Self, DispatchError> {
+        if num_types == 0 {
+            return Err(DispatchError::NoTypes);
+        }
+        if contexts == 0 {
+            return Err(DispatchError::NoContexts);
+        }
+        Ok(Dispatcher {
             queued: JobPool::new(num_types),
             running: JobPool::new(num_types),
             placed: Vec::with_capacity(contexts),
@@ -83,7 +111,7 @@ impl Dispatcher {
             contexts,
             placer,
             trace: Vec::new(),
-        }
+        })
     }
 
     /// The configured placer's name.
@@ -228,9 +256,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_types_are_rejected() {
+        let err = Dispatcher::new(0, 2, Box::new(PolicyPlacer::fcfs())).err();
+        assert_eq!(err, Some(DispatchError::NoTypes));
+    }
+
+    #[test]
+    fn zero_contexts_are_rejected() {
+        let err = Dispatcher::new(2, 0, Box::new(PolicyPlacer::fcfs())).err();
+        assert_eq!(err, Some(DispatchError::NoContexts));
+    }
+
+    #[test]
     fn fill_places_up_to_free_contexts_and_records_a_trace() {
         let truth = flat_model(2, 2);
-        let mut disp = Dispatcher::new(2, 2, Box::new(PolicyPlacer::fcfs()));
+        let mut disp = Dispatcher::new(2, 2, Box::new(PolicyPlacer::fcfs())).unwrap();
         for i in 0..3 {
             disp.admit(job(i, (i % 2) as usize, 1.0, 0.0));
         }
@@ -246,7 +286,7 @@ mod tests {
     #[test]
     fn advance_completes_jobs_and_frees_contexts() {
         let truth = RateGrid::new(&flat_model(1, 2)).unwrap();
-        let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs()));
+        let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs())).unwrap();
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 2.0, 0.0));
         disp.fill(&truth, 0.0);
@@ -280,7 +320,7 @@ mod tests {
             }
         }))
         .unwrap();
-        let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs()));
+        let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs())).unwrap();
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 1.0, 0.0));
         disp.fill(&truth, 0.0);

@@ -2,8 +2,8 @@
 //!
 //! The rest of the workspace analyses symbiotic scheduling *offline*: a
 //! rate table in, a throughput or latency figure out. This crate turns
-//! those pieces into a long-running **service**: jobs stream in from many
-//! producers, a placer prices candidate coschedules through the current
+//! those pieces into a long-running **service**: jobs stream in, a
+//! placer prices candidate coschedules through the current
 //! [`predict::PredictedModel`], and completed coschedules feed
 //! measurements back into the model — the adaptive loop of a real-time
 //! digital twin.
@@ -11,33 +11,35 @@
 //! # Architecture
 //!
 //! ```text
-//!  producers (threads)
-//!   │ submit / try_submit            (backpressure: bounded buffer)
+//!  seeded arrivals
+//!   │ admit, or shed while queue_capacity jobs already wait
 //!   ▼
-//!  ┌───────────────┐ drain  ┌──────────────────────────────┐
-//!  │  serve::Queue │ ─────▶ │          Dispatcher          │
-//!  │ bounded MPSC  │        │ queued ──[Placer]──▶ running │
-//!  └───────────────┘        │ JobPool  FCFS/MAXIT/ JobPool │
-//!                           │          BEAM        Running │
-//!                           └──────┬────────────▲──────────┘
-//!                    completions / │            │ placement pricing
-//!                    measurements  │            │ (RwLock read)
-//!                                  ▼            │
-//!                           ┌──────────────────────────────┐
-//!                           │           TwinLoop           │
-//!                           │ pending batch ─▶ refit()     │
-//!                           │ (inline or worker thread)    │
-//!                           │ residuals ─▶ active probes ──┼──▶ measure
-//!                           └──────────────────────────────┘     truth
+//!  ┌──────────────────────────────┐
+//!  │          Dispatcher          │
+//!  │ queued ──[Placer]──▶ running │
+//!  │ JobPool  FCFS/MAXIT/ JobPool │
+//!  │          BEAM        Running │
+//!  └──────┬────────────▲──────────┘
+//!         │            │
+//!  completions /     placement pricing
+//!  measurements      (RwLock read)
+//!         │            │
+//!         ▼            │
+//!  ┌──────────────────────────────┐
+//!  │           TwinLoop           │
+//!  │ pending batch ─▶ refit()     │
+//!  │ (inline or worker thread)    │
+//!  │ residuals ─▶ active probes ──┼──▶ measure
+//!  └──────────────────────────────┘     truth
 //! ```
 //!
-//! * [`Queue`] — a bounded MPSC front end over `Mutex`/`Condvar`:
-//!   producers block (or shed) when a burst outruns the dispatcher.
 //! * [`Dispatcher`] — admitted jobs wait in one `queueing::JobPool`
-//!   and placed jobs run in another. Placed jobs advance through
-//!   [`queueing::Running`], the event step of the offline Section VI
-//!   experiments, against a [`symbiosis::RateGrid`] of the truth, so the
-//!   service and the offline study run jobs on one machine model.
+//!   and placed jobs run in another. [`run_serve`] sheds an arrival
+//!   instead of admitting it while [`ServeConfig::queue_capacity`] jobs
+//!   already wait. Placed jobs advance through [`queueing::Running`],
+//!   the event step of the offline Section VI experiments, against a
+//!   [`symbiosis::RateGrid`] of the truth, so the service and the
+//!   offline study run jobs on one machine model.
 //! * [`Placer`] — fills *free* contexts non-preemptively:
 //!   [`PolicyPlacer`] reuses the Section VI schedulers via
 //!   [`OccupiedModel`] re-pricing, [`BeamPlacer`] adds a bounded
@@ -55,9 +57,9 @@
 //!   `PerfTable` view or any partial-capable
 //!   [`symbiosis::RateModel`]) under a seeded virtual clock, so whole
 //!   service runs are deterministic and testable. Each iteration of
-//!   [`run_serve`] advances to the next arrival or completion, then
-//!   drains the queue and fills free contexts once. Its event clock is
-//!   absolute time, unlike the offline DES's `dt` clock.
+//!   [`run_serve`] advances to the next arrival or completion, admits
+//!   or sheds the arrival, then fills free contexts once. Its event
+//!   clock is absolute time, unlike the offline DES's `dt` clock.
 //!
 //! # Example
 //!
@@ -94,13 +96,11 @@
 pub mod breaker;
 pub mod dispatch;
 pub mod placer;
-pub mod queue;
 pub mod sim;
 pub mod twin;
 
 pub use breaker::{BreakerConfig, BreakerEvent, BreakerReport, CircuitBreaker, DegradingPlacer};
-pub use dispatch::{Completion, Dispatcher, Placement};
+pub use dispatch::{Completion, DispatchError, Dispatcher, Placement};
 pub use placer::{BeamPlacer, OccupiedModel, Placer, PolicyPlacer};
-pub use queue::{Producer, Queue, QueueStats, SubmitError};
 pub use sim::{run_serve, ErrorPoint, ServeConfig, ServeError, ServeReport};
 pub use twin::{RefitRecord, TwinError, TwinLoop};

@@ -1,9 +1,11 @@
 //! Closed-loop service simulation against a ground-truth rate source.
 //!
-//! Drives the whole stack — queue → dispatcher → twin loop — under a
-//! deterministic virtual clock: seeded Poisson arrivals are pushed through
-//! the bounded [`Queue`], the [`Dispatcher`] places them by pricing
-//! candidates through the *live predicted model*, and `truth`
+//! Drives the whole stack — dispatcher → twin loop — under a
+//! deterministic virtual clock: seeded Poisson arrivals are admitted to
+//! the [`Dispatcher`]'s waiting pool, or shed while
+//! [`ServeConfig::queue_capacity`] jobs already wait there. The
+//! dispatcher places them by pricing candidates through the *live
+//! predicted model*, and `truth`
 //! (any partial-capable [`RateModel`] — typically a measured
 //! `PerfTable` view) decides how fast the placed coschedules actually
 //! run. Completions feed measurements back into the [`TwinLoop`], which
@@ -18,7 +20,6 @@
 use crate::breaker::{BreakerConfig, BreakerReport, DegradingPlacer};
 use crate::dispatch::{Dispatcher, Placement};
 use crate::placer::Placer;
-use crate::queue::{Queue, SubmitError};
 use crate::twin::{RefitRecord, TwinError, TwinLoop};
 use predict::{PredictedModel, RateSample};
 use queueing::Job;
@@ -34,7 +35,8 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// RNG seed (arrivals, types, sizes).
     pub seed: u64,
-    /// Queue bound; arrivals hitting a full queue are shed.
+    /// Bound on the jobs waiting for a context: an arrival that finds
+    /// this many waiting is shed instead of admitted.
     pub queue_capacity: usize,
     /// Twin staleness bound: refit every `batch` measurements (at least 1).
     pub batch: usize,
@@ -88,9 +90,10 @@ pub struct ErrorPoint {
 pub struct ServeReport {
     /// The placer that drove the run.
     pub placer: String,
-    /// Jobs accepted into the queue.
+    /// Jobs admitted to the dispatcher's waiting pool.
     pub submitted: u64,
-    /// Jobs shed at the full queue.
+    /// Jobs shed because [`ServeConfig::queue_capacity`] jobs were
+    /// already waiting.
     pub rejected: u64,
     /// Jobs completed.
     pub completed: u64,
@@ -151,15 +154,16 @@ fn measure(truth: &dyn RateModel, counts: &[u32]) -> RateSample {
     }
 }
 
-/// Runs the closed loop: seeded arrivals through queue, dispatcher and
-/// twin against `truth`. See the module docs for the event structure.
+/// Runs the closed loop: seeded arrivals through dispatcher and twin
+/// against `truth`. See the module docs for the event structure.
 ///
 /// # Errors
 ///
 /// [`ServeError::Config`] when shapes mismatch, `truth` cannot price
 /// partial multisets or breaks the rate contract (a non-finite or
-/// non-positive rate for a present type), or the arrival rate, job count,
-/// queue capacity or twin batch is not positive.
+/// non-positive rate for a present type), the arrival rate, job count,
+/// queue capacity or twin batch is not positive, or the machine has no
+/// types or contexts.
 pub fn run_serve(
     truth: &dyn RateModel,
     model: PredictedModel,
@@ -215,7 +219,17 @@ pub fn run_serve(
     };
 
     let mut rng = SplitMix64::new(cfg.seed);
-    let (producer, queue) = Queue::bounded(cfg.queue_capacity);
+    let (placer, breaker) = match &cfg.breaker {
+        Some(breaker_cfg) => {
+            let degrading = DegradingPlacer::new(placer, breaker_cfg.clone());
+            let handle = degrading.breaker();
+            (Box::new(degrading) as Box<dyn Placer>, Some(handle))
+        }
+        None => (placer, None),
+    };
+    let mut dispatcher =
+        Dispatcher::new(n, k, placer).map_err(|e| ServeError::Config(e.to_string()))?;
+    let placer_name = dispatcher.placer_name().to_string();
     let mut twin = if cfg.twin_panic_at_batch.is_some() {
         // Fault injection targets the worker thread, so the twin must
         // run in background mode.
@@ -225,16 +239,6 @@ pub fn run_serve(
     } else {
         TwinLoop::new(model, cfg.batch, cfg.probes)
     };
-    let (placer, breaker) = match &cfg.breaker {
-        Some(breaker_cfg) => {
-            let degrading = DegradingPlacer::new(placer, breaker_cfg.clone());
-            let handle = degrading.breaker();
-            (Box::new(degrading) as Box<dyn Placer>, Some(handle))
-        }
-        None => (placer, None),
-    };
-    let mut dispatcher = Dispatcher::new(n, k, placer);
-    let placer_name = dispatcher.placer_name().to_string();
 
     // Solo rates give each job's ideal (uncontended) execution time, the
     // denominator of the slowdown metric.
@@ -256,6 +260,8 @@ pub fn run_serve(
     let mut now = 0.0;
     let mut arrivals_left = cfg.jobs;
     let mut next_id: u64 = 0;
+    let mut submitted: u64 = 0;
+    let mut rejected: u64 = 0;
     let mut next_arrival = now + rng.next_exp(1.0 / cfg.arrival_rate);
     let mut completed: u64 = 0;
     let mut work_done = 0.0;
@@ -316,7 +322,8 @@ pub fn run_serve(
                 }
             }
             if arrival_due {
-                // Arrival event: a producer pushes one job at the queue.
+                // Arrival event: admit the job, or shed it when the
+                // waiting pool is at capacity.
                 let job = Job {
                     id: next_id,
                     ty: rng.next_range(n as u64) as usize,
@@ -325,30 +332,26 @@ pub fn run_serve(
                 };
                 next_id += 1;
                 arrivals_left -= 1;
-                match producer.try_submit(job) {
-                    Ok(()) => {}
-                    Err(SubmitError::Full(_)) => {
-                        // Shed; counted by the queue's own stats too.
-                        if let Some(c) = &shed_counter {
-                            c.add(1);
-                        }
+                if dispatcher.queued_len() >= cfg.queue_capacity {
+                    rejected += 1;
+                    if let Some(c) = &shed_counter {
+                        c.add(1);
                     }
-                    Err(SubmitError::Closed(_)) => unreachable!("queue closed early"),
+                } else {
+                    submitted += 1;
+                    dispatcher.admit(job);
                 }
                 next_arrival = now + rng.next_exp(1.0 / cfg.arrival_rate);
             }
-        } else if queue.is_empty() && dispatcher.is_idle() {
-            // No arrivals left, nothing queued, nothing running: done.
+        } else if dispatcher.is_idle() {
+            // No arrivals left, nothing waiting, nothing running: done.
             break;
         }
 
-        // Dispatch path: drain the queue and fill free contexts, pricing
-        // through the live predicted model.
+        // Dispatch path: fill free contexts, pricing through the live
+        // predicted model.
         if let Some(g) = &depth_gauge {
-            g.set(queue.len() as i64);
-        }
-        for job in queue.drain() {
-            dispatcher.admit(job);
+            g.set(dispatcher.queued_len() as i64);
         }
         let placing = std::time::Instant::now();
         dispatcher.fill(&*twin.read(), now);
@@ -357,9 +360,8 @@ pub fn run_serve(
         }
     }
 
-    queue.close();
-    let stats = queue.stats();
-    assert_eq!(stats.depth, 0, "jobs left in the queue at shutdown");
+    assert_eq!(submitted + rejected, cfg.jobs as u64, "arrivals lost");
+    assert_eq!(completed, submitted, "admitted jobs left unfinished");
 
     let (final_model, refits) = twin.shutdown().map_err(ServeError::Twin)?;
     errors.push(ErrorPoint {
@@ -377,8 +379,8 @@ pub fn run_serve(
 
     Ok(ServeReport {
         placer: placer_name,
-        submitted: stats.submitted,
-        rejected: stats.rejected,
+        submitted,
+        rejected,
         completed,
         makespan,
         jobs_per_time: completed as f64 / makespan.max(f64::MIN_POSITIVE),
@@ -461,6 +463,38 @@ mod tests {
         assert_eq!(placed, report.completed);
         assert!(report.mean_slowdown >= 1.0 - 1e-9);
         assert!(report.makespan > 0.0);
+    }
+
+    #[test]
+    fn a_full_waiting_pool_sheds_and_conserves_jobs() {
+        let truth = truth(3, 4);
+        // Twice small_cfg's arrival rate behind a two-job waiting pool:
+        // the machine falls behind and arrivals are shed.
+        let cfg = ServeConfig {
+            arrival_rate: 6.0,
+            queue_capacity: 2,
+            ..small_cfg()
+        };
+        let recorder = obs::Recorder::new();
+        let _guard = obs::install(&recorder);
+        let report = run_serve(
+            &truth,
+            seed_model(&truth),
+            Box::new(PolicyPlacer::greedy()),
+            &cfg,
+        )
+        .unwrap();
+        assert!(report.rejected > 0, "an overloaded two-job pool must shed");
+        assert_eq!(report.submitted + report.rejected, cfg.jobs as u64);
+        assert_eq!(report.completed, report.submitted);
+        let m = &report.metrics;
+        assert_eq!(m.counters.get("serve.shed"), Some(&report.rejected));
+        let depth = m.gauges["serve.queue_depth"].max;
+        assert!(
+            (1..=cfg.queue_capacity as i64).contains(&depth),
+            "waiting-pool peak {depth} outside 1..={}",
+            cfg.queue_capacity
+        );
     }
 
     #[test]
@@ -644,6 +678,18 @@ mod tests {
             },
             ServeConfig {
                 batch: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                queue_capacity: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                arrival_rate: 0.0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                arrival_rate: f64::NAN,
                 ..ServeConfig::default()
             },
         ] {

@@ -31,9 +31,10 @@
 //!   [`prelude::ChaosTransport`]) for testing all of it, and a
 //!   deterministic merge whose report is bitwise-identical to a
 //!   single-process `Session::sweep`;
-//! * [`serve`] — the online scheduling service: a bounded
-//!   [`prelude::Queue`] front end, placers ([`prelude::Placer`]) pricing
-//!   free contexts through the live model, the digital-twin refit
+//! * [`serve`] — the online scheduling service: a
+//!   [`prelude::Dispatcher`] whose waiting pool sheds arrivals beyond
+//!   [`prelude::ServeConfig`]'s `queue_capacity`, placers
+//!   ([`prelude::Placer`]) pricing free contexts through the live model, the digital-twin refit
 //!   loop ([`prelude::TwinLoop`]) closed against ground truth by
 //!   [`prelude::run_serve`], and graceful degradation — a model-health
 //!   circuit breaker ([`prelude::BreakerConfig`]) that falls back to
@@ -141,7 +142,7 @@ pub mod prelude {
         MaxItScheduler, MaxTpScheduler, MmcQueue, Scheduler, SizeDist, SrptScheduler,
     };
     pub use serve::{
-        run_serve, BeamPlacer, BreakerConfig, Dispatcher, Placer, PolicyPlacer, Queue, ServeConfig,
+        run_serve, BeamPlacer, BreakerConfig, Dispatcher, Placer, PolicyPlacer, ServeConfig,
         ServeReport, TwinError, TwinLoop,
     };
     pub use simproc::{BenchmarkProfile, FetchPolicy, Machine, MachineConfig, RobPartitioning};
