@@ -4,15 +4,15 @@
 //! machinery. It ties together
 //!
 //! * a rate source — any [`symbiosis::RateModel`]: a measured
-//!   `workloads::WorkloadView`, an analytic [`symbiosis::AnalyticModel`],
-//!   a pre-evaluated [`symbiosis::RateGrid`], or a machine + workload pair
-//!   this crate simulates for you. A session with latency policies
-//!   evaluates its rate source into one `RateGrid` that every
+//!   `workloads::WorkloadView`, an analytic [`symbiosis::AnalyticModel`]
+//!   or a pre-evaluated [`symbiosis::RateGrid`]. A session with latency
+//!   policies evaluates its rate source into one `RateGrid` that every
 //!   event-driven run reads;
 //! * the [`Policy`] registry — the paper's four throughput analyses and
 //!   four latency schedulers, addressable by name;
-//! * the builder-style [`Session`], which evaluates any set of policies on
-//!   one rate source and returns uniform [`PolicyReport`] rows; and
+//! * the builder-style [`Session`], which evaluates an [`EvalSpec`] — the
+//!   policies plus their experiment settings — on one rate source and
+//!   returns uniform [`PolicyReport`] rows; and
 //! * the batch [`Session::sweep`] surface, which shares one performance
 //!   table across a workload list, fans the evaluations out over a
 //!   [`WorkerPool`], and returns a [`SweepReport`] with built-in
@@ -25,12 +25,18 @@
 //!
 //! ```no_run
 //! use session::{Policy, Session};
-//! use simproc::MachineConfig;
+//! use simproc::{Machine, MachineConfig};
+//! use workloads::{spec2006, PerfTable};
 //!
-//! # fn main() -> Result<(), session::SessionError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! // bzip2 + hmmer + mcf + xalancbmk: simulate only their coschedules.
+//! let suite = spec2006();
+//! let mix: Vec<_> = [0, 5, 7, 11].iter().map(|&b| suite[b].clone()).collect();
+//! let machine = Machine::new(MachineConfig::smt4())?;
+//! let table = PerfTable::build(&machine, &mix, 4)?;
+//! let view = table.workload_view(&[0, 1, 2, 3])?;
 //! let report = Session::builder()
-//!     .machine(MachineConfig::smt4())
-//!     .workload(&[0, 5, 7, 11]) // bzip2 + hmmer + mcf + xalancbmk
+//!     .rates(&view)
 //!     .policies([Policy::Worst, Policy::FcfsEvent, Policy::Optimal])
 //!     .fcfs_jobs(40_000)
 //!     .seed(42)
@@ -77,5 +83,5 @@ pub mod sweep;
 
 pub use policy::{Policy, PolicyKind};
 pub use pool::WorkerPool;
-pub use session::{PolicyReport, Session, SessionBuilder, SessionError, SessionReport};
-pub use sweep::{SweepBuilder, SweepError, SweepItem, SweepReport, SweepRow, SweepSpec};
+pub use session::{EvalSpec, PolicyReport, Session, SessionBuilder, SessionError, SessionReport};
+pub use sweep::{SweepBuilder, SweepError, SweepItem, SweepReport, SweepRow};

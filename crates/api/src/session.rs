@@ -9,25 +9,19 @@ use queueing::{
     run_batch_experiment, run_latency_experiment, BatchConfig, BatchReport, LatencyConfig,
     LatencyReport, SizeDist,
 };
-use simproc::{Machine, MachineConfig, MachineError};
 use symbiosis::{
     fcfs_throughput, fcfs_throughput_markov, JobSize, Objective, RateGrid, RateModel, Schedule,
     ScheduleLp, SymbiosisError, WorkloadRates,
 };
-use workloads::{spec2006, PerfTable, TableError};
+use workloads::TableError;
 
 use crate::policy::{Policy, PolicyKind};
 
 /// Errors from configuring or running a [`Session`].
 #[derive(Debug)]
 pub enum SessionError {
-    /// Neither `.rates(...)` nor `.machine(...).workload(...)` was given.
+    /// No `.rates(...)` was given.
     MissingRates,
-    /// `.workload(...)` without `.machine(...)` or vice versa.
-    IncompleteSimulation(&'static str),
-    /// Both `.rates(...)` and `.machine(...)`/`.workload(...)` were given —
-    /// the session cannot tell which rate source is meant.
-    ConflictingSources,
     /// No policy was requested.
     NoPolicies,
     /// A policy name failed to resolve in the registry.
@@ -35,9 +29,7 @@ pub enum SessionError {
     /// A latency policy was requested on a rate model that only answers
     /// full-coschedule queries.
     PartialUnsupported(Policy),
-    /// Simulator construction failed.
-    Machine(MachineError),
-    /// Performance-table construction or workload selection failed.
+    /// Workload selection from a performance table failed.
     Table(TableError),
     /// A throughput analysis failed.
     Symbiosis(SymbiosisError),
@@ -48,20 +40,7 @@ pub enum SessionError {
 impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SessionError::MissingRates => {
-                write!(
-                    f,
-                    "no rate source: call .rates(...) or .machine(...).workload(...)"
-                )
-            }
-            SessionError::IncompleteSimulation(what) => {
-                write!(f, "simulated rate source is missing {what}")
-            }
-            SessionError::ConflictingSources => write!(
-                f,
-                "both .rates(...) and .machine(...)/.workload(...) were given; \
-                 pick one rate source"
-            ),
+            SessionError::MissingRates => write!(f, "no rate source: call .rates(...)"),
             SessionError::NoPolicies => write!(f, "no policies requested"),
             SessionError::UnknownPolicy(name) => write!(f, "unknown policy {name:?}"),
             SessionError::PartialUnsupported(p) => write!(
@@ -69,7 +48,6 @@ impl fmt::Display for SessionError {
                 "policy {p} needs partial-coschedule rates, but the model only \
                  answers full-coschedule queries"
             ),
-            SessionError::Machine(e) => write!(f, "machine: {e}"),
             SessionError::Table(e) => write!(f, "table: {e}"),
             SessionError::Symbiosis(e) => write!(f, "analysis: {e}"),
             SessionError::Experiment(msg) => write!(f, "experiment: {msg}"),
@@ -80,17 +58,10 @@ impl fmt::Display for SessionError {
 impl Error for SessionError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            SessionError::Machine(e) => Some(e),
             SessionError::Table(e) => Some(e),
             SessionError::Symbiosis(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<MachineError> for SessionError {
-    fn from(e: MachineError) -> Self {
-        SessionError::Machine(e)
     }
 }
 
@@ -188,48 +159,151 @@ impl fmt::Display for SessionReport {
     }
 }
 
-pub(crate) enum PolicyRequest {
-    Resolved(Policy),
-    Unresolved(String),
+/// Everything a session applies to its rate source: the policies and the
+/// settings of their experiments. A [`SessionBuilder`] and a
+/// [`crate::SweepBuilder`] each hold one, and a distributed sweep ships it
+/// to its workers, so every path evaluates a workload from the same value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalSpec {
+    /// Policies to evaluate, in request order.
+    pub policies: Vec<Policy>,
+    /// LP direction used to derive the MAXTP targets (default:
+    /// [`Objective::MaxThroughput`], the paper's construction).
+    pub objective: Objective,
+    /// Jobs completed per event-driven experiment (FCFS-EVENT and the
+    /// batch runs of the latency policies). Default 40 000.
+    pub fcfs_jobs: u64,
+    /// Job size distribution for the event-driven experiments (default:
+    /// deterministic unit work, the paper's maximum-throughput setup).
+    pub job_size: JobSize,
+    /// Base RNG seed for the stochastic experiment legs.
+    pub seed: u64,
+    /// Poisson-arrival configuration for the latency policies; `None`
+    /// runs them as a fixed batch of `fcfs_jobs` jobs instead.
+    pub latency: Option<LatencyConfig>,
 }
 
-impl PolicyRequest {
-    /// Resolves a request list to policies, surfacing the first unknown
-    /// name; shared by the session and sweep builders.
-    pub(crate) fn resolve(requests: &[PolicyRequest]) -> Result<Vec<Policy>, SessionError> {
-        requests
-            .iter()
-            .map(|req| match req {
-                PolicyRequest::Resolved(p) => Ok(*p),
-                PolicyRequest::Unresolved(name) => Err(SessionError::UnknownPolicy(name.clone())),
-            })
-            .collect()
-    }
-
-    pub(crate) fn from_name(name: &str) -> PolicyRequest {
-        match Policy::by_name(name) {
-            Some(p) => PolicyRequest::Resolved(p),
-            None => PolicyRequest::Unresolved(name.to_owned()),
+impl Default for EvalSpec {
+    fn default() -> Self {
+        EvalSpec {
+            policies: Vec::new(),
+            objective: Objective::MaxThroughput,
+            fcfs_jobs: 40_000,
+            job_size: JobSize::Deterministic,
+            seed: 0x5EED,
+            latency: None,
         }
     }
 }
 
-/// Builder for a [`Session`]. Obtained from [`Session::builder`].
-pub struct SessionBuilder<'a> {
-    source: Option<&'a dyn RateModel>,
-    machine: Option<MachineConfig>,
-    workload: Option<Vec<usize>>,
-    threads: usize,
-    policies: Vec<PolicyRequest>,
-    objective: Objective,
-    fcfs_jobs: u64,
-    job_size: JobSize,
-    seed: u64,
-    latency: Option<LatencyConfig>,
+/// Appends the policies `names` resolve to ([`Policy::by_name`]) and keeps
+/// the first name that resolves to none in `unknown`; shared by the session
+/// and sweep builders.
+pub(crate) fn push_policy_names<I, S>(spec: &mut EvalSpec, unknown: &mut Option<String>, names: I)
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    for name in names {
+        match Policy::by_name(name.as_ref()) {
+            Some(p) => spec.policies.push(p),
+            None => {
+                unknown.get_or_insert_with(|| name.as_ref().to_owned());
+            }
+        }
+    }
 }
 
-/// A configured experiment: machine/workload (or a ready rate model) plus
-/// the policies to evaluate — the workspace's single entry point.
+/// The configuration errors both builders report before any work: an
+/// unknown policy name first, then an empty policy list.
+pub(crate) fn check_policies(
+    spec: &EvalSpec,
+    unknown: &Option<String>,
+) -> Result<(), SessionError> {
+    if let Some(name) = unknown {
+        return Err(SessionError::UnknownPolicy(name.clone()));
+    }
+    if spec.policies.is_empty() {
+        return Err(SessionError::NoPolicies);
+    }
+    Ok(())
+}
+
+/// The setters [`SessionBuilder`] and [`crate::SweepBuilder`] share: each
+/// writes one field of the builder's [`EvalSpec`] (a sweep applies it to
+/// every workload).
+macro_rules! spec_setters {
+    () => {
+        /// Adds one policy to evaluate.
+        pub fn policy(mut self, policy: $crate::Policy) -> Self {
+            self.spec.policies.push(policy);
+            self
+        }
+
+        /// Adds several policies to evaluate.
+        pub fn policies<I: IntoIterator<Item = $crate::Policy>>(mut self, policies: I) -> Self {
+            self.spec.policies.extend(policies);
+            self
+        }
+
+        /// Adds policies by registry name ([`crate::Policy::by_name`]);
+        /// the first unknown name surfaces as
+        /// [`crate::SessionError::UnknownPolicy`] when the builder runs.
+        pub fn policy_names<I, S>(mut self, names: I) -> Self
+        where
+            I: IntoIterator<Item = S>,
+            S: AsRef<str>,
+        {
+            $crate::session::push_policy_names(&mut self.spec, &mut self.unknown_policy, names);
+            self
+        }
+
+        /// Sets [`crate::EvalSpec::objective`].
+        pub fn objective(mut self, objective: ::symbiosis::Objective) -> Self {
+            self.spec.objective = objective;
+            self
+        }
+
+        /// Sets [`crate::EvalSpec::fcfs_jobs`].
+        pub fn fcfs_jobs(mut self, jobs: u64) -> Self {
+            self.spec.fcfs_jobs = jobs;
+            self
+        }
+
+        /// Sets [`crate::EvalSpec::job_size`].
+        pub fn job_size(mut self, sizes: ::symbiosis::JobSize) -> Self {
+            self.spec.job_size = sizes;
+            self
+        }
+
+        /// Sets [`crate::EvalSpec::seed`]. A sweep uses the same seed for
+        /// every workload — exactly what a sequential loop of single
+        /// sessions does.
+        pub fn seed(mut self, seed: u64) -> Self {
+            self.spec.seed = seed;
+            self
+        }
+
+        /// Runs the latency policies through the Poisson-arrival
+        /// discrete-event experiment with this configuration instead of
+        /// the default fixed batch of [`crate::EvalSpec::fcfs_jobs`] jobs.
+        pub fn latency(mut self, config: ::queueing::LatencyConfig) -> Self {
+            self.spec.latency = Some(config);
+            self
+        }
+    };
+}
+pub(crate) use spec_setters;
+
+/// Builder for a [`Session`]. Obtained from [`Session::builder`].
+pub struct SessionBuilder<'a> {
+    rates: Option<&'a dyn RateModel>,
+    spec: EvalSpec,
+    unknown_policy: Option<String>,
+}
+
+/// A configured experiment: a rate model plus the policies to evaluate on
+/// it — the workspace's single entry point.
 ///
 /// # Examples
 ///
@@ -263,19 +337,17 @@ pub struct Session;
 impl Session {
     /// Starts configuring a session.
     pub fn builder() -> SessionBuilder<'static> {
+        SessionBuilder::from_spec(EvalSpec::default())
+    }
+}
+
+impl SessionBuilder<'static> {
+    /// A builder with no rate source yet that evaluates `spec`.
+    pub(crate) fn from_spec(spec: EvalSpec) -> Self {
         SessionBuilder {
-            source: None,
-            machine: None,
-            workload: None,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            policies: Vec::new(),
-            objective: Objective::MaxThroughput,
-            fcfs_jobs: 40_000,
-            job_size: JobSize::Deterministic,
-            seed: 0x5EED,
-            latency: None,
+            rates: None,
+            spec,
+            unknown_policy: None,
         }
     }
 }
@@ -289,95 +361,12 @@ impl<'a> SessionBuilder<'a> {
         'a: 'b,
     {
         SessionBuilder {
-            source: Some(model),
+            rates: Some(model),
             ..self
         }
     }
 
-    /// Simulates the rate source: builds a performance table for `machine`
-    /// over the 12-benchmark suite and restricts it to the workload given
-    /// via [`SessionBuilder::workload`].
-    pub fn machine(mut self, machine: MachineConfig) -> Self {
-        self.machine = Some(machine);
-        self
-    }
-
-    /// Selects the workload (sorted distinct benchmark indices into the
-    /// suite) for a simulated rate source.
-    pub fn workload(mut self, types: &[usize]) -> Self {
-        self.workload = Some(types.to_vec());
-        self
-    }
-
-    /// OS threads for simulated table building (default: available
-    /// parallelism). Every policy evaluation runs on the calling thread,
-    /// so the thread count never changes a reported number.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Adds one policy to evaluate.
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policies.push(PolicyRequest::Resolved(policy));
-        self
-    }
-
-    /// Adds several policies to evaluate.
-    pub fn policies<I: IntoIterator<Item = Policy>>(mut self, policies: I) -> Self {
-        self.policies
-            .extend(policies.into_iter().map(PolicyRequest::Resolved));
-        self
-    }
-
-    /// Adds policies by registry name ([`Policy::by_name`]); unknown names
-    /// surface as [`SessionError::UnknownPolicy`] when the session runs.
-    pub fn policy_names<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        for name in names {
-            self.policies.push(PolicyRequest::from_name(name.as_ref()));
-        }
-        self
-    }
-
-    /// LP direction used to derive the MAXTP targets (default:
-    /// [`Objective::MaxThroughput`], the paper's construction).
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Jobs completed per event-driven experiment (FCFS-EVENT and the
-    /// batch runs of the latency policies). Default 40 000.
-    pub fn fcfs_jobs(mut self, jobs: u64) -> Self {
-        self.fcfs_jobs = jobs;
-        self
-    }
-
-    /// Job size distribution for the event-driven experiments
-    /// (default: deterministic unit work, the paper's maximum-throughput
-    /// setup).
-    pub fn job_size(mut self, sizes: JobSize) -> Self {
-        self.job_size = sizes;
-        self
-    }
-
-    /// Base RNG seed for the stochastic experiment legs.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Runs the latency policies through the Poisson-arrival discrete-event
-    /// experiment with this configuration instead of the default
-    /// fixed-batch (makespan) experiment.
-    pub fn latency(mut self, config: LatencyConfig) -> Self {
-        self.latency = Some(config);
-        self
-    }
+    spec_setters!();
 
     /// Runs every requested policy and returns the uniform report.
     ///
@@ -386,47 +375,16 @@ impl<'a> SessionBuilder<'a> {
     /// See [`SessionError`] — configuration errors are reported before any
     /// expensive work starts.
     pub fn run(self) -> Result<SessionReport, SessionError> {
-        let policies: Vec<Policy> = PolicyRequest::resolve(&self.policies)?;
-        if policies.is_empty() {
-            return Err(SessionError::NoPolicies);
-        }
-        match (&self.source, &self.machine, &self.workload) {
-            (Some(_), Some(_), _) | (Some(_), _, Some(_)) => Err(SessionError::ConflictingSources),
-            (Some(model), None, None) => self.run_with(&policies, *model),
-            (None, Some(machine), Some(workload)) => {
-                // Restrict the sweep to the selected benchmarks: combos of
-                // other suite members would be simulated and then thrown
-                // away (each combo simulates independently, so the
-                // restricted table holds identical rates).
-                let suite = spec2006();
-                for &b in workload {
-                    if b >= suite.len() {
-                        return Err(SessionError::Table(TableError::UnknownBenchmark(b)));
-                    }
-                }
-                if workload.is_empty() || !workload.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(SessionError::Table(TableError::InvalidWorkload(
-                        "workload must be non-empty, sorted and distinct".into(),
-                    )));
-                }
-                let selected: Vec<_> = workload.iter().map(|&b| suite[b].clone()).collect();
-                let machine = Machine::new(machine.clone())?;
-                let table = PerfTable::build(&machine, &selected, self.threads)?;
-                let local: Vec<usize> = (0..selected.len()).collect();
-                let view = table.workload_view(&local)?;
-                self.run_with(&policies, &view)
-            }
-            (None, Some(_), None) => Err(SessionError::IncompleteSimulation("a workload")),
-            (None, None, Some(_)) => Err(SessionError::IncompleteSimulation("a machine config")),
-            (None, None, None) => Err(SessionError::MissingRates),
-        }
+        check_policies(&self.spec, &self.unknown_policy)?;
+        let model = self.rates.ok_or(SessionError::MissingRates)?;
+        self.spec.evaluate(model)
     }
+}
 
-    fn run_with(
-        &self,
-        policies: &[Policy],
-        model: &dyn RateModel,
-    ) -> Result<SessionReport, SessionError> {
+impl EvalSpec {
+    /// Evaluates every policy of the spec on `model`.
+    fn evaluate(&self, model: &dyn RateModel) -> Result<SessionReport, SessionError> {
+        let policies = &self.policies;
         // Reject latency policies on full-only models before any work.
         for p in policies {
             if p.kind() == PolicyKind::Latency && !model.supports_partial() {

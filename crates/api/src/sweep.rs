@@ -10,12 +10,13 @@
 
 use std::fmt;
 
-use queueing::LatencyConfig;
-use symbiosis::{JobSize, Objective, WorkloadRates};
+use symbiosis::{RateModel, WorkloadRates};
 use workloads::{PerfTable, WorkUnit, WorkloadView};
 
 use crate::pool::WorkerPool;
-use crate::session::{PolicyRequest, Session, SessionBuilder, SessionError, SessionReport};
+use crate::session::{
+    check_policies, spec_setters, EvalSpec, Session, SessionBuilder, SessionError, SessionReport,
+};
 use crate::stats;
 use crate::Policy;
 
@@ -91,8 +92,11 @@ pub struct SweepRow {
 pub struct SweepReport {
     /// One row per workload, in request order.
     pub rows: Vec<SweepRow>,
-    /// Metrics recorded during this run (empty when instrumentation is
-    /// disabled): per-item latency, pool occupancy, solver activity.
+    /// Metrics (empty when instrumentation is disabled): per-item latency,
+    /// pool occupancy, solver activity. Counters and histograms hold this
+    /// run's activity only; gauges hold the recorder's lifetime state
+    /// (current value and all-time peak), as
+    /// [`obs::MetricsSnapshot::diff`] keeps them.
     pub metrics: obs::MetricsSnapshot,
 }
 
@@ -220,35 +224,6 @@ impl fmt::Display for SweepReport {
     }
 }
 
-/// The per-workload experiment knobs a sweep carries: exactly the
-/// parameters a sequential caller would configure on each single-workload
-/// [`Session::builder`], which is what keeps sweep rows bitwise equal to
-/// sequential runs.
-#[derive(Clone)]
-struct SweepKnobs {
-    objective: Objective,
-    fcfs_jobs: u64,
-    job_size: JobSize,
-    seed: u64,
-    latency: Option<LatencyConfig>,
-}
-
-impl SweepKnobs {
-    /// One single-workload session carrying this sweep's knobs — the same
-    /// builder a sequential caller would configure by hand.
-    fn session(&self) -> SessionBuilder<'static> {
-        let mut builder = Session::builder()
-            .objective(self.objective)
-            .fcfs_jobs(self.fcfs_jobs)
-            .job_size(self.job_size)
-            .seed(self.seed);
-        if let Some(cfg) = &self.latency {
-            builder = builder.latency(cfg.clone());
-        }
-        builder
-    }
-}
-
 /// One workload's evaluation context inside [`SweepBuilder::map`]: the
 /// shared table, the workload, the sweep's unit of work, and a
 /// [`SweepItem::session`] constructor for per-workload policy rows.
@@ -257,7 +232,7 @@ pub struct SweepItem<'a> {
     workload: &'a [usize],
     unit: WorkUnit,
     index: usize,
-    knobs: &'a SweepKnobs,
+    spec: &'a EvalSpec,
 }
 
 impl<'a> SweepItem<'a> {
@@ -301,69 +276,39 @@ impl<'a> SweepItem<'a> {
             .map_err(|e| e.to_string())
     }
 
-    /// A single-workload [`Session`] builder preconfigured with this
-    /// sweep's experiment knobs (objective, event-leg jobs/sizes/seed,
-    /// latency configuration) — exactly the builder
-    /// [`SweepBuilder::run`] evaluates per workload.
+    /// A single-workload [`Session`] builder carrying this sweep's
+    /// [`EvalSpec`] with its policies cleared: the objective, event-leg
+    /// jobs/sizes/seed and latency configuration [`SweepBuilder::run`]
+    /// evaluates each workload with.
     ///
     /// This is how custom maps run *policy rows* whose configuration
     /// depends on the workload: pick a rate source ([`SweepItem::rates`] or
-    /// [`SweepItem::view`]), override what differs (e.g. a load-dependent
-    /// [`SessionBuilder::latency`] arrival rate derived from an earlier
-    /// row), and run. Overrides apply per call; the sweep's own knobs are
-    /// untouched.
+    /// [`SweepItem::view`]), add policies, override what differs (e.g. a
+    /// load-dependent [`SessionBuilder::latency`] arrival rate derived
+    /// from an earlier row), and run. Overrides apply per call; the
+    /// sweep's own spec is untouched.
     pub fn session(&self) -> SessionBuilder<'static> {
-        self.knobs.session()
+        SessionBuilder::from_spec(EvalSpec {
+            policies: Vec::new(),
+            ..self.spec.clone()
+        })
     }
 }
 
-/// A plain-data description of everything a sweep applies *per workload*:
-/// the requested policies (by registry name), the unit of work, and the
-/// experiment knobs. This is the transportable half of a sweep — a
-/// [`SweepBuilder`] minus the table reference and the workload list — so a
-/// distributed coordinator can ship it to workers and any worker can
-/// reconstruct, via [`SweepSpec::sweep`], a builder that evaluates a
-/// workload sub-slice with rows bitwise identical to the full run's.
-///
-/// Field-for-field this mirrors the builder's configuration surface;
-/// [`SweepBuilder::spec`] extracts it and round-trips losslessly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// Requested policies in request order, as [`Policy::by_name`] names.
-    pub policies: Vec<String>,
-    /// Unit of work for the rate tables.
-    pub unit: WorkUnit,
-    /// LP direction for the MAXTP target derivation.
-    pub objective: Objective,
-    /// Jobs per event-driven experiment leg.
-    pub fcfs_jobs: u64,
-    /// Job size distribution for the event-driven legs.
-    pub job_size: JobSize,
-    /// Base RNG seed for the stochastic legs.
-    pub seed: u64,
-    /// Poisson-arrival configuration for latency policies, if any.
-    pub latency: Option<LatencyConfig>,
-}
-
-impl SweepSpec {
-    /// Reconstructs a sweep builder carrying this spec's configuration over
-    /// `table`. Add workloads (any sub-slice of the original list) and
-    /// `run()`: because every workload is evaluated independently with the
-    /// same per-workload knobs, the rows are bitwise identical to the rows
-    /// the full-list sweep produces for those workloads.
-    pub fn sweep<'t>(&self, table: &'t PerfTable) -> SweepBuilder<'t> {
-        let mut builder = Session::sweep()
-            .table(table)
-            .unit(self.unit)
-            .policy_names(&self.policies)
-            .objective(self.objective)
-            .fcfs_jobs(self.fcfs_jobs)
-            .job_size(self.job_size)
-            .seed(self.seed);
-        if let Some(cfg) = &self.latency {
-            builder = builder.latency(cfg.clone());
+impl EvalSpec {
+    /// A sweep builder over `table` in `unit` carrying this spec — how a
+    /// distributed worker rebuilds the coordinator's sweep. Add workloads
+    /// (any sub-slice of the original list) and `run()`: every workload is
+    /// evaluated independently from the same spec, so the rows are
+    /// bitwise identical to the rows the full-list sweep produces for
+    /// those workloads.
+    pub fn sweep<'t>(&self, table: &'t PerfTable, unit: WorkUnit) -> SweepBuilder<'t> {
+        SweepBuilder {
+            table: Some(table),
+            unit,
+            spec: self.clone(),
+            ..Session::sweep()
         }
-        builder
     }
 }
 
@@ -401,8 +346,8 @@ pub struct SweepBuilder<'a> {
     workloads: Vec<Vec<usize>>,
     unit: WorkUnit,
     threads: usize,
-    policies: Vec<PolicyRequest>,
-    knobs: SweepKnobs,
+    spec: EvalSpec,
+    unknown_policy: Option<String>,
 }
 
 impl Session {
@@ -414,14 +359,8 @@ impl Session {
             workloads: Vec::new(),
             unit: WorkUnit::Weighted,
             threads: WorkerPool::default_size().threads(),
-            policies: Vec::new(),
-            knobs: SweepKnobs {
-                objective: Objective::MaxThroughput,
-                fcfs_jobs: 40_000,
-                job_size: JobSize::Deterministic,
-                seed: 0x5EED,
-                latency: None,
-            },
+            spec: EvalSpec::default(),
+            unknown_policy: None,
         }
     }
 }
@@ -465,94 +404,17 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Adds one policy to evaluate per workload.
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policies.push(PolicyRequest::Resolved(policy));
-        self
+    spec_setters!();
+
+    /// The spec this sweep evaluates every workload with;
+    /// `spec().sweep(table, unit)` rebuilds an equivalent builder.
+    pub fn spec(&self) -> &EvalSpec {
+        &self.spec
     }
 
-    /// Adds several policies to evaluate per workload.
-    pub fn policies<I: IntoIterator<Item = Policy>>(mut self, policies: I) -> Self {
-        self.policies
-            .extend(policies.into_iter().map(PolicyRequest::Resolved));
-        self
-    }
-
-    /// Adds policies by registry name ([`Policy::by_name`]); unknown names
-    /// surface as a configuration error when the sweep runs.
-    pub fn policy_names<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        for name in names {
-            self.policies.push(PolicyRequest::from_name(name.as_ref()));
-        }
-        self
-    }
-
-    /// LP direction for the MAXTP target derivation (default:
-    /// [`Objective::MaxThroughput`]).
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.knobs.objective = objective;
-        self
-    }
-
-    /// Jobs completed per event-driven experiment leg. Default 40 000.
-    pub fn fcfs_jobs(mut self, jobs: u64) -> Self {
-        self.knobs.fcfs_jobs = jobs;
-        self
-    }
-
-    /// Job size distribution for the event-driven legs (default:
-    /// deterministic unit work).
-    pub fn job_size(mut self, sizes: JobSize) -> Self {
-        self.knobs.job_size = sizes;
-        self
-    }
-
-    /// Base RNG seed for the stochastic legs. Every workload uses the same
-    /// seed — exactly what a sequential loop of single sessions does.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.knobs.seed = seed;
-        self
-    }
-
-    /// Runs latency policies through the Poisson-arrival experiment with
-    /// this configuration instead of the default fixed-batch (makespan)
-    /// one. Without this call latency policies keep the single-session
-    /// default: a fixed batch of [`SweepBuilder::fcfs_jobs`] jobs.
-    pub fn latency(mut self, config: LatencyConfig) -> Self {
-        self.knobs.latency = Some(config);
-        self
-    }
-
-    /// The transportable half of this builder: its per-workload
-    /// configuration as a plain-data [`SweepSpec`] (policies by name, unit,
-    /// experiment knobs). `spec().sweep(table)` reconstructs an equivalent
-    /// builder.
-    pub fn spec(&self) -> SweepSpec {
-        SweepSpec {
-            policies: self
-                .policies
-                .iter()
-                .map(|req| match req {
-                    PolicyRequest::Resolved(p) => p.name().to_owned(),
-                    PolicyRequest::Unresolved(name) => name.clone(),
-                })
-                .collect(),
-            unit: self.unit,
-            objective: self.knobs.objective,
-            fcfs_jobs: self.knobs.fcfs_jobs,
-            job_size: self.knobs.job_size,
-            seed: self.knobs.seed,
-            latency: self.knobs.latency.clone(),
-        }
-    }
-
-    /// Decomposes a fully configured sweep into the three things a
-    /// distributed coordinator shards: the shared table, the workload list
-    /// (in request order), and the per-workload [`SweepSpec`].
+    /// Decomposes a fully configured sweep into what a distributed
+    /// coordinator shards: the shared table, the workload list (in request
+    /// order), the unit of work and the per-workload [`EvalSpec`].
     ///
     /// The same validation as [`SweepBuilder::run`] applies up front —
     /// missing table, empty workload list, unknown policy names and an
@@ -564,14 +426,10 @@ impl<'a> SweepBuilder<'a> {
     /// [`SweepError::MissingTable`], [`SweepError::NoWorkloads`], or
     /// [`SweepError::Config`] on an invalid configuration.
     #[allow(clippy::type_complexity)]
-    pub fn shard(self) -> Result<(&'a PerfTable, Vec<Vec<usize>>, SweepSpec), SweepError> {
+    pub fn shard(self) -> Result<(&'a PerfTable, Vec<Vec<usize>>, WorkUnit, EvalSpec), SweepError> {
         let table = self.validated()?;
-        let policies = PolicyRequest::resolve(&self.policies).map_err(SweepError::Config)?;
-        if policies.is_empty() {
-            return Err(SweepError::Config(SessionError::NoPolicies));
-        }
-        let spec = self.spec();
-        Ok((table, self.workloads, spec))
+        check_policies(&self.spec, &self.unknown_policy).map_err(SweepError::Config)?;
+        Ok((table, self.workloads, self.unit, self.spec))
     }
 
     fn validated(&self) -> Result<&'a PerfTable, SweepError> {
@@ -582,11 +440,27 @@ impl<'a> SweepBuilder<'a> {
         Ok(table)
     }
 
-    /// One single-workload session carrying this sweep's knobs — the same
-    /// builder a sequential caller would configure by hand, which is what
-    /// makes sweep rows bitwise equal to single-session runs.
-    fn session_for(&self, policies: &[Policy]) -> SessionBuilder<'static> {
-        self.knobs.session().policies(policies.iter().copied())
+    /// Applies `f(index, workload)` to every workload over the pool, with
+    /// the caller's recorder installed on each worker thread (the pool
+    /// spawns fresh OS threads, which would otherwise see no thread-local
+    /// context). Results come back in workload order; the first failure
+    /// in workload order wins, paired with its workload.
+    fn fan_out<R, E, F>(&self, f: F) -> Result<Vec<R>, (Vec<usize>, E)>
+    where
+        R: Send,
+        E: Send,
+        F: Fn(usize, &[usize]) -> Result<R, E> + Sync,
+    {
+        let ctx = obs::current();
+        WorkerPool::new(self.threads)
+            .map(&self.workloads, |i, w| {
+                let _obs = obs::install_current(&ctx);
+                f(i, w)
+            })
+            .into_iter()
+            .zip(&self.workloads)
+            .map(|(result, w)| result.map_err(|e| (w.clone(), e)))
+            .collect()
     }
 
     /// Runs every policy on every workload and returns the aggregated
@@ -602,40 +476,35 @@ impl<'a> SweepBuilder<'a> {
     /// workload order) aborts the sweep as [`SweepError::Workload`].
     pub fn run(self) -> Result<SweepReport, SweepError> {
         let table = self.validated()?;
-        let policies = PolicyRequest::resolve(&self.policies).map_err(SweepError::Config)?;
-        if policies.is_empty() {
-            return Err(SweepError::Config(SessionError::NoPolicies));
-        }
-        let pool = WorkerPool::new(self.threads);
-        // Capture the parent's recorder so pool workers report to it (the
-        // pool spawns fresh OS threads, which would otherwise see no
-        // thread-local context), and snapshot before/after so the report
-        // embeds exactly this run's activity.
+        check_policies(&self.spec, &self.unknown_policy).map_err(SweepError::Config)?;
+        // Snapshot before/after so the report embeds exactly this run's
+        // activity.
         let ctx = obs::current();
         let _span = ctx.as_ref().map(|r| r.span("sweep.run"));
         let before = ctx.as_ref().map(|r| r.snapshot());
-        let results: Vec<Result<SessionReport, SessionError>> =
-            pool.map(&self.workloads, |_, w| {
-                let _obs = obs::install_current(&ctx);
+        let reports = self
+            .fan_out(|_, w| {
                 let active = ctx.as_ref().map(|r| {
                     let g = r.gauge("sweep.pool_active");
                     g.add(1);
                     g
                 });
                 let started = std::time::Instant::now();
-                // The weighted unit evaluates through the measured view
-                // (partial coschedules included, so latency policies work);
-                // the plain unit evaluates through the full-coschedule
-                // table in that unit. Either way the session sees exactly
-                // the rate source a sequential caller would hand it.
+                // Each workload makes the call a sequential caller makes,
+                // `SessionBuilder::run` over this spec, so a row is a single
+                // session's report by construction. The weighted unit
+                // evaluates through the measured view (partial coschedules
+                // included, so latency policies work); the plain unit
+                // through the full-coschedule table in that unit.
+                let session = |rates: &dyn RateModel| {
+                    SessionBuilder::from_spec(self.spec.clone())
+                        .rates(rates)
+                        .run()
+                };
                 let result = match self.unit {
-                    WorkUnit::Weighted => {
-                        let view = table.workload_view(w)?;
-                        self.session_for(&policies).rates(&view).run()
-                    }
+                    WorkUnit::Weighted => session(&table.workload_view(w)?),
                     WorkUnit::Plain => {
-                        let rates = table.workload_rates_with_unit(w, WorkUnit::Plain)?;
-                        self.session_for(&policies).rates(&rates).run()
+                        session(&table.workload_rates_with_unit(w, WorkUnit::Plain)?)
                     }
                 };
                 if let Some(r) = &ctx {
@@ -647,22 +516,14 @@ impl<'a> SweepBuilder<'a> {
                     g.add(-1);
                 }
                 result
-            });
-        let mut rows = Vec::with_capacity(results.len());
-        for (w, result) in self.workloads.iter().zip(results) {
-            match result {
-                Ok(report) => rows.push(SweepRow {
-                    workload: w.clone(),
-                    report,
-                }),
-                Err(source) => {
-                    return Err(SweepError::Workload {
-                        workload: w.clone(),
-                        source,
-                    })
-                }
-            }
-        }
+            })
+            .map_err(|(workload, source)| SweepError::Workload { workload, source })?;
+        let rows = self
+            .workloads
+            .into_iter()
+            .zip(reports)
+            .map(|(workload, report)| SweepRow { workload, report })
+            .collect();
         drop(_span);
         let metrics = match (&ctx, before) {
             (Some(r), Some(before)) => obs::MetricsSnapshot::diff(&before, &r.snapshot()),
@@ -691,30 +552,15 @@ impl<'a> SweepBuilder<'a> {
         F: Fn(SweepItem<'_>) -> Result<R, String> + Sync,
     {
         let table = self.validated()?;
-        let pool = WorkerPool::new(self.threads);
-        let ctx = obs::current();
-        let results: Vec<Result<R, String>> = pool.map(&self.workloads, |i, w| {
-            let _obs = obs::install_current(&ctx);
+        self.fan_out(|index, workload| {
             f(SweepItem {
                 table,
-                workload: w,
+                workload,
                 unit: self.unit,
-                index: i,
-                knobs: &self.knobs,
+                index,
+                spec: &self.spec,
             })
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for (w, result) in self.workloads.iter().zip(results) {
-            match result {
-                Ok(r) => out.push(r),
-                Err(message) => {
-                    return Err(SweepError::Custom {
-                        workload: w.clone(),
-                        message,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        })
+        .map_err(|(workload, message)| SweepError::Custom { workload, message })
     }
 }

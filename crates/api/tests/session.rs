@@ -34,75 +34,6 @@ fn builder_rejects_incomplete_configuration() {
 }
 
 #[test]
-fn builder_rejects_conflicting_rate_sources() {
-    use simproc::MachineConfig;
-    let model = symbiotic_model();
-    assert!(matches!(
-        Session::builder()
-            .machine(MachineConfig::smt4())
-            .workload(&[0, 1])
-            .rates(&model)
-            .policy(Policy::Optimal)
-            .run(),
-        Err(SessionError::ConflictingSources)
-    ));
-}
-
-#[test]
-fn simulated_source_validates_workload_before_simulating() {
-    use simproc::MachineConfig;
-    // Out-of-range / malformed workloads are rejected up front — no sweep
-    // is started.
-    assert!(matches!(
-        Session::builder()
-            .machine(MachineConfig::smt4())
-            .workload(&[0, 99])
-            .policy(Policy::Optimal)
-            .run(),
-        Err(SessionError::Table(_))
-    ));
-    assert!(matches!(
-        Session::builder()
-            .machine(MachineConfig::smt4())
-            .workload(&[1, 0])
-            .policy(Policy::Optimal)
-            .run(),
-        Err(SessionError::Table(_))
-    ));
-}
-
-#[test]
-fn simulated_source_runs_end_to_end_on_a_restricted_suite() {
-    use simproc::MachineConfig;
-    // Non-trivial workload indices exercise the suite restriction and the
-    // local index remap; tiny windows keep the sweep fast.
-    let report = Session::builder()
-        .machine(MachineConfig::smt4().with_windows(1_000, 4_000))
-        .workload(&[3, 7])
-        .threads(4)
-        .policies([Policy::Worst, Policy::FcfsEvent, Policy::Optimal])
-        .fcfs_jobs(4_000)
-        .seed(9)
-        .run()
-        .unwrap();
-    let worst = report.throughput(Policy::Worst).unwrap();
-    let fcfs = report.throughput(Policy::FcfsEvent).unwrap();
-    let best = report.throughput(Policy::Optimal).unwrap();
-    assert!(worst > 0.0);
-    assert!(worst <= fcfs + 1e-6 && fcfs <= best + 1e-6);
-    // 2 types on 4 contexts: C(2+4-1, 4) = 5 full coschedules.
-    let fractions = report
-        .row(Policy::Optimal)
-        .unwrap()
-        .fractions
-        .as_ref()
-        .unwrap();
-    assert_eq!(fractions.len(), 5);
-    // WIPC per job is at most ~1, so 4 contexts bound the throughput.
-    assert!(best <= 4.0 + 1e-6);
-}
-
-#[test]
 fn throughput_policies_form_the_paper_sandwich() {
     let model = symbiotic_model();
     let report = Session::builder()

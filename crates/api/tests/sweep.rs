@@ -435,16 +435,16 @@ fn spec_round_trips_through_a_rebuilt_builder() {
         .unit(WorkUnit::Weighted)
         .fcfs_jobs(JOBS)
         .seed(SEED);
-    let spec = builder.spec();
-    assert_eq!(spec.policies, vec!["OPTIMAL", "FCFS-MARKOV"]);
+    let spec = builder.spec().clone();
+    assert_eq!(spec.policies, policies);
     assert_eq!(spec.fcfs_jobs, JOBS);
     assert_eq!(spec.seed, SEED);
     // The reconstructed builder produces bitwise-identical rows, and its
     // own spec is identical (lossless round trip).
-    assert_eq!(spec.sweep(table).spec(), spec);
+    assert_eq!(spec.sweep(table, WorkUnit::Weighted).spec(), &spec);
     let direct = builder.run().expect("direct sweep runs");
     let rebuilt = spec
-        .sweep(table)
+        .sweep(table, WorkUnit::Weighted)
         .workloads(workloads)
         .run()
         .expect("rebuilt sweep runs");
@@ -454,8 +454,8 @@ fn spec_round_trips_through_a_rebuilt_builder() {
 #[test]
 fn shard_validates_before_handing_out_parts() {
     let table = tiny_table();
-    // Valid configuration decomposes into (table, workloads, spec).
-    let (t, ws, spec) = Session::sweep()
+    // Valid configuration decomposes into (table, workloads, unit, spec).
+    let (t, ws, unit, spec) = Session::sweep()
         .table(table)
         .workload(&[0, 1, 2, 3])
         .policy(Policy::Optimal)
@@ -463,7 +463,8 @@ fn shard_validates_before_handing_out_parts() {
         .expect("valid sweep shards");
     assert!(std::ptr::eq(t, table));
     assert_eq!(ws, vec![vec![0, 1, 2, 3]]);
-    assert_eq!(spec.policies, vec!["OPTIMAL"]);
+    assert_eq!(unit, WorkUnit::Weighted);
+    assert_eq!(spec.policies, vec![Policy::Optimal]);
     // The same up-front errors as run().
     assert!(matches!(
         Session::sweep()
@@ -512,15 +513,14 @@ fn fcfs_markov_rows_past_the_accel_limit_do_not_depend_on_the_thread_count() {
     let rates = table.workload_rates(&workloads[0]).expect("valid workload");
     assert!(rates.coschedules().len() > symbiosis::DEFAULT_MARKOV_ACCEL_LIMIT);
 
-    let session = |threads: usize| {
+    let session = || {
         Session::builder()
             .rates(&rates)
             .policy(Policy::FcfsMarkov)
-            .threads(threads)
             .run()
             .expect("session runs")
     };
-    assert_eq!(session(1), session(2), "single session, 1 vs 2 threads");
+    assert_eq!(session(), session(), "a lone session repeats bitwise");
 
     let sweep = |threads: usize| {
         Session::sweep()
@@ -541,5 +541,5 @@ fn fcfs_markov_rows_past_the_accel_limit_do_not_depend_on_the_thread_count() {
             a.workload
         );
     }
-    assert_eq!(one[0].report, session(1), "sweep row equals a lone session");
+    assert_eq!(one[0].report, session(), "sweep row equals a lone session");
 }

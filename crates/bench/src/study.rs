@@ -166,13 +166,10 @@ impl StudyConfig {
     }
 
     /// Starts a [`Session`] builder carrying this study's experiment
-    /// parameters (FCFS job count, base seed, thread count) — the
-    /// config-driven entry point every experiment hangs its policies on.
+    /// parameters (FCFS job count, base seed) — the config-driven entry
+    /// point every experiment hangs its policies on.
     pub fn session(&self) -> SessionBuilder<'static> {
-        Session::builder()
-            .fcfs_jobs(self.fcfs_jobs)
-            .seed(self.seed)
-            .threads(self.threads)
+        Session::builder().fcfs_jobs(self.fcfs_jobs).seed(self.seed)
     }
 
     /// Starts a [`Session::sweep`] builder over `table` and `workloads`

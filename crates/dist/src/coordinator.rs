@@ -46,8 +46,8 @@ use std::ops::Range;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use session::{Policy, SessionReport, SweepBuilder, SweepReport, SweepRow, SweepSpec};
-use workloads::PerfTable;
+use session::{EvalSpec, SessionReport, SweepBuilder, SweepReport, SweepRow};
+use workloads::WorkUnit;
 
 use crate::backoff::Backoff;
 use crate::proto::{Frame, PROTOCOL_VERSION};
@@ -156,8 +156,10 @@ pub struct DistOutcome {
     pub duplicates: usize,
     /// Protocol strikes across all connections.
     pub strikes: usize,
-    /// Coordinator-side metrics recorded during this run (empty when no
-    /// [`obs`] recorder was installed).
+    /// Coordinator-side metrics (empty when no [`obs`] recorder was
+    /// installed): counters and histograms hold this run's activity only,
+    /// gauges the recorder's lifetime state (current value and all-time
+    /// peak), as [`obs::MetricsSnapshot::diff`] keeps them.
     pub metrics: obs::MetricsSnapshot,
 }
 
@@ -226,36 +228,25 @@ pub struct Coordinator {
     fingerprint: u64,
     workloads: Vec<Vec<usize>>,
     chunks: Vec<Range<usize>>,
-    spec: SweepSpec,
+    unit: WorkUnit,
+    spec: EvalSpec,
     config: DistConfig,
 }
 
 impl Coordinator {
-    /// Builds a coordinator from the three shards of a sweep (table,
-    /// workload list, spec) — what [`SweepBuilder::shard`] returns.
+    /// Builds a coordinator straight from a configured [`SweepBuilder`]
+    /// (configure the sweep exactly as for `run()`, then distribute it
+    /// instead).
     ///
     /// # Errors
     ///
-    /// [`DistError::Config`] when the workload list is empty, the policy
-    /// list is empty, or a policy name does not resolve — all checked
+    /// [`DistError::Config`] on any builder validation failure (missing
+    /// table, no workloads, no policies, unknown policy) — all checked
     /// here, before any worker sees the job.
-    pub fn new(
-        table: &PerfTable,
-        workloads: Vec<Vec<usize>>,
-        spec: SweepSpec,
-        config: DistConfig,
-    ) -> Result<Self, DistError> {
-        if workloads.is_empty() {
-            return Err(DistError::Config("no workloads to sweep".into()));
-        }
-        if spec.policies.is_empty() {
-            return Err(DistError::Config("no policies requested".into()));
-        }
-        for name in &spec.policies {
-            if Policy::by_name(name).is_none() {
-                return Err(DistError::Config(format!("unknown policy {name:?}")));
-            }
-        }
+    pub fn from_sweep(sweep: SweepBuilder<'_>, config: DistConfig) -> Result<Self, DistError> {
+        let (table, workloads, unit, spec) = sweep
+            .shard()
+            .map_err(|e| DistError::Config(e.to_string()))?;
         let chunk_size = if config.chunk_size == 0 {
             workloads.len().div_ceil(32).max(1)
         } else {
@@ -270,24 +261,10 @@ impl Coordinator {
             fingerprint: table.content_fingerprint(),
             workloads,
             chunks,
+            unit,
             spec,
             config,
         })
-    }
-
-    /// Builds a coordinator straight from a configured [`SweepBuilder`]
-    /// (the common entry point: configure the sweep exactly as for
-    /// `run()`, then distribute it instead).
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Config`] on any builder validation failure (missing
-    /// table, no workloads, unknown policy) or invalid `config`.
-    pub fn from_sweep(sweep: SweepBuilder<'_>, config: DistConfig) -> Result<Self, DistError> {
-        let (table, workloads, spec) = sweep
-            .shard()
-            .map_err(|e| DistError::Config(e.to_string()))?;
-        Coordinator::new(table, workloads, spec, config)
     }
 
     /// Number of chunks the workload list was split into.
@@ -588,6 +565,7 @@ impl Coordinator {
         transport.send(&Frame::Welcome {
             version: PROTOCOL_VERSION,
             table_fingerprint: self.fingerprint,
+            unit: self.unit,
             spec: self.spec.clone(),
             total_workloads: self.workloads.len() as u64,
         })?;

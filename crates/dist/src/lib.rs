@@ -74,7 +74,7 @@
 //! ## Version handshake
 //!
 //! The worker speaks first: `Hello { version }`. The coordinator answers
-//! `Welcome { version, table fingerprint, sweep spec, workload count }`
+//! `Welcome { version, table fingerprint, unit of work, spec, workload count }`
 //! only when the versions match ([`proto::PROTOCOL_VERSION`]); otherwise
 //! it answers an `Error` frame and drops the connection, and both sides
 //! surface [`DistError::VersionMismatch`].
@@ -84,7 +84,7 @@
 //! | kind | frame          | direction | payload |
 //! |------|----------------|-----------|---------|
 //! | 1    | `Hello`        | w → c     | protocol version |
-//! | 2    | `Welcome`      | c → w     | version, table content fingerprint, [`session::SweepSpec`], total workload count |
+//! | 2    | `Welcome`      | c → w     | version, table content fingerprint, policy names, unit of work, the rest of the [`session::EvalSpec`], total workload count |
 //! | 3    | `TableRequest` | w → c     | — (cache miss: please ship the table) |
 //! | 4    | `TableBytes`   | c → w     | canonical `SYMBPERF` bytes of the shared table |
 //! | 5    | `FetchChunk`   | w → c     | — (pull-based work request) |

@@ -13,7 +13,7 @@
 
 use queueing::LatencyConfig;
 use queueing::SizeDist;
-use session::{Policy, PolicyReport, SessionReport, SweepSpec};
+use session::{EvalSpec, Policy, PolicyReport, SessionReport};
 use symbiosis::{JobSize, Objective};
 use workloads::WorkUnit;
 
@@ -55,8 +55,10 @@ pub enum Frame {
         /// ([`workloads::PerfTable::content_fingerprint`]) — the worker's
         /// [`workloads::TableStore`] cache key.
         table_fingerprint: u64,
-        /// The transportable sweep configuration.
-        spec: SweepSpec,
+        /// The sweep's unit of work.
+        unit: WorkUnit,
+        /// What every workload is evaluated with.
+        spec: EvalSpec,
         /// Total workloads in the sweep (progress accounting).
         total_workloads: u64,
     },
@@ -120,12 +122,13 @@ impl Frame {
             Frame::Welcome {
                 version,
                 table_fingerprint,
+                unit,
                 spec,
                 total_workloads,
             } => {
                 put_u32(&mut body, *version);
                 put_u64(&mut body, *table_fingerprint);
-                put_spec(&mut body, spec);
+                put_spec(&mut body, *unit, spec);
                 put_u64(&mut body, *total_workloads);
             }
             Frame::TableRequest | Frame::FetchChunk | Frame::Drained => {}
@@ -171,12 +174,18 @@ impl Frame {
             1 => Frame::Hello {
                 version: dec.u32()?,
             },
-            2 => Frame::Welcome {
-                version: dec.u32()?,
-                table_fingerprint: dec.u64()?,
-                spec: get_spec(&mut dec)?,
-                total_workloads: dec.u64()?,
-            },
+            2 => {
+                let version = dec.u32()?;
+                let table_fingerprint = dec.u64()?;
+                let (unit, spec) = get_spec(&mut dec)?;
+                Frame::Welcome {
+                    version,
+                    table_fingerprint,
+                    unit,
+                    spec,
+                    total_workloads: dec.u64()?,
+                }
+            }
             3 => Frame::TableRequest,
             4 => Frame::TableBytes {
                 bytes: dec.bytes()?,
@@ -353,14 +362,16 @@ impl<'a> Dec<'a> {
 
 // --- composite payloads ---------------------------------------------------
 
-fn put_spec(buf: &mut Vec<u8>, spec: &SweepSpec) {
+/// Writes the unit of work between the policy names and the rest of the
+/// spec: the layout protocol v3 fixed.
+fn put_spec(buf: &mut Vec<u8>, unit: WorkUnit, spec: &EvalSpec) {
     put_u32(buf, spec.policies.len() as u32);
     for p in &spec.policies {
-        put_str(buf, p);
+        put_str(buf, p.name());
     }
     put_u8(
         buf,
-        match spec.unit {
+        match unit {
             WorkUnit::Weighted => 0,
             WorkUnit::Plain => 1,
         },
@@ -400,11 +411,11 @@ fn put_spec(buf: &mut Vec<u8>, spec: &SweepSpec) {
     }
 }
 
-fn get_spec(dec: &mut Dec<'_>) -> Result<SweepSpec, DistError> {
+fn get_spec(dec: &mut Dec<'_>) -> Result<(WorkUnit, EvalSpec), DistError> {
     let n = dec.u32()? as usize;
     let mut policies = Vec::with_capacity(n.min(64));
     for _ in 0..n {
-        policies.push(dec.str()?);
+        policies.push(get_policy(dec)?);
     }
     let unit = match dec.u8()? {
         0 => WorkUnit::Weighted,
@@ -438,15 +449,23 @@ fn get_spec(dec: &mut Dec<'_>) -> Result<SweepSpec, DistError> {
         }),
         v => return Err(DistError::Protocol(format!("bad latency flag {v}"))),
     };
-    Ok(SweepSpec {
+    let spec = EvalSpec {
         policies,
-        unit,
         objective,
         fcfs_jobs,
         job_size,
         seed,
         latency,
-    })
+    };
+    Ok((unit, spec))
+}
+
+/// A policy by registry name; a name this build does not know is a
+/// protocol error, since it came from outside the process.
+fn get_policy(dec: &mut Dec<'_>) -> Result<Policy, DistError> {
+    let name = dec.str()?;
+    Policy::by_name(&name)
+        .ok_or_else(|| DistError::Protocol(format!("unknown policy name {name:?}")))
 }
 
 fn put_report(buf: &mut Vec<u8>, report: &SessionReport) {
@@ -492,9 +511,7 @@ fn get_report(dec: &mut Dec<'_>) -> Result<SessionReport, DistError> {
     let n = dec.u32()? as usize;
     let mut rows = Vec::with_capacity(n.min(64));
     for _ in 0..n {
-        let name = dec.str()?;
-        let policy = Policy::by_name(&name)
-            .ok_or_else(|| DistError::Protocol(format!("unknown policy name {name:?}")))?;
+        let policy = get_policy(dec)?;
         let throughput = dec.f64()?;
         let fractions = match dec.u8()? {
             0 => None,
@@ -544,10 +561,9 @@ fn get_report(dec: &mut Dec<'_>) -> Result<SessionReport, DistError> {
 mod tests {
     use super::*;
 
-    fn sample_spec() -> SweepSpec {
-        SweepSpec {
-            policies: vec!["OPTIMAL".into(), "FCFS-EVENT".into()],
-            unit: WorkUnit::Weighted,
+    fn sample_spec() -> EvalSpec {
+        EvalSpec {
+            policies: vec![Policy::Optimal, Policy::FcfsEvent],
             objective: Objective::MaxThroughput,
             fcfs_jobs: 4000,
             job_size: JobSize::Exponential,
@@ -570,6 +586,7 @@ mod tests {
             Frame::Welcome {
                 version: PROTOCOL_VERSION,
                 table_fingerprint: 0xDEAD_BEEF_F00D_CAFE,
+                unit: WorkUnit::Weighted,
                 spec: sample_spec(),
                 total_workloads: 495,
             },
@@ -654,6 +671,7 @@ mod tests {
         let wire = Frame::Welcome {
             version: PROTOCOL_VERSION,
             table_fingerprint: 1,
+            unit: WorkUnit::Weighted,
             spec: sample_spec(),
             total_workloads: 10,
         }
@@ -712,13 +730,14 @@ mod tests {
 
     #[test]
     fn spec_with_no_latency_round_trips() {
-        let spec = SweepSpec {
+        let spec = EvalSpec {
             latency: None,
             ..sample_spec()
         };
         let wire = Frame::Welcome {
             version: PROTOCOL_VERSION,
             table_fingerprint: 0,
+            unit: WorkUnit::Plain,
             spec: spec.clone(),
             total_workloads: 1,
         }
@@ -727,5 +746,66 @@ mod tests {
             panic!("wrong frame kind");
         };
         assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn welcome_wire_images_match_protocol_v3() {
+        // Length and checksum of two `Welcome` images, recorded before the
+        // spec became typed: the layout is part of protocol v3.
+        let image = |unit, spec, table_fingerprint, total_workloads| {
+            let wire = Frame::Welcome {
+                version: PROTOCOL_VERSION,
+                table_fingerprint,
+                unit,
+                spec,
+                total_workloads,
+            }
+            .encode();
+            (wire.len(), fnv64(&wire))
+        };
+        let every_field = EvalSpec {
+            policies: vec![Policy::Optimal, Policy::FcfsEvent, Policy::MaxTp],
+            objective: Objective::MinThroughput,
+            ..sample_spec()
+        };
+        assert_eq!(
+            image(WorkUnit::Plain, every_field, 0xDEAD_BEEF_F00D_CAFE, 495),
+            (124, 0x434c_05ef_fd8a_7bdc)
+        );
+        let defaults = EvalSpec {
+            policies: vec![Policy::Worst],
+            ..EvalSpec::default()
+        };
+        assert_eq!(
+            image(WorkUnit::Weighted, defaults, 1, 10),
+            (66, 0x5f58_84a9_b407_3abb)
+        );
+    }
+
+    #[test]
+    fn a_welcome_naming_an_unknown_policy_is_a_protocol_error() {
+        let wire = Frame::Welcome {
+            version: PROTOCOL_VERSION,
+            table_fingerprint: 0,
+            unit: WorkUnit::Weighted,
+            spec: sample_spec(),
+            total_workloads: 1,
+        }
+        .encode();
+        // Rename the first policy in place ("OPTIMAL" -> "OPTIMUS", same
+        // length) and re-seal the checksum, so only the name is wrong.
+        let at = wire
+            .windows(7)
+            .position(|w| w == b"OPTIMAL")
+            .expect("policy name on the wire");
+        let mut renamed = wire.clone();
+        renamed[at..at + 7].copy_from_slice(b"OPTIMUS");
+        let len = renamed.len();
+        let sum = fnv64(&renamed[4..len - 8]);
+        renamed[len - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Frame::decode_wire(&renamed),
+            Err(DistError::Protocol(m)) if m.contains("unknown policy name \"OPTIMUS\"")
+        ));
     }
 }

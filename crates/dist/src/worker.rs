@@ -84,13 +84,14 @@ pub fn run_worker<T: Transport>(
     transport.send(&Frame::Hello {
         version: PROTOCOL_VERSION,
     })?;
-    let (fingerprint, spec) = match transport.recv()? {
+    let (fingerprint, unit, spec) = match transport.recv()? {
         Frame::Welcome {
             version: PROTOCOL_VERSION,
             table_fingerprint,
+            unit,
             spec,
             ..
-        } => (table_fingerprint, spec),
+        } => (table_fingerprint, unit, spec),
         Frame::Welcome { version, .. } => {
             return Err(DistError::VersionMismatch {
                 ours: PROTOCOL_VERSION,
@@ -163,7 +164,7 @@ pub fn run_worker<T: Transport>(
         transport.send(&Frame::FetchChunk)?;
         match transport.recv()? {
             Frame::Chunk { id, workloads } => {
-                let mut sweep = spec.sweep(&table).workloads(workloads);
+                let mut sweep = spec.sweep(&table, unit).workloads(workloads);
                 if config.threads > 0 {
                     sweep = sweep.threads(config.threads);
                 }

@@ -14,10 +14,11 @@ use dist::{
     loopback_pair, loopback_pair_with_chaos, run_worker, ChaosPlan, ChaosTransport, Coordinator,
     DistConfig, DistError, TcpTransport, WorkerConfig,
 };
+use queueing::{LatencyConfig, SizeDist};
 use session::{Policy, Session, SweepBuilder, SweepReport};
 use simproc::{BenchmarkProfile, Machine, MachineConfig};
-use symbiosis::enumerate_workloads;
-use workloads::{spec2006, PerfTable, TableStore};
+use symbiosis::{enumerate_workloads, JobSize, Objective};
+use workloads::{spec2006, PerfTable, TableStore, WorkUnit};
 
 fn tiny_table() -> &'static PerfTable {
     static TABLE: OnceLock<PerfTable> = OnceLock::new();
@@ -102,6 +103,83 @@ fn loopback_workers_reproduce_the_sweep_bitwise() {
     assert_eq!(rows, reference_report().len());
     let logged: usize = outcome.workers.iter().map(|w| w.rows).sum();
     assert_eq!(logged, reference_report().len());
+}
+
+/// Runs `sweep` through a coordinator and two loopback workers and
+/// returns the merged report.
+fn loopback_run(sweep: SweepBuilder<'_>) -> SweepReport {
+    let coordinator = Coordinator::from_sweep(
+        sweep,
+        DistConfig {
+            chunk_size: 3,
+            ..DistConfig::default()
+        },
+    )
+    .unwrap();
+    std::thread::scope(|scope| {
+        let (ends, workers): (Vec<_>, Vec<_>) = (0..2)
+            .map(|_| {
+                let (c, w) = loopback_pair();
+                (
+                    c,
+                    scope.spawn(move || run_worker(w, &WorkerConfig::default())),
+                )
+            })
+            .unzip();
+        let outcome = coordinator.run(ends).expect("distributed run");
+        for worker in workers {
+            worker.join().unwrap().expect("worker completes");
+        }
+        outcome.report
+    })
+}
+
+#[test]
+fn a_latency_spec_crosses_the_wire_intact() {
+    // Every non-default setting the spec carries: an arrival process,
+    // exponential event-leg sizes, and the MAXTP targets taken from the
+    // worst schedule instead of the best.
+    let sweep = || {
+        Session::sweep()
+            .table(tiny_table())
+            .workloads(enumerate_workloads(5, 3))
+            .policies(Policy::LATENCY)
+            .job_size(JobSize::Exponential)
+            .objective(Objective::MinThroughput)
+            .latency(LatencyConfig {
+                arrival_rate: 1.1,
+                measured_jobs: 600,
+                warmup_jobs: 60,
+                sizes: SizeDist::Exponential,
+                seed: SEED,
+            })
+            .fcfs_jobs(JOBS)
+            .seed(SEED)
+    };
+    let reference = sweep().run().expect("in-process sweep runs");
+    assert!(reference.rows[0].report.rows[0].latency.is_some());
+    assert_bitwise_equal(&loopback_run(sweep()), &reference);
+}
+
+#[test]
+fn a_plain_unit_sweep_crosses_the_wire_intact() {
+    let sweep = || {
+        Session::sweep()
+            .table(tiny_table())
+            .workloads(enumerate_workloads(5, 3))
+            .unit(WorkUnit::Plain)
+            .policies(Policy::THROUGHPUT)
+            .fcfs_jobs(JOBS)
+            .seed(SEED)
+    };
+    let reference = sweep().run().expect("in-process sweep runs");
+    // The plain unit changes the numbers, so a worker that fell back to
+    // the weighted unit could not match.
+    assert_ne!(
+        reference.throughputs(Policy::Optimal),
+        reference_report().throughputs(Policy::Optimal)
+    );
+    assert_bitwise_equal(&loopback_run(sweep()), &reference);
 }
 
 #[test]
@@ -517,7 +595,8 @@ fn a_worker_refuses_a_version_2_coordinator() {
     c.send(&Frame::Welcome {
         version: 2,
         table_fingerprint: 0,
-        spec: reference_sweep().spec(),
+        unit: WorkUnit::Weighted,
+        spec: reference_sweep().spec().clone(),
         total_workloads: 10,
     })
     .unwrap();

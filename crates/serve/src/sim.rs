@@ -118,8 +118,11 @@ pub struct ServeReport {
     pub final_train_samples: usize,
     /// Circuit-breaker activity, when [`ServeConfig::breaker`] was set.
     pub breaker: Option<BreakerReport>,
-    /// Metrics recorded during this run (empty when no [`obs`] recorder
-    /// was installed).
+    /// Metrics (empty when no [`obs`] recorder was installed): counters
+    /// and histograms hold this run's activity only, gauges the
+    /// recorder's lifetime state — a `serve.queue_depth` peak may come
+    /// from an earlier run under the same recorder, as
+    /// [`obs::MetricsSnapshot::diff`] keeps gauges.
     pub metrics: obs::MetricsSnapshot,
 }
 
@@ -494,6 +497,37 @@ mod tests {
             (1..=cfg.queue_capacity as i64).contains(&depth),
             "waiting-pool peak {depth} outside 1..={}",
             cfg.queue_capacity
+        );
+    }
+
+    #[test]
+    fn report_gauges_are_the_recorders_lifetime_state() {
+        // Two overloaded runs under one recorder, a deep waiting pool and
+        // then a two-job one. Counters are this run's only, but gauges
+        // keep the recorder's state (`MetricsSnapshot::diff`), so the
+        // second report carries the first run's deeper queue peak. A
+        // per-run peak would have to change this test on purpose.
+        let truth = truth(3, 4);
+        let recorder = obs::Recorder::new();
+        let _guard = obs::install(&recorder);
+        let run = |queue_capacity| {
+            let cfg = ServeConfig {
+                arrival_rate: 6.0,
+                queue_capacity,
+                ..small_cfg()
+            };
+            let placer = Box::new(PolicyPlacer::greedy());
+            run_serve(&truth, seed_model(&truth), placer, &cfg).unwrap()
+        };
+        let deep = run(512);
+        let shallow = run(2);
+        let peak = |r: &ServeReport| r.metrics.gauges["serve.queue_depth"].max;
+        assert!(peak(&deep) > 2, "deep pool peaked at {}", peak(&deep));
+        assert_eq!(peak(&shallow), peak(&deep));
+        assert!(shallow.rejected > 0);
+        assert_eq!(
+            shallow.metrics.counters.get("serve.shed"),
+            Some(&shallow.rejected)
         );
     }
 

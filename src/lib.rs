@@ -47,16 +47,21 @@
 //! # Quick start
 //!
 //! Everything goes through a [`prelude::Session`]: pick a rate source
-//! (a machine + workload to simulate, or any [`prelude::RateModel`]),
-//! pick policies from the registry, run, and read uniform rows:
+//! (any [`prelude::RateModel`], here a simulated table's view of one
+//! workload), pick policies from the registry, run, and read uniform rows:
 //!
 //! ```no_run
 //! use symbiotic_scheduling::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! // bzip2 + hmmer + mcf + xalancbmk: simulate only their coschedules.
+//! let suite = spec2006();
+//! let mix: Vec<_> = [0, 5, 7, 11].iter().map(|&b| suite[b].clone()).collect();
+//! let machine = Machine::new(MachineConfig::smt4())?;
+//! let table = PerfTable::build(&machine, &mix, 4)?;
+//! let view = table.workload_view(&[0, 1, 2, 3])?;
 //! let report = Session::builder()
-//!     .machine(MachineConfig::smt4())
-//!     .workload(&[0, 5, 7, 11]) // bzip2 + hmmer + mcf + xalancbmk
+//!     .rates(&view)
 //!     .policies([Policy::Worst, Policy::FcfsEvent, Policy::Optimal])
 //!     .fcfs_jobs(40_000)
 //!     .seed(42)
@@ -118,7 +123,7 @@ pub use workloads;
 /// Commonly used items from across the workspace.
 pub mod prelude {
     pub use session::{
-        stats, Policy, PolicyKind, PolicyReport, Session, SessionBuilder, SessionError,
+        stats, EvalSpec, Policy, PolicyKind, PolicyReport, Session, SessionBuilder, SessionError,
         SessionReport, SweepBuilder, SweepError, SweepItem, SweepReport, SweepRow, WorkerPool,
     };
     pub use symbiosis::{
