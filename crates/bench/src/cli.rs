@@ -27,12 +27,11 @@ fn usage() -> String {
          experiments:\n",
     );
     for e in REGISTRY {
-        text.push_str(&format!("  {:<14} {}\n", e.name(), e.paper_artefact()));
+        text.push_str(&format!("  {:<14} {}\n", e.name, e.artefact));
     }
     text.push_str(
         "\nflags: --fast --full --sample N --jobs N --threads N --table-cache PATH \
-         --trace PATH --simulated-k8 --distribute ADDR:NWORKERS \
-         --dist-retries N --dist-timeout-secs N --dist-hedge\n\
+         --trace PATH --simulated-k8 --distribute ADDR:NWORKERS\n\
          \n\
          worker mode: paperbench --worker ADDR [flags]\n\
          serves a --distribute coordinator at ADDR until it goes away\n\
@@ -52,8 +51,8 @@ fn usage() -> String {
 fn listing() -> String {
     let mut text = String::new();
     for e in REGISTRY {
-        text.push_str(&format!("{:<14} {}\n", e.name(), e.paper_artefact()));
-        text.push_str(&format!("{:<14}   {}\n", "", e.description()));
+        text.push_str(&format!("{:<14} {}\n", e.name, e.artefact));
+        text.push_str(&format!("{:<14}   {}\n", "", e.description));
     }
     text
 }
@@ -282,12 +281,12 @@ fn run_worker_service(addr: &str, config: &StudyConfig) -> ExitCode {
     }
 }
 
-fn run_single(experiment: &dyn Experiment, ctx: &ExperimentContext) -> ExitCode {
+fn run_single(experiment: &Experiment, ctx: &ExperimentContext) -> ExitCode {
     let t0 = Instant::now();
-    match experiment.run(ctx) {
+    match (experiment.run)(ctx) {
         Ok(artefact) => {
             println!("{artefact}");
-            eprintln!("[{} took {:.1?}]", experiment.name(), t0.elapsed());
+            eprintln!("[{} took {:.1?}]", experiment.name, t0.elapsed());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -308,14 +307,14 @@ fn run_all(ctx: ExperimentContext) -> ExitCode {
     for experiment in REGISTRY {
         println!("{divider}");
         let t0 = Instant::now();
-        match experiment.run(&ctx) {
+        match (experiment.run)(&ctx) {
             Ok(artefact) => println!("{artefact}"),
             Err(e) => {
-                eprintln!("{} failed: {e}", experiment.name());
+                eprintln!("{} failed: {e}", experiment.name);
                 failures += 1;
             }
         }
-        eprintln!("[{} took {:.1?}]", experiment.name(), t0.elapsed());
+        eprintln!("[{} took {:.1?}]", experiment.name, t0.elapsed());
     }
     if failures == 0 {
         ExitCode::SUCCESS

@@ -35,6 +35,7 @@ use simproc::{BenchmarkProfile, Machine, MachineConfig};
 use symbiosis::{enumerate_workloads, AnalyticModel, CoscheduleIter, RateModel};
 use workloads::{spec2006, PerfTable};
 
+use crate::experiments::ExperimentError;
 use crate::study::StudyConfig;
 
 /// Workers in the storm: one crasher, one hanger, one worker whose
@@ -96,7 +97,12 @@ impl FaultTally {
     }
 }
 
-/// The chaos artefact: storm accounting plus breaker and panic evidence.
+/// The chaos artefact: storm shape plus breaker and panic evidence.
+///
+/// The storm's fault tally and recovery counters depend on thread timing
+/// (which worker holds which chunk when a trigger fires), so [`run`]
+/// prints them, with the storm's wall time, to stderr; `Display` leaves
+/// them out.
 pub struct ChaosStudy {
     /// Workloads in the storm sweep.
     pub workloads: usize,
@@ -114,8 +120,6 @@ pub struct ChaosStudy {
     pub duplicates_discarded: usize,
     /// Protocol strikes recorded against connections.
     pub strikes: usize,
-    /// Wall time of the storm (bounded by `STORM_WALL_BOUND`, 60 s).
-    pub storm_wall: Duration,
     /// Jobs streamed through each serve leg.
     pub serve_jobs: usize,
     /// The stale seed model's first refit `fit_q90`.
@@ -159,11 +163,10 @@ fn serve_jobs(cfg: &StudyConfig) -> usize {
 
 /// The storm's own tiny table: 5 benchmarks on short-window smt4, built
 /// fresh so the leg never waits on the full study tables.
-fn tiny_table(threads: usize) -> Result<PerfTable, String> {
-    let machine = Machine::new(MachineConfig::smt4().with_windows(2_000, 6_000))
-        .map_err(|e| e.to_string())?;
+fn tiny_table(threads: usize) -> Result<PerfTable, ExperimentError> {
+    let machine = Machine::new(MachineConfig::smt4().with_windows(2_000, 6_000))?;
     let suite: Vec<BenchmarkProfile> = spec2006().into_iter().take(5).collect();
-    PerfTable::build(&machine, &suite, threads).map_err(|e| e.to_string())
+    Ok(PerfTable::build(&machine, &suite, threads)?)
 }
 
 fn storm_sweep<'t>(table: &'t PerfTable, cfg: &StudyConfig) -> SweepBuilder<'t> {
@@ -191,10 +194,11 @@ fn parity(distributed: &SweepReport, reference: &SweepReport) -> bool {
     })
 }
 
-/// Runs the distributed fault storm; fills the storm fields of `out`.
-fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
+/// Runs the distributed fault storm; fills the storm fields of `out` and
+/// prints the run-dependent ones (faults, recovery, wall) to stderr.
+fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentError> {
     let table = tiny_table(cfg.threads)?;
-    let reference = storm_sweep(&table, cfg).run().map_err(|e| e.to_string())?;
+    let reference = storm_sweep(&table, cfg).run()?;
 
     let dist_cfg = DistConfig {
         chunk_size: 1, // 10 chunks: every fault lands on a small blast radius
@@ -204,17 +208,12 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
         quarantine_limit: 16,
         ..DistConfig::default()
     };
-    let coordinator =
-        Coordinator::from_sweep(storm_sweep(&table, cfg), dist_cfg).map_err(|e| e.to_string())?;
+    let coordinator = Coordinator::from_sweep(storm_sweep(&table, cfg), dist_cfg)?;
     out.workloads = reference.len();
     out.chunks = coordinator.chunk_count();
 
-    let listener =
-        TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind storm listener: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| e.to_string())?
-        .to_string();
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?.to_string();
 
     // Worker-side plans: a crasher, a hanger, a worker whose answers
     // get duplicated, and a clean worker (the corruption casualty — its
@@ -243,12 +242,10 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
     let mut fleet = Vec::new();
     let mut ends = Vec::with_capacity(STORM_WORKERS);
     for (i, plan) in worker_plans.into_iter().enumerate() {
-        let stream =
-            TcpStream::connect(addr.as_str()).map_err(|e| format!("worker connect: {e}"))?;
+        let stream = TcpStream::connect(addr.as_str())?;
         // A generous read timeout: the fault triggers themselves return
         // immediately, this only guards against a wedged coordinator.
-        let transport = TcpTransport::from_stream(stream, Duration::from_secs(10))
-            .map_err(|e| e.to_string())?;
+        let transport = TcpTransport::from_stream(stream, Duration::from_secs(10))?;
         let chaotic = ChaosTransport::new(transport, plan);
         stats.push(chaotic.stats_handle());
         let worker_cfg = WorkerConfig {
@@ -259,11 +256,8 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
 
         // The matching coordinator end: seeded delays everywhere, plus
         // total receive corruption on the last (sacrificial) connection.
-        let (accepted, _) = listener
-            .accept()
-            .map_err(|e| format!("storm accept: {e}"))?;
-        let transport = TcpTransport::from_stream(accepted, dist_cfg_recv_timeout())
-            .map_err(|e| e.to_string())?;
+        let (accepted, _) = listener.accept()?;
+        let transport = TcpTransport::from_stream(accepted, dist_cfg_recv_timeout())?;
         let corrupt = if i == STORM_WORKERS - 1 {
             CORRUPT_P
         } else {
@@ -283,10 +277,8 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
     }
 
     let t0 = Instant::now();
-    let outcome = coordinator
-        .run(ends)
-        .map_err(|e| format!("storm sweep failed: {e}"))?;
-    out.storm_wall = t0.elapsed();
+    let outcome = coordinator.run(ends)?;
+    let storm_wall = t0.elapsed();
     for handle in fleet {
         // Victims exit with Disconnected/Timeout by design; a panic is
         // the only thing that may not happen.
@@ -296,11 +288,10 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
     if !parity(&outcome.report, &reference) {
         return Err("storm sweep diverged from the single-process run".into());
     }
-    if out.storm_wall > STORM_WALL_BOUND {
-        return Err(format!(
-            "storm took {:.1?}, past the {STORM_WALL_BOUND:?} bound",
-            out.storm_wall
-        ));
+    if storm_wall > STORM_WALL_BOUND {
+        return Err(
+            format!("storm took {storm_wall:.1?}, past the {STORM_WALL_BOUND:?} bound").into(),
+        );
     }
 
     for handle in &stats {
@@ -314,6 +305,16 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
     out.hedges = outcome.hedges;
     out.duplicates_discarded = outcome.duplicates;
     out.strikes = outcome.strikes;
+    let f = &out.faults;
+    eprintln!(
+        "chaos: faults observed crashed={} hung={} drops={} duplicates={} delays={} corruptions={}",
+        f.crashed, f.hung, f.drops, f.duplicates, f.delays, f.corruptions
+    );
+    eprintln!(
+        "chaos: recovery requeues={} hedges={} duplicate-answers-discarded={} strikes={}",
+        out.requeues, out.hedges, out.duplicates_discarded, out.strikes
+    );
+    eprintln!("chaos: storm wall {storm_wall:.2?} (bound {STORM_WALL_BOUND:?})");
     Ok(())
 }
 
@@ -346,7 +347,7 @@ fn stale_truth() -> AnalyticModel<impl Fn(&[u32], usize) -> f64> {
 }
 
 /// Fits a twin seed from solo and pair measurements of `from`.
-fn seed_model(from: &dyn RateModel) -> Result<PredictedModel, String> {
+fn seed_model(from: &dyn RateModel) -> Result<PredictedModel, ExperimentError> {
     let n = from.num_types();
     let samples: Vec<RateSample> = (1..=2)
         .flat_map(|s| CoscheduleIter::new(n, s))
@@ -355,8 +356,12 @@ fn seed_model(from: &dyn RateModel) -> Result<PredictedModel, String> {
             rates: (0..n).map(|ty| from.total_rate(c.counts(), ty)).collect(),
         })
         .collect();
-    PredictedModel::fit(n, from.contexts(), samples, Box::new(InterferenceFitter))
-        .map_err(|e| e.to_string())
+    Ok(PredictedModel::fit(
+        n,
+        from.contexts(),
+        samples,
+        Box::new(InterferenceFitter),
+    )?)
 }
 
 fn serve_base_cfg(cfg: &StudyConfig) -> ServeConfig {
@@ -373,21 +378,20 @@ fn serve_base_cfg(cfg: &StudyConfig) -> ServeConfig {
     }
 }
 
-fn run_serve_leg(cfg: &ServeConfig, truth: &dyn RateModel) -> Result<ServeReport, String> {
+fn run_serve_leg(cfg: &ServeConfig, truth: &dyn RateModel) -> Result<ServeReport, ExperimentError> {
     let stale = stale_truth();
-    run_serve(
+    Ok(run_serve(
         truth,
         seed_model(&stale)?,
         Box::new(BeamPlacer::new(6)),
         cfg,
-    )
-    .map_err(|e| e.to_string())
+    )?)
 }
 
 /// Runs the degradation soak: calibrate thresholds from a breaker-free
 /// run of the same seeded stream, then prove the breaker trips on the
 /// stale model and recovers once the twin has refitted on live data.
-fn run_degradation(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
+fn run_degradation(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentError> {
     let truth = service_truth();
     let base = serve_base_cfg(cfg);
     out.serve_jobs = base.jobs;
@@ -406,7 +410,8 @@ fn run_degradation(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String
     if last >= first {
         return Err(format!(
             "the twin did not improve on the stale seed (fit_q90 {first} -> {last})"
-        ));
+        )
+        .into());
     }
     // Trip just under the stale model's opening health so generation 1
     // opens the breaker; recover at the geometric mean of the endpoints
@@ -453,14 +458,15 @@ fn run_degradation(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String
         return Err(format!(
             "degradation soak lost jobs: {} submitted, {} completed",
             soaked.submitted, soaked.completed
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
 /// Runs the twin-panic leg: the injected refit-worker panic must come
 /// back as [`ServeError::Twin`], not a poisoned lock or a hang.
-fn run_twin_panic(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String> {
+fn run_twin_panic(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentError> {
     let truth = service_truth();
     let panic_cfg = ServeConfig {
         twin_panic_at_batch: Some(1),
@@ -477,7 +483,7 @@ fn run_twin_panic(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String>
             out.twin_panic = e.to_string();
             Ok(())
         }
-        Err(other) => Err(format!("expected a twin error, got: {other}")),
+        Err(other) => Err(format!("expected a twin error, got: {other}").into()),
         Ok(_) => Err("the injected twin panic must fail the run".into()),
     }
 }
@@ -489,7 +495,7 @@ fn run_twin_panic(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), String>
 /// Any leg failing its robustness contract (parity, wall bound, breaker
 /// trip + recovery, clean panic surfacing) is an error, never a silent
 /// artefact.
-pub fn run(cfg: &StudyConfig) -> Result<ChaosStudy, String> {
+pub fn run(cfg: &StudyConfig) -> Result<ChaosStudy, ExperimentError> {
     let mut out = ChaosStudy {
         workloads: 0,
         chunks: 0,
@@ -499,7 +505,6 @@ pub fn run(cfg: &StudyConfig) -> Result<ChaosStudy, String> {
         hedges: 0,
         duplicates_discarded: 0,
         strikes: 0,
-        storm_wall: Duration::ZERO,
         serve_jobs: 0,
         q90_first: 0.0,
         q90_last: 0.0,
@@ -547,27 +552,7 @@ impl fmt::Display for ChaosStudy {
         )?;
         writeln!(
             f,
-            "  faults observed    : crashed={} hung={} drops={} duplicates={} delays={} corruptions={}",
-            self.faults.crashed,
-            self.faults.hung,
-            self.faults.drops,
-            self.faults.duplicates,
-            self.faults.delays,
-            self.faults.corruptions
-        )?;
-        writeln!(
-            f,
-            "  recovery           : requeues={} hedges={} duplicate-answers-discarded={} strikes={}",
-            self.requeues, self.hedges, self.duplicates_discarded, self.strikes
-        )?;
-        writeln!(
-            f,
             "  parity             : PASS — merged report bitwise-identical to Session::sweep()"
-        )?;
-        writeln!(
-            f,
-            "  wall               : {:.2?} (bound {:?})",
-            self.storm_wall, STORM_WALL_BOUND
         )?;
         writeln!(f, "\nserve degradation soak ({} jobs):", self.serve_jobs)?;
         writeln!(

@@ -1,7 +1,7 @@
 //! Beyond the paper — the distributed-sweep demonstration: shard a
 //! fig1-scale sweep across a worker fleet, verify the merged report is
 //! bitwise identical to the single-process run, and report per-worker
-//! throughput accounting.
+//! throughput accounting (on stderr: it depends on thread scheduling).
 //!
 //! Two modes, selected by the study configuration:
 //!
@@ -12,11 +12,12 @@
 //!   runs, cold and warm table cache).
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dist::{run_worker, Coordinator, DistConfig, DistOutcome, TcpTransport, WorkerConfig};
 use session::Policy;
 
+use crate::experiments::ExperimentError;
 use crate::study::{Chip, Study};
 
 /// How many in-process workers the self-contained mode spawns.
@@ -25,19 +26,8 @@ const LOCAL_WORKERS: usize = 3;
 /// The policies swept — the headline throughput trio.
 const POLICIES: [Policy; 3] = [Policy::Worst, Policy::FcfsEvent, Policy::Optimal];
 
-/// One worker's accounting line.
-pub struct WorkerLine {
-    /// Peer label (TCP address of the connected worker).
-    pub peer: String,
-    /// Chunks the worker completed.
-    pub chunks: usize,
-    /// Sweep rows the worker produced.
-    pub rows: usize,
-    /// Rows per second over the worker's connection lifetime.
-    pub rows_per_sec: f64,
-}
-
-/// The distributed-sweep artefact.
+/// The distributed-sweep artefact. Timings and per-worker accounting
+/// depend on thread scheduling, so [`run`] prints them to stderr instead.
 pub struct DistSweep {
     /// Worker count.
     pub workers: usize,
@@ -47,43 +37,36 @@ pub struct DistSweep {
     pub workloads: usize,
     /// Chunks the workload list was split into.
     pub chunks: usize,
-    /// Wall time of the single-process reference run.
-    pub single_wall: Duration,
-    /// Wall time of the distributed run (including worker ramp-up).
-    pub dist_wall: Duration,
-    /// Per-worker accounting.
-    pub lines: Vec<WorkerLine>,
     /// Mean OPTIMAL gain over FCFS from the merged report (the sweep's
     /// headline number, proving the merged rows are usable as-is).
     pub mean_gain: f64,
 }
 
 /// Runs the demonstration: single-process reference, distributed run,
-/// bitwise parity check.
+/// bitwise parity check. Wall times and per-worker chunk, row and rows/s
+/// lines go to stderr.
 ///
 /// # Errors
 ///
-/// Propagates sweep/distribution failures as strings; a parity mismatch
-/// (which the dist test suite pins as impossible) is an error, never a
-/// silent artefact.
-pub fn run(study: &Study) -> Result<DistSweep, String> {
+/// The sweep's [`session::SweepError`] or the fleet's [`dist::DistError`];
+/// a parity mismatch (which the dist test suite pins as impossible) is an
+/// error, never a silent artefact.
+pub fn run(study: &Study) -> Result<DistSweep, ExperimentError> {
     let cfg = study.config();
     let sweep = || study.sweep(Chip::Smt).policies(POLICIES);
 
     let t0 = Instant::now();
-    let reference = sweep().run().map_err(|e| e.to_string())?;
+    let reference = sweep().run()?;
     let single_wall = t0.elapsed();
 
-    let coordinator =
-        Coordinator::from_sweep(sweep(), DistConfig::default()).map_err(|e| e.to_string())?;
+    let coordinator = Coordinator::from_sweep(sweep(), DistConfig::default())?;
     let t1 = Instant::now();
     let (outcome, workers, mode) = match &cfg.distribute {
-        Some(spec) => {
-            let outcome = coordinator
-                .serve_tcp(&spec.addr, spec.workers)
-                .map_err(|e| e.to_string())?;
-            (outcome, spec.workers, format!("external, at {}", spec.addr))
-        }
+        Some(spec) => (
+            coordinator.serve_tcp(&spec.addr, spec.workers)?,
+            spec.workers,
+            format!("external, at {}", spec.addr),
+        ),
         None => (
             local_fleet(&coordinator, cfg.threads)?,
             LOCAL_WORKERS,
@@ -96,23 +79,25 @@ pub fn run(study: &Study) -> Result<DistSweep, String> {
         return Err("distributed sweep diverged from the single-process run".into());
     }
 
+    eprintln!(
+        "dist_sweep: single-process {single_wall:.2?}, distributed {dist_wall:.2?} ({:.2}x)",
+        single_wall.as_secs_f64() / dist_wall.as_secs_f64()
+    );
+    for (i, w) in outcome.workers.iter().enumerate() {
+        eprintln!(
+            "dist_sweep: worker {} ({}): {} chunk(s), {} row(s), {:.1} rows/s",
+            i + 1,
+            w.peer,
+            w.chunks,
+            w.rows,
+            w.rows_per_sec()
+        );
+    }
     Ok(DistSweep {
         workers,
         mode,
         workloads: reference.len(),
         chunks: outcome.chunks,
-        single_wall,
-        dist_wall,
-        lines: outcome
-            .workers
-            .iter()
-            .map(|w| WorkerLine {
-                peer: w.peer.clone(),
-                chunks: w.chunks,
-                rows: w.rows,
-                rows_per_sec: w.rows_per_sec(),
-            })
-            .collect(),
         mean_gain: outcome.report.mean_gain(Policy::Optimal, Policy::FcfsEvent),
     })
 }
@@ -121,13 +106,9 @@ pub fn run(study: &Study) -> Result<DistSweep, String> {
 /// this process. The study's thread budget is split across the workers
 /// so the comparison against the single-process run is not just "three
 /// times the cores".
-fn local_fleet(coordinator: &Coordinator, threads: usize) -> Result<DistOutcome, String> {
-    let listener =
-        std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local addr: {e}"))?
-        .to_string();
+fn local_fleet(coordinator: &Coordinator, threads: usize) -> Result<DistOutcome, ExperimentError> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?.to_string();
     let per_worker = (threads / LOCAL_WORKERS).max(1);
     let fleet: Vec<_> = (0..LOCAL_WORKERS)
         .map(|_| {
@@ -144,14 +125,9 @@ fn local_fleet(coordinator: &Coordinator, threads: usize) -> Result<DistOutcome,
             })
         })
         .collect();
-    let outcome = coordinator
-        .serve_listener(&listener, LOCAL_WORKERS)
-        .map_err(|e| e.to_string())?;
+    let outcome = coordinator.serve_listener(&listener, LOCAL_WORKERS)?;
     for handle in fleet {
-        handle
-            .join()
-            .map_err(|_| "worker thread panicked".to_string())?
-            .map_err(|e| e.to_string())?;
+        handle.join().map_err(|_| "worker thread panicked")??;
     }
     Ok(outcome)
 }
@@ -170,33 +146,10 @@ impl fmt::Display for DistSweep {
             POLICIES.len(),
             self.chunks
         )?;
-        writeln!(f, "single-process       : {:.2?}", self.single_wall)?;
-        let speedup = if self.dist_wall.as_secs_f64() > 0.0 {
-            self.single_wall.as_secs_f64() / self.dist_wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        writeln!(
-            f,
-            "distributed          : {:.2?} ({speedup:.2}x)",
-            self.dist_wall
-        )?;
         writeln!(
             f,
             "parity               : PASS — merged report bitwise-identical to Session::sweep()"
         )?;
-        writeln!(f, "worker accounting:")?;
-        for (i, w) in self.lines.iter().enumerate() {
-            writeln!(
-                f,
-                "  worker {} ({}): {} chunk(s), {} row(s), {:.1} rows/s",
-                i + 1,
-                w.peer,
-                w.chunks,
-                w.rows,
-                w.rows_per_sec
-            )?;
-        }
         write!(
             f,
             "mean OPTIMAL gain over FCFS across the merged rows: {:+.1}%",

@@ -7,6 +7,7 @@ use std::fmt;
 use session::Policy;
 use symbiosis::{rebalanced_heterogeneous, FairnessExperiment, WorkloadRates};
 
+use crate::experiments::ExperimentError;
 use crate::study::{Chip, Study, StudyConfig};
 use crate::{mean, pct};
 
@@ -81,12 +82,11 @@ pub fn counterfactual(
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(study: &Study) -> Result<Fairness, String> {
+/// The sweep's [`session::SweepError`].
+pub fn run(study: &Study) -> Result<Fairness, ExperimentError> {
     let experiments: Vec<_> = study
         .sweep(Chip::Smt)
-        .map(|item| counterfactual(&item.rates()?, study.config()))
-        .map_err(|e| e.to_string())?;
+        .map(|item| counterfactual(&item.rates()?, study.config()))?;
     let gains: Vec<f64> = experiments
         .iter()
         .map(|e| e.optimal_after / e.optimal_before - 1.0)

@@ -6,6 +6,7 @@ use std::fmt;
 use session::Policy;
 use symbiosis::{instantaneous_spread, per_job_spreads, WorkloadRates, WorkloadVariability};
 
+use crate::experiments::ExperimentError;
 use crate::study::{Chip, Study, StudyConfig};
 use crate::{max, mean, min, pct};
 
@@ -96,16 +97,14 @@ pub fn workload_variability(
 ///
 /// # Errors
 ///
-/// Propagates failures from the underlying analyses as strings (the
-/// driver reports and exits).
-pub fn run(study: &Study) -> Result<Fig1, String> {
+/// The sweep's [`session::SweepError`].
+pub fn run(study: &Study) -> Result<Fig1, ExperimentError> {
     let workloads = study.workloads();
     let mut chips = Vec::new();
     for chip in Chip::ALL {
         let results = study
             .sweep(chip)
-            .map(|item| workload_variability(&item.rates()?, study.config()))
-            .map_err(|e| e.to_string())?;
+            .map(|item| workload_variability(&item.rates()?, study.config()))?;
         let mut pj_max = Vec::new();
         let mut pj_min = Vec::new();
         let mut it_max = Vec::new();

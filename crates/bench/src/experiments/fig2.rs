@@ -5,6 +5,7 @@ use std::fmt;
 
 use session::Policy;
 
+use crate::experiments::ExperimentError;
 use crate::mean;
 use crate::study::{Chip, Study};
 
@@ -43,8 +44,8 @@ pub struct Fig2 {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(study: &Study) -> Result<Fig2, String> {
+/// The sweep's [`session::SweepError`] or [`dist::DistError`].
+pub fn run(study: &Study) -> Result<Fig2, ExperimentError> {
     let mut chips = Vec::new();
     for chip in Chip::ALL {
         let sweep = study.config().run_sweep(study.sweep(chip).policies([

@@ -6,6 +6,7 @@ use std::fmt;
 use session::Policy;
 use symbiosis::{fit_linear_bottleneck, per_type_rate_difference};
 
+use crate::experiments::ExperimentError;
 use crate::study::{Chip, Study};
 use crate::{mean, pearson};
 
@@ -48,30 +49,27 @@ pub struct Fig3 {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(study: &Study) -> Result<Fig3, String> {
+/// The sweep's [`session::SweepError`].
+pub fn run(study: &Study) -> Result<Fig3, ExperimentError> {
     let mut chips = Vec::new();
     for chip in Chip::ALL {
-        let points: Vec<Point> = study
-            .sweep(chip)
-            .map(|item| {
-                let rates = item.rates()?;
-                let fit = fit_linear_bottleneck(&rates).map_err(|e| e.to_string())?;
-                let report = item
-                    .session()
-                    .rates(&rates)
-                    .policies([Policy::Worst, Policy::Optimal])
-                    .run()
-                    .map_err(|e| e.to_string())?;
-                let worst = report.throughput(Policy::Worst).expect("requested");
-                let best = report.throughput(Policy::Optimal).expect("requested");
-                Ok(Point {
-                    bottleneck_mse: fit.mse,
-                    optimal_vs_worst: best / worst,
-                    rate_difference: per_type_rate_difference(&rates),
-                })
+        let points: Vec<Point> = study.sweep(chip).map(|item| {
+            let rates = item.rates()?;
+            let fit = fit_linear_bottleneck(&rates).map_err(|e| e.to_string())?;
+            let report = item
+                .session()
+                .rates(&rates)
+                .policies([Policy::Worst, Policy::Optimal])
+                .run()
+                .map_err(|e| e.to_string())?;
+            let worst = report.throughput(Policy::Worst).expect("requested");
+            let best = report.throughput(Policy::Optimal).expect("requested");
+            Ok(Point {
+                bottleneck_mse: fit.mse,
+                optimal_vs_worst: best / worst,
+                rate_difference: per_type_rate_difference(&rates),
             })
-            .map_err(|e| e.to_string())?;
+        })?;
         let xs: Vec<f64> = points.iter().map(|p| p.bottleneck_mse).collect();
         let ys: Vec<f64> = points.iter().map(|p| p.optimal_vs_worst).collect();
         let correlation_all = pearson(&xs, &ys);

@@ -5,6 +5,8 @@ use std::fmt;
 
 use queueing::MmcQueue;
 
+use crate::experiments::ExperimentError;
+
 /// One point of the turnaround-vs-arrival-rate curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
@@ -33,9 +35,9 @@ pub struct Fig4 {
 ///
 /// # Errors
 ///
-/// Returns an error string if queue construction fails (cannot happen for
-/// the fixed parameters used here).
-pub fn run() -> Result<Fig4, String> {
+/// Returns the queue's construction error (cannot happen for the fixed
+/// parameters used here).
+pub fn run() -> Result<Fig4, ExperimentError> {
     let servers = 4u32;
     let mu_base = 1.0;
     let mu_fast = 1.03;
@@ -45,16 +47,16 @@ pub fn run() -> Result<Fig4, String> {
     let mut lambdas: Vec<f64> = (1..=14).map(|i| i as f64 * 0.25).collect();
     lambdas.extend([3.6, 3.7, 3.8, 3.85, 3.9, 3.95, 3.98]);
     for lambda in lambdas {
-        let base = MmcQueue::new(lambda, mu_base, servers).map_err(|e| e.to_string())?;
-        let fast = MmcQueue::new(lambda, mu_fast, servers).map_err(|e| e.to_string())?;
+        let base = MmcQueue::new(lambda, mu_base, servers)?;
+        let fast = MmcQueue::new(lambda, mu_fast, servers)?;
         curve.push(CurvePoint {
             lambda,
             base_turnaround: base.mean_turnaround(),
             improved_turnaround: fast.mean_turnaround(),
         });
     }
-    let base = MmcQueue::new(3.5, mu_base, servers).map_err(|e| e.to_string())?;
-    let fast = MmcQueue::new(3.5, mu_fast, servers).map_err(|e| e.to_string())?;
+    let base = MmcQueue::new(3.5, mu_base, servers)?;
+    let fast = MmcQueue::new(3.5, mu_fast, servers)?;
     let reduction = 1.0 - fast.mean_turnaround() / base.mean_turnaround();
     Ok(Fig4 {
         curve,

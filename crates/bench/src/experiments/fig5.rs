@@ -7,6 +7,7 @@ use std::fmt;
 use queueing::{LatencyConfig, SizeDist};
 use session::Policy;
 
+use crate::experiments::ExperimentError;
 use crate::mean;
 use crate::study::{Chip, Study};
 
@@ -52,8 +53,8 @@ struct WorkloadRun {
 ///
 /// # Errors
 ///
-/// Propagates simulation/analysis failures as strings.
-pub fn run(study: &Study) -> Result<Fig5, String> {
+/// The sweep's [`session::SweepError`].
+pub fn run(study: &Study) -> Result<Fig5, ExperimentError> {
     let loads = vec![0.8, 0.9, 0.95];
     let workloads = study.workloads();
     let cfg = study.config();
@@ -64,43 +65,40 @@ pub fn run(study: &Study) -> Result<Fig5, String> {
 
     let mut cells = Vec::new();
     for &load in &loads {
-        let runs: Vec<WorkloadRun> = study
-            .sweep(Chip::Smt)
-            .map(|item| {
-                let view = item.view()?;
-                let fcfs_tp = item
-                    .session()
-                    .rates(&view)
-                    .policy(Policy::FcfsEvent)
-                    .run()
-                    .map_err(|e| e.to_string())?
-                    .throughput(Policy::FcfsEvent)
-                    .expect("requested");
-                let latency_cfg = LatencyConfig {
-                    arrival_rate: load * fcfs_tp,
-                    measured_jobs,
-                    warmup_jobs: measured_jobs / 10,
-                    sizes: SizeDist::Exponential,
-                    seed: cfg.seed ^ (load * 1000.0) as u64,
-                };
-                let report = item
-                    .session()
-                    .rates(&view)
-                    .policies(POLICIES)
-                    .latency(latency_cfg)
-                    .run()
-                    .map_err(|e| e.to_string())?;
-                let per_policy = report
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        let l = row.latency.as_ref().expect("latency rows carry reports");
-                        (l.mean_turnaround, l.utilization, l.empty_fraction)
-                    })
-                    .collect();
-                Ok(WorkloadRun { per_policy })
-            })
-            .map_err(|e| e.to_string())?;
+        let runs: Vec<WorkloadRun> = study.sweep(Chip::Smt).map(|item| {
+            let view = item.view()?;
+            let fcfs_tp = item
+                .session()
+                .rates(&view)
+                .policy(Policy::FcfsEvent)
+                .run()
+                .map_err(|e| e.to_string())?
+                .throughput(Policy::FcfsEvent)
+                .expect("requested");
+            let latency_cfg = LatencyConfig {
+                arrival_rate: load * fcfs_tp,
+                measured_jobs,
+                warmup_jobs: measured_jobs / 10,
+                sizes: SizeDist::Exponential,
+                seed: cfg.seed ^ (load * 1000.0) as u64,
+            };
+            let report = item
+                .session()
+                .rates(&view)
+                .policies(POLICIES)
+                .latency(latency_cfg)
+                .run()
+                .map_err(|e| e.to_string())?;
+            let per_policy = report
+                .rows
+                .iter()
+                .map(|row| {
+                    let l = row.latency.as_ref().expect("latency rows carry reports");
+                    (l.mean_turnaround, l.utilization, l.empty_fraction)
+                })
+                .collect();
+            Ok(WorkloadRun { per_policy })
+        })?;
         let mut row = Vec::new();
         for (pi, _) in POLICIES.iter().enumerate() {
             let tnorm: Vec<f64> = runs

@@ -6,6 +6,7 @@ use std::fmt;
 
 use session::Policy;
 
+use crate::experiments::ExperimentError;
 use crate::mean;
 use crate::study::{Chip, Study};
 
@@ -44,8 +45,8 @@ pub struct Fig6 {
 ///
 /// # Errors
 ///
-/// Propagates simulation/analysis failures as strings.
-pub fn run(study: &Study) -> Result<Fig6, String> {
+/// The sweep's [`session::SweepError`] or [`dist::DistError`].
+pub fn run(study: &Study) -> Result<Fig6, ExperimentError> {
     let cfg = study.config();
     let measured_jobs = (cfg.fcfs_jobs / 2).clamp(2_000, 20_000);
 

@@ -1,5 +1,6 @@
 //! One module per reproduced paper artefact, tied together by the
-//! [`Experiment`] registry.
+//! [`REGISTRY`] table: one plain [`Experiment`] row per entry, whose `run`
+//! renders the module's typed result through its `Display`.
 //!
 //! | Registry name | Module | Paper artefact |
 //! |---------------|--------|----------------|
@@ -23,8 +24,11 @@
 //!
 //! Every entry is invocable through the unified driver
 //! (`cargo run --release -p paperbench --bin paperbench -- <name>`), and
-//! [`REGISTRY`] preserves the historical `all`-binary print order so the
-//! combined artefact stream stays byte-identical across the migration.
+//! [`REGISTRY`] keeps the historical `all`-binary print order. An
+//! artefact prints only run-independent values, so `paperbench all`
+//! stdout is byte-identical across runs of one configuration; wall times
+//! and thread-timing-dependent counts go to stderr from the module's
+//! `run`.
 
 pub mod chaos;
 pub mod dist_sweep;
@@ -44,10 +48,17 @@ pub mod serve;
 pub mod table2;
 pub mod unit_ablation;
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::study::{Study, StudyConfig};
+use crate::study::{Study, StudyConfig, StudyError};
+
+/// The experiment layer's one error currency: any source error
+/// ([`StudyError`], [`session::SweepError`], [`dist::DistError`],
+/// [`serve::ServeError`](::serve::ServeError), …) travels through `?`
+/// unchanged, so callers can still `downcast_ref` it; a plain message
+/// converts from `String`/`&str`.
+pub type ExperimentError = Box<dyn std::error::Error + Send + Sync>;
 
 /// Shared context for one driver invocation: the parsed [`StudyConfig`]
 /// plus a lazily built [`Study`].
@@ -60,7 +71,7 @@ use crate::study::{Study, StudyConfig};
 /// (`paperbench all` builds the tables exactly once).
 pub struct ExperimentContext {
     config: StudyConfig,
-    study: OnceLock<Result<Study, String>>,
+    study: OnceLock<Result<Study, Arc<StudyError>>>,
 }
 
 impl ExperimentContext {
@@ -82,183 +93,148 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates simulator/table/store failures as strings; the failure
-    /// is sticky for the context's lifetime.
-    pub fn study(&self) -> Result<&Study, String> {
+    /// The [`StudyError`] of the build, as an `Arc<StudyError>`. The
+    /// failure is sticky: every later call returns the same `Arc` without
+    /// rebuilding.
+    pub fn study(&self) -> Result<&Study, ExperimentError> {
         self.study
             .get_or_init(|| {
                 eprintln!("building performance tables (this is the expensive part)...");
                 let t0 = Instant::now();
-                let study = Study::new(self.config.clone()).map_err(|e| e.to_string())?;
+                let study = Study::new(self.config.clone()).map_err(Arc::new)?;
                 eprintln!("tables ready in {:.1?}", t0.elapsed());
                 Ok(study)
             })
             .as_ref()
-            .map_err(Clone::clone)
+            .map_err(|e| Arc::clone(e).into())
     }
 }
 
 /// One reproduced paper artefact, runnable by name through the registry.
-///
-/// Implementations are thin adapters over the experiment modules' `run`
-/// functions: they pull what they need from the [`ExperimentContext`]
-/// (the shared study, or just the config) and render the artefact with its
-/// `Display` implementation.
-pub trait Experiment: Sync {
+pub struct Experiment {
     /// Registry key, e.g. `fig1`, as in `paperbench fig1`.
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// Which figure/table/section of the paper this reproduces.
-    fn paper_artefact(&self) -> &'static str;
-
-    /// One-line description of what the experiment actually computes and
-    /// reports — the `paperbench --list` line (the artefact label says
-    /// *where* in the paper; this says *what happens*).
-    fn description(&self) -> &'static str;
-
-    /// Runs the experiment and returns the printed artefact.
-    ///
-    /// # Errors
-    ///
-    /// Propagates table-construction and analysis failures as strings.
-    fn run(&self, ctx: &ExperimentContext) -> Result<String, String>;
+    pub artefact: &'static str,
+    /// One-line description of what the experiment computes and reports
+    /// — the `paperbench --list` line (the artefact label says *where* in
+    /// the paper; this says *what happens*).
+    pub description: &'static str,
+    /// Runs the experiment on the shared context and returns the printed
+    /// artefact (the module's `run` rendered through its `Display`).
+    pub run: fn(&ExperimentContext) -> Result<String, ExperimentError>,
 }
 
-macro_rules! registry {
-    ($( $ty:ident { name: $name:literal, artefact: $artefact:literal, desc: $desc:literal, run: $run:expr } ),+ $(,)?) => {
-        $(
-            struct $ty;
-            impl Experiment for $ty {
-                fn name(&self) -> &'static str {
-                    $name
-                }
-                fn paper_artefact(&self) -> &'static str {
-                    $artefact
-                }
-                fn description(&self) -> &'static str {
-                    $desc
-                }
-                fn run(&self, ctx: &ExperimentContext) -> Result<String, String> {
-                    let run: fn(&ExperimentContext) -> Result<String, String> = $run;
-                    run(ctx)
-                }
-            }
-        )+
-        /// Every experiment, in the `all` artefact print order (kept from
-        /// the pre-registry `all` binary so its combined output is
-        /// byte-identical).
-        pub const REGISTRY: &[&dyn Experiment] = &[$(&$ty),+];
-    };
-}
-
-registry! {
-    Fig1 {
+/// Every experiment, in the `all` artefact print order (kept from the
+/// pre-registry `all` binary so its combined output is byte-identical).
+pub static REGISTRY: &[Experiment] = &[
+    Experiment {
         name: "fig1",
         artefact: "Figure 1 — per-job IPC / instantaneous / average throughput variability",
-        desc: "sweeps every workload and reports per-job, instantaneous and average throughput spreads",
-        run: |ctx| Ok(fig1::run(ctx.study()?)?.to_string())
+        description: "sweeps every workload and reports per-job, instantaneous and average throughput spreads",
+        run: |ctx| Ok(fig1::run(ctx.study()?)?.to_string()),
     },
-    Fig2 {
+    Experiment {
         name: "fig2",
         artefact: "Figure 2 — FCFS-vs-worst against optimal-vs-worst scatter",
-        desc: "correlates the FCFS-over-worst gain with the optimal-over-worst headroom per workload",
-        run: |ctx| Ok(fig2::run(ctx.study()?)?.to_string())
+        description: "correlates the FCFS-over-worst gain with the optimal-over-worst headroom per workload",
+        run: |ctx| Ok(fig2::run(ctx.study()?)?.to_string()),
     },
-    Fig3 {
+    Experiment {
         name: "fig3",
         artefact: "Figure 3 — throughput variability vs linear-bottleneck LSQ error",
-        desc: "fits the linear-bottleneck model per workload and plots its error against variability",
-        run: |ctx| Ok(fig3::run(ctx.study()?)?.to_string())
+        description: "fits the linear-bottleneck model per workload and plots its error against variability",
+        run: |ctx| Ok(fig3::run(ctx.study()?)?.to_string()),
     },
-    Table2 {
+    Experiment {
         name: "table2",
         artefact: "Table II — coschedule heterogeneity time fractions",
-        desc: "measures the time each scheduler spends in every coschedule-heterogeneity class",
-        run: |ctx| Ok(table2::run(ctx.study()?)?.to_string())
+        description: "measures the time each scheduler spends in every coschedule-heterogeneity class",
+        run: |ctx| Ok(table2::run(ctx.study()?)?.to_string()),
     },
-    Fig4 {
+    Experiment {
         name: "fig4",
         artefact: "Figure 4 — turnaround vs arrival rate (analytic M/M/4)",
-        desc: "solves the analytic M/M/4 worked example (no simulation, no tables)",
-        run: |_ctx| Ok(fig4::run()?.to_string())
+        description: "solves the analytic M/M/4 worked example (no simulation, no tables)",
+        run: |_ctx| Ok(fig4::run()?.to_string()),
     },
-    Fig5 {
+    Experiment {
         name: "fig5",
         artefact: "Figure 5 — turnaround / utilisation / empty fraction per scheduler",
-        desc: "runs the Poisson-arrival latency experiment for the four Section VI schedulers",
-        run: |ctx| Ok(fig5::run(ctx.study()?)?.to_string())
+        description: "runs the Poisson-arrival latency experiment for the four Section VI schedulers",
+        run: |ctx| Ok(fig5::run(ctx.study()?)?.to_string()),
     },
-    Fig6 {
+    Experiment {
         name: "fig6",
         artefact: "Figure 6 — saturated throughput per scheduler vs LP bounds",
-        desc: "compares each scheduler's saturated throughput against the LP optimal/worst bounds",
-        run: |ctx| Ok(fig6::run(ctx.study()?)?.to_string())
+        description: "compares each scheduler's saturated throughput against the LP optimal/worst bounds",
+        run: |ctx| Ok(fig6::run(ctx.study()?)?.to_string()),
     },
-    N8 {
+    Experiment {
         name: "n8",
         artefact: "Section V-B — N = 8 sensitivity",
-        desc: "repeats the headline throughput comparison with N = 8 job types per workload",
-        run: |ctx| Ok(n8::run(ctx.study()?)?.to_string())
+        description: "repeats the headline throughput comparison with N = 8 job types per workload",
+        run: |ctx| Ok(n8::run(ctx.study()?)?.to_string()),
     },
-    N12K8 {
+    Experiment {
         name: "n12_k8",
         artefact: "Beyond the paper — N = 12 / K = 8 big-machine scaling",
-        desc: "scales to 12 types on a synthetic 8-context machine through the sparse solvers",
-        run: |ctx| Ok(n12_k8::run(ctx.config())?.to_string())
+        description: "scales to 12 types on a synthetic 8-context machine through the sparse solvers",
+        run: |ctx| Ok(n12_k8::run(ctx.config())?.to_string()),
     },
-    ModelAccuracy {
+    Experiment {
         name: "model_accuracy",
         artefact: "Beyond the paper — sampled + predicted N = 12 / K = 8 rate models",
-        desc: "fits interference models on a <=10% sample of the K = 8 sweep and scores the predictions",
-        run: |ctx| Ok(model_accuracy::run(ctx.config())?.to_string())
+        description: "fits interference models on a <=10% sample of the K = 8 sweep and scores the predictions",
+        run: |ctx| Ok(model_accuracy::run(ctx.config())?.to_string()),
     },
-    Fairness {
+    Experiment {
         name: "fairness",
         artefact: "Section V-D — fairness counterfactual",
-        desc: "redistributes per-job rates inside the heterogeneous coschedule and re-solves the LP",
-        run: |ctx| Ok(fairness::run(ctx.study()?)?.to_string())
+        description: "redistributes per-job rates inside the heterogeneous coschedule and re-solves the LP",
+        run: |ctx| Ok(fairness::run(ctx.study()?)?.to_string()),
     },
-    Sec7 {
+    Experiment {
         name: "sec7",
         artefact: "Section VII — fetch/ROB policy study under FCFS vs optimal",
-        desc: "re-runs the study across fetch/ROB microarchitecture policies on both chips",
-        run: |ctx| Ok(sec7::run(ctx.study()?)?.to_string())
+        description: "re-runs the study across fetch/ROB microarchitecture policies on both chips",
+        run: |ctx| Ok(sec7::run(ctx.study()?)?.to_string()),
     },
-    UnitAblation {
+    Experiment {
         name: "unit_ablation",
         artefact: "Section III-B — plain-instruction unit-of-work ablation",
-        desc: "repeats the headline comparison with plain instructions as the unit of work",
-        run: |ctx| Ok(unit_ablation::run(ctx.study()?)?.to_string())
+        description: "repeats the headline comparison with plain instructions as the unit of work",
+        run: |ctx| Ok(unit_ablation::run(ctx.study()?)?.to_string()),
     },
-    Serve {
+    Experiment {
         name: "serve",
         artefact: "Beyond the paper — online service with a live digital-twin model loop",
-        desc: "streams seeded arrivals through dispatcher/twin and compares placers against offline bounds",
-        run: |ctx| Ok(self::serve::run(ctx.config())?.to_string())
+        description: "streams seeded arrivals through dispatcher/twin and compares placers against offline bounds",
+        run: |ctx| Ok(self::serve::run(ctx.config())?.to_string()),
     },
-    DistSweepExp {
+    Experiment {
         name: "dist_sweep",
         artefact: "Beyond the paper — sharded sweep across fault-tolerant workers",
-        desc: "shards the headline sweep over a worker fleet and verifies the merged report bitwise",
-        run: |ctx| Ok(dist_sweep::run(ctx.study()?)?.to_string())
+        description: "shards the headline sweep over a worker fleet and verifies the merged report bitwise",
+        run: |ctx| Ok(dist_sweep::run(ctx.study()?)?.to_string()),
     },
-    ChaosExp {
+    Experiment {
         name: "chaos",
         artefact: "Beyond the paper — chaos layer: seeded fault storms over dist and serve",
-        desc: "injects seeded crash/hang/corrupt/duplicate faults and proves parity, breaker trip/recovery and clean panic surfacing",
-        run: |ctx| Ok(chaos::run(ctx.config())?.to_string())
+        description: "injects seeded crash/hang/corrupt/duplicate faults and proves parity, breaker trip/recovery and clean panic surfacing",
+        run: |ctx| Ok(chaos::run(ctx.config())?.to_string()),
     },
-    ObsExp {
+    Experiment {
         name: "obs",
         artefact: "Beyond the paper — observability: metrics, spans and JSONL tracing across the stack",
-        desc: "runs instrumented sweep + serve legs and pretty-prints the metric snapshots each report embeds",
-        run: |ctx| Ok(self::obs::run(ctx.config())?.to_string())
+        description: "runs instrumented sweep + serve legs and pretty-prints the metric snapshots each report embeds",
+        run: |ctx| Ok(self::obs::run(ctx.config())?.to_string()),
     },
-}
+];
 
 /// Looks an experiment up by registry name (exact match).
-pub fn by_name(name: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY.iter().copied().find(|e| e.name() == name)
+pub fn by_name(name: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.name == name)
 }
 
 #[cfg(test)]
@@ -268,7 +244,7 @@ mod registry_tests {
     #[test]
     fn registry_names_are_unique_and_resolvable() {
         assert_eq!(REGISTRY.len(), 17);
-        let mut names: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+        let mut names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
         for name in &names {
             assert!(by_name(name).is_some(), "{name} resolves");
         }
@@ -280,7 +256,7 @@ mod registry_tests {
 
     #[test]
     fn registry_keeps_the_all_binary_print_order() {
-        let order: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+        let order: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
         assert_eq!(
             order,
             [
@@ -308,18 +284,17 @@ mod registry_tests {
     #[test]
     fn every_experiment_describes_itself() {
         for e in REGISTRY {
-            let desc = e.description();
-            assert!(!desc.is_empty(), "{} has no description", e.name());
+            let desc = e.description;
+            assert!(!desc.is_empty(), "{} has no description", e.name);
             assert!(
                 !desc.contains('\n'),
                 "{} description must be one line",
-                e.name()
+                e.name
             );
             assert_ne!(
-                desc,
-                e.paper_artefact(),
+                desc, e.artefact,
                 "{} description must add to the artefact label",
-                e.name()
+                e.name
             );
         }
     }
@@ -327,7 +302,7 @@ mod registry_tests {
     #[test]
     fn analytic_experiments_run_without_building_tables() {
         let ctx = ExperimentContext::new(StudyConfig::fast());
-        let artefact = by_name("fig4").unwrap().run(&ctx).unwrap();
+        let artefact = (by_name("fig4").unwrap().run)(&ctx).unwrap();
         assert!(artefact.contains("Figure 4"));
         assert!(
             ctx.study.get().is_none(),

@@ -33,6 +33,7 @@ use symbiosis::enumerate_workloads;
 use workloads::{PerfTable, WorkUnit};
 
 use crate::experiments::n12_k8::{self, CONTEXTS, SUITE};
+use crate::experiments::ExperimentError;
 use crate::study::StudyConfig;
 use crate::{kendall_tau, pct};
 
@@ -120,8 +121,8 @@ pub struct ModelAccuracy {
 ///
 /// # Errors
 ///
-/// Propagates sampling/fit/analysis failures as strings.
-pub fn run(cfg: &StudyConfig) -> Result<ModelAccuracy, String> {
+/// The table's, sampler's, fit's or sweep's error.
+pub fn run(cfg: &StudyConfig) -> Result<ModelAccuracy, ExperimentError> {
     run_with(cfg, &[Policy::Worst, Policy::Optimal, Policy::FcfsMarkov])
 }
 
@@ -130,35 +131,31 @@ pub fn run(cfg: &StudyConfig) -> Result<ModelAccuracy, String> {
 ///
 /// # Errors
 ///
-/// Propagates sampling/fit/analysis failures as strings.
-pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy, String> {
-    let err = |e: &dyn std::fmt::Display| e.to_string();
-
+/// The table's, sampler's, fit's or sweep's error.
+pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy, ExperimentError> {
     // The fully measured reference: the analytic K = 8 machine, swept
     // exhaustively (what the sampled pipeline is trying to avoid needing).
     let measured = n12_k8::synthetic_table()?;
     let types: Vec<usize> = (0..SUITE).collect();
-    let truth = measured.workload_rates(&types).map_err(|e| err(&e))?;
+    let truth = measured.workload_rates(&types)?;
 
     // Measure only the stratified sample budget.
-    let plan = stratified_plan(SUITE, CONTEXTS, SAMPLE_BUDGET, cfg.seed).map_err(|e| err(&e))?;
+    let plan = stratified_plan(SUITE, CONTEXTS, SAMPLE_BUDGET, cfg.seed)?;
     debug_assert!(plan.fraction() <= 0.10, "acceptance budget is 10%");
     let names = n12_k8::suite_names();
     let sampled = PerfTable::synthetic_sampled(names.clone(), CONTEXTS, plan.indices(), |combo| {
         (0..combo.len())
             .map(|slot| n12_k8::slot_ipc(combo, slot))
             .collect()
-    })
-    .map_err(|e| err(&e))?;
-    let samples = samples_from_table(&sampled, &types, WorkUnit::Weighted).map_err(|e| err(&e))?;
+    })?;
+    let samples = samples_from_table(&sampled, &types, WorkUnit::Weighted)?;
 
     // Rank-agreement leg: measured OPTIMAL landscape over N = 4 mixes.
     let workloads = cfg.sample_workloads(enumerate_workloads(SUITE, RANK_WORKLOAD_SIZE));
     let measured_sweep = cfg
         .sweep(&measured, workloads.clone())
         .policies([Policy::Optimal])
-        .run()
-        .map_err(|e| err(&e))?;
+        .run()?;
     let measured_optimal = measured_sweep.throughputs(Policy::Optimal);
 
     let fitters: Vec<Box<dyn Fitter>> =
@@ -167,23 +164,21 @@ pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy,
     let mut headline_rows = Vec::new();
     let headline_fitter = InterferenceFitter.name();
     for fitter in fitters {
-        let model =
-            PredictedModel::fit(SUITE, CONTEXTS, samples.clone(), fitter).map_err(|e| err(&e))?;
+        let model = PredictedModel::fit(SUITE, CONTEXTS, samples.clone(), fitter)?;
 
         // Predicted OPTIMAL landscape through the sweep surface: the
         // predicted table is a rate source like any other.
-        let predicted_table = model.to_table(names.clone()).map_err(|e| err(&e))?;
+        let predicted_table = model.to_table(names.clone())?;
         let predicted_sweep = cfg
             .sweep(&predicted_table, workloads.clone())
             .unit(WorkUnit::Plain)
             .policies([Policy::Optimal])
-            .run()
-            .map_err(|e| err(&e))?;
+            .run()?;
         let tau = kendall_tau(
             &measured_optimal,
             &predicted_sweep.throughputs(Policy::Optimal),
         )
-        .ok_or_else(|| "degenerate rank-agreement sample".to_string())?;
+        .ok_or("degenerate rank-agreement sample")?;
 
         if model.fitter_name() == headline_fitter {
             // The headline N = 12 leg: a Session consuming the predicted
@@ -192,14 +187,12 @@ pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy,
                 .session()
                 .rates(&model)
                 .policies(headline.iter().copied())
-                .run()
-                .map_err(|e| err(&e))?;
+                .run()?;
             let measured_report = cfg
                 .session()
                 .rates(&truth)
                 .policies(headline.iter().copied())
-                .run()
-                .map_err(|e| err(&e))?;
+                .run()?;
             headline_rows = headline
                 .iter()
                 .map(|&policy| PolicyRow {
@@ -214,7 +207,7 @@ pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy,
             fitter: model.fitter_name(),
             samples: model.samples().len(),
             fit: model.fit_error(),
-            full: model.error_against(&truth).map_err(|e| err(&e))?,
+            full: model.error_against(&truth)?,
             rank_tau: tau,
         });
     }
@@ -242,21 +235,19 @@ pub fn run_with(cfg: &StudyConfig, headline: &[Policy]) -> Result<ModelAccuracy,
 /// smt8 table and score it against every simulated combo — the same
 /// predict-instead-of-measure move as the synthetic pipeline, but with a
 /// cycle-level simulator as the oracle.
-fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedAccuracy, String> {
-    let err = |e: &dyn std::fmt::Display| e.to_string();
+fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedAccuracy, ExperimentError> {
     let suite = StudyConfig::K8_SUITE.len();
-    let table = cfg.build_k8_table().map_err(|e| err(&e))?;
+    let table = cfg.build_k8_table()?;
     let contexts = table.contexts();
     let types: Vec<usize> = (0..suite).collect();
-    let truth = table.workload_rates(&types).map_err(|e| err(&e))?;
-    let all = samples_from_table(&table, &types, WorkUnit::Weighted).map_err(|e| err(&e))?;
+    let truth = table.workload_rates(&types)?;
+    let all = samples_from_table(&table, &types, WorkUnit::Weighted)?;
     let total = all.len();
 
     // The stratified plan indexes the size-major coschedule enumeration;
     // map its indices to count vectors (recorded-combo order is sorted by
     // combo, not by enumeration position).
-    let plan =
-        stratified_plan(suite, contexts, SIMULATED_SAMPLE_BUDGET, cfg.seed).map_err(|e| err(&e))?;
+    let plan = stratified_plan(suite, contexts, SIMULATED_SAMPLE_BUDGET, cfg.seed)?;
     debug_assert!(plan.fraction() <= 0.10, "acceptance budget is 10%");
     let picked: std::collections::HashSet<usize> = plan.indices().iter().copied().collect();
     let mut selected: std::collections::HashSet<Vec<u32>> =
@@ -284,14 +275,13 @@ fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedAccuracy, String> {
                 .all(|(&c, &r)| c == 0 || r > 0.0)
         })
         .collect();
-    let model = PredictedModel::fit(suite, contexts, train, Box::new(InterferenceFitter))
-        .map_err(|e| err(&e))?;
+    let model = PredictedModel::fit(suite, contexts, train, Box::new(InterferenceFitter))?;
     Ok(SimulatedAccuracy {
         suite,
         train: model.samples().len(),
         total,
         fit: model.fit_error(),
-        full: model.error_against(&truth).map_err(|e| err(&e))?,
+        full: model.error_against(&truth)?,
     })
 }
 

@@ -20,6 +20,7 @@ use simproc::MachineConfig;
 use symbiosis::{enumerate_workloads, CoscheduleIter};
 use workloads::PerfTable;
 
+use crate::experiments::ExperimentError;
 use crate::study::StudyConfig;
 use crate::{max, mean, pct};
 
@@ -49,8 +50,6 @@ pub struct Leg {
     pub max_gain: f64,
     /// Workloads analysed.
     pub workloads: usize,
-    /// Wall-clock seconds the leg's sweep took.
-    pub wall_secs: f64,
 }
 
 /// The really-simulated leg: the same scenario shape on a table that was
@@ -150,36 +149,31 @@ pub fn synthetic_table() -> Result<PerfTable, String> {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(cfg: &StudyConfig) -> Result<N12K8, String> {
+/// The table's or the sweeps' errors.
+pub fn run(cfg: &StudyConfig) -> Result<N12K8, ExperimentError> {
     run_for(cfg, &[4, 8, 12])
 }
 
 /// Runs the scenario for explicit workload sizes (tests use a reduced
-/// list; the binary runs all three).
+/// list; the binary runs all three). Each leg's sweep wall time goes
+/// to stderr.
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run_for(cfg: &StudyConfig, ns: &[usize]) -> Result<N12K8, String> {
+/// The table's or the sweeps' errors.
+pub fn run_for(cfg: &StudyConfig, ns: &[usize]) -> Result<N12K8, ExperimentError> {
     let table = synthetic_table()?;
     let mut legs = Vec::with_capacity(ns.len());
     for &n in ns {
         let workloads = cfg.sample_workloads(enumerate_workloads(SUITE, n));
-        let start = Instant::now();
-        let sweep = cfg.run_sweep(
-            cfg.sweep(&table, workloads)
-                .policies([Policy::Optimal, Policy::FcfsEvent]),
-        )?;
-        let gains = sweep.gains(Policy::Optimal, Policy::FcfsEvent);
-        legs.push(Leg {
+        legs.push(sweep_leg(
+            cfg,
+            &table,
             n,
-            coschedules: CoscheduleIter::count_total(n, CONTEXTS),
-            mean_gain: mean(&gains),
-            max_gain: max(&gains),
-            workloads: sweep.len(),
-            wall_secs: start.elapsed().as_secs_f64(),
-        });
+            CONTEXTS,
+            workloads,
+            Policy::FcfsEvent,
+        )?);
     }
     let simulated = if cfg.simulated_k8 {
         Some(simulated_leg(cfg)?)
@@ -198,61 +192,71 @@ pub fn run_for(cfg: &StudyConfig, ns: &[usize]) -> Result<N12K8, String> {
 /// ten-context machine and sweeps its single full workload with
 /// OPTIMAL (column generation) vs FCFS-MARKOV (19 448 states, the
 /// accelerated color-ordered SOR path).
-fn k10_leg(cfg: &StudyConfig) -> Result<K10Leg, String> {
+fn k10_leg(cfg: &StudyConfig) -> Result<K10Leg, ExperimentError> {
     let contexts = MachineConfig::smt10().contexts();
     let names: Vec<String> = suite_names().into_iter().take(K10_SUITE).collect();
     let table = PerfTable::synthetic(names, contexts, |combo| {
         (0..combo.len()).map(|slot| slot_ipc(combo, slot)).collect()
-    })
-    .map_err(|e| e.to_string())?;
+    })?;
     // One workload: all K10_SUITE types at once.
     let workloads = enumerate_workloads(K10_SUITE, K10_SUITE);
-    let start = Instant::now();
-    let sweep = cfg.run_sweep(
-        cfg.sweep(&table, workloads)
-            .policies([Policy::Optimal, Policy::FcfsMarkov]),
-    )?;
-    let gains = sweep.gains(Policy::Optimal, Policy::FcfsMarkov);
     Ok(K10Leg {
         contexts,
         suite: K10_SUITE,
         table_combos: table.len(),
-        leg: Leg {
-            n: K10_SUITE,
-            coschedules: CoscheduleIter::count_total(K10_SUITE, contexts),
-            mean_gain: mean(&gains),
-            max_gain: max(&gains),
-            workloads: sweep.len(),
-            wall_secs: start.elapsed().as_secs_f64(),
-        },
+        leg: sweep_leg(
+            cfg,
+            &table,
+            K10_SUITE,
+            contexts,
+            workloads,
+            Policy::FcfsMarkov,
+        )?,
     })
 }
 
 /// The `--simulated-k8` leg: N = 4 workloads from the really-simulated
 /// smt8 sub-suite table ([`StudyConfig::build_k8_table`]), swept with the
 /// same OPTIMAL-vs-FCFS comparison as the synthetic legs.
-fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedLeg, String> {
+fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedLeg, ExperimentError> {
     let suite = StudyConfig::K8_SUITE.len();
     let n = 4;
-    let table = cfg.build_k8_table().map_err(|e| e.to_string())?;
+    let table = cfg.build_k8_table()?;
     let workloads = cfg.sample_workloads(enumerate_workloads(suite, n));
-    let start = Instant::now();
-    let sweep = cfg.run_sweep(
-        cfg.sweep(&table, workloads)
-            .policies([Policy::Optimal, Policy::FcfsEvent]),
-    )?;
-    let gains = sweep.gains(Policy::Optimal, Policy::FcfsEvent);
     Ok(SimulatedLeg {
         suite,
         table_combos: table.len(),
-        leg: Leg {
-            n,
-            coschedules: CoscheduleIter::count_total(n, CONTEXTS),
-            mean_gain: mean(&gains),
-            max_gain: max(&gains),
-            workloads: sweep.len(),
-            wall_secs: start.elapsed().as_secs_f64(),
-        },
+        leg: sweep_leg(cfg, &table, n, CONTEXTS, workloads, Policy::FcfsEvent)?,
+    })
+}
+
+/// Sweeps `workloads` of `n` types on `table` (a `contexts`-context
+/// machine), OPTIMAL against `baseline`, into one leg. The sweep's wall
+/// time goes to stderr: it is not part of the artefact.
+fn sweep_leg(
+    cfg: &StudyConfig,
+    table: &PerfTable,
+    n: usize,
+    contexts: usize,
+    workloads: Vec<Vec<usize>>,
+    baseline: Policy,
+) -> Result<Leg, ExperimentError> {
+    let start = Instant::now();
+    let sweep = cfg.run_sweep(
+        cfg.sweep(table, workloads)
+            .policies([Policy::Optimal, baseline]),
+    )?;
+    eprintln!(
+        "n12_k8: N = {n} on K = {contexts} swept in {:.2?}",
+        start.elapsed()
+    );
+    let gains = sweep.gains(Policy::Optimal, baseline);
+    Ok(Leg {
+        n,
+        coschedules: CoscheduleIter::count_total(n, contexts),
+        mean_gain: mean(&gains),
+        max_gain: max(&gains),
+        workloads: sweep.len(),
     })
 }
 
@@ -260,23 +264,21 @@ fn simulated_leg(cfg: &StudyConfig) -> Result<SimulatedLeg, String> {
 fn leg_row(f: &mut fmt::Formatter<'_>, leg: &Leg) -> fmt::Result {
     writeln!(
         f,
-        "{:<6} {:>12} {:>12} {:>12} {:>10} {:>10}",
+        "{:<6} {:>12} {:>12} {:>12} {:>10}",
         leg.n,
         leg.coschedules,
         pct(leg.mean_gain),
         pct(leg.max_gain),
         leg.workloads,
-        format!("{:.2}s", leg.wall_secs),
     )
 }
 
-/// The shared column header (the last column is the wall-clock the leg's
-/// sweep took).
+/// The shared column header.
 fn leg_header(f: &mut fmt::Formatter<'_>) -> fmt::Result {
     writeln!(
         f,
-        "{:<6} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "N", "coschedules", "mean gain", "max gain", "workloads", "wall"
+        "{:<6} {:>12} {:>12} {:>12} {:>10}",
+        "N", "coschedules", "mean gain", "max gain", "workloads"
     )
 }
 
@@ -348,7 +350,6 @@ mod tests {
             );
             assert!(leg.max_gain < 1.0, "gains stay plausible");
             assert_eq!(leg.workloads, 4);
-            assert!(leg.wall_secs >= 0.0, "wall clock is measured");
         }
         // The always-on K = 10 stress leg: the single full workload of the
         // sub-suite, with a chain big enough for the accelerated solver.

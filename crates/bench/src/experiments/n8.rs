@@ -7,6 +7,7 @@ use std::fmt;
 use session::Policy;
 use symbiosis::enumerate_workloads;
 
+use crate::experiments::ExperimentError;
 use crate::study::{Chip, Study};
 use crate::{max, mean, pct};
 
@@ -23,7 +24,7 @@ pub struct N8 {
     pub workloads: (usize, usize),
 }
 
-fn mean_gain(study: &Study, n: usize) -> Result<(f64, f64, usize), String> {
+fn mean_gain(study: &Study, n: usize) -> Result<(f64, f64, usize), ExperimentError> {
     let cfg = study.config();
     let workloads = cfg.sample_workloads(enumerate_workloads(12, n));
     let sweep = cfg.run_sweep(
@@ -38,8 +39,8 @@ fn mean_gain(study: &Study, n: usize) -> Result<(f64, f64, usize), String> {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(study: &Study) -> Result<N8, String> {
+/// The sweep's [`session::SweepError`] or [`dist::DistError`].
+pub fn run(study: &Study) -> Result<N8, ExperimentError> {
     let (gain_n4, _, w4) = mean_gain(study, 4)?;
     let (gain_n8, max_gain_n8, w8) = mean_gain(study, 8)?;
     Ok(N8 {

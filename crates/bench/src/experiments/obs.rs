@@ -1,6 +1,10 @@
 //! Beyond the paper: the observability registry check — an instrumented
-//! sweep leg plus an instrumented serve leg, pretty-printing the
-//! [`obs::MetricsSnapshot`] each report embeds.
+//! sweep leg plus an instrumented serve leg, printing the
+//! [`obs::MetricsSnapshot`] each report embeds. The artefact keeps the
+//! run-independent part of each snapshot (every counter, each histogram's
+//! count and the virtual-time `serve.queue_depth` gauge); the full
+//! snapshots, with their wall-clock histogram means and the
+//! thread-overlap `sweep.pool_active` gauge, go to stderr.
 //!
 //! Every other experiment runs with instrumentation *disabled* (no
 //! recorder installed, so every hook is a single relaxed atomic load).
@@ -28,6 +32,7 @@ use symbiosis::{enumerate_workloads, RateModel};
 
 use crate::experiments::n12_k8;
 use crate::experiments::serve::{balanced_counts, seed_model, LOAD_FACTOR, SYNTH_TYPES};
+use crate::experiments::ExperimentError;
 use crate::study::StudyConfig;
 
 /// Workload size of the sweep leg: keeps every rate table dense (165
@@ -42,6 +47,11 @@ pub const SWEEP_WORKLOADS: usize = 8;
 /// Jobs the serve leg streams — enough for waiting-pool motion and
 /// several background twin refits.
 pub const SERVE_JOBS: usize = 200;
+
+/// The one gauge the artefact prints: the serve leg's waiting-pool depth,
+/// which moves in the run's virtual time. Every other gauge (the sweep
+/// pool's `sweep.pool_active`) depends on how threads overlapped.
+const STABLE_GAUGE: &str = "serve.queue_depth";
 
 /// Result of the observability check.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +80,7 @@ pub struct ObsStudy {
 /// Propagates table/sweep/serve failures, and reports a broken contract
 /// (missing or miscounted embedded metrics) as an error — this
 /// experiment is the registry's guard that instrumentation stays wired.
-pub fn run(cfg: &StudyConfig) -> Result<ObsStudy, String> {
+pub fn run(cfg: &StudyConfig) -> Result<ObsStudy, ExperimentError> {
     // Reuse the driver's global recorder when `--trace` installed one;
     // otherwise run on a private recorder so the legs always measure.
     let external = obs::current();
@@ -94,14 +104,15 @@ pub fn run(cfg: &StudyConfig) -> Result<ObsStudy, String> {
         return Err(format!(
             "sweep leg embedded {items:?} sweep.items for {} rows — instrumentation unwired?",
             sweep.len()
-        ));
+        )
+        .into());
     }
 
     // Serve leg: the online service on the SYNTH_TYPES-restricted truth,
     // greedy placer, background twin — the serve experiment's scenario
     // at a fraction of its job count.
     let types: Vec<usize> = (0..SYNTH_TYPES).collect();
-    let truth = table.workload_view(&types).map_err(|e| e.to_string())?;
+    let truth = table.workload_view(&types)?;
     let (n, k) = (truth.num_types(), truth.contexts());
     let capacity = truth.instantaneous_throughput(&balanced_counts(n, k));
     let serve_cfg = ServeConfig {
@@ -117,16 +128,18 @@ pub fn run(cfg: &StudyConfig) -> Result<ObsStudy, String> {
         seed_model(&truth)?,
         Box::new(PolicyPlacer::greedy()),
         &serve_cfg,
-    )
-    .map_err(|e| e.to_string())?;
-    if !report.metrics.gauges.contains_key("serve.queue_depth")
+    )?;
+    if !report.metrics.gauges.contains_key(STABLE_GAUGE)
         || !report.metrics.histograms.contains_key("serve.place_us")
     {
         return Err(format!(
             "serve leg embedded no queue/placement metrics — instrumentation unwired? got:\n{}",
             report.metrics
-        ));
+        )
+        .into());
     }
+    eprintln!("obs: sweep leg metrics\n{}", sweep.metrics);
+    eprintln!("obs: serve leg metrics\n{}", report.metrics);
 
     Ok(ObsStudy {
         types: n12_k8::SUITE,
@@ -161,13 +174,13 @@ impl fmt::Display for ObsStudy {
             "sweep leg — {} workload(s) of size {SWEEP_N}, OPTIMAL + FCFS-MARKOV:",
             self.sweep_workloads
         )?;
-        write!(f, "{}", self.sweep_metrics)?;
+        write_stable(f, &self.sweep_metrics)?;
         writeln!(
             f,
             "\nserve leg — {} job(s), GREEDY placer, background digital twin:",
             self.serve_jobs
         )?;
-        write!(f, "{}", self.serve_metrics)?;
+        write_stable(f, &self.serve_metrics)?;
         writeln!(
             f,
             "\nEvery counter/gauge/histogram above was recorded by production code\n\
@@ -175,6 +188,29 @@ impl fmt::Display for ObsStudy {
              atomic load (see the bench crate's BENCH_session.json delta)."
         )
     }
+}
+
+/// The run-independent part of a snapshot, in [`obs::MetricsSnapshot`]'s
+/// own layout: every counter, the [`STABLE_GAUGE`] and each histogram's
+/// count (its mean and quantile are wall-clock times).
+fn write_stable(f: &mut fmt::Formatter<'_>, m: &obs::MetricsSnapshot) -> fmt::Result {
+    if !m.counters.is_empty() {
+        writeln!(f, "counters")?;
+        for (name, value) in &m.counters {
+            writeln!(f, "  {name:<42} {value:>12}")?;
+        }
+    }
+    if let Some(g) = m.gauges.get(STABLE_GAUGE) {
+        writeln!(f, "gauges{:>49}{:>13}", "value", "peak")?;
+        writeln!(f, "  {STABLE_GAUGE:<42} {:>12} {:>12}", g.value, g.max)?;
+    }
+    if !m.histograms.is_empty() {
+        writeln!(f, "histograms{:>45}", "count")?;
+        for (name, h) in &m.histograms {
+            writeln!(f, "  {name:<42} {:>12}", h.count)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use session::Policy as SessionPolicy;
 use simproc::{FetchPolicy, MachineConfig, RobPartitioning};
 use workloads::PerfTable;
 
+use crate::experiments::ExperimentError;
 use crate::study::{Study, StudyConfig};
 use crate::{mean, pct};
 
@@ -91,17 +92,16 @@ pub struct Sec7 {
 ///
 /// # Errors
 ///
-/// Propagates sweep failures as strings.
+/// The sweep's [`session::SweepError`].
 pub fn workload_throughputs(
     table: &PerfTable,
     workload: &[usize],
     config: &StudyConfig,
-) -> Result<(f64, f64), String> {
+) -> Result<(f64, f64), ExperimentError> {
     let report = config
         .sweep(table, vec![workload.to_vec()])
         .policies([SessionPolicy::FcfsEvent, SessionPolicy::Optimal])
-        .run()
-        .map_err(|e| e.to_string())?;
+        .run()?;
     Ok((
         report.throughputs(SessionPolicy::FcfsEvent)[0],
         report.throughputs(SessionPolicy::Optimal)[0],
@@ -114,8 +114,9 @@ pub fn workload_throughputs(
 ///
 /// # Errors
 ///
-/// Propagates simulation/analysis failures as strings.
-pub fn run(study: &Study) -> Result<Sec7, String> {
+/// The table build's [`crate::StudyError`] or the sweep's
+/// [`session::SweepError`].
+pub fn run(study: &Study) -> Result<Sec7, ExperimentError> {
     let cfg = study.config();
     let workloads = study.workloads();
 
@@ -126,12 +127,11 @@ pub fn run(study: &Study) -> Result<Sec7, String> {
         let mc = MachineConfig::smt4()
             .with_fetch_policy(policy.fetch)
             .with_rob_partitioning(policy.rob);
-        let table = cfg.build_table(mc).map_err(|e| e.to_string())?;
+        let table = cfg.build_table(mc)?;
         let sweep = cfg
             .sweep(&table, workloads.clone())
             .policies([SessionPolicy::FcfsEvent, SessionPolicy::Optimal])
-            .run()
-            .map_err(|e| e.to_string())?;
+            .run()?;
         per_policy_fcfs.push(sweep.throughputs(SessionPolicy::FcfsEvent));
         per_policy_opt.push(sweep.throughputs(SessionPolicy::Optimal));
     }

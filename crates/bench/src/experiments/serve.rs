@@ -27,7 +27,7 @@ use serve::{run_serve, BeamPlacer, Placer, PolicyPlacer, ServeConfig};
 use session::Policy;
 use symbiosis::{CoscheduleIter, RateModel};
 
-use crate::experiments::n12_k8;
+use crate::experiments::{n12_k8, ExperimentError};
 use crate::pct;
 use crate::study::StudyConfig;
 
@@ -112,14 +112,18 @@ fn measure(truth: &dyn RateModel, counts: &[u32]) -> RateSample {
 /// Fits the twin's starting model from the cheap measurements only:
 /// every coschedule of size 1 and 2 (solos and pairs). Shared with the
 /// `obs` experiment's serve leg.
-pub(crate) fn seed_model(truth: &dyn RateModel) -> Result<PredictedModel, String> {
+pub(crate) fn seed_model(truth: &dyn RateModel) -> Result<PredictedModel, ExperimentError> {
     let n = truth.num_types();
     let samples: Vec<RateSample> = (1..=2)
         .flat_map(|s| CoscheduleIter::new(n, s))
         .map(|c| measure(truth, c.counts()))
         .collect();
-    PredictedModel::fit(n, truth.contexts(), samples, Box::new(InterferenceFitter))
-        .map_err(|e| e.to_string())
+    Ok(PredictedModel::fit(
+        n,
+        truth.contexts(),
+        samples,
+        Box::new(InterferenceFitter),
+    )?)
 }
 
 /// The balanced full coschedule (contexts split as evenly as possible
@@ -138,17 +142,17 @@ pub(crate) fn balanced_counts(n: usize, k: usize) -> Vec<u32> {
 ///
 /// # Errors
 ///
-/// Propagates table/fit/serve/session failures as strings.
-pub fn run(cfg: &StudyConfig) -> Result<ServeStudy, String> {
+/// The table's, fit's, service's or session's error.
+pub fn run(cfg: &StudyConfig) -> Result<ServeStudy, ExperimentError> {
     let (table, types_n, simulated) = if cfg.simulated_k8 {
-        let table = cfg.build_k8_table().map_err(|e| e.to_string())?;
+        let table = cfg.build_k8_table()?;
         (table, StudyConfig::K8_SUITE.len(), true)
     } else {
         (n12_k8::synthetic_table()?, SYNTH_TYPES, false)
     };
     let types: Vec<usize> = (0..types_n).collect();
-    let truth = table.workload_view(&types).map_err(|e| e.to_string())?;
-    let truth_rates = table.workload_rates(&types).map_err(|e| e.to_string())?;
+    let truth = table.workload_view(&types)?;
+    let truth_rates = table.workload_rates(&types)?;
 
     let n = truth.num_types();
     let k = truth.contexts();
@@ -173,8 +177,7 @@ pub fn run(cfg: &StudyConfig) -> Result<ServeStudy, String> {
     ];
     let mut rows = Vec::with_capacity(placers.len());
     for placer in placers {
-        let report = run_serve(&truth, seed_model(&truth)?, placer, &serve_cfg)
-            .map_err(|e| e.to_string())?;
+        let report = run_serve(&truth, seed_model(&truth)?, placer, &serve_cfg)?;
         rows.push(PlacerRow {
             placer: report.placer.clone(),
             jobs_per_time: report.jobs_per_time,
@@ -193,8 +196,7 @@ pub fn run(cfg: &StudyConfig) -> Result<ServeStudy, String> {
         .session()
         .rates(&truth_rates)
         .policies([Policy::Optimal, Policy::FcfsEvent])
-        .run()
-        .map_err(|e| e.to_string())?;
+        .run()?;
 
     Ok(ServeStudy {
         types: n,
@@ -206,10 +208,8 @@ pub fn run(cfg: &StudyConfig) -> Result<ServeStudy, String> {
         rows,
         offline_optimal: offline
             .throughput(Policy::Optimal)
-            .ok_or_else(|| "no OPTIMAL row".to_string())?,
-        offline_fcfs: offline
-            .throughput(Policy::FcfsEvent)
-            .ok_or_else(|| "no FCFS row".to_string())?,
+            .ok_or("no OPTIMAL row")?,
+        offline_fcfs: offline.throughput(Policy::FcfsEvent).ok_or("no FCFS row")?,
     })
 }
 

@@ -5,8 +5,9 @@ use std::fmt;
 
 use symbiosis::{heterogeneity_table, random_draw_heterogeneity_probability};
 
+use crate::experiments::ExperimentError;
 use crate::mean;
-use crate::study::{Chip, Study};
+use crate::study::{Chip, Study, WORKLOAD_SIZE};
 
 /// One averaged Table II row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,26 +48,22 @@ pub struct Table2 {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(study: &Study) -> Result<Table2, String> {
+/// The sweep's [`session::SweepError`].
+pub fn run(study: &Study) -> Result<Table2, ExperimentError> {
     let workloads = study.workloads();
-    let n = study.config().workload_size;
-    let k = 4usize;
+    let (n, k) = (WORKLOAD_SIZE, 4usize);
     let mut chips = Vec::new();
     for chip in Chip::ALL {
         // The heterogeneity fold is not a policy row, so it rides the
         // sweep's custom-map escape hatch over the shared pool.
-        let tables = study
-            .sweep(chip)
-            .map(|item| {
-                heterogeneity_table(
-                    &item.rates()?,
-                    study.config().fcfs_jobs,
-                    study.config().seed,
-                )
-                .map_err(|e| e.to_string())
-            })
-            .map_err(|e| e.to_string())?;
+        let tables = study.sweep(chip).map(|item| {
+            heterogeneity_table(
+                &item.rates()?,
+                study.config().fcfs_jobs,
+                study.config().seed,
+            )
+            .map_err(|e| e.to_string())
+        })?;
         let max_het = n.min(k);
         let mut rows = Vec::new();
         for het in 1..=max_het {

@@ -9,6 +9,7 @@ use std::fmt;
 use session::Policy;
 use workloads::WorkUnit;
 
+use crate::experiments::ExperimentError;
 use crate::study::{Chip, Study};
 use crate::{max, mean, pct, pearson};
 
@@ -38,9 +39,9 @@ pub struct UnitAblation {
 ///
 /// # Errors
 ///
-/// Propagates analysis failures as strings.
-pub fn run(study: &Study) -> Result<UnitAblation, String> {
-    let gains_for = |unit: WorkUnit| -> Result<Vec<f64>, String> {
+/// The sweep's [`session::SweepError`] or [`dist::DistError`].
+pub fn run(study: &Study) -> Result<UnitAblation, ExperimentError> {
+    let gains_for = |unit: WorkUnit| -> Result<Vec<f64>, ExperimentError> {
         let sweep = study.config().run_sweep(
             study
                 .sweep(Chip::Smt)

@@ -1,12 +1,20 @@
 //! Experiment harness for the ISPASS 2015 reproduction.
 //!
 //! Each module under [`experiments`] regenerates one table or figure of
-//! *"Revisiting Symbiotic Job Scheduling"*. Every experiment implements
-//! the [`experiments::Experiment`] trait and is listed in
-//! [`experiments::REGISTRY`], so the crate's one binary runs any of them
-//! by name (`cargo run --release -p paperbench --bin paperbench -- fig1`,
-//! or `-- all` for every artefact). The same binary carries the offline
-//! tools `bench-delta` ([`delta`]) and `validate-trace`.
+//! *"Revisiting Symbiotic Job Scheduling"*. Each is one
+//! [`Experiment`] row (name, paper artefact, description, `run` function)
+//! of the static [`REGISTRY`] table, so the crate's one binary runs any of
+//! them by name (`cargo run --release -p paperbench --bin paperbench --
+//! fig1`, or `-- all` for every artefact). The same binary carries the
+//! offline tools `bench-delta` ([`delta`]) and `validate-trace`.
+//!
+//! Every experiment `run` returns [`ExperimentError`], a boxed
+//! `std::error::Error`, so a failure keeps its source type
+//! ([`StudyError`], [`session::SweepError`], [`dist::DistError`],
+//! [`serve::ServeError`], …) for callers that `downcast_ref` it. An
+//! artefact's printed text holds only run-independent values: wall times,
+//! per-worker accounting and thread-timing-dependent counts go to stderr,
+//! so two runs of one configuration print the same stdout.
 //!
 //! All experiments accept a [`StudyConfig`]; `--fast` produces test-scale
 //! runs, the default reproduces the paper-scale sweep (full simulator
@@ -22,7 +30,7 @@ pub mod delta;
 pub mod experiments;
 pub mod study;
 
-pub use experiments::{by_name, Experiment, ExperimentContext, REGISTRY};
+pub use experiments::{by_name, Experiment, ExperimentContext, ExperimentError, REGISTRY};
 pub use study::{artefact_digest, Chip, Study, StudyConfig, StudyError};
 
 // The aggregation helpers migrated into the API layer next to

@@ -10,6 +10,8 @@ use simproc::{Machine, MachineConfig, MachineError};
 use symbiosis::enumerate_workloads;
 use workloads::{spec2006, PerfTable, TableError, TableStore, WorkloadView};
 
+use crate::experiments::ExperimentError;
+
 /// Where a distributed sweep leg recruits its workers: the coordinator
 /// listen address and how many workers must connect. Parsed from
 /// `--distribute ADDR:NWORKERS` (the *last* colon splits, so
@@ -81,8 +83,6 @@ pub struct StudyConfig {
     pub warmup_cycles: u64,
     /// Simulator measurement window in cycles.
     pub measure_cycles: u64,
-    /// Job types per workload (the paper's default N = 4).
-    pub workload_size: usize,
     /// Jobs completed per FCFS maximum-throughput experiment.
     pub fcfs_jobs: u64,
     /// If set, analyse only a deterministic sample of this many workloads
@@ -112,15 +112,6 @@ pub struct StudyConfig {
     /// instead of in-process. The merged report is bitwise identical
     /// either way, so this is purely an execution-placement knob.
     pub distribute: Option<DistributeSpec>,
-    /// `--dist-retries N`: per-chunk retry budget for distributed sweep
-    /// legs ([`dist::DistConfig::retry_budget`]).
-    pub dist_retries: usize,
-    /// `--dist-timeout-secs N`: per-recv worker-silence timeout for
-    /// distributed sweep legs ([`dist::DistConfig::recv_timeout`]).
-    pub dist_timeout_secs: u64,
-    /// `--dist-hedge`: opt into hedged re-dispatch of straggler chunks
-    /// to idle workers ([`dist::DistConfig::hedge`]).
-    pub dist_hedge: bool,
     /// If set, the driver installs a process-global [`obs::Recorder`]
     /// streaming JSON-lines trace events (see [`obs::validate`] for the
     /// schema) to this file. Set by `--trace PATH` or the
@@ -133,7 +124,6 @@ impl Default for StudyConfig {
         StudyConfig {
             warmup_cycles: 60_000,
             measure_cycles: 240_000,
-            workload_size: 4,
             fcfs_jobs: 40_000,
             sample: None,
             threads: std::thread::available_parallelism()
@@ -144,9 +134,6 @@ impl Default for StudyConfig {
             simulated_k8: false,
             worker: None,
             distribute: None,
-            dist_retries: dist::DistConfig::default().retry_budget,
-            dist_timeout_secs: dist::DistConfig::default().recv_timeout.as_secs(),
-            dist_hedge: false,
             trace: None,
         }
     }
@@ -184,53 +171,33 @@ impl StudyConfig {
             .threads(self.threads)
     }
 
-    /// The distributed-sweep tuning this config carries: the default
-    /// [`dist::DistConfig`] with the CLI retry / timeout / hedging knobs
-    /// applied. Every coordinator the bench crate starts goes through
-    /// here so `--dist-retries`, `--dist-timeout-secs` and `--dist-hedge`
-    /// reach them all.
-    pub fn dist_config(&self) -> dist::DistConfig {
-        dist::DistConfig {
-            retry_budget: self.dist_retries,
-            recv_timeout: std::time::Duration::from_secs(self.dist_timeout_secs),
-            hedge: self.dist_hedge,
-            ..dist::DistConfig::default()
-        }
-    }
-
     /// Runs a configured sweep the way this config asks: in-process
     /// ([`SweepBuilder::run`]) by default, or — with
     /// [`StudyConfig::distribute`] set — as a distributed coordinator
     /// that binds the configured address, waits for the configured number
     /// of `paperbench --worker` processes, and shards the sweep across
-    /// them. Either way the report is bitwise identical (the dist crate's
-    /// parity suite pins that), so experiments route their sweep legs
-    /// through here unconditionally.
+    /// them under the default [`dist::DistConfig`]. Either way the report
+    /// is bitwise identical (the dist crate's parity suite pins that), so
+    /// experiments route their sweep legs through here unconditionally.
     ///
     /// Per-worker accounting for distributed runs goes to stderr.
     ///
     /// # Errors
     ///
-    /// Sweep or distribution failures as text (the experiments' error
-    /// currency).
-    pub fn run_sweep(&self, sweep: SweepBuilder<'_>) -> Result<SweepReport, String> {
-        match &self.distribute {
-            None => sweep.run().map_err(|e| e.to_string()),
-            Some(spec) => {
-                let coordinator = dist::Coordinator::from_sweep(sweep, self.dist_config())
-                    .map_err(|e| e.to_string())?;
-                let outcome = coordinator
-                    .serve_tcp(&spec.addr, spec.workers)
-                    .map_err(|e| e.to_string())?;
-                for w in &outcome.workers {
-                    eprintln!(
-                        "distributed sweep: worker {} answered {} chunk(s) / {} row(s) in {:.1?}",
-                        w.peer, w.chunks, w.rows, w.wall
-                    );
-                }
-                Ok(outcome.report)
-            }
+    /// The [`session::SweepError`] or [`dist::DistError`] of the run.
+    pub fn run_sweep(&self, sweep: SweepBuilder<'_>) -> Result<SweepReport, ExperimentError> {
+        let Some(spec) = &self.distribute else {
+            return Ok(sweep.run()?);
+        };
+        let outcome = dist::Coordinator::from_sweep(sweep, dist::DistConfig::default())?
+            .serve_tcp(&spec.addr, spec.workers)?;
+        for w in &outcome.workers {
+            eprintln!(
+                "distributed sweep: worker {} answered {} chunk(s) / {} row(s) in {:.1?}",
+                w.peer, w.chunks, w.rows, w.wall
+            );
         }
+        Ok(outcome.report)
     }
 
     /// Builds (or, with a configured [`StudyConfig::table_cache`], loads)
@@ -316,14 +283,14 @@ impl StudyConfig {
     /// Parses the command-line flags shared by every experiment of the
     /// `paperbench` driver: `--fast` (test-scale), `--full`, `--sample N`,
     /// `--jobs N`, `--threads N`, `--table-cache PATH`, `--trace PATH`,
-    /// `--simulated-k8` and the distribution flags. When the cache flag
-    /// is absent, the `SYMBIOSIS_TABLE_CACHE` environment variable
-    /// supplies the cache directory.
+    /// `--simulated-k8`, `--worker ADDR` and `--distribute ADDR:NWORKERS`.
+    /// When the cache flag is absent, the `SYMBIOSIS_TABLE_CACHE`
+    /// environment variable supplies the cache directory.
     ///
     /// # Errors
     ///
     /// Returns a usage message on unknown flags, malformed numbers, or a
-    /// zero `--sample` or `--dist-timeout-secs`.
+    /// zero `--sample`.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         Self::from_args_with_env(
             args,
@@ -385,27 +352,12 @@ impl StudyConfig {
                 "--distribute" => {
                     cfg.distribute = Some(DistributeSpec::parse(&grab("--distribute")?)?)
                 }
-                "--dist-retries" => {
-                    cfg.dist_retries = grab("--dist-retries")?
-                        .parse()
-                        .map_err(|e| format!("--dist-retries: {e}"))?
-                }
-                "--dist-timeout-secs" => {
-                    cfg.dist_timeout_secs = grab("--dist-timeout-secs")?
-                        .parse()
-                        .map_err(|e| format!("--dist-timeout-secs: {e}"))?;
-                    if cfg.dist_timeout_secs == 0 {
-                        return Err("--dist-timeout-secs must be positive".into());
-                    }
-                }
-                "--dist-hedge" => cfg.dist_hedge = true,
                 other => {
                     return Err(format!(
                         "unknown flag {other}; supported: --fast --full --sample N --jobs N \
                          --threads N --table-cache PATH --trace PATH \
                          --simulated-k8 --worker ADDR \
-                         --distribute ADDR:NWORKERS --dist-retries N \
-                         --dist-timeout-secs N --dist-hedge"
+                         --distribute ADDR:NWORKERS"
                     ))
                 }
             }
@@ -416,6 +368,9 @@ impl StudyConfig {
         Ok(cfg)
     }
 }
+
+/// Job types per analysed workload: the paper's default N = 4.
+pub(crate) const WORKLOAD_SIZE: usize = 4;
 
 /// Errors from study construction.
 #[derive(Debug)]
@@ -495,11 +450,12 @@ impl Study {
         self.table(chip).workload_view(workload)
     }
 
-    /// The analysed workloads: all `C(12, N)` combinations, or a
-    /// deterministic evenly-spaced sample when the config requests one.
+    /// The analysed workloads: all `C(12, 4)` combinations (the paper's
+    /// N = 4), or a deterministic evenly-spaced sample when the config
+    /// requests one.
     pub fn workloads(&self) -> Vec<Vec<usize>> {
         self.config
-            .sample_workloads(enumerate_workloads(12, self.config.workload_size))
+            .sample_workloads(enumerate_workloads(12, WORKLOAD_SIZE))
     }
 
     /// Starts a batch sweep of this study's workloads on one chip's table,
@@ -564,6 +520,9 @@ mod tests {
             "--lp-dense-limit",
             "--markov-dense-limit",
             "--markov-accel-limit",
+            "--dist-retries",
+            "--dist-timeout-secs",
+            "--dist-hedge",
         ] {
             let err = StudyConfig::from_args([flag, "64"].map(String::from)).unwrap_err();
             assert!(err.starts_with(&format!("unknown flag {flag}")), "{err}");
@@ -616,44 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn from_args_parses_dist_tuning_knobs() {
-        let default = StudyConfig::default();
-        assert_eq!(default.dist_retries, 2);
-        assert_eq!(default.dist_timeout_secs, 120);
-        assert!(!default.dist_hedge, "hedging is opt-in");
-
-        let cfg = StudyConfig::from_args(
-            [
-                "--dist-retries",
-                "5",
-                "--dist-timeout-secs",
-                "7",
-                "--dist-hedge",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(cfg.dist_retries, 5);
-        assert_eq!(cfg.dist_timeout_secs, 7);
-        assert!(cfg.dist_hedge);
-        let dc = cfg.dist_config();
-        assert_eq!(dc.retry_budget, 5);
-        assert_eq!(dc.recv_timeout, std::time::Duration::from_secs(7));
-        assert!(dc.hedge);
-        assert_eq!(
-            dc.chunk_size,
-            dist::DistConfig::default().chunk_size,
-            "untouched knobs keep their defaults"
-        );
-
-        assert!(StudyConfig::from_args(["--dist-retries".to_owned()]).is_err());
-        assert!(
-            StudyConfig::from_args(["--dist-timeout-secs", "0"].map(String::from)).is_err(),
-            "a zero timeout would make every worker look dead"
-        );
-    }
-
-    #[test]
     fn fast_preset_applies_first_regardless_of_position() {
         // `--fast` must not clobber flags that precede it on the line.
         let cfg = StudyConfig::from_args(
@@ -669,13 +590,16 @@ mod tests {
 
     #[test]
     fn run_sweep_without_distribution_runs_in_process() {
-        use session::{Policy, Session};
+        use session::{Policy, Session, SweepError};
         let cfg = StudyConfig::fast();
-        // An invalid sweep surfaces the builder's own error text.
+        // An invalid sweep surfaces the builder's own typed error.
         let err = cfg
             .run_sweep(Session::sweep().policies([Policy::Optimal]))
             .expect_err("no table configured");
-        assert!(err.contains("table"), "unexpected error: {err}");
+        assert!(
+            matches!(err.downcast_ref(), Some(SweepError::MissingTable)),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

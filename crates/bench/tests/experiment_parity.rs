@@ -15,11 +15,17 @@
 //! (the rate models, the Section VI DES), so fig5 and fig6 are also pinned
 //! by golden FNV-1a digests of their printed artefacts. A change that is
 //! meant to move them must re-pin the digest and say why in CHANGES.md.
+//!
+//! dist_sweep and obs run threads whose timing varies from run to run;
+//! their artefacts must still print the same bytes every time.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use paperbench::experiments::{fig2, fig3, fig5, fig6};
-use paperbench::{artefact_digest, by_name, mean, pearson, ExperimentContext, Study, StudyConfig};
+use paperbench::{
+    artefact_digest, by_name, mean, pearson, ExperimentContext, ExperimentError, Study,
+    StudyConfig, StudyError,
+};
 use queueing::{
     run_batch_experiment, run_latency_experiment, BatchConfig, LatencyConfig, SizeDist,
 };
@@ -58,10 +64,8 @@ fn study() -> &'static Study {
 
 /// Runs one registry entry and returns its printed artefact.
 fn registry_artefact(name: &str) -> String {
-    by_name(name)
-        .unwrap_or_else(|| panic!("{name} is registered"))
-        .run(context())
-        .unwrap_or_else(|e| panic!("{name} runs: {e}"))
+    let experiment = by_name(name).unwrap_or_else(|| panic!("{name} is registered"));
+    (experiment.run)(context()).unwrap_or_else(|e| panic!("{name} runs: {e}"))
 }
 
 /// Asserts the golden digest of `name`'s printed artefact.
@@ -318,4 +322,39 @@ fn fairness_artefact_matches_free_function_reference() {
     }
     .to_string();
     assert_eq!(registry_artefact("fairness"), reference);
+}
+
+#[test]
+fn dist_sweep_artefact_is_reproducible() {
+    assert_eq!(
+        registry_artefact("dist_sweep"),
+        registry_artefact("dist_sweep")
+    );
+}
+
+#[test]
+fn obs_artefact_is_reproducible() {
+    assert_eq!(registry_artefact("obs"), registry_artefact("obs"));
+}
+
+#[test]
+fn a_failed_study_build_is_a_typed_sticky_error() {
+    let mut cfg = parity_config();
+    cfg.measure_cycles = 0;
+    let ctx = ExperimentContext::new(cfg);
+    let run = |name: &str| (by_name(name).expect("registered").run)(&ctx);
+    let first = run("fig2").expect_err("a zero measurement window builds no table");
+    assert!(first.to_string().starts_with("machine: "), "{first}");
+    let second = run("table2").expect_err("the failure is sticky");
+    let cached = |e: &ExperimentError| {
+        e.downcast_ref::<Arc<StudyError>>()
+            .cloned()
+            .unwrap_or_else(|| panic!("not a StudyError: {e}"))
+    };
+    let (a, b) = (cached(&first), cached(&second));
+    assert!(matches!(*a, StudyError::Machine(_)), "{a}");
+    assert!(
+        Arc::ptr_eq(&a, &b),
+        "the second call must return the first build's failure, not rebuild"
+    );
 }

@@ -34,9 +34,10 @@
 //! the master problem holds only the rows and the basis, and candidate
 //! columns are priced lazily from the rate table instead of being
 //! instantiated. The switch-over threshold is
-//! `symbiosis::DEFAULT_LP_DENSE_LIMIT`, overridable per call and through
-//! the `session::Session` builder; below it results are bitwise identical
-//! to the historical dense path.
+//! `symbiosis::DEFAULT_LP_DENSE_LIMIT`, overridable per LP through
+//! `symbiosis::ScheduleLp::with_dense_limit` (sessions always use the
+//! default); below it results are bitwise identical to the historical
+//! dense path.
 //!
 //! # Examples
 //!
