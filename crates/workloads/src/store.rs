@@ -30,16 +30,15 @@
 //! checksum     u64       FNV-1a 64 over every preceding byte
 //! ```
 //!
-//! Combos are written in sorted order so saving the same table twice
-//! produces identical bytes (the in-memory `HashMap` iteration order never
-//! leaks into the file).
+//! Combos are written in sorted order, which is also the order a
+//! [`PerfTable`] packs its rows in memory, so saving the same table twice
+//! produces identical bytes and a load packs the rows as they arrive.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use simproc::{BenchmarkProfile, CacheGeometry, Machine, MachineConfig, Topology};
 
-use crate::table::{PerfTable, TableError};
+use crate::table::{PerfTable, TableError, UNRECORDED};
 
 const MAGIC: &[u8; 8] = b"SYMBPERF";
 const VERSION: u32 = 1;
@@ -144,6 +143,18 @@ impl<'a> Cursor<'a> {
         ))
     }
 
+    /// Fails unless `count` items of at least `min_bytes` each fit in the
+    /// bytes left, so a hostile count never sizes an allocation.
+    fn check_count(&self, count: u64, min_bytes: u64, what: &str) -> Result<(), TableError> {
+        let left = (self.buf.len() - self.pos) as u64;
+        if count > left / min_bytes {
+            return Err(TableError::Format(format!(
+                "{what} {count} cannot fit in the {left} bytes left"
+            )));
+        }
+        Ok(())
+    }
+
     fn take_f64(&mut self, what: &str) -> Result<f64, TableError> {
         let v = f64::from_bits(self.take_u64(what)?);
         if !v.is_finite() {
@@ -157,7 +168,7 @@ impl PerfTable {
     /// Serialises the table to the documented `SPT1` byte format.
     ///
     /// The output is deterministic: the same table always encodes to the
-    /// same bytes, regardless of internal hash-map order.
+    /// same bytes, its packed rows in order.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -169,15 +180,14 @@ impl PerfTable {
             out.extend_from_slice(name.as_bytes());
             put_u64(&mut out, solo.to_bits());
         }
-        let mut combos: Vec<&Vec<usize>> = self.co_ipc.keys().collect();
-        combos.sort();
-        put_u64(&mut out, combos.len() as u64);
-        for combo in combos {
+        let rows = self.recorded_combos();
+        put_u64(&mut out, rows.len() as u64);
+        for (combo, ipcs) in rows {
             put_u32(&mut out, combo.len() as u32);
             for &idx in combo {
                 put_u32(&mut out, idx as u32);
             }
-            for &ipc in &self.co_ipc[combo] {
+            for &ipc in ipcs {
                 put_u64(&mut out, ipc.to_bits());
             }
         }
@@ -192,8 +202,10 @@ impl PerfTable {
     /// # Errors
     ///
     /// [`TableError::Format`] on a bad magic, unsupported version, checksum
-    /// mismatch, truncation, trailing garbage, or invalid contents
-    /// (out-of-range indices, unsorted combos, non-finite IPCs).
+    /// mismatch, truncation, trailing garbage, a count larger than the
+    /// file can hold, or invalid contents (out-of-range indices, unsorted,
+    /// duplicate or out-of-order combos, non-finite IPCs, missing or
+    /// disagreeing solo rows).
     pub fn from_bytes(buf: &[u8]) -> Result<Self, TableError> {
         if buf.len() < MAGIC.len() + 4 + 8 {
             return Err(TableError::Format(format!(
@@ -233,6 +245,8 @@ impl PerfTable {
         if n_bench == 0 {
             return Err(TableError::Format("empty benchmark suite".into()));
         }
+        // A benchmark takes at least its name length and solo IPC.
+        cur.check_count(n_bench as u64, 4 + 8, "benchmark count")?;
         let mut names = Vec::with_capacity(n_bench);
         let mut solo_ipc = Vec::with_capacity(n_bench);
         for b in 0..n_bench {
@@ -249,8 +263,13 @@ impl PerfTable {
             }
             solo_ipc.push(solo);
         }
-        let n_combos = cur.take_u64("combo count")? as usize;
-        let mut co_ipc = HashMap::with_capacity(n_combos);
+        let n_combos = cur.take_u64("combo count")?;
+        // A combo takes at least its length, one index and one slot IPC.
+        cur.check_count(n_combos, 4 + 4 + 8, "combo count")?;
+        let mut table = PerfTable::empty(names, solo_ipc, contexts);
+        let (mut combo, mut ipcs) = (Vec::new(), Vec::new());
+        // Where the previously pushed row starts in `table.slots`.
+        let mut last: Option<usize> = None;
         for c in 0..n_combos {
             let len = cur.take_u32("combo length")? as usize;
             if len == 0 || len > contexts {
@@ -258,7 +277,7 @@ impl PerfTable {
                     "combo {c} has size {len} (contexts {contexts})"
                 )));
             }
-            let mut combo = Vec::with_capacity(len);
+            combo.clear();
             for _ in 0..len {
                 let idx = cur.take_u32("combo index")? as usize;
                 if idx >= n_bench {
@@ -268,16 +287,24 @@ impl PerfTable {
                 }
                 combo.push(idx);
             }
-            if !combo.windows(2).all(|w| w[0] <= w[1]) {
-                return Err(TableError::Format(format!("combo {c} is not sorted")));
+            // Size and range are checked, so only an unsorted combo is
+            // left without an index.
+            let global = table
+                .index
+                .index_sorted_slots(&combo)
+                .ok_or_else(|| TableError::Format(format!("combo {c} is not sorted")))?;
+            if table.starts[global] != UNRECORDED {
+                return Err(TableError::Format(format!("combo {c} is a duplicate")));
             }
-            let mut ipcs = Vec::with_capacity(len);
+            if last.is_some_and(|start| table.slots[start..] > combo[..]) {
+                return Err(TableError::Format(format!("combo {c} is out of order")));
+            }
+            ipcs.clear();
             for _ in 0..len {
                 ipcs.push(cur.take_f64("slot IPC")?);
             }
-            if co_ipc.insert(combo, ipcs).is_some() {
-                return Err(TableError::Format(format!("combo {c} is a duplicate")));
-            }
+            last = Some(table.slots.len());
+            table.push_row(global, &combo, &ipcs);
         }
         if cur.pos != payload.len() {
             return Err(TableError::Format(format!(
@@ -285,9 +312,10 @@ impl PerfTable {
                 payload.len() - cur.pos
             )));
         }
-        // The solo reference column must agree with the size-1 combos.
-        for (b, &solo) in solo_ipc.iter().enumerate() {
-            match co_ipc.get(&vec![b]) {
+        // The solo reference column must agree with the size-1 combos,
+        // whose index `b` is the combo `[b]`.
+        for (b, &solo) in table.solo_ipc.iter().enumerate() {
+            match table.row(b, 1) {
                 Some(row) if row[0].to_bits() == solo.to_bits() => {}
                 Some(row) => {
                     return Err(TableError::Format(format!(
@@ -302,7 +330,7 @@ impl PerfTable {
                 }
             }
         }
-        Ok(PerfTable::assemble(names, solo_ipc, contexts, co_ipc))
+        Ok(table)
     }
 
     /// Writes the table to `path` in the documented format.
@@ -602,7 +630,7 @@ mod tests {
         // PartialEq on f64 is bit-for-bit here: no NaNs can occur (load
         // rejects non-finite values), so == means identical bit patterns.
         assert_eq!(table, loaded);
-        for (combo, ipcs) in &table.co_ipc {
+        for (combo, ipcs) in table.recorded_combos() {
             let got = loaded.slot_ipcs(combo).unwrap();
             for (a, b) in ipcs.iter().zip(got) {
                 assert_eq!(a.to_bits(), b.to_bits(), "combo {combo:?}");
@@ -678,6 +706,135 @@ mod tests {
             matches!(err, TableError::Format(ref m) if m.contains("finite")),
             "{err:?}"
         );
+    }
+
+    /// Stamps the FNV checksum onto a hand-built payload.
+    fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
+        let mut fnv = Fnv64::new();
+        fnv.write(&payload);
+        put_u64(&mut payload, fnv.finish());
+        payload
+    }
+
+    /// A sealed file holding `(name, solo IPC)` per benchmark and
+    /// `(indices, slot IPCs)` per combo, in the order given.
+    fn encode(contexts: u32, benches: &[(&str, f64)], combos: &[(&[u32], &[f64])]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        put_u32(&mut out, VERSION);
+        put_u32(&mut out, contexts);
+        put_u32(&mut out, benches.len() as u32);
+        for &(name, solo) in benches {
+            put_u32(&mut out, name.len() as u32);
+            out.extend_from_slice(name.as_bytes());
+            put_u64(&mut out, solo.to_bits());
+        }
+        put_u64(&mut out, combos.len() as u64);
+        for &(indices, ipcs) in combos {
+            put_u32(&mut out, indices.len() as u32);
+            for &idx in indices {
+                put_u32(&mut out, idx);
+            }
+            for &ipc in ipcs {
+                put_u64(&mut out, ipc.to_bits());
+            }
+        }
+        sealed(out)
+    }
+
+    fn format_error(bytes: &[u8]) -> String {
+        match PerfTable::from_bytes(bytes) {
+            Err(TableError::Format(msg)) => msg,
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    /// Two benchmarks on two contexts; `rows` replaces the combo list.
+    fn two_bench(rows: &[(&[u32], &[f64])]) -> Vec<u8> {
+        encode(2, &[("a", 1.0), ("b", 2.0)], rows)
+    }
+
+    #[test]
+    fn hand_built_file_loads_and_re_encodes_identically() {
+        let bytes = two_bench(&[
+            (&[0], &[1.0]),
+            (&[0, 0], &[0.5, 0.5]),
+            (&[0, 1], &[0.6, 1.1]),
+            (&[1], &[2.0]),
+            (&[1, 1], &[1.0, 1.0]),
+        ]);
+        let table = PerfTable::from_bytes(&bytes).unwrap();
+        assert_eq!(table.len(), 5);
+        assert_eq!(table.slot_ipcs(&[0, 1]), Some(&[0.6, 1.1][..]));
+        assert_eq!(table.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn invalid_contents_rejected() {
+        let cases: [(&str, Vec<u8>); 8] = [
+            (
+                "duplicate",
+                two_bench(&[(&[0], &[1.0]), (&[0], &[1.0]), (&[1], &[2.0])]),
+            ),
+            (
+                "not sorted",
+                two_bench(&[(&[0], &[1.0]), (&[1, 0], &[1.0, 1.0]), (&[1], &[2.0])]),
+            ),
+            (
+                "out of order",
+                two_bench(&[(&[0], &[1.0]), (&[1], &[2.0]), (&[0, 1], &[1.0, 1.0])]),
+            ),
+            (
+                "references benchmark 5",
+                two_bench(&[(&[0], &[1.0]), (&[0, 5], &[1.0, 1.0]), (&[1], &[2.0])]),
+            ),
+            // Enough bytes after the empty combo for the count bound.
+            (
+                "size 0",
+                two_bench(&[
+                    (&[0], &[1.0]),
+                    (&[], &[]),
+                    (&[0, 0], &[1.0, 1.0]),
+                    (&[1], &[2.0]),
+                    (&[1, 1], &[1.0, 1.0]),
+                ]),
+            ),
+            (
+                "size 3",
+                two_bench(&[(&[0], &[1.0]), (&[0, 0, 0], &[1.0, 1.0, 1.0])]),
+            ),
+            (
+                "no size-1",
+                two_bench(&[(&[0], &[1.0]), (&[0, 1], &[1.0, 1.0])]),
+            ),
+            ("disagrees", two_bench(&[(&[0], &[1.5]), (&[1], &[2.0])])),
+        ];
+        for (want, bytes) in cases {
+            let msg = format_error(&bytes);
+            assert!(msg.contains(want), "{want:?} not in {msg:?}");
+        }
+    }
+
+    /// Counts no file of this length can hold are format errors, checked
+    /// before anything is allocated for them.
+    #[test]
+    fn hostile_counts_rejected_before_allocating() {
+        let mut combos = MAGIC.to_vec();
+        put_u32(&mut combos, VERSION);
+        put_u32(&mut combos, 1);
+        put_u32(&mut combos, 1);
+        put_u32(&mut combos, 1);
+        combos.push(b'a');
+        put_u64(&mut combos, 1.0f64.to_bits());
+        put_u64(&mut combos, 1 << 40);
+        let combos = sealed(combos);
+        assert_eq!(combos.len(), 49);
+        assert!(format_error(&combos).contains("combo count"));
+
+        let mut benches = MAGIC.to_vec();
+        put_u32(&mut benches, VERSION);
+        put_u32(&mut benches, 1);
+        put_u32(&mut benches, u32::MAX);
+        assert!(format_error(&sealed(benches)).contains("benchmark count"));
     }
 
     #[test]

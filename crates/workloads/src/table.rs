@@ -8,7 +8,6 @@
 //! analyses consume (rates in weighted instructions per cycle: IPC divided
 //! by solo IPC).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -93,125 +92,138 @@ pub enum WorkUnit {
 /// Per-slot IPCs of every coschedule of `K` jobs over a benchmark suite,
 /// plus solo reference IPCs.
 ///
-/// Keys are sorted benchmark-index vectors of length `K` (the machine's
-/// context count); per-slot IPCs are aligned with that sorted expansion.
+/// Keys are sorted benchmark-index vectors of length `1..=K` (`K` is the
+/// machine's context count); per-slot IPCs are aligned with that sorted
+/// expansion.
 ///
-/// Internally the rows live twice: in a `HashMap` (the (de)serialisation
-/// and equality boundary — [`PerfTable::to_bytes`] and
-/// [`PerfTable::recorded_combos`] iterate it in sorted order) and in a
-/// flat rank-indexed layout (the hot path — every `slot_ipcs`/rate probe is
-/// O(size) rank arithmetic into dense arrays, no hashing, no allocation).
-#[derive(Debug, Clone)]
+/// Each recorded row is stored once, in a flat rank-indexed layout: `slots`
+/// and `ipcs` hold the rows back to back in ascending combo order (the
+/// [`PerfTable::recorded_combos`] and `SPT1` file order), and `starts` maps
+/// a combo's [`CoscheduleIndex`] position to its row. Every
+/// `slot_ipcs`/rate probe is O(size) rank arithmetic into these dense
+/// arrays, with no hashing and no allocation. The packing is canonical, so
+/// two tables compare equal exactly when their contents do.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfTable {
     pub(crate) names: Vec<String>,
     pub(crate) solo_ipc: Vec<f64>,
     pub(crate) contexts: usize,
-    pub(crate) co_ipc: HashMap<Vec<usize>, Vec<f64>>,
-    pub(crate) flat: FlatIndex,
+    /// Numbers the combos of sizes `1..=contexts` in the streamed
+    /// [`CoscheduleIter`] order, sizes concatenated ascending: the index
+    /// space [`PerfTable::build_sampled`] selections address.
+    pub(crate) index: CoscheduleIndex,
+    /// Offset of each indexed combo's row in `slots` and `ipcs`, or
+    /// [`UNRECORDED`] for combos a sampled build did not record.
+    pub(crate) starts: Vec<u32>,
+    /// The benchmark indices of every recorded combo, row after row.
+    pub(crate) slots: Vec<usize>,
+    /// Per-slot IPCs, aligned with `slots`.
+    pub(crate) ipcs: Vec<f64>,
 }
 
-/// Equality is over the table *contents* (the serialised form); the flat
-/// index is derived data and deliberately excluded — its packing order must
-/// never influence whether two tables compare equal.
-impl PartialEq for PerfTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.names == other.names
-            && self.solo_ipc == other.solo_ipc
-            && self.contexts == other.contexts
-            && self.co_ipc == other.co_ipc
-    }
-}
-
-/// Flat, rank-indexed storage for the hot-path probes of a [`PerfTable`].
-///
-/// The combo key space is the streamed enumeration of sizes `1..=contexts`
-/// (the [`CoscheduleIter`] order, sizes concatenated ascending) — exactly
-/// the index space [`PerfTable::build_sampled`] selections address, and
-/// the one a [`CoscheduleIndex`] numbers, so a probe is O(size) integer
-/// arithmetic with zero allocation and zero hashing. `starts[global]`
-/// points into the packed `vals` array (`u32::MAX` marks combos a sampled
-/// build did not record).
-#[derive(Debug, Clone)]
-pub(crate) struct FlatIndex {
-    index: CoscheduleIndex,
-    starts: Vec<u32>,
-    vals: Vec<f64>,
-}
-
-impl FlatIndex {
-    /// Builds the index over recorded rows. Rows are packed into `vals` in
-    /// sorted-combo order (the [`PerfTable::recorded_combos`] order), so
-    /// identical tables always produce identical flat layouts.
-    fn build(n_benchmarks: usize, k: usize, co_ipc: &HashMap<Vec<usize>, Vec<f64>>) -> Self {
-        let index = CoscheduleIndex::new(n_benchmarks, 1..=k);
-        let mut rows: Vec<(&Vec<usize>, &Vec<f64>)> = co_ipc.iter().collect();
-        rows.sort_unstable_by_key(|&(combo, _)| combo);
-        let mut starts = vec![u32::MAX; index.total()];
-        let mut vals = Vec::with_capacity(rows.iter().map(|&(c, _)| c.len()).sum());
-        for (combo, ipcs) in rows {
-            let global = index
-                .index_sorted_slots(combo)
-                .expect("recorded combos are sorted, sized 1..=contexts, in range");
-            starts[global] = u32::try_from(vals.len()).expect("flat table exceeds u32 offsets");
-            vals.extend_from_slice(ipcs);
-        }
-        FlatIndex {
-            index,
-            starts,
-            vals,
-        }
-    }
-
-    /// The `size` slot IPCs recorded at global index `global`, if any.
-    fn row(&self, global: usize, size: usize) -> Option<&[f64]> {
-        let start = self.starts[global];
-        if start == u32::MAX {
-            return None;
-        }
-        let start = start as usize;
-        Some(&self.vals[start..start + size])
-    }
-
-    /// Per-slot IPCs for a sorted combo, if recorded. Malformed combos
-    /// (empty, oversized, unsorted, index out of range) read as unrecorded.
-    fn get(&self, combo: &[usize]) -> Option<&[f64]> {
-        let global = self.index.index_sorted_slots(combo)?;
-        self.row(global, combo.len())
-    }
-
-    /// Per-slot IPCs for the size-`size` combo whose benchmark multiplicity
-    /// is given by `count_of(b)` — the zero-allocation probe behind the
-    /// rate conversions, which hold per-type counts rather than expanded
-    /// combos. `None` if unrecorded or the counts do not sum to `size`.
-    fn get_counts<F: FnMut(usize) -> u32>(&self, size: usize, count_of: F) -> Option<&[f64]> {
-        let global = self.index.index_with(size, count_of)?;
-        self.row(global, size)
-    }
-}
+/// The `starts` entry of a combo with no recorded row.
+pub(crate) const UNRECORDED: u32 = u32::MAX;
 
 impl PerfTable {
-    /// The one place a table is assembled: derives the flat hot-path index
-    /// from the recorded rows. Every construction site — simulated,
-    /// sampled, synthetic, and [`PerfTable::from_bytes`] — funnels through
-    /// here so the `HashMap` and the [`FlatIndex`] can never disagree.
-    pub(crate) fn assemble(
-        names: Vec<String>,
-        solo_ipc: Vec<f64>,
-        contexts: usize,
-        co_ipc: HashMap<Vec<usize>, Vec<f64>>,
-    ) -> Self {
-        let flat = FlatIndex::build(names.len(), contexts, &co_ipc);
+    /// A table with no rows yet. Rows must then be pushed in ascending
+    /// combo order, which keeps the packing canonical.
+    pub(crate) fn empty(names: Vec<String>, solo_ipc: Vec<f64>, contexts: usize) -> Self {
+        let index = CoscheduleIndex::new(names.len(), 1..=contexts);
         PerfTable {
+            starts: vec![UNRECORDED; index.total()],
+            index,
             names,
             solo_ipc,
             contexts,
-            co_ipc,
-            flat,
+            slots: Vec::new(),
+            ipcs: Vec::new(),
         }
     }
 
+    /// Appends the row of `combo`, whose index is `global`.
+    pub(crate) fn push_row(&mut self, global: usize, combo: &[usize], ipcs: &[f64]) {
+        self.starts[global] =
+            u32::try_from(self.slots.len()).expect("flat table exceeds u32 offsets");
+        self.slots.extend_from_slice(combo);
+        self.ipcs.extend_from_slice(ipcs);
+    }
+
+    /// Packs sweep rows (`(enumeration index, slot IPCs)`, ascending by
+    /// index) in ascending combo order and reads the solo IPCs off the
+    /// size-1 rows, which every sweep selection contains.
+    fn from_sweep(names: Vec<String>, contexts: usize, rows: &[(usize, Vec<f64>)]) -> Self {
+        let n = names.len();
+        let mut table = PerfTable::empty(names, Vec::new(), contexts);
+        // Walk every sorted combo of sizes 1..=contexts in ascending order
+        // (a combo before its extensions) and pack the recorded ones.
+        let mut combo = vec![0];
+        loop {
+            let global = table
+                .index
+                .index_sorted_slots(&combo)
+                .expect("the walk yields sorted in-range combos");
+            if let Ok(r) = rows.binary_search_by_key(&global, |&(g, _)| g) {
+                table.push_row(global, &combo, &rows[r].1);
+            }
+            // Successor: repeat the last index while the combo is short,
+            // else drop the maxed-out tail and bump the index before it.
+            if combo.len() < contexts {
+                combo.push(combo[combo.len() - 1]);
+                continue;
+            }
+            while combo.last() == Some(&(n - 1)) {
+                combo.pop();
+            }
+            match combo.last_mut() {
+                Some(last) => *last += 1,
+                None => break,
+            }
+        }
+        // Global index `b < n` is the size-1 combo `[b]`.
+        table.solo_ipc = (0..n)
+            .map(|b| table.row(b, 1).expect("selections hold every solo")[0])
+            .collect();
+        table
+    }
+
+    /// The `size` slot IPCs recorded at index `global`, if any.
+    pub(crate) fn row(&self, global: usize, size: usize) -> Option<&[f64]> {
+        let start = self.starts[global];
+        if start == UNRECORDED {
+            return None;
+        }
+        let start = start as usize;
+        Some(&self.ipcs[start..start + size])
+    }
+
+    /// Per-slot IPCs of the coschedule holding `counts[local]` jobs of
+    /// benchmark `types[local]` (`types` sorted): one rank probe, without
+    /// materialising the expanded combo. The probe behind the rate
+    /// conversions, which hold per-type counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coschedule is not recorded.
+    fn workload_slots(&self, types: &[usize], counts: &[u32]) -> &[f64] {
+        let size = counts.iter().sum::<u32>() as usize;
+        self.index
+            .index_with(size, |b| {
+                types.binary_search(&b).map_or(0, |local| counts[local])
+            })
+            .and_then(|global| self.row(global, size))
+            .unwrap_or_else(|| {
+                let combo: Vec<usize> = counts
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(local, &c)| std::iter::repeat_n(types[local], c as usize))
+                    .collect();
+                panic!("coschedule {combo:?} missing from table")
+            })
+    }
+
     /// Simulates every coschedule of `machine.config().contexts()` jobs over
-    /// `suite` (combinations with repetition) plus each benchmark solo.
+    /// `suite` (combinations with repetition) plus each benchmark solo:
+    /// [`PerfTable::build_sampled`] over the whole enumeration.
     ///
     /// Work is distributed over up to `threads` OS threads (clamped to at
     /// least 1). The sweep is deterministic regardless of thread count.
@@ -224,20 +236,9 @@ impl PerfTable {
         suite: &[BenchmarkProfile],
         threads: usize,
     ) -> Result<Self, TableError> {
-        let k = machine.config().contexts();
-        let results = sweep_combos(suite.len(), k, threads, |combo| {
-            let jobs: Vec<&BenchmarkProfile> = combo.iter().map(|&i| &suite[i]).collect();
-            machine.simulate(&jobs).map(|res| res.ipc)
-        })
-        .map_err(TableError::from)?;
-        let co_ipc: HashMap<Vec<usize>, Vec<f64>> = results.into_iter().collect();
-        let solo_ipc: Vec<f64> = (0..suite.len()).map(|b| co_ipc[&vec![b]][0]).collect();
-        Ok(PerfTable::assemble(
-            suite.iter().map(|p| p.name.clone()).collect(),
-            solo_ipc,
-            k,
-            co_ipc,
-        ))
+        let total = full_enumeration_len(suite.len(), machine.config().contexts());
+        let everything: Vec<usize> = (0..total).collect();
+        Self::build_sampled(machine, suite, threads, &everything)
     }
 
     /// Like [`PerfTable::build`], but simulates only the combos selected by
@@ -249,9 +250,8 @@ impl PerfTable {
     ///
     /// The selection must contain every size-1 combo (indices
     /// `0..suite.len()`): solo runs are the WIPC reference every conversion
-    /// divides by. A selection covering the whole enumeration degrades to
-    /// exactly [`PerfTable::build`] — same work distribution, same
-    /// arithmetic, bitwise-equal table.
+    /// divides by. A selection covering the whole enumeration is exactly
+    /// [`PerfTable::build`].
     ///
     /// # Errors
     ///
@@ -265,19 +265,12 @@ impl PerfTable {
     ) -> Result<Self, TableError> {
         let k = machine.config().contexts();
         check_sample(suite.len(), k, sample)?;
-        let results = sweep_selected_combos(suite.len(), k, threads, Some(sample), |combo| {
+        let rows = sweep_selected_combos(suite.len(), k, threads, sample, |combo| {
             let jobs: Vec<&BenchmarkProfile> = combo.iter().map(|&i| &suite[i]).collect();
             machine.simulate(&jobs).map(|res| res.ipc)
-        })
-        .map_err(TableError::from)?;
-        let co_ipc: HashMap<Vec<usize>, Vec<f64>> = results.into_iter().collect();
-        let solo_ipc: Vec<f64> = (0..suite.len()).map(|b| co_ipc[&vec![b]][0]).collect();
-        Ok(PerfTable::assemble(
-            suite.iter().map(|p| p.name.clone()).collect(),
-            solo_ipc,
-            k,
-            co_ipc,
-        ))
+        })?;
+        let names = suite.iter().map(|p| p.name.clone()).collect();
+        Ok(PerfTable::from_sweep(names, k, &rows))
     }
 
     /// Builds a table from an analytic per-slot IPC model instead of the
@@ -296,7 +289,8 @@ impl PerfTable {
     where
         F: Fn(&[usize]) -> Vec<f64> + Sync,
     {
-        Self::synthetic_selected(names, contexts, None, ipc_fn)
+        let everything: Vec<usize> = (0..full_enumeration_len(names.len(), contexts)).collect();
+        Self::synthetic_sampled(names, contexts, &everything, ipc_fn)
     }
 
     /// Like [`PerfTable::synthetic`], but evaluates only the combos
@@ -318,31 +312,17 @@ impl PerfTable {
     where
         F: Fn(&[usize]) -> Vec<f64> + Sync,
     {
-        Self::synthetic_selected(names, contexts, Some(sample), ipc_fn)
-    }
-
-    fn synthetic_selected<F>(
-        names: Vec<String>,
-        contexts: usize,
-        sample: Option<&[usize]>,
-        ipc_fn: F,
-    ) -> Result<Self, TableError>
-    where
-        F: Fn(&[usize]) -> Vec<f64> + Sync,
-    {
         if names.is_empty() {
             return Err(TableError::InvalidWorkload("no benchmarks".into()));
         }
         if contexts == 0 {
             return Err(TableError::InvalidWorkload("no contexts".into()));
         }
-        if let Some(sample) = sample {
-            check_sample(names.len(), contexts, sample)?;
-        }
+        check_sample(names.len(), contexts, sample)?;
         // Same streamed sweep as the simulated build (one enumeration
         // contract, deterministic first-error reporting), just with the
         // analytic model as the "simulator".
-        let results = sweep_selected_combos(names.len(), contexts, 1, sample, |combo| {
+        let rows = sweep_selected_combos(names.len(), contexts, 1, sample, |combo| {
             let ipcs = ipc_fn(combo);
             if ipcs.len() != combo.len() {
                 return Err(TableError::Rates(SymbiosisError::InvalidRates(format!(
@@ -358,9 +338,7 @@ impl PerfTable {
             }
             Ok(ipcs)
         })?;
-        let co_ipc: HashMap<Vec<usize>, Vec<f64>> = results.into_iter().collect();
-        let solo_ipc: Vec<f64> = (0..names.len()).map(|b| co_ipc[&vec![b]][0]).collect();
-        Ok(PerfTable::assemble(names, solo_ipc, contexts, co_ipc))
+        Ok(PerfTable::from_sweep(names, contexts, &rows))
     }
 
     /// Benchmark names, index-aligned with the suite used to build.
@@ -375,12 +353,12 @@ impl PerfTable {
 
     /// Number of coschedules recorded.
     pub fn len(&self) -> usize {
-        self.co_ipc.len()
+        self.starts.iter().filter(|&&s| s != UNRECORDED).count()
     }
 
     /// True if no coschedules are recorded (cannot happen for valid builds).
     pub fn is_empty(&self) -> bool {
-        self.co_ipc.is_empty()
+        self.slots.is_empty()
     }
 
     /// Solo (reference) IPC of benchmark `b`.
@@ -395,24 +373,30 @@ impl PerfTable {
     /// Per-slot IPCs for a sorted benchmark-index combination, if recorded.
     ///
     /// An O(size) rank-arithmetic probe into the flat layout — no hashing,
-    /// no allocation. Malformed keys (unsorted, oversized, out of range)
-    /// read as unrecorded.
+    /// no allocation. Malformed keys (empty, unsorted, oversized, out of
+    /// range) read as unrecorded.
     pub fn slot_ipcs(&self, combo: &[usize]) -> Option<&[f64]> {
-        self.flat.get(combo)
+        let global = self.index.index_sorted_slots(combo)?;
+        self.row(global, combo.len())
     }
 
     /// Every recorded `(sorted combo, per-slot IPCs)` pair, sorted by combo
-    /// (ascending index vectors). The deterministic iteration the `predict`
-    /// crate's sample extraction and the persisted file format both rely on
-    /// — the in-memory `HashMap` order never leaks out.
+    /// (ascending index vectors): the packed rows in storage order. The
+    /// deterministic iteration the `predict` crate's sample extraction and
+    /// the persisted file format both rely on.
     pub fn recorded_combos(&self) -> Vec<(&[usize], &[f64])> {
-        let mut rows: Vec<(&[usize], &[f64])> = self
-            .co_ipc
+        let mut bounds: Vec<usize> = self
+            .starts
             .iter()
-            .map(|(combo, ipcs)| (combo.as_slice(), ipcs.as_slice()))
+            .filter(|&&s| s != UNRECORDED)
+            .map(|&s| s as usize)
             .collect();
-        rows.sort_unstable_by_key(|&(combo, _)| combo);
-        rows
+        bounds.sort_unstable();
+        bounds.push(self.slots.len());
+        bounds
+            .windows(2)
+            .map(|w| (&self.slots[w[0]..w[1]], &self.ipcs[w[0]..w[1]]))
+            .collect()
     }
 
     /// Converts a workload (sorted distinct benchmark indices) into the
@@ -454,21 +438,8 @@ impl PerfTable {
         }
         let n = types.len();
         let rates = WorkloadRates::build(n, self.contexts, |s| {
-            // Probe the flat layout by count vector — the local counts map
-            // to global benchmark multiplicities without materialising the
-            // expanded combo (`types` is sorted, so the sorted global combo
-            // is exactly the local runs in order).
             let counts = s.counts();
-            let size = counts.iter().sum::<u32>() as usize;
-            let ipcs = self
-                .flat
-                .get_counts(size, |b| {
-                    types.binary_search(&b).map_or(0, |local| counts[local])
-                })
-                .unwrap_or_else(|| {
-                    let combo: Vec<usize> = s.slots().iter().map(|&local| types[local]).collect();
-                    panic!("coschedule {combo:?} missing from table")
-                });
+            let ipcs = self.workload_slots(types, counts);
             // Sum per local type over its (contiguous) slot run, in the
             // requested unit — same slot order, same float arithmetic as
             // the historical expanded-combo walk.
@@ -493,7 +464,7 @@ impl PerfTable {
     /// `IPC / solo IPC` (the weighted-speedup-style instantaneous
     /// throughput of that coschedule).
     pub fn combo_wipc(&self, combo: &[usize]) -> Option<f64> {
-        let ipcs = self.flat.get(combo)?;
+        let ipcs = self.slot_ipcs(combo)?;
         Some(
             combo
                 .iter()
@@ -520,39 +491,9 @@ impl PerfTable {
     }
 }
 
-/// Rows produced by the streamed combo sweep: one `(sorted combo,
-/// per-slot IPCs)` pair per multiset, in enumeration order.
-type ComboRows = Vec<(Vec<usize>, Vec<f64>)>;
-
-/// In-flight sweep rows, tagged with their enumeration index so the
-/// shared accumulator can be re-sorted deterministically.
-type IndexedComboRows = Vec<(usize, Vec<usize>, Vec<f64>)>;
-
-/// Streams every sorted combo of sizes 1..=`k` over `n_benchmarks`
-/// benchmarks (all multiset sizes: the latency experiments run through
-/// partially loaded periods, and size-1 entries double as the solo
-/// reference runs) through `sim` on up to `threads` OS threads.
-///
-/// Work distribution is self-balancing: workers claim the next combo index
-/// from a shared atomic cursor and advance a thread-local
-/// [`CoscheduleIter`] to it, so the combo list is never materialised and no
-/// thread idles on an uneven pre-cut chunk. Results are returned sorted in
-/// enumeration order — deterministic regardless of thread count.
-///
-/// # Errors
-///
-/// The *first* failure in enumeration order, as `(combo index, error)`.
-/// Deterministic by construction: workers check a shared abort flag only
-/// *between* simulations, so every combo claimed before the flag went up —
-/// which includes every combo preceding the first failure — is still
-/// simulated, and the smallest-indexed recorded error is reported.
-fn sweep_combos<E, F>(n_benchmarks: usize, k: usize, threads: usize, sim: F) -> Result<ComboRows, E>
-where
-    E: Send,
-    F: Fn(&[usize]) -> Result<Vec<f64>, E> + Sync,
-{
-    sweep_selected_combos(n_benchmarks, k, threads, None, sim)
-}
+/// Rows produced by the streamed combo sweep: `(enumeration index,
+/// per-slot IPCs)`, ascending by index.
+type SweepRows = Vec<(usize, Vec<f64>)>;
 
 /// Total combos in the streamed enumeration of sizes `1..=k` over
 /// `n_benchmarks` benchmarks — the index space [`PerfTable::build_sampled`]
@@ -591,33 +532,42 @@ fn check_sample(n_benchmarks: usize, k: usize, sample: &[usize]) -> Result<(), T
     Ok(())
 }
 
-/// [`sweep_combos`] with an optional combo selection: with
-/// `Some(indices)` (sorted positions in the full enumeration) only those
-/// combos run through `sim`; with `None` the whole enumeration does. The
-/// claiming, abort and first-error machinery is shared, so a selection
-/// covering the full enumeration performs the identical computation in the
-/// identical order — the bitwise-degradation guarantee
-/// [`PerfTable::build_sampled`] documents.
+/// Streams the combos at `selection` (sorted positions in the enumeration
+/// of every sorted combo of sizes 1..=`k` over `n_benchmarks` benchmarks)
+/// through `sim` on up to `threads` OS threads. All multiset sizes are
+/// swept: the latency experiments run through partially loaded periods,
+/// and size-1 entries double as the solo reference runs.
+///
+/// Work distribution is self-balancing: workers claim the next selected
+/// combo from a shared atomic cursor and advance a thread-local
+/// [`CoscheduleIter`] to it, so the combo list is never materialised and no
+/// thread idles on an uneven pre-cut chunk. Results are returned sorted in
+/// enumeration order — deterministic regardless of thread count.
+///
+/// # Errors
+///
+/// The *first* failure in enumeration order. Deterministic by
+/// construction: workers check a shared abort flag only *between*
+/// simulations, so every combo claimed before the flag went up — which
+/// includes every combo preceding the first failure — is still simulated,
+/// and the smallest-indexed recorded error is reported.
 fn sweep_selected_combos<E, F>(
     n_benchmarks: usize,
     k: usize,
     threads: usize,
-    selection: Option<&[usize]>,
+    selection: &[usize],
     sim: F,
-) -> Result<ComboRows, E>
+) -> Result<SweepRows, E>
 where
     E: Send,
     F: Fn(&[usize]) -> Result<Vec<f64>, E> + Sync,
 {
-    let total = match selection {
-        Some(indices) => indices.len(),
-        None => full_enumeration_len(n_benchmarks, k),
-    };
+    let total = selection.len();
     let threads = threads.max(1).min(total.max(1));
 
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let results: Mutex<IndexedComboRows> = Mutex::new(Vec::with_capacity(total));
+    let results: Mutex<SweepRows> = Mutex::new(Vec::with_capacity(total));
     let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
@@ -625,7 +575,7 @@ where
             scope.spawn(|| {
                 let mut stream = (1..=k).flat_map(|size| CoscheduleIter::new(n_benchmarks, size));
                 let mut cursor = 0usize;
-                let mut local: IndexedComboRows = Vec::new();
+                let mut local: SweepRows = Vec::new();
                 loop {
                     // Abort check between simulations only (never between
                     // claiming and simulating): see the determinism note.
@@ -636,12 +586,7 @@ where
                     if slot >= total {
                         break;
                     }
-                    // A selection maps claimed slots to enumeration
-                    // indices; the full sweep claims indices directly.
-                    let index = match selection {
-                        Some(indices) => indices[slot],
-                        None => slot,
-                    };
+                    let index = selection[slot];
                     // Catch the thread-local stream up to the claimed index.
                     while cursor < index {
                         stream.next();
@@ -650,7 +595,7 @@ where
                     let combo = stream.next().expect("index < enumeration length").slots();
                     cursor += 1;
                     match sim(&combo) {
-                        Ok(ipcs) => local.push((index, combo, ipcs)),
+                        Ok(ipcs) => local.push((index, ipcs)),
                         Err(e) => {
                             let mut first = first_error.lock().expect("poisoned");
                             if first.as_ref().is_none_or(|(i, _)| index < *i) {
@@ -671,11 +616,8 @@ where
         return Err(e);
     }
     let mut rows = results.into_inner().expect("poisoned");
-    rows.sort_unstable_by_key(|&(index, _, _)| index);
-    Ok(rows
-        .into_iter()
-        .map(|(_, combo, ipcs)| (combo, ipcs))
-        .collect())
+    rows.sort_unstable_by_key(|&(index, _)| index);
+    Ok(rows)
 }
 
 /// A borrowed view of a [`PerfTable`] restricted to one workload — the
@@ -685,6 +627,21 @@ where
 pub struct WorkloadView<'a> {
     table: &'a PerfTable,
     types: Vec<usize>,
+}
+
+impl WorkloadView<'_> {
+    /// Mean WIPC over type `ty`'s slots, the contiguous run of `ipcs` after
+    /// all smaller types' slots in the sorted expansion (slots of one type
+    /// differ only by their RNG stream).
+    fn mean_wipc(&self, ipcs: &[f64], counts: &[u32], ty: usize) -> f64 {
+        let solo = self.table.solo_ipc[self.types[ty]];
+        let start = counts[..ty].iter().sum::<u32>() as usize;
+        let mut sum = 0.0;
+        for &ipc in &ipcs[start..start + counts[ty] as usize] {
+            sum += ipc / solo;
+        }
+        sum / counts[ty] as f64
+    }
 }
 
 impl RateModel for WorkloadView<'_> {
@@ -699,35 +656,26 @@ impl RateModel for WorkloadView<'_> {
     fn per_job_rate(&self, counts: &[u32], ty: usize) -> f64 {
         assert_eq!(counts.len(), self.types.len(), "counts length mismatch");
         assert!(counts[ty] > 0, "type {ty} not present in coschedule");
-        // Zero-allocation probe: rank the combo directly from the count
-        // vector instead of materialising the expanded key. This is the
-        // latency simulator's innermost lookup.
-        let size = counts.iter().sum::<u32>() as usize;
-        let types = &self.types;
-        let ipcs = self
-            .table
-            .flat
-            .get_counts(size, |b| {
-                types.binary_search(&b).map_or(0, |local| counts[local])
+        let ipcs = self.table.workload_slots(&self.types, counts);
+        self.mean_wipc(ipcs, counts, ty)
+    }
+
+    fn instantaneous_throughput(&self, counts: &[u32]) -> f64 {
+        // The default's fold (present types ascending, `c * rate`, summed),
+        // with one probe shared by every present type: the same bits.
+        let mut ipcs = None;
+        counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(ty, &c)| {
+                let ipcs = *ipcs.get_or_insert_with(|| {
+                    assert_eq!(counts.len(), self.types.len(), "counts length mismatch");
+                    self.table.workload_slots(&self.types, counts)
+                });
+                c as f64 * self.mean_wipc(ipcs, counts, ty)
             })
-            .unwrap_or_else(|| {
-                let combo: Vec<usize> = counts
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(local, &c)| std::iter::repeat_n(types[local], c as usize))
-                    .collect();
-                panic!("coschedule {combo:?} missing from table")
-            });
-        let global = self.types[ty];
-        // Mean WIPC over this type's slots (slots of the same type differ
-        // only by their RNG stream). In the sorted expansion the type's
-        // slots are the contiguous run after all smaller types' slots.
-        let start = counts[..ty].iter().sum::<u32>() as usize;
-        let mut sum = 0.0;
-        for &ipc in &ipcs[start..start + counts[ty] as usize] {
-            sum += ipc / self.table.solo_ipc[global];
-        }
-        sum / counts[ty] as f64
+            .sum()
     }
 
     fn full_table(&self) -> Result<WorkloadRates, SymbiosisError> {
@@ -830,24 +778,32 @@ mod tests {
         let suite: Vec<BenchmarkProfile> = spec2006().into_iter().take(2).collect();
         let a = PerfTable::build(&machine, &suite, 1).unwrap();
         let b = PerfTable::build(&machine, &suite, 8).unwrap();
-        for (combo, ipcs) in &a.co_ipc {
-            assert_eq!(b.slot_ipcs(combo).unwrap(), ipcs.as_slice());
+        assert_eq!(a, b);
+        for (combo, ipcs) in a.recorded_combos() {
+            assert_eq!(b.slot_ipcs(combo).unwrap(), ipcs);
         }
+    }
+
+    /// Every enumeration index of sizes `1..=k` over `n` benchmarks.
+    fn everything(n: usize, k: usize) -> Vec<usize> {
+        (0..full_enumeration_len(n, k)).collect()
     }
 
     /// The streamed sweep visits exactly the multisets the old materialised
     /// enumeration did, in the same order, for any thread count.
     #[test]
     fn sweep_combos_streams_the_full_enumeration_in_order() {
-        let expected: Vec<Vec<usize>> = (1..=3)
+        let expected: Vec<(usize, Vec<f64>)> = (1..=3)
             .flat_map(|size| symbiosis::enumerate_coschedules(4, size))
-            .map(|s| s.slots())
+            .map(|s| s.slots().iter().map(|&b| b as f64).collect())
+            .enumerate()
             .collect();
         for threads in [1, 2, 7, 64] {
-            let rows = sweep_combos::<String, _>(4, 3, threads, |combo| Ok(vec![1.0; combo.len()]))
-                .unwrap();
-            let combos: Vec<Vec<usize>> = rows.into_iter().map(|(c, _)| c).collect();
-            assert_eq!(combos, expected, "threads={threads}");
+            let rows = sweep_selected_combos::<String, _>(4, 3, threads, &everything(4, 3), |c| {
+                Ok(c.iter().map(|&b| b as f64).collect())
+            })
+            .unwrap();
+            assert_eq!(rows, expected, "threads={threads}");
         }
     }
 
@@ -864,7 +820,7 @@ mod tests {
         let first_failing = expected.iter().find(|c| c.contains(&1)).unwrap().clone();
         for threads in [1, 3, 16] {
             for _ in 0..5 {
-                let err = sweep_combos::<Vec<usize>, _>(3, 4, threads, |combo| {
+                let err = sweep_selected_combos(3, 4, threads, &everything(3, 4), |combo| {
                     if combo.contains(&1) {
                         Err(combo.to_vec())
                     } else {
@@ -885,7 +841,7 @@ mod tests {
         let total: usize = (1..=4)
             .map(|size| symbiosis::CoscheduleIter::count_total(6, size))
             .sum();
-        let _ = sweep_combos::<String, _>(6, 4, 2, |combo| {
+        let _ = sweep_selected_combos::<String, _>(6, 4, 2, &everything(6, 4), |combo| {
             simulated.fetch_add(1, Ordering::Relaxed);
             if combo == [0] {
                 Err("boom".into())
@@ -949,8 +905,7 @@ mod tests {
     fn full_budget_sampled_build_is_bitwise_equal_to_full_build() {
         let machine = Machine::new(MachineConfig::smt4().with_windows(1_000, 3_000)).unwrap();
         let suite: Vec<BenchmarkProfile> = spec2006().into_iter().take(3).collect();
-        let total = full_enumeration_len(3, 4);
-        let everything: Vec<usize> = (0..total).collect();
+        let everything = everything(3, 4);
         for threads in [1, 4] {
             let full = PerfTable::build(&machine, &suite, threads).unwrap();
             let sampled = PerfTable::build_sampled(&machine, &suite, threads, &everything).unwrap();
@@ -1029,8 +984,7 @@ mod tests {
             assert_eq!(full.slot_ipcs(combo).unwrap(), ipcs);
         }
         // Full-budget degradation holds for the synthetic path too.
-        let total = full_enumeration_len(5, 3);
-        let everything: Vec<usize> = (0..total).collect();
+        let everything = everything(5, 3);
         let exhaustive = PerfTable::synthetic_sampled(names, 3, &everything, ipc).unwrap();
         assert_eq!(exhaustive, full);
     }
@@ -1101,15 +1055,11 @@ mod tests {
         assert!(t.workload_view(&[0, 99]).is_err());
     }
 
-    /// The flat rank-indexed layout answers every probe exactly as the
-    /// hash map it mirrors, and unrecorded combos in a sampled table read
-    /// as `None` (the `u32::MAX` sentinel), not as garbage.
+    /// Unrecorded combos in a sampled table read as `None` (the
+    /// `UNRECORDED` sentinel), not as garbage, and every recorded one as
+    /// its row.
     #[test]
-    fn flat_index_agrees_with_the_hash_map_rows() {
-        let t = tiny_table();
-        for (combo, ipcs) in &t.co_ipc {
-            assert_eq!(t.slot_ipcs(combo).unwrap(), ipcs.as_slice());
-        }
+    fn unrecorded_combos_read_as_none() {
         let names: Vec<String> = (0..5).map(|b| format!("syn{b}")).collect();
         let ipc = |combo: &[usize]| -> Vec<f64> {
             combo
@@ -1127,7 +1077,7 @@ mod tests {
                     hits += 1;
                     assert_eq!(got, ipcs);
                 }
-                None => assert!(!sampled.co_ipc.contains_key(combo)),
+                None => assert!(sampled.recorded_combos().iter().all(|&(c, _)| c != combo)),
             }
         }
         assert_eq!(hits, selection.len());
@@ -1137,7 +1087,7 @@ mod tests {
     fn combo_wipc_bounded_by_context_count() {
         // WIPC of any coschedule cannot exceed K (each job's WIPC <= 1).
         let t = tiny_table();
-        for combo in t.co_ipc.keys() {
+        for (combo, _) in t.recorded_combos() {
             let w = t.combo_wipc(combo).unwrap();
             assert!(w > 0.0);
             assert!(w <= t.contexts() as f64 + 0.25, "WIPC {w} for {combo:?}");
