@@ -10,7 +10,8 @@
 //! The cases cover the machine variants the paper's Section VII sweeps
 //! (ICOUNT and round-robin fetch, dynamic and static ROB sharing, the
 //! dynamic-reservation ablation) on `smt4`, `quadcore` and `smt8`, with
-//! solo, pair and full coschedules. Windows are deliberately odd
+//! solo, pair and full coschedules, plus 3-, 5- and 7-job coschedules whose
+//! thread counts are not powers of two. Windows are deliberately odd
 //! (1 237 warm-up + 4 999 measured cycles, plus a zero-warm-up case) so
 //! that an engine which skips idle cycles past the warm-up boundary or
 //! past the end of the window is caught.
@@ -285,6 +286,86 @@ fn smt8_variants_match_golden_digests() {
             no_reservation(base),
             full,
             0x925a_760d_46cd_2379,
+        ),
+    ]);
+}
+
+/// Thread counts that are not powers of two: commit rotation and
+/// round-robin arbitration reduce the cycle modulo the core's thread count,
+/// and ICOUNT orders an odd number of threads.
+#[test]
+fn odd_thread_counts_match_golden_digests() {
+    let (c, m, s, b) = (compute(), memory(), streaming(), branchy());
+    let smt4 = MachineConfig::smt4().with_windows(WARMUP, MEASURE);
+    let smt8 = MachineConfig::smt8().with_windows(WARMUP, MEASURE);
+    let five = vec![&c, &m, &s, &b, &m];
+    let seven = vec![&m, &c, &b, &s, &m, &b, &c];
+    check(&[
+        (
+            "smt4 icount/dynamic three",
+            smt4.clone(),
+            vec![&c, &m, &b],
+            0xb2ac_6f6a_8d7c_09c1,
+        ),
+        (
+            "smt4 round-robin three",
+            smt4.clone().with_fetch_policy(FetchPolicy::RoundRobin),
+            vec![&b, &m, &c],
+            0xe9eb_bdcf_bbec_7696,
+        ),
+        (
+            "smt4 static three",
+            smt4.clone().with_rob_partitioning(RobPartitioning::Static),
+            vec![&m, &s, &c],
+            0x9d31_51f8_294c_311f,
+        ),
+        (
+            "smt4 no reservation three",
+            no_reservation(smt4),
+            vec![&c, &m, &m],
+            0xc9f1_1386_9e24_3849,
+        ),
+        (
+            "quadcore three",
+            MachineConfig::quadcore().with_windows(WARMUP, MEASURE),
+            vec![&m, &s, &b],
+            0xdd17_59e9_8563_fb5e,
+        ),
+        (
+            "smt8 icount/dynamic five",
+            smt8.clone(),
+            five.clone(),
+            0xa8c9_8ada_e80c_262e,
+        ),
+        (
+            "smt8 round-robin five",
+            smt8.clone().with_fetch_policy(FetchPolicy::RoundRobin),
+            five,
+            0xe8ff_2729_6772_da70,
+        ),
+        (
+            "smt8 icount/dynamic seven",
+            smt8.clone(),
+            seven.clone(),
+            0xde10_b7be_cde0_dd14,
+        ),
+        (
+            "smt8 round-robin seven",
+            smt8.clone().with_fetch_policy(FetchPolicy::RoundRobin),
+            seven.clone(),
+            0x0be9_09e8_89b6_1377,
+        ),
+        (
+            "smt8 static seven",
+            smt8.clone().with_rob_partitioning(RobPartitioning::Static),
+            seven.clone(),
+            0x1909_25c7_407c_f722,
+        ),
+        (
+            "smt8 no reservation seven",
+            no_reservation(smt8),
+            seven,
+            0x1acc_c7ef_4619_72b8,
         ),
     ]);
 }
