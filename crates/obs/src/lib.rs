@@ -53,6 +53,8 @@
 //! | solver | `fcfs.markov_solve` | span | whole stationary solve |
 //! | solver | `solver.lp.dense` / `.colgen` | counter | `ScheduleLp::solve` dispatch |
 //! | solver | `optimal.lp_solve` | span | whole LP solve |
+//! | table build | `workloads.build_sampled` | span | whole `PerfTable::build_sampled` (`build` included), one per table |
+//! | table build | `workloads.synthetic_sampled` | span | whole `PerfTable::synthetic_sampled` (`synthetic` included), one per table |
 //! | FCFS event sim | `fcfs.event_sim` | span | whole `symbiosis::fcfs_throughput` |
 //! | Section VI DES | `queueing.latency_run` | span | whole `queueing::run_latency_experiment` |
 //! | Section VI DES | `queueing.batch_run` | span | whole `queueing::run_batch_experiment` |

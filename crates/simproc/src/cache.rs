@@ -47,6 +47,8 @@ pub struct Cache {
     ways: usize,
     set_mask: u64,
     line_shift: u32,
+    /// Set-index bits above the line offset: `set_mask.count_ones()`.
+    set_bits: u32,
     latency: u64,
     stats: CacheStats,
 }
@@ -69,6 +71,7 @@ impl Cache {
             ways: geometry.ways as usize,
             set_mask: geometry.sets() - 1,
             line_shift: geometry.line_bytes.trailing_zeros(),
+            set_bits: geometry.sets().trailing_zeros(),
             latency: geometry.latency,
             stats: CacheStats::default(),
         }
@@ -95,28 +98,30 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.set_bits;
         let base = set * self.ways;
         let set_tags = &mut self.tags[base..base + self.ways];
         self.stats.accesses += 1;
-        if let Some(pos) = set_tags.iter().position(|&t| t == tag) {
-            // MRU promotion: rotate [0..=pos] right by one.
-            set_tags[..=pos].rotate_right(1);
-            self.stats.hits += 1;
-            true
-        } else {
-            // Evict LRU (last way), insert at MRU.
-            set_tags.rotate_right(1);
-            set_tags[0] = tag;
-            false
+        // One pass moves each way down one LRU position until the tag is
+        // found: a hit at `pos` promotes it to MRU over `[0..=pos]`; a miss
+        // shifts the whole set, dropping the LRU way, and inserts at MRU.
+        let mut carry = tag;
+        for way in set_tags.iter_mut() {
+            let seen = std::mem::replace(way, carry);
+            if seen == tag {
+                self.stats.hits += 1;
+                return true;
+            }
+            carry = seen;
         }
+        false
     }
 
     /// Probes without updating LRU state or statistics (for tests/inspection).
     pub fn contains(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.set_bits;
         let base = set * self.ways;
         self.tags[base..base + self.ways].contains(&tag)
     }

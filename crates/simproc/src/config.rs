@@ -116,6 +116,11 @@ impl CacheGeometry {
     }
 }
 
+/// The largest ROB [`MachineConfig::validate`] accepts. The engine sizes
+/// every thread's ROB ring from the ROB up front, so an absurd size must
+/// fail validation rather than the allocation.
+const MAX_ROB_SIZE: u32 = 1 << 16;
+
 /// Out-of-order core parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreParams {
@@ -123,7 +128,7 @@ pub struct CoreParams {
     pub dispatch_width: u32,
     /// Instructions committed per cycle.
     pub commit_width: u32,
-    /// Reorder-buffer entries (shared across SMT threads).
+    /// Reorder-buffer entries (shared across SMT threads), at most 65 536.
     pub rob_size: u32,
     /// SMT fetch arbitration policy.
     pub fetch_policy: FetchPolicy,
@@ -367,6 +372,9 @@ impl MachineConfig {
         if self.core.rob_size == 0 {
             return Err("ROB must have at least one entry".into());
         }
+        if self.core.rob_size > MAX_ROB_SIZE {
+            return Err(format!("ROB must have at most {MAX_ROB_SIZE} entries"));
+        }
         if self.core.rob_partitioning == RobPartitioning::Static {
             if let Topology::SmtCore { threads } = self.topology {
                 if (self.core.rob_size as usize) < threads {
@@ -526,6 +534,16 @@ mod tests {
         assert!(quad.validate().is_err());
         quad.core.rob_size = 2;
         quad.validate().unwrap();
+    }
+
+    #[test]
+    fn oversized_rob_rejected() {
+        let mut cfg = MachineConfig::smt4();
+        cfg.core.rob_size = MAX_ROB_SIZE;
+        cfg.validate().unwrap();
+        cfg.core.rob_size = MAX_ROB_SIZE + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("at most"), "{err}");
     }
 
     #[test]

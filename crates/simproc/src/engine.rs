@@ -36,8 +36,30 @@
 //! clamp only keeps `cycle` on the warm-up boundary (where the counters
 //! reset) and on the window end; what must never happen is a step *at* a
 //! window's end cycle, which the `engine_parity` golden digests catch.
-
-use std::collections::VecDeque;
+//!
+//! # ROB bookkeeping
+//!
+//! A core's ROB limit is fixed in `Core::new`: one pooled size without
+//! reservation, a per-thread guarantee plus a shared pool with it, or a
+//! static share per thread. Dispatch keeps every thread at or below its
+//! per-thread bound (the pooled size, guarantee + shared capacity, or the
+//! static share), and each thread's ROB is a ring whose capacity is that
+//! bound rounded up to a power of two, so no ring ever fills past its
+//! capacity.
+//!
+//! Each core keeps its occupancy incrementally, updated on every push and
+//! pop, under the identity
+//!
+//! ```text
+//! used = Σ over the core's threads of max(len − g, 0)
+//! ```
+//!
+//! where `g` is 0 for a pooled ROB, the guarantee with reservation, and
+//! unbounded under static partitioning (nothing counts). A ROB-space check
+//! is therefore one comparison (`used < size`, or `len < guarantee ||
+//! used < shared_capacity`) instead of a sum over the threads. Debug
+//! builds recompute the sum and check both the identity and the ring bound
+//! on every dispatch.
 
 use crate::cache::{Cache, CacheStats};
 use crate::config::{FetchPolicy, MachineConfig, RobPartitioning, Topology};
@@ -72,11 +94,56 @@ impl SimResult {
     }
 }
 
+/// One thread's ROB entries: completion times of in-flight instructions in
+/// program order, held in a ring whose capacity is fixed at construction
+/// (a power of two, so positions wrap with a mask).
+struct Rob {
+    buf: Box<[u64]>,
+    head: usize,
+    len: usize,
+}
+
+impl Rob {
+    /// A ring that holds at least `limit` entries.
+    fn new(limit: usize) -> Self {
+        Rob {
+            buf: vec![0; limit.next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Completion time of the oldest in-flight instruction.
+    fn front(&self) -> Option<u64> {
+        (self.len > 0).then(|| self.buf[self.head])
+    }
+
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0, "pop from an empty ROB");
+        self.head = (self.head + 1) & (self.capacity() - 1);
+        self.len -= 1;
+    }
+
+    fn push_back(&mut self, done: u64) {
+        debug_assert!(self.len < self.capacity(), "ROB ring overflow");
+        let mask = self.capacity() - 1;
+        self.buf[(self.head + self.len) & mask] = done;
+        self.len += 1;
+    }
+}
+
 /// Per-hardware-context execution state.
 struct ThreadState {
     gen: TraceGen,
-    /// Completion times of in-flight instructions, program order.
-    rob: VecDeque<u64>,
+    rob: Rob,
     /// Completion time of the youngest chain instruction.
     chain_ready: u64,
     /// Front end stalled until this cycle (branch redirect, bubbles).
@@ -85,20 +152,17 @@ struct ThreadState {
     outstanding: Vec<u64>,
     /// Committed instructions since the last counter reset.
     committed: u64,
-    /// Index of the core this context belongs to.
-    core: usize,
 }
 
 impl ThreadState {
-    fn new(profile: &BenchmarkProfile, slot: usize, line_bytes: u32, core: usize) -> Self {
+    fn new(profile: &BenchmarkProfile, slot: usize, line_bytes: u32, rob: &RobLimit) -> Self {
         ThreadState {
             gen: TraceGen::new(profile, slot, line_bytes),
-            rob: VecDeque::with_capacity(256),
+            rob: Rob::new(rob.per_thread()),
             chain_ready: 0,
             fetch_resume: 0,
             outstanding: Vec::with_capacity(16),
             committed: 0,
-            core,
         }
     }
 }
@@ -117,6 +181,31 @@ enum RobLimit {
     Static(usize),
 }
 
+impl RobLimit {
+    /// The most entries one thread can hold.
+    fn per_thread(&self) -> usize {
+        match *self {
+            RobLimit::Pooled(size) => size,
+            RobLimit::Reserved {
+                guarantee,
+                shared_capacity,
+            } => guarantee + shared_capacity,
+            RobLimit::Static(share) => share,
+        }
+    }
+
+    /// How many entries a thread holds before further ones count towards
+    /// [`Core::used`]: none for a pooled ROB, the guarantee with
+    /// reservation, and never under static partitioning.
+    fn counted_from(&self) -> usize {
+        match *self {
+            RobLimit::Pooled(_) => 0,
+            RobLimit::Reserved { guarantee, .. } => guarantee,
+            RobLimit::Static(_) => usize::MAX,
+        }
+    }
+}
+
 /// One core: its private cache levels, its hardware contexts and the ROB
 /// limit those contexts share (fixed at construction).
 struct Core {
@@ -125,6 +214,10 @@ struct Core {
     /// Indices of the threads running on this core, in slot order.
     threads: Vec<usize>,
     rob: RobLimit,
+    /// `rob.counted_from()`, kept at hand for every push and pop.
+    counted_from: usize,
+    /// Occupied entries above `counted_from`, summed over the threads.
+    used: usize,
 }
 
 impl Core {
@@ -148,7 +241,9 @@ impl Core {
             l1d: Cache::new(&cfg.l1d),
             l2: Cache::new(&cfg.l2),
             threads,
+            counted_from: rob.counted_from(),
             rob,
+            used: 0,
         }
     }
 }
@@ -157,7 +252,8 @@ impl Core {
 pub(crate) struct Chip<'a> {
     cfg: &'a MachineConfig,
     threads: Vec<ThreadState>,
-    /// One entry for an SMT core; one per core for a multicore.
+    /// One entry for an SMT core; one per occupied core for a multicore.
+    /// Every core runs at least one thread.
     cores: Vec<Core>,
     l3: Cache,
     bus: MemoryBus,
@@ -180,23 +276,21 @@ impl<'a> Chip<'a> {
             !profiles.is_empty() && profiles.len() <= contexts,
             "between 1 and {contexts} profiles required"
         );
-        let (num_cores, threads_per_core) = match cfg.topology {
-            Topology::SmtCore { threads } => (1, threads),
-            Topology::Multicore { cores } => (cores, 1),
+        let threads_per_core = match cfg.topology {
+            Topology::SmtCore { threads } => threads,
+            Topology::Multicore { .. } => 1,
         };
         let line = cfg.l1d.line_bytes;
-        let threads: Vec<ThreadState> = profiles
+        // A core without a job would stay idle, so none is built.
+        let slots: Vec<usize> = (0..profiles.len()).collect();
+        let cores: Vec<Core> = slots
+            .chunks(threads_per_core)
+            .map(|members| Core::new(cfg, members.to_vec()))
+            .collect();
+        let threads = profiles
             .iter()
             .enumerate()
-            .map(|(slot, p)| ThreadState::new(p, slot, line, slot / threads_per_core))
-            .collect();
-        let mut core_threads = vec![Vec::new(); num_cores];
-        for (i, t) in threads.iter().enumerate() {
-            core_threads[t.core].push(i);
-        }
-        let cores = core_threads
-            .into_iter()
-            .map(|members| Core::new(cfg, members))
+            .map(|(slot, p)| ThreadState::new(p, slot, line, &cores[slot / threads_per_core].rob))
             .collect();
         Chip {
             cfg,
@@ -269,7 +363,7 @@ impl<'a> Chip<'a> {
     fn next_event(&self) -> u64 {
         let mut next = u64::MAX;
         for t in &self.threads {
-            if let Some(&done) = t.rob.front() {
+            if let Some(done) = t.rob.front() {
                 next = next.min(done);
             }
             if t.fetch_resume > self.cycle {
@@ -284,19 +378,19 @@ impl<'a> Chip<'a> {
     fn commit(&mut self) -> bool {
         let width = self.cfg.core.commit_width as usize;
         let mut retired = false;
-        for core in &self.cores {
-            let members = &core.threads;
-            if members.is_empty() {
-                continue;
-            }
+        for core in &mut self.cores {
+            let n = core.threads.len();
             let mut budget = width;
-            let (before, from) = members.split_at(self.cycle as usize % members.len());
-            for &ti in from.iter().chain(before) {
-                let t = &mut self.threads[ti];
+            let mut k = rotation(self.cycle, n);
+            for _ in 0..n {
+                let t = &mut self.threads[core.threads[k]];
                 while budget > 0 {
                     match t.rob.front() {
-                        Some(&done) if done <= self.cycle => {
+                        Some(done) if done <= self.cycle => {
                             t.rob.pop_front();
+                            if t.rob.len() >= core.counted_from {
+                                core.used -= 1;
+                            }
                             t.committed += 1;
                             budget -= 1;
                         }
@@ -306,6 +400,7 @@ impl<'a> Chip<'a> {
                 if budget == 0 {
                     break;
                 }
+                k = if k + 1 == n { 0 } else { k + 1 };
             }
             retired |= budget < width;
         }
@@ -320,30 +415,37 @@ impl<'a> Chip<'a> {
         let mut issued = false;
         let mut order = std::mem::take(&mut self.order);
         for core in 0..self.cores.len() {
-            // Establish thread priority order.
-            order.clear();
-            order.extend_from_slice(&self.cores[core].threads);
-            if order.is_empty() {
-                continue;
-            }
-            match self.cfg.core.fetch_policy {
-                FetchPolicy::Icount => {
-                    // Fewest in-flight instructions first (stable sort keeps
-                    // a deterministic tie-break by slot index).
-                    order.sort_by_key(|&ti| self.threads[ti].rob.len());
+            self.debug_check_rob_bookkeeping(core);
+            let members = &self.cores[core].threads;
+            let budget = match members[..] {
+                [ti] => self.dispatch_thread(core, ti, width),
+                _ => {
+                    // Establish thread priority order.
+                    order.clear();
+                    match self.cfg.core.fetch_policy {
+                        FetchPolicy::Icount => {
+                            // Fewest in-flight instructions first; the
+                            // stable sort breaks ties by slot index.
+                            order.extend_from_slice(members);
+                            let threads = &self.threads;
+                            insertion_sort_by_key(&mut order, |ti| threads[ti].rob.len());
+                        }
+                        FetchPolicy::RoundRobin => {
+                            let start = rotation(self.cycle, members.len());
+                            order.extend_from_slice(&members[start..]);
+                            order.extend_from_slice(&members[..start]);
+                        }
+                    }
+                    let mut budget = width;
+                    for &ti in &order {
+                        if budget == 0 {
+                            break;
+                        }
+                        budget = self.dispatch_thread(core, ti, budget);
+                    }
+                    budget
                 }
-                FetchPolicy::RoundRobin => {
-                    let start = self.cycle as usize % order.len();
-                    order.rotate_left(start);
-                }
-            }
-            let mut budget = width;
-            for &ti in &order {
-                if budget == 0 {
-                    break;
-                }
-                budget = self.dispatch_thread(core, ti, budget);
-            }
+            };
             issued |= budget < width;
         }
         self.order = order;
@@ -383,26 +485,34 @@ impl<'a> Chip<'a> {
         let len = self.threads[ti].rob.len();
         match c.rob {
             // Ablation mode: a fully shared pool with no guarantee.
-            RobLimit::Pooled(size) => {
-                let used: usize = c.threads.iter().map(|&i| self.threads[i].rob.len()).sum();
-                used < size
-            }
+            RobLimit::Pooled(size) => c.used < size,
             RobLimit::Reserved {
                 guarantee,
                 shared_capacity,
-            } => {
-                if len < guarantee {
-                    return true;
-                }
-                let shared_used: usize = c
-                    .threads
-                    .iter()
-                    .map(|&i| self.threads[i].rob.len().saturating_sub(guarantee))
-                    .sum();
-                shared_used < shared_capacity
-            }
+            } => len < guarantee || c.used < shared_capacity,
             RobLimit::Static(share) => len < share,
         }
+    }
+
+    /// Debug builds: checks the occupancy identity (`used` equals the sum
+    /// recomputed over the core's threads) and that no thread holds more
+    /// entries than the per-thread bound its ring was sized from.
+    fn debug_check_rob_bookkeeping(&self, core: usize) {
+        let c = &self.cores[core];
+        debug_assert_eq!(
+            c.used,
+            c.threads
+                .iter()
+                .map(|&i| self.threads[i].rob.len().saturating_sub(c.counted_from))
+                .sum::<usize>(),
+            "core {core}: incremental ROB occupancy drifted"
+        );
+        debug_assert!(
+            c.threads
+                .iter()
+                .all(|&i| self.threads[i].rob.len() <= c.rob.per_thread()),
+            "core {core}: a thread exceeds its ROB ring's bound"
+        );
     }
 
     /// Models one instruction's execution; returns `true` if the thread's
@@ -462,6 +572,10 @@ impl<'a> Chip<'a> {
             t.fetch_resume = t.fetch_resume.max(now + 2);
             stall = true;
         }
+        let c = &mut self.cores[core];
+        if t.rob.len() >= c.counted_from {
+            c.used += 1;
+        }
         t.rob.push_back(done);
         stall
     }
@@ -516,6 +630,32 @@ impl<'a> Chip<'a> {
         let issue = now.max(earliest);
         t.outstanding.retain(|&fill| fill > issue);
         issue
+    }
+}
+
+/// The position at which a rotation over `n` threads starts on `cycle`:
+/// `cycle mod n`, with a mask when `n` is a power of two. `n` must be
+/// non-zero.
+fn rotation(cycle: u64, n: usize) -> usize {
+    let c = cycle as usize;
+    if n.is_power_of_two() {
+        c & (n - 1)
+    } else {
+        c % n
+    }
+}
+
+/// Stable in-place insertion sort of a handful of thread indices by `key`.
+fn insertion_sort_by_key(v: &mut [usize], key: impl Fn(usize) -> usize) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let kx = key(x);
+        let mut j = i;
+        while j > 0 && key(v[j - 1]) > kx {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
     }
 }
 
@@ -715,6 +855,43 @@ mod tests {
             without.ipc[0]
         );
         assert_ne!(with.ipc, without.ipc, "the ablation knob must be live");
+    }
+
+    #[test]
+    fn rob_ring_wraps_around_at_full_capacity() {
+        let mut rob = Rob::new(3);
+        assert_eq!(rob.capacity(), 4);
+        let mut expected = std::collections::VecDeque::new();
+        let mut next = 0;
+        // Fill to capacity, then keep draining two and refilling to full so
+        // head and tail wrap past the end of the buffer several times.
+        for round in 0..6 {
+            while rob.len() < rob.capacity() {
+                rob.push_back(next);
+                expected.push_back(next);
+                next += 1;
+            }
+            assert_eq!(rob.len(), 4, "round {round}");
+            for _ in 0..2 + round % 3 {
+                assert_eq!(rob.front(), expected.pop_front());
+                rob.pop_front();
+            }
+        }
+        while let Some(want) = expected.pop_front() {
+            assert_eq!(rob.front(), Some(want));
+            rob.pop_front();
+        }
+        assert_eq!((rob.len(), rob.front()), (0, None));
+    }
+
+    #[test]
+    #[should_panic(expected = "ROB ring overflow")]
+    #[cfg(debug_assertions)]
+    fn rob_ring_rejects_a_push_past_capacity() {
+        let mut rob = Rob::new(2);
+        for done in 0..3 {
+            rob.push_back(done);
+        }
     }
 
     #[test]

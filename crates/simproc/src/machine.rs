@@ -114,8 +114,9 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        // 6 entries cannot hold four threads' ROB reservations of 2.
-        for rob_size in [0, 6] {
+        // 6 entries cannot hold four threads' ROB reservations of 2; a
+        // ROB past 65 536 entries fails before any ring is allocated.
+        for rob_size in [0, 6, u32::MAX] {
             let mut cfg = MachineConfig::smt4();
             cfg.core.rob_size = rob_size;
             assert!(matches!(

@@ -148,10 +148,9 @@ impl PerfTable {
         self.ipcs.extend_from_slice(ipcs);
     }
 
-    /// Packs sweep rows (`(enumeration index, slot IPCs)`, ascending by
-    /// index) in ascending combo order and reads the solo IPCs off the
-    /// size-1 rows, which every sweep selection contains.
-    fn from_sweep(names: Vec<String>, contexts: usize, rows: &[(usize, Vec<f64>)]) -> Self {
+    /// Packs sweep rows in ascending combo order and reads the solo IPCs
+    /// off the size-1 rows, which every sweep selection contains.
+    fn from_sweep(names: Vec<String>, contexts: usize, rows: &SweepRows) -> Self {
         let n = names.len();
         let mut table = PerfTable::empty(names, Vec::new(), contexts);
         // Walk every sorted combo of sizes 1..=contexts in ascending order
@@ -162,8 +161,8 @@ impl PerfTable {
                 .index
                 .index_sorted_slots(&combo)
                 .expect("the walk yields sorted in-range combos");
-            if let Ok(r) = rows.binary_search_by_key(&global, |&(g, _)| g) {
-                table.push_row(global, &combo, &rows[r].1);
+            if let Some(ipcs) = rows.get(global, combo.len()) {
+                table.push_row(global, &combo, ipcs);
             }
             // Successor: repeat the last index while the combo is short,
             // else drop the maxed-out tail and bump the index before it.
@@ -263,6 +262,7 @@ impl PerfTable {
         threads: usize,
         sample: &[usize],
     ) -> Result<Self, TableError> {
+        let _span = obs::span!("workloads.build_sampled");
         let k = machine.config().contexts();
         check_sample(suite.len(), k, sample)?;
         let rows = sweep_selected_combos(suite.len(), k, threads, sample, |combo| {
@@ -312,6 +312,7 @@ impl PerfTable {
     where
         F: Fn(&[usize]) -> Vec<f64> + Sync,
     {
+        let _span = obs::span!("workloads.synthetic_sampled");
         if names.is_empty() {
             return Err(TableError::InvalidWorkload("no benchmarks".into()));
         }
@@ -491,9 +492,29 @@ impl PerfTable {
     }
 }
 
-/// Rows produced by the streamed combo sweep: `(enumeration index,
-/// per-slot IPCs)`, ascending by index.
-type SweepRows = Vec<(usize, Vec<f64>)>;
+/// Rows produced by the streamed combo sweep. Each worker appends the slot
+/// IPCs of the rows it simulated to one flat buffer of its own, so a row
+/// costs no allocation of its own while the sweep runs.
+#[derive(Debug)]
+struct SweepRows {
+    /// `(enumeration index, worker, offset into that worker's buffer)`,
+    /// ascending by index.
+    rows: Vec<(usize, usize, usize)>,
+    /// Each worker's rows' slot IPCs, back to back.
+    ipcs: Vec<Vec<f64>>,
+}
+
+impl SweepRows {
+    /// The `size` slot IPCs recorded at enumeration index `global`, if any.
+    fn get(&self, global: usize, size: usize) -> Option<&[f64]> {
+        let r = self
+            .rows
+            .binary_search_by_key(&global, |&(g, _, _)| g)
+            .ok()?;
+        let (_, worker, offset) = self.rows[r];
+        Some(&self.ipcs[worker][offset..offset + size])
+    }
+}
 
 /// Total combos in the streamed enumeration of sizes `1..=k` over
 /// `n_benchmarks` benchmarks — the index space [`PerfTable::build_sampled`]
@@ -567,7 +588,10 @@ where
 
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let results: Mutex<SweepRows> = Mutex::new(Vec::with_capacity(total));
+    let results = Mutex::new(SweepRows {
+        rows: Vec::with_capacity(total),
+        ipcs: Vec::with_capacity(threads),
+    });
     let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
@@ -575,7 +599,9 @@ where
             scope.spawn(|| {
                 let mut stream = (1..=k).flat_map(|size| CoscheduleIter::new(n_benchmarks, size));
                 let mut cursor = 0usize;
-                let mut local: SweepRows = Vec::new();
+                // `(enumeration index, offset into local_ipcs)` per row.
+                let mut local_rows = Vec::new();
+                let mut local_ipcs = Vec::new();
                 loop {
                     // Abort check between simulations only (never between
                     // claiming and simulating): see the determinism note.
@@ -595,7 +621,10 @@ where
                     let combo = stream.next().expect("index < enumeration length").slots();
                     cursor += 1;
                     match sim(&combo) {
-                        Ok(ipcs) => local.push((index, ipcs)),
+                        Ok(ipcs) => {
+                            local_rows.push((index, local_ipcs.len()));
+                            local_ipcs.extend_from_slice(&ipcs);
+                        }
                         Err(e) => {
                             let mut first = first_error.lock().expect("poisoned");
                             if first.as_ref().is_none_or(|(i, _)| index < *i) {
@@ -607,7 +636,11 @@ where
                         }
                     }
                 }
-                results.lock().expect("poisoned").extend(local);
+                let mut results = results.lock().expect("poisoned");
+                let worker = results.ipcs.len();
+                results.ipcs.push(local_ipcs);
+                let rows = local_rows.into_iter().map(|(i, off)| (i, worker, off));
+                results.rows.extend(rows);
             });
         }
     });
@@ -616,7 +649,7 @@ where
         return Err(e);
     }
     let mut rows = results.into_inner().expect("poisoned");
-    rows.sort_unstable_by_key(|&(index, _)| index);
+    rows.rows.sort_unstable_by_key(|&(index, _, _)| index);
     Ok(rows)
 }
 
@@ -803,7 +836,12 @@ mod tests {
                 Ok(c.iter().map(|&b| b as f64).collect())
             })
             .unwrap();
-            assert_eq!(rows, expected, "threads={threads}");
+            let indices = rows.rows.iter().map(|&(index, _, _)| index);
+            assert!(indices.eq(0..expected.len()), "threads={threads}");
+            for (index, ipcs) in &expected {
+                let got = rows.get(*index, ipcs.len());
+                assert_eq!(got, Some(&ipcs[..]), "threads={threads} index={index}");
+            }
         }
     }
 
@@ -856,6 +894,20 @@ mod tests {
         // in-flight combos run before both observe the abort flag.
         let ran = simulated.load(Ordering::Relaxed);
         assert!(ran < total / 2, "abort flag ignored: {ran} of {total} ran");
+    }
+
+    #[test]
+    fn each_table_build_records_one_span() {
+        let recorder = obs::Recorder::new();
+        let _guard = obs::install(&recorder);
+        let names: Vec<String> = (0..4).map(|b| format!("syn{b}")).collect();
+        PerfTable::synthetic(names, 3, |combo| vec![1.0; combo.len()]).unwrap();
+        let machine = Machine::new(MachineConfig::smt4().with_windows(100, 300)).unwrap();
+        let suite = &spec2006()[..2];
+        PerfTable::build_sampled(&machine, suite, 2, &[0, 1, 2]).unwrap();
+        let spans = recorder.snapshot().histograms;
+        assert_eq!(spans["workloads.synthetic_sampled"].count, 1);
+        assert_eq!(spans["workloads.build_sampled"].count, 1);
     }
 
     #[test]
