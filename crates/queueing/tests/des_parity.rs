@@ -16,7 +16,9 @@
 //!
 //! each at two loads (twice the machine's capacity, so thousands of jobs
 //! queue, and a low load with empty periods) and with exponential and
-//! deterministic job sizes, plus fixed-batch runs.
+//! deterministic job sizes, plus fixed-batch runs. The same cases run
+//! once more on a prebuilt [`RateGrid`] of each model, as
+//! `session::Session` hands one to its runs.
 //!
 //! If a change is *meant* to alter simulated results, re-pin the digests
 //! from the failure message.
@@ -26,7 +28,7 @@ use queueing::{
     FcfsScheduler, LatencyConfig, LatencyReport, MaxItScheduler, MaxTpScheduler, RateModel,
     Scheduler, SizeDist, SrptScheduler,
 };
-use symbiosis::CoscheduleIter;
+use symbiosis::{CoscheduleIter, RateGrid};
 use workloads::PerfTable;
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -271,6 +273,74 @@ fn batch_runs_match_golden_digests() {
             ("view/batch/det/MAXIT", 0x919e773336e405a3),
             ("view/batch/det/SRPT", 0x919e773336e405a3),
             ("view/batch/det/MAXTP", 0xc7b58cf6edb73a4b),
+        ],
+    );
+}
+
+/// The `session::Session` path: a run handed a prebuilt [`RateGrid`]
+/// reads that grid, and must produce the bare model's results bit for
+/// bit, at both loads and on a fixed batch.
+#[test]
+fn prebuilt_grid_runs_match_golden_digests() {
+    let table = synthetic_table();
+    let view = table.workload_view(&[0, 2, 3, 5]).expect("valid workload");
+    let view_grid = RateGrid::new(&view).expect("valid rates");
+    let contention_grid = RateGrid::new(&tied_contention()).expect("valid rates");
+    let mut got = latency_cases("grid-contention", &contention_grid, 41);
+    got.extend(latency_cases("grid-view", &view_grid, 43));
+    got.extend(batch_cases("grid-contention", &contention_grid, 47));
+    got.extend(batch_cases("grid-view", &view_grid, 47));
+    check(
+        &got,
+        &[
+            ("grid-contention/saturated/exp/FCFS", 0x99bb0d74ef2cfe76),
+            ("grid-contention/saturated/exp/MAXIT", 0x99bb0d74ef2cfe76),
+            ("grid-contention/saturated/exp/SRPT", 0xa19877fd789a3baa),
+            ("grid-contention/saturated/exp/MAXTP", 0x95d5412374e1c28d),
+            ("grid-contention/saturated/det/FCFS", 0x701936de957ec5ec),
+            ("grid-contention/saturated/det/MAXIT", 0x701936de957ec5ec),
+            ("grid-contention/saturated/det/SRPT", 0x785570a77ecc4ea7),
+            ("grid-contention/saturated/det/MAXTP", 0x5b9d05f2c06169cd),
+            ("grid-contention/low/exp/FCFS", 0x4f734ac1c16b15d6),
+            ("grid-contention/low/exp/MAXIT", 0x4f734ac1c16b15d6),
+            ("grid-contention/low/exp/SRPT", 0x9fe308e1d9d2e18d),
+            ("grid-contention/low/exp/MAXTP", 0xce4a6fe5745f35ee),
+            ("grid-contention/low/det/FCFS", 0x03fa0e872e0f23d6),
+            ("grid-contention/low/det/MAXIT", 0x03fa0e872e0f23d6),
+            ("grid-contention/low/det/SRPT", 0x03fa0e872e0f23d6),
+            ("grid-contention/low/det/MAXTP", 0x6dd0733a2fe65c62),
+            ("grid-view/saturated/exp/FCFS", 0xb5caf8e8cc0cc243),
+            ("grid-view/saturated/exp/MAXIT", 0x26bcbea9f86ed84a),
+            ("grid-view/saturated/exp/SRPT", 0x87f9b16e583f196e),
+            ("grid-view/saturated/exp/MAXTP", 0x1024b612df8f79dc),
+            ("grid-view/saturated/det/FCFS", 0x51351c33826017f0),
+            ("grid-view/saturated/det/MAXIT", 0x8b83c165f66c0653),
+            ("grid-view/saturated/det/SRPT", 0xa293946c8543bb54),
+            ("grid-view/saturated/det/MAXTP", 0xee57ecde06801612),
+            ("grid-view/low/exp/FCFS", 0xaf571ac51412d05b),
+            ("grid-view/low/exp/MAXIT", 0x8d96bb5b167cb122),
+            ("grid-view/low/exp/SRPT", 0xfe7228366fe76f78),
+            ("grid-view/low/exp/MAXTP", 0xab631a35e554b30c),
+            ("grid-view/low/det/FCFS", 0x2232955495f83342),
+            ("grid-view/low/det/MAXIT", 0x1f505330b384a784),
+            ("grid-view/low/det/SRPT", 0xfbd3068a0a918fd1),
+            ("grid-view/low/det/MAXTP", 0xc57f91ce0087deee),
+            ("grid-contention/batch/exp/FCFS", 0x40676606a5512631),
+            ("grid-contention/batch/exp/MAXIT", 0x887f251b813849eb),
+            ("grid-contention/batch/exp/SRPT", 0x2e73aee638080345),
+            ("grid-contention/batch/exp/MAXTP", 0x3823d0ff1e4f3dfc),
+            ("grid-contention/batch/det/FCFS", 0x2259b1580ae29e57),
+            ("grid-contention/batch/det/MAXIT", 0x2259b1580ae29e57),
+            ("grid-contention/batch/det/SRPT", 0x2259b1580ae29e57),
+            ("grid-contention/batch/det/MAXTP", 0x2259b1580ae29e57),
+            ("grid-view/batch/exp/FCFS", 0x442dc8dfdcb72404),
+            ("grid-view/batch/exp/MAXIT", 0x65958b929e173272),
+            ("grid-view/batch/exp/SRPT", 0x7795a12b1d0d42aa),
+            ("grid-view/batch/exp/MAXTP", 0x07b52a24d03b46eb),
+            ("grid-view/batch/det/FCFS", 0x72d3b5879ea1a9aa),
+            ("grid-view/batch/det/MAXIT", 0x919e773336e405a3),
+            ("grid-view/batch/det/SRPT", 0x919e773336e405a3),
+            ("grid-view/batch/det/MAXTP", 0xc7b58cf6edb73a4b),
         ],
     );
 }
