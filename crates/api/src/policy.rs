@@ -131,7 +131,7 @@ impl Policy {
         match self {
             Policy::Fcfs => Some(Box::new(FcfsScheduler)),
             Policy::MaxIt => Some(Box::new(MaxItScheduler)),
-            Policy::Srpt => Some(Box::new(SrptScheduler)),
+            Policy::Srpt => Some(Box::new(SrptScheduler::default())),
             Policy::MaxTp => Some(Box::new(MaxTpScheduler::new(targets.to_vec()))),
             _ => None,
         }

@@ -393,7 +393,7 @@ impl EvalSpec {
         }
 
         // Evaluate the model once for every latency run: each run then
-        // copies this grid instead of asking the model again, and a model
+        // reads this grid instead of asking the model again, and a model
         // that breaks the rate contract fails here, before any run.
         let grid: Option<RateGrid> = if policies.iter().any(|p| p.kind() == PolicyKind::Latency) {
             Some(RateGrid::new(model)?)

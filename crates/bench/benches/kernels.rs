@@ -20,7 +20,10 @@ use std::time::Instant;
 use dist::{loopback_pair, run_worker, Coordinator, DistConfig, WorkerConfig};
 use lp::sparse::stationary_sor;
 use lp::{LinearProgram, Relation};
-use queueing::{run_latency_experiment, ContentionModel, LatencyConfig, SizeDist};
+use queueing::{
+    run_batch_experiment, run_latency_experiment, BatchConfig, ContentionModel, LatencyConfig,
+    SizeDist,
+};
 use session::{Policy, Session};
 use simproc::{BenchmarkProfile, Machine, MachineConfig};
 use symbiosis::{
@@ -54,7 +57,9 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "des/latency_2k_jobs_fcfs",
     "des/latency_2k_jobs_maxit",
     "des/latency_2k_jobs_srpt",
+    "des/latency_2k_jobs_maxtp",
     "des/latency_saturated_2k_jobs_srpt",
+    "des/batch_300_jobs_srpt",
     "sweep/latency_fig5_leg",
     "predict/fit_sampled_n12_k8",
     "predict/error_against_n8_k8",
@@ -361,6 +366,15 @@ fn main() {
             black_box(run_latency_experiment(&des_rates, sched.as_mut(), &des_cfg).expect("runs"));
         }));
     }
+    // MAXTP with targets of four same-type jobs, which a queue at this
+    // load rarely holds: most events take its MAXIT fallback.
+    let fallback_targets = [(vec![4, 0, 0, 0], 0.5), (vec![0, 0, 0, 4], 0.5)];
+    results.push(bench("des/latency_2k_jobs_maxtp", || {
+        let mut sched = Policy::MaxTp
+            .latency_scheduler(&fallback_targets)
+            .expect("latency policy");
+        black_box(run_latency_experiment(&des_rates, sched.as_mut(), &des_cfg).expect("runs"));
+    }));
     // Saturation (Figure 6 style): arrivals at twice the machine's
     // capacity of 2.5 work units per cycle, so thousands of jobs queue and
     // every SRPT decision reads the remaining-work index. Guards the
@@ -374,6 +388,17 @@ fn main() {
         black_box(
             run_latency_experiment(&des_rates, sched.as_mut(), &saturated_cfg).expect("runs"),
         );
+    }));
+    // A fixed batch the size of perfbench `analyze`'s batch leg: it starts
+    // with every job queued and drains through partial coschedules.
+    let batch_cfg = BatchConfig {
+        jobs: 300,
+        sizes: SizeDist::Exponential,
+        seed: 3,
+    };
+    results.push(bench("des/batch_300_jobs_srpt", || {
+        let mut sched = Policy::Srpt.latency_scheduler(&[]).expect("latency policy");
+        black_box(run_batch_experiment(&des_rates, sched.as_mut(), &batch_cfg).expect("runs"));
     }));
 
     // The latency fan-out behind the migrated Figure 5 leg: one shared

@@ -81,7 +81,9 @@ pub use metrics::Spread;
 pub use optimal::{
     optimal_schedule, throughput_bounds, Objective, Schedule, ScheduleLp, DEFAULT_LP_DENSE_LIMIT,
 };
-pub use rates::{assert_rate_model_conformance, AnalyticModel, RateGrid, RateModel, WorkloadRates};
+pub use rates::{
+    assert_rate_model_conformance, AnalyticModel, GridStratum, RateGrid, RateModel, WorkloadRates,
+};
 pub use variability::{
     analyze_variability, instantaneous_spread, per_job_spreads, FcfsParams, WorkloadVariability,
 };

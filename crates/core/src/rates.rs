@@ -116,6 +116,14 @@ pub trait RateModel {
             (0..n).map(|b| self.total_rate(s.counts(), b)).collect()
         })
     }
+
+    /// This model as a [`RateGrid`], if it is one, so that a consumer can
+    /// walk the grid's [strata](RateGrid::stratum) instead of asking for
+    /// one multiset at a time. `None` unless overridden; only `RateGrid`
+    /// overrides it.
+    fn as_grid(&self) -> Option<&RateGrid> {
+        None
+    }
 }
 
 impl<M: RateModel + ?Sized> RateModel for &M {
@@ -145,6 +153,10 @@ impl<M: RateModel + ?Sized> RateModel for &M {
 
     fn full_table(&self) -> Result<WorkloadRates, SymbiosisError> {
         (**self).full_table()
+    }
+
+    fn as_grid(&self) -> Option<&RateGrid> {
+        (**self).as_grid()
     }
 }
 
@@ -217,7 +229,9 @@ where
 /// `c * x / c` is not always `x`.) A lookup reads the counts as digits in
 /// base `K + 1` when `(K + 1)^types <= 2^18`, and takes their
 /// [`CoscheduleIndex`] position otherwise: on a 2.1 GHz x86-64 core a
-/// digit key measured 6.7 ns a lookup and a rank 17.5 ns.
+/// digit key measured 6.7 ns a lookup and a rank 17.5 ns. A consumer that
+/// compares many multisets of one size walks that size's
+/// [`GridStratum`] instead, with no lookup at all.
 ///
 /// As a [`RateModel`] a grid panics on a multiset outside its cells. Its
 /// [`RateModel::full_table`] is the trait default, `count * per_job_rate`,
@@ -240,7 +254,11 @@ where
 pub struct RateGrid {
     num_types: usize,
     contexts: usize,
-    partial: bool,
+    /// Smallest multiset size held: 1, or `K` for a full grid.
+    min_size: usize,
+    /// `strata[s]` is the first cell of size `min_size + s`; one extra
+    /// entry closes the last stratum.
+    strata: Vec<usize>,
     keys: GridKeys,
     /// `counts` and `per_job` hold `types` entries per cell.
     counts: Vec<u32>,
@@ -292,6 +310,7 @@ impl RateGrid {
         let mut counts = Vec::with_capacity(index.total() * n);
         let mut per_job = Vec::with_capacity(index.total() * n);
         let mut throughput = Vec::with_capacity(index.total());
+        let mut strata = vec![0];
         for size in min_size..=k {
             // Walk the stratum in place: no allocation per cell.
             let mut c = vec![0u32; n];
@@ -316,6 +335,7 @@ impl RateGrid {
                     break;
                 }
             }
+            strata.push(throughput.len());
         }
         let keys = match (k + 1)
             .checked_pow(n as u32)
@@ -334,7 +354,8 @@ impl RateGrid {
         Ok(RateGrid {
             num_types: n,
             contexts: k,
-            partial: min_size == 1,
+            min_size,
+            strata,
             keys,
             counts,
             per_job,
@@ -388,13 +409,102 @@ impl RateGrid {
         &self.per_job[self.cell(counts) * n..][..n]
     }
 
+    /// The cells of every multiset of `size` jobs, in [`CoscheduleIter`]
+    /// order, or `None` for a size the grid does not hold (0, above `K`,
+    /// or partial in a full grid).
+    ///
+    /// ```
+    /// use symbiosis::{AnalyticModel, CoscheduleIter, RateGrid, RateModel};
+    ///
+    /// let model = AnalyticModel::new(3, 2, |counts, ty| {
+    ///     (1.0 + ty as f64) / counts.iter().sum::<u32>() as f64
+    /// });
+    /// let grid = RateGrid::new(&model)?;
+    /// let pairs = grid.stratum(2).unwrap();
+    /// assert_eq!(pairs.len(), 6);
+    /// for (i, s) in CoscheduleIter::new(3, 2).enumerate() {
+    ///     assert_eq!(pairs.counts(i), s.counts());
+    ///     assert_eq!(pairs.throughput(i), model.instantaneous_throughput(s.counts()));
+    /// }
+    /// assert!(grid.stratum(3).is_none());
+    /// # Ok::<(), symbiosis::SymbiosisError>(())
+    /// ```
+    pub fn stratum(&self, size: usize) -> Option<GridStratum<'_>> {
+        let s = size.checked_sub(self.min_size)?;
+        let (&start, &end) = (self.strata.get(s)?, self.strata.get(s + 1)?);
+        let n = self.num_types;
+        Some(GridStratum {
+            num_types: n,
+            counts: &self.counts[start * n..end * n],
+            per_job: &self.per_job[start * n..end * n],
+            throughput: &self.throughput[start..end],
+        })
+    }
+
     /// Each full (size `K`) multiset's counts and instantaneous throughput,
     /// in [`CoscheduleIter`] order: a walk over the stored cells.
     pub fn full_cells(&self) -> impl Iterator<Item = (&[u32], f64)> + '_ {
-        let start = self.len() - CoscheduleIter::count_total(self.num_types, self.contexts);
-        self.counts[start * self.num_types..]
-            .chunks_exact(self.num_types)
-            .zip(self.throughput[start..].iter().copied())
+        let full = self
+            .stratum(self.contexts)
+            .expect("every grid holds its full multisets");
+        (0..full.len()).map(move |i| (full.counts(i), full.throughput(i)))
+    }
+}
+
+/// The cells of one multiset size in a [`RateGrid`], in
+/// [`CoscheduleIter`] order (descending lexicographic counts). Cell `i`
+/// has its counts, its per-job rates and its throughput at index `i`,
+/// each the model's own answer, so walking a stratum and keeping the
+/// cells that fit some availability visits exactly the multisets an
+/// enumeration under that availability would, in the same order and with
+/// the same values.
+#[derive(Debug, Clone, Copy)]
+pub struct GridStratum<'a> {
+    num_types: usize,
+    counts: &'a [u32],
+    per_job: &'a [f64],
+    throughput: &'a [f64],
+}
+
+impl<'a> GridStratum<'a> {
+    /// Number of cells (multisets of this size).
+    pub fn len(&self) -> usize {
+        self.throughput.len()
+    }
+
+    /// True if the stratum has no cells (never, for a built grid).
+    pub fn is_empty(&self) -> bool {
+        self.throughput.is_empty()
+    }
+
+    /// Cell `i`'s per-type counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn counts(&self, i: usize) -> &'a [u32] {
+        &self.counts[i * self.num_types..][..self.num_types]
+    }
+
+    /// Cell `i`'s per-job rate of every type (0.0 when absent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn per_job_rates(&self, i: usize) -> &'a [f64] {
+        &self.per_job[i * self.num_types..][..self.num_types]
+    }
+
+    /// Cell `i`'s instantaneous throughput.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn throughput(&self, i: usize) -> f64 {
+        self.throughput[i]
     }
 }
 
@@ -427,7 +537,11 @@ impl RateModel for RateGrid {
     }
 
     fn supports_partial(&self) -> bool {
-        self.partial
+        self.min_size == 1
+    }
+
+    fn as_grid(&self) -> Option<&RateGrid> {
+        Some(self)
     }
 }
 

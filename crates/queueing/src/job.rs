@@ -225,8 +225,9 @@ impl JobPool {
             .filter(move |&id| jobs[id as usize].is_some())
     }
 
-    /// The oldest `want` jobs of type `ty` (arrival order).
-    pub fn oldest_of_type(&mut self, ty: usize, want: usize) -> Vec<JobId> {
+    /// Appends the ids of the oldest `want` jobs of type `ty` (arrival
+    /// order) to `out`.
+    pub fn oldest_of_type(&mut self, ty: usize, want: usize, out: &mut Vec<JobId>) {
         // Prune dead entries from the front; completed jobs are biased to
         // be old, so lazily-deleted ids rarely linger in the middle.
         while let Some(&front) = self.fifo_by_type[ty].front() {
@@ -235,13 +236,16 @@ impl JobPool {
             }
             self.fifo_by_type[ty].pop_front();
         }
-        let jobs = &self.jobs;
+        out.extend(self.oldest(ty).take(want).map(|job| job.id));
+    }
+
+    /// The jobs of type `ty`, oldest first. Unlike
+    /// [`JobPool::oldest_of_type`] it prunes nothing, so it needs only a
+    /// shared borrow.
+    pub(crate) fn oldest(&self, ty: usize) -> impl Iterator<Item = &Job> + '_ {
         self.fifo_by_type[ty]
             .iter()
-            .copied()
-            .filter(|&id| jobs[id as usize].is_some())
-            .take(want)
-            .collect()
+            .filter_map(|&id| self.jobs[id as usize].as_ref())
     }
 
     /// The jobs of type `ty` with their remaining work, smallest remaining
@@ -341,8 +345,18 @@ mod tests {
         pool.insert(job(1, 0, 1.0));
         pool.insert(job(2, 1, 1.0));
         pool.insert(job(3, 1, 1.0));
-        assert_eq!(pool.oldest_of_type(1, 2), vec![0, 2]);
-        assert_eq!(pool.oldest_of_type(0, 5), vec![1]);
+        let mut out = vec![9];
+        pool.oldest_of_type(1, 2, &mut out);
+        assert_eq!(out, vec![9, 0, 2], "appends in arrival order");
+        out.clear();
+        pool.oldest_of_type(0, 5, &mut out);
+        assert_eq!(out, vec![1]);
+        pool.remove(0);
+        out.clear();
+        pool.oldest_of_type(1, 5, &mut out);
+        assert_eq!(out, vec![2, 3]);
+        let ids: Vec<JobId> = pool.oldest(1).map(|job| job.id).collect();
+        assert_eq!(ids, out);
     }
 
     #[test]

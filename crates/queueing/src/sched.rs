@@ -1,6 +1,25 @@
 //! The four scheduling policies of the paper's Section VI.
+//!
+//! # Where the candidates come from
+//!
+//! MAXIT, SRPT and MAXTP's fallback compare every multiset of
+//! `min(jobs, contexts)` jobs the pool can supply, at every event. When
+//! the rate model is a [`RateGrid`](symbiosis::RateGrid), as in every
+//! DES run, a selection walks the grid's
+//! [stratum](symbiosis::RateGrid::stratum) of that size and skips the
+//! cells whose counts exceed the pool's per-type counts. A stratum is
+//! stored in [`CoscheduleIter`](symbiosis::CoscheduleIter) order, the
+//! descending-lexicographic order [`feasible_multisets`] yields, and each
+//! cell holds the model's own rates, so the walk visits the same
+//! candidates in the same order with the same `f64` values: no virtual
+//! call, no lookup and no allocation per candidate.
+//!
+//! For a model that is not a grid (serve's `OccupiedModel` over a live
+//! prediction), the candidates are enumerated from the pool's counts into
+//! one buffer and priced through the model. Each scheduler's scoring loop
+//! is written once, over both sources.
 
-use symbiosis::RateModel;
+use symbiosis::{GridStratum, RateModel};
 
 use crate::job::{JobId, JobPool};
 
@@ -15,10 +34,17 @@ pub trait Scheduler {
     /// and printed in reports. Uppercase, matching the paper's labels.
     fn name(&self) -> &'static str;
 
-    /// Selects up to `contexts` job ids from the pool to run next. All
-    /// four paper policies are work-conserving: they run
-    /// `min(contexts, jobs in system)` jobs.
-    fn select(&mut self, pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<JobId>;
+    /// Selects up to `contexts` job ids from the pool to run next and
+    /// appends them to `out`, a buffer the caller owns and may reuse
+    /// across events. All four paper policies are work-conserving: they
+    /// select `min(contexts, jobs in system)` jobs.
+    fn select(
+        &mut self,
+        pool: &mut JobPool,
+        contexts: usize,
+        rates: &dyn RateModel,
+        out: &mut Vec<JobId>,
+    );
 
     /// Observes that the multiset `counts` ran for `dt` time units
     /// (used by MAXTP to track realised coschedule fractions).
@@ -26,7 +52,7 @@ pub trait Scheduler {
 }
 
 /// Enumerates all multisets of `size` jobs drawable from `avail` (per-type
-/// availability), as count vectors.
+/// availability), as count vectors, in descending lexicographic order.
 ///
 /// Edge cases: `size == 0` yields exactly the empty (all-zero) multiset;
 /// `size` above the total availability yields nothing; an empty `avail`
@@ -79,24 +105,137 @@ fn fill(
     }
 }
 
-/// Picks the oldest job of each type according to a multiset of counts.
-fn jobs_for_counts_oldest(pool: &mut JobPool, counts: &[u32]) -> Vec<JobId> {
-    let mut out = Vec::new();
-    for (ty, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            out.extend(pool.oldest_of_type(ty, c as usize));
-        }
-    }
-    out
+/// The candidate multisets of one selection, all of one size, with their
+/// rates. A candidate is named by its position, so a scheduler keeps its
+/// winner as an index.
+trait Candidates {
+    fn len(&self) -> usize;
+    fn counts(&self, i: usize) -> &[u32];
+    fn throughput(&self, i: usize) -> f64;
+    /// Per-job rate of type `ty`, which candidate `i` must contain.
+    fn per_job_rate(&self, i: usize, ty: usize) -> f64;
 }
 
-/// Sum of the arrival times of the jobs [`jobs_for_counts_oldest`] picks:
-/// MAXIT's tie-break key (smaller = older jobs).
-fn age_of(pool: &mut JobPool, counts: &[u32]) -> f64 {
-    let selected = jobs_for_counts_oldest(pool, counts);
-    selected
+/// A grid's stratum: every multiset of the size, including those the pool
+/// cannot supply, which the scoring loops skip.
+impl Candidates for GridStratum<'_> {
+    fn len(&self) -> usize {
+        GridStratum::len(self)
+    }
+
+    #[inline]
+    fn counts(&self, i: usize) -> &[u32] {
+        GridStratum::counts(self, i)
+    }
+
+    #[inline]
+    fn throughput(&self, i: usize) -> f64 {
+        GridStratum::throughput(self, i)
+    }
+
+    #[inline]
+    fn per_job_rate(&self, i: usize, ty: usize) -> f64 {
+        self.per_job_rates(i)[ty]
+    }
+}
+
+/// The feasible multisets enumerated for a model that is not a grid,
+/// priced through the model on demand.
+struct Enumerated<'a> {
+    num_types: usize,
+    counts: Vec<u32>,
+    rates: &'a dyn RateModel,
+}
+
+impl<'a> Enumerated<'a> {
+    fn new(avail: &[u32], size: u32, rates: &'a dyn RateModel) -> Self {
+        let mut counts = Vec::new();
+        for_each_multiset(avail, size, |c| counts.extend_from_slice(c));
+        Enumerated {
+            num_types: avail.len(),
+            counts,
+            rates,
+        }
+    }
+}
+
+impl Candidates for Enumerated<'_> {
+    fn len(&self) -> usize {
+        self.counts.len() / self.num_types
+    }
+
+    fn counts(&self, i: usize) -> &[u32] {
+        &self.counts[i * self.num_types..][..self.num_types]
+    }
+
+    fn throughput(&self, i: usize) -> f64 {
+        self.rates.instantaneous_throughput(self.counts(i))
+    }
+
+    fn per_job_rate(&self, i: usize, ty: usize) -> f64 {
+        self.rates.per_job_rate(self.counts(i), ty)
+    }
+}
+
+/// A selection rule scored over the candidates of one size.
+trait Scan {
+    /// Picks one of `cands` (the multisets of `size` jobs) that fits
+    /// `pool` and appends its job ids to `out`.
+    fn scan<C: Candidates>(
+        &mut self,
+        pool: &mut JobPool,
+        size: u32,
+        cands: &C,
+        out: &mut Vec<JobId>,
+    );
+}
+
+/// Runs `rule` over the candidates of a `min(jobs, contexts)`-job
+/// selection: the stratum of `rates` if it is a grid that holds that
+/// size, else the multisets enumerated from the pool's counts.
+fn select_by(
+    rule: &mut impl Scan,
+    pool: &mut JobPool,
+    contexts: usize,
+    rates: &dyn RateModel,
+    out: &mut Vec<JobId>,
+) {
+    let size = pool.len().min(contexts);
+    if size == 0 {
+        return;
+    }
+    match rates.as_grid().and_then(|grid| grid.stratum(size)) {
+        Some(stratum) => rule.scan(pool, size as u32, &stratum, out),
+        None => {
+            let cands = Enumerated::new(pool.counts(), size as u32, rates);
+            rule.scan(pool, size as u32, &cands, out);
+        }
+    }
+}
+
+/// True if the pool's per-type counts `avail` can supply `counts`.
+#[inline]
+fn fits(counts: &[u32], avail: &[u32]) -> bool {
+    counts.iter().zip(avail).all(|(&need, &have)| need <= have)
+}
+
+/// Appends the oldest jobs of each type according to a multiset of counts.
+fn jobs_for_counts_oldest(pool: &mut JobPool, counts: &[u32], out: &mut Vec<JobId>) {
+    for (ty, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            pool.oldest_of_type(ty, c as usize, out);
+        }
+    }
+}
+
+/// Sum of the arrival times of the jobs [`jobs_for_counts_oldest`] picks,
+/// added in its order: MAXIT's tie-break key (smaller = older jobs).
+fn age_of(pool: &JobPool, counts: &[u32]) -> f64 {
+    counts
         .iter()
-        .map(|&id| pool.get(id).expect("selected job exists").arrival)
+        .enumerate()
+        .flat_map(|(ty, &c)| pool.oldest(ty).take(c as usize))
+        .map(|job| job.arrival)
         .sum()
 }
 
@@ -117,8 +256,9 @@ impl Scheduler for FcfsScheduler {
         pool: &mut JobPool,
         contexts: usize,
         _rates: &dyn RateModel,
-    ) -> Vec<JobId> {
-        pool.iter_fifo().take(contexts).collect()
+        out: &mut Vec<JobId>,
+    ) {
+        out.extend(pool.iter_fifo().take(contexts));
     }
 }
 
@@ -127,41 +267,51 @@ impl Scheduler for FcfsScheduler {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxItScheduler;
 
-impl MaxItScheduler {
+impl Scan for MaxItScheduler {
     /// Best feasible multiset by instantaneous throughput (ties: oldest
     /// jobs). Shared with the MAXTP fallback path.
     ///
     /// Ages are summed only when a candidate comes within `1e-12` of the
     /// best so far; the best's own age is computed on its first tie. A
-    /// multiset's age depends only on the pool, which `select` does not
+    /// multiset's age depends only on the pool, which the scan does not
     /// change, so the choice is the one eager ages would make.
-    fn best_counts(pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<u32> {
-        let size = pool.len().min(contexts) as u32;
-        let avail = pool.counts().to_vec();
-        // (throughput, age once computed, counts)
-        let mut best: Option<(f64, Option<f64>, Vec<u32>)> = None;
-        for_each_multiset(&avail, size, |counts| {
-            let it = rates.instantaneous_throughput(counts);
-            let Some((bit, bage, bcounts)) = &mut best else {
-                best = Some((it, None, counts.to_vec()));
-                return;
+    fn scan<C: Candidates>(
+        &mut self,
+        pool: &mut JobPool,
+        _size: u32,
+        cands: &C,
+        out: &mut Vec<JobId>,
+    ) {
+        let avail = pool.counts();
+        // (candidate, throughput, age once computed)
+        let mut best: Option<(usize, f64, Option<f64>)> = None;
+        for i in 0..cands.len() {
+            let counts = cands.counts(i);
+            if !fits(counts, avail) {
+                continue;
+            }
+            let it = cands.throughput(i);
+            let Some((bi, bit, bage)) = &mut best else {
+                best = Some((i, it, None));
+                continue;
             };
             let need_age = (it - *bit).abs() < 1e-12 || it > *bit;
             if !need_age {
-                return;
+                continue;
             }
             let better = it > *bit + 1e-12 || {
                 (it - *bit).abs() <= 1e-12 && {
                     let age = age_of(pool, counts);
-                    let best_age = *bage.get_or_insert_with(|| age_of(pool, bcounts));
+                    let best_age = *bage.get_or_insert_with(|| age_of(pool, cands.counts(*bi)));
                     age < best_age
                 }
             };
             if better {
-                best = Some((it, None, counts.to_vec()));
+                best = Some((i, it, None));
             }
-        });
-        best.expect("at least one candidate").2
+        }
+        let (winner, _, _) = best.expect("at least one candidate");
+        jobs_for_counts_oldest(pool, cands.counts(winner), out);
     }
 }
 
@@ -170,32 +320,44 @@ impl Scheduler for MaxItScheduler {
         "MAXIT"
     }
 
-    fn select(&mut self, pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<JobId> {
-        let counts = Self::best_counts(pool, contexts, rates);
-        jobs_for_counts_oldest(pool, &counts)
+    fn select(
+        &mut self,
+        pool: &mut JobPool,
+        contexts: usize,
+        rates: &dyn RateModel,
+        out: &mut Vec<JobId>,
+    ) {
+        select_by(self, pool, contexts, rates, out);
     }
 }
 
 /// SRPT: run the combination minimising the total remaining execution time,
 /// accounting for each job's speed inside that particular combination.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SrptScheduler;
+///
+/// The scheduler owns its per-type prefix sums, reused across events.
+#[derive(Debug, Clone, Default)]
+pub struct SrptScheduler {
+    /// Per type, the shortest jobs any candidate can take, each paired
+    /// with the remaining work summed over its type's jobs up to and
+    /// including it: `shortest[start[ty] + c - 1].1` is
+    /// `shortest_remaining_sum(ty, c)`, added in the same order.
+    shortest: Vec<(JobId, f64)>,
+    start: Vec<usize>,
+}
 
-impl Scheduler for SrptScheduler {
-    fn name(&self) -> &'static str {
-        "SRPT"
-    }
-
-    fn select(&mut self, pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<JobId> {
-        let size = pool.len().min(contexts) as u32;
-        let avail = pool.counts().to_vec();
-        // Per type, the shortest jobs any candidate can take, each paired
-        // with the remaining work summed over its type's jobs up to and
-        // including it: `shortest[start[ty] + c - 1].1` is
-        // `shortest_remaining_sum(ty, c)`, added in the same order.
-        let mut shortest: Vec<(JobId, f64)> = Vec::new();
-        let mut start = Vec::with_capacity(avail.len());
-        for (ty, &have) in avail.iter().enumerate() {
+impl Scan for SrptScheduler {
+    fn scan<C: Candidates>(
+        &mut self,
+        pool: &mut JobPool,
+        size: u32,
+        cands: &C,
+        out: &mut Vec<JobId>,
+    ) {
+        let (shortest, start) = (&mut self.shortest, &mut self.start);
+        shortest.clear();
+        start.clear();
+        for ty in 0..pool.counts().len() {
+            let have = pool.counts()[ty];
             start.push(shortest.len());
             let mut sum = 0.0;
             for (id, remaining) in pool.shortest(ty).take(have.min(size) as usize) {
@@ -203,29 +365,49 @@ impl Scheduler for SrptScheduler {
                 shortest.push((id, sum));
             }
         }
-        let mut best: Option<(f64, Vec<u32>)> = None;
-        for_each_multiset(&avail, size, |counts| {
+        let avail = pool.counts();
+        // (candidate, total remaining time)
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..cands.len() {
+            let counts = cands.counts(i);
+            if !fits(counts, avail) {
+                continue;
+            }
             let mut total_time = 0.0;
             for (ty, &c) in counts.iter().enumerate() {
                 if c > 0 {
-                    let rate = rates.per_job_rate(counts, ty);
+                    let rate = cands.per_job_rate(i, ty);
                     total_time += shortest[start[ty] + c as usize - 1].1 / rate;
                 }
             }
-            if best.as_ref().is_none_or(|(bt, _)| total_time < *bt) {
-                best = Some((total_time, counts.to_vec()));
+            if best.is_none_or(|(_, bt)| total_time < bt) {
+                best = Some((i, total_time));
             }
-        });
-        let counts = best.expect("at least one candidate").1;
-        let mut out = Vec::with_capacity(size as usize);
-        for (ty, &c) in counts.iter().enumerate() {
+        }
+        let (winner, _) = best.expect("at least one candidate");
+        for (ty, &c) in cands.counts(winner).iter().enumerate() {
             out.extend(
                 shortest[start[ty]..][..c as usize]
                     .iter()
                     .map(|&(id, _)| id),
             );
         }
-        out
+    }
+}
+
+impl Scheduler for SrptScheduler {
+    fn name(&self) -> &'static str {
+        "SRPT"
+    }
+
+    fn select(
+        &mut self,
+        pool: &mut JobPool,
+        contexts: usize,
+        rates: &dyn RateModel,
+        out: &mut Vec<JobId>,
+    ) {
+        select_by(self, pool, contexts, rates, out);
     }
 }
 
@@ -276,13 +458,18 @@ impl Scheduler for MaxTpScheduler {
         "MAXTP"
     }
 
-    fn select(&mut self, pool: &mut JobPool, contexts: usize, rates: &dyn RateModel) -> Vec<JobId> {
+    fn select(
+        &mut self,
+        pool: &mut JobPool,
+        contexts: usize,
+        rates: &dyn RateModel,
+        out: &mut Vec<JobId>,
+    ) {
         let avail = pool.counts();
         // Deficit = how far behind its ideal share this target is.
         let mut best: Option<(f64, usize)> = None;
         for (i, (counts, ideal)) in self.targets.iter().enumerate() {
-            let composable = counts.iter().zip(avail).all(|(&need, &have)| need <= have);
-            if !composable {
+            if !fits(counts, avail) {
                 continue;
             }
             let deficit = ideal * self.total.max(1e-9) - self.spent[i];
@@ -291,14 +478,8 @@ impl Scheduler for MaxTpScheduler {
             }
         }
         match best {
-            Some((_, i)) => {
-                let counts = self.targets[i].0.clone();
-                jobs_for_counts_oldest(pool, &counts)
-            }
-            None => {
-                let counts = MaxItScheduler::best_counts(pool, contexts, rates);
-                jobs_for_counts_oldest(pool, &counts)
-            }
+            Some((_, i)) => jobs_for_counts_oldest(pool, &self.targets[i].0, out),
+            None => select_by(&mut MaxItScheduler, pool, contexts, rates, out),
         }
     }
 
@@ -318,6 +499,17 @@ mod tests {
     use super::*;
     use crate::job::Job;
     use crate::rates::ContentionModel;
+
+    fn selected(
+        sched: &mut dyn Scheduler,
+        pool: &mut JobPool,
+        contexts: usize,
+        rates: &dyn RateModel,
+    ) -> Vec<JobId> {
+        let mut out = Vec::new();
+        sched.select(pool, contexts, rates, &mut out);
+        out
+    }
 
     fn pool_with(types: &[usize], num_types: usize) -> JobPool {
         let mut pool = JobPool::new(num_types);
@@ -412,7 +604,7 @@ mod tests {
     fn fcfs_takes_oldest() {
         let rates = ContentionModel::new(vec![1.0, 1.0], 0.0, 2);
         let mut pool = pool_with(&[0, 1, 0, 1], 2);
-        let sel = FcfsScheduler.select(&mut pool, 2, &rates);
+        let sel = selected(&mut FcfsScheduler, &mut pool, 2, &rates);
         assert_eq!(sel, vec![0, 1]);
     }
 
@@ -422,7 +614,7 @@ mod tests {
         // two type-0 jobs over mixing.
         let rates = ContentionModel::new(vec![1.0, 0.1], 0.0, 2);
         let mut pool = pool_with(&[1, 0, 0, 1], 2);
-        let sel = MaxItScheduler.select(&mut pool, 2, &rates);
+        let sel = selected(&mut MaxItScheduler, &mut pool, 2, &rates);
         let types: Vec<usize> = sel.iter().map(|&id| pool.get(id).unwrap().ty).collect();
         assert_eq!(types, vec![0, 0]);
     }
@@ -433,7 +625,7 @@ mod tests {
         let mut pool = pool_with(&[1, 0], 2);
         // Both singleton coschedules have it = 1.0; the older job (id 0,
         // type 1) must win.
-        let sel = MaxItScheduler.select(&mut pool, 1, &rates);
+        let sel = selected(&mut MaxItScheduler, &mut pool, 1, &rates);
         assert_eq!(sel, vec![0]);
     }
 
@@ -453,7 +645,7 @@ mod tests {
             remaining: 0.5,
             arrival: 1.0,
         });
-        let sel = SrptScheduler.select(&mut pool, 1, &rates);
+        let sel = selected(&mut SrptScheduler::default(), &mut pool, 1, &rates);
         assert_eq!(sel, vec![1]);
     }
 
@@ -476,7 +668,7 @@ mod tests {
             remaining: 1.0,
             arrival: 1.0,
         });
-        let sel = SrptScheduler.select(&mut pool, 1, &rates);
+        let sel = selected(&mut SrptScheduler::default(), &mut pool, 1, &rates);
         assert_eq!(sel, vec![1]);
     }
 
@@ -492,11 +684,11 @@ mod tests {
         let mut pool = pool_with(&[0, 0, 1, 1], 2);
         // First selection: both targets composable with zero deficit delta;
         // run one, observe, and the other should be picked next.
-        let sel1 = sched.select(&mut pool, 2, &rates);
+        let sel1 = selected(&mut sched, &mut pool, 2, &rates);
         let t1 = pool.get(sel1[0]).unwrap().ty;
         let counts1 = if t1 == 0 { vec![2, 0] } else { vec![0, 2] };
         sched.observe(&counts1, 1.0);
-        let sel2 = sched.select(&mut pool, 2, &rates);
+        let sel2 = selected(&mut sched, &mut pool, 2, &rates);
         let t2 = pool.get(sel2[0]).unwrap().ty;
         assert_ne!(t1, t2, "the lagging target must be chosen next");
     }
@@ -507,7 +699,7 @@ mod tests {
         let mut sched = MaxTpScheduler::new(vec![(vec![2, 0], 1.0)]);
         // Only type-1 jobs present: target not composable.
         let mut pool = pool_with(&[1, 1], 2);
-        let sel = sched.select(&mut pool, 2, &rates);
+        let sel = selected(&mut sched, &mut pool, 2, &rates);
         assert_eq!(sel.len(), 2);
     }
 
@@ -524,9 +716,9 @@ mod tests {
         for sched in [
             &mut FcfsScheduler as &mut dyn Scheduler,
             &mut MaxItScheduler,
-            &mut SrptScheduler,
+            &mut SrptScheduler::default(),
         ] {
-            let sel = sched.select(&mut pool, 4, &rates);
+            let sel = selected(sched, &mut pool, 4, &rates);
             assert_eq!(sel.len(), 2, "{} must be work conserving", sched.name());
         }
     }
@@ -538,7 +730,7 @@ mod tests {
         let names = [
             FcfsScheduler.name(),
             MaxItScheduler.name(),
-            SrptScheduler.name(),
+            SrptScheduler::default().name(),
             MaxTpScheduler::new(vec![(vec![1], 1.0)]).name(),
         ];
         assert_eq!(names, ["FCFS", "MAXIT", "SRPT", "MAXTP"]);

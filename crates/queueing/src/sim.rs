@@ -14,14 +14,19 @@
 //! same event loop, started with every job present and no arrivals, and
 //! `serve`'s dispatcher advances its placed jobs through the same step.
 //!
-//! # The per-call rate grid
+//! # One rate grid per run, walked by stratum
 //!
 //! A run asks the same few multisets for their rates at every event: the
 //! running coschedule, and every candidate MAXIT or SRPT compares. Each
 //! call of [`run_latency_experiment`] and [`run_batch_experiment`]
-//! therefore evaluates its rate model once, into a [`RateGrid`] over every
-//! multiset of `1..=K` jobs, when the call starts. The grid is the rate
-//! model both the scheduler and the event step see.
+//! therefore reads one [`RateGrid`] over every multiset of `1..=K` jobs:
+//! the rate model itself when it is a grid, as `session::Session` hands
+//! its latency runs, and otherwise the model evaluated once when the call
+//! starts. The grid is the rate model both the scheduler and the event
+//! step see. MAXIT, SRPT and MAXTP's fallback compare candidates by
+//! walking the grid's stratum of the selection's size (see
+//! [`crate::sched`]); the event step prices the running set with one
+//! lookup.
 //!
 //! Every value in the grid is one the model itself returned for the same
 //! arguments, so for a model whose answers depend only on the multiset
@@ -29,8 +34,16 @@
 //! model would produce. A model that breaks the rate contract (a
 //! non-finite or non-positive rate for a present type, which would stall
 //! or corrupt the clock) fails the call with an error before the first
-//! event. Handing a run a grid, as `session::Session` does for its
-//! latency policies, makes the per-call evaluation a table copy.
+//! event.
+//!
+//! Once the grid exists, the FCFS, MAXIT, SRPT and MAXTP selections
+//! allocate nothing per event: they go into one buffer the loop reuses,
+//! and SRPT keeps its prefix sums in scratch space it owns. What a run
+//! still allocates is its grid (unless handed one), the job pool's
+//! tables as they grow (under SRPT, the nodes of its remaining-work
+//! B-tree too) and the buffers' first growth.
+
+use std::borrow::Cow;
 
 use symbiosis::rng::SplitMix64;
 use symbiosis::{RateGrid, RateModel};
@@ -157,7 +170,7 @@ pub fn run_latency_experiment(
         );
     }
     let _span = obs::span!("queueing.latency_run");
-    let rates = RateGrid::new(rates).map_err(|e| e.to_string())?;
+    let rates = grid_of(rates)?;
     let mut rng = SplitMix64::new(config.seed);
     let arrivals = Arrivals {
         next: rng.next_exp(1.0 / config.arrival_rate),
@@ -248,7 +261,7 @@ pub fn run_batch_experiment(
         );
     }
     let _span = obs::span!("queueing.batch_run");
-    let rates = RateGrid::new(rates).map_err(|e| e.to_string())?;
+    let rates = grid_of(rates)?;
     let n_types = rates.num_types();
     let mut rng = SplitMix64::new(config.seed);
     let mut pool = JobPool::new(n_types);
@@ -272,6 +285,17 @@ pub fn run_batch_experiment(
         throughput: total_work / makespan,
         mean_turnaround: report.mean_turnaround,
     })
+}
+
+/// The grid a run reads: `rates` itself when it is one, else `rates`
+/// evaluated into a new grid.
+fn grid_of(rates: &dyn RateModel) -> Result<Cow<'_, RateGrid>, String> {
+    match rates.as_grid() {
+        Some(grid) => Ok(Cow::Borrowed(grid)),
+        None => RateGrid::new(rates)
+            .map(Cow::Owned)
+            .map_err(|e| e.to_string()),
+    }
 }
 
 /// Poisson arrivals of uniformly typed jobs: the latency experiment's job
@@ -313,6 +337,7 @@ fn event_loop(
     target: u64,
 ) -> (LatencyReport, f64) {
     let mut running = Running::new(rates.num_types());
+    let mut selection = Vec::with_capacity(rates.contexts());
     let mut now = 0.0f64;
     let mut completed_total: u64 = 0;
 
@@ -341,10 +366,11 @@ fn event_loop(
             continue;
         }
 
-        let selection = scheduler.select(&mut pool, rates.contexts(), rates);
+        selection.clear();
+        scheduler.select(&mut pool, rates.contexts(), rates, &mut selection);
         debug_assert!(!selection.is_empty());
         let dt = running
-            .start(&pool, selection, rates)
+            .start(&pool, selection.iter().copied(), rates)
             .min(next_arrival - now);
         let end = now + dt;
 
@@ -556,8 +582,11 @@ mod des_tests {
                 seed: 1,
             };
             let latency = LatencyConfig::default();
-            let schedulers: [&mut dyn Scheduler; 3] =
-                [&mut FcfsScheduler, &mut MaxItScheduler, &mut SrptScheduler];
+            let schedulers: [&mut dyn Scheduler; 3] = [
+                &mut FcfsScheduler,
+                &mut MaxItScheduler,
+                &mut SrptScheduler::default(),
+            ];
             for sched in schedulers {
                 let err = run_batch_experiment(&model, sched, &batch).unwrap_err();
                 assert!(err.contains("per-job rate"), "{err}");
@@ -633,7 +662,7 @@ mod batch_tests {
             seed: 9,
         };
         let fcfs = run_batch_experiment(&rates, &mut FcfsScheduler, &cfg).unwrap();
-        let srpt = run_batch_experiment(&rates, &mut SrptScheduler, &cfg).unwrap();
+        let srpt = run_batch_experiment(&rates, &mut SrptScheduler::default(), &cfg).unwrap();
         // Same makespan (work conserving single server)...
         assert!((fcfs.makespan - srpt.makespan).abs() < 1e-6);
         // ...but SRPT strictly improves mean turnaround (Schrage).
@@ -762,7 +791,7 @@ mod tests {
             seed: 9,
         };
         let fcfs = run_latency_experiment(&rates, &mut FcfsScheduler, &cfg).unwrap();
-        let srpt = run_latency_experiment(&rates, &mut SrptScheduler, &cfg).unwrap();
+        let srpt = run_latency_experiment(&rates, &mut SrptScheduler::default(), &cfg).unwrap();
         assert!(
             srpt.mean_turnaround < fcfs.mean_turnaround,
             "SRPT {} must beat FCFS {}",

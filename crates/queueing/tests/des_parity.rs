@@ -79,7 +79,7 @@ fn schedulers(n_types: usize) -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(FcfsScheduler),
         Box::new(MaxItScheduler),
-        Box::new(SrptScheduler),
+        Box::new(SrptScheduler::default()),
         Box::new(MaxTpScheduler::new(targets)),
     ]
 }

@@ -140,7 +140,9 @@ impl Placer for PolicyPlacer {
             return Vec::new();
         }
         let occupied = OccupiedModel::new(model, running);
-        self.inner.select(queued, free, &occupied)
+        let mut placed = Vec::with_capacity(free);
+        self.inner.select(queued, free, &occupied, &mut placed);
+        placed
     }
 }
 
@@ -226,7 +228,7 @@ impl Placer for BeamPlacer {
         let best = &beam[0];
         let mut ids = Vec::with_capacity(want);
         for (ty, &c) in best.iter().enumerate() {
-            ids.extend(queued.oldest_of_type(ty, c as usize));
+            queued.oldest_of_type(ty, c as usize, &mut ids);
         }
         ids
     }

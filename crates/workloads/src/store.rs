@@ -33,15 +33,38 @@
 //! Combos are written in sorted order, which is also the order a
 //! [`PerfTable`] packs its rows in memory, so saving the same table twice
 //! produces identical bytes and a load packs the rows as they arrive.
+//!
+//! A load builds the table's [`CoscheduleIndex`](symbiosis::CoscheduleIndex)
+//! from the header alone, before any row is read, so the header is
+//! bounded by what that index may cost: at most 64 contexts, and at most
+//! 2^24 indexed combos (every multiset of `1..=contexts` benchmarks).
 
 use std::path::{Path, PathBuf};
 
 use simproc::{BenchmarkProfile, CacheGeometry, Machine, MachineConfig, Topology};
+use symbiosis::CoscheduleIter;
 
 use crate::table::{PerfTable, TableError, UNRECORDED};
 
 const MAGIC: &[u8; 8] = b"SYMBPERF";
 const VERSION: u32 = 1;
+/// Most contexts a loaded table may claim: the index keeps one rank table
+/// per multiset size, each growing with the square of its size.
+const MAX_CONTEXTS: usize = 64;
+/// Most combos a loaded table may index. The table keeps one `u32` row
+/// offset per indexed combo, recorded or not, so this caps what a header
+/// can make a load allocate at 64 MiB. The largest tables the
+/// experiments build, 12 benchmarks on 8 contexts, index 125 969 combos.
+const MAX_INDEXED_COMBOS: usize = 1 << 24;
+
+/// Combos indexed by a table of `n_bench` benchmarks on `contexts`
+/// contexts (every multiset of sizes `1..=contexts`), saturating,
+/// computed without building the index.
+fn indexed_combos(n_bench: usize, contexts: usize) -> usize {
+    (1..=contexts).fold(0, |total: usize, size| {
+        total.saturating_add(CoscheduleIter::count_total(n_bench, size))
+    })
+}
 
 /// FNV-1a 64-bit running hash — stable across platforms and releases
 /// (unlike `std::hash`), used for both the file checksum and the store key.
@@ -203,9 +226,10 @@ impl PerfTable {
     ///
     /// [`TableError::Format`] on a bad magic, unsupported version, checksum
     /// mismatch, truncation, trailing garbage, a count larger than the
-    /// file can hold, or invalid contents (out-of-range indices, unsorted,
-    /// duplicate or out-of-order combos, non-finite IPCs, missing or
-    /// disagreeing solo rows).
+    /// file can hold, a header whose index would pass the format's bounds
+    /// (see the module docs), or invalid contents (out-of-range indices,
+    /// unsorted, duplicate or out-of-order combos, non-finite IPCs,
+    /// missing or disagreeing solo rows).
     pub fn from_bytes(buf: &[u8]) -> Result<Self, TableError> {
         if buf.len() < MAGIC.len() + 4 + 8 {
             return Err(TableError::Format(format!(
@@ -247,6 +271,19 @@ impl PerfTable {
         }
         // A benchmark takes at least its name length and solo IPC.
         cur.check_count(n_bench as u64, 4 + 8, "benchmark count")?;
+        // Bound the index the header asks for before anything builds it.
+        if contexts > MAX_CONTEXTS {
+            return Err(TableError::Format(format!(
+                "{contexts} contexts (at most {MAX_CONTEXTS})"
+            )));
+        }
+        let combos = indexed_combos(n_bench, contexts);
+        if combos > MAX_INDEXED_COMBOS {
+            return Err(TableError::Format(format!(
+                "{n_bench} benchmarks on {contexts} contexts index {combos} combos \
+                 (at most {MAX_INDEXED_COMBOS})"
+            )));
+        }
         let mut names = Vec::with_capacity(n_bench);
         let mut solo_ipc = Vec::with_capacity(n_bench);
         for b in 0..n_bench {
@@ -746,6 +783,46 @@ mod tests {
             Err(TableError::Format(msg)) => msg,
             other => panic!("expected a format error, got {other:?}"),
         }
+    }
+
+    /// `n_bench` one-letter benchmarks on `contexts` contexts and a single
+    /// solo combo: a well-formed, checksummed file of `52 + 13 * n_bench`
+    /// bytes whose header alone decides the index size.
+    fn hostile_header(contexts: u32, n_bench: usize) -> Vec<u8> {
+        let benches = vec![("b", 1.0); n_bench];
+        encode(contexts, &benches, &[(&[0], &[1.0])])
+    }
+
+    #[test]
+    fn headers_that_would_build_a_huge_index_are_format_errors() {
+        // Both once aborted the process while building the index.
+        let many_contexts = hostile_header(100_000, 1);
+        assert_eq!(many_contexts.len(), 65);
+        assert!(format_error(&many_contexts).contains("100000 contexts"));
+        let many_benchmarks = hostile_header(8, 1_000);
+        assert_eq!(many_benchmarks.len(), 13_052);
+        assert!(format_error(&many_benchmarks).contains("1000 benchmarks on 8 contexts"));
+
+        // The bounds themselves: 64 contexts load and 65 do not; the
+        // largest suite whose index fits on two contexts passes the header
+        // check (and fails later, on its missing solo rows), one more
+        // benchmark does not.
+        let err = format_error(&hostile_header(65, 1));
+        assert!(err.contains("65 contexts"), "{err}");
+        assert_eq!(
+            PerfTable::from_bytes(&hostile_header(64, 1))
+                .unwrap()
+                .contexts(),
+            64
+        );
+        assert_eq!(indexed_combos(12, 8), 125_969);
+        let fits = (1..)
+            .find(|&n| indexed_combos(n + 1, 2) > MAX_INDEXED_COMBOS)
+            .unwrap();
+        let err = format_error(&hostile_header(2, fits));
+        assert!(err.contains("solo"), "{err}");
+        let err = format_error(&hostile_header(2, fits + 1));
+        assert!(err.contains(&format!("{} benchmarks", fits + 1)), "{err}");
     }
 
     /// Two benchmarks on two contexts; `rows` replaces the combo list.
