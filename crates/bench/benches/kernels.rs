@@ -63,6 +63,7 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "sweep/latency_fig5_leg",
     "predict/fit_sampled_n12_k8",
     "predict/error_against_n8_k8",
+    "predict/refit_stream_n8_k8",
     "serve/steady_state_jobs_sec",
     "dist/sweep_495_mixes_3_workers",
     "enumerate/coschedules_12_choose_4_multiset",
@@ -497,6 +498,48 @@ fn main() {
     .expect("fits");
     results.push(bench("predict/error_against_n8_k8", || {
         black_box(grid_model.error_against(&grid_truth).expect("same shape"));
+    }));
+
+    // The serve twin's refit path: from the same solo-and-pair model,
+    // 50-sample batches of a seeded shuffle of the truth's multisets grow
+    // the training set to ~3 500 samples; each refit is followed by the
+    // checks one staleness cycle runs (`residual_quantiles`, `fit_error`,
+    // `error_against_grid` over the 6 435 full coschedules).
+    let stream_grid = symbiosis::RateGrid::full(&grid_truth).expect("grid builds");
+    let stream_sample = |c: &[u32]| predict::RateSample {
+        counts: c.to_vec(),
+        rates: (0..8)
+            .map(|ty| RateModel::total_rate(&grid_truth, c, ty))
+            .collect(),
+    };
+    let stream_seed: Vec<predict::RateSample> = (1..=2)
+        .flat_map(|size| CoscheduleIter::new(8, size))
+        .map(|c| stream_sample(c.counts()))
+        .collect();
+    let mut stream: Vec<predict::RateSample> = (3..=8)
+        .flat_map(|size| CoscheduleIter::new(8, size))
+        .map(|c| stream_sample(c.counts()))
+        .collect();
+    let mut rng = symbiosis::rng::SplitMix64::new(0x7A1C);
+    for i in (1..stream.len()).rev() {
+        stream.swap(i, rng.next_range(i as u64 + 1) as usize);
+    }
+    stream.truncate(3_500 - stream_seed.len());
+    results.push(bench("predict/refit_stream_n8_k8", || {
+        let mut model = predict::PredictedModel::fit(
+            8,
+            8,
+            stream_seed.clone(),
+            Box::new(predict::InterferenceFitter),
+        )
+        .expect("fits");
+        for batch in stream.chunks(50) {
+            model.refit(batch).expect("refits");
+            black_box(model.residual_quantiles(&[0.9]));
+            black_box(model.fit_error());
+            black_box(model.error_against_grid(&stream_grid).expect("same shape"));
+        }
+        black_box(model);
     }));
 
     // The online-service loop: one complete steady-state serve run —

@@ -296,14 +296,23 @@ fn a_hung_worker_times_out_and_its_chunk_is_requeued() {
         },
     )
     .unwrap();
-    // After 6 frames the victim's end goes silent without hanging up:
-    // sends pretend to succeed, reads time out — a wedged process, not a
-    // dead one. The coordinator can only detect it by timeout, after
-    // which the held chunk must return to the queue.
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after(6));
+    // Once it has received a chunk the victim's end goes silent without
+    // hanging up: sends pretend to succeed, reads time out — a wedged
+    // process, not a dead one. The coordinator can only detect it by
+    // timeout, after which the held chunk must return to the queue. The
+    // survivor starts only once the victim hung, so the victim cannot
+    // find the queue already drained.
+    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after_chunks(1));
     let (c2, w2) = loopback_pair();
+    let victim_hung = w1.stats_handle();
     let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
+    let survivor = std::thread::spawn(move || {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !victim_hung.lock().unwrap().hung && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        run_worker(w2, &WorkerConfig::default())
+    });
     let outcome = coordinator
         .run(vec![
             c1.with_recv_timeout(Duration::from_secs(2)),

@@ -96,18 +96,58 @@ pub trait RatePredictor: Send + Sync {
     /// — finite and at least [`MIN_PREDICTED_RATE`].
     fn per_job_rate(&self, counts: &[u32], ty: usize) -> f64;
 
+    /// Predicted total work rate of the multiset: `counts[ty] ·
+    /// per_job_rate` summed over the present types in type order — the
+    /// additions [`symbiosis::RateModel::instantaneous_throughput`]'s
+    /// default performs, so the two agree bit for bit. One call prices a
+    /// whole multiset; an all-zero `counts` is the empty sum.
+    fn instantaneous_throughput(&self, counts: &[u32]) -> f64 {
+        counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(ty, &c)| c as f64 * self.per_job_rate(counts, ty))
+            .sum()
+    }
+
     /// The fitted coefficient rows, for inspection and pinning tests.
     /// Layout is fitter-specific and documented on each fitter.
     fn coefficients(&self) -> Vec<Vec<f64>>;
 }
 
+/// A fit in progress for one machine shape, which a refit extends
+/// instead of starting over.
+pub trait FitState: Send + Sync {
+    /// Fits to `samples`, of which the first `unchanged` (at most
+    /// `samples.len()`) are, bit for bit and in the same positions, the
+    /// samples of this state's last successful call; `0` asks for a fit
+    /// from scratch. A state may fold in only what follows them. A failed
+    /// call must leave nothing behind, since the caller then goes back to
+    /// the samples of its last successful call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fitter::fit`].
+    fn fit(
+        &mut self,
+        samples: &[RateSample],
+        unchanged: usize,
+    ) -> Result<Box<dyn RatePredictor>, PredictError>;
+}
+
 /// A pluggable interference-model fit: samples in, predictor out.
 ///
 /// Implementations must be deterministic — same samples, same predictor —
-/// so refits and reruns reproduce.
+/// so refits and reruns reproduce, and a [`FitState`] fed a sample set in
+/// steps must return the predictor a one-shot [`Fitter::fit`] of the final
+/// set returns.
 pub trait Fitter: Send + Sync {
     /// Registry-style name used in reports (e.g. `bottleneck`).
     fn name(&self) -> &'static str;
+
+    /// An empty fit for a machine with `num_types` job types and
+    /// `contexts` hardware contexts, to be fed with [`FitState::fit`].
+    fn start(&self, num_types: usize, contexts: usize) -> Box<dyn FitState>;
 
     /// Fits the model to `samples` for a machine with `num_types` job
     /// types and `contexts` hardware contexts.
@@ -122,7 +162,9 @@ pub trait Fitter: Send + Sync {
         num_types: usize,
         contexts: usize,
         samples: &[RateSample],
-    ) -> Result<Box<dyn RatePredictor>, PredictError>;
+    ) -> Result<Box<dyn RatePredictor>, PredictError> {
+        self.start(num_types, contexts).fit(samples, 0)
+    }
 }
 
 /// Clamps a fitted prediction into the `RateModel` contract.
@@ -146,6 +188,10 @@ fn clamp_rate(v: f64) -> f64 {
 ///
 /// [`RatePredictor::coefficients`] layout: row 0 is `R_b`, row 1 the solo
 /// caps (`f64::INFINITY` where no solo sample exists).
+///
+/// Its [`FitState`] keeps nothing: a refit through
+/// [`Fitter::start`] fits the whole sample set from scratch, as a
+/// one-shot [`Fitter::fit`] does.
 pub struct BottleneckFitter;
 
 struct BottleneckPredictor {
@@ -170,17 +216,31 @@ impl Fitter for BottleneckFitter {
         "bottleneck"
     }
 
+    fn start(&self, num_types: usize, contexts: usize) -> Box<dyn FitState> {
+        Box::new(BottleneckFit {
+            num_types,
+            contexts,
+        })
+    }
+}
+
+/// [`BottleneckFitter`]'s state: only the machine shape.
+struct BottleneckFit {
+    num_types: usize,
+    contexts: usize,
+}
+
+impl FitState for BottleneckFit {
     fn fit(
-        &self,
-        num_types: usize,
-        contexts: usize,
+        &mut self,
         samples: &[RateSample],
+        _unchanged: usize,
     ) -> Result<Box<dyn RatePredictor>, PredictError> {
         // The bottleneck equation `sum_b r_b(s)/R_b = 1` describes a fully
         // utilised resource — only saturated (full) coschedules obey it.
         let rows: Vec<&[f64]> = samples
             .iter()
-            .filter(|s| s.size() as usize == contexts)
+            .filter(|s| s.size() as usize == self.contexts)
             .map(|s| s.rates.as_slice())
             .collect();
         if rows.is_empty() {
@@ -188,9 +248,9 @@ impl Fitter for BottleneckFitter {
                 "bottleneck fit needs at least one full coschedule sample".into(),
             ));
         }
-        let fit = fit_linear_bottleneck_rows(&rows, num_types)
+        let fit = fit_linear_bottleneck_rows(&rows, self.num_types)
             .map_err(|e| PredictError::Fit(e.to_string()))?;
-        let mut solo = vec![f64::INFINITY; num_types];
+        let mut solo = vec![f64::INFINITY; self.num_types];
         for s in samples.iter().filter(|s| s.size() == 1) {
             if let Some(b) = s.counts.iter().position(|&c| c == 1) {
                 solo[b] = s.rates[b];
@@ -225,6 +285,15 @@ impl Fitter for BottleneckFitter {
 ///   every row in sample order, zero counts included — the exact sequence
 ///   of operations a dense `Aᵀ.mul_vec(y)` performs, so it rounds the same.
 ///
+/// **Refit cost.** Both sums are kept between calls of its [`FitState`],
+/// and appending samples continues the same additions in the same order.
+/// So a refit folds in only the samples after the last folded one —
+/// `O(new · N²)` — and then solves `N` systems of size `N + 1`, whatever
+/// the training set's size. It re-accumulates from the first sample only
+/// when an already-folded sample changed (a re-measured multiset whose
+/// rates differ bitwise) or when the previous call failed. Either way the
+/// predictor equals a one-shot fit of the same samples bit for bit.
+///
 /// [`RatePredictor::coefficients`] layout: row `b` is
 /// `[θ_b0, θ_b1, ..., θ_bN]`.
 pub struct InterferenceFitter;
@@ -253,18 +322,40 @@ impl Fitter for InterferenceFitter {
         "interference-lsq"
     }
 
-    fn fit(
-        &self,
-        num_types: usize,
-        _contexts: usize,
-        samples: &[RateSample],
-    ) -> Result<Box<dyn RatePredictor>, PredictError> {
-        // One pass over the samples fills every type's normal equations:
-        // type `b`'s rows are the samples it appears in, in sample order.
+    fn start(&self, num_types: usize, _contexts: usize) -> Box<dyn FitState> {
         let dim = num_types + 1;
-        let mut gram = vec![0u64; num_types * dim * dim];
-        let mut aty = vec![-0.0; num_types * dim];
-        let mut present: Vec<(usize, u64)> = Vec::with_capacity(num_types);
+        Box::new(NormalEquations {
+            num_types,
+            folded: 0,
+            gram: vec![0; num_types * dim * dim],
+            aty: vec![-0.0; num_types * dim],
+        })
+    }
+}
+
+/// Every type's normal equations over the first `folded` samples.
+struct NormalEquations {
+    num_types: usize,
+    /// Samples summed into `gram` and `aty` so far.
+    folded: usize,
+    /// Upper triangle of each type's `AᵀA`, row-major, exact.
+    gram: Vec<u64>,
+    /// Each type's `Aᵀy`, summed in sample order.
+    aty: Vec<f64>,
+}
+
+impl NormalEquations {
+    fn clear(&mut self) {
+        self.folded = 0;
+        self.gram.fill(0);
+        self.aty.fill(-0.0);
+    }
+
+    /// Sums `samples` into every type's normal equations: type `b`'s rows
+    /// are the samples it appears in, in sample order.
+    fn fold(&mut self, samples: &[RateSample]) {
+        let dim = self.num_types + 1;
+        let mut present: Vec<(usize, u64)> = Vec::with_capacity(self.num_types);
         for s in samples {
             present.clear();
             present.extend(
@@ -277,7 +368,7 @@ impl Fitter for InterferenceFitter {
             for &(b, count) in &present {
                 // Upper triangle of type `b`'s AᵀA, row-major; row and
                 // column 0 are the intercept. Zero counts add nothing.
-                let g = &mut gram[b * dim * dim..(b + 1) * dim * dim];
+                let g = &mut self.gram[b * dim * dim..(b + 1) * dim * dim];
                 g[0] += 1;
                 for (i, &(j, cj)) in present.iter().enumerate() {
                     g[j + 1] += cj;
@@ -286,16 +377,21 @@ impl Fitter for InterferenceFitter {
                     }
                 }
                 let y = s.rates[b] / count as f64;
-                let a = &mut aty[b * dim..(b + 1) * dim];
+                let a = &mut self.aty[b * dim..(b + 1) * dim];
                 a[0] += y;
                 for (j, &c) in s.counts.iter().enumerate() {
                     a[j + 1] += c as f64 * y;
                 }
             }
         }
-        let mut theta = Vec::with_capacity(num_types);
-        for b in 0..num_types {
-            let g = &gram[b * dim * dim..(b + 1) * dim * dim];
+        self.folded += samples.len();
+    }
+
+    fn solve(&self) -> Result<Vec<Vec<f64>>, PredictError> {
+        let dim = self.num_types + 1;
+        let mut theta = Vec::with_capacity(self.num_types);
+        for b in 0..self.num_types {
+            let g = &self.gram[b * dim * dim..(b + 1) * dim * dim];
             if g[0] == 0 {
                 return Err(PredictError::NotEnoughSamples(format!(
                     "type {b} appears in no sample"
@@ -309,11 +405,32 @@ impl Fitter for InterferenceFitter {
                     ata[(j, i)] = v;
                 }
             }
-            let coef = linsys::solve_normal_equations(ata, &aty[b * dim..(b + 1) * dim])
+            let coef = linsys::solve_normal_equations(ata, &self.aty[b * dim..(b + 1) * dim])
                 .map_err(|e| PredictError::Fit(format!("type {b}: {e}")))?;
             theta.push(coef);
         }
-        Ok(Box::new(InterferencePredictor { theta }))
+        Ok(theta)
+    }
+}
+
+impl FitState for NormalEquations {
+    fn fit(
+        &mut self,
+        samples: &[RateSample],
+        unchanged: usize,
+    ) -> Result<Box<dyn RatePredictor>, PredictError> {
+        if unchanged < self.folded {
+            self.clear();
+        }
+        self.fold(&samples[self.folded..]);
+        match self.solve() {
+            Ok(theta) => Ok(Box::new(InterferencePredictor { theta })),
+            Err(e) => {
+                // The caller reverts its samples on failure: forget them.
+                self.clear();
+                Err(e)
+            }
+        }
     }
 }
 

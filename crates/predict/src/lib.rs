@@ -17,7 +17,8 @@
 //!   generalised to sample rows via
 //!   [`symbiosis::fit_linear_bottleneck_rows`]) and [`InterferenceFitter`]
 //!   (a richer per-type least-squares contention model solved with
-//!   [`lp::linsys`]).
+//!   [`lp::linsys`]). A [`FitState`] is a fit in progress that a refit
+//!   extends.
 //! * [`PredictedModel`] — a fitted model implementing
 //!   [`symbiosis::RateModel`] (conformance-tested, partial coschedules
 //!   included), with per-sample [`Residual`] tracking, a
@@ -27,12 +28,19 @@
 //!   analyses and [`PredictedModel::to_table`] for
 //!   `session::Session::sweep` (use [`workloads::WorkUnit::Plain`] — the
 //!   emitted "IPCs" are already predicted rates).
+//!   A refit costs what is new, not what has accumulated: the
+//!   [`InterferenceFitter`] keeps its normal equations and folds in only
+//!   the appended samples, re-summing from the start only when a
+//!   re-measured multiset's rates changed. The residual refresh stays
+//!   linear in the training set; order statistics are read by selection.
+//!   The [`model`] module documents the full cost model.
 //! * [`PredictedModel::error_against`] — the predicted-vs-measured error
 //!   over every full coschedule, asking the ground truth once per
 //!   coschedule. A loop that re-checks the model after every refit
 //!   evaluates the truth once into a [`symbiosis::RateGrid`] and calls
 //!   [`PredictedModel::error_against_grid`], which reads the grid's stored
-//!   throughputs and reports the same bits.
+//!   throughputs and reports the same bits, pricing each coschedule with
+//!   one [`RatePredictor::instantaneous_throughput`] call.
 //!
 //! # Example
 //!
@@ -78,7 +86,8 @@ use symbiosis::SymbiosisError;
 use workloads::TableError;
 
 pub use fit::{
-    BottleneckFitter, Fitter, InterferenceFitter, RatePredictor, RateSample, MIN_PREDICTED_RATE,
+    BottleneckFitter, FitState, Fitter, InterferenceFitter, RatePredictor, RateSample,
+    MIN_PREDICTED_RATE,
 };
 pub use model::{samples_from_table, ErrorSummary, PredictedModel, Residual};
 pub use sample::{stratified_plan, SamplePlan, Stratum};

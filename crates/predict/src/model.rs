@@ -9,11 +9,33 @@
 //! the batch sweep surface, [`PredictedModel::to_table`] materialises a
 //! predicted [`PerfTable`] (consume it with [`WorkUnit::Plain`] — the
 //! emitted per-slot "IPCs" *are* predicted rates).
+//!
+//! # Refit cost
+//!
+//! A [`PredictedModel::refit`] that appends `m` samples to a training set
+//! of `n` costs:
+//!
+//! * the merge: `O(m)` hash lookups, plus a bitwise compare for each
+//!   re-measured multiset;
+//! * the fit: what the fitter's [`FitState`] charges. The
+//!   [`InterferenceFitter`](crate::InterferenceFitter) folds only the `m`
+//!   new samples into normal equations it keeps, and solves them; a
+//!   re-measured multiset whose rates changed, or a failed refit before,
+//!   makes it re-accumulate all `n + m`;
+//! * the residual refresh: `O(n + m)` predictor calls, since every
+//!   residual moves with the new predictor. This is the one pass over the
+//!   whole training set left in a refit.
+//!
+//! After a refit, [`PredictedModel::fit_error`] and
+//! [`PredictedModel::residual_quantiles`] read order statistics by
+//! selection, `O(n + m)` with no sort, and
+//! [`PredictedModel::error_against_grid`] prices each of the grid's full
+//! coschedules with one predictor call.
 
 use symbiosis::{Coschedule, CoscheduleIter, RateGrid, RateModel, WorkloadRates};
 use workloads::{PerfTable, WorkUnit};
 
-use crate::fit::{Fitter, RatePredictor, RateSample};
+use crate::fit::{FitState, Fitter, RatePredictor, RateSample};
 use crate::PredictError;
 
 /// One training sample's prediction error, recorded at (re)fit time.
@@ -42,19 +64,71 @@ pub struct ErrorSummary {
 }
 
 impl ErrorSummary {
+    /// Summarises absolute relative errors: the mean in input order, the
+    /// p95 and the maximum by selection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `errors` is empty or holds a non-finite value.
     fn from_abs_rel(mut errors: Vec<f64>) -> ErrorSummary {
         assert!(!errors.is_empty(), "no coschedules to summarise");
+        assert!(
+            errors.iter().all(|e| e.is_finite()),
+            "non-finite coschedule error"
+        );
         let coschedules = errors.len();
         let mean = errors.iter().sum::<f64>() / coschedules as f64;
-        errors.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let p95 = errors[((coschedules - 1) as f64 * 0.95).round() as usize];
+        let p95 = ((coschedules - 1) as f64 * 0.95).round() as usize;
+        let mut ranked = Ranked::new(&mut errors);
+        let p95_abs_rel = ranked.nth(p95);
+        let max_abs_rel = ranked.nth(coschedules - 1);
         ErrorSummary {
             coschedules,
             mean_abs_rel: mean,
-            p95_abs_rel: p95,
-            max_abs_rel: *errors.last().expect("non-empty"),
+            p95_abs_rel,
+            max_abs_rel,
         }
     }
+}
+
+/// Order statistics of one buffer under [`f64::total_cmp`], found by
+/// selection instead of sorting. `nth(r)` returns the value an ascending
+/// sort would hold at index `r`, bit for bit (the order is total, so that
+/// value is unique). Ranks asked in ascending order cost one pass over a
+/// shrinking tail each; the buffer is left permuted.
+struct Ranked<'a> {
+    values: &'a mut [f64],
+    /// `values[..settled]` holds the `settled` smallest values, unordered.
+    settled: usize,
+}
+
+impl<'a> Ranked<'a> {
+    fn new(values: &'a mut [f64]) -> Self {
+        Ranked { values, settled: 0 }
+    }
+
+    fn nth(&mut self, rank: usize) -> f64 {
+        if rank < self.settled {
+            return *self.values[..self.settled]
+                .select_nth_unstable_by(rank, f64::total_cmp)
+                .1;
+        }
+        let value = *self.values[self.settled..]
+            .select_nth_unstable_by(rank - self.settled, f64::total_cmp)
+            .1;
+        self.settled = rank + 1;
+        value
+    }
+}
+
+/// The nearest-rank `qs` quantiles of `errs` (see
+/// [`PredictedModel::residual_quantiles`]).
+fn nearest_rank_quantiles(mut errs: Vec<f64>, qs: &[f64]) -> Vec<f64> {
+    let n = errs.len();
+    let mut ranked = Ranked::new(&mut errs);
+    qs.iter()
+        .map(|&q| ranked.nth(((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize))
+        .collect()
 }
 
 /// A refittable, conformance-tested predicted rate source.
@@ -65,7 +139,9 @@ impl ErrorSummary {
 pub struct PredictedModel {
     num_types: usize,
     contexts: usize,
-    fitter: Box<dyn Fitter>,
+    fitter_name: &'static str,
+    /// The fitter's running state over `samples`, which a refit extends.
+    state: Box<dyn FitState>,
     predictor: Box<dyn RatePredictor>,
     samples: Vec<RateSample>,
     /// Multiset-keyed position index into `samples`, maintained across
@@ -99,7 +175,8 @@ impl PredictedModel {
         let mut model = PredictedModel {
             num_types,
             contexts,
-            fitter,
+            fitter_name: fitter.name(),
+            state: fitter.start(num_types, contexts),
             // Placeholder replaced by the refit below before anyone can
             // query it.
             predictor: Box::new(Unfitted),
@@ -136,7 +213,12 @@ impl PredictedModel {
     /// The merge is *incremental*: the existing training set is edited in
     /// place through a persistent multiset index (only the new samples are
     /// copied), so a live loop refitting every few hundred measurements
-    /// never re-clones its accumulated history.
+    /// never re-clones its accumulated history. The fit is incremental
+    /// too, as far as the fitter allows: its [`FitState`] is told how many
+    /// leading samples are unchanged since the last fit, which is all of
+    /// them unless a re-measured multiset's rates changed bitwise (see the
+    /// module's refit cost model). The result equals a one-shot
+    /// [`PredictedModel::fit`] of the merged samples bit for bit.
     ///
     /// On error the model keeps its previous predictor and samples (an
     /// undo log reverts the in-place merge).
@@ -179,10 +261,17 @@ impl PredictedModel {
                 "predicted model needs at least one sample".into(),
             ));
         }
+        // The fitter may keep what it summed over samples that are still
+        // bit for bit what it saw: all but those from the first
+        // re-measured multiset whose rates changed.
+        let unchanged = replaced
+            .iter()
+            .filter(|(i, old)| !same_bits(&old.rates, &self.samples[*i].rates))
+            .map(|&(i, _)| i)
+            .fold(appended_from, usize::min);
         let fitted = {
             let _span = obs::span!("predict.fit");
-            self.fitter
-                .fit(self.num_types, self.contexts, &self.samples)
+            self.state.fit(&self.samples, unchanged)
         };
         match fitted {
             Ok(predictor) => {
@@ -215,7 +304,7 @@ impl PredictedModel {
 
     /// The fitter's registry-style name (e.g. `bottleneck`).
     pub fn fitter_name(&self) -> &'static str {
-        self.fitter.name()
+        self.fitter_name
     }
 
     /// The fitted coefficient rows (layout documented per fitter).
@@ -245,16 +334,15 @@ impl PredictedModel {
     /// quantile bounds the error of "the worst decile of the training
     /// set", and any sample whose residual exceeds it marks a region
     /// worth re-measuring.
+    ///
+    /// Each quantile is the entry an ascending [`f64::total_cmp`] sort of
+    /// the errors would hold at its rank, found by selection: `O(n)` per
+    /// quantile, no sort.
     pub fn residual_quantiles(&self, qs: &[f64]) -> Vec<f64> {
-        let mut errs: Vec<f64> = self.residuals.iter().map(|r| r.rel_throughput).collect();
-        errs.sort_by(|a, b| a.total_cmp(b));
-        let n = errs.len();
-        qs.iter()
-            .map(|&q| {
-                let i = ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-                errs[i]
-            })
-            .collect()
+        nearest_rank_quantiles(
+            self.residuals.iter().map(|r| r.rel_throughput).collect(),
+            qs,
+        )
     }
 
     /// Error summary against a ground-truth rate source, over every *full*
@@ -397,6 +485,23 @@ impl RateModel for PredictedModel {
         );
         self.predictor.per_job_rate(counts, ty)
     }
+
+    /// The trait's default sum, with the multiset checked once instead of
+    /// once per present type, and priced by one predictor call.
+    fn instantaneous_throughput(&self, counts: &[u32]) -> f64 {
+        let n: u32 = counts.iter().sum();
+        if n == 0 {
+            // No type is present, so the default asks nothing and
+            // returns the empty sum.
+            return std::iter::empty::<f64>().sum();
+        }
+        assert_eq!(counts.len(), self.num_types, "counts length mismatch");
+        assert!(
+            n as usize <= self.contexts,
+            "multiset size {n} out of range"
+        );
+        self.predictor.instantaneous_throughput(counts)
+    }
 }
 
 /// Placeholder predictor used only during construction; unreachable once
@@ -411,6 +516,11 @@ impl RatePredictor for Unfitted {
     fn coefficients(&self) -> Vec<Vec<f64>> {
         unreachable!("model queried before its first fit")
     }
+}
+
+/// Whether two rate vectors hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Recomputes `out` (the ledger entry of `sample`'s multiset) against
@@ -499,7 +609,68 @@ mod tests {
     use super::*;
     use crate::fit::{BottleneckFitter, InterferenceFitter};
     use crate::sample::stratified_plan;
+    use symbiosis::rng::SplitMix64;
     use symbiosis::{assert_rate_model_conformance, AnalyticModel};
+
+    /// Asserts that two models hold the same samples and report the same
+    /// fit, bit for bit: coefficients, residual ledger, in-sample error
+    /// summary and residual quantiles.
+    fn assert_same_fit_bits(got: &PredictedModel, want: &PredictedModel) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.samples().len(), want.samples().len(), "sample count");
+        for (g, w) in got.samples().iter().zip(want.samples()) {
+            assert_eq!(g.counts, w.counts);
+            assert_eq!(bits(&g.rates), bits(&w.rates), "rates of {:?}", g.counts);
+        }
+        let (gc, wc) = (got.coefficients(), want.coefficients());
+        assert_eq!(gc.len(), wc.len());
+        for (b, (g, w)) in gc.iter().zip(&wc).enumerate() {
+            assert_eq!(bits(g), bits(w), "coefficients of type {b}");
+        }
+        assert_eq!(got.residuals().len(), want.residuals().len());
+        for (g, w) in got.residuals().iter().zip(want.residuals()) {
+            assert_eq!(g.counts, w.counts);
+            assert_eq!(
+                bits(&g.per_type),
+                bits(&w.per_type),
+                "residual {:?}",
+                g.counts
+            );
+            assert_eq!(g.rel_throughput.to_bits(), w.rel_throughput.to_bits());
+        }
+        let summary = |m: &PredictedModel| {
+            let e = m.fit_error();
+            (
+                e.coschedules,
+                bits(&[e.mean_abs_rel, e.p95_abs_rel, e.max_abs_rel]),
+            )
+        };
+        assert_eq!(summary(got), summary(want), "fit_error");
+        let qs = [0.0, 0.1, 0.5, 0.9, 0.95, 1.0];
+        assert_eq!(
+            bits(&got.residual_quantiles(&qs)),
+            bits(&want.residual_quantiles(&qs)),
+            "residual_quantiles"
+        );
+    }
+
+    /// A total-rate sample of a law the affine fit cannot represent:
+    /// heterogeneity relieves contention multiplicatively. Positive for
+    /// any multiset size.
+    fn relief_sample(counts: Vec<u32>) -> RateSample {
+        let distinct = counts.iter().filter(|&&c| c > 0).count() as f64;
+        let n: u32 = counts.iter().sum();
+        let rates = counts
+            .iter()
+            .enumerate()
+            .map(|(b, &c)| {
+                let per_job = (1.0 + 0.1 * b as f64) * (1.0 + 0.2 * (distinct - 1.0))
+                    / (1.0 + 0.3 * (n as f64 - 1.0));
+                c as f64 * per_job
+            })
+            .collect();
+        RateSample { counts, rates }
+    }
 
     /// An exact affine contention ground truth (positive over all sizes).
     fn affine_truth(
@@ -647,8 +818,87 @@ mod tests {
         refitted.refit(&late).unwrap();
         let merged: Vec<RateSample> = early.into_iter().chain(late).collect();
         let fresh = PredictedModel::fit(3, 3, merged, Box::new(InterferenceFitter)).unwrap();
-        assert_eq!(refitted.samples(), fresh.samples());
-        assert_eq!(refitted.residuals(), fresh.residuals());
+        assert_same_fit_bits(&refitted, &fresh);
+    }
+
+    #[test]
+    fn incremental_refits_match_a_fresh_fit_bit_for_bit() {
+        // Four types, where types 2 and 3 always run in equal numbers.
+        // Their Gram columns are then identical, so every solve takes the
+        // ridge path while the counts are small; two huge multisets make
+        // the ridge vanish next to the Gram entries, and that refit fails.
+        const HUGE: u32 = 1 << 30;
+        let contexts = 1usize << 32;
+        let mut universe: Vec<Vec<u32>> = Vec::new();
+        for c0 in 0..=6u32 {
+            for c1 in 0..=6 - c0 {
+                for c2 in 0..=(6 - c0 - c1) / 2 {
+                    if c0 + c1 + c2 > 0 {
+                        universe.push(vec![c0, c1, c2, c2]);
+                    }
+                }
+            }
+        }
+        let mut rng = SplitMix64::new(0x05EE_DF17);
+        for i in (1..universe.len()).rev() {
+            universe.swap(i, rng.next_range(i as u64 + 1) as usize);
+        }
+        let seed: Vec<RateSample> = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]]
+            .iter()
+            .map(|c| relief_sample(c.to_vec()))
+            .collect();
+        let mut applied = seed.clone();
+        let mut model =
+            PredictedModel::fit(4, contexts, seed, Box::new(InterferenceFitter)).unwrap();
+        let (mut identical, mut changed, mut failed) = (0, 0, 0);
+        let mut rest = universe.into_iter().map(relief_sample);
+        for round in 0.. {
+            let take = 1 + rng.next_range(6) as usize;
+            let mut batch: Vec<RateSample> = rest.by_ref().take(take).collect();
+            if batch.is_empty() {
+                break;
+            }
+            let known = applied[rng.next_range(applied.len() as u64) as usize].clone();
+            match round % 4 {
+                // A re-measurement with the same bits: nothing re-summed.
+                1 => {
+                    batch.push(model.samples()[model.position[&known.counts]].clone());
+                    identical += 1;
+                }
+                // Changed rates: the fitter must re-sum from the start.
+                2 => {
+                    let mut again = model.samples()[model.position[&known.counts]].clone();
+                    for r in &mut again.rates {
+                        *r *= 1.0 + 1.0 / 64.0;
+                    }
+                    batch.insert(0, again);
+                    changed += 1;
+                }
+                // A refit whose solve fails, with a changed re-measurement
+                // in it, must leave the model as it was.
+                3 if failed < 2 => {
+                    let before: Vec<Vec<f64>> = model.coefficients();
+                    let held = model.samples().to_vec();
+                    let mut bad = batch.clone();
+                    let mut again = held[0].clone();
+                    again.rates[0] *= 2.0;
+                    bad.push(again);
+                    bad.push(relief_sample(vec![0, 0, HUGE, HUGE]));
+                    bad.push(relief_sample(vec![0, 0, HUGE / 2 * 3, HUGE / 2 * 3]));
+                    assert!(matches!(model.refit(&bad), Err(PredictError::Fit(_))));
+                    assert_eq!(model.samples(), held.as_slice());
+                    assert_eq!(model.coefficients(), before);
+                    failed += 1;
+                }
+                _ => {}
+            }
+            model.refit(&batch).unwrap();
+            applied.extend(batch);
+        }
+        assert!(identical > 0 && changed > 0 && failed == 2);
+        let fresh =
+            PredictedModel::fit(4, contexts, applied, Box::new(InterferenceFitter)).unwrap();
+        assert_same_fit_bits(&model, &fresh);
     }
 
     #[test]
@@ -803,6 +1053,129 @@ mod tests {
         // A grid over every size reads the same full stratum.
         let all_sizes = RateGrid::new(&truth).unwrap();
         assert_eq!(model.error_against_grid(&all_sizes).unwrap(), from_grid);
+    }
+
+    /// The summaries by sorting that selection replaced.
+    fn sorted_summary(errors: &[f64]) -> ErrorSummary {
+        let mut sorted = errors.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let n = sorted.len();
+        ErrorSummary {
+            coschedules: n,
+            mean_abs_rel: errors.iter().sum::<f64>() / n as f64,
+            p95_abs_rel: sorted[((n - 1) as f64 * 0.95).round() as usize],
+            max_abs_rel: sorted[n - 1],
+        }
+    }
+
+    fn sorted_quantiles(errors: &[f64], qs: &[f64]) -> Vec<f64> {
+        let mut sorted = errors.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let n = sorted.len();
+        qs.iter()
+            .map(|&q| sorted[((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize])
+            .collect()
+    }
+
+    #[test]
+    fn selected_order_statistics_equal_sorted_ones_bit_for_bit() {
+        let mut rng = SplitMix64::new(0x0DDE_57A7);
+        let mut lengths: Vec<usize> = vec![1, 2, 3, 4, 5, 19, 20, 21, 100, 1000, 6435, 7000];
+        lengths.extend((0..20).map(|_| 1 + rng.next_range(7000) as usize));
+        for (case, &len) in lengths.iter().enumerate() {
+            // Zeros, a few repeated values and distinct ones, mixed.
+            let errors: Vec<f64> = (0..len)
+                .map(|_| match rng.next_range(4) {
+                    0 => 0.0,
+                    1 => rng.next_range(8) as f64 / 16.0,
+                    _ => rng.next_f64() * if case % 2 == 0 { 1.0 } else { 1e3 },
+                })
+                .collect();
+            let want = sorted_summary(&errors);
+            let got = ErrorSummary::from_abs_rel(errors.clone());
+            assert_eq!(got.coschedules, want.coschedules);
+            for (g, w) in [
+                (got.mean_abs_rel, want.mean_abs_rel),
+                (got.p95_abs_rel, want.p95_abs_rel),
+                (got.max_abs_rel, want.max_abs_rel),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "length {len}");
+            }
+            // Ranks in any order, repeats and out-of-range q included.
+            let mut qs = vec![0.0, 0.05, 0.5, 0.9, 0.95, 1.0, 0.9, -1.0, 2.0];
+            qs.extend((0..4).map(|_| rng.next_f64()));
+            for i in (1..qs.len()).rev() {
+                qs.swap(i, rng.next_range(i as u64 + 1) as usize);
+            }
+            let got: Vec<u64> = nearest_rank_quantiles(errors.clone(), &qs)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let want: Vec<u64> = sorted_quantiles(&errors, &qs)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, want, "length {len}, qs {qs:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn error_summary_rejects_a_nan_error() {
+        ErrorSummary::from_abs_rel(vec![0.1, f64::NAN, 0.2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn error_summary_rejects_an_infinite_error() {
+        ErrorSummary::from_abs_rel(vec![f64::INFINITY]);
+    }
+
+    #[test]
+    fn instantaneous_throughput_is_the_per_type_sum_bit_for_bit() {
+        let truth = affine_truth(6, 6);
+        let model = PredictedModel::fit(
+            6,
+            6,
+            truth_samples(&truth, 1..=2),
+            Box::new(InterferenceFitter),
+        )
+        .unwrap();
+        for size in 1..=6 {
+            for s in CoscheduleIter::new(6, size) {
+                let per_type: f64 = s
+                    .counts()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(ty, &c)| c as f64 * model.per_job_rate(s.counts(), ty))
+                    .sum();
+                assert_eq!(
+                    model.instantaneous_throughput(s.counts()).to_bits(),
+                    per_type.to_bits(),
+                    "{s}"
+                );
+            }
+        }
+        // No job present: the empty sum, whatever the slice's length.
+        let empty = std::iter::empty::<f64>().sum::<f64>().to_bits();
+        for zeros in [&[0u32; 6][..], &[0, 0], &[]] {
+            assert_eq!(model.instantaneous_throughput(zeros).to_bits(), empty);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "multiset size 5 out of range")]
+    fn instantaneous_throughput_rejects_an_oversized_multiset() {
+        let truth = affine_truth(3, 4);
+        let model = PredictedModel::fit(
+            3,
+            4,
+            truth_samples(&truth, 1..=2),
+            Box::new(InterferenceFitter),
+        )
+        .unwrap();
+        model.instantaneous_throughput(&[2, 2, 1]);
     }
 
     #[test]

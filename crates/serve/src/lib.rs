@@ -101,6 +101,6 @@ pub mod twin;
 
 pub use breaker::{BreakerConfig, BreakerEvent, BreakerReport, CircuitBreaker, DegradingPlacer};
 pub use dispatch::{Completion, DispatchError, Dispatcher, Placement};
-pub use placer::{BeamPlacer, OccupiedModel, Placer, PolicyPlacer};
+pub use placer::{BeamPlacer, OccupiedError, OccupiedModel, Placer, PolicyPlacer};
 pub use sim::{run_serve, ErrorPoint, ServeConfig, ServeError, ServeReport};
 pub use twin::{RefitRecord, TwinError, TwinLoop};

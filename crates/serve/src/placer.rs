@@ -48,29 +48,75 @@ pub struct OccupiedModel<'a> {
     occupancy: u32,
 }
 
+/// Why an [`OccupiedModel`] cannot wrap a model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OccupiedError {
+    /// The running counts do not have one entry per model type.
+    CountsLength {
+        /// Entries in the running counts.
+        running: usize,
+        /// The model's type count.
+        types: usize,
+    },
+    /// The model cannot price partial multisets.
+    NoPartialRates,
+    /// More jobs run than the machine has contexts.
+    Overfull {
+        /// Running jobs.
+        running: u64,
+        /// The model's context count.
+        contexts: usize,
+    },
+}
+
+impl std::fmt::Display for OccupiedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OccupiedError::CountsLength { running, types } => {
+                write!(f, "{running} running counts for {types} job types")
+            }
+            OccupiedError::NoPartialRates => {
+                write!(f, "occupied pricing needs partial-multiset rates")
+            }
+            OccupiedError::Overfull { running, contexts } => {
+                write!(f, "{running} running jobs exceed {contexts} contexts")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OccupiedError {}
+
 impl<'a> OccupiedModel<'a> {
     /// Wraps `base` with `running` jobs pinned on the machine.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `running` does not match the model's type count, exceeds
-    /// its contexts, or `base` cannot price partial multisets.
-    pub fn new(base: &'a dyn RateModel, running: &'a [u32]) -> Self {
-        assert_eq!(running.len(), base.num_types(), "running counts length");
-        assert!(
-            base.supports_partial(),
-            "occupied pricing needs partial-multiset rates"
-        );
-        let occupancy: u32 = running.iter().sum();
-        assert!(
-            occupancy as usize <= base.contexts(),
-            "running jobs exceed machine contexts"
-        );
-        OccupiedModel {
+    /// [`OccupiedError`] if `running` does not match the model's type
+    /// count, exceeds its contexts, or `base` cannot price partial
+    /// multisets.
+    pub fn new(base: &'a dyn RateModel, running: &'a [u32]) -> Result<Self, OccupiedError> {
+        if running.len() != base.num_types() {
+            return Err(OccupiedError::CountsLength {
+                running: running.len(),
+                types: base.num_types(),
+            });
+        }
+        if !base.supports_partial() {
+            return Err(OccupiedError::NoPartialRates);
+        }
+        let occupancy: u64 = running.iter().map(|&c| u64::from(c)).sum();
+        if occupancy > base.contexts() as u64 {
+            return Err(OccupiedError::Overfull {
+                running: occupancy,
+                contexts: base.contexts(),
+            });
+        }
+        Ok(OccupiedModel {
             base,
             running,
-            occupancy,
-        }
+            occupancy: occupancy as u32,
+        })
     }
 
     fn combined(&self, counts: &[u32]) -> Vec<u32> {
@@ -139,7 +185,8 @@ impl Placer for PolicyPlacer {
         if free == 0 || queued.is_empty() {
             return Vec::new();
         }
-        let occupied = OccupiedModel::new(model, running);
+        let occupied = OccupiedModel::new(model, running)
+            .unwrap_or_else(|e| panic!("cannot place beside the running jobs: {e}"));
         let mut placed = Vec::with_capacity(free);
         self.inner.select(queued, free, &occupied, &mut placed);
         placed
@@ -267,7 +314,7 @@ mod tests {
     fn occupied_model_shifts_pricing_by_the_running_multiset() {
         let base = relief_model(2, 4);
         let running = [1, 0];
-        let occ = OccupiedModel::new(&base, &running);
+        let occ = OccupiedModel::new(&base, &running).unwrap();
         assert_eq!(occ.contexts(), 3);
         assert_eq!(occ.num_types(), 2);
         // Pricing [0, 1] through the occupied model equals pricing the
@@ -275,6 +322,54 @@ mod tests {
         let got = occ.per_job_rate(&[0, 1], 1);
         let want = base.per_job_rate(&[1, 1], 1);
         assert!((got - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn occupied_model_rejects_what_it_cannot_price() {
+        let base = relief_model(2, 4);
+        assert_eq!(
+            OccupiedModel::new(&base, &[1, 0, 0]).err(),
+            Some(OccupiedError::CountsLength {
+                running: 3,
+                types: 2
+            })
+        );
+        assert_eq!(
+            OccupiedModel::new(&base, &[3, 2]).err(),
+            Some(OccupiedError::Overfull {
+                running: 5,
+                contexts: 4
+            })
+        );
+        // Counts whose `u32` sum would wrap are still too many.
+        let huge = [u32::MAX, 1];
+        assert!(matches!(
+            OccupiedModel::new(&base, &huge),
+            Err(OccupiedError::Overfull { running, .. }) if running == 1 << 32
+        ));
+        struct FullOnly;
+        impl RateModel for FullOnly {
+            fn num_types(&self) -> usize {
+                2
+            }
+            fn contexts(&self) -> usize {
+                4
+            }
+            fn per_job_rate(&self, _counts: &[u32], _ty: usize) -> f64 {
+                1.0
+            }
+            fn supports_partial(&self) -> bool {
+                false
+            }
+        }
+        let err = OccupiedModel::new(&FullOnly, &[0, 0]).err().unwrap();
+        assert_eq!(err, OccupiedError::NoPartialRates);
+        assert_eq!(
+            err.to_string(),
+            "occupied pricing needs partial-multiset rates"
+        );
+        // The full machine is still a valid (empty) occupied model.
+        assert_eq!(OccupiedModel::new(&base, &[2, 2]).unwrap().contexts(), 0);
     }
 
     #[test]

@@ -19,6 +19,21 @@
 //! Refits are deterministic (same batches, same order ⇒ same model), so
 //! inline and background modes produce byte-identical histories; the
 //! only difference is who runs the solver.
+//!
+//! # Cost of one staleness cycle
+//!
+//! With `n` training samples and a batch of `b`:
+//!
+//! * the refit folds only the `b` new samples into the fitter's normal
+//!   equations and solves them (see [`predict::model`]'s refit cost
+//!   model), then refreshes all `n` residuals — the one part linear in
+//!   the training set;
+//! * the history record reads the 0.9 residual quantile and the mean
+//!   error in `O(n)`, by selection, with no sort; the active probes sort
+//!   only the residuals at or above that quantile;
+//! * `run_serve` then measures the model against its truth grid: one
+//!   predictor call per full coschedule, a cost fixed by the machine
+//!   shape, not by `n`.
 
 use predict::{PredictedModel, RateSample};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
