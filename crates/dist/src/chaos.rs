@@ -28,9 +28,8 @@ use crate::DistError;
 ///
 /// Probabilities are per-frame and independent; `0.0` disables a fault
 /// class, `1.0` fires it on every frame. The two `*_after_frames`
-/// triggers count frames crossing this end (sends and receives), and
-/// `hang_after_chunks` counts [`Frame::Chunk`]s received; each fires at
-/// the start of the first operation once its count is reached.
+/// triggers count frames crossing this end (sends and receives) and fire
+/// at the start of the first operation once the count is reached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
     /// Seed for the fault-roll stream.
@@ -50,10 +49,6 @@ pub struct ChaosPlan {
     /// Fall silent (sends vanish, receives time out, channel stays open)
     /// once this many frames crossed.
     pub hang_after_frames: Option<usize>,
-    /// Fall silent once this many chunk frames were received, so a
-    /// worker end hangs while it provably holds a chunk, however the
-    /// other workers are scheduled.
-    pub hang_after_chunks: Option<usize>,
     /// Close the underlying channel (peer observes a hangup) once this
     /// many frames crossed.
     pub crash_after_frames: Option<usize>,
@@ -69,7 +64,6 @@ impl Default for ChaosPlan {
             max_delay: Duration::from_millis(10),
             corrupt: 0.0,
             hang_after_frames: None,
-            hang_after_chunks: None,
             crash_after_frames: None,
         }
     }
@@ -88,15 +82,6 @@ impl ChaosPlan {
     pub fn hang_after(frames: usize) -> Self {
         ChaosPlan {
             hang_after_frames: Some(frames),
-            ..ChaosPlan::default()
-        }
-    }
-
-    /// A plan whose only fault is a hang after `chunks` received chunk
-    /// frames.
-    pub fn hang_after_chunks(chunks: usize) -> Self {
-        ChaosPlan {
-            hang_after_chunks: Some(chunks),
             ..ChaosPlan::default()
         }
     }
@@ -145,8 +130,6 @@ pub struct ChaosTransport<T: Transport> {
     plan: ChaosPlan,
     rng: SplitMix64,
     crossed: usize,
-    /// Chunk frames received.
-    chunks: usize,
     hung: bool,
     peer: String,
     stats: Arc<Mutex<ChaosStats>>,
@@ -162,7 +145,6 @@ impl<T: Transport> ChaosTransport<T> {
             plan,
             rng,
             crossed: 0,
-            chunks: 0,
             hung: false,
             peer,
             stats: Arc::new(Mutex::new(ChaosStats::default())),
@@ -188,21 +170,20 @@ impl<T: Transport> ChaosTransport<T> {
     /// Fires the frame-count triggers due at the start of an operation
     /// and reports whether this end is already dead.
     fn trip(&mut self) -> Result<(), DistError> {
-        let plan = &self.plan;
-        let frames_due = plan.hang_after_frames.is_some_and(|n| self.crossed >= n);
-        let chunks_due = plan.hang_after_chunks.is_some_and(|n| self.chunks >= n);
-        if (frames_due || chunks_due) && !self.hung {
-            // Deliberate leak: dropping the inner transport would close
-            // its channel and the peer would observe a hangup —
-            // indistinguishable from a crash. Forgetting it keeps the
-            // channel open-but-silent, which is what a hang looks like
-            // from the other side.
-            if let Some(inner) = self.inner.take() {
-                std::mem::forget(inner);
+        if let Some(limit) = self.plan.hang_after_frames {
+            if self.crossed >= limit && !self.hung {
+                // Deliberate leak: dropping the inner transport would
+                // close its channel and the peer would observe a hangup —
+                // indistinguishable from a crash. Forgetting it keeps the
+                // channel open-but-silent, which is what a hang looks
+                // like from the other side.
+                if let Some(inner) = self.inner.take() {
+                    std::mem::forget(inner);
+                }
+                self.hung = true;
+                self.stats().hung = true;
+                obs::count!("chaos.hang", 1);
             }
-            self.hung = true;
-            self.stats().hung = true;
-            obs::count!("chaos.hang", 1);
         }
         if let Some(limit) = self.plan.crash_after_frames {
             if self.crossed >= limit && self.inner.is_some() {
@@ -269,9 +250,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             .expect("trip() verified liveness")
             .recv()?;
         self.crossed += 1;
-        if matches!(frame, Frame::Chunk { .. }) {
-            self.chunks += 1;
-        }
         let roll = self.rng.next_f64();
         if roll < self.plan.corrupt {
             let mut wire = frame.encode();
@@ -349,32 +327,6 @@ mod tests {
         let err = coord.recv().unwrap_err();
         assert!(matches!(err, DistError::Timeout(_)), "{err}");
         assert!(worker.stats_handle().lock().unwrap().hung);
-    }
-
-    #[test]
-    fn the_chunk_trigger_hangs_only_after_a_chunk_arrived() {
-        let (coord, mut worker) = loopback_pair_with_chaos(ChaosPlan::hang_after_chunks(1));
-        let mut coord = coord.with_recv_timeout(Duration::from_millis(20));
-        // Frames of other kinds, either way, do not count.
-        for _ in 0..3 {
-            worker.send(&Frame::FetchChunk).unwrap();
-            assert_eq!(coord.recv().unwrap(), Frame::FetchChunk);
-            coord.send(&Frame::TableRequest).unwrap();
-            assert_eq!(worker.recv().unwrap(), Frame::TableRequest);
-        }
-        let chunk = Frame::Chunk {
-            id: 0,
-            workloads: vec![vec![0, 1]],
-        };
-        coord.send(&chunk).unwrap();
-        // The chunk itself is delivered: the worker holds it.
-        assert_eq!(worker.recv().unwrap(), chunk);
-        assert!(!worker.stats_handle().lock().unwrap().hung);
-        // The next operation falls silent.
-        worker.send(&Frame::FetchChunk).unwrap();
-        assert!(worker.stats_handle().lock().unwrap().hung);
-        assert!(matches!(coord.recv(), Err(DistError::Timeout(_))));
-        assert!(matches!(worker.recv(), Err(DistError::Timeout(_))));
     }
 
     #[test]

@@ -296,13 +296,14 @@ fn a_hung_worker_times_out_and_its_chunk_is_requeued() {
         },
     )
     .unwrap();
-    // Once it has received a chunk the victim's end goes silent without
-    // hanging up: sends pretend to succeed, reads time out — a wedged
-    // process, not a dead one. The coordinator can only detect it by
-    // timeout, after which the held chunk must return to the queue. The
-    // survivor starts only once the victim hung, so the victim cannot
-    // find the queue already drained.
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after_chunks(1));
+    // After 6 frames the victim's end goes silent without hanging up:
+    // sends pretend to succeed, reads time out — a wedged process, not a
+    // dead one. The coordinator can only detect it by timeout, after
+    // which the held chunk must return to the queue. The survivor starts
+    // only once the victim hung, so the victim runs alone and its 6
+    // frames are always Hello, Welcome, TableRequest, TableBytes,
+    // FetchChunk and Chunk: it hangs holding a chunk.
+    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after(6));
     let (c2, w2) = loopback_pair();
     let victim_hung = w1.stats_handle();
     let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));

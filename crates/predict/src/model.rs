@@ -79,9 +79,13 @@ impl ErrorSummary {
         let coschedules = errors.len();
         let mean = errors.iter().sum::<f64>() / coschedules as f64;
         let p95 = ((coschedules - 1) as f64 * 0.95).round() as usize;
-        let mut ranked = Ranked::new(&mut errors);
-        let p95_abs_rel = ranked.nth(p95);
-        let max_abs_rel = ranked.nth(coschedules - 1);
+        let (_, p95_abs_rel, above) = errors.select_nth_unstable_by(p95, f64::total_cmp);
+        let p95_abs_rel = *p95_abs_rel;
+        let max_abs_rel = above
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .unwrap_or(p95_abs_rel);
         ErrorSummary {
             coschedules,
             mean_abs_rel: mean,
@@ -91,43 +95,17 @@ impl ErrorSummary {
     }
 }
 
-/// Order statistics of one buffer under [`f64::total_cmp`], found by
-/// selection instead of sorting. `nth(r)` returns the value an ascending
-/// sort would hold at index `r`, bit for bit (the order is total, so that
-/// value is unique). Ranks asked in ascending order cost one pass over a
-/// shrinking tail each; the buffer is left permuted.
-struct Ranked<'a> {
-    values: &'a mut [f64],
-    /// `values[..settled]` holds the `settled` smallest values, unordered.
-    settled: usize,
-}
-
-impl<'a> Ranked<'a> {
-    fn new(values: &'a mut [f64]) -> Self {
-        Ranked { values, settled: 0 }
-    }
-
-    fn nth(&mut self, rank: usize) -> f64 {
-        if rank < self.settled {
-            return *self.values[..self.settled]
-                .select_nth_unstable_by(rank, f64::total_cmp)
-                .1;
-        }
-        let value = *self.values[self.settled..]
-            .select_nth_unstable_by(rank - self.settled, f64::total_cmp)
-            .1;
-        self.settled = rank + 1;
-        value
-    }
-}
-
 /// The nearest-rank `qs` quantiles of `errs` (see
-/// [`PredictedModel::residual_quantiles`]).
+/// [`PredictedModel::residual_quantiles`]): one selection under
+/// [`f64::total_cmp`] per quantile, each the value an ascending sort
+/// would hold at its rank, bit for bit.
 fn nearest_rank_quantiles(mut errs: Vec<f64>, qs: &[f64]) -> Vec<f64> {
     let n = errs.len();
-    let mut ranked = Ranked::new(&mut errs);
     qs.iter()
-        .map(|&q| ranked.nth(((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize))
+        .map(|&q| {
+            let rank = ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+            *errs.select_nth_unstable_by(rank, f64::total_cmp).1
+        })
         .collect()
 }
 
