@@ -14,7 +14,8 @@ use std::sync::mpsc;
 ///
 /// The pool is a lightweight description (it holds no threads); each
 /// [`WorkerPool::map`] call spawns scoped workers, so borrowed data can
-/// flow into the closure freely and nothing outlives the call.
+/// flow into the closure freely and nothing outlives the call. A call
+/// with one worker spawns none: it maps on the calling thread.
 ///
 /// # Examples
 ///
@@ -57,21 +58,29 @@ impl WorkerPool {
     ///
     /// Items are claimed one at a time from a shared queue, so threads that
     /// draw cheap items keep working while an expensive item occupies one
-    /// worker.
+    /// worker. With one worker (one thread, or one item) the items are
+    /// mapped in order on the calling thread: a fresh thread would only
+    /// add its start-up and a per-thread allocator arena that keeps the
+    /// memory it freed.
     ///
     /// # Panics
     ///
-    /// Propagates panics from `f` (via scoped-thread join).
+    /// Propagates panics from `f` (via scoped-thread join, or directly on
+    /// the calling thread).
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
         let workers = self.threads.min(items.len());
+        if workers <= 1 {
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
+        }
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, R)>();
         std::thread::scope(|scope| {
@@ -134,6 +143,30 @@ mod tests {
         });
         assert_eq!(count.load(Ordering::Relaxed), 1000);
         assert_eq!(got.len(), 1000);
+    }
+
+    #[test]
+    fn one_worker_maps_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..5).collect();
+        for pool in [WorkerPool::new(1), WorkerPool::new(4)] {
+            let items = if pool.threads() == 1 {
+                &items[..]
+            } else {
+                &items[..1]
+            };
+            let got = pool.map(items, |i, &x| {
+                assert_eq!(std::thread::current().id(), caller);
+                (i, x)
+            });
+            assert_eq!(
+                got,
+                items.iter().map(|&x| (x as usize, x)).collect::<Vec<_>>()
+            );
+        }
+        // Two or more workers run off the caller.
+        let off_caller = WorkerPool::new(2).map(&items, |_, _| std::thread::current().id());
+        assert!(off_caller.iter().all(|&id| id != caller));
     }
 
     #[test]

@@ -543,3 +543,24 @@ fn fcfs_markov_rows_past_the_accel_limit_do_not_depend_on_the_thread_count() {
     }
     assert_eq!(one[0].report, session(), "sweep row equals a lone session");
 }
+
+#[test]
+fn a_one_thread_sweep_records_its_items_through_the_installed_recorder() {
+    // One thread maps on the calling thread, where the recorder is
+    // installed already; every item must still be counted and timed.
+    let recorder = obs::Recorder::new();
+    let _obs = obs::install(&recorder);
+    let workloads = enumerate_workloads(5, 3)[..3].to_vec();
+    let report = Session::sweep()
+        .table(tiny_table())
+        .workloads(workloads)
+        .policy(Policy::Optimal)
+        .threads(1)
+        .run()
+        .expect("sweep runs");
+    let snapshot = recorder.snapshot();
+    assert_eq!(snapshot.counters["sweep.items"], 3);
+    assert_eq!(snapshot.histograms["sweep.item_us"].count, 3);
+    assert_eq!(report.metrics.counters["sweep.items"], 3);
+    assert_eq!(report.metrics.histograms["sweep.item_us"].count, 3);
+}

@@ -27,8 +27,8 @@ use queueing::{
 use session::{Policy, Session};
 use simproc::{BenchmarkProfile, Machine, MachineConfig};
 use symbiosis::{
-    enumerate_coschedules, fcfs_throughput, fcfs_throughput_markov, markov_chain, optimal_schedule,
-    CoscheduleIter, JobSize, Objective, RateModel, WorkloadRates,
+    enumerate_coschedules, enumerate_workloads, fcfs_throughput, fcfs_throughput_markov,
+    markov_chain, optimal_schedule, CoscheduleIter, JobSize, Objective, RateModel, WorkloadRates,
 };
 use workloads::{spec2006, PerfTable, TableStore};
 
@@ -51,6 +51,7 @@ const EXPECTED_BENCHMARKS: &[&str] = &[
     "fcfs/markov_sparse_n12_k8",
     "fcfs/markov_sor_n12_k8",
     "fcfs/markov_sparse_n12_k10",
+    "fcfs/markov_sweep_n8_k8",
     "rates/flat_lookup_n12_k8",
     "table/build_3bench_tiny_windows",
     "table/store_warm_load_3bench",
@@ -310,6 +311,25 @@ fn main() {
     let scaling_k10 = scaling_rates(12, 10);
     results.push(bench("fcfs/markov_sparse_n12_k10", || {
         black_box(fcfs_throughput_markov(&scaling_k10).expect("solves"));
+    }));
+
+    // The N = 8 leg of perfbench `bigchain`: FCFS-MARKOV on 24 workloads
+    // strided over the 495 eight-type mixes of the K = 8 synthetic table,
+    // each a 6 435-state chain on the accelerated tier. Every solve after
+    // the first fills the memoized chain structure of its shape.
+    let k8_table = paperbench::experiments::n12_k8::synthetic_table().expect("table builds");
+    let n8_mixes = enumerate_workloads(12, 8);
+    let n8_rates: Vec<WorkloadRates> = n8_mixes
+        .iter()
+        .skip(1)
+        .step_by(n8_mixes.len() / 24)
+        .take(24)
+        .map(|w| k8_table.workload_rates(w).expect("valid workload"))
+        .collect();
+    results.push(bench("fcfs/markov_sweep_n8_k8", || {
+        for rates in &n8_rates {
+            black_box(fcfs_throughput_markov(rates).expect("solves"));
+        }
     }));
 
     // The flat rank-indexed rate probes the Markov generator leans on: one

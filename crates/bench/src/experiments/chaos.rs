@@ -241,18 +241,41 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentEr
     let mut stats: Vec<Arc<Mutex<ChaosStats>>> = Vec::new();
     let mut fleet = Vec::new();
     let mut ends = Vec::with_capacity(STORM_WORKERS);
+    // Each victim starts once the one before it has met its fault: the
+    // crasher runs alone, then the hanger, then the other two. Alone, the
+    // crasher's frames are the cold handshake and two whole chunks before
+    // it dies, and the hanger's the handshake, one chunk and a request it
+    // never reads the answer to, so it hangs holding a chunk. Sharing the
+    // queue from the start, fast survivors could drain it before either
+    // trigger fired.
+    let mut victim: Option<(Arc<Mutex<ChaosStats>>, Fired)> = None;
     for (i, plan) in worker_plans.into_iter().enumerate() {
         let stream = TcpStream::connect(addr.as_str())?;
         // A generous read timeout: the fault triggers themselves return
         // immediately, this only guards against a wedged coordinator.
         let transport = TcpTransport::from_stream(stream, Duration::from_secs(10))?;
         let chaotic = ChaosTransport::new(transport, plan);
-        stats.push(chaotic.stats_handle());
+        let handle = chaotic.stats_handle();
+        stats.push(Arc::clone(&handle));
         let worker_cfg = WorkerConfig {
             threads: per_worker_threads,
             cache: None,
         };
-        fleet.push(std::thread::spawn(move || run_worker(chaotic, &worker_cfg)));
+        let admit_after = victim.clone();
+        fleet.push(std::thread::spawn(move || {
+            if let Some((victim, fired)) = admit_after {
+                wait_for_fault(&victim, fired);
+            }
+            run_worker(chaotic, &worker_cfg)
+        }));
+        let fault: Option<Fired> = match i {
+            0 => Some(|s| s.crashed),
+            1 => Some(|s| s.hung),
+            _ => None,
+        };
+        if let Some(fired) = fault {
+            victim = Some((handle, fired));
+        }
 
         // The matching coordinator end: seeded delays everywhere, plus
         // total receive corruption on the last (sacrificial) connection.
@@ -316,6 +339,20 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentEr
     );
     eprintln!("chaos: storm wall {storm_wall:.2?} (bound {STORM_WALL_BOUND:?})");
     Ok(())
+}
+
+/// Whether a storm victim's fault has fired, read off its stats.
+type Fired = fn(&ChaosStats) -> bool;
+
+/// Blocks until `fired` holds for a victim's stats. The wait is bounded
+/// well inside the coordinator's wait for a worker's first frame (the
+/// storm's 3 s receive timeout), so a victim that never faults leaves the
+/// next worker racing as before instead of losing its connection.
+fn wait_for_fault(victim: &Mutex<ChaosStats>, fired: Fired) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !fired(&victim.lock().unwrap_or_else(|p| p.into_inner())) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The coordinator-side socket read timeout: above the DistConfig recv

@@ -17,8 +17,11 @@
 //! deterministic sizes by default; size distribution has only a small
 //! effect on the equilibrium coschedule mix).
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use lp::{linsys, Matrix};
 
+use crate::coschedule::{CoscheduleIter, CoscheduleRank};
 use crate::error::SymbiosisError;
 use crate::rates::WorkloadRates;
 use crate::rng::SplitMix64;
@@ -380,27 +383,6 @@ fn markov_stationary_dense(rates: &WorkloadRates) -> Result<Vec<f64>, SymbiosisE
         .map_err(|e| SymbiosisError::InvalidParameter(format!("markov chain solve: {e}")))
 }
 
-/// Applies `visit(from, to, rate)` to every off-diagonal transition of the
-/// coschedule chain (a type-`b` completion replaced by a different type
-/// `c`; `b -> b` replacements keep the state and cancel out of the balance
-/// equations). Allocation-free: a state's whole neighbor row comes from
-/// [`crate::CoscheduleRank::replace_ranks`] in O(N) incremental rank deltas —
-/// the enumeration index *is* the rank, so `from` doubles as the base.
-fn for_each_markov_transition<F: FnMut(usize, usize, f64)>(rates: &WorkloadRates, mut visit: F) {
-    let n = rates.num_types();
-    let nf = n as f64;
-    let rank = rates.rank_table();
-    for (from, s) in rates.coschedules().iter().enumerate() {
-        for b in 0..n {
-            if s.count(b) == 0 {
-                continue;
-            }
-            let per_target = rates.rate(from, b) / nf;
-            rank.replace_ranks(s.counts(), from, b, |_, to| visit(from, to, per_target));
-        }
-    }
-}
-
 /// Builds the sparse form of the coschedule Markov chain: the
 /// *incoming*-transition CSR (row `j` lists `(i, q_ij)`) and each state's
 /// off-diagonal outflow, the inputs every `lp::sparse` stationary solver
@@ -408,10 +390,24 @@ fn for_each_markov_transition<F: FnMut(usize, usize, f64)>(rates: &WorkloadRates
 /// an explicit solver choice; the dispatching entry points remain
 /// [`fcfs_throughput_markov`] and friends.
 ///
-/// Self-loops (a completion replaced by the same type) cancel from both
-/// sides of the balance equations, hence the `(n - 1) / n` outflow factor.
+/// In state `i`, a type-`b` completion replaced by a different type `c`
+/// leads to the state with one `b` job swapped for a `c`, at rate
+/// `r_b(i) / N`. Self-loops (a completion replaced by the same type)
+/// cancel from both sides of the balance equations, hence the
+/// `(N - 1) / N` outflow factor. Row `j` lists its sources in ascending
+/// state order.
+///
+/// Where the entries sit depends only on `(N, K)`, so that structure is
+/// built once per shape and kept in a process-wide memo of bounded size
+/// (a shape too large for it is built for the call and dropped). A call
+/// then only fills in this table's rates, and the returned matrix shares
+/// the memo's row pointers and columns.
+///
+/// # Panics
+///
+/// Panics if the table has more than 256 job types.
 pub fn markov_chain(rates: &WorkloadRates) -> (lp::Csr, Vec<f64>) {
-    assemble_markov_chain(rates, |state| state)
+    chain_shape(rates, Order::Natural).fill(rates)
 }
 
 /// The chain of [`markov_chain`] stored in the accelerated tier's sweep
@@ -424,83 +420,241 @@ pub fn markov_chain(rates: &WorkloadRates) -> (lp::Csr, Vec<f64>) {
 /// stays inside a color class: N classes of ~1/N of the chain each, the
 /// natural generalisation of a red/black partition to this lattice. Rows
 /// go class by class in ascending color, states in index order within a
-/// class. Each row receives its entries in the same order as in
+/// class. Each row lists its sources in ascending *state* order, as in
 /// [`markov_chain`], so every inflow sum adds the same terms in the same
-/// order.
+/// order. The structure comes from the same memo as [`markov_chain`]'s.
+///
+/// # Panics
+///
+/// Panics if the table has more than 256 job types.
 pub fn markov_chain_colored(rates: &WorkloadRates) -> (lp::Csr, Vec<f64>, Vec<u32>) {
-    let n = rates.num_types();
-    // Colors first, then an in-place counting sort turns each color into
-    // the state's row.
-    let mut position: Vec<u32> = rates
-        .coschedules()
-        .iter()
-        .map(|s| {
-            let weighted: usize = s
-                .counts()
-                .iter()
-                .enumerate()
-                .map(|(b, &c)| b * c as usize)
-                .sum();
-            (weighted % n) as u32
-        })
-        .collect();
-    let mut next_row = vec![0u32; n];
-    for &color in &position {
-        next_row[color as usize] += 1;
-    }
-    let mut start = 0;
-    for slot in &mut next_row {
-        start += std::mem::replace(slot, start);
-    }
-    for p in &mut position {
-        let color = *p as usize;
-        *p = next_row[color];
-        next_row[color] += 1;
-    }
-    let (inflow, outflow) = assemble_markov_chain(rates, |state| position[state] as usize);
-    (inflow, outflow, position)
+    let shape = chain_shape(rates, Order::Colored);
+    let (inflow, outflow) = shape.fill(rates);
+    (inflow, outflow, shape.position.to_vec())
 }
 
-/// The two-pass CSR assembly behind [`markov_chain`] and
-/// [`markov_chain_colored`], storing state `j` as row `row_of(j)`.
-fn assemble_markov_chain(
-    rates: &WorkloadRates,
-    row_of: impl Fn(usize) -> usize,
-) -> (lp::Csr, Vec<f64>) {
-    let n_s = rates.coschedules().len();
-    let n = rates.num_types() as f64;
-    let mut builder = lp::sparse::CsrBuilder::new(n_s, n_s);
-    // Structural pass: derive every transition target's multiset rank
-    // exactly once, recording its row for the value pass — the rank
-    // arithmetic dominates assembly at scale, so it must not run per pass.
-    let mut targets: Vec<u32> = Vec::new();
-    for_each_markov_transition(rates, |_, to, _| {
-        let row = row_of(to);
-        builder.count(row);
-        targets.push(u32::try_from(row).expect("state count fits u32"));
-    });
-    builder.finish_counts();
-    // Value pass: replay the recorded targets in the same traversal order
-    // (state-major, then present type, then n - 1 replacement types).
-    let mut cursor = 0usize;
-    let mut outflow = vec![0.0; n_s];
-    for (from, s) in rates.coschedules().iter().enumerate() {
-        let col = row_of(from);
-        for b in 0..rates.num_types() {
-            if s.count(b) == 0 {
-                continue;
+/// The storage order of a chain's states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// State `j` is row `j` ([`markov_chain`]).
+    Natural,
+    /// Color classes in ascending color ([`markov_chain_colored`]).
+    Colored,
+}
+
+/// Most job types a chain shape holds: an entry's completing type is a
+/// `u8`.
+const MAX_CHAIN_TYPES: usize = 1 << u8::BITS;
+
+/// Bytes of chain shapes the process keeps for reuse. The N = 12 / K = 8
+/// shape (75 582 states) takes ~22 MB, so both of its orders fit beside
+/// every smaller shape; the K = 10 one (~110 MB) does not, and is built
+/// per call instead.
+const SHAPE_MEMO_BYTES: usize = 64 << 20;
+
+/// The structure of the coschedule chain at one `(N, K)` in one storage
+/// order: the inflow CSR's row pointers and columns, each entry's
+/// completing type, and the state → row map. Everything about a chain
+/// except its rates.
+#[derive(Debug)]
+struct ChainShape {
+    /// Inflow row pointers. Row `position[j]` holds one entry per
+    /// neighbour of state `j`: `present(j) · (N − 1)` of them.
+    row_ptr: Arc<[usize]>,
+    /// Each entry's source, as its row.
+    cols: Arc<[u32]>,
+    /// Each entry's completing type `b` in its source.
+    types: Box<[u8]>,
+    /// State → row (the identity for [`Order::Natural`]).
+    position: Box<[u32]>,
+}
+
+impl ChainShape {
+    /// One rank walk over the chain: row lengths have a closed form, so
+    /// each transition is written straight into its row.
+    fn build(n: usize, k: usize, order: Order) -> Self {
+        assert!(
+            n <= MAX_CHAIN_TYPES,
+            "a Markov chain supports at most {MAX_CHAIN_TYPES} job types, got {n}"
+        );
+        let rank = CoscheduleRank::new(n, k);
+        let n_s = rank.total();
+        assert!(u32::try_from(n_s).is_ok(), "state count fits u32");
+        let each_state = |visit: &mut dyn FnMut(usize, &[u32])| {
+            let mut counts = vec![0u32; n];
+            counts[0] = k as u32;
+            for state in 0..n_s {
+                visit(state, &counts);
+                CoscheduleIter::advance(&mut counts);
             }
-            let per_target = rates.rate(from, b) / n;
-            for _ in 0..rates.num_types() - 1 {
-                builder.push(targets[cursor] as usize, col, per_target);
-                cursor += 1;
+        };
+        // Every state's row length and its row (colored: its color, the
+        // count-weighted type sum mod N, for now).
+        let mut position = Vec::with_capacity(n_s);
+        let mut row_len = Vec::with_capacity(n_s);
+        each_state(&mut |state, counts| {
+            position.push(match order {
+                Order::Natural => state as u32,
+                Order::Colored => {
+                    let weighted: usize = counts
+                        .iter()
+                        .enumerate()
+                        .map(|(b, &c)| b * c as usize)
+                        .sum();
+                    (weighted % n) as u32
+                }
+            });
+            row_len.push(counts.iter().filter(|&&c| c > 0).count() * (n - 1));
+        });
+        if order == Order::Colored {
+            // An in-place counting sort turns each color into the state's
+            // row.
+            let mut next_row = vec![0u32; n];
+            for &color in &position {
+                next_row[color as usize] += 1;
+            }
+            let mut start = 0;
+            for slot in &mut next_row {
+                start += std::mem::replace(slot, start);
+            }
+            for p in &mut position {
+                let color = *p as usize;
+                *p = next_row[color];
+                next_row[color] += 1;
             }
         }
-        let total: f64 = (0..rates.num_types()).map(|b| rates.rate(from, b)).sum();
-        outflow[col] = total * (n - 1.0) / n;
+        let mut row_ptr = vec![0usize; n_s + 1];
+        for (state, &len) in row_len.iter().enumerate() {
+            row_ptr[position[state] as usize + 1] = len;
+        }
+        for row in 0..n_s {
+            row_ptr[row + 1] += row_ptr[row];
+        }
+        // Sources in ascending state order, so each row lists them so.
+        let nnz = row_ptr[n_s];
+        let mut cursor = row_ptr[..n_s].to_vec();
+        let mut cols = vec![0u32; nnz];
+        let mut types = vec![0u8; nnz];
+        each_state(&mut |from, counts| {
+            let col = position[from];
+            for b in (0..n).filter(|&b| counts[b] > 0) {
+                rank.replace_ranks(counts, from, b, |_, to| {
+                    let slot = &mut cursor[position[to] as usize];
+                    cols[*slot] = col;
+                    types[*slot] = b as u8;
+                    *slot += 1;
+                });
+            }
+        });
+        debug_assert!(
+            (0..n_s).all(|row| cursor[row] == row_ptr[row + 1]),
+            "every row must fill exactly"
+        );
+        ChainShape {
+            row_ptr: row_ptr.into(),
+            cols: cols.into(),
+            types: types.into(),
+            position: position.into(),
+        }
     }
-    debug_assert_eq!(cursor, targets.len(), "value pass must replay every target");
-    (builder.build(), outflow)
+
+    /// Heap bytes held, what [`SHAPE_MEMO_BYTES`] budgets.
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.row_ptr)
+            + std::mem::size_of_val(&*self.cols)
+            + std::mem::size_of_val(&*self.types)
+            + std::mem::size_of_val(&*self.position)
+    }
+
+    /// The chain of `rates` over this structure: every entry is its
+    /// source's `r_b / N`, divided once per `(state, type)`.
+    fn fill(&self, rates: &WorkloadRates) -> (lp::Csr, Vec<f64>) {
+        let n = rates.num_types();
+        let nf = n as f64;
+        let n_s = self.position.len();
+        debug_assert_eq!(rates.coschedules().len(), n_s);
+        // `r_b(i) / N` at `per_target[position[i] * N + b]`, where an
+        // entry's column and type point.
+        let mut per_target = vec![0.0; n_s * n];
+        let mut outflow = vec![0.0; n_s];
+        for (from, row_rates) in rates.rate_rows().iter().enumerate() {
+            let row = self.position[from] as usize;
+            for (b, &rate) in row_rates.iter().enumerate() {
+                per_target[row * n + b] = rate / nf;
+            }
+            let total: f64 = row_rates.iter().sum();
+            outflow[row] = total * (nf - 1.0) / nf;
+        }
+        let vals = self
+            .cols
+            .iter()
+            .zip(self.types.iter())
+            .map(|(&col, &b)| per_target[col as usize * n + b as usize])
+            .collect();
+        let inflow =
+            lp::Csr::with_structure(Arc::clone(&self.row_ptr), Arc::clone(&self.cols), vals, n_s);
+        (inflow, outflow)
+    }
+}
+
+/// Which chain a memo entry holds: `(N, K, order)`.
+type ShapeKey = (usize, usize, Order);
+
+/// Recently used chain shapes, most recent last, within a byte budget.
+#[derive(Debug)]
+struct ShapeMemo {
+    budget: usize,
+    shapes: Vec<(ShapeKey, Arc<ChainShape>)>,
+}
+
+impl ShapeMemo {
+    const fn new(budget: usize) -> Self {
+        ShapeMemo {
+            budget,
+            shapes: Vec::new(),
+        }
+    }
+
+    /// The shape of `key`, built on a miss. A built shape evicts the
+    /// least recently used ones until it fits; one larger than the whole
+    /// budget is returned without being kept.
+    fn get(&mut self, key: ShapeKey) -> Arc<ChainShape> {
+        if let Some(i) = self.shapes.iter().position(|(k, _)| *k == key) {
+            let hit = self.shapes.remove(i);
+            let shape = Arc::clone(&hit.1);
+            self.shapes.push(hit);
+            return shape;
+        }
+        let (n, k, order) = key;
+        let shape = Arc::new(ChainShape::build(n, k, order));
+        if shape.bytes() <= self.budget {
+            while self.held() + shape.bytes() > self.budget {
+                self.shapes.remove(0);
+            }
+            self.shapes.push((key, Arc::clone(&shape)));
+        }
+        shape
+    }
+
+    fn held(&self) -> usize {
+        self.shapes.iter().map(|(_, shape)| shape.bytes()).sum()
+    }
+}
+
+/// The process-wide chain shapes behind [`markov_chain`] and
+/// [`markov_chain_colored`].
+static SHAPES: Mutex<ShapeMemo> = Mutex::new(ShapeMemo::new(SHAPE_MEMO_BYTES));
+
+/// The shape of `rates`' chain in `order`. A shape is built under the
+/// lock, so threads asking for one shape at once build it once. The memo
+/// is only changed once a build has finished, so a panic poisons nothing
+/// it holds.
+fn chain_shape(rates: &WorkloadRates, order: Order) -> Arc<ChainShape> {
+    SHAPES.lock().unwrap_or_else(PoisonError::into_inner).get((
+        rates.num_types(),
+        rates.contexts(),
+        order,
+    ))
 }
 
 /// The sparse path: sequential Gauss–Seidel over [`markov_chain`] up to
@@ -511,14 +665,21 @@ fn markov_stationary_sparse(
     rates: &WorkloadRates,
     accel_limit: usize,
 ) -> Result<Vec<f64>, SymbiosisError> {
+    if rates.num_types() > MAX_CHAIN_TYPES {
+        return Err(SymbiosisError::InvalidParameter(format!(
+            "the sparse Markov chain supports at most {MAX_CHAIN_TYPES} job types, got {}",
+            rates.num_types()
+        )));
+    }
     let solved = if rates.coschedules().len() <= accel_limit {
         obs::count!("solver.markov.gauss_seidel", 1);
         let (inflow, outflow) = markov_chain(rates);
         lp::sparse::stationary_gauss_seidel(&inflow, &outflow, 1e-12, 20_000)
     } else {
         obs::count!("solver.markov.sor", 1);
-        let (inflow, outflow, position) = markov_chain_colored(rates);
-        lp::sparse::stationary_sor(&inflow, &outflow, Some(&position), 1e-12, 20_000)
+        let shape = chain_shape(rates, Order::Colored);
+        let (inflow, outflow) = shape.fill(rates);
+        lp::sparse::stationary_sor(&inflow, &outflow, Some(&shape.position), 1e-12, 20_000)
     };
     solved.map_err(|e| SymbiosisError::InvalidParameter(format!("sparse markov solve: {e}")))
 }
@@ -688,5 +849,67 @@ mod tests {
         assert!((out.throughput - 1.0).abs() < 1e-9);
         let markov = fcfs_throughput_markov(&rates).unwrap();
         assert!((markov.throughput - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_shape_memo_reuses_shapes_and_evicts_to_its_budget() {
+        let small = ChainShape::build(3, 3, Order::Natural).bytes();
+        let large = ChainShape::build(5, 4, Order::Colored).bytes();
+        assert!(small < large);
+        let mut memo = ShapeMemo::new(large);
+        let first = memo.get((3, 3, Order::Natural));
+        assert!(Arc::ptr_eq(&first, &memo.get((3, 3, Order::Natural))));
+        // The larger shape fits the budget only alone: the smaller goes.
+        let big = memo.get((5, 4, Order::Colored));
+        assert_eq!(memo.held(), large);
+        assert!(Arc::ptr_eq(&big, &memo.get((5, 4, Order::Colored))));
+        assert!(!Arc::ptr_eq(&first, &memo.get((3, 3, Order::Natural))));
+        assert!(memo.held() <= large);
+    }
+
+    #[test]
+    fn an_over_budget_shape_is_built_but_not_kept() {
+        let mut memo = ShapeMemo::new(1024);
+        let shape = memo.get((6, 4, Order::Colored));
+        assert!(shape.bytes() > 1024);
+        assert_eq!(shape.position.len(), 126);
+        assert!(memo.shapes.is_empty());
+        assert!(!Arc::ptr_eq(&shape, &memo.get((6, 4, Order::Colored))));
+    }
+
+    #[test]
+    fn a_second_sparse_solve_reuses_the_first_ones_shape() {
+        // (4, 7) is this test's own shape in the process-wide memo.
+        let rates = insensitive(&[0.9, 0.6, 0.3, 0.2], 7);
+        let first = fcfs_throughput_markov_tuned(&rates, 0, 0).unwrap();
+        let seen = chain_shape(&rates, Order::Colored);
+        let second = fcfs_throughput_markov_tuned(&rates, 0, 0).unwrap();
+        assert_eq!(first, second);
+        assert!(Arc::ptr_eq(&seen, &chain_shape(&rates, Order::Colored)));
+    }
+
+    #[test]
+    fn shape_rows_hold_present_types_times_n_minus_one_entries() {
+        for order in [Order::Natural, Order::Colored] {
+            let shape = ChainShape::build(4, 5, order);
+            for (state, s) in CoscheduleIter::new(4, 5).enumerate() {
+                let row = shape.position[state] as usize;
+                let len = shape.row_ptr[row + 1] - shape.row_ptr[row];
+                assert_eq!(len, s.heterogeneity() * 3, "state {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_sparse_path_rejects_more_types_than_a_shape_holds() {
+        let rates = WorkloadRates::build(MAX_CHAIN_TYPES + 1, 1, |s| {
+            s.counts().iter().map(|&c| f64::from(c)).collect()
+        })
+        .unwrap();
+        assert!(fcfs_throughput_markov_tuned(&rates, usize::MAX, 0).is_ok());
+        assert!(matches!(
+            fcfs_throughput_markov_tuned(&rates, 0, 0),
+            Err(SymbiosisError::InvalidParameter(_))
+        ));
     }
 }

@@ -66,4 +66,4 @@ pub mod sparse;
 pub use dense::Matrix;
 pub use problem::{LinearProgram, Relation, Sense, Solution, SolveError};
 pub use revised::{solve_colgen, BasisColumn, ColGenOptions, ColGenSolution, PricedColumn};
-pub use sparse::{stationary_gauss_seidel, stationary_sor, Csr, CsrBuilder, SparseError};
+pub use sparse::{stationary_gauss_seidel, stationary_sor, Csr, SparseError};

@@ -6,8 +6,10 @@
 //! states whose generator is ~99.9% sparse — each state has at most
 //! `N * K` outgoing transitions. This module provides:
 //!
-//! * [`Csr`] — compressed sparse row storage with a two-pass triplet
-//!   builder;
+//! * [`Csr`] — compressed sparse row storage, built from triplets or
+//!   filled over a shared structure: the row pointers and columns sit
+//!   behind `Arc`s, so matrices of one sparsity pattern (the coschedule
+//!   chains of one `(N, K)`, say) hold one copy of it between them;
 //! * [`stationary_gauss_seidel`] — the stationary distribution of a
 //!   continuous-time Markov chain from its *incoming*-transition CSR and
 //!   per-state outflow, by Gauss–Seidel sweeps with a residual tolerance;
@@ -55,6 +57,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from the sparse iterative solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,11 +94,13 @@ impl fmt::Display for SparseError {
 impl Error for SparseError {}
 
 /// A compressed-sparse-row matrix: row `i` holds the column indices
-/// `cols[row_ptr[i]..row_ptr[i+1]]` with matching `vals`.
+/// `cols[row_ptr[i]..row_ptr[i+1]]` with matching `vals`. The structure
+/// (`row_ptr` and `cols`) is shared: cloning the matrix, or filling new
+/// values over it with [`Csr::with_structure`], copies no index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
-    row_ptr: Vec<usize>,
-    cols: Vec<u32>,
+    row_ptr: Arc<[usize]>,
+    cols: Arc<[u32]>,
     vals: Vec<f64>,
     ncols: usize,
 }
@@ -117,6 +122,41 @@ impl Csr {
             builder.push(r, c, v);
         }
         builder.build()
+    }
+
+    /// A matrix with values `vals` over a shared structure: row `i` holds
+    /// the columns `cols[row_ptr[i]..row_ptr[i+1]]`, `vals` matches `cols`
+    /// entry for entry, and the two `Arc`s are kept, not copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_ptr` is empty, does not start at 0, decreases, or
+    /// does not end at `cols.len()`, or if `vals.len() != cols.len()`.
+    /// Column indices are checked in debug builds; an out-of-range one
+    /// panics wherever it is read.
+    pub fn with_structure(
+        row_ptr: Arc<[usize]>,
+        cols: Arc<[u32]>,
+        vals: Vec<f64>,
+        ncols: usize,
+    ) -> Self {
+        assert_eq!(row_ptr.first(), Some(&0), "row_ptr must start at 0");
+        assert!(
+            row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "row_ptr must not decrease"
+        );
+        assert_eq!(row_ptr.last(), Some(&cols.len()), "row_ptr must end at nnz");
+        assert_eq!(vals.len(), cols.len(), "one value per column index");
+        debug_assert!(
+            cols.iter().all(|&c| (c as usize) < ncols),
+            "column out of range"
+        );
+        Csr {
+            row_ptr,
+            cols,
+            vals,
+            ncols,
+        }
     }
 
     /// Number of rows.
@@ -163,10 +203,11 @@ impl Csr {
     }
 }
 
-/// Two-pass CSR builder: `count` every entry's row, `finish_counts`, then
-/// `push` the same entries in any order.
+/// Two-pass CSR builder behind [`Csr::from_triplets`]: `count` every
+/// entry's row, `finish_counts`, then `push` the same entries in any
+/// order.
 #[derive(Debug)]
-pub struct CsrBuilder {
+struct CsrBuilder {
     row_ptr: Vec<usize>,
     cursor: Vec<usize>,
     cols: Vec<u32>,
@@ -177,7 +218,7 @@ pub struct CsrBuilder {
 
 impl CsrBuilder {
     /// Starts a builder for an `nrows x ncols` matrix.
-    pub fn new(nrows: usize, ncols: usize) -> Self {
+    fn new(nrows: usize, ncols: usize) -> Self {
         CsrBuilder {
             row_ptr: vec![0; nrows + 1],
             cursor: Vec::new(),
@@ -193,13 +234,13 @@ impl CsrBuilder {
     /// # Panics
     ///
     /// Panics if `row` is out of range or counting already finished.
-    pub fn count(&mut self, row: usize) {
+    fn count(&mut self, row: usize) {
         assert!(!self.counted, "counting already finished");
         self.row_ptr[row + 1] += 1;
     }
 
     /// Seals the counting pass and allocates storage.
-    pub fn finish_counts(&mut self) {
+    fn finish_counts(&mut self) {
         assert!(!self.counted, "counting already finished");
         for i in 1..self.row_ptr.len() {
             self.row_ptr[i] += self.row_ptr[i - 1];
@@ -217,7 +258,7 @@ impl CsrBuilder {
     ///
     /// Panics if counting was not finished, the row's slots are exhausted,
     /// or `col` is out of range.
-    pub fn push(&mut self, row: usize, col: usize, val: f64) {
+    fn push(&mut self, row: usize, col: usize, val: f64) {
         assert!(self.counted, "call finish_counts first");
         assert!(col < self.ncols, "column {col} out of range");
         let slot = self.cursor[row];
@@ -232,14 +273,14 @@ impl CsrBuilder {
     /// # Panics
     ///
     /// Panics if any counted slot was left unfilled.
-    pub fn build(self) -> Csr {
+    fn build(self) -> Csr {
         assert!(self.counted, "call finish_counts first");
         for (row, &cur) in self.cursor.iter().enumerate() {
             assert_eq!(cur, self.row_ptr[row + 1], "row {row} has unfilled slots");
         }
         Csr {
-            row_ptr: self.row_ptr,
-            cols: self.cols,
+            row_ptr: self.row_ptr.into(),
+            cols: self.cols.into(),
             vals: self.vals,
             ncols: self.ncols,
         }
@@ -547,6 +588,35 @@ mod tests {
         assert_eq!(m.row(1).0.len(), 0);
         let y = m.mul_vec(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(y, vec![6.0, 0.0, -1.0]);
+    }
+
+    #[test]
+    fn with_structure_keeps_the_shared_index_arrays() {
+        let built = Csr::from_triplets(3, 4, &[(0, 1, 2.0), (2, 0, -1.0), (0, 3, 0.5)]);
+        let row_ptr: Arc<[usize]> = vec![0, 2, 2, 3].into();
+        let cols: Arc<[u32]> = vec![1, 3, 0].into();
+        let filled = Csr::with_structure(
+            Arc::clone(&row_ptr),
+            Arc::clone(&cols),
+            vec![2.0, 0.5, -1.0],
+            4,
+        );
+        assert_eq!(filled, built);
+        let copy = filled.clone();
+        assert!(Arc::ptr_eq(&copy.row_ptr, &row_ptr));
+        assert!(Arc::ptr_eq(&copy.cols, &cols));
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per column index")]
+    fn with_structure_rejects_a_value_count_mismatch() {
+        let _ = Csr::with_structure(vec![0, 1].into(), vec![0].into(), vec![], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "row_ptr must end at nnz")]
+    fn with_structure_rejects_row_pointers_past_the_columns() {
+        let _ = Csr::with_structure(vec![0, 2].into(), vec![0].into(), vec![1.0], 1);
     }
 
     #[test]

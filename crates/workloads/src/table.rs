@@ -424,19 +424,7 @@ impl PerfTable {
         types: &[usize],
         unit: WorkUnit,
     ) -> Result<WorkloadRates, TableError> {
-        if types.is_empty() {
-            return Err(TableError::InvalidWorkload("no job types".into()));
-        }
-        if !types.windows(2).all(|w| w[0] < w[1]) {
-            return Err(TableError::InvalidWorkload(
-                "types must be sorted and distinct".into(),
-            ));
-        }
-        for &t in types {
-            if t >= self.names.len() {
-                return Err(TableError::UnknownBenchmark(t));
-            }
-        }
+        self.check_workload(types)?;
         let n = types.len();
         let rates = WorkloadRates::build(n, self.contexts, |s| {
             let counts = s.counts();
@@ -479,16 +467,41 @@ impl PerfTable {
     /// workload (sorted distinct benchmark indices), exposing partial
     /// coschedules to the latency simulator. Rates are in WIPC.
     ///
+    /// Only the workload is checked here; no rate is read. A rate the
+    /// table cannot convert surfaces where rates are read:
+    /// [`RateModel::full_table`](symbiosis::RateModel::full_table) (the
+    /// same conversion as [`PerfTable::workload_rates`]) or
+    /// [`symbiosis::RateGrid::new`].
+    ///
     /// # Errors
     ///
-    /// Same validation as [`PerfTable::workload_rates`].
+    /// * [`TableError::InvalidWorkload`] if `types` is empty, unsorted or
+    ///   has duplicates.
+    /// * [`TableError::UnknownBenchmark`] if an index is out of range.
     pub fn workload_view(&self, types: &[usize]) -> Result<WorkloadView<'_>, TableError> {
-        // Reuse the rate-table validation path.
-        let _ = self.workload_rates(types)?;
+        self.check_workload(types)?;
         Ok(WorkloadView {
             table: self,
             types: types.to_vec(),
         })
+    }
+
+    /// The workload checks of [`PerfTable::workload_rates`] and
+    /// [`PerfTable::workload_view`]: non-empty, sorted and distinct, every
+    /// index in range.
+    fn check_workload(&self, types: &[usize]) -> Result<(), TableError> {
+        if types.is_empty() {
+            return Err(TableError::InvalidWorkload("no job types".into()));
+        }
+        if !types.windows(2).all(|w| w[0] < w[1]) {
+            return Err(TableError::InvalidWorkload(
+                "types must be sorted and distinct".into(),
+            ));
+        }
+        match types.iter().find(|&&t| t >= self.names.len()) {
+            Some(&t) => Err(TableError::UnknownBenchmark(t)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1103,8 +1116,15 @@ mod tests {
     #[test]
     fn workload_view_validates_inputs() {
         let t = tiny_table();
-        assert!(t.workload_view(&[1, 0]).is_err());
-        assert!(t.workload_view(&[0, 99]).is_err());
+        // The view reports each bad workload as the rate conversion does.
+        for bad in [&[][..], &[1, 0], &[1, 1], &[0, 99], &[7, 99]] {
+            let err = t.workload_view(bad).unwrap_err();
+            assert_eq!(Some(err), t.workload_rates(bad).err(), "{bad:?}");
+        }
+        assert!(matches!(
+            t.workload_view(&[0, 99]),
+            Err(TableError::UnknownBenchmark(99))
+        ));
     }
 
     /// Unrecorded combos in a sampled table read as `None` (the
