@@ -149,24 +149,17 @@ mod tests {
     fn one_worker_maps_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let items: Vec<u64> = (0..5).collect();
-        for pool in [WorkerPool::new(1), WorkerPool::new(4)] {
-            let items = if pool.threads() == 1 {
-                &items[..]
-            } else {
-                &items[..1]
-            };
-            let got = pool.map(items, |i, &x| {
-                assert_eq!(std::thread::current().id(), caller);
-                (i, x)
-            });
-            assert_eq!(
-                got,
-                items.iter().map(|&x| (x as usize, x)).collect::<Vec<_>>()
-            );
-        }
+        let threads_of =
+            |pool: WorkerPool, items: &[u64]| pool.map(items, |_, _| std::thread::current().id());
+        // One thread, or one item: nothing is spawned.
+        assert!(threads_of(WorkerPool::new(1), &items)
+            .iter()
+            .all(|&id| id == caller));
+        assert_eq!(threads_of(WorkerPool::new(4), &items[..1]), vec![caller]);
         // Two or more workers run off the caller.
-        let off_caller = WorkerPool::new(2).map(&items, |_, _| std::thread::current().id());
-        assert!(off_caller.iter().all(|&id| id != caller));
+        assert!(threads_of(WorkerPool::new(2), &items)
+            .iter()
+            .all(|&id| id != caller));
     }
 
     #[test]

@@ -498,10 +498,12 @@ impl PerfTable {
                 "types must be sorted and distinct".into(),
             ));
         }
-        match types.iter().find(|&&t| t >= self.names.len()) {
-            Some(&t) => Err(TableError::UnknownBenchmark(t)),
-            None => Ok(()),
+        for &t in types {
+            if t >= self.names.len() {
+                return Err(TableError::UnknownBenchmark(t));
+            }
         }
+        Ok(())
     }
 }
 
