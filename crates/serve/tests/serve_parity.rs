@@ -9,7 +9,8 @@
 //!   synthetic-table [`workloads::WorkloadView`] truth;
 //! * the other placement and admission paths on the analytic truth: the
 //!   FCFS, greedy MAXIT and SRPT [`PolicyPlacer`]s, a tripped circuit
-//!   breaker (its [`serve::BreakerReport`] folded in) and a saturated
+//!   breaker (its [`serve::BreakerReport`] folded in), a breaker that
+//!   never trips (the breaker-free beam run's digest) and a saturated
 //!   run that sheds behind a one-job waiting pool;
 //! * [`InterferenceFitter`] coefficients on a full-rank sample set and on
 //!   a rank-deficient set that needs the ridge fallback;
@@ -316,6 +317,20 @@ fn placer_breaker_and_shedding_paths_match_golden_digests() {
         breaker_digest(report_digest(&report), breaker),
     ));
 
+    // A breaker that never trips must leave the analytic beam run as it
+    // is without one (the "analytic/inline" pin) and serve no fallback.
+    let untripped = ServeConfig {
+        breaker: Some(BreakerConfig {
+            trip_q90: f64::INFINITY,
+            recover_q90: 0.0,
+        }),
+        ..base.clone()
+    };
+    let report = run(Box::new(BeamPlacer::new(4)), &untripped);
+    let breaker = report.breaker.as_ref().expect("breaker report");
+    assert_eq!((breaker.trips, breaker.fallback_calls), (0, 0));
+    got.push(("breaker_untripped".to_string(), report_digest(&report)));
+
     // Arrivals above capacity with room for one waiting job: an arrival
     // that finds a job already waiting for a context is shed.
     let saturated = ServeConfig {
@@ -337,6 +352,7 @@ fn placer_breaker_and_shedding_paths_match_golden_digests() {
             ("greedy", 0x6e330e0dd919b2a7),
             ("srpt", 0x7620d7f96e3937c0),
             ("breaker_tripped", 0xac2d0d56f6193a82),
+            ("breaker_untripped", 0x6d13d051758dfc68),
             ("saturated_one_slot_queue", 0xcfbc4c85b054ba26),
         ],
     );
