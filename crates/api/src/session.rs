@@ -24,8 +24,6 @@ pub enum SessionError {
     MissingRates,
     /// No policy was requested.
     NoPolicies,
-    /// A policy name failed to resolve in the registry.
-    UnknownPolicy(String),
     /// A latency policy was requested on a rate model that only answers
     /// full-coschedule queries.
     PartialUnsupported(Policy),
@@ -42,7 +40,6 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::MissingRates => write!(f, "no rate source: call .rates(...)"),
             SessionError::NoPolicies => write!(f, "no policies requested"),
-            SessionError::UnknownPolicy(name) => write!(f, "unknown policy {name:?}"),
             SessionError::PartialUnsupported(p) => write!(
                 f,
                 "policy {p} needs partial-coschedule rates, but the model only \
@@ -110,11 +107,6 @@ impl SessionReport {
     /// The row for a policy, if it was part of the session.
     pub fn row(&self, policy: Policy) -> Option<&PolicyReport> {
         self.rows.iter().find(|r| r.policy == policy)
-    }
-
-    /// The row for a policy name resolved through [`Policy::by_name`].
-    pub fn row_by_name(&self, name: &str) -> Option<&PolicyReport> {
-        Policy::by_name(name).and_then(|p| self.row(p))
     }
 
     /// Throughput of one policy (convenience for ratio reporting).
@@ -196,33 +188,9 @@ impl Default for EvalSpec {
     }
 }
 
-/// Appends the policies `names` resolve to ([`Policy::by_name`]) and keeps
-/// the first name that resolves to none in `unknown`; shared by the session
-/// and sweep builders.
-pub(crate) fn push_policy_names<I, S>(spec: &mut EvalSpec, unknown: &mut Option<String>, names: I)
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    for name in names {
-        match Policy::by_name(name.as_ref()) {
-            Some(p) => spec.policies.push(p),
-            None => {
-                unknown.get_or_insert_with(|| name.as_ref().to_owned());
-            }
-        }
-    }
-}
-
-/// The configuration errors both builders report before any work: an
-/// unknown policy name first, then an empty policy list.
-pub(crate) fn check_policies(
-    spec: &EvalSpec,
-    unknown: &Option<String>,
-) -> Result<(), SessionError> {
-    if let Some(name) = unknown {
-        return Err(SessionError::UnknownPolicy(name.clone()));
-    }
+/// The configuration error both builders report before any work: an
+/// empty policy list.
+pub(crate) fn check_policies(spec: &EvalSpec) -> Result<(), SessionError> {
     if spec.policies.is_empty() {
         return Err(SessionError::NoPolicies);
     }
@@ -243,18 +211,6 @@ macro_rules! spec_setters {
         /// Adds several policies to evaluate.
         pub fn policies<I: IntoIterator<Item = $crate::Policy>>(mut self, policies: I) -> Self {
             self.spec.policies.extend(policies);
-            self
-        }
-
-        /// Adds policies by registry name ([`crate::Policy::by_name`]);
-        /// the first unknown name surfaces as
-        /// [`crate::SessionError::UnknownPolicy`] when the builder runs.
-        pub fn policy_names<I, S>(mut self, names: I) -> Self
-        where
-            I: IntoIterator<Item = S>,
-            S: AsRef<str>,
-        {
-            $crate::session::push_policy_names(&mut self.spec, &mut self.unknown_policy, names);
             self
         }
 
@@ -299,7 +255,6 @@ pub(crate) use spec_setters;
 pub struct SessionBuilder<'a> {
     rates: Option<&'a dyn RateModel>,
     spec: EvalSpec,
-    unknown_policy: Option<String>,
 }
 
 /// A configured experiment: a rate model plus the policies to evaluate on
@@ -344,11 +299,7 @@ impl Session {
 impl SessionBuilder<'static> {
     /// A builder with no rate source yet that evaluates `spec`.
     pub(crate) fn from_spec(spec: EvalSpec) -> Self {
-        SessionBuilder {
-            rates: None,
-            spec,
-            unknown_policy: None,
-        }
+        SessionBuilder { rates: None, spec }
     }
 }
 
@@ -375,7 +326,7 @@ impl<'a> SessionBuilder<'a> {
     /// See [`SessionError`] — configuration errors are reported before any
     /// expensive work starts.
     pub fn run(self) -> Result<SessionReport, SessionError> {
-        check_policies(&self.spec, &self.unknown_policy)?;
+        check_policies(&self.spec)?;
         let model = self.rates.ok_or(SessionError::MissingRates)?;
         self.spec.evaluate(model)
     }

@@ -27,8 +27,7 @@ pub enum SweepError {
     MissingTable,
     /// The workload list is empty.
     NoWorkloads,
-    /// The sweep configuration itself is invalid (unknown policy name, no
-    /// policies requested).
+    /// The sweep configuration itself is invalid (no policies requested).
     Config(SessionError),
     /// One workload's evaluation failed; the sweep reports the first
     /// failure in workload order.
@@ -347,7 +346,6 @@ pub struct SweepBuilder<'a> {
     unit: WorkUnit,
     threads: usize,
     spec: EvalSpec,
-    unknown_policy: Option<String>,
 }
 
 impl Session {
@@ -360,7 +358,6 @@ impl Session {
             unit: WorkUnit::Weighted,
             threads: WorkerPool::default_size().threads(),
             spec: EvalSpec::default(),
-            unknown_policy: None,
         }
     }
 }
@@ -417,9 +414,8 @@ impl<'a> SweepBuilder<'a> {
     /// order), the unit of work and the per-workload [`EvalSpec`].
     ///
     /// The same validation as [`SweepBuilder::run`] applies up front —
-    /// missing table, empty workload list, unknown policy names and an
-    /// empty policy set are all reported here, before any worker sees the
-    /// job.
+    /// missing table, empty workload list and an empty policy set are all
+    /// reported here, before any worker sees the job.
     ///
     /// # Errors
     ///
@@ -428,7 +424,7 @@ impl<'a> SweepBuilder<'a> {
     #[allow(clippy::type_complexity)]
     pub fn shard(self) -> Result<(&'a PerfTable, Vec<Vec<usize>>, WorkUnit, EvalSpec), SweepError> {
         let table = self.validated()?;
-        check_policies(&self.spec, &self.unknown_policy).map_err(SweepError::Config)?;
+        check_policies(&self.spec).map_err(SweepError::Config)?;
         Ok((table, self.workloads, self.unit, self.spec))
     }
 
@@ -476,7 +472,7 @@ impl<'a> SweepBuilder<'a> {
     /// workload order) aborts the sweep as [`SweepError::Workload`].
     pub fn run(self) -> Result<SweepReport, SweepError> {
         let table = self.validated()?;
-        check_policies(&self.spec, &self.unknown_policy).map_err(SweepError::Config)?;
+        check_policies(&self.spec).map_err(SweepError::Config)?;
         // Snapshot before/after so the report embeds exactly this run's
         // activity.
         let ctx = obs::current();

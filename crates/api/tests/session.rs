@@ -24,13 +24,6 @@ fn builder_rejects_incomplete_configuration() {
         Session::builder().rates(&model).run(),
         Err(SessionError::NoPolicies)
     ));
-    assert!(matches!(
-        Session::builder()
-            .rates(&model)
-            .policy_names(["optimal", "bogus"])
-            .run(),
-        Err(SessionError::UnknownPolicy(name)) if name == "bogus"
-    ));
 }
 
 #[test]
@@ -69,6 +62,9 @@ fn throughput_policies_form_the_paper_sandwich() {
         let total: f64 = fractions.iter().sum();
         assert!((total - 1.0).abs() < 1e-6, "{p}: fractions sum {total}");
     }
+    assert!(report.row(Policy::Srpt).is_none());
+    let text = report.to_string();
+    assert!(text.contains("OPTIMAL") && text.contains("FCFS-MARKOV"));
 }
 
 #[test]
@@ -199,19 +195,4 @@ fn latency_policies_reject_a_contract_breaking_model() {
             ));
         }
     }
-}
-
-#[test]
-fn report_lookup_by_name_round_trips() {
-    let model = symbiotic_model();
-    let report = Session::builder()
-        .rates(&model)
-        .policy_names(["optimal", "fcfs-markov"])
-        .run()
-        .unwrap();
-    assert!(report.row_by_name("OPTIMAL").is_some());
-    assert!(report.row_by_name("fcfs_markov").is_some());
-    assert!(report.row_by_name("srpt").is_none());
-    let text = report.to_string();
-    assert!(text.contains("OPTIMAL") && text.contains("FCFS-MARKOV"));
 }

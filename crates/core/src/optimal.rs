@@ -25,7 +25,7 @@
 //! basis. Both objectives share one [`ScheduleLp`] (the `it` vector and
 //! balance rows are built once).
 
-use lp::revised::{solve_colgen, BasisColumn, ColGenOptions, PricedColumn, SparseCol};
+use lp::revised::{solve_colgen, BasisColumn, PricedColumn, SparseCol};
 use lp::{LinearProgram, Relation, SolveError};
 
 use crate::coschedule::Coschedule;
@@ -253,7 +253,7 @@ impl<'a> ScheduleLp<'a> {
             })
         };
 
-        let solution = solve_colgen(&b_vec, basis, pricer, &ColGenOptions::default())
+        let solution = solve_colgen(&b_vec, basis, pricer)
             .map_err(|e| SymbiosisError::Lp(SolveError::from(e)))?;
         let mut fractions = vec![0.0; n_s];
         for (si, x) in solution.basic {

@@ -11,7 +11,9 @@
 //!   simplex method with Bland's anti-cycling rule ([`simplex`]).
 //! * [`revised`] — a revised simplex with sparse column storage and a lazy
 //!   column-pricing callback (column generation), for LPs whose column
-//!   count dwarfs their row count.
+//!   count dwarfs their row count. It takes no options: its tolerance
+//!   (`1e-9`), pivot cap (50 000) and refactorisation period (64 pivots)
+//!   are constants of the module.
 //! * [`Matrix`] — a minimal row-major dense matrix ([`dense`]).
 //! * [`linsys`] — LU factorisation with partial pivoting, linear solves and
 //!   least-squares via normal equations (used for Markov-chain stationary
@@ -65,5 +67,5 @@ pub mod sparse;
 
 pub use dense::Matrix;
 pub use problem::{LinearProgram, Relation, Sense, Solution, SolveError};
-pub use revised::{solve_colgen, BasisColumn, ColGenOptions, ColGenSolution, PricedColumn};
+pub use revised::{solve_colgen, BasisColumn, ColGenSolution, PricedColumn};
 pub use sparse::{stationary_gauss_seidel, stationary_sor, Csr, SparseError};

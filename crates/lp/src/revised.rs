@@ -28,7 +28,7 @@
 //! priced lazily (minimise the negated objective):
 //!
 //! ```
-//! use lp::revised::{solve_colgen, BasisColumn, ColGenOptions, PricedColumn, SparseCol};
+//! use lp::revised::{solve_colgen, BasisColumn, PricedColumn, SparseCol};
 //!
 //! // Columns: x0 = [1], cost -1; x1 = [1], cost -2; slack s = [1], cost 0.
 //! let pool = [(-1.0, 1.0), (-2.0, 1.0)];
@@ -52,7 +52,6 @@
 //!                 column: SparseCol::from_dense(&[coef]),
 //!             })
 //!     },
-//!     &ColGenOptions::default(),
 //! )
 //! .unwrap();
 //! assert!((sol.objective + 2.0).abs() < 1e-9); // x1 = 1
@@ -149,27 +148,14 @@ pub struct BasisColumn {
     pub column: SparseCol,
 }
 
-/// Tunables for [`solve_colgen`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColGenOptions {
-    /// Reduced costs above `-eps` count as non-negative (optimality).
-    pub eps: f64,
-    /// Hard cap on simplex pivots.
-    pub max_iters: usize,
-    /// Recompute the basis inverse from scratch every this many pivots to
-    /// bound drift of the product-form updates.
-    pub refactor_every: usize,
-}
-
-impl Default for ColGenOptions {
-    fn default() -> Self {
-        ColGenOptions {
-            eps: 1e-9,
-            max_iters: 50_000,
-            refactor_every: 64,
-        }
-    }
-}
+/// Tolerance: basic values above `-EPS` count as non-negative, direction
+/// entries at or below `EPS` as non-positive, and ratios within `EPS` tie.
+const EPS: f64 = 1e-9;
+/// Hard cap on simplex pivots.
+const MAX_ITERS: usize = 50_000;
+/// Recompute the basis inverse from scratch every this many pivots to
+/// bound drift of the product-form updates.
+const REFACTOR_EVERY: usize = 64;
 
 /// Outcome of a successful column-generation solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,9 +185,9 @@ impl fmt::Display for SingularBasis {
 /// pricing callback instead of an explicit column list.
 ///
 /// `basis` must hold exactly `b.len()` columns forming a *feasible* basis
-/// (`B^-1 b >= 0`); the solver verifies feasibility up to `opts.eps`.
+/// (`B^-1 b >= 0`); the solver verifies feasibility up to `1e-9`.
 /// `price(duals)` must return a column whose reduced cost
-/// `cost - duals . column` is below `-opts.eps` (ideally the most
+/// `cost - duals . column` is below `-1e-9` (ideally the most
 /// negative, with ties broken towards the lowest id, which keeps the
 /// iteration deterministic), or `None` when none exists. Basic columns
 /// have zero reduced cost up to round-off, so a correct pricer never
@@ -211,12 +197,11 @@ impl fmt::Display for SingularBasis {
 ///
 /// * [`SimplexError::Unbounded`] if an improving ray is found.
 /// * [`SimplexError::NumericalFailure`] for a singular/infeasible starting
-///   basis or an exhausted pivot budget.
+///   basis or an exhausted budget of 50 000 pivots.
 pub fn solve_colgen<P>(
     b: &[f64],
     basis: Vec<BasisColumn>,
     mut price: P,
-    opts: &ColGenOptions,
 ) -> Result<ColGenSolution, SimplexError>
 where
     P: FnMut(&[f64]) -> Option<PricedColumn>,
@@ -233,13 +218,13 @@ where
     let mut binv = invert_basis(&basis, m).map_err(|_| SimplexError::NumericalFailure)?;
     // x_B = B^-1 b.
     let mut xb: Vec<f64> = mat_vec(&binv, b);
-    if xb.iter().any(|&x| x < -opts.eps) {
+    if xb.iter().any(|&x| x < -EPS) {
         return Err(SimplexError::NumericalFailure);
     }
 
     let mut iterations = 0usize;
     loop {
-        if iterations >= opts.max_iters {
+        if iterations >= MAX_ITERS {
             return Err(SimplexError::NumericalFailure);
         }
         // Duals y = c_B^T B^-1.
@@ -268,13 +253,13 @@ where
         // Ratio test with Bland tie-breaking on the basis id.
         let mut leaving: Option<(usize, f64)> = None;
         for (i, &di) in d.iter().enumerate() {
-            if di > opts.eps {
+            if di > EPS {
                 let ratio = xb[i].max(0.0) / di;
                 let better = match leaving {
                     None => true,
                     Some((best_i, best_r)) => {
-                        ratio < best_r - opts.eps
-                            || (ratio < best_r + opts.eps && basis[i].id < basis[best_i].id)
+                        ratio < best_r - EPS
+                            || (ratio < best_r + EPS && basis[i].id < basis[best_i].id)
                     }
                 };
                 if better {
@@ -302,7 +287,7 @@ where
             column: entering.column,
         };
         iterations += 1;
-        if iterations.is_multiple_of(opts.refactor_every) {
+        if iterations.is_multiple_of(REFACTOR_EVERY) {
             binv = invert_basis(&basis, m).map_err(|_| SimplexError::NumericalFailure)?;
             xb = mat_vec(&binv, b);
             for x in &mut xb {
@@ -412,13 +397,7 @@ mod tests {
                 column: SparseCol::from_dense(&[0.0, 1.0]),
             },
         ];
-        let sol = solve_colgen(
-            &[4.0, 2.0],
-            start,
-            pool_pricer(&pool, 1e-9),
-            &ColGenOptions::default(),
-        )
-        .unwrap();
+        let sol = solve_colgen(&[4.0, 2.0], start, pool_pricer(&pool, 1e-9)).unwrap();
         assert!((sol.objective + 10.0).abs() < 1e-9, "{}", sol.objective);
         // x = 2, y = 2 at the optimum.
         let x = sol.basic.iter().find(|(id, _)| *id == 0).unwrap().1;
@@ -438,13 +417,7 @@ mod tests {
         }];
         // After x enters (basis [x], xb [1]), pricing y gives reduced cost
         // 0 - (-1 * dual) with dual = -1 => -1 < 0, direction d = -1: ray.
-        let err = solve_colgen(
-            &[1.0],
-            start,
-            pool_pricer(&pool, 1e-9),
-            &ColGenOptions::default(),
-        )
-        .unwrap_err();
+        let err = solve_colgen(&[1.0], start, pool_pricer(&pool, 1e-9)).unwrap_err();
         assert_eq!(err, SimplexError::Unbounded);
     }
 
@@ -462,13 +435,7 @@ mod tests {
                 column: SparseCol::from_dense(&[2.0, 2.0]),
             },
         ];
-        let err = solve_colgen(
-            &[1.0, 1.0],
-            start,
-            |_: &[f64]| None,
-            &ColGenOptions::default(),
-        )
-        .unwrap_err();
+        let err = solve_colgen(&[1.0, 1.0], start, |_: &[f64]| None).unwrap_err();
         assert_eq!(err, SimplexError::NumericalFailure);
     }
 
@@ -490,13 +457,7 @@ mod tests {
                 column: SparseCol::from_dense(&[0.0, 1.0]),
             },
         ];
-        let sol = solve_colgen(
-            &[1.0, 1.0],
-            start,
-            pool_pricer(&pool, 1e-9),
-            &ColGenOptions::default(),
-        )
-        .unwrap();
+        let sol = solve_colgen(&[1.0, 1.0], start, pool_pricer(&pool, 1e-9)).unwrap();
         assert!(sol.objective <= -1.0 - 1e-12);
         assert!(sol.iterations < 100);
     }

@@ -42,12 +42,11 @@ struct Keyed {
 /// rewrites the remaining work of every running job at every event. So the
 /// per-type remaining-work index is lazy twice over:
 ///
-/// * it is built on the first [`JobPool::shortest_of_type`] /
-///   [`JobPool::shortest_remaining_sum`] query, so pools that are never
-///   asked (FCFS, MAXIT and MAXTP runs, and the serve dispatcher unless it
-///   places by SRPT) never maintain it;
+/// * it is built on the first (crate-private) `shortest` query, so pools
+///   that are never asked (FCFS, MAXIT and MAXTP runs, and the serve
+///   dispatcher unless it places by SRPT) never maintain it;
 /// * once built, [`JobPool::set_remaining`] only marks the job dirty, and
-///   the next `shortest_*` query re-keys the dirty entries. Under SRPT
+///   the next `shortest` query re-keys the dirty entries. Under SRPT
 ///   that is at most the `K` jobs that ran since the previous event, so an
 ///   event costs O(K log n) however many jobs queue.
 ///
@@ -62,7 +61,7 @@ pub struct JobPool {
     /// O(want) even when thousands of jobs queue under saturation.
     fifo_by_type: Vec<VecDeque<JobId>>,
     /// Per type: jobs ordered by remaining work. Empty until the first
-    /// `shortest_*` query sets `indexed`.
+    /// `shortest` query sets `indexed`.
     by_remaining: Vec<BTreeSet<(u64, JobId)>>,
     /// Per job id, its entry in `by_remaining`; allocated only once
     /// `indexed` is set, so pools that never build the index pay nothing.
@@ -256,21 +255,6 @@ impl JobPool {
             .iter()
             .map(|&(bits, id)| (id, f64::from_bits(bits)))
     }
-
-    /// The `want` jobs of type `ty` with the smallest remaining work (ties
-    /// by id).
-    pub fn shortest_of_type(&mut self, ty: usize, want: usize) -> Vec<JobId> {
-        self.shortest(ty).take(want).map(|(id, _)| id).collect()
-    }
-
-    /// Sum of the remaining work of the `want` shortest jobs of type `ty`,
-    /// added shortest first.
-    pub fn shortest_remaining_sum(&mut self, ty: usize, want: usize) -> f64 {
-        self.shortest(ty)
-            .take(want)
-            .map(|(_, remaining)| remaining)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -313,16 +297,21 @@ mod tests {
         assert_eq!(order, vec![1, 3, 4]);
     }
 
+    /// The ids of `pool.shortest(ty)`, in its order.
+    fn shortest_ids(pool: &mut JobPool, ty: usize) -> Vec<JobId> {
+        pool.shortest(ty).map(|(id, _)| id).collect()
+    }
+
     #[test]
-    fn shortest_of_type_orders_by_remaining() {
+    fn shortest_orders_by_remaining() {
         let mut pool = JobPool::new(2);
         pool.insert(job(0, 0, 3.0));
         pool.insert(job(1, 0, 1.0));
         pool.insert(job(2, 0, 2.0));
         pool.insert(job(3, 1, 0.5));
-        assert_eq!(pool.shortest_of_type(0, 2), vec![1, 2]);
-        assert!((pool.shortest_remaining_sum(0, 2) - 3.0).abs() < 1e-12);
-        assert_eq!(pool.shortest_of_type(1, 5), vec![3]);
+        let type0: Vec<(JobId, f64)> = pool.shortest(0).collect();
+        assert_eq!(type0, vec![(1, 1.0), (2, 2.0), (0, 3.0)]);
+        assert_eq!(shortest_ids(&mut pool, 1), vec![3]);
     }
 
     #[test]
@@ -331,7 +320,7 @@ mod tests {
         pool.insert(job(0, 0, 3.0));
         pool.insert(job(1, 0, 2.0));
         pool.set_remaining(0, 0.5);
-        assert_eq!(pool.shortest_of_type(0, 1), vec![0]);
+        assert_eq!(shortest_ids(&mut pool, 0), vec![0, 1]);
         assert_eq!(pool.get(0).unwrap().remaining, 0.5);
         // Negative values are clamped to zero.
         pool.set_remaining(1, -1e-15);
@@ -384,24 +373,11 @@ mod tests {
     fn assert_index_matches(pool: &mut JobPool, num_types: usize) {
         for ty in 0..num_types {
             let expected = brute_force_shortest(pool, ty);
-            for want in [0, 1, 3, expected.len(), expected.len() + 2] {
-                let ids: Vec<JobId> = expected.iter().take(want).map(|&(_, id)| id).collect();
-                assert_eq!(
-                    pool.shortest_of_type(ty, want),
-                    ids,
-                    "type {ty} want {want}"
-                );
-                let sum: f64 = expected
-                    .iter()
-                    .take(want)
-                    .map(|&(bits, _)| f64::from_bits(bits))
-                    .sum();
-                assert_eq!(
-                    pool.shortest_remaining_sum(ty, want).to_bits(),
-                    sum.to_bits(),
-                    "type {ty} want {want}"
-                );
-            }
+            let got: Vec<(u64, JobId)> = pool
+                .shortest(ty)
+                .map(|(id, remaining)| (remaining.to_bits(), id))
+                .collect();
+            assert_eq!(got, expected, "type {ty}");
         }
     }
 
@@ -460,7 +436,7 @@ mod tests {
             pool.insert(job(id, (id % 2) as usize, 1.0 + id as f64));
         }
         // The first query builds the index.
-        assert_eq!(pool.shortest_of_type(0, 1), vec![0]);
+        assert_eq!(shortest_ids(&mut pool, 0), vec![0, 2, 4, 6, 8]);
         // Jobs that are updated and then removed without a query between
         // leave their ids in the dirty list; removal compacts them.
         for id in 10..1_010 {
@@ -475,7 +451,7 @@ mod tests {
         }
         pool.set_remaining(3, 0.25);
         assert_index_matches(&mut pool, 2);
-        assert_eq!(pool.shortest_of_type(1, 1), vec![3]);
+        assert_eq!(shortest_ids(&mut pool, 1)[0], 3);
     }
 
     #[test]
@@ -483,6 +459,6 @@ mod tests {
         let mut pool = JobPool::new(1);
         pool.insert(job(0, 0, 1.0));
         pool.insert(job(1, 0, 1.0));
-        assert_eq!(pool.shortest_of_type(0, 2).len(), 2);
+        assert_eq!(shortest_ids(&mut pool, 0), vec![0, 1]);
     }
 }

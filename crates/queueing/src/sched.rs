@@ -339,8 +339,8 @@ impl Scheduler for MaxItScheduler {
 pub struct SrptScheduler {
     /// Per type, the shortest jobs any candidate can take, each paired
     /// with the remaining work summed over its type's jobs up to and
-    /// including it: `shortest[start[ty] + c - 1].1` is
-    /// `shortest_remaining_sum(ty, c)`, added in the same order.
+    /// including it: `shortest[start[ty] + c - 1].1` is the remaining
+    /// work of the `c` shortest jobs of type `ty`, added shortest first.
     shortest: Vec<(JobId, f64)>,
     start: Vec<usize>,
 }

@@ -6,20 +6,16 @@
 //! symbiosis-aware placer can do *worse* than symbiosis-blind FCFS. The
 //! [`CircuitBreaker`] watches the signal with hysteresis — trip at
 //! [`BreakerConfig::trip_q90`], re-close only once the quantile falls
-//! back to [`BreakerConfig::recover_q90`] — and [`DegradingPlacer`]
-//! routes every placement through the breaker: primary placer while
-//! closed, FCFS fallback while open. The twin keeps refitting throughout,
-//! so a recovering model automatically wins its traffic back.
+//! back to [`BreakerConfig::recover_q90`]. [`run_serve`](crate::run_serve)
+//! owns the breaker: it feeds each refit's signal to
+//! [`CircuitBreaker::observe`] and, before every fill, hands the
+//! dispatcher its primary placer while the breaker is closed and an FCFS
+//! [`PolicyPlacer`](crate::PolicyPlacer) while it is open. The twin keeps
+//! refitting throughout, so a recovering model automatically wins its
+//! traffic back.
 //!
 //! Everything here is deterministic given the refit history, so breaker
 //! trips and recoveries are pinned by ordinary seeded tests.
-
-use std::sync::{Arc, Mutex};
-
-use queueing::{JobId, JobPool};
-use symbiosis::RateModel;
-
-use crate::placer::{Placer, PolicyPlacer};
 
 /// Hysteresis thresholds over the twin's `fit_q90` health signal.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,64 +115,9 @@ impl CircuitBreaker {
         &self.report
     }
 
-    fn count_fallback(&mut self) {
-        self.report.fallback_calls += 1;
-    }
-}
-
-/// A placer that degrades gracefully: primary placer while the breaker
-/// is closed, symbiosis-blind FCFS while it is open.
-///
-/// The breaker lives behind `Arc<Mutex<..>>` so the run loop can feed it
-/// health observations (and read the final report) while the dispatcher
-/// owns the placer.
-pub struct DegradingPlacer {
-    primary: Box<dyn Placer>,
-    fallback: PolicyPlacer,
-    breaker: Arc<Mutex<CircuitBreaker>>,
-}
-
-impl DegradingPlacer {
-    /// Wraps `primary` with an FCFS fallback under a fresh breaker.
-    pub fn new(primary: Box<dyn Placer>, config: BreakerConfig) -> Self {
-        DegradingPlacer {
-            primary,
-            fallback: PolicyPlacer::fcfs(),
-            breaker: Arc::new(Mutex::new(CircuitBreaker::new(config))),
-        }
-    }
-
-    /// A shared handle onto the breaker, valid after the placer moves
-    /// into the dispatcher.
-    pub fn breaker(&self) -> Arc<Mutex<CircuitBreaker>> {
-        Arc::clone(&self.breaker)
-    }
-}
-
-impl Placer for DegradingPlacer {
-    fn name(&self) -> &'static str {
-        "DEGRADING"
-    }
-
-    fn place(
-        &mut self,
-        queued: &mut JobPool,
-        running: &[u32],
-        free: usize,
-        model: &dyn RateModel,
-    ) -> Vec<JobId> {
-        let mut breaker = self
-            .breaker
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if breaker.is_open() {
-            breaker.count_fallback();
-            drop(breaker);
-            self.fallback.place(queued, running, free, model)
-        } else {
-            drop(breaker);
-            self.primary.place(queued, running, free, model)
-        }
+    /// Counts `calls` placement calls served by the fallback.
+    pub(crate) fn count_fallback(&mut self, calls: usize) {
+        self.report.fallback_calls += calls;
     }
 }
 

@@ -1,9 +1,9 @@
 //! The dispatcher: owns the waiting pool and the running coschedule.
 //!
 //! Admitted jobs wait in a [`JobPool`]; whenever contexts are free, the
-//! configured [`Placer`] picks queued jobs, priced through
-//! whatever [`RateModel`] the caller passes (the live predicted model in
-//! the service, ground truth in oracle experiments). Placement is
+//! [`Placer`] the caller lends to [`Dispatcher::fill`] picks queued jobs,
+//! priced through whatever [`RateModel`] the caller passes (the live
+//! predicted model in the service, ground truth in oracle experiments). Placement is
 //! non-preemptive: a placed job keeps its context until it completes.
 //!
 //! Time is external: the driver asks for the next completion horizon
@@ -82,7 +82,6 @@ pub struct Dispatcher {
     placed: Vec<Placed>,
     step: Running,
     contexts: usize,
-    placer: Box<dyn Placer>,
     trace: Vec<Placement>,
 }
 
@@ -92,11 +91,7 @@ impl Dispatcher {
     /// # Errors
     ///
     /// [`DispatchError`] if either dimension is zero.
-    pub fn new(
-        num_types: usize,
-        contexts: usize,
-        placer: Box<dyn Placer>,
-    ) -> Result<Self, DispatchError> {
+    pub fn new(num_types: usize, contexts: usize) -> Result<Self, DispatchError> {
         if num_types == 0 {
             return Err(DispatchError::NoTypes);
         }
@@ -109,14 +104,8 @@ impl Dispatcher {
             placed: Vec::with_capacity(contexts),
             step: Running::new(num_types),
             contexts,
-            placer,
             trace: Vec::new(),
         })
-    }
-
-    /// The configured placer's name.
-    pub fn placer_name(&self) -> &'static str {
-        self.placer.name()
     }
 
     /// Admits an arrived job into the waiting pool.
@@ -127,11 +116,6 @@ impl Dispatcher {
     /// Jobs waiting for a context.
     pub fn queued_len(&self) -> usize {
         self.queued.len()
-    }
-
-    /// Jobs currently running.
-    pub fn running_len(&self) -> usize {
-        self.running.len()
     }
 
     /// Free contexts.
@@ -154,25 +138,26 @@ impl Dispatcher {
         &self.trace
     }
 
-    /// Fills free contexts by repeatedly asking the placer, pricing
+    /// Fills free contexts by repeatedly asking `placer`, pricing
     /// candidates through `model`. Stops when the machine is full, the
-    /// pool is empty, or the placer declines to place.
+    /// pool is empty, or the placer declines to place. Returns how many
+    /// times it called [`Placer::place`].
     ///
     /// # Panics
     ///
     /// Panics if the placer returns more jobs than there are free
     /// contexts, or ids not in the pool.
-    pub fn fill(&mut self, model: &dyn RateModel, now: f64) {
+    pub fn fill(&mut self, placer: &mut dyn Placer, model: &dyn RateModel, now: f64) -> usize {
+        let mut calls = 0;
         loop {
             let free = self.free();
             if free == 0 || self.queued.is_empty() {
-                return;
+                return calls;
             }
-            let ids = self
-                .placer
-                .place(&mut self.queued, self.running.counts(), free, model);
+            let ids = placer.place(&mut self.queued, self.running.counts(), free, model);
+            calls += 1;
             if ids.is_empty() {
-                return;
+                return calls;
             }
             assert!(
                 ids.len() <= free,
@@ -257,25 +242,26 @@ mod tests {
 
     #[test]
     fn zero_types_are_rejected() {
-        let err = Dispatcher::new(0, 2, Box::new(PolicyPlacer::fcfs())).err();
+        let err = Dispatcher::new(0, 2).err();
         assert_eq!(err, Some(DispatchError::NoTypes));
     }
 
     #[test]
     fn zero_contexts_are_rejected() {
-        let err = Dispatcher::new(2, 0, Box::new(PolicyPlacer::fcfs())).err();
+        let err = Dispatcher::new(2, 0).err();
         assert_eq!(err, Some(DispatchError::NoContexts));
     }
 
     #[test]
     fn fill_places_up_to_free_contexts_and_records_a_trace() {
         let truth = flat_model(2, 2);
-        let mut disp = Dispatcher::new(2, 2, Box::new(PolicyPlacer::fcfs())).unwrap();
+        let mut disp = Dispatcher::new(2, 2).unwrap();
         for i in 0..3 {
             disp.admit(job(i, (i % 2) as usize, 1.0, 0.0));
         }
-        disp.fill(&truth, 0.0);
-        assert_eq!(disp.running_len(), 2);
+        // One call fills both contexts, and a full machine asks no more.
+        assert_eq!(disp.fill(&mut PolicyPlacer::fcfs(), &truth, 0.0), 1);
+        assert_eq!(disp.running_counts(), [1, 1]);
         assert_eq!(disp.queued_len(), 1);
         assert_eq!(disp.free(), 0);
         assert_eq!(disp.trace().len(), 1);
@@ -286,17 +272,17 @@ mod tests {
     #[test]
     fn advance_completes_jobs_and_frees_contexts() {
         let truth = RateGrid::new(&flat_model(1, 2)).unwrap();
-        let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs())).unwrap();
+        let mut disp = Dispatcher::new(1, 2).unwrap();
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 2.0, 0.0));
-        disp.fill(&truth, 0.0);
+        disp.fill(&mut PolicyPlacer::fcfs(), &truth, 0.0);
         let dt = disp.time_to_next_completion(&truth);
         assert!((dt - 1.0).abs() < 1e-12);
         let done = disp.advance(dt, dt);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 0);
         assert!((done[0].finished_at - 1.0).abs() < 1e-12);
-        assert_eq!(disp.running_len(), 1);
+        assert_eq!(disp.running_counts(), [1]);
         assert_eq!(disp.free(), 1);
         // The second job still needs one more unit of work.
         let dt2 = disp.time_to_next_completion(&truth);
@@ -320,10 +306,10 @@ mod tests {
             }
         }))
         .unwrap();
-        let mut disp = Dispatcher::new(1, 2, Box::new(PolicyPlacer::fcfs())).unwrap();
+        let mut disp = Dispatcher::new(1, 2).unwrap();
         disp.admit(job(0, 0, 1.0, 0.0));
         disp.admit(job(1, 0, 1.0, 0.0));
-        disp.fill(&truth, 0.0);
+        disp.fill(&mut PolicyPlacer::fcfs(), &truth, 0.0);
         let dt = disp.time_to_next_completion(&truth);
         assert!((dt - 2.0).abs() < 1e-12, "contended pair runs at 0.5");
         // Both complete at the same instant; order is by id.

@@ -14,19 +14,19 @@
 //!  seeded arrivals
 //!   │ admit, or shed while queue_capacity jobs already wait
 //!   ▼
-//!  ┌──────────────────────────────┐
-//!  │          Dispatcher          │
-//!  │ queued ──[Placer]──▶ running │
-//!  │ JobPool  FCFS/MAXIT/ JobPool │
-//!  │          BEAM        Running │
-//!  └──────┬────────────▲──────────┘
-//!         │            │
-//!  completions /     placement pricing
-//!  measurements      (RwLock read)
-//!         │            │
-//!         ▼            │
-//!  ┌──────────────────────────────┐
-//!  │           TwinLoop           │
+//!  ┌──────────────────────────────┐    run_serve lends each fill
+//!  │          Dispatcher          │    the placer, or FCFS while
+//!  │ queued ──[Placer]──▶ running │◀── its CircuitBreaker is open
+//!  │ JobPool  FCFS/MAXIT/ JobPool │              ▲
+//!  │          BEAM        Running │              │
+//!  └──────┬────────────▲──────────┘              │
+//!         │            │                         │
+//!  completions /     placement pricing           │
+//!  measurements      (RwLock read)               │
+//!         │            │                         │
+//!         ▼            │                         │
+//!  ┌──────────────────────────────┐   fit_q90    │
+//!  │           TwinLoop           │──────────────┘
 //!  │ pending batch ─▶ refit()     │
 //!  │ (inline or worker thread)    │
 //!  │ residuals ─▶ active probes ──┼──▶ measure
@@ -49,10 +49,11 @@
 //!   ([`predict::PredictedModel::residual_quantiles`]). A panicking
 //!   refit worker is caught and surfaced as [`TwinError`] at shutdown
 //!   instead of poisoning the run.
-//! * [`CircuitBreaker`] / [`DegradingPlacer`] — graceful degradation:
-//!   the twin's `fit_q90` health signal trips a hysteresis breaker that
-//!   routes placements to symbiosis-blind FCFS while the model is
-//!   mispricing, and hands traffic back once refits recover.
+//! * [`CircuitBreaker`] — graceful degradation: the twin's `fit_q90`
+//!   health signal trips a hysteresis breaker. [`run_serve`] owns it and
+//!   lends the dispatcher a symbiosis-blind FCFS placer instead of the
+//!   configured one while the model is mispricing, handing traffic back
+//!   once refits recover.
 //! * [`sim`] — closes the loop against ground truth (a measured
 //!   `PerfTable` view or any partial-capable
 //!   [`symbiosis::RateModel`]) under a seeded virtual clock, so whole
@@ -99,7 +100,7 @@ pub mod placer;
 pub mod sim;
 pub mod twin;
 
-pub use breaker::{BreakerConfig, BreakerEvent, BreakerReport, CircuitBreaker, DegradingPlacer};
+pub use breaker::{BreakerConfig, BreakerEvent, BreakerReport, CircuitBreaker};
 pub use dispatch::{Completion, DispatchError, Dispatcher, Placement};
 pub use placer::{BeamPlacer, OccupiedError, OccupiedModel, Placer, PolicyPlacer};
 pub use sim::{run_serve, ErrorPoint, ServeConfig, ServeError, ServeReport};

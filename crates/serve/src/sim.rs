@@ -17,9 +17,9 @@
 //! full placement trace and the model-error trajectory — is reproducible
 //! bit-for-bit, with inline or background refits.
 
-use crate::breaker::{BreakerConfig, BreakerReport, DegradingPlacer};
+use crate::breaker::{BreakerConfig, BreakerReport, CircuitBreaker};
 use crate::dispatch::{Dispatcher, Placement};
-use crate::placer::Placer;
+use crate::placer::{Placer, PolicyPlacer};
 use crate::twin::{RefitRecord, TwinError, TwinLoop};
 use predict::{PredictedModel, RateSample};
 use queueing::Job;
@@ -44,10 +44,10 @@ pub struct ServeConfig {
     pub probes: usize,
     /// Run refits on a background worker thread instead of inline.
     pub background_twin: bool,
-    /// Graceful degradation: wrap the placer in a
-    /// [`DegradingPlacer`] watching the twin's `fit_q90` health signal,
-    /// falling back to FCFS while the breaker is open. `None` (the
-    /// default) leaves the placer untouched.
+    /// Graceful degradation: a [`CircuitBreaker`] watching the twin's
+    /// `fit_q90` health signal, placing through FCFS instead of the
+    /// placer while it is open. `None` (the default) leaves the placer
+    /// untouched.
     pub breaker: Option<BreakerConfig>,
     /// Chaos hook: make the (then necessarily background) twin worker
     /// panic at this zero-indexed dispatched batch; the run surfaces
@@ -88,7 +88,8 @@ pub struct ErrorPoint {
 /// The outcome of one closed-loop service run.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// The placer that drove the run.
+    /// The name of the placer [`run_serve`] was given (an open breaker's
+    /// FCFS fallback does not rename it).
     pub placer: String,
     /// Jobs admitted to the dispatcher's waiting pool.
     pub submitted: u64,
@@ -170,7 +171,7 @@ fn measure(truth: &dyn RateModel, counts: &[u32]) -> RateSample {
 pub fn run_serve(
     truth: &dyn RateModel,
     model: PredictedModel,
-    placer: Box<dyn Placer>,
+    mut placer: Box<dyn Placer>,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, ServeError> {
     let n = truth.num_types();
@@ -222,17 +223,9 @@ pub fn run_serve(
     };
 
     let mut rng = SplitMix64::new(cfg.seed);
-    let (placer, breaker) = match &cfg.breaker {
-        Some(breaker_cfg) => {
-            let degrading = DegradingPlacer::new(placer, breaker_cfg.clone());
-            let handle = degrading.breaker();
-            (Box::new(degrading) as Box<dyn Placer>, Some(handle))
-        }
-        None => (placer, None),
-    };
-    let mut dispatcher =
-        Dispatcher::new(n, k, placer).map_err(|e| ServeError::Config(e.to_string()))?;
-    let placer_name = dispatcher.placer_name().to_string();
+    let mut breaker = cfg.breaker.clone().map(CircuitBreaker::new);
+    let mut fallback = PolicyPlacer::fcfs();
+    let mut dispatcher = Dispatcher::new(n, k).map_err(|e| ServeError::Config(e.to_string()))?;
     let mut twin = if cfg.twin_panic_at_batch.is_some() {
         // Fault injection targets the worker thread, so the twin must
         // run in background mode.
@@ -308,13 +301,8 @@ pub fn run_serve(
                     // Feed the freshest refit's health signal through the
                     // circuit breaker, so degradation reacts within one
                     // staleness bound of the model going bad (or healing).
-                    if let Some(breaker) = &breaker {
-                        if let Some(last) = twin.history().last() {
-                            breaker
-                                .lock()
-                                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                .observe(last.generation, last.fit_q90);
-                        }
+                    if let (Some(breaker), Some(last)) = (&mut breaker, twin.history().last()) {
+                        breaker.observe(last.generation, last.fit_q90);
                     }
                     errors.push(ErrorPoint {
                         generation: twin.generation(),
@@ -352,12 +340,20 @@ pub fn run_serve(
         }
 
         // Dispatch path: fill free contexts, pricing through the live
-        // predicted model.
+        // predicted model, with FCFS placing while the breaker is open.
         if let Some(g) = &depth_gauge {
             g.set(dispatcher.queued_len() as i64);
         }
         let placing = std::time::Instant::now();
-        dispatcher.fill(&*twin.read(), now);
+        match &mut breaker {
+            Some(breaker) if breaker.is_open() => {
+                let calls = dispatcher.fill(&mut fallback, &*twin.read(), now);
+                breaker.count_fallback(calls);
+            }
+            _ => {
+                dispatcher.fill(&mut *placer, &*twin.read(), now);
+            }
+        }
         if let Some(h) = &place_hist {
             h.record(placing.elapsed().as_micros() as f64);
         }
@@ -381,7 +377,7 @@ pub fn run_serve(
     };
 
     Ok(ServeReport {
-        placer: placer_name,
+        placer: placer.name().to_string(),
         submitted,
         rejected,
         completed,
@@ -394,12 +390,7 @@ pub fn run_serve(
         errors,
         trace: dispatcher.trace().to_vec(),
         final_train_samples: final_model.samples().len(),
-        breaker: breaker.map(|b| {
-            b.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .report()
-                .clone()
-        }),
+        breaker: breaker.map(|b| b.report().clone()),
         metrics,
     })
 }
@@ -613,7 +604,7 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(report.placer, "DEGRADING");
+        assert_eq!(report.placer, "MAXIT");
         assert_eq!(report.submitted + report.rejected, 300);
         assert_eq!(report.completed, report.submitted);
         let breaker = report.breaker.expect("breaker report present");

@@ -211,11 +211,6 @@ impl TwinLoop {
         twin
     }
 
-    /// True when refits run on the background worker.
-    pub fn is_background(&self) -> bool {
-        self.worker.is_some()
-    }
-
     /// Read access to the live model, for pricing placements. Tolerates
     /// a poisoned lock: a worker that panicked mid-refit leaves the last
     /// consistent coefficients behind (refit replaces state only on

@@ -469,9 +469,8 @@ impl PerfTable {
     ///
     /// Only the workload is checked here; no rate is read. A rate the
     /// table cannot convert surfaces where rates are read:
-    /// [`RateModel::full_table`](symbiosis::RateModel::full_table) (the
-    /// same conversion as [`PerfTable::workload_rates`]) or
-    /// [`symbiosis::RateGrid::new`].
+    /// [`RateModel::full_table`] (the same conversion as
+    /// [`PerfTable::workload_rates`]) or [`symbiosis::RateGrid::new`].
     ///
     /// # Errors
     ///

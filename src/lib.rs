@@ -91,7 +91,7 @@
 //! });
 //! let report = Session::builder()
 //!     .rates(&model)
-//!     .policy_names(["worst", "fcfs-markov", "optimal"])
+//!     .policies([Policy::Worst, Policy::FcfsMarkov, Policy::Optimal])
 //!     .run()?;
 //! assert!(report.throughput(Policy::Optimal) >= report.throughput(Policy::FcfsMarkov));
 //!
@@ -99,7 +99,7 @@
 //! let grid = RateGrid::new(&model)?;
 //! let from_grid = Session::builder()
 //!     .rates(&grid)
-//!     .policy_names(["worst", "fcfs-markov", "optimal"])
+//!     .policies([Policy::Worst, Policy::FcfsMarkov, Policy::Optimal])
 //!     .run()?;
 //! assert_eq!(from_grid, report);
 //! # Ok(())
