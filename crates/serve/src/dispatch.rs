@@ -3,8 +3,9 @@
 //! Admitted jobs wait in a [`JobPool`]; whenever contexts are free, the
 //! [`Placer`] the caller lends to [`Dispatcher::fill`] picks queued jobs,
 //! priced through whatever [`RateModel`] the caller passes (the live
-//! predicted model in the service, ground truth in oracle experiments). Placement is
-//! non-preemptive: a placed job keeps its context until it completes.
+//! predicted model in the service, ground truth in oracle experiments).
+//! Placement is non-preemptive: a placed job keeps its context until it
+//! completes.
 //!
 //! Time is external: the driver asks for the next completion horizon
 //! under a ground truth, evaluated into a [`RateGrid`], and then advances
