@@ -206,7 +206,6 @@ fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentEr
         recv_timeout: Duration::from_secs(3),
         hedge: true,
         quarantine_limit: 16,
-        ..DistConfig::default()
     };
     let coordinator = Coordinator::from_sweep(storm_sweep(&table, cfg), dist_cfg)?;
     out.workloads = reference.len();

@@ -489,12 +489,7 @@ pub(crate) fn sampled_fast_study() -> &'static Study {
 /// FNV-1a over the bytes of a printed artefact: the golden digest the
 /// experiment tests pin their outputs with.
 pub fn artefact_digest(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    workloads::codec::fnv1a(text.as_bytes())
 }
 
 #[cfg(test)]

@@ -73,35 +73,6 @@ impl Spread {
     }
 }
 
-/// Averages an iterator of spreads component-wise (used to aggregate
-/// per-workload spreads into the "avg best"/"avg worst" bars of Figure 1).
-///
-/// Returns `None` on an empty iterator.
-pub fn mean_spread<I>(spreads: I) -> Option<Spread>
-where
-    I: IntoIterator<Item = Spread>,
-{
-    let mut min = 0.0;
-    let mut mean = 0.0;
-    let mut max = 0.0;
-    let mut count = 0usize;
-    for s in spreads {
-        min += s.min;
-        mean += s.mean;
-        max += s.max;
-        count += 1;
-    }
-    if count == 0 {
-        return None;
-    }
-    let n = count as f64;
-    Some(Spread {
-        min: min / n,
-        mean: mean / n,
-        max: max / n,
-    })
-}
-
 /// Arithmetic mean of an iterator; `None` when empty.
 pub fn mean<I>(values: I) -> Option<f64>
 where
@@ -117,22 +88,6 @@ where
         None
     } else {
         Some(sum / count as f64)
-    }
-}
-
-/// Ordinary least-squares slope of `y = a * x` through the origin.
-///
-/// Used for the Figure 2 trend lines (FCFS-vs-worst against
-/// optimal-vs-worst are ratios around 1, fitted as `y - 1 = a (x - 1)`).
-///
-/// Returns `None` if fewer than one point or all `x` are ~0.
-pub fn slope_through_origin(points: &[(f64, f64)]) -> Option<f64> {
-    let sxx: f64 = points.iter().map(|(x, _)| x * x).sum();
-    let sxy: f64 = points.iter().map(|(x, y)| x * y).sum();
-    if points.is_empty() || sxx < 1e-300 {
-        None
-    } else {
-        Some(sxy / sxx)
     }
 }
 
@@ -168,35 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_spread_averages_components() {
-        let a = Spread {
-            min: 0.0,
-            mean: 1.0,
-            max: 2.0,
-        };
-        let b = Spread {
-            min: 2.0,
-            mean: 3.0,
-            max: 4.0,
-        };
-        let m = mean_spread([a, b]).unwrap();
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.mean, 2.0);
-        assert_eq!(m.max, 3.0);
-        assert!(mean_spread(std::iter::empty()).is_none());
-    }
-
-    #[test]
     fn mean_basic() {
         assert_eq!(mean([1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn slope_fits_exact_line() {
-        let pts: Vec<(f64, f64)> = (1..10).map(|i| (i as f64, 0.7 * i as f64)).collect();
-        let a = slope_through_origin(&pts).unwrap();
-        assert!((a - 0.7).abs() < 1e-12);
-        assert!(slope_through_origin(&[]).is_none());
     }
 }

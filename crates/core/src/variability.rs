@@ -26,16 +26,6 @@ pub struct WorkloadVariability {
 }
 
 impl WorkloadVariability {
-    /// Mean over job types of the per-job relative max excursion.
-    pub fn per_job_rel_max(&self) -> f64 {
-        mean(self.per_job.iter().map(Spread::rel_max))
-    }
-
-    /// Mean over job types of the per-job relative min excursion.
-    pub fn per_job_rel_min(&self) -> f64 {
-        mean(self.per_job.iter().map(Spread::rel_min))
-    }
-
     /// Mean per-job variability (`(max-min)/mean`), the paper's "37%".
     pub fn per_job_variability(&self) -> f64 {
         mean(self.per_job.iter().map(Spread::variability))
@@ -187,8 +177,6 @@ mod tests {
         let v = analyze_variability(&symbiotic_rates(), FcfsParams::default()).unwrap();
         // Het ranges 1..=4, so per-job rates vary by design.
         assert!(v.per_job_variability() > 0.1);
-        assert!(v.per_job_rel_max() > 0.0);
-        assert!(v.per_job_rel_min() < 0.0);
     }
 
     #[test]

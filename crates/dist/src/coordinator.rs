@@ -47,12 +47,16 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use session::{EvalSpec, SessionReport, SweepBuilder, SweepReport, SweepRow};
-use workloads::WorkUnit;
+use workloads::{PerfTable, WorkUnit};
 
 use crate::backoff::Backoff;
 use crate::proto::{Frame, PROTOCOL_VERSION};
 use crate::transport::{TcpTransport, Transport};
 use crate::DistError;
+
+/// How long [`Coordinator::serve_listener`] waits for the expected number
+/// of workers to connect.
+const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone)]
@@ -71,9 +75,6 @@ pub struct DistConfig {
     /// timeout at this value. Also bounds how long an idle worker waits
     /// for the queue to move. Default 120 s.
     pub recv_timeout: Duration,
-    /// How long [`Coordinator::serve_listener`] waits for the expected
-    /// number of workers to connect. Default 60 s.
-    pub accept_timeout: Duration,
     /// Hedged re-dispatch: when the queue is empty but chunks are still
     /// in flight, hand an idle worker a copy of the lowest straggler
     /// chunk (once per chunk; first answer wins, duplicates are
@@ -91,7 +92,6 @@ impl Default for DistConfig {
             chunk_size: 0,
             retry_budget: 2,
             recv_timeout: Duration::from_secs(120),
-            accept_timeout: Duration::from_secs(60),
             hedge: false,
             quarantine_limit: 3,
         }
@@ -256,9 +256,10 @@ impl Coordinator {
             .step_by(chunk_size)
             .map(|start| start..(start + chunk_size).min(workloads.len()))
             .collect();
+        let table_bytes = table.to_bytes();
         Ok(Coordinator {
-            table_bytes: table.to_bytes(),
-            fingerprint: table.content_fingerprint(),
+            fingerprint: PerfTable::content_fingerprint_of(&table_bytes),
+            table_bytes,
             workloads,
             chunks,
             unit,
@@ -401,10 +402,9 @@ impl Coordinator {
         })
     }
 
-    /// Accepts `nworkers` TCP connections on `listener` (within
-    /// [`DistConfig::accept_timeout`]), then runs the sweep over them.
-    /// Binding the listener first (port 0 works) lets callers learn the
-    /// address before spawning workers.
+    /// Accepts `nworkers` TCP connections on `listener` (within 60 s),
+    /// then runs the sweep over them. Binding the listener first (port 0
+    /// works) lets callers learn the address before spawning workers.
     ///
     /// # Errors
     ///
@@ -419,7 +419,7 @@ impl Coordinator {
             return Err(DistError::Config("need at least one worker".into()));
         }
         listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + self.config.accept_timeout;
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
         let mut backoff = Backoff::new(
             Duration::from_millis(1),
             Duration::from_millis(50),
@@ -438,7 +438,7 @@ impl Coordinator {
                         return Err(DistError::Timeout(format!(
                             "only {} of {nworkers} workers connected within {:?}",
                             transports.len(),
-                            self.config.accept_timeout
+                            ACCEPT_TIMEOUT
                         )));
                     }
                     backoff.sleep();

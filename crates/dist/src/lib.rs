@@ -57,10 +57,11 @@
 //!
 //! # Wire protocol
 //!
-//! Every frame is length-prefixed and checksummed, mirroring the
-//! `SYMBPERF` table format's integrity discipline. All integers are
-//! little-endian; all `f64` travel as [`f64::to_bits`] so no value is
-//! perturbed in transit (part of the bitwise-parity guarantee).
+//! Every frame is length-prefixed and checksummed, and written and read
+//! with [`workloads::codec`], the one codec the `SYMBPERF` table file also
+//! uses. All integers are little-endian; all `f64` travel as
+//! [`f64::to_bits`] so no value is perturbed in transit (part of the
+//! bitwise-parity guarantee).
 //!
 //! ```text
 //! frame := len:u32  body:[len bytes]  checksum:u64
@@ -68,8 +69,10 @@
 //! ```
 //!
 //! `checksum` is FNV-1a 64 over `body`. A frame longer than
-//! [`proto::MAX_FRAME_LEN`], a checksum mismatch, a trailing-byte
-//! surplus, or an unknown `kind` all decode to [`DistError::Protocol`].
+//! [`proto::MAX_FRAME_LEN`], a checksum mismatch, a truncated field, a
+//! count of items the bytes left cannot hold, a trailing-byte surplus, or
+//! an unknown `kind` all decode to [`DistError::Protocol`]. No count sizes
+//! an allocation before the codec has checked it against the bytes left.
 //!
 //! ## Version handshake
 //!

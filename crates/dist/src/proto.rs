@@ -1,8 +1,9 @@
 //! Frame encoding and decoding for the distributed-sweep wire protocol.
 //!
-//! See the crate-level docs for the frame table and handshake. The layout
-//! discipline mirrors the `SYMBPERF` table format: little-endian integers,
-//! `f64` as [`f64::to_bits`], and an FNV-1a 64 checksum — here per frame,
+//! See the crate-level docs for the frame table and handshake. Frames are
+//! written and read with [`workloads::codec`], the codec the `SPT1` table
+//! file uses: little-endian integers, `f64` as [`f64::to_bits`], counts
+//! bounded by the bytes left, and an FNV-1a 64 checksum — here per frame,
 //! over the body (kind byte + payload).
 //!
 //! [`Frame::encode`] produces the full wire image (length prefix + body +
@@ -15,6 +16,7 @@ use queueing::LatencyConfig;
 use queueing::SizeDist;
 use session::{EvalSpec, Policy, PolicyReport, SessionReport};
 use symbiosis::{JobSize, Objective};
+use workloads::codec::{self, DecodeError, Reader, Writer};
 use workloads::WorkUnit;
 
 use crate::DistError;
@@ -27,16 +29,6 @@ pub const PROTOCOL_VERSION: u32 = 3;
 /// of headroom; small enough that a corrupted length prefix cannot drive
 /// an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
-
-/// FNV-1a 64 over `bytes` — the same checksum the `SYMBPERF` format uses.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One protocol message. The numeric kind of each variant is part of the
 /// wire format; see the frame table in the crate docs.
@@ -116,9 +108,12 @@ impl Frame {
     /// Serializes the frame to its full wire image:
     /// `len:u32 | body | fnv1a64(body):u64`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = vec![self.kind()];
+        // The length prefix is patched in once the body is written.
+        let mut out = Writer::new();
+        out.u32(0);
+        out.u8(self.kind());
         match self {
-            Frame::Hello { version } => put_u32(&mut body, *version),
+            Frame::Hello { version } => out.u32(*version),
             Frame::Welcome {
                 version,
                 table_fingerprint,
@@ -126,37 +121,37 @@ impl Frame {
                 spec,
                 total_workloads,
             } => {
-                put_u32(&mut body, *version);
-                put_u64(&mut body, *table_fingerprint);
-                put_spec(&mut body, *unit, spec);
-                put_u64(&mut body, *total_workloads);
+                out.u32(*version);
+                out.u64(*table_fingerprint);
+                put_spec(&mut out, *unit, spec);
+                out.u64(*total_workloads);
             }
             Frame::TableRequest | Frame::FetchChunk | Frame::Drained => {}
-            Frame::TableBytes { bytes } => put_bytes(&mut body, bytes),
+            Frame::TableBytes { bytes } => out.bytes(bytes),
             Frame::Chunk { id, workloads } => {
-                put_u64(&mut body, *id);
-                put_u32(&mut body, workloads.len() as u32);
+                out.u64(*id);
+                out.u32(workloads.len() as u32);
                 for w in workloads {
-                    put_u32(&mut body, w.len() as u32);
+                    out.u32(w.len() as u32);
                     for &b in w {
-                        put_u32(&mut body, b as u32);
+                        out.u32(b as u32);
                     }
                 }
             }
             Frame::Rows { id, reports } => {
-                put_u64(&mut body, *id);
-                put_u32(&mut body, reports.len() as u32);
+                out.u64(*id);
+                out.u32(reports.len() as u32);
                 for r in reports {
-                    put_report(&mut body, r);
+                    put_report(&mut out, r);
                 }
             }
-            Frame::Error { message } => put_str(&mut body, message),
+            Frame::Error { message } => out.str(message),
         }
-        let mut out = Vec::with_capacity(4 + body.len() + 8);
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        put_u64(&mut out, fnv64(&body));
-        out
+        let mut wire = out.into_bytes();
+        let body_len = wire.len() - 4;
+        wire[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+        wire.extend_from_slice(&codec::fnv1a(&wire[4..]).to_le_bytes());
+        wire
     }
 
     /// Decodes one frame body (the bytes between length prefix and
@@ -166,9 +161,10 @@ impl Frame {
     /// # Errors
     ///
     /// [`DistError::Protocol`] on an empty body, unknown kind, truncated
-    /// payload, trailing bytes, or an out-of-range enum discriminant.
+    /// payload, a count the body cannot hold, trailing bytes, or an
+    /// out-of-range enum discriminant.
     pub fn decode(body: &[u8]) -> Result<Frame, DistError> {
-        let mut dec = Dec::new(body);
+        let mut dec = Reader::new(body);
         let kind = dec.u8()?;
         let frame = match kind {
             1 => Frame::Hello {
@@ -188,16 +184,17 @@ impl Frame {
             }
             3 => Frame::TableRequest,
             4 => Frame::TableBytes {
-                bytes: dec.bytes()?,
+                bytes: dec.bytes()?.to_vec(),
             },
             5 => Frame::FetchChunk,
             6 => {
                 let id = dec.u64()?;
-                let n = dec.u32()? as usize;
-                let mut workloads = Vec::with_capacity(n.min(1 << 20));
+                // A workload takes at least its length, an index its u32.
+                let n = dec.count_u32(4, "workload count")?;
+                let mut workloads = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let k = dec.u32()? as usize;
-                    let mut w = Vec::with_capacity(k.min(1 << 16));
+                    let k = dec.count_u32(4, "workload size")?;
+                    let mut w = Vec::with_capacity(k);
                     for _ in 0..k {
                         w.push(dec.u32()? as usize);
                     }
@@ -207,8 +204,9 @@ impl Frame {
             }
             7 => {
                 let id = dec.u64()?;
-                let n = dec.u32()? as usize;
-                let mut reports = Vec::with_capacity(n.min(1 << 20));
+                // A report takes at least its row count.
+                let n = dec.count_u32(4, "report count")?;
+                let mut reports = Vec::with_capacity(n);
                 for _ in 0..n {
                     reports.push(get_report(&mut dec)?);
                 }
@@ -216,7 +214,7 @@ impl Frame {
             }
             8 => Frame::Drained,
             9 => Frame::Error {
-                message: dec.str()?,
+                message: dec.str()?.to_owned(),
             },
             k => return Err(DistError::Protocol(format!("unknown frame kind {k}"))),
         };
@@ -251,112 +249,13 @@ impl Frame {
                 wire.len().saturating_sub(4 + 8)
             )));
         }
-        let body = &wire[4..4 + len];
-        let stated = u64::from_le_bytes(wire[4 + len..].try_into().expect("8 bytes"));
-        let actual = fnv64(body);
-        if stated != actual {
-            return Err(DistError::Protocol(format!(
-                "frame checksum mismatch: stated {stated:#018x}, computed {actual:#018x}"
-            )));
-        }
-        Frame::decode(body)
+        Frame::decode(codec::unseal(&wire[4..])?)
     }
 }
 
-// --- primitive writers ---------------------------------------------------
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u64(buf, b.len() as u64);
-    buf.extend_from_slice(b);
-}
-
-// --- primitive reader ----------------------------------------------------
-
-/// A bounds-checked little-endian cursor over one frame body.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DistError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(DistError::Protocol(format!(
-                "truncated frame: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.bytes.len()
-            ))),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, DistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, DistError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, DistError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| DistError::Protocol("string field is not UTF-8".into()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, DistError> {
-        let n = self.u64()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn finish(&self) -> Result<(), DistError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(DistError::Protocol(format!(
-                "{} trailing bytes after frame payload",
-                self.bytes.len() - self.pos
-            )))
-        }
+impl From<DecodeError> for DistError {
+    fn from(e: DecodeError) -> Self {
+        DistError::Protocol(e.to_string())
     }
 }
 
@@ -364,56 +263,45 @@ impl<'a> Dec<'a> {
 
 /// Writes the unit of work between the policy names and the rest of the
 /// spec: the layout protocol v3 fixed.
-fn put_spec(buf: &mut Vec<u8>, unit: WorkUnit, spec: &EvalSpec) {
-    put_u32(buf, spec.policies.len() as u32);
+fn put_spec(buf: &mut Writer, unit: WorkUnit, spec: &EvalSpec) {
+    buf.u32(spec.policies.len() as u32);
     for p in &spec.policies {
-        put_str(buf, p.name());
+        buf.str(p.name());
     }
-    put_u8(
-        buf,
-        match unit {
-            WorkUnit::Weighted => 0,
-            WorkUnit::Plain => 1,
-        },
-    );
-    put_u8(
-        buf,
-        match spec.objective {
-            Objective::MaxThroughput => 0,
-            Objective::MinThroughput => 1,
-        },
-    );
-    put_u64(buf, spec.fcfs_jobs);
-    put_u8(
-        buf,
-        match spec.job_size {
-            JobSize::Deterministic => 0,
-            JobSize::Exponential => 1,
-        },
-    );
-    put_u64(buf, spec.seed);
+    buf.u8(match unit {
+        WorkUnit::Weighted => 0,
+        WorkUnit::Plain => 1,
+    });
+    buf.u8(match spec.objective {
+        Objective::MaxThroughput => 0,
+        Objective::MinThroughput => 1,
+    });
+    buf.u64(spec.fcfs_jobs);
+    buf.u8(match spec.job_size {
+        JobSize::Deterministic => 0,
+        JobSize::Exponential => 1,
+    });
+    buf.u64(spec.seed);
     match &spec.latency {
-        None => put_u8(buf, 0),
+        None => buf.u8(0),
         Some(cfg) => {
-            put_u8(buf, 1);
-            put_f64(buf, cfg.arrival_rate);
-            put_u64(buf, cfg.measured_jobs);
-            put_u64(buf, cfg.warmup_jobs);
-            put_u8(
-                buf,
-                match cfg.sizes {
-                    SizeDist::Deterministic => 0,
-                    SizeDist::Exponential => 1,
-                },
-            );
-            put_u64(buf, cfg.seed);
+            buf.u8(1);
+            buf.f64(cfg.arrival_rate);
+            buf.u64(cfg.measured_jobs);
+            buf.u64(cfg.warmup_jobs);
+            buf.u8(match cfg.sizes {
+                SizeDist::Deterministic => 0,
+                SizeDist::Exponential => 1,
+            });
+            buf.u64(cfg.seed);
         }
     }
 }
 
-fn get_spec(dec: &mut Dec<'_>) -> Result<(WorkUnit, EvalSpec), DistError> {
-    let n = dec.u32()? as usize;
-    let mut policies = Vec::with_capacity(n.min(64));
+fn get_spec(dec: &mut Reader<'_>) -> Result<(WorkUnit, EvalSpec), DistError> {
+    // A policy takes at least its name's length.
+    let n = dec.count_u32(4, "policy count")?;
+    let mut policies = Vec::with_capacity(n);
     for _ in 0..n {
         policies.push(get_policy(dec)?);
     }
@@ -462,62 +350,64 @@ fn get_spec(dec: &mut Dec<'_>) -> Result<(WorkUnit, EvalSpec), DistError> {
 
 /// A policy by registry name; a name this build does not know is a
 /// protocol error, since it came from outside the process.
-fn get_policy(dec: &mut Dec<'_>) -> Result<Policy, DistError> {
+fn get_policy(dec: &mut Reader<'_>) -> Result<Policy, DistError> {
     let name = dec.str()?;
-    Policy::by_name(&name)
+    Policy::by_name(name)
         .ok_or_else(|| DistError::Protocol(format!("unknown policy name {name:?}")))
 }
 
-fn put_report(buf: &mut Vec<u8>, report: &SessionReport) {
-    put_u32(buf, report.rows.len() as u32);
+fn put_report(buf: &mut Writer, report: &SessionReport) {
+    buf.u32(report.rows.len() as u32);
     for row in &report.rows {
-        put_str(buf, row.policy.name());
-        put_f64(buf, row.throughput);
+        buf.str(row.policy.name());
+        buf.f64(row.throughput);
         match &row.fractions {
-            None => put_u8(buf, 0),
+            None => buf.u8(0),
             Some(fr) => {
-                put_u8(buf, 1);
-                put_u64(buf, fr.len() as u64);
+                buf.u8(1);
+                buf.u64(fr.len() as u64);
                 for &f in fr {
-                    put_f64(buf, f);
+                    buf.f64(f);
                 }
             }
         }
         match &row.latency {
-            None => put_u8(buf, 0),
+            None => buf.u8(0),
             Some(l) => {
-                put_u8(buf, 1);
-                put_f64(buf, l.mean_turnaround);
-                put_f64(buf, l.utilization);
-                put_f64(buf, l.empty_fraction);
-                put_f64(buf, l.throughput);
-                put_f64(buf, l.mean_jobs_in_system);
-                put_u64(buf, l.completed);
+                buf.u8(1);
+                buf.f64(l.mean_turnaround);
+                buf.f64(l.utilization);
+                buf.f64(l.empty_fraction);
+                buf.f64(l.throughput);
+                buf.f64(l.mean_jobs_in_system);
+                buf.u64(l.completed);
             }
         }
         match &row.batch {
-            None => put_u8(buf, 0),
+            None => buf.u8(0),
             Some(b) => {
-                put_u8(buf, 1);
-                put_f64(buf, b.makespan);
-                put_f64(buf, b.throughput);
-                put_f64(buf, b.mean_turnaround);
+                buf.u8(1);
+                buf.f64(b.makespan);
+                buf.f64(b.throughput);
+                buf.f64(b.mean_turnaround);
             }
         }
     }
 }
 
-fn get_report(dec: &mut Dec<'_>) -> Result<SessionReport, DistError> {
-    let n = dec.u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(64));
+fn get_report(dec: &mut Reader<'_>) -> Result<SessionReport, DistError> {
+    // A row takes at least its policy name's length, throughput and
+    // three option flags.
+    let n = dec.count_u32(4 + 8 + 3, "row count")?;
+    let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let policy = get_policy(dec)?;
         let throughput = dec.f64()?;
         let fractions = match dec.u8()? {
             0 => None,
             1 => {
-                let k = dec.u64()? as usize;
-                let mut fr = Vec::with_capacity(k.min(1 << 20));
+                let k = dec.count_u64(8, "fraction count")?;
+                let mut fr = Vec::with_capacity(k);
                 for _ in 0..k {
                     fr.push(dec.f64()?);
                 }
@@ -697,7 +587,7 @@ mod tests {
         let mut unknown = Frame::Drained.encode();
         unknown[4] = 200;
         let len = unknown.len();
-        let sum = fnv64(&unknown[4..len - 8]);
+        let sum = codec::fnv1a(&unknown[4..len - 8]);
         unknown[len - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Frame::decode_wire(&unknown),
@@ -710,7 +600,7 @@ mod tests {
         let mut padded = Vec::new();
         padded.extend_from_slice(&(padded_body.len() as u32).to_le_bytes());
         padded.extend_from_slice(&padded_body);
-        padded.extend_from_slice(&fnv64(&padded_body).to_le_bytes());
+        padded.extend_from_slice(&codec::fnv1a(&padded_body).to_le_bytes());
         assert!(matches!(
             Frame::decode_wire(&padded),
             Err(DistError::Protocol(m)) if m.contains("trailing")
@@ -761,7 +651,7 @@ mod tests {
                 total_workloads,
             }
             .encode();
-            (wire.len(), fnv64(&wire))
+            (wire.len(), codec::fnv1a(&wire))
         };
         let every_field = EvalSpec {
             policies: vec![Policy::Optimal, Policy::FcfsEvent, Policy::MaxTp],
@@ -801,7 +691,7 @@ mod tests {
         let mut renamed = wire.clone();
         renamed[at..at + 7].copy_from_slice(b"OPTIMUS");
         let len = renamed.len();
-        let sum = fnv64(&renamed[4..len - 8]);
+        let sum = codec::fnv1a(&renamed[4..len - 8]);
         renamed[len - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Frame::decode_wire(&renamed),

@@ -131,14 +131,16 @@ pub fn run_worker<T: Transport>(
                     )))
                 }
             };
-            let table = PerfTable::from_bytes(&bytes)
-                .map_err(|e| DistError::Protocol(format!("table bytes did not parse: {e}")))?;
-            let actual = table.content_fingerprint();
+            // Checked before parsing: only the announced table's bytes
+            // hash to its fingerprint.
+            let actual = PerfTable::content_fingerprint_of(&bytes);
             if actual != fingerprint {
                 return Err(DistError::Protocol(format!(
                     "table fingerprint mismatch: announced {fingerprint:#018x}, received {actual:#018x}"
                 )));
             }
+            let table = PerfTable::from_bytes(&bytes)
+                .map_err(|e| DistError::Protocol(format!("table bytes did not parse: {e}")))?;
             if let Some(cache) = &config.cache {
                 // Cache persistence is an optimisation; a full disk must
                 // not kill the sweep.

@@ -618,6 +618,34 @@ fn a_worker_refuses_a_version_2_coordinator() {
 }
 
 #[test]
+fn a_worker_rejects_table_bytes_that_miss_the_announced_fingerprint() {
+    use dist::{Frame, Transport};
+
+    let (mut c, w) = loopback_pair();
+    let worker = std::thread::spawn(move || run_worker(w, &WorkerConfig::default()));
+    assert!(matches!(c.recv().unwrap(), Frame::Hello { .. }));
+    c.send(&Frame::Welcome {
+        version: dist::PROTOCOL_VERSION,
+        table_fingerprint: tiny_table().content_fingerprint(),
+        unit: WorkUnit::Weighted,
+        spec: reference_sweep().spec().clone(),
+        total_workloads: 10,
+    })
+    .unwrap();
+    assert_eq!(c.recv().unwrap(), Frame::TableRequest);
+    // One flipped byte: the bytes are checked against the fingerprint
+    // before they are parsed, so the mismatch is what the worker reports.
+    let mut bytes = tiny_table().to_bytes();
+    bytes[20] ^= 1;
+    c.send(&Frame::TableBytes { bytes }).unwrap();
+    let err = worker.join().unwrap().expect_err("wrong table is refused");
+    assert!(
+        matches!(&err, DistError::Protocol(m) if m.contains("fingerprint mismatch")),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn a_poisoned_chunk_aborts_the_run_without_retry() {
     // A workload with an out-of-range benchmark index fails evaluation
     // deterministically on any worker: the coordinator must abort, not

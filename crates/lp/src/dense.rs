@@ -212,11 +212,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +261,6 @@ mod tests {
     #[test]
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

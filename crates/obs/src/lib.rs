@@ -209,29 +209,6 @@ macro_rules! count {
     };
 }
 
-/// Sets the named gauge on the current recorder (no-op when disabled):
-/// `obs::gauge!("serve.queue_depth", depth as i64)`. Peak values are
-/// tracked automatically.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr, $v:expr) => {
-        if let Some(__r) = $crate::current() {
-            __r.gauge($name).set($v as i64);
-        }
-    };
-}
-
-/// Records one sample into the named histogram on the current recorder
-/// (no-op when disabled): `obs::observe!("sweep.item_us", micros)`.
-#[macro_export]
-macro_rules! observe {
-    ($name:expr, $v:expr) => {
-        if let Some(__r) = $crate::current() {
-            __r.histogram($name).record($v as f64);
-        }
-    };
-}
-
 /// Opens a timed span: `let _span = obs::span!("fcfs.sor_solve");`. The
 /// span records its duration (µs) into a histogram of the same name when
 /// the guard drops, emits a `span` trace line, and nests (the line
@@ -267,8 +244,6 @@ mod tests {
         // No recorder installed on this thread and no global: every macro
         // must be callable and do nothing.
         count!("t.c", 1);
-        gauge!("t.g", 5);
-        observe!("t.h", 2.0);
         let s = span!("t.span");
         drop(s);
         event!(Debug, "t.event", "ignored {}", 42);

@@ -3,13 +3,13 @@
 //! Registration (first use of a name) takes a mutex on the registry map;
 //! every subsequent touch of a returned handle is pure atomics. Hot call
 //! sites that fire many times per solve fetch the handle once and reuse
-//! it; casual sites go through the `count!`/`observe!` macros, which
-//! re-look the handle up per call (a short mutex hold — fine at
-//! per-solve / per-chunk / per-frame granularity).
+//! it; casual sites go through the `count!` macro, which re-looks the
+//! handle up per call (a short mutex hold — fine at per-solve /
+//! per-chunk / per-frame granularity).
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -180,9 +180,6 @@ struct RecorderInner {
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     trace: Option<Mutex<Box<dyn Write + Send>>>,
-    // Minimum level written to the trace stream (counters update
-    // regardless; stderr mirroring is fixed at Warn).
-    trace_level: AtomicU8,
     seq: AtomicU64,
     start: Instant,
 }
@@ -227,17 +224,10 @@ impl Recorder {
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 trace,
-                trace_level: AtomicU8::new(Level::Debug as u8),
                 seq: AtomicU64::new(0),
                 start: Instant::now(),
             }),
         }
-    }
-
-    /// Raises the minimum severity written to the trace stream (metrics
-    /// are unaffected).
-    pub fn set_trace_level(&self, level: Level) {
-        self.inner.trace_level.store(level as u8, Ordering::Relaxed);
     }
 
     /// The counter registered under `name` (registering it on first use).
@@ -301,24 +291,22 @@ impl Recorder {
     }
 
     /// Records one leveled structured event: a counter named after the
-    /// event increments, the trace stream (if any, and if at or above the
-    /// trace level) gets an `event` line, and `Warn`/`Error` mirror to
-    /// stderr so operational warnings survive with tracing disabled.
+    /// event increments, the trace stream (if any) gets an `event` line,
+    /// and `Warn`/`Error` mirror to stderr so operational warnings survive
+    /// with tracing disabled.
     pub fn event(&self, level: Level, name: &str, message: &str) {
         self.counter(name).add(1);
         if level >= Level::Warn {
             eprintln!("{name}: {message}");
         }
-        if level as u8 >= self.inner.trace_level.load(Ordering::Relaxed) {
-            self.emit(|seq, ts_us| {
-                format!(
-                    "{{\"kind\":\"event\",\"seq\":{seq},\"ts_us\":{ts_us},\"level\":\"{}\",\"name\":\"{}\",\"message\":\"{}\"}}",
-                    level.as_str(),
-                    json_escape(name),
-                    json_escape(message)
-                )
-            });
-        }
+        self.emit(|seq, ts_us| {
+            format!(
+                "{{\"kind\":\"event\",\"seq\":{seq},\"ts_us\":{ts_us},\"level\":\"{}\",\"name\":\"{}\",\"message\":\"{}\"}}",
+                level.as_str(),
+                json_escape(name),
+                json_escape(message)
+            )
+        });
     }
 
     /// Whether a trace sink is attached.

@@ -12,7 +12,9 @@
 //! * [`TableStore`] — a fingerprint-keyed on-disk cache of performance
 //!   tables ([`PerfTable::save`] / [`PerfTable::load`], bitwise-stable
 //!   format documented in [`store`]) so repeated studies skip
-//!   re-simulation.
+//!   re-simulation;
+//! * [`codec`] — the bounded little-endian byte codec and FNV-1a 64 hash
+//!   that the table format and the `dist` wire protocol share.
 //!
 //! # Examples
 //!
@@ -30,6 +32,7 @@
 //! # }
 //! ```
 
+pub mod codec;
 pub mod spec;
 pub mod store;
 pub mod table;

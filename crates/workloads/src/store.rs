@@ -10,9 +10,13 @@
 //!
 //! # File format (`SPT1`)
 //!
-//! Little-endian throughout; `f64` values are stored as their IEEE-754 bit
-//! patterns (`f64::to_bits`), so a load reproduces the build *bitwise*.
-//! Tables never contain NaN or infinite IPCs; load rejects them.
+//! Written and read with [`crate::codec`], the codec the `dist` wire frames
+//! share: little-endian throughout, `f64` values stored as their IEEE-754
+//! bit patterns (`f64::to_bits`) so a load reproduces the build *bitwise*,
+//! and every count checked against the bytes left before anything is sized
+//! by it. The rules below the codec stay here: tables never contain NaN or
+//! infinite IPCs, and load rejects them, as it rejects out-of-range,
+//! unsorted or repeated combos.
 //!
 //! ```text
 //! magic        8  bytes  b"SYMBPERF"
@@ -44,6 +48,7 @@ use std::path::{Path, PathBuf};
 use simproc::{BenchmarkProfile, CacheGeometry, Machine, MachineConfig, Topology};
 use symbiosis::CoscheduleIter;
 
+use crate::codec::{self, fnv1a, Reader, Writer};
 use crate::table::{PerfTable, TableError, UNRECORDED};
 
 const MAGIC: &[u8; 8] = b"SYMBPERF";
@@ -66,44 +71,6 @@ fn indexed_combos(n_bench: usize, contexts: usize) -> usize {
     })
 }
 
-/// FNV-1a 64-bit running hash — stable across platforms and releases
-/// (unlike `std::hash`), used for both the file checksum and the store key.
-#[derive(Clone, Copy)]
-pub(crate) struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 impl PerfTable {
     /// FNV-1a 64 fingerprint of this table's canonical serialisation
     /// ([`PerfTable::to_bytes`]) — a pure function of the table *contents*,
@@ -116,108 +83,44 @@ impl PerfTable {
     /// fingerprint, and workers whose [`TableStore`] already holds it skip
     /// the transfer.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut fnv = Fnv64::new();
-        fnv.write(&self.to_bytes());
-        fnv.finish()
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked reader over the loaded file; every take surfaces
-/// truncation as [`TableError::Format`] instead of panicking.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TableError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                TableError::Format(format!(
-                    "file truncated reading {what} at offset {}",
-                    self.pos
-                ))
-            })?;
-        let piece = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(piece)
+        Self::content_fingerprint_of(&self.to_bytes())
     }
 
-    fn take_u32(&mut self, what: &str) -> Result<u32, TableError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
+    /// The [`PerfTable::content_fingerprint`] of the table that `bytes`
+    /// encode, computed from the bytes alone. A holder of a table's bytes
+    /// (a cache file, a received frame) checks them with this before it
+    /// parses them: [`PerfTable::from_bytes`] accepts only canonical
+    /// encodings, so equal fingerprints mean equal tables.
+    pub fn content_fingerprint_of(bytes: &[u8]) -> u64 {
+        fnv1a(bytes)
     }
 
-    fn take_u64(&mut self, what: &str) -> Result<u64, TableError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Fails unless `count` items of at least `min_bytes` each fit in the
-    /// bytes left, so a hostile count never sizes an allocation.
-    fn check_count(&self, count: u64, min_bytes: u64, what: &str) -> Result<(), TableError> {
-        let left = (self.buf.len() - self.pos) as u64;
-        if count > left / min_bytes {
-            return Err(TableError::Format(format!(
-                "{what} {count} cannot fit in the {left} bytes left"
-            )));
-        }
-        Ok(())
-    }
-
-    fn take_f64(&mut self, what: &str) -> Result<f64, TableError> {
-        let v = f64::from_bits(self.take_u64(what)?);
-        if !v.is_finite() {
-            return Err(TableError::Format(format!("{what} is not finite ({v})")));
-        }
-        Ok(v)
-    }
-}
-
-impl PerfTable {
     /// Serialises the table to the documented `SPT1` byte format.
     ///
     /// The output is deterministic: the same table always encodes to the
     /// same bytes, its packed rows in order.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, self.contexts as u32);
-        put_u32(&mut out, self.names.len() as u32);
+        let mut out = Writer::new();
+        out.raw(MAGIC);
+        out.u32(VERSION);
+        out.u32(self.contexts as u32);
+        out.u32(self.names.len() as u32);
         for (name, &solo) in self.names.iter().zip(&self.solo_ipc) {
-            put_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-            put_u64(&mut out, solo.to_bits());
+            out.str(name);
+            out.f64(solo);
         }
         let rows = self.recorded_combos();
-        put_u64(&mut out, rows.len() as u64);
+        out.u64(rows.len() as u64);
         for (combo, ipcs) in rows {
-            put_u32(&mut out, combo.len() as u32);
+            out.u32(combo.len() as u32);
             for &idx in combo {
-                put_u32(&mut out, idx as u32);
+                out.u32(idx as u32);
             }
             for &ipc in ipcs {
-                put_u64(&mut out, ipc.to_bits());
+                out.f64(ipc);
             }
         }
-        let mut fnv = Fnv64::new();
-        fnv.write(&out);
-        put_u64(&mut out, fnv.finish());
-        out
+        out.seal()
     }
 
     /// Parses a table from bytes produced by [`PerfTable::to_bytes`].
@@ -242,35 +145,23 @@ impl PerfTable {
                 "bad magic (not a PerfTable file)".into(),
             ));
         }
-        let (payload, tail) = buf.split_at(buf.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        let mut fnv = Fnv64::new();
-        fnv.write(payload);
-        if fnv.finish() != stored {
-            return Err(TableError::Format(
-                "checksum mismatch (file corrupted)".into(),
-            ));
-        }
-        let mut cur = Cursor {
-            buf: payload,
-            pos: MAGIC.len(),
-        };
-        let version = cur.take_u32("version")?;
+        let mut cur = Reader::new(codec::unseal(buf)?);
+        cur.take(MAGIC.len())?;
+        let version = cur.u32()?;
         if version != VERSION {
             return Err(TableError::Format(format!(
                 "unsupported version {version} (expected {VERSION})"
             )));
         }
-        let contexts = cur.take_u32("contexts")? as usize;
+        let contexts = cur.u32()? as usize;
         if contexts == 0 {
             return Err(TableError::Format("zero contexts".into()));
         }
-        let n_bench = cur.take_u32("benchmark count")? as usize;
+        // A benchmark takes at least its name length and solo IPC.
+        let n_bench = cur.count_u32(4 + 8, "benchmark count")?;
         if n_bench == 0 {
             return Err(TableError::Format("empty benchmark suite".into()));
         }
-        // A benchmark takes at least its name length and solo IPC.
-        cur.check_count(n_bench as u64, 4 + 8, "benchmark count")?;
         // Bound the index the header asks for before anything builds it.
         if contexts > MAX_CONTEXTS {
             return Err(TableError::Format(format!(
@@ -287,12 +178,8 @@ impl PerfTable {
         let mut names = Vec::with_capacity(n_bench);
         let mut solo_ipc = Vec::with_capacity(n_bench);
         for b in 0..n_bench {
-            let len = cur.take_u32("name length")? as usize;
-            let raw = cur.take(len, "benchmark name")?;
-            let name = std::str::from_utf8(raw)
-                .map_err(|_| TableError::Format(format!("benchmark {b} name is not UTF-8")))?;
-            names.push(name.to_owned());
-            let solo = cur.take_f64("solo IPC")?;
+            names.push(cur.str()?.to_owned());
+            let solo = take_ipc(&mut cur, "solo IPC")?;
             if solo <= 0.0 {
                 return Err(TableError::Format(format!(
                     "benchmark {b} solo IPC {solo} must be positive"
@@ -300,15 +187,14 @@ impl PerfTable {
             }
             solo_ipc.push(solo);
         }
-        let n_combos = cur.take_u64("combo count")?;
         // A combo takes at least its length, one index and one slot IPC.
-        cur.check_count(n_combos, 4 + 4 + 8, "combo count")?;
+        let n_combos = cur.count_u64(4 + 4 + 8, "combo count")?;
         let mut table = PerfTable::empty(names, solo_ipc, contexts);
         let (mut combo, mut ipcs) = (Vec::new(), Vec::new());
         // Where the previously pushed row starts in `table.slots`.
         let mut last: Option<usize> = None;
         for c in 0..n_combos {
-            let len = cur.take_u32("combo length")? as usize;
+            let len = cur.u32()? as usize;
             if len == 0 || len > contexts {
                 return Err(TableError::Format(format!(
                     "combo {c} has size {len} (contexts {contexts})"
@@ -316,7 +202,7 @@ impl PerfTable {
             }
             combo.clear();
             for _ in 0..len {
-                let idx = cur.take_u32("combo index")? as usize;
+                let idx = cur.u32()? as usize;
                 if idx >= n_bench {
                     return Err(TableError::Format(format!(
                         "combo {c} references benchmark {idx} of {n_bench}"
@@ -338,17 +224,12 @@ impl PerfTable {
             }
             ipcs.clear();
             for _ in 0..len {
-                ipcs.push(cur.take_f64("slot IPC")?);
+                ipcs.push(take_ipc(&mut cur, "slot IPC")?);
             }
             last = Some(table.slots.len());
             table.push_row(global, &combo, &ipcs);
         }
-        if cur.pos != payload.len() {
-            return Err(TableError::Format(format!(
-                "{} trailing bytes after the combo list",
-                payload.len() - cur.pos
-            )));
-        }
+        cur.finish()?;
         // The solo reference column must agree with the size-1 combos,
         // whose index `b` is the combo `[b]`.
         for (b, &solo) in table.solo_ipc.iter().enumerate() {
@@ -389,18 +270,28 @@ impl PerfTable {
     /// [`TableError::Io`] on filesystem failures, [`TableError::Format`] on
     /// corrupted or malformed contents.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, TableError> {
-        let path = path.as_ref();
-        let buf =
-            std::fs::read(path).map_err(|e| TableError::Io(format!("{}: {e}", path.display())))?;
-        Self::from_bytes(&buf)
+        Self::from_bytes(&read(path.as_ref())?)
     }
 }
 
-fn hash_geometry(fnv: &mut Fnv64, g: &CacheGeometry) {
-    fnv.write_u64(g.size_bytes);
-    fnv.write_u64(g.ways as u64);
-    fnv.write_u64(g.line_bytes as u64);
-    fnv.write_u64(g.latency);
+/// Reads one IPC; a table never stores a NaN or infinite one.
+fn take_ipc(cur: &mut Reader<'_>, what: &str) -> Result<f64, TableError> {
+    let v = cur.f64()?;
+    if !v.is_finite() {
+        return Err(TableError::Format(format!("{what} is not finite ({v})")));
+    }
+    Ok(v)
+}
+
+fn read(path: &Path) -> Result<Vec<u8>, TableError> {
+    std::fs::read(path).map_err(|e| TableError::Io(format!("{}: {e}", path.display())))
+}
+
+fn hash_geometry(key: &mut Writer, g: &CacheGeometry) {
+    key.u64(g.size_bytes);
+    key.u64(g.ways as u64);
+    key.u64(g.line_bytes as u64);
+    key.u64(g.latency);
 }
 
 /// Stable fingerprint of everything a [`PerfTable::build`] depends on: the
@@ -414,54 +305,56 @@ fn hash_geometry(fnv: &mut Fnv64, g: &CacheGeometry) {
 /// changes are held bitwise by `simproc`'s `engine_parity` test and need no
 /// bump.
 pub fn table_fingerprint(config: &MachineConfig, suite: &[BenchmarkProfile]) -> u64 {
-    let mut fnv = Fnv64::new();
-    fnv.write_u64(VERSION as u64);
+    // The FNV-1a 64 of every input, written as `u64`s, `f64` bits and
+    // `u64`-length-prefixed names.
+    let mut key = Writer::new();
+    key.u64(VERSION as u64);
     match config.topology {
         Topology::SmtCore { threads } => {
-            fnv.write_u64(1);
-            fnv.write_u64(threads as u64);
+            key.u64(1);
+            key.u64(threads as u64);
         }
         Topology::Multicore { cores } => {
-            fnv.write_u64(2);
-            fnv.write_u64(cores as u64);
+            key.u64(2);
+            key.u64(cores as u64);
         }
     }
     let core = &config.core;
-    fnv.write_u64(core.dispatch_width as u64);
-    fnv.write_u64(core.commit_width as u64);
-    fnv.write_u64(core.rob_size as u64);
-    fnv.write_u64(core.fetch_policy as u64);
-    fnv.write_u64(core.rob_partitioning as u64);
-    fnv.write_u64(core.branch_redirect_penalty);
-    fnv.write_u64(core.mshrs_per_thread as u64);
-    fnv.write_u64(core.dynamic_reservation as u64);
-    fnv.write_u64(core.long_op_latency);
-    hash_geometry(&mut fnv, &config.l1d);
-    hash_geometry(&mut fnv, &config.l2);
-    hash_geometry(&mut fnv, &config.l3);
-    fnv.write_u64(config.mem.latency);
-    fnv.write_u64(config.mem.cycles_per_transfer);
-    fnv.write_u64(config.warmup_cycles);
-    fnv.write_u64(config.measure_cycles);
-    fnv.write_u64(suite.len() as u64);
+    key.u64(core.dispatch_width as u64);
+    key.u64(core.commit_width as u64);
+    key.u64(core.rob_size as u64);
+    key.u64(core.fetch_policy as u64);
+    key.u64(core.rob_partitioning as u64);
+    key.u64(core.branch_redirect_penalty);
+    key.u64(core.mshrs_per_thread as u64);
+    key.u64(core.dynamic_reservation as u64);
+    key.u64(core.long_op_latency);
+    hash_geometry(&mut key, &config.l1d);
+    hash_geometry(&mut key, &config.l2);
+    hash_geometry(&mut key, &config.l3);
+    key.u64(config.mem.latency);
+    key.u64(config.mem.cycles_per_transfer);
+    key.u64(config.warmup_cycles);
+    key.u64(config.measure_cycles);
+    key.u64(suite.len() as u64);
     for p in suite {
-        fnv.write_str(&p.name);
-        fnv.write_f64(p.load_frac);
-        fnv.write_f64(p.store_frac);
-        fnv.write_f64(p.branch_frac);
-        fnv.write_f64(p.long_op_frac);
-        fnv.write_f64(p.mispredict_rate);
-        fnv.write_f64(p.dep_frac);
-        fnv.write_u64(p.stack_lines);
-        fnv.write_f64(p.stack_frac);
-        fnv.write_u64(p.hot_lines);
-        fnv.write_u64(p.footprint_lines);
-        fnv.write_f64(p.hot_frac);
-        fnv.write_f64(p.streaming_frac);
-        fnv.write_f64(p.frontend_stall_rate);
-        fnv.write_u64(p.seed);
+        key.bytes(p.name.as_bytes());
+        key.f64(p.load_frac);
+        key.f64(p.store_frac);
+        key.f64(p.branch_frac);
+        key.f64(p.long_op_frac);
+        key.f64(p.mispredict_rate);
+        key.f64(p.dep_frac);
+        key.u64(p.stack_lines);
+        key.f64(p.stack_frac);
+        key.u64(p.hot_lines);
+        key.u64(p.footprint_lines);
+        key.f64(p.hot_frac);
+        key.f64(p.streaming_frac);
+        key.f64(p.frontend_stall_rate);
+        key.u64(p.seed);
     }
-    fnv.finish()
+    fnv1a(&key.into_bytes())
 }
 
 /// What a [`TableStore::get_or_build`] call did.
@@ -509,11 +402,6 @@ impl TableStore {
     /// the first save.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TableStore { dir: dir.into() }
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The cache file path for a machine + suite pair.
@@ -567,13 +455,8 @@ impl TableStore {
     /// place, so a concurrent reader (another worker process loading the
     /// same fingerprint) can never observe a torn or partial table. Racing
     /// writers are last-one-wins safe — every rename installs a complete
-    /// file.
-    ///
-    /// # Errors
-    ///
-    /// [`TableError::Io`] on filesystem failures; a failed write removes
-    /// its temp file best-effort.
-    pub fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), TableError> {
+    /// file. A failed write removes its temp file best-effort.
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), TableError> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| TableError::Io(format!("{}: {e}", self.dir.display())))?;
         // The tmp name must be unique per writer (pid alone would let two
@@ -599,30 +482,32 @@ impl TableStore {
     /// say). Content-keyed entries use a distinct `perftable-c...` prefix so
     /// they can never collide with the config-keyed [`TableStore::path_for`]
     /// namespace.
-    pub fn path_for_content(&self, fingerprint: u64) -> PathBuf {
+    fn path_for_content(&self, fingerprint: u64) -> PathBuf {
         self.dir.join(format!("perftable-c{fingerprint:016x}.spt"))
     }
 
     /// Loads the cached table with this content fingerprint, if a valid one
-    /// exists. The loaded table's own fingerprint is re-verified, so a
-    /// corrupt, stale or mislabelled cache file reads as a miss — never as
-    /// the wrong table.
+    /// exists. The file's bytes are checked against the fingerprint before
+    /// they are parsed, so a corrupt, stale or mislabelled cache file reads
+    /// as a miss — never as the wrong table.
     pub fn load_content(&self, fingerprint: u64) -> Option<PerfTable> {
-        let table = PerfTable::load(self.path_for_content(fingerprint)).ok()?;
-        (table.content_fingerprint() == fingerprint).then_some(table)
+        let bytes = read(&self.path_for_content(fingerprint)).ok()?;
+        if PerfTable::content_fingerprint_of(&bytes) != fingerprint {
+            return None;
+        }
+        PerfTable::from_bytes(&bytes).ok()
     }
 
-    /// Saves a table under its content fingerprint (atomically, via
-    /// [`TableStore::write_atomic`]) and returns the fingerprint.
+    /// Saves a table under its content fingerprint (atomically: a
+    /// concurrent reader never sees a torn file) and returns the
+    /// fingerprint.
     ///
     /// # Errors
     ///
     /// [`TableError::Io`] on filesystem failures.
     pub fn save_content(&self, table: &PerfTable) -> Result<u64, TableError> {
         let bytes = table.to_bytes();
-        let mut fnv = Fnv64::new();
-        fnv.write(&bytes);
-        let fingerprint = fnv.finish();
+        let fingerprint = PerfTable::content_fingerprint_of(&bytes);
         self.write_atomic(&self.path_for_content(fingerprint), &bytes)?;
         Ok(fingerprint)
     }
@@ -733,11 +618,7 @@ mod tests {
         // NaN bits and re-stamp the checksum so only the NaN check trips.
         let ipc_at = bytes.len() - 16;
         bytes[ipc_at..ipc_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        let mut fnv = Fnv64::new();
-        fnv.write(&bytes[..bytes.len() - 8]);
-        let sum = fnv.finish();
-        let at = bytes.len() - 8;
-        bytes[at..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = PerfTable::from_bytes(&bytes).unwrap_err();
         assert!(
             matches!(err, TableError::Format(ref m) if m.contains("finite")),
@@ -745,37 +626,43 @@ mod tests {
         );
     }
 
-    /// Stamps the FNV checksum onto a hand-built payload.
-    fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
-        let mut fnv = Fnv64::new();
-        fnv.write(&payload);
-        put_u64(&mut payload, fnv.finish());
-        payload
+    /// Re-stamps the checksum of a sealed file after an edit, so only the
+    /// edit itself can fail the load.
+    fn reseal(bytes: &mut [u8]) {
+        let at = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..at]);
+        bytes[at..].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// A sealed file holding `(name, solo IPC)` per benchmark and
     /// `(indices, slot IPCs)` per combo, in the order given.
     fn encode(contexts: u32, benches: &[(&str, f64)], combos: &[(&[u32], &[f64])]) -> Vec<u8> {
-        let mut out = MAGIC.to_vec();
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, contexts);
-        put_u32(&mut out, benches.len() as u32);
+        let mut out = header(contexts, benches.len() as u32);
         for &(name, solo) in benches {
-            put_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-            put_u64(&mut out, solo.to_bits());
+            out.str(name);
+            out.f64(solo);
         }
-        put_u64(&mut out, combos.len() as u64);
+        out.u64(combos.len() as u64);
         for &(indices, ipcs) in combos {
-            put_u32(&mut out, indices.len() as u32);
+            out.u32(indices.len() as u32);
             for &idx in indices {
-                put_u32(&mut out, idx);
+                out.u32(idx);
             }
             for &ipc in ipcs {
-                put_u64(&mut out, ipc.to_bits());
+                out.f64(ipc);
             }
         }
-        sealed(out)
+        out.seal()
+    }
+
+    /// The magic, version, context count and benchmark count.
+    fn header(contexts: u32, n_bench: u32) -> Writer {
+        let mut out = Writer::new();
+        out.raw(MAGIC);
+        out.u32(VERSION);
+        out.u32(contexts);
+        out.u32(n_bench);
+        out
     }
 
     fn format_error(bytes: &[u8]) -> String {
@@ -895,23 +782,60 @@ mod tests {
     /// before anything is allocated for them.
     #[test]
     fn hostile_counts_rejected_before_allocating() {
-        let mut combos = MAGIC.to_vec();
-        put_u32(&mut combos, VERSION);
-        put_u32(&mut combos, 1);
-        put_u32(&mut combos, 1);
-        put_u32(&mut combos, 1);
-        combos.push(b'a');
-        put_u64(&mut combos, 1.0f64.to_bits());
-        put_u64(&mut combos, 1 << 40);
-        let combos = sealed(combos);
+        let mut combos = header(1, 1);
+        combos.str("a");
+        combos.f64(1.0);
+        combos.u64(1 << 40);
+        let combos = combos.seal();
         assert_eq!(combos.len(), 49);
         assert!(format_error(&combos).contains("combo count"));
 
-        let mut benches = MAGIC.to_vec();
-        put_u32(&mut benches, VERSION);
-        put_u32(&mut benches, 1);
-        put_u32(&mut benches, u32::MAX);
-        assert!(format_error(&sealed(benches)).contains("benchmark count"));
+        let benches = header(1, u32::MAX).seal();
+        assert!(format_error(&benches).contains("benchmark count"));
+    }
+
+    /// Seeded mutations of a valid file, each re-sealed so the checksum
+    /// cannot catch it: bit flips, truncations and inflated counts must
+    /// each fail as a [`TableError::Format`] or load a table that encodes
+    /// back to exactly the mutated bytes; none may panic.
+    #[test]
+    fn resealed_mutations_never_panic_the_decoder() {
+        let table = tiny_table();
+        let bytes = table.to_bytes();
+        let payload = bytes.len() - 8;
+        // Offsets of the `u32` benchmark count and the `u64` combo count.
+        let bench_count = MAGIC.len() + 8;
+        let combo_count = table
+            .names()
+            .iter()
+            .fold(bench_count + 4, |at, name| at + 4 + name.len() + 8);
+        let mut rng = symbiosis::rng::SplitMix64::new(0x5917_5917);
+        for round in 0..3_000 {
+            let mut mutated = bytes.clone();
+            match round % 3 {
+                0 => {
+                    let bit = rng.next_range(payload as u64 * 8) as usize;
+                    mutated[bit / 8] ^= 1 << (bit % 8);
+                }
+                1 => {
+                    mutated.truncate(rng.next_range(payload as u64) as usize);
+                    mutated.extend_from_slice(&[0; 8]);
+                }
+                _ => {
+                    let (at, width) = [(bench_count, 4), (combo_count, 8)][round % 2];
+                    let mut word = [0u8; 8];
+                    word[..width].copy_from_slice(&mutated[at..at + width]);
+                    let inflated =
+                        u64::from_le_bytes(word).wrapping_add(1 + rng.next_range(1 << 40));
+                    mutated[at..at + width].copy_from_slice(&inflated.to_le_bytes()[..width]);
+                }
+            }
+            reseal(&mut mutated);
+            match PerfTable::from_bytes(&mutated) {
+                Ok(loaded) => assert_eq!(loaded.to_bytes(), mutated, "round {round}"),
+                Err(e) => assert!(matches!(e, TableError::Format(_)), "round {round}: {e}"),
+            }
+        }
     }
 
     #[test]

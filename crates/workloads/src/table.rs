@@ -16,6 +16,8 @@ use std::sync::Mutex;
 use simproc::{BenchmarkProfile, Machine, MachineError};
 use symbiosis::{CoscheduleIndex, CoscheduleIter, RateModel, SymbiosisError, WorkloadRates};
 
+use crate::codec::DecodeError;
+
 /// Errors from building, querying or persisting a [`PerfTable`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableError {
@@ -71,6 +73,12 @@ impl From<MachineError> for TableError {
 impl From<SymbiosisError> for TableError {
     fn from(e: SymbiosisError) -> Self {
         TableError::Rates(e)
+    }
+}
+
+impl From<DecodeError> for TableError {
+    fn from(e: DecodeError) -> Self {
+        TableError::Format(e.to_string())
     }
 }
 
