@@ -144,7 +144,7 @@ pub fn run_worker<T: Transport>(
             if let Some(cache) = &config.cache {
                 // Cache persistence is an optimisation; a full disk must
                 // not kill the sweep.
-                if let Err(e) = cache.save_content(&table) {
+                if let Err(e) = cache.save_content(&bytes) {
                     obs::event!(
                         Warn,
                         "dist.worker.table_cache_write_failed",

@@ -536,6 +536,12 @@ fn workers_cache_the_table_and_reuse_it_across_sweeps() {
     let summary = worker.join().unwrap().expect("worker completes");
     assert!(!summary.table_from_cache);
     assert_bitwise_equal(&cold.report, reference_report());
+    // The cache holds exactly the bytes that came over the wire.
+    let sent = tiny_table().to_bytes();
+    let fingerprint = PerfTable::content_fingerprint_of(&sent);
+    let cached = std::fs::read(dir.join(format!("perftable-c{fingerprint:016x}.spt")))
+        .expect("the cold worker cached the table");
+    assert_eq!(cached, sent);
 
     // Warm: a fresh worker against the same cache loads locally.
     let (c2, w2) = loopback_pair();

@@ -16,7 +16,74 @@
 //! | `gauge` | `name`, `value`, `max` |
 //! | `hist` | `name`, `count`, `sum` |
 
+use std::fmt;
+
 use crate::Level;
+
+/// Why a trace line or stream breaks the schema ([`validate_line`],
+/// [`validate_trace`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// The line is not a flat JSON object ([`parse_flat_object`]'s
+    /// description).
+    Json(String),
+    /// A required field is absent.
+    MissingField(String),
+    /// A field holds the wrong value type.
+    WrongType {
+        /// The field.
+        field: String,
+        /// `"number"` or `"string"`.
+        expected: &'static str,
+    },
+    /// `kind` names no known line kind.
+    UnknownKind(String),
+    /// An event's `level` names no known level.
+    UnknownLevel(String),
+    /// A field the line's kind does not carry: emitter drift.
+    UnknownField {
+        /// The field.
+        field: String,
+        /// The line's kind.
+        kind: String,
+    },
+    /// A line of a stream broke the schema.
+    Line {
+        /// 1-based line number.
+        number: usize,
+        /// The line's text.
+        text: String,
+        /// What is wrong with it.
+        error: Box<TraceError>,
+    },
+    /// The stream holds no line.
+    Empty,
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Json(message) => write!(f, "{message}"),
+            TraceError::MissingField(field) => write!(f, "missing field {field:?}"),
+            TraceError::WrongType { field, expected } => {
+                write!(f, "field {field:?} must be a {expected}")
+            }
+            TraceError::UnknownKind(kind) => write!(f, "unknown kind {kind:?}"),
+            TraceError::UnknownLevel(level) => write!(f, "unknown level {level:?}"),
+            TraceError::UnknownField { field, kind } => {
+                write!(f, "unknown field {field:?} on kind {kind:?}")
+            }
+            TraceError::Line {
+                number,
+                text,
+                error,
+            } => write!(f, "line {number}: {error}: {text}"),
+            TraceError::Empty => write!(f, "trace is empty"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
 
 /// A parsed flat JSON value (the trace schema needs nothing deeper).
 #[derive(Debug, Clone, PartialEq)]
@@ -128,22 +195,25 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
 ///
 /// # Errors
 ///
-/// A human-readable description of the first violation: malformed JSON, a
-/// missing required field, a wrong value type, an unknown `kind` or
-/// `level`, or — critically for catching emitter drift — an unknown
-/// field.
-pub fn validate_line(line: &str) -> Result<(), String> {
-    let fields = parse_flat_object(line)?;
+/// The first violation: malformed JSON, a missing required field, a wrong
+/// value type, an unknown `kind` or `level`, or — critically for catching
+/// emitter drift — an unknown field.
+pub fn validate_line(line: &str) -> Result<(), TraceError> {
+    let fields = parse_flat_object(line).map_err(TraceError::Json)?;
     let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let wrong = |key: &str, expected| TraceError::WrongType {
+        field: key.into(),
+        expected,
+    };
     let require_num = |key: &str| match get(key) {
         Some(JsonVal::Num(_)) => Ok(()),
-        Some(JsonVal::Str(_)) => Err(format!("field {key:?} must be a number")),
-        None => Err(format!("missing field {key:?}")),
+        Some(JsonVal::Str(_)) => Err(wrong(key, "number")),
+        None => Err(TraceError::MissingField(key.into())),
     };
     let require_str = |key: &str| match get(key) {
         Some(JsonVal::Str(s)) => Ok(s.as_str()),
-        Some(JsonVal::Num(_)) => Err(format!("field {key:?} must be a string")),
-        None => Err(format!("missing field {key:?}")),
+        Some(JsonVal::Num(_)) => Err(wrong(key, "string")),
+        None => Err(TraceError::MissingField(key.into())),
     };
 
     let kind = require_str("kind")?.to_string();
@@ -153,7 +223,7 @@ pub fn validate_line(line: &str) -> Result<(), String> {
         "event" => {
             let level = require_str("level")?;
             if Level::parse(level).is_none() {
-                return Err(format!("unknown level {level:?}"));
+                return Err(TraceError::UnknownLevel(level.into()));
             }
             require_str("name")?;
             require_str("message")?;
@@ -182,13 +252,16 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             require_num("sum")?;
             &["name", "count", "sum"]
         }
-        other => return Err(format!("unknown kind {other:?}")),
+        other => return Err(TraceError::UnknownKind(other.into())),
     };
     for (key, _) in &fields {
         let known =
             key == "kind" || key == "seq" || key == "ts_us" || extra.contains(&key.as_str());
         if !known {
-            return Err(format!("unknown field {key:?} on kind {kind:?}"));
+            return Err(TraceError::UnknownField {
+                field: key.clone(),
+                kind,
+            });
         }
     }
     Ok(())
@@ -199,18 +272,23 @@ pub fn validate_line(line: &str) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// The 1-based line number and violation of the first bad line.
-pub fn validate_trace(text: &str) -> Result<usize, String> {
+/// [`TraceError::Line`] with the 1-based number, text and violation of
+/// the first bad line; [`TraceError::Empty`] when no line is left.
+pub fn validate_trace(text: &str) -> Result<usize, TraceError> {
     let mut valid = 0usize;
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        validate_line(line).map_err(|e| format!("line {}: {e}: {line}", idx + 1))?;
+        validate_line(line).map_err(|e| TraceError::Line {
+            number: idx + 1,
+            text: line.into(),
+            error: Box::new(e),
+        })?;
         valid += 1;
     }
     if valid == 0 {
-        return Err("trace is empty".into());
+        return Err(TraceError::Empty);
     }
     Ok(valid)
 }
@@ -235,39 +313,76 @@ mod tests {
     fn rejects_unknown_fields() {
         let line = r#"{"kind":"counter","seq":0,"ts_us":1,"name":"c","value":1,"surprise":2}"#;
         let err = validate_line(line).unwrap_err();
-        assert!(err.contains("unknown field"), "{err}");
+        assert_eq!(
+            err,
+            TraceError::UnknownField {
+                field: "surprise".into(),
+                kind: "counter".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            r#"unknown field "surprise" on kind "counter""#
+        );
     }
 
     #[test]
     fn rejects_missing_fields_and_bad_types() {
-        assert!(
-            validate_line(r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","depth":0}"#)
-                .unwrap_err()
-                .contains("dur_us")
+        assert_eq!(
+            validate_line(r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","depth":0}"#),
+            Err(TraceError::MissingField("dur_us".into()))
         );
-        assert!(validate_line(
-            r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","dur_us":"x","depth":0}"#
-        )
-        .unwrap_err()
-        .contains("must be a number"));
-        assert!(validate_line(r#"{"kind":"mystery","seq":0,"ts_us":1}"#)
-            .unwrap_err()
-            .contains("unknown kind"));
-        assert!(validate_line(
-            r#"{"kind":"event","seq":0,"ts_us":1,"level":"loud","name":"n","message":"m"}"#
-        )
-        .unwrap_err()
-        .contains("unknown level"));
+        let bad_type =
+            validate_line(r#"{"kind":"span","seq":0,"ts_us":1,"name":"s","dur_us":"x","depth":0}"#)
+                .unwrap_err();
+        assert_eq!(
+            bad_type,
+            TraceError::WrongType {
+                field: "dur_us".into(),
+                expected: "number"
+            }
+        );
+        assert_eq!(bad_type.to_string(), r#"field "dur_us" must be a number"#);
+        assert_eq!(
+            validate_line(r#"{"kind":"mystery","seq":0,"ts_us":1}"#),
+            Err(TraceError::UnknownKind("mystery".into()))
+        );
+        assert_eq!(
+            validate_line(
+                r#"{"kind":"event","seq":0,"ts_us":1,"level":"loud","name":"n","message":"m"}"#
+            ),
+            Err(TraceError::UnknownLevel("loud".into()))
+        );
     }
 
     #[test]
     fn rejects_malformed_json() {
-        assert!(validate_line("not json").is_err());
-        assert!(validate_line(r#"{"kind":"counter""#).is_err());
-        assert!(validate_line(
-            r#"{"kind":"counter","seq":0,"ts_us":1,"name":"c","value":1} extra"#
-        )
-        .is_err());
-        assert!(validate_trace("\n\n").is_err(), "empty trace rejected");
+        assert!(matches!(
+            validate_line("not json"),
+            Err(TraceError::Json(_))
+        ));
+        assert!(matches!(
+            validate_line(r#"{"kind":"counter""#),
+            Err(TraceError::Json(_))
+        ));
+        assert!(matches!(
+            validate_line(r#"{"kind":"counter","seq":0,"ts_us":1,"name":"c","value":1} extra"#),
+            Err(TraceError::Json(_))
+        ));
+        assert_eq!(validate_trace("\n\n"), Err(TraceError::Empty));
+        let second = validate_trace(
+            "{\"kind\":\"counter\",\"seq\":0,\"ts_us\":1,\"name\":\"c\",\"value\":1}\nnot json",
+        );
+        let Err(TraceError::Line {
+            number,
+            text,
+            error,
+        }) = &second
+        else {
+            panic!("{second:?}");
+        };
+        assert_eq!((*number, text.as_str()), (2, "not json"));
+        assert!(matches!(**error, TraceError::Json(_)));
+        assert!(second.unwrap_err().to_string().starts_with("line 2: "));
     }
 }

@@ -25,7 +25,7 @@
 //! must be finite and positive).
 
 use lp::{linsys, Matrix};
-use symbiosis::fit_linear_bottleneck_rows;
+use symbiosis::{fit_linear_bottleneck_rows, CoscheduleIter};
 
 use crate::PredictError;
 
@@ -91,6 +91,12 @@ impl RateSample {
 }
 
 /// A fitted interference model: per-job rate queries for any multiset.
+///
+/// Besides the per-cell queries, two provided methods price in bulk:
+/// [`RatePredictor::per_job_rates`] (every type of one multiset) and
+/// [`RatePredictor::full_throughputs`] (every full multiset). Their
+/// defaults loop over the per-cell queries. An override must return the
+/// same bits as those loops: the same terms, added in the same order.
 pub trait RatePredictor: Send + Sync {
     /// Predicted rate of one job of type `ty` inside the multiset `counts`
     /// — finite and at least [`MIN_PREDICTED_RATE`].
@@ -108,6 +114,40 @@ pub trait RatePredictor: Send + Sync {
             .filter(|(_, &c)| c > 0)
             .map(|(ty, &c)| c as f64 * self.per_job_rate(counts, ty))
             .sum()
+    }
+
+    /// Every type's predicted per-job rate inside the multiset `counts`,
+    /// written to `out` (one entry per type): `per_job_rate(counts, ty)`
+    /// bit for bit for each present type, `0.0` for each absent one. One
+    /// call prices a whole sample; the default asks
+    /// [`RatePredictor::per_job_rate`] once per present type.
+    fn per_job_rates(&self, counts: &[u32], out: &mut [f64]) {
+        for (ty, (rate, &c)) in out.iter_mut().zip(counts).enumerate() {
+            *rate = if c > 0 {
+                self.per_job_rate(counts, ty)
+            } else {
+                0.0
+            };
+        }
+    }
+
+    /// The predicted instantaneous throughput of every full multiset —
+    /// each multiset of `contexts` jobs over `num_types` types — in
+    /// [`CoscheduleIter`] order. Entry `i` equals
+    /// [`RatePredictor::instantaneous_throughput`] of the `i`-th multiset
+    /// bit for bit: the same per-type sums, clamped and added in type
+    /// order from `-0.0`. The default makes that call once per multiset;
+    /// a predictor whose rates share work across multisets overrides it.
+    ///
+    /// `num_types` must be the predictor's type count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_types` or `contexts` is zero.
+    fn full_throughputs(&self, num_types: usize, contexts: usize) -> Vec<f64> {
+        CoscheduleIter::new(num_types, contexts)
+            .map(|s| self.instantaneous_throughput(s.counts()))
+            .collect()
     }
 
     /// The fitted coefficient rows, for inspection and pinning tests.
@@ -285,6 +325,14 @@ impl FitState for BottleneckFit {
 ///   every row in sample order, zero counts included — the exact sequence
 ///   of operations a dense `Aᵀ.mul_vec(y)` performs, so it rounds the same.
 ///
+/// **Pricing.** The predictor keeps θ transposed into blocks of types,
+/// so [`RatePredictor::per_job_rates`] extends a block of types' sums per
+/// count, and [`RatePredictor::full_throughputs`] walks the count lattice
+/// depth first, summing each shared prefix of counts once instead of once
+/// per multiset. Each type's sum is `θ_b0 + θ_b1·c_1 + … + θ_bN·c_N`,
+/// added left to right, in the bulk paths as in
+/// [`RatePredictor::per_job_rate`].
+///
 /// **Refit cost.** Both sums are kept between calls of its [`FitState`],
 /// and appending samples continues the same additions in the same order.
 /// So a refit folds in only the samples after the last folded one —
@@ -300,6 +348,41 @@ pub struct InterferenceFitter;
 
 struct InterferencePredictor {
     theta: Vec<Vec<f64>>,
+    /// θ transposed into blocks of [`LANES`] types, block-major: entry
+    /// `k · (N + 1) + j` holds `θ_bj` for the types `b` of block `k`,
+    /// zero past the last type. The bulk paths extend a whole block of
+    /// types' sums by one count at a time.
+    theta_t: Vec<Block>,
+}
+
+/// Types per block of [`InterferencePredictor`]'s transposed θ. A block
+/// is a fixed-size array, so its lanes stay in registers.
+const LANES: usize = 4;
+
+type Block = [f64; LANES];
+
+/// `prev + coef·c`, lane by lane: the addition
+/// [`RatePredictor::per_job_rate`] makes for a count `c`.
+fn extend(prev: &Block, coef: &Block, c: f64) -> Block {
+    std::array::from_fn(|l| prev[l] + coef[l] * c)
+}
+
+impl InterferencePredictor {
+    fn new(theta: Vec<Vec<f64>>) -> Self {
+        let dim = theta.len() + 1;
+        let mut theta_t = vec![[0.0; LANES]; theta.len().div_ceil(LANES) * dim];
+        for (b, row) in theta.iter().enumerate() {
+            for (j, &t) in row.iter().enumerate() {
+                theta_t[b / LANES * dim + j][b % LANES] = t;
+            }
+        }
+        InterferencePredictor { theta, theta_t }
+    }
+
+    /// Each block's coefficient rows, `θ_b0` first.
+    fn blocks(&self) -> std::slice::ChunksExact<'_, Block> {
+        self.theta_t.chunks_exact(self.theta.len() + 1)
+    }
 }
 
 impl RatePredictor for InterferencePredictor {
@@ -312,8 +395,141 @@ impl RatePredictor for InterferencePredictor {
         clamp_rate(v)
     }
 
+    /// Every type's sum `θ_b0 + Σ θ_b,j+1·c_j`, a block of types at a
+    /// time: the same additions in the same order as
+    /// [`RatePredictor::per_job_rate`].
+    fn per_job_rates(&self, counts: &[u32], out: &mut [f64]) {
+        for ((rates, present), coefs) in out
+            .chunks_mut(LANES)
+            .zip(counts.chunks(LANES))
+            .zip(self.blocks())
+        {
+            let (intercepts, rows) = coefs.split_first().expect("a block has an intercept row");
+            let mut v = *intercepts;
+            for (row, &c) in rows.iter().zip(counts) {
+                v = extend(&v, row, c as f64);
+            }
+            for ((rate, v), &c) in rates.iter_mut().zip(v).zip(present) {
+                *rate = if c > 0 { clamp_rate(v) } else { 0.0 };
+            }
+        }
+    }
+
+    /// A depth-first walk of the count lattice (see [`LatticeWalk`]).
+    fn full_throughputs(&self, num_types: usize, contexts: usize) -> Vec<f64> {
+        let n = self.theta.len();
+        assert_eq!(num_types, n, "predictor fitted for {n} types");
+        assert!(n > 0 && contexts > 0, "need a type and a context");
+        if n == 1 {
+            return vec![self.instantaneous_throughput(&[contexts as u32])];
+        }
+        let blocks = n.div_ceil(LANES);
+        let mut partial = vec![[0.0; LANES]; (n + 1) * blocks];
+        for (level, coefs) in partial.iter_mut().zip(self.blocks()) {
+            *level = coefs[0];
+        }
+        let mut unit = vec![[[0.0; LANES]; 2]; blocks];
+        for (u, ty) in [n - 2, n - 1].into_iter().enumerate() {
+            unit[ty / LANES][u][ty % LANES] = 1.0;
+        }
+        let mut walk = LatticeWalk {
+            theta_t: &self.theta_t,
+            n,
+            partial,
+            weights: vec![[0.0; LANES]; blocks],
+            unit,
+            out: Vec::with_capacity(CoscheduleIter::count_total(n, contexts)),
+        };
+        walk.descend(0, contexts as u32);
+        walk.out
+    }
+
     fn coefficients(&self) -> Vec<Vec<f64>> {
         self.theta.clone()
+    }
+}
+
+/// [`InterferencePredictor::full_throughputs`]'s walk of the count
+/// lattice, in descending lexicographic order ([`CoscheduleIter`]'s).
+/// Level `i` of `partial` holds every type's sum over the intercept and
+/// the first `i` counts, so each multiset extends the sums of the prefix
+/// it shares with its siblings: a prefix is summed once, not once per
+/// multiset.
+struct LatticeWalk<'a> {
+    /// The predictor's block-major θᵀ.
+    theta_t: &'a [Block],
+    /// Types.
+    n: usize,
+    /// Level `i` of block `k` at `i · blocks + k`, for levels `0..=n`.
+    partial: Vec<Block>,
+    /// The counts of the multiset being built, as `f64` blocks: types
+    /// `..n - 2` only, the other lanes stay 0.
+    weights: Vec<Block>,
+    /// One-hot lanes of the last two types, by block.
+    unit: Vec<[Block; 2]>,
+    /// Each finished multiset's throughput, in visiting order.
+    out: Vec<f64>,
+}
+
+impl LatticeWalk<'_> {
+    /// Visits every multiset that completes the counts of types `..i`
+    /// with `left` more jobs.
+    fn descend(&mut self, i: usize, left: u32) {
+        if i + 2 == self.n {
+            self.finish(left);
+            return;
+        }
+        for c in (0..=left).rev() {
+            self.set_count(i, c);
+            self.descend(i + 1, left - c);
+        }
+    }
+
+    /// Gives type `i` `c` jobs: level `i + 1` is level `i` extended by
+    /// `θ_b,i+1·c` for every type.
+    fn set_count(&mut self, i: usize, c: u32) {
+        let c = f64::from(c);
+        let blocks = self.weights.len();
+        self.weights[i / LANES][i % LANES] = c;
+        for k in 0..blocks {
+            let coefs = &self.theta_t[k * (self.n + 1) + i + 1];
+            self.partial[(i + 1) * blocks + k] = extend(&self.partial[i * blocks + k], coefs, c);
+        }
+    }
+
+    /// Records every multiset in which the last two types share `left`
+    /// jobs, a run of siblings. Their sums are extended from level
+    /// `n - 2` in registers and never stored, and so are their weights:
+    /// the last two lanes of `weights` stay 0 and gain the two counts
+    /// through `unit`, exactly.
+    ///
+    /// Each throughput is the sum [`RatePredictor::instantaneous_throughput`]
+    /// makes over the present types, in type order from `-0.0`. Here an
+    /// absent type (or padding lane) adds `0·rate = +0.0` instead of being
+    /// skipped. Every present type adds at least [`MIN_PREDICTED_RATE`],
+    /// and adding `+0.0` changes no sum but `-0.0`, which a present type
+    /// then overwrites. So the bits agree, with no branch per type.
+    fn finish(&mut self, left: u32) {
+        let (n, blocks) = (self.n, self.weights.len());
+        let level = &self.partial[(n - 2) * blocks..(n - 1) * blocks];
+        for c in (0..=left).rev() {
+            let (a, b) = (f64::from(c), f64::from(left - c));
+            let mut total = -0.0;
+            for (((prev, w), unit), coefs) in level
+                .iter()
+                .zip(&self.weights)
+                .zip(&self.unit)
+                .zip(self.theta_t.chunks_exact(n + 1))
+            {
+                let v = extend(&extend(prev, &coefs[n - 1], a), &coefs[n], b);
+                let w = extend(&extend(w, &unit[0], a), &unit[1], b);
+                let terms: Block = std::array::from_fn(|l| w[l] * clamp_rate(v[l]));
+                for term in terms {
+                    total += term;
+                }
+            }
+            self.out.push(total);
+        }
     }
 }
 
@@ -424,7 +640,7 @@ impl FitState for NormalEquations {
         }
         self.fold(&samples[self.folded..]);
         match self.solve() {
-            Ok(theta) => Ok(Box::new(InterferencePredictor { theta })),
+            Ok(theta) => Ok(Box::new(InterferencePredictor::new(theta))),
             Err(e) => {
                 // The caller reverts its samples on failure: forget them.
                 self.clear();
@@ -438,6 +654,7 @@ impl FitState for NormalEquations {
 mod tests {
     use super::*;
     use symbiosis::enumerate_coschedules;
+    use symbiosis::rng::SplitMix64;
 
     /// Samples of an exact equal-share bottleneck: `r_b(s) = c_b/n · R_b`.
     fn bottleneck_samples(big_r: &[f64], k: usize) -> Vec<RateSample> {
@@ -627,6 +844,92 @@ mod tests {
         let pred = InterferenceFitter.fit(2, 8, &samples).unwrap();
         let v = pred.per_job_rate(&[1, 7], 0);
         assert!(v >= MIN_PREDICTED_RATE && v.is_finite());
+    }
+
+    /// A seeded coefficient: mostly moderate values of either sign, with
+    /// zeros of both signs, values that push a rate below the clamp or
+    /// past `f64::MAX`, and non-finite ones mixed in.
+    fn wild_coefficient(rng: &mut SplitMix64) -> f64 {
+        match rng.next_range(16) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -5.0 - rng.next_f64(),
+            3 => f64::MAX * (rng.next_f64() - 0.5),
+            4 if rng.next_range(4) == 0 => f64::NAN,
+            5 if rng.next_range(4) == 0 => f64::INFINITY,
+            6 if rng.next_range(4) == 0 => f64::NEG_INFINITY,
+            _ => 2.0 * rng.next_f64() - 1.0,
+        }
+    }
+
+    /// Asserts that `pred`'s bulk paths agree with its per-cell answers
+    /// bit for bit, over every multiset of `n` types and up to `k` jobs.
+    fn assert_bulk_matches_per_cell(pred: &dyn RatePredictor, n: usize, k: usize) {
+        let full = pred.full_throughputs(n, k);
+        assert_eq!(full.len(), CoscheduleIter::count_total(n, k), "n {n} k {k}");
+        for (got, s) in full.iter().zip(CoscheduleIter::new(n, k)) {
+            let want = pred.instantaneous_throughput(s.counts());
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "throughput of {s}: {got} vs {want}"
+            );
+        }
+        let mut rates = vec![f64::NAN; n];
+        for s in (1..=k).flat_map(|size| CoscheduleIter::new(n, size)) {
+            pred.per_job_rates(s.counts(), &mut rates);
+            for (ty, (&got, &c)) in rates.iter().zip(s.counts()).enumerate() {
+                let want = if c > 0 {
+                    pred.per_job_rate(s.counts(), ty)
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "rate of {ty} in {s}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_pricing_matches_per_cell_pricing_bit_for_bit() {
+        let mut rng = SplitMix64::new(0xB17F_0B17);
+        for n in 1..=8 {
+            for k in 1..=8 {
+                for _ in 0..3 {
+                    let theta: Vec<Vec<f64>> = (0..n)
+                        .map(|_| (0..=n).map(|_| wild_coefficient(&mut rng)).collect())
+                        .collect();
+                    assert_bulk_matches_per_cell(&InterferencePredictor::new(theta), n, k);
+                    // The bottleneck fitter keeps the trait's defaults.
+                    let bottleneck = BottleneckPredictor {
+                        full_rates: (0..n).map(|_| wild_coefficient(&mut rng)).collect(),
+                        solo: (0..n)
+                            .map(|_| match rng.next_range(3) {
+                                0 => f64::INFINITY,
+                                _ => wild_coefficient(&mut rng),
+                            })
+                            .collect(),
+                    };
+                    assert_bulk_matches_per_cell(&bottleneck, n, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fitted_predictor_prices_in_bulk_as_per_cell() {
+        let theta = vec![
+            vec![1.00, -0.10, -0.05, -0.02],
+            vec![0.80, -0.04, -0.12, -0.03],
+            vec![0.60, -0.02, -0.03, -0.08],
+        ];
+        let pred = InterferenceFitter
+            .fit(3, 5, &affine_samples(&theta, 5))
+            .unwrap();
+        assert_bulk_matches_per_cell(&*pred, 3, 5);
     }
 
     #[test]

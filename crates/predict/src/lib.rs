@@ -32,15 +32,19 @@
 //!   [`InterferenceFitter`] keeps its normal equations and folds in only
 //!   the appended samples, re-summing from the start only when a
 //!   re-measured multiset's rates changed. The residual refresh stays
-//!   linear in the training set; order statistics are read by selection.
-//!   The [`model`] module documents the full cost model.
+//!   linear in the training set, one [`RatePredictor::per_job_rates`]
+//!   call per sample; order statistics are read by selection. The
+//!   [`model`] module documents the full cost model.
 //! * [`PredictedModel::error_against`] — the predicted-vs-measured error
 //!   over every full coschedule, asking the ground truth once per
 //!   coschedule. A loop that re-checks the model after every refit
 //!   evaluates the truth once into a [`symbiosis::RateGrid`] and calls
 //!   [`PredictedModel::error_against_grid`], which reads the grid's stored
-//!   throughputs and reports the same bits, pricing each coschedule with
-//!   one [`RatePredictor::instantaneous_throughput`] call.
+//!   throughputs and reports the same bits. Both price the model's side
+//!   with one [`RatePredictor::full_throughputs`] call, which the
+//!   [`InterferenceFitter`]'s predictor answers with one walk of the
+//!   count lattice. Every bulk answer equals the per-cell answers bit for
+//!   bit.
 //!
 //! # Example
 //!

@@ -22,15 +22,26 @@
 //!   new samples into normal equations it keeps, and solves them; a
 //!   re-measured multiset whose rates changed, or a failed refit before,
 //!   makes it re-accumulate all `n + m`;
-//! * the residual refresh: `O(n + m)` predictor calls, since every
-//!   residual moves with the new predictor. This is the one pass over the
-//!   whole training set left in a refit.
+//! * the residual refresh: `n + m` predictor calls, since every residual
+//!   moves with the new predictor. Each call
+//!   ([`RatePredictor::per_job_rates`]) prices all of one sample's types;
+//!   the [`InterferenceFitter`](crate::InterferenceFitter) extends a
+//!   block of types' sums per count, from a transposed copy of its
+//!   coefficients. This is the one pass over the whole training set
+//!   left in a refit.
 //!
 //! After a refit, [`PredictedModel::fit_error`] and
 //! [`PredictedModel::residual_quantiles`] read order statistics by
 //! selection, `O(n + m)` with no sort, and
-//! [`PredictedModel::error_against_grid`] prices each of the grid's full
-//! coschedules with one predictor call.
+//! [`PredictedModel::error_against_grid`] prices every full coschedule
+//! with one bulk predictor call ([`RatePredictor::full_throughputs`]).
+//! The interference model answers it with one walk of the count
+//! lattice that sums each shared prefix of counts once.
+//!
+//! Both bulk paths add the same terms in the same order as the per-cell
+//! [`RatePredictor::per_job_rate`] and
+//! [`RatePredictor::instantaneous_throughput`], so every residual, error
+//! and summary equals what one call per cell would give, bit for bit.
 
 use symbiosis::{Coschedule, CoscheduleIter, RateGrid, RateModel, WorkloadRates};
 use workloads::{PerfTable, WorkUnit};
@@ -259,7 +270,7 @@ impl PredictedModel {
                     if i == self.residuals.len() {
                         self.residuals.push(Residual {
                             counts: sample.counts.clone(),
-                            per_type: Vec::with_capacity(self.num_types),
+                            per_type: vec![0.0; self.num_types],
                             rel_throughput: 0.0,
                         });
                     }
@@ -328,10 +339,12 @@ impl PredictedModel {
     /// headline number (most of those coschedules were never sampled).
     ///
     /// Asks `truth` for each full coschedule's instantaneous throughput
-    /// once. A loop that checks one model after every refit against a
-    /// truth that does not change evaluates it once into a [`RateGrid`]
-    /// and calls [`PredictedModel::error_against_grid`], which reports the
-    /// same bits.
+    /// once, and prices the model's side of every coschedule with one bulk
+    /// predictor call ([`RatePredictor::full_throughputs`]). A loop that
+    /// checks one model after every refit against a truth that does not
+    /// change evaluates it once into a [`RateGrid`] and calls
+    /// [`PredictedModel::error_against_grid`], which reports the same
+    /// bits.
     ///
     /// # Errors
     ///
@@ -339,14 +352,21 @@ impl PredictedModel {
     /// context count than the model.
     pub fn error_against(&self, truth: &dyn RateModel) -> Result<ErrorSummary, PredictError> {
         self.check_truth_shape(truth.num_types(), truth.contexts())?;
-        let errors = CoscheduleIter::new(self.num_types, self.contexts)
-            .map(|s| self.rel_error(s.counts(), truth.instantaneous_throughput(s.counts())))
-            .collect();
+        let mut errors = self.full_throughputs();
+        for (e, s) in errors
+            .iter_mut()
+            .zip(CoscheduleIter::new(self.num_types, self.contexts))
+        {
+            *e = rel_error(*e, truth.instantaneous_throughput(s.counts()));
+        }
         Ok(ErrorSummary::from_abs_rel(errors))
     }
 
     /// [`PredictedModel::error_against`] over a pre-evaluated ground truth:
-    /// every full coschedule of `grid`, read from its stored cells.
+    /// every full coschedule of `grid`, read from its stored cells, against
+    /// the model's throughputs from one bulk predictor call. These equal
+    /// one [`RateModel::instantaneous_throughput`] call per coschedule bit
+    /// for bit.
     ///
     /// # Errors
     ///
@@ -354,16 +374,18 @@ impl PredictedModel {
     /// count than the model.
     pub fn error_against_grid(&self, grid: &RateGrid) -> Result<ErrorSummary, PredictError> {
         self.check_truth_shape(grid.num_types(), grid.contexts())?;
-        let errors = grid
-            .full_cells()
-            .map(|(counts, measured)| self.rel_error(counts, measured))
-            .collect();
+        let mut errors = self.full_throughputs();
+        for (e, (_, measured)) in errors.iter_mut().zip(grid.full_cells()) {
+            *e = rel_error(*e, measured);
+        }
         Ok(ErrorSummary::from_abs_rel(errors))
     }
 
-    /// `|predicted − measured| / measured` of the instantaneous throughput.
-    fn rel_error(&self, counts: &[u32], measured: f64) -> f64 {
-        (self.instantaneous_throughput(counts) - measured).abs() / measured
+    /// The predicted throughput of every full coschedule, in
+    /// [`CoscheduleIter`] order: one bulk predictor call.
+    fn full_throughputs(&self) -> Vec<f64> {
+        self.predictor
+            .full_throughputs(self.num_types, self.contexts)
     }
 
     fn check_truth_shape(&self, num_types: usize, contexts: usize) -> Result<(), PredictError> {
@@ -501,21 +523,30 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// `|predicted − measured| / measured` of the instantaneous throughput.
+fn rel_error(predicted: f64, measured: f64) -> f64 {
+    (predicted - measured).abs() / measured
+}
+
 /// Recomputes `out` (the ledger entry of `sample`'s multiset) against
-/// `predictor`.
+/// `predictor`, with one predictor call that writes every type's
+/// per-job rate into `out.per_type` (`0.0` for absent types, which stays).
 fn fill_residual(predictor: &dyn RatePredictor, sample: &RateSample, out: &mut Residual) {
-    out.per_type.clear();
+    predictor.per_job_rates(&sample.counts, &mut out.per_type);
     let mut measured_it = 0.0;
     let mut predicted_it = 0.0;
-    for (b, (&c, &measured)) in sample.counts.iter().zip(&sample.rates).enumerate() {
-        if c == 0 {
-            out.per_type.push(0.0);
-            continue;
+    for ((residual, &c), &measured) in out
+        .per_type
+        .iter_mut()
+        .zip(&sample.counts)
+        .zip(&sample.rates)
+    {
+        if c > 0 {
+            let predicted = c as f64 * *residual;
+            *residual = measured - predicted;
+            measured_it += measured;
+            predicted_it += predicted;
         }
-        let predicted = c as f64 * predictor.per_job_rate(&sample.counts, b);
-        out.per_type.push(measured - predicted);
-        measured_it += measured;
-        predicted_it += predicted;
     }
     out.rel_throughput = (predicted_it - measured_it).abs() / measured_it;
 }
@@ -800,6 +831,38 @@ mod tests {
     }
 
     #[test]
+    fn residual_ledger_matches_per_cell_pricing_bit_for_bit() {
+        let model = PredictedModel::fit(
+            4,
+            4,
+            (1..=4)
+                .flat_map(|size| CoscheduleIter::new(4, size))
+                .map(|s| relief_sample(s.counts().to_vec()))
+                .collect(),
+            Box::new(InterferenceFitter),
+        )
+        .unwrap();
+        for (r, s) in model.residuals().iter().zip(model.samples()) {
+            let (mut measured_it, mut predicted_it) = (0.0, 0.0);
+            let mut per_type = Vec::new();
+            for (b, (&c, &measured)) in s.counts.iter().zip(&s.rates).enumerate() {
+                if c == 0 {
+                    per_type.push(0.0f64);
+                    continue;
+                }
+                let predicted = c as f64 * model.per_job_rate(&s.counts, b);
+                per_type.push(measured - predicted);
+                measured_it += measured;
+                predicted_it += predicted;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&r.per_type), bits(&per_type), "{:?}", s.counts);
+            let rel = (predicted_it - measured_it).abs() / measured_it;
+            assert_eq!(r.rel_throughput.to_bits(), rel.to_bits());
+        }
+    }
+
+    #[test]
     fn incremental_refits_match_a_fresh_fit_bit_for_bit() {
         // Four types, where types 2 and 3 always run in equal numbers.
         // Their Gram columns are then identical, so every solve takes the
@@ -1028,6 +1091,18 @@ mod tests {
             .unwrap();
         assert_eq!(from_grid.coschedules, 15); // C(3+3, 4)
         assert_eq!(from_grid, model.error_against(&truth).unwrap());
+        // Both price in bulk what one call per coschedule would.
+        let per_cell = ErrorSummary::from_abs_rel(
+            CoscheduleIter::new(3, 4)
+                .map(|s| {
+                    rel_error(
+                        model.instantaneous_throughput(s.counts()),
+                        truth.instantaneous_throughput(s.counts()),
+                    )
+                })
+                .collect(),
+        );
+        assert_eq!(from_grid, per_cell);
         // A grid over every size reads the same full stratum.
         let all_sizes = RateGrid::new(&truth).unwrap();
         assert_eq!(model.error_against_grid(&all_sizes).unwrap(), from_grid);

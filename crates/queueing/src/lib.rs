@@ -62,7 +62,7 @@ pub mod sim;
 pub use symbiosis::RateModel;
 
 pub use job::{Job, JobId, JobPool};
-pub use mmc::MmcQueue;
+pub use mmc::{MmcError, MmcQueue};
 pub use rates::ContentionModel;
 pub use sched::{FcfsScheduler, MaxItScheduler, MaxTpScheduler, Scheduler, SrptScheduler};
 pub use sim::{

@@ -6,6 +6,35 @@
 //! paper's optimal-scheduler gain) drops them to 7.3 and 2.1 — a 16%
 //! turnaround reduction from a 3% throughput increase.
 
+use std::fmt;
+
+/// Why [`MmcQueue::new`] refused its parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MmcError {
+    /// `lambda`, `mu` or `servers` is not positive, or a rate is NaN.
+    NonPositive,
+    /// Arrivals meet or exceed the service capacity `servers · mu`.
+    Unstable {
+        /// The arrival rate.
+        lambda: f64,
+        /// `servers · mu`.
+        capacity: f64,
+    },
+}
+
+impl fmt::Display for MmcError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MmcError::NonPositive => write!(f, "lambda, mu and servers must be positive"),
+            MmcError::Unstable { lambda, capacity } => {
+                write!(f, "unstable queue: lambda {lambda} >= capacity {capacity}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MmcError {}
+
 /// Analytic results for an M/M/c queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmcQueue {
@@ -22,11 +51,13 @@ impl MmcQueue {
     ///
     /// # Errors
     ///
-    /// Returns a message if any parameter is non-positive or the system is
-    /// unstable (`lambda >= c * mu`).
-    pub fn new(lambda: f64, mu: f64, servers: u32) -> Result<Self, String> {
-        if lambda <= 0.0 || mu <= 0.0 || servers == 0 {
-            return Err("lambda, mu and servers must be positive".into());
+    /// [`MmcError::NonPositive`] if any parameter is not positive (a NaN
+    /// rate included), [`MmcError::Unstable`] if the system is unstable
+    /// (`lambda >= c * mu`).
+    pub fn new(lambda: f64, mu: f64, servers: u32) -> Result<Self, MmcError> {
+        // Negated, so that a NaN rate fails too.
+        if !(lambda > 0.0 && mu > 0.0) || servers == 0 {
+            return Err(MmcError::NonPositive);
         }
         let q = MmcQueue {
             lambda,
@@ -34,10 +65,10 @@ impl MmcQueue {
             servers,
         };
         if q.rho() >= 1.0 {
-            return Err(format!(
-                "unstable queue: lambda {lambda} >= capacity {}",
-                mu * servers as f64
-            ));
+            return Err(MmcError::Unstable {
+                lambda,
+                capacity: mu * servers as f64,
+            });
         }
         Ok(q)
     }
@@ -161,11 +192,34 @@ mod tests {
 
     #[test]
     fn unstable_and_invalid_queues_rejected() {
-        assert!(MmcQueue::new(4.0, 1.0, 4).is_err());
-        assert!(MmcQueue::new(5.0, 1.0, 4).is_err());
-        assert!(MmcQueue::new(-1.0, 1.0, 4).is_err());
-        assert!(MmcQueue::new(1.0, 0.0, 4).is_err());
-        assert!(MmcQueue::new(1.0, 1.0, 0).is_err());
+        let unstable = MmcQueue::new(4.0, 1.0, 4).unwrap_err();
+        assert_eq!(
+            unstable,
+            MmcError::Unstable {
+                lambda: 4.0,
+                capacity: 4.0
+            }
+        );
+        assert_eq!(
+            unstable.to_string(),
+            "unstable queue: lambda 4 >= capacity 4"
+        );
+        assert!(matches!(
+            MmcQueue::new(5.0, 1.0, 4),
+            Err(MmcError::Unstable { .. })
+        ));
+        for (lambda, mu, servers) in [
+            (-1.0, 1.0, 4),
+            (1.0, 0.0, 4),
+            (1.0, 1.0, 0),
+            (f64::NAN, 1.0, 4),
+            (1.0, f64::NAN, 4),
+        ] {
+            assert_eq!(
+                MmcQueue::new(lambda, mu, servers),
+                Err(MmcError::NonPositive)
+            );
+        }
     }
 
     #[test]

@@ -498,17 +498,21 @@ impl TableStore {
         PerfTable::from_bytes(&bytes).ok()
     }
 
-    /// Saves a table under its content fingerprint (atomically: a
-    /// concurrent reader never sees a torn file) and returns the
-    /// fingerprint.
+    /// Saves a table's `SPT1` bytes under its content fingerprint
+    /// (atomically: a concurrent reader never sees a torn file) and
+    /// returns the fingerprint. The bytes are written as given, so a
+    /// holder of the bytes (a worker that checked a received table
+    /// against its announced fingerprint, or [`PerfTable::to_bytes`]'s
+    /// caller) saves without serialising the table again. Bytes that are
+    /// no table's encoding make a file that [`TableStore::load_content`]
+    /// reads as a miss.
     ///
     /// # Errors
     ///
     /// [`TableError::Io`] on filesystem failures.
-    pub fn save_content(&self, table: &PerfTable) -> Result<u64, TableError> {
-        let bytes = table.to_bytes();
-        let fingerprint = PerfTable::content_fingerprint_of(&bytes);
-        self.write_atomic(&self.path_for_content(fingerprint), &bytes)?;
+    pub fn save_content(&self, bytes: &[u8]) -> Result<u64, TableError> {
+        let fingerprint = PerfTable::content_fingerprint_of(bytes);
+        self.write_atomic(&self.path_for_content(fingerprint), bytes)?;
         Ok(fingerprint)
     }
 }
@@ -881,7 +885,7 @@ mod tests {
         let dir = temp_dir("content");
         let store = TableStore::new(&dir);
         let table = tiny_table();
-        let fp = store.save_content(&table).unwrap();
+        let fp = store.save_content(&table.to_bytes()).unwrap();
         assert_eq!(fp, table.content_fingerprint());
         let loaded = store.load_content(fp).unwrap();
         assert_eq!(table, loaded, "content cache must be bitwise faithful");
@@ -896,7 +900,7 @@ mod tests {
         let dir = temp_dir("mislabel");
         let store = TableStore::new(&dir);
         let table = tiny_table();
-        let fp = store.save_content(&table).unwrap();
+        let fp = store.save_content(&table.to_bytes()).unwrap();
         // A valid table file stored under the wrong fingerprint must not be
         // trusted: the re-verification catches the mismatch.
         let wrong = fp ^ 0xDEAD;

@@ -144,7 +144,7 @@ pub mod prelude {
     };
     pub use queueing::{
         BatchConfig, BatchReport, ContentionModel, FcfsScheduler, LatencyConfig, LatencyReport,
-        MaxItScheduler, MaxTpScheduler, MmcQueue, Scheduler, SizeDist, SrptScheduler,
+        MaxItScheduler, MaxTpScheduler, MmcError, MmcQueue, Scheduler, SizeDist, SrptScheduler,
     };
     pub use serve::{
         run_serve, BeamPlacer, BreakerConfig, Dispatcher, Placer, PolicyPlacer, ServeConfig,
