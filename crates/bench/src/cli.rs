@@ -236,7 +236,7 @@ fn run_worker_service(addr: &str, config: &StudyConfig) -> ExitCode {
         } else {
             Duration::from_secs(3)
         };
-        match dist::worker::connect_retry(addr, patience, config.seed ^ std::process::id() as u64) {
+        match dist::connect_retry(addr, patience, config.seed ^ std::process::id() as u64) {
             Ok(transport) => match dist::run_worker(transport, &worker_config) {
                 Ok(summary) => {
                     served += 1;

@@ -3,13 +3,14 @@
 //! machinery end to end.
 //!
 //! Three legs, every fault drawn from a seeded [`ChaosPlan`] so the
-//! storm reproduces from the configuration alone:
+//! whole experiment reproduces from the configuration alone:
 //!
-//! 1. **Distributed fault storm** — a three-worker TCP sweep where one
-//!    worker crashes mid-chunk, one falls silent, and the survivor's
-//!    frames are duplicated while the coordinator's ends delay and
-//!    bit-flip frames. The merged report must stay bitwise identical to
-//!    the single-process run and finish inside a wall-clock bound.
+//! 1. **Distributed fault storm** — a four-worker sweep on dist's
+//!    virtual-time network ([`Coordinator::simulate`]): one worker
+//!    crashes, one falls silent, one's frames are duplicated or lost, the
+//!    coordinator's ends delay frames and bit-flip the fourth link's. The
+//!    merged report must stay bitwise identical to the single-process
+//!    run; the fault tally and recovery counters replay exactly.
 //! 2. **Serve degradation soak** — the online service starts from a
 //!    model fitted against the *wrong* machine; the circuit breaker
 //!    trips on the twin's `fit_q90` health signal, placements fall back
@@ -20,14 +21,9 @@
 //!    poisoned lock or a hung shutdown.
 
 use std::fmt;
-use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use dist::{
-    run_worker, ChaosPlan, ChaosStats, ChaosTransport, Coordinator, DistConfig, TcpTransport,
-    WorkerConfig,
-};
+use dist::{ChaosPlan, ChaosStats, Coordinator, DistConfig, Link, Simulation, WorkerConfig};
 use predict::{InterferenceFitter, PredictedModel, RateSample};
 use serve::{run_serve, BeamPlacer, BreakerConfig, ServeConfig, ServeError, ServeReport};
 use session::{Policy, Session, SweepBuilder, SweepReport};
@@ -39,21 +35,23 @@ use crate::experiments::ExperimentError;
 use crate::study::StudyConfig;
 
 /// Workers in the storm: one crasher, one hanger, one worker whose
-/// answers get duplicated, and one clean worker whose coordinator end
-/// corrupts every received frame (the guaranteed-corruption casualty).
+/// frames get duplicated or lost, and one clean worker whose coordinator
+/// end corrupts every received frame (the guaranteed-corruption casualty).
 const STORM_WORKERS: usize = 4;
 
-/// Frames across the crashing worker's transport before it dies: past
-/// the 6-frame cold handshake + first chunk, so it crashes holding work.
+/// Frames across the crashing worker's end before it dies.
 const CRASH_AFTER_FRAMES: usize = 10;
 
-/// Frames across the hanging worker's transport before it falls silent.
+/// Frames across the hanging worker's end before it falls silent.
 const HANG_AFTER_FRAMES: usize = 8;
 
-/// P(the surviving worker's sent frame is delivered twice).
+/// P(the third worker's sent frame is delivered twice).
 const DUPLICATE_P: f64 = 0.25;
 
-/// P(a coordinator-sent frame is delayed), and the delay bound.
+/// P(the third worker's sent frame is lost).
+const DROP_P: f64 = 0.1;
+
+/// P(a coordinator-sent frame is delayed).
 const DELAY_P: f64 = 0.20;
 
 /// P(a received frame has one bit flipped) on the sacrificial fourth
@@ -62,47 +60,12 @@ const DELAY_P: f64 = 0.20;
 /// (the other three carry the sweep, so parity never depends on it).
 const CORRUPT_P: f64 = 1.0;
 
-/// Hard wall-clock bound on the storm: a run that survives the faults
-/// but creeps past this has lost the recovery argument.
-const STORM_WALL_BOUND: Duration = Duration::from_secs(60);
-
 /// The policies swept in the storm leg.
 const POLICIES: [Policy; 3] = [Policy::Worst, Policy::FcfsEvent, Policy::Optimal];
 
-/// Aggregated per-fault-class tally across every chaotic transport.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultTally {
-    /// Frames silently dropped on send.
-    pub drops: usize,
-    /// Frames delivered twice on send.
-    pub duplicates: usize,
-    /// Frames delayed on send.
-    pub delays: usize,
-    /// Frames bit-flipped on receive.
-    pub corruptions: usize,
-    /// Transports whose crash trigger fired.
-    pub crashed: usize,
-    /// Transports whose hang trigger fired.
-    pub hung: usize,
-}
-
-impl FaultTally {
-    fn absorb(&mut self, stats: &ChaosStats) {
-        self.drops += stats.drops;
-        self.duplicates += stats.duplicates;
-        self.delays += stats.delays;
-        self.corruptions += stats.corruptions;
-        self.crashed += usize::from(stats.crashed);
-        self.hung += usize::from(stats.hung);
-    }
-}
-
-/// The chaos artefact: storm shape plus breaker and panic evidence.
-///
-/// The storm's fault tally and recovery counters depend on thread timing
-/// (which worker holds which chunk when a trigger fires), so [`run`]
-/// prints them, with the storm's wall time, to stderr; `Display` leaves
-/// them out.
+/// The chaos artefact: storm shape, faults and recovery, plus breaker and
+/// panic evidence.
+#[derive(Debug, Default)]
 pub struct ChaosStudy {
     /// Workloads in the storm sweep.
     pub workloads: usize,
@@ -110,8 +73,8 @@ pub struct ChaosStudy {
     pub chunks: usize,
     /// FCFS jobs per sweep cell.
     pub jobs: u64,
-    /// Injected-fault tally across all six chaotic transports.
-    pub faults: FaultTally,
+    /// Injected-fault tally across every link end.
+    pub faults: ChaosStats,
     /// Chunk requeues the coordinator performed.
     pub requeues: usize,
     /// Straggler chunks re-dispatched (hedged).
@@ -156,11 +119,6 @@ fn storm_jobs(cfg: &StudyConfig) -> u64 {
     (cfg.fcfs_jobs / 10).clamp(1_000, 4_000)
 }
 
-/// Serve-leg scale: how many jobs stream through each service run.
-fn serve_jobs(cfg: &StudyConfig) -> usize {
-    (cfg.fcfs_jobs / 10).clamp(200, 600) as usize
-}
-
 /// The storm's own tiny table: 5 benchmarks on short-window smt4, built
 /// fresh so the leg never waits on the full study tables.
 fn tiny_table(threads: usize) -> Result<PerfTable, ExperimentError> {
@@ -179,185 +137,89 @@ fn storm_sweep<'t>(table: &'t PerfTable, cfg: &StudyConfig) -> SweepBuilder<'t> 
         .threads(cfg.threads)
 }
 
-/// Bitwise parity between the storm's merged report and the reference.
+/// Bitwise parity between the storm's merged report and the reference:
+/// equal values and equal `Debug` renderings, which print every float to
+/// the bit (`-0.0` and `0.0` differ).
 fn parity(distributed: &SweepReport, reference: &SweepReport) -> bool {
-    if distributed != reference {
-        return false;
-    }
-    distributed.rows.iter().zip(&reference.rows).all(|(d, r)| {
-        d.workload == r.workload
-            && d.report
-                .rows
-                .iter()
-                .zip(&r.report.rows)
-                .all(|(dp, rp)| dp.throughput.to_bits() == rp.throughput.to_bits())
-    })
+    distributed == reference && format!("{distributed:?}") == format!("{reference:?}")
 }
 
-/// Runs the distributed fault storm; fills the storm fields of `out` and
-/// prints the run-dependent ones (faults, recovery, wall) to stderr.
-fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentError> {
-    let table = tiny_table(cfg.threads)?;
-    let reference = storm_sweep(&table, cfg).run()?;
-
-    let dist_cfg = DistConfig {
-        chunk_size: 1, // 10 chunks: every fault lands on a small blast radius
-        retry_budget: 8,
-        recv_timeout: Duration::from_secs(3),
-        hedge: true,
-        quarantine_limit: 16,
-    };
-    let coordinator = Coordinator::from_sweep(storm_sweep(&table, cfg), dist_cfg)?;
-    out.workloads = reference.len();
-    out.chunks = coordinator.chunk_count();
-
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-
-    // Worker-side plans: a crasher, a hanger, a worker whose answers
-    // get duplicated, and a clean worker (the corruption casualty — its
-    // faults live on the coordinator end). All seeded off the study
-    // seed. Workers connect and are accepted one at a time so the
-    // coordinator-end plans line up with the worker-side ones even
-    // though TCP accept order is otherwise scheduler-dependent.
-    let worker_plans = [
+/// The storm's links, seeded off the study seed: worker-end plans for a
+/// crasher, a hanger and a duplicating, dropping worker; coordinator ends
+/// delay frames everywhere and corrupt every frame on the fourth link.
+fn storm_links(seed: u64) -> Vec<Link> {
+    let workers = [
+        ChaosPlan::crash_after(CRASH_AFTER_FRAMES),
+        ChaosPlan::hang_after(HANG_AFTER_FRAMES),
         ChaosPlan {
-            seed: cfg.seed ^ 0x01,
-            ..ChaosPlan::crash_after(CRASH_AFTER_FRAMES)
-        },
-        ChaosPlan {
-            seed: cfg.seed ^ 0x02,
-            ..ChaosPlan::hang_after(HANG_AFTER_FRAMES)
-        },
-        ChaosPlan {
-            seed: cfg.seed ^ 0x03,
             duplicate: DUPLICATE_P,
+            drop: DROP_P,
             ..ChaosPlan::default()
         },
         ChaosPlan::default(),
     ];
-    let per_worker_threads = (cfg.threads / STORM_WORKERS).max(1);
-    let mut stats: Vec<Arc<Mutex<ChaosStats>>> = Vec::new();
-    let mut fleet = Vec::new();
-    let mut ends = Vec::with_capacity(STORM_WORKERS);
-    // Each victim starts once the one before it has met its fault: the
-    // crasher runs alone, then the hanger, then the other two. Alone, the
-    // crasher's frames are the cold handshake and two whole chunks before
-    // it dies, and the hanger's the handshake, one chunk and a request it
-    // never reads the answer to, so it hangs holding a chunk. Sharing the
-    // queue from the start, fast survivors could drain it before either
-    // trigger fired.
-    let mut victim: Option<(Arc<Mutex<ChaosStats>>, Fired)> = None;
-    for (i, plan) in worker_plans.into_iter().enumerate() {
-        let stream = TcpStream::connect(addr.as_str())?;
-        // A generous read timeout: the fault triggers themselves return
-        // immediately, this only guards against a wedged coordinator.
-        let transport = TcpTransport::from_stream(stream, Duration::from_secs(10))?;
-        let chaotic = ChaosTransport::new(transport, plan);
-        let handle = chaotic.stats_handle();
-        stats.push(Arc::clone(&handle));
-        let worker_cfg = WorkerConfig {
-            threads: per_worker_threads,
-            cache: None,
-        };
-        let admit_after = victim.clone();
-        fleet.push(std::thread::spawn(move || {
-            if let Some((victim, fired)) = admit_after {
-                wait_for_fault(&victim, fired);
-            }
-            run_worker(chaotic, &worker_cfg)
-        }));
-        let fault: Option<Fired> = match i {
-            0 => Some(|s| s.crashed),
-            1 => Some(|s| s.hung),
-            _ => None,
-        };
-        if let Some(fired) = fault {
-            victim = Some((handle, fired));
-        }
-
-        // The matching coordinator end: seeded delays everywhere, plus
-        // total receive corruption on the last (sacrificial) connection.
-        let (accepted, _) = listener.accept()?;
-        let transport = TcpTransport::from_stream(accepted, dist_cfg_recv_timeout())?;
-        let corrupt = if i == STORM_WORKERS - 1 {
-            CORRUPT_P
-        } else {
-            0.0
-        };
-        let chaotic = ChaosTransport::new(
-            transport,
-            ChaosPlan {
-                seed: cfg.seed ^ (0x10 + i as u64),
+    workers
+        .into_iter()
+        .enumerate()
+        .map(|(i, worker)| Link {
+            worker: ChaosPlan {
+                seed: seed ^ (i as u64 + 1),
+                ..worker
+            },
+            coordinator: ChaosPlan {
+                seed: seed ^ (0x10 + i as u64),
                 delay: DELAY_P,
-                corrupt,
+                corrupt: if i == STORM_WORKERS - 1 {
+                    CORRUPT_P
+                } else {
+                    0.0
+                },
                 ..ChaosPlan::default()
             },
-        );
-        stats.push(chaotic.stats_handle());
-        ends.push(chaotic);
-    }
+        })
+        .collect()
+}
 
+/// Runs the storm: the reference report, the chunk count and the run.
+fn storm(cfg: &StudyConfig) -> Result<(SweepReport, usize, Simulation), ExperimentError> {
+    let table = tiny_table(cfg.threads)?;
+    let reference = storm_sweep(&table, cfg).run()?;
+    let dist_cfg = DistConfig {
+        chunk_size: 1, // 10 chunks: every fault lands on a small blast radius
+        retry_budget: 8,
+        recv_timeout: std::time::Duration::from_secs(3),
+        hedge: true,
+        quarantine_limit: 16,
+    };
+    let coordinator = Coordinator::from_sweep(storm_sweep(&table, cfg), dist_cfg)?;
+    let worker = WorkerConfig {
+        threads: (cfg.threads / STORM_WORKERS).max(1),
+        cache: None,
+    };
+    let run = coordinator.simulate(&storm_links(cfg.seed), &worker);
+    Ok((reference, coordinator.chunk_count(), run))
+}
+
+/// Fills the storm fields of `out`; the storm's wall time goes to stderr.
+fn run_storm(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), ExperimentError> {
     let t0 = Instant::now();
-    let outcome = coordinator.run(ends)?;
-    let storm_wall = t0.elapsed();
-    for handle in fleet {
-        // Victims exit with Disconnected/Timeout by design; a panic is
-        // the only thing that may not happen.
-        let _ = handle.join().map_err(|_| "storm worker panicked")?;
-    }
-
+    let (reference, chunks, run) = storm(cfg)?;
+    let outcome = run.outcome?;
     if !parity(&outcome.report, &reference) {
         return Err("storm sweep diverged from the single-process run".into());
     }
-    if storm_wall > STORM_WALL_BOUND {
-        return Err(
-            format!("storm took {storm_wall:.1?}, past the {STORM_WALL_BOUND:?} bound").into(),
-        );
-    }
-
-    for handle in &stats {
-        let snapshot = handle
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        out.faults.absorb(&snapshot);
-    }
+    out.workloads = reference.len();
+    out.chunks = chunks;
     out.jobs = storm_jobs(cfg);
+    for link in &run.faults {
+        out.faults.absorb(link);
+    }
     out.requeues = outcome.requeues;
     out.hedges = outcome.hedges;
     out.duplicates_discarded = outcome.duplicates;
     out.strikes = outcome.strikes;
-    let f = &out.faults;
-    eprintln!(
-        "chaos: faults observed crashed={} hung={} drops={} duplicates={} delays={} corruptions={}",
-        f.crashed, f.hung, f.drops, f.duplicates, f.delays, f.corruptions
-    );
-    eprintln!(
-        "chaos: recovery requeues={} hedges={} duplicate-answers-discarded={} strikes={}",
-        out.requeues, out.hedges, out.duplicates_discarded, out.strikes
-    );
-    eprintln!("chaos: storm wall {storm_wall:.2?} (bound {STORM_WALL_BOUND:?})");
+    eprintln!("chaos: storm wall {:.2?}", t0.elapsed());
     Ok(())
-}
-
-/// Whether a storm victim's fault has fired, read off its stats.
-type Fired = fn(&ChaosStats) -> bool;
-
-/// Blocks until `fired` holds for a victim's stats. The wait is bounded
-/// well inside the coordinator's wait for a worker's first frame (the
-/// storm's 3 s receive timeout), so a victim that never faults leaves the
-/// next worker racing as before instead of losing its connection.
-fn wait_for_fault(victim: &Mutex<ChaosStats>, fired: Fired) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while !fired(&victim.lock().unwrap_or_else(|p| p.into_inner())) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// The coordinator-side socket read timeout: above the DistConfig recv
-/// timeout so the deadline logic, not the OS, decides a worker is dead.
-fn dist_cfg_recv_timeout() -> Duration {
-    Duration::from_secs(5)
 }
 
 /// Ground truth for the serve legs: real symbiosis on a 4-context chip.
@@ -403,7 +265,7 @@ fn seed_model(from: &dyn RateModel) -> Result<PredictedModel, ExperimentError> {
 fn serve_base_cfg(cfg: &StudyConfig) -> ServeConfig {
     ServeConfig {
         arrival_rate: 2.5,
-        jobs: serve_jobs(cfg),
+        jobs: (cfg.fcfs_jobs / 10).clamp(200, 600) as usize, // serve-leg scale
         seed: cfg.seed,
         queue_capacity: 256,
         batch: 40,
@@ -433,16 +295,10 @@ fn run_degradation(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), Experi
     out.serve_jobs = base.jobs;
 
     let calibration = run_serve_leg(&base, &truth)?;
-    let first = calibration
-        .refits
-        .first()
-        .ok_or("calibration run never refitted")?
-        .fit_q90;
-    let last = calibration
-        .refits
-        .last()
-        .ok_or("calibration run never refitted")?
-        .fit_q90;
+    let (first, last) = match (calibration.refits.first(), calibration.refits.last()) {
+        (Some(first), Some(last)) => (first.fit_q90, last.fit_q90),
+        _ => return Err("calibration run never refitted".into()),
+    };
     if last >= first {
         return Err(format!(
             "the twin did not improve on the stale seed (fit_q90 {first} -> {last})"
@@ -471,16 +327,9 @@ fn run_degradation(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), Experi
     out.trips = report.trips;
     out.recoveries = report.recoveries;
     out.fallback_calls = report.fallback_calls;
-    out.trip_generation = report
-        .events
-        .iter()
-        .find(|e| e.opened)
-        .map_or(0, |e| e.generation);
-    out.recover_generation = report
-        .events
-        .iter()
-        .find(|e| !e.opened)
-        .map_or(0, |e| e.generation);
+    let first_event = |opened| report.events.iter().find(|e| e.opened == opened);
+    out.trip_generation = first_event(true).map_or(0, |e| e.generation);
+    out.recover_generation = first_event(false).map_or(0, |e| e.generation);
     out.completed = soaked.completed;
     out.submitted = soaked.submitted;
     out.mean_slowdown = soaked.mean_slowdown;
@@ -508,13 +357,8 @@ fn run_twin_panic(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), Experim
         twin_panic_at_batch: Some(1),
         ..serve_base_cfg(cfg)
     };
-    let stale = stale_truth();
-    match run_serve(
-        &truth,
-        seed_model(&stale)?,
-        Box::new(BeamPlacer::new(6)),
-        &panic_cfg,
-    ) {
+    let stale = seed_model(&stale_truth())?;
+    match run_serve(&truth, stale, Box::new(BeamPlacer::new(6)), &panic_cfg) {
         Err(ServeError::Twin(e)) => {
             out.twin_panic = e.to_string();
             Ok(())
@@ -532,30 +376,7 @@ fn run_twin_panic(cfg: &StudyConfig, out: &mut ChaosStudy) -> Result<(), Experim
 /// trip + recovery, clean panic surfacing) is an error, never a silent
 /// artefact.
 pub fn run(cfg: &StudyConfig) -> Result<ChaosStudy, ExperimentError> {
-    let mut out = ChaosStudy {
-        workloads: 0,
-        chunks: 0,
-        jobs: 0,
-        faults: FaultTally::default(),
-        requeues: 0,
-        hedges: 0,
-        duplicates_discarded: 0,
-        strikes: 0,
-        serve_jobs: 0,
-        q90_first: 0.0,
-        q90_last: 0.0,
-        trip_q90: 0.0,
-        recover_q90: 0.0,
-        trips: 0,
-        recoveries: 0,
-        fallback_calls: 0,
-        trip_generation: 0,
-        recover_generation: 0,
-        completed: 0,
-        submitted: 0,
-        mean_slowdown: 0.0,
-        twin_panic: String::new(),
-    };
+    let mut out = ChaosStudy::default();
     run_storm(cfg, &mut out)?;
     run_degradation(cfg, &mut out)?;
     run_twin_panic(cfg, &mut out)?;
@@ -571,7 +392,7 @@ impl fmt::Display for ChaosStudy {
         writeln!(f, "\ndistributed fault storm:")?;
         writeln!(
             f,
-            "  sweep              : {} workloads x {} policies in {} chunk(s), {} jobs/cell, {} TCP workers",
+            "  sweep              : {} workloads x {} policies in {} chunk(s), {} jobs/cell, {} simulated workers",
             self.workloads,
             POLICIES.len(),
             self.chunks,
@@ -580,11 +401,17 @@ impl fmt::Display for ChaosStudy {
         )?;
         writeln!(
             f,
-            "  injected (workers) : crash@{CRASH_AFTER_FRAMES} frames, hang@{HANG_AFTER_FRAMES} frames, duplicate p={DUPLICATE_P}"
+            "  injected (workers) : crash@{CRASH_AFTER_FRAMES} frames, hang@{HANG_AFTER_FRAMES} frames, duplicate p={DUPLICATE_P}, drop p={DROP_P}"
         )?;
         writeln!(
             f,
             "  injected (coord)   : delay p={DELAY_P} everywhere; corrupt p={CORRUPT_P} on the sacrificial 4th connection"
+        )?;
+        writeln!(f, "  faults             : {}", self.faults)?;
+        writeln!(
+            f,
+            "  recovery           : requeues={} hedges={} duplicate-answers-discarded={} strikes={}",
+            self.requeues, self.hedges, self.duplicates_discarded, self.strikes
         )?;
         writeln!(
             f,
@@ -640,22 +467,38 @@ mod tests {
         cfg
     }
 
+    /// One run at [`test_cfg`], shared by the tests below.
+    fn study() -> &'static ChaosStudy {
+        static STUDY: std::sync::OnceLock<ChaosStudy> = std::sync::OnceLock::new();
+        STUDY.get_or_init(|| run(&test_cfg()).unwrap())
+    }
+
+    /// Golden FNV-1a digest of the printed artefact at [`test_cfg`]. A
+    /// change meant to move it re-pins it and says why in CHANGES.md.
+    const GOLDEN: u64 = 0xc5a0_dca9_251e_09fd;
+
     /// The acceptance criterion in one piece: the storm holds parity
-    /// under crash + hang + duplicate + corrupt faults, the breaker
-    /// demonstrably trips and recovers, and the twin panic surfaces.
+    /// under every fault class with exact, replayable counts, the
+    /// breaker demonstrably trips and recovers, and the twin panic
+    /// surfaces.
     #[test]
     fn chaos_legs_hold_their_robustness_contracts() {
-        let res = run(&test_cfg()).unwrap();
-        assert_eq!(res.faults.crashed, 1, "the crash trigger fired once");
-        assert_eq!(res.faults.hung, 1, "the hang trigger fired once");
-        assert!(res.faults.corruptions >= 1, "corruption was observed");
-        // The crashed worker's held chunk comes back either as a requeue
-        // (no one else had it) or as a hedge (an idle worker already did).
-        assert!(
-            res.requeues + res.hedges >= 1,
-            "lost chunks were re-dispatched"
-        );
-        assert!(res.strikes >= 1, "corrupt frames drew strikes");
+        let res = study();
+        let faults = ChaosStats {
+            drops: 1,
+            duplicates: 3,
+            delays: 4,
+            corruptions: 1,
+            crashed: 1,
+            hung: 1,
+        };
+        assert_eq!(res.faults, faults);
+        // The crashed and the hung worker's chunks were both hedged onto
+        // idle workers; the fourth link's corrupt Hello drew one strike.
+        assert_eq!(res.requeues, 0);
+        assert_eq!(res.hedges, 2);
+        assert_eq!(res.duplicates_discarded, 1);
+        assert_eq!(res.strikes, 1);
         assert!(res.trips >= 1, "the breaker tripped on the stale model");
         assert!(res.recoveries >= 1, "the breaker recovered after refits");
         assert!(res.fallback_calls > 0, "FCFS actually served while open");
@@ -663,6 +506,53 @@ mod tests {
         let text = res.to_string();
         assert!(text.contains("chaos layer"));
         assert!(text.contains("parity             : PASS"));
+        assert!(text.contains("faults             : crashed=1 hung=1"));
         assert!(text.contains("recoveries="));
+    }
+
+    #[test]
+    fn chaos_stdout_matches_its_golden_digest() {
+        let text = study().to_string();
+        let digest = crate::artefact_digest(&text);
+        assert_eq!(digest, GOLDEN, "chaos digest moved: {digest:#018x}\n{text}");
+    }
+
+    /// The storm is a function of its configuration: run twice, the
+    /// second time on one evaluation thread, it injects the same faults
+    /// on every link and recovers with the same counters.
+    #[test]
+    fn the_storm_replays_exactly() {
+        let mut cfg = test_cfg();
+        let (_, _, a) = storm(&cfg).unwrap();
+        cfg.threads = 1;
+        let (_, _, b) = storm(&cfg).unwrap();
+        let counters = |sim: &Simulation| {
+            let o = sim.outcome.as_ref().expect("the storm completes");
+            (o.chunks, o.requeues, o.hedges, o.duplicates, o.strikes)
+        };
+        assert_eq!(counters(&a), counters(&b));
+        assert_eq!(a.faults, b.faults);
+        // Recovery does not creep: the last connection closes about one
+        // 3 s read timeout (virtual) after the silent links went quiet.
+        let outcome = a.outcome.as_ref().unwrap();
+        let last_close = outcome.workers.iter().map(|w| w.wall).max().unwrap();
+        assert!(
+            last_close < std::time::Duration::from_secs(4),
+            "{last_close:?}"
+        );
+        let mut tally = ChaosStats::default();
+        for link in &a.faults {
+            tally.absorb(link);
+        }
+        for (class, count) in [
+            ("drop", tally.drops),
+            ("duplicate", tally.duplicates),
+            ("delay", tally.delays),
+            ("corrupt", tally.corruptions),
+            ("crash", tally.crashed),
+            ("hang", tally.hung),
+        ] {
+            assert!(count >= 1, "no {class} fault fired");
+        }
     }
 }

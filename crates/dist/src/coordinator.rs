@@ -1,62 +1,41 @@
-//! The coordinator half: chunked work-queue dispatch over any set of
-//! [`Transport`]s, with bounded retries and an order-preserving merge.
+//! The coordinator half: chunked work-queue dispatch with bounded
+//! retries and an order-preserving merge, as a state machine.
 //!
-//! The workload list is split into *consecutive* chunks up front; chunk
-//! order therefore encodes original workload order, and reassembling the
-//! per-chunk reports with [`SweepReport::merge`] in chunk order
-//! reproduces the single-process [`session::Session::sweep`] report
-//! bitwise — no matter which worker evaluated which chunk, in what
-//! order, or how many times a chunk had to be re-handed out.
+//! The workload list is split into *consecutive* chunks, so the answers
+//! concatenated in chunk order reproduce the single-process
+//! [`session::Session::sweep`] report bitwise, whoever evaluated what.
 //!
-//! Dispatch is pull-based: workers ask ([`crate::proto::Frame::FetchChunk`])
-//! and the coordinator answers with the next pending chunk, so fast
-//! workers naturally take more of the queue and a straggler holds at most
-//! one chunk. A worker that disconnects or times out while holding a
-//! chunk returns it to the queue; each chunk carries a bounded attempt
-//! budget so a poisoned chunk (or a flapping fleet) surfaces
-//! [`DistError::RetryExhausted`] instead of cycling forever. A worker
-//! that *reports* a failure ([`crate::proto::Frame::Error`]) aborts the
-//! sweep without retry: sweep evaluation is deterministic, so the chunk
-//! would fail identically everywhere.
+//! The whole policy is one value, `Machine`: an event on a connection (a
+//! frame, undecodable bytes, a lost link) or a passed deadline yields the
+//! frames to send and the connections to close. It owns no thread, lock,
+//! channel or clock; [`Coordinator::run`] drives it over real
+//! [`crate::Transport`]s, [`Coordinator::simulate`] under virtual time.
 //!
-//! # Failure containment
-//!
-//! Three more mechanisms keep one bad connection from stalling or
-//! corrupting the run (all deterministic, all exercised by the chaos
-//! tests):
-//!
-//! - **Strikes and quarantine.** A malformed or unexpected frame is a
-//!   *strike*, not a fatal error: the connection's held chunks return to
-//!   the queue and the conversation continues. A connection exceeding
-//!   [`DistConfig::quarantine_limit`] strikes is retired so a babbling
-//!   worker cannot spin the coordinator forever.
-//! - **Hedged re-dispatch.** With [`DistConfig::hedge`] enabled, an idle
-//!   worker re-runs the lowest straggler chunk still in flight elsewhere
-//!   (once per chunk). The first answer wins; later copies are discarded
-//!   by chunk id, so duplicates never reach the merge and parity with
-//!   the single-process sweep is preserved.
-//! - **Bounded waits.** A worker waiting for the queue gives up after
-//!   [`DistConfig::recv_timeout`] without global progress, so a silently
-//!   wedged fleet ends in [`DistError::Timeout`] / [`DistError::Incomplete`]
-//!   rather than a hang.
+//! - **Pull dispatch.** A [`Frame::FetchChunk`] gets the next pending
+//!   chunk, so fast workers take more; with none pending but some in
+//!   flight elsewhere, the request *parks* until the queue moves.
+//! - **Requeues under a budget.** A lost connection's chunks return to
+//!   the queue; past [`DistConfig::retry_budget`] the run fails with
+//!   [`DistError::RetryExhausted`]. A worker-reported [`Frame::Error`]
+//!   aborts at once: evaluation is deterministic.
+//! - **Strikes.** A malformed or unexpected frame re-queues the
+//!   connection's chunks and the conversation goes on, up to
+//!   [`DistConfig::quarantine_limit`].
+//! - **Hedging.** With [`DistConfig::hedge`], an idle worker re-runs the
+//!   lowest straggler (once per chunk); the first answer wins.
+//! - **Deadlines.** A connection is retired [`DistConfig::recv_timeout`]
+//!   after its last frame; a parked one's deadline moves whenever a chunk
+//!   completes.
 
-use std::collections::{HashMap, VecDeque};
-use std::net::TcpListener;
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use session::{EvalSpec, SessionReport, SweepBuilder, SweepReport, SweepRow};
 use workloads::{PerfTable, WorkUnit};
 
-use crate::backoff::Backoff;
 use crate::proto::{Frame, PROTOCOL_VERSION};
-use crate::transport::{TcpTransport, Transport};
 use crate::DistError;
-
-/// How long [`Coordinator::serve_listener`] waits for the expected number
-/// of workers to connect.
-const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone)]
@@ -69,11 +48,11 @@ pub struct DistConfig {
     /// `retry_budget + 1` failing is fatal
     /// ([`DistError::RetryExhausted`]). Default 2.
     pub retry_budget: usize,
-    /// Per-connection read timeout on the coordinator side; a worker that
-    /// holds a chunk silently for longer is treated as lost and its chunk
-    /// re-queued. [`Coordinator::run`] caps every transport's own read
-    /// timeout at this value. Also bounds how long an idle worker waits
-    /// for the queue to move. Default 120 s.
+    /// How long a connection may stay silent; a worker that holds a
+    /// chunk silently for longer is treated as lost and its chunk
+    /// re-queued. [`Coordinator::run`] sets every transport's read timeout
+    /// to it. Also bounds how long an idle worker waits for the queue to
+    /// move. Default 120 s.
     pub recv_timeout: Duration,
     /// Hedged re-dispatch: when the queue is empty but chunks are still
     /// in flight, hand an idle worker a copy of the lowest straggler
@@ -107,7 +86,8 @@ pub struct WorkerLog {
     pub chunks: usize,
     /// Sweep rows this worker produced.
     pub rows: usize,
-    /// Wall-clock time from handshake to disconnect.
+    /// Time from the start of the run until this connection closed
+    /// (virtual time on the simulated network).
     pub wall: Duration,
 }
 
@@ -120,21 +100,6 @@ impl WorkerLog {
         } else {
             0.0
         }
-    }
-}
-
-impl std::fmt::Display for WorkerLog {
-    /// One aligned accounting row: peer, chunks, rows, wall, rows/s.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<24} {:>6} chunk(s) {:>8} row(s) {:>10.2?} {:>10.1} rows/s",
-            self.peer,
-            self.chunks,
-            self.rows,
-            self.wall,
-            self.rows_per_sec()
-        )
     }
 }
 
@@ -163,74 +128,16 @@ pub struct DistOutcome {
     pub metrics: obs::MetricsSnapshot,
 }
 
-/// Book-keeping for one run, shared across worker-serving threads.
-struct Shared {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-struct QueueState {
-    /// Chunk indices awaiting hand-out (may contain stale entries for
-    /// chunks that completed through another copy; hand-out skips them).
-    pending: VecDeque<usize>,
-    /// Hand-out attempts per chunk (1 = first try).
-    attempts: Vec<usize>,
-    /// Connections currently holding each chunk.
-    inflight: Vec<usize>,
-    /// Whether each chunk has used its one cross-worker hedge.
-    hedged: Vec<bool>,
-    /// Completed per-chunk reports, indexed by chunk.
-    reports: Vec<Option<Vec<SessionReport>>>,
-    /// Chunks completed so far.
-    done: usize,
-    /// Chunks returned to the queue by retire/strike.
-    requeues: usize,
-    /// Extra hand-outs of in-flight chunks.
-    hedges: usize,
-    /// Redundant answers discarded by chunk id.
-    duplicates: usize,
-    /// Protocol strikes across all connections.
-    strikes: usize,
-    /// First fatal error; ends the whole run.
-    fatal: Option<DistError>,
-}
-
-impl QueueState {
-    /// Returns `id` to the queue unless it is complete, already queued,
-    /// or still held elsewhere.
-    fn requeue_if_orphaned(&mut self, id: usize) {
-        if self.reports[id].is_none() && self.inflight[id] == 0 && !self.pending.contains(&id) {
-            self.pending.push_back(id);
-            self.requeues += 1;
-            obs::event!(
-                Debug,
-                "dist.chunk_requeued",
-                "chunk {id} returned to the queue"
-            );
-        }
-    }
-}
-
-/// What a `FetchChunk` request is answered with.
-enum NextChunk {
-    /// Hand out this chunk.
-    Hand(usize),
-    /// The sweep is complete: send Drained and finish the conversation.
-    Drained,
-    /// The run is already lost: the Error frame went out, just exit.
-    Abort,
-}
-
 /// Shards one sweep across workers. See the module docs for the
 /// dispatch and retry semantics.
 pub struct Coordinator {
-    table_bytes: Vec<u8>,
-    fingerprint: u64,
+    pub(crate) table_bytes: Vec<u8>,
+    pub(crate) fingerprint: u64,
     workloads: Vec<Vec<usize>>,
     chunks: Vec<Range<usize>>,
     unit: WorkUnit,
     spec: EvalSpec,
-    config: DistConfig,
+    pub(crate) config: DistConfig,
 }
 
 impl Coordinator {
@@ -247,10 +154,9 @@ impl Coordinator {
         let (table, workloads, unit, spec) = sweep
             .shard()
             .map_err(|e| DistError::Config(e.to_string()))?;
-        let chunk_size = if config.chunk_size == 0 {
-            workloads.len().div_ceil(32).max(1)
-        } else {
-            config.chunk_size
+        let chunk_size = match config.chunk_size {
+            0 => workloads.len().div_ceil(32).max(1),
+            size => size,
         };
         let chunks: Vec<Range<usize>> = (0..workloads.len())
             .step_by(chunk_size)
@@ -273,513 +179,444 @@ impl Coordinator {
         self.chunks.len()
     }
 
-    /// Runs the sweep over an explicit set of connected transports (one
-    /// per worker), blocking until every chunk is answered or the run
-    /// fails. This is the transport-agnostic core; TCP callers use
-    /// [`Coordinator::serve_tcp`] / [`Coordinator::serve_listener`].
-    /// Every transport's read timeout is capped at
-    /// [`DistConfig::recv_timeout`] first; one configured shorter keeps
-    /// its own.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Sweep`] when a worker reports a deterministic
-    /// evaluation failure, [`DistError::RetryExhausted`] when one chunk
-    /// burns through its attempt budget, [`DistError::Incomplete`] when
-    /// every worker is gone with work outstanding,
-    /// [`DistError::Config`] when `workers` is empty, or
-    /// [`DistError::Io`] when a transport rejects the read timeout.
-    pub fn run<T: Transport + Send>(&self, mut workers: Vec<T>) -> Result<DistOutcome, DistError> {
-        if workers.is_empty() {
-            return Err(DistError::Config("no workers to run on".into()));
-        }
-        for transport in &mut workers {
-            let timeout = transport.recv_timeout().min(self.config.recv_timeout);
-            transport.set_recv_timeout(timeout)?;
-        }
-        let shared = Shared {
-            state: Mutex::new(QueueState {
-                pending: (0..self.chunks.len()).collect(),
-                attempts: vec![0; self.chunks.len()],
-                inflight: vec![0; self.chunks.len()],
-                hedged: vec![false; self.chunks.len()],
-                reports: vec![None; self.chunks.len()],
-                done: 0,
-                requeues: 0,
-                hedges: 0,
-                duplicates: 0,
-                strikes: 0,
-                fatal: None,
-            }),
-            cv: Condvar::new(),
-        };
-
-        let ctx = obs::current();
-        let _span = ctx.as_ref().map(|r| r.span("dist.run"));
-        let before = ctx.as_ref().map(|r| r.snapshot());
-
-        let logs: Vec<WorkerLog> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .into_iter()
-                .map(|mut transport| {
-                    let shared = &shared;
-                    let ctx = ctx.clone();
-                    scope.spawn(move || {
-                        let _obs = obs::install_current(&ctx);
-                        let peer = transport.peer();
-                        let started = Instant::now();
-                        let mut log = WorkerLog {
-                            peer,
-                            chunks: 0,
-                            rows: 0,
-                            wall: Duration::ZERO,
-                        };
-                        let mut held: Vec<usize> = Vec::new();
-                        let outcome =
-                            self.serve_worker(&mut transport, shared, &mut held, &mut log);
-                        if let Err(error) = outcome {
-                            self.retire_worker(shared, held, error);
-                        }
-                        log.wall = started.elapsed();
-                        log
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker-serving thread panicked"))
-                .collect()
-        });
-
-        let mut state = self.lock(&shared);
-        if let Some(fatal) = state.fatal.take() {
-            return Err(fatal);
-        }
-        if state.done != self.chunks.len() {
-            return Err(DistError::Incomplete {
-                remaining: self.chunks.len() - state.done,
-            });
-        }
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        let reports: Vec<_> = state.reports.drain(..).collect();
-        for (chunk, reports) in self.chunks.iter().zip(reports) {
-            let reports = reports.expect("done == chunks implies every slot is filled");
-            let rows = self.workloads[chunk.clone()]
-                .iter()
-                .zip(reports)
-                .map(|(w, report)| SweepRow {
-                    workload: w.clone(),
-                    report,
-                })
-                .collect();
-            parts.push(SweepReport {
-                rows,
-                metrics: obs::MetricsSnapshot::default(),
-            });
-        }
-        let metrics = match (&ctx, before) {
-            (Some(rec), Some(before)) => {
-                rec.counter("dist.chunks_completed").add(state.done as u64);
-                rec.counter("dist.requeues").add(state.requeues as u64);
-                rec.counter("dist.hedges").add(state.hedges as u64);
-                rec.counter("dist.duplicates_discarded")
-                    .add(state.duplicates as u64);
-                rec.counter("dist.strikes").add(state.strikes as u64);
-                drop(_span);
-                obs::MetricsSnapshot::diff(&before, &rec.snapshot())
-            }
-            _ => obs::MetricsSnapshot::default(),
-        };
-        Ok(DistOutcome {
-            report: SweepReport::merge(parts),
-            workers: logs,
-            chunks: self.chunks.len(),
-            requeues: state.requeues,
-            hedges: state.hedges,
-            duplicates: state.duplicates,
-            strikes: state.strikes,
-            metrics,
-        })
-    }
-
-    /// Accepts `nworkers` TCP connections on `listener` (within 60 s),
-    /// then runs the sweep over them. Binding the listener first (port 0
-    /// works) lets callers learn the address before spawning workers.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Timeout`] when too few workers connect in time, plus
-    /// everything [`Coordinator::run`] reports.
-    pub fn serve_listener(
+    /// Runs one sweep: `drive` feeds a fresh [`Machine`] (one connection
+    /// per peer) until every connection closed; the outcome then gets the
+    /// run's [`obs`] counters and metric delta.
+    pub(crate) fn conduct(
         &self,
-        listener: &TcpListener,
-        nworkers: usize,
+        peers: Vec<String>,
+        drive: impl FnOnce(&mut Machine<'_>),
     ) -> Result<DistOutcome, DistError> {
-        if nworkers == 0 {
-            return Err(DistError::Config("need at least one worker".into()));
+        let ctx = obs::current();
+        let span = ctx.as_ref().map(|r| r.span("dist.run"));
+        let before = ctx.as_ref().map(|r| r.snapshot());
+        let mut machine = Machine::new(self, peers.len());
+        drive(&mut machine);
+        let mut outcome = machine.finish(peers)?;
+        if let (Some(rec), Some(before)) = (&ctx, before) {
+            rec.counter("dist.chunks_completed")
+                .add(outcome.chunks as u64);
+            rec.counter("dist.requeues").add(outcome.requeues as u64);
+            rec.counter("dist.hedges").add(outcome.hedges as u64);
+            rec.counter("dist.duplicates_discarded")
+                .add(outcome.duplicates as u64);
+            rec.counter("dist.strikes").add(outcome.strikes as u64);
+            drop(span);
+            outcome.metrics = obs::MetricsSnapshot::diff(&before, &rec.snapshot());
         }
-        listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + ACCEPT_TIMEOUT;
-        let mut backoff = Backoff::new(
-            Duration::from_millis(1),
-            Duration::from_millis(50),
-            self.fingerprint,
-        );
-        let mut transports = Vec::with_capacity(nworkers);
-        while transports.len() < nworkers {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    transports.push(TcpTransport::from_stream(stream, self.config.recv_timeout)?);
-                    backoff.reset();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(DistError::Timeout(format!(
-                            "only {} of {nworkers} workers connected within {:?}",
-                            transports.len(),
-                            ACCEPT_TIMEOUT
-                        )));
-                    }
-                    backoff.sleep();
-                }
-                Err(e) => return Err(e.into()),
+        Ok(outcome)
+    }
+}
+
+/// What the machine asks of the loop that runs it.
+#[derive(Debug)]
+pub(crate) enum Output {
+    /// Send this frame on this connection.
+    Send(usize, Frame),
+    /// Hang up this connection (after any frames sent before it).
+    Close(usize),
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum Phase {
+    /// Waiting for the worker's `Hello`.
+    #[default]
+    Hello,
+    Serving,
+    /// A `FetchChunk` waits for the queue to move. Nothing is delivered
+    /// on a parked connection: its worker awaits this answer.
+    Parked,
+    Closed,
+}
+
+#[derive(Clone, Default)]
+struct Conn {
+    phase: Phase,
+    /// Chunks handed to this connection and not yet answered by it (a
+    /// chunk re-sent to it appears twice), with when each went out.
+    held: Vec<(usize, Duration)>,
+    strikes: usize,
+    /// When the connection last heard from its worker (or, parked, last
+    /// saw the queue move); its deadline is a timeout later.
+    heard: Duration,
+    chunks: usize,
+    rows: usize,
+    closed_at: Duration,
+}
+
+#[derive(Clone, Default)]
+struct Chunk {
+    /// Hand-out attempts (1 = first try).
+    attempts: usize,
+    /// Connections holding it.
+    inflight: usize,
+    /// Whether it used its one cross-worker hedge.
+    hedged: bool,
+    /// The first answer.
+    reports: Option<Vec<SessionReport>>,
+}
+
+/// The coordinator's whole state for one run.
+pub(crate) struct Machine<'c> {
+    job: &'c Coordinator,
+    chunks: Vec<Chunk>,
+    /// Chunks awaiting hand-out (stale entries for chunks completed
+    /// through another copy are skipped).
+    pending: VecDeque<usize>,
+    done: usize,
+    requeues: usize,
+    hedges: usize,
+    duplicates: usize,
+    strikes: usize,
+    /// The first fatal error; it ends the run.
+    fatal: Option<DistError>,
+    conns: Vec<Conn>,
+    out: Vec<Output>,
+}
+
+impl<'c> Machine<'c> {
+    fn new(job: &'c Coordinator, conns: usize) -> Self {
+        Machine {
+            job,
+            chunks: vec![Chunk::default(); job.chunks.len()],
+            pending: (0..job.chunks.len()).collect(),
+            done: 0,
+            requeues: 0,
+            hedges: 0,
+            duplicates: 0,
+            strikes: 0,
+            fatal: None,
+            conns: vec![Conn::default(); conns],
+            out: Vec::new(),
+        }
+    }
+
+    /// Handles what `conn`'s link delivered at `now` (since the run began):
+    /// a frame, a protocol error (a strike) or any other failure (a lost
+    /// connection). A closed connection's events are ignored.
+    pub(crate) fn on(
+        &mut self,
+        now: Duration,
+        conn: usize,
+        input: Result<Frame, DistError>,
+    ) -> Vec<Output> {
+        let phase = self.conns[conn].phase;
+        debug_assert!(phase != Phase::Parked, "input on a parked connection");
+        if phase != Phase::Closed {
+            self.conns[conn].heard = now;
+            match input {
+                Ok(frame) => self.frame(now, conn, frame),
+                Err(DistError::Protocol(detail)) => self.strike(now, conn, &detail),
+                Err(lost) => self.retire(now, conn, lost),
+            }
+            self.wake(now);
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// Retires every open connection whose deadline is not after `now`.
+    pub(crate) fn tick(&mut self, now: Duration) -> Vec<Output> {
+        let timeout = self.job.config.recv_timeout;
+        for conn in 0..self.conns.len() {
+            let c = &self.conns[conn];
+            if c.phase != Phase::Closed && c.heard.saturating_add(timeout) <= now {
+                let silent = DistError::Timeout(format!("worker {conn} silent for {timeout:?}"));
+                self.retire(now, conn, silent);
             }
         }
-        self.run(transports)
+        self.wake(now);
+        std::mem::take(&mut self.out)
     }
 
-    /// Binds `addr`, then behaves as [`Coordinator::serve_listener`].
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Io`] when the address cannot be bound, plus
-    /// everything [`Coordinator::serve_listener`] reports.
-    pub fn serve_tcp(&self, addr: &str, nworkers: usize) -> Result<DistOutcome, DistError> {
-        let listener = TcpListener::bind(addr)?;
-        self.serve_listener(&listener, nworkers)
+    /// The earliest deadline of an open connection; `None` once every
+    /// connection closed and the run is over.
+    pub(crate) fn deadline(&self) -> Option<Duration> {
+        let open = self.conns.iter().filter(|c| c.phase != Phase::Closed);
+        open.map(|c| c.heard.saturating_add(self.job.config.recv_timeout))
+            .min()
     }
 
-    fn lock<'s>(&self, shared: &'s Shared) -> std::sync::MutexGuard<'s, QueueState> {
-        shared
-            .state
-            .lock()
-            .expect("queue mutex poisoned: a serving thread panicked")
+    /// Whether `conn` waits for the queue to move.
+    pub(crate) fn parked(&self, conn: usize) -> bool {
+        self.conns[conn].phase == Phase::Parked
     }
 
-    /// Records a protocol strike against this connection: its held
-    /// chunks go back to the queue (the conversation is desynchronized,
-    /// so their answers can no longer be trusted to arrive) and the
-    /// conversation continues — until the strike budget is exhausted and
-    /// the connection is quarantined.
-    fn strike(
-        &self,
-        shared: &Shared,
-        held: &mut Vec<usize>,
-        strikes: &mut usize,
-        peer: &str,
-        detail: &str,
-    ) -> Result<(), DistError> {
-        *strikes += 1;
-        obs::event!(
-            Debug,
-            "dist.strike",
-            "strike {strikes} against {peer}: {detail}"
-        );
-        let mut state = self.lock(shared);
-        state.strikes += 1;
-        for id in held.drain(..) {
-            state.inflight[id] = state.inflight[id].saturating_sub(1);
-            state.requeue_if_orphaned(id);
-        }
-        shared.cv.notify_all();
-        drop(state);
-        if *strikes > self.config.quarantine_limit {
-            obs::event!(
-                Debug,
-                "dist.quarantine",
-                "worker {peer} quarantined after {strikes} strikes"
-            );
-            Err(DistError::Protocol(format!(
-                "worker {peer} quarantined after {strikes} protocol strikes; last: {detail}"
-            )))
-        } else {
-            Ok(())
-        }
+    /// Whether `conn` was closed.
+    pub(crate) fn closed(&self, conn: usize) -> bool {
+        self.conns[conn].phase == Phase::Closed
     }
 
-    /// One worker's conversation, from handshake to Drained. On `Err`
-    /// the caller settles the held chunks via
-    /// [`Coordinator::retire_worker`].
-    fn serve_worker<T: Transport>(
-        &self,
-        transport: &mut T,
-        shared: &Shared,
-        held: &mut Vec<usize>,
-        log: &mut WorkerLog,
-    ) -> Result<(), DistError> {
-        let peer = transport.peer();
-        let mut strikes = 0usize;
-        // When each held chunk went out on this connection, for the
-        // dist.chunk_us latency histogram (stale entries from struck or
-        // re-handed chunks are simply overwritten or never read).
-        let mut handed_at: HashMap<usize, Instant> = HashMap::new();
-        let hello = loop {
-            match transport.recv() {
-                Ok(frame) => break frame,
-                Err(DistError::Protocol(detail)) => {
-                    self.strike(shared, held, &mut strikes, &peer, &detail)?
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        match hello {
+    fn close(&mut self, now: Duration, conn: usize) {
+        self.conns[conn].phase = Phase::Closed;
+        self.conns[conn].closed_at = now;
+        self.out.push(Output::Close(conn));
+    }
+
+    fn frame(&mut self, now: Duration, conn: usize, frame: Frame) {
+        let hello = self.conns[conn].phase == Phase::Hello;
+        match frame {
             Frame::Hello {
                 version: PROTOCOL_VERSION,
-            } => {}
-            Frame::Hello { version } => {
+            } if hello => {
+                let job = self.job;
+                let welcome = Frame::Welcome {
+                    version: PROTOCOL_VERSION,
+                    table_fingerprint: job.fingerprint,
+                    unit: job.unit,
+                    spec: job.spec.clone(),
+                    total_workloads: job.workloads.len() as u64,
+                };
+                self.out.push(Output::Send(conn, welcome));
+                self.conns[conn].phase = Phase::Serving;
+            }
+            Frame::Hello { version } if hello => {
+                // A worker from another build is not a queue failure:
+                // warn (the event mirrors to stderr) and serve the rest.
                 let mismatch = DistError::VersionMismatch {
                     ours: PROTOCOL_VERSION,
                     theirs: version,
                 };
-                let _ = transport.send(&Frame::Error {
-                    message: mismatch.to_string(),
-                });
-                // A worker from another build is not a queue failure:
-                // warn (the event mirrors to stderr) and serve the
-                // remaining workers.
-                obs::event!(
-                    Warn,
-                    "dist.worker_rejected",
-                    "rejected worker {}: {mismatch}",
-                    transport.peer()
-                );
-                return Ok(());
+                let message = mismatch.to_string();
+                obs::event!(Warn, "dist.worker_rejected", "worker {conn}: {message}");
+                self.out.push(Output::Send(conn, Frame::Error { message }));
+                self.close(now, conn);
+            }
+            other if hello => {
+                let unexpected = format!("expected Hello, got {other:?}");
+                self.retire(now, conn, DistError::Protocol(unexpected));
+            }
+            Frame::TableRequest => {
+                let bytes = self.job.table_bytes.clone();
+                self.out
+                    .push(Output::Send(conn, Frame::TableBytes { bytes }));
+            }
+            Frame::FetchChunk => self.fetch(now, conn),
+            Frame::Rows { id, reports } => self.rows(now, conn, id as usize, reports),
+            Frame::Error { message } => {
+                // Evaluation is deterministic: no other worker can do better.
+                let failed = DistError::Sweep(message);
+                self.fatal.get_or_insert(failed.clone());
+                self.retire(now, conn, failed);
             }
             other => {
-                return Err(DistError::Protocol(format!(
-                    "expected Hello, got {other:?}"
-                )))
-            }
-        }
-        transport.send(&Frame::Welcome {
-            version: PROTOCOL_VERSION,
-            table_fingerprint: self.fingerprint,
-            unit: self.unit,
-            spec: self.spec.clone(),
-            total_workloads: self.workloads.len() as u64,
-        })?;
-
-        loop {
-            let frame = match transport.recv() {
-                Ok(frame) => frame,
-                Err(DistError::Protocol(detail)) => {
-                    // A malformed frame (e.g. a corrupted checksum) does
-                    // not kill the connection: strike and keep serving.
-                    self.strike(shared, held, &mut strikes, &peer, &detail)?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match frame {
-                Frame::TableRequest => transport.send(&Frame::TableBytes {
-                    bytes: self.table_bytes.clone(),
-                })?,
-                Frame::FetchChunk => match self.next_chunk(transport, shared, held)? {
-                    NextChunk::Hand(id) => {
-                        held.push(id);
-                        handed_at.insert(id, Instant::now());
-                        let range = self.chunks[id].clone();
-                        transport.send(&Frame::Chunk {
-                            id: id as u64,
-                            workloads: self.workloads[range].to_vec(),
-                        })?;
-                    }
-                    NextChunk::Drained => {
-                        transport.send(&Frame::Drained)?;
-                        return Ok(());
-                    }
-                    NextChunk::Abort => return Ok(()),
-                },
-                Frame::Rows { id, reports } => {
-                    let id = id as usize;
-                    if id >= self.chunks.len() || reports.len() != self.chunks[id].len() {
-                        let detail = format!(
-                            "rows for chunk {id} with {} report(s) do not match the chunk map",
-                            reports.len()
-                        );
-                        self.strike(shared, held, &mut strikes, &peer, &detail)?;
-                        continue;
-                    }
-                    let mut state = self.lock(shared);
-                    if let Some(pos) = held.iter().position(|&h| h == id) {
-                        held.remove(pos);
-                        state.inflight[id] = state.inflight[id].saturating_sub(1);
-                    }
-                    // First answer wins; a redundant copy (hedge, re-send
-                    // or duplicated frame) is discarded by chunk id so
-                    // the merge sees each chunk exactly once.
-                    if state.reports[id].is_none() {
-                        state.reports[id] = Some(reports);
-                        state.done += 1;
-                        log.chunks += 1;
-                        log.rows += self.chunks[id].len();
-                        if let (Some(rec), Some(at)) = (obs::current(), handed_at.remove(&id)) {
-                            rec.histogram("dist.chunk_us")
-                                .record(at.elapsed().as_micros() as f64);
-                        }
-                    } else {
-                        state.duplicates += 1;
-                    }
-                    shared.cv.notify_all();
-                }
-                Frame::Error { message } => {
-                    // The worker hit a deterministic evaluation failure:
-                    // retrying the chunk elsewhere would fail the same
-                    // way, so the whole run aborts.
-                    let error = DistError::Sweep(message);
-                    let mut state = self.lock(shared);
-                    for id in held.drain(..) {
-                        state.inflight[id] = state.inflight[id].saturating_sub(1);
-                    }
-                    state.fatal.get_or_insert(error.clone());
-                    shared.cv.notify_all();
-                    return Err(error);
-                }
-                other => {
-                    let detail = format!("unexpected frame from worker: {other:?}");
-                    self.strike(shared, held, &mut strikes, &peer, &detail)?;
-                }
+                let unexpected = format!("unexpected frame from worker: {other:?}");
+                self.strike(now, conn, &unexpected);
             }
         }
     }
 
-    /// Picks the next chunk to hand this connection: a pending chunk if
-    /// any, else a re-send of this connection's own straggler, else (with
-    /// hedging on) a copy of the lowest chunk in flight elsewhere. Blocks
-    /// — bounded by [`DistConfig::recv_timeout`] without progress — while
-    /// work is outstanding on other connections.
-    fn next_chunk<T: Transport>(
-        &self,
-        transport: &mut T,
-        shared: &Shared,
-        held: &[usize],
-    ) -> Result<NextChunk, DistError> {
-        let mut state = self.lock(shared);
-        let mut deadline = Instant::now() + self.config.recv_timeout;
-        let mut last_done = state.done;
-        loop {
-            if let Some(fatal) = &state.fatal {
-                let fatal = fatal.clone();
-                drop(state);
-                let _ = transport.send(&Frame::Error {
-                    message: fatal.to_string(),
-                });
-                return Ok(NextChunk::Abort); // the run is already lost
-            }
-            let popped = loop {
-                match state.pending.pop_front() {
-                    // Skip stale entries: the chunk completed through
-                    // another copy after it was re-queued.
-                    Some(id) if state.reports[id].is_some() => continue,
-                    other => break other,
-                }
-            };
-            if let Some(id) = popped {
-                state.attempts[id] += 1;
-                state.inflight[id] += 1;
-                return Ok(NextChunk::Hand(id));
-            }
-            if state.done == self.chunks.len() {
-                return Ok(NextChunk::Drained);
-            }
-            // This connection asked for work while one of its own chunks
-            // is still unanswered — its answer was lost in flight
-            // (dropped or mangled frame). Waiting would deadlock against
-            // our own channel, so re-send the straggler, bounded by the
-            // same attempt budget as re-queues.
-            if let Some(&id) = held.iter().filter(|&&id| state.reports[id].is_none()).min() {
-                if state.attempts[id] > self.config.retry_budget {
-                    let fatal = DistError::RetryExhausted {
-                        chunk: id,
-                        attempts: state.attempts[id],
-                        last: "the chunk's answers keep going missing".into(),
-                    };
-                    state.fatal.get_or_insert(fatal);
-                    shared.cv.notify_all();
-                    continue; // loop top reports the fatal to the worker
-                }
-                state.attempts[id] += 1;
-                state.inflight[id] += 1;
-                state.hedges += 1;
-                obs::event!(
-                    Debug,
-                    "dist.hedge",
-                    "re-sending chunk {id}: its answer went missing on this connection"
-                );
-                return Ok(NextChunk::Hand(id));
-            }
-            // Idle worker, work in flight elsewhere: hedge the lowest
-            // straggler once so one slow or silent worker cannot drag
-            // the tail of the run.
-            if self.config.hedge {
-                let straggler = (0..self.chunks.len()).find(|&id| {
-                    state.reports[id].is_none() && state.inflight[id] > 0 && !state.hedged[id]
-                });
-                if let Some(id) = straggler {
-                    state.hedged[id] = true;
-                    state.inflight[id] += 1;
-                    state.hedges += 1;
-                    obs::event!(
-                        Debug,
-                        "dist.hedge",
-                        "hedging straggler chunk {id} onto an idle worker"
-                    );
-                    return Ok(NextChunk::Hand(id));
-                }
-            }
-            if state.done != last_done {
-                last_done = state.done;
-                deadline = Instant::now() + self.config.recv_timeout;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DistError::Timeout(format!(
-                    "no queue progress within {:?} with {} chunk(s) outstanding",
-                    self.config.recv_timeout,
-                    self.chunks.len() - state.done
-                )));
-            }
-            let (guard, _) = shared
-                .cv
-                .wait_timeout(state, deadline - now)
-                .expect("queue mutex poisoned while waiting");
-            state = guard;
+    fn rows(&mut self, now: Duration, conn: usize, id: usize, reports: Vec<SessionReport>) {
+        let n = reports.len();
+        if self.job.chunks.get(id).map(Range::len) != Some(n) {
+            let detail = format!("rows for chunk {id} with {n} report(s) miss the chunk map");
+            return self.strike(now, conn, &detail);
+        }
+        let c = &mut self.conns[conn];
+        let handed = c.held.iter().position(|&(h, _)| h == id);
+        let handed_at = handed.map(|pos| c.held.remove(pos).1);
+        let chunk = &mut self.chunks[id];
+        if handed_at.is_some() {
+            chunk.inflight -= 1;
+        }
+        // First answer wins; a redundant copy (hedge, re-send or
+        // duplicated frame) is discarded so the merge sees each chunk once.
+        if chunk.reports.is_some() {
+            self.duplicates += 1;
+            return;
+        }
+        c.chunks += 1;
+        c.rows += n;
+        chunk.reports = Some(reports);
+        self.done += 1;
+        // The queue moved: every parked request's wait starts over.
+        for c in self.conns.iter_mut().filter(|c| c.phase == Phase::Parked) {
+            c.heard = now;
+        }
+        if let (Some(rec), Some(at)) = (obs::current(), handed_at) {
+            let us = now.saturating_sub(at).as_micros() as f64;
+            rec.histogram("dist.chunk_us").record(us);
         }
     }
 
-    /// Settles a failed worker connection: re-queues its held chunks
-    /// under the retry budget, or records the fatal error that ends the
-    /// run. (A worker-reported `Sweep` failure arrives here with no held
-    /// chunks — `serve_worker` already recorded it as fatal.)
-    fn retire_worker(&self, shared: &Shared, held: Vec<usize>, error: DistError) {
-        let mut state = self.lock(shared);
-        for id in held {
-            state.inflight[id] = state.inflight[id].saturating_sub(1);
-            if state.reports[id].is_some() {
+    /// Answers a `FetchChunk`: the run's error once it is lost, a pending
+    /// chunk, `Drained` once all are done, a re-send of this connection's
+    /// own unanswered chunk (its answer went missing), or, with hedging,
+    /// a copy of the lowest chunk in flight elsewhere. Else it parks.
+    fn fetch(&mut self, now: Duration, conn: usize) {
+        if let Some(fatal) = &self.fatal {
+            let message = fatal.to_string();
+            self.out.push(Output::Send(conn, Frame::Error { message }));
+            return self.close(now, conn);
+        }
+        while let Some(id) = self.pending.pop_front() {
+            if self.chunks[id].reports.is_none() {
+                self.chunks[id].attempts += 1;
+                return self.hand(now, conn, id);
+            }
+        }
+        if self.done == self.chunks.len() {
+            self.out.push(Output::Send(conn, Frame::Drained));
+            return self.close(now, conn);
+        }
+        // Waiting on our own unanswered chunk would wait forever: re-send
+        // it, under the same attempt budget as re-queues.
+        let held = self.conns[conn].held.iter().map(|&(id, _)| id);
+        if let Some(id) = held.filter(|&id| self.chunks[id].reports.is_none()).min() {
+            if self.out_of_attempts(id, || "the chunk's answers keep going missing".into()) {
+                return self.fetch(now, conn);
+            }
+            self.chunks[id].attempts += 1;
+            self.hedges += 1;
+            obs::event!(
+                Debug,
+                "dist.hedge",
+                "re-sending chunk {id} to worker {conn}"
+            );
+            return self.hand(now, conn, id);
+        }
+        let straggler = self
+            .chunks
+            .iter()
+            .position(|c| c.reports.is_none() && c.inflight > 0 && !c.hedged);
+        if let Some(id) = straggler.filter(|_| self.job.config.hedge) {
+            self.chunks[id].hedged = true;
+            self.hedges += 1;
+            obs::event!(Debug, "dist.hedge", "hedging chunk {id} onto worker {conn}");
+            return self.hand(now, conn, id);
+        }
+        self.conns[conn].phase = Phase::Parked;
+    }
+
+    fn hand(&mut self, now: Duration, conn: usize, id: usize) {
+        self.chunks[id].inflight += 1;
+        let c = &mut self.conns[conn];
+        c.phase = Phase::Serving;
+        // A whole timeout to answer, however long the request was parked.
+        c.heard = now;
+        c.held.push((id, now));
+        let workloads = self.job.workloads[self.job.chunks[id].clone()].to_vec();
+        let id = id as u64;
+        self.out
+            .push(Output::Send(conn, Frame::Chunk { id, workloads }));
+    }
+
+    /// After any event, answers each parked request (in connection
+    /// order) that now can be.
+    fn wake(&mut self, now: Duration) {
+        for conn in 0..self.conns.len() {
+            if self.conns[conn].phase == Phase::Parked {
+                self.fetch(now, conn);
+            }
+        }
+    }
+
+    /// A protocol strike: `conn`'s chunks go back to the queue (the
+    /// conversation is desynchronized, so their answers may never come)
+    /// and the conversation continues, unless this strike exceeds the
+    /// quarantine limit.
+    fn strike(&mut self, now: Duration, conn: usize, detail: &str) {
+        self.strikes += 1;
+        self.conns[conn].strikes += 1;
+        let strikes = self.conns[conn].strikes;
+        obs::event!(
+            Debug,
+            "dist.strike",
+            "strike {strikes} on worker {conn}: {detail}"
+        );
+        for (id, _) in std::mem::take(&mut self.conns[conn].held) {
+            self.chunks[id].inflight -= 1;
+            self.requeue_if_orphaned(id);
+        }
+        if strikes > self.job.config.quarantine_limit {
+            obs::event!(Debug, "dist.quarantine", "worker {conn} quarantined");
+            self.close(now, conn);
+        }
+    }
+
+    /// Settles a lost connection: its chunks are re-queued under the
+    /// retry budget, or the run fails.
+    fn retire(&mut self, now: Duration, conn: usize, error: DistError) {
+        for (id, _) in std::mem::take(&mut self.conns[conn].held) {
+            let chunk = &mut self.chunks[id];
+            chunk.inflight -= 1;
+            if chunk.reports.is_some() {
                 continue;
             }
-            let attempts = state.attempts[id];
-            if attempts > self.config.retry_budget {
-                state.fatal.get_or_insert(DistError::RetryExhausted {
-                    chunk: id,
-                    attempts,
-                    last: error.to_string(),
-                });
-            } else {
-                state.requeue_if_orphaned(id);
+            if !self.out_of_attempts(id, || error.to_string()) {
+                self.requeue_if_orphaned(id);
             }
         }
-        shared.cv.notify_all();
+        self.close(now, conn);
+    }
+
+    /// Whether chunk `id` used up its attempts, which fails the run with
+    /// `last` as the final error.
+    fn out_of_attempts(&mut self, id: usize, last: impl FnOnce() -> String) -> bool {
+        let attempts = self.chunks[id].attempts;
+        let out = attempts > self.job.config.retry_budget;
+        if out {
+            let last = last();
+            let exhausted = DistError::RetryExhausted {
+                chunk: id,
+                attempts,
+                last,
+            };
+            self.fatal.get_or_insert(exhausted);
+        }
+        out
+    }
+
+    /// Returns `id` to the queue unless it is answered, queued or held.
+    fn requeue_if_orphaned(&mut self, id: usize) {
+        let c = &self.chunks[id];
+        if c.reports.is_none() && c.inflight == 0 && !self.pending.contains(&id) {
+            self.pending.push_back(id);
+            self.requeues += 1;
+            obs::event!(Debug, "dist.chunk_requeued", "chunk {id} re-queued");
+        }
+    }
+
+    /// The run's result once every connection closed: the first fatal
+    /// error, [`DistError::Incomplete`], or the report in chunk order.
+    fn finish(self, peers: Vec<String>) -> Result<DistOutcome, DistError> {
+        if let Some(fatal) = self.fatal {
+            return Err(fatal);
+        }
+        let chunks = self.chunks.len();
+        if self.done != chunks {
+            let remaining = chunks - self.done;
+            return Err(DistError::Incomplete { remaining });
+        }
+        let reports = self
+            .chunks
+            .into_iter()
+            .flat_map(|c| c.reports.expect("done"));
+        let rows = self.job.workloads.iter().zip(reports);
+        let workers = peers.into_iter().zip(&self.conns);
+        Ok(DistOutcome {
+            report: SweepReport {
+                rows: rows
+                    .map(|(w, report)| SweepRow {
+                        workload: w.clone(),
+                        report,
+                    })
+                    .collect(),
+                metrics: obs::MetricsSnapshot::default(),
+            },
+            workers: workers
+                .map(|(peer, c)| WorkerLog {
+                    peer,
+                    chunks: c.chunks,
+                    rows: c.rows,
+                    wall: c.closed_at,
+                })
+                .collect(),
+            chunks,
+            requeues: self.requeues,
+            hedges: self.hedges,
+            duplicates: self.duplicates,
+            strikes: self.strikes,
+            metrics: obs::MetricsSnapshot::default(),
+        })
     }
 }

@@ -1,88 +1,72 @@
 //! Distributed sweeps: a sharded coordinator over [`session::Session::sweep`]
 //! with a deterministic merge and fault-tolerant workers.
 //!
-//! The ROADMAP's "heavy traffic" lever: the 125 969-combo N=12/K=8
-//! measurement sweep does not fit one machine's patience, but every sweep
-//! row is an independent evaluation under identical per-workload knobs —
-//! so sharding the workload list and merging shard reports in order
-//! reproduces the single-process [`session::SweepReport`] *bitwise*. That
-//! reproducibility guarantee (partitioning must never change results) is
-//! this crate's first-class design constraint; the parity tests pin it,
-//! including under injected mid-sweep worker failure.
+//! Sweep rows are independent evaluations, so sharding the workload list
+//! and merging shard reports in order reproduces the single-process
+//! [`session::SweepReport`] *bitwise*. Partitioning never changes results:
+//! the parity tests pin it, under injected faults too.
 //!
 //! # Architecture
 //!
 //! * [`proto`] — the versioned, checksummed wire protocol (below).
-//! * [`transport`] — a byte-faithful [`Transport`] abstraction:
-//!   [`TcpTransport`] over std TCP, and an in-process [`loopback_pair`]
-//!   that runs the *same encode/decode path* through a channel, so every
-//!   protocol path is unit-testable without sockets.
-//! * [`chaos`] — [`ChaosTransport`]: seeded deterministic fault
-//!   injection (drop / delay / duplicate / corrupt / hang / crash) over
-//!   any inner transport, TCP and loopback alike; the engine behind the
-//!   failure-mode tests and the `paperbench chaos` storm.
-//! * [`backoff`] — [`Backoff`]: the capped-exponential, seeded-jitter
-//!   retry schedule shared by worker reconnects and the coordinator's
-//!   accept poll.
-//! * [`coordinator`] — [`Coordinator`]: splits the workload list into
-//!   consecutive chunks, hands them out pull-based (work-queue style, so
-//!   fast workers take more), re-queues chunks on worker
-//!   disconnect/timeout under a bounded retry budget, strikes and
-//!   quarantines connections that talk garbage, optionally hedges
-//!   straggler chunks to idle workers, and reassembles rows in original
-//!   workload order via [`session::SweepReport::merge`].
-//! * [`worker`] — [`run_worker`]: connect, handshake, obtain the table
-//!   (fingerprint-keyed [`workloads::TableStore`] cache hit, or bytes
-//!   over the wire), then pull chunks until drained.
+//! * [`coordinator`] — [`Coordinator`]: consecutive chunks, and the whole
+//!   policy (handshake, pull dispatch, strikes and quarantine, requeues
+//!   under a retry budget, hedging, first-answer-wins merge, deadlines)
+//!   as one sans-IO state machine that owns no thread, lock or clock.
+//! * [`worker`] — the worker's conversation as a second state machine
+//!   (table from the fingerprint-keyed [`workloads::TableStore`] cache or
+//!   the wire, then chunks until drained); [`run_worker`] drives it.
+//! * [`transport`] — [`TcpTransport`] and an in-process [`loopback_pair`]
+//!   that runs the same encode/decode path through a channel.
+//!   [`Coordinator::run`] drives the coordinator over any [`Transport`]s:
+//!   one thread owns the machine, one reader thread per connection.
+//! * [`chaos`] — [`Coordinator::simulate`]: both machines on one thread,
+//!   on a seeded virtual-time network whose link ends apply a
+//!   [`ChaosPlan`] (drop / delay / duplicate / corrupt / hang / crash).
+//!   Fault runs replay exactly and never wait out a real timeout.
+//! * [`backoff`] — [`Backoff`]: capped-exponential, seeded-jitter retries
+//!   for worker reconnects and the coordinator's accept poll.
 //!
 //! # Failure-mode matrix
 //!
-//! What each injected (or real) fault looks like end to end. "Parity"
-//! means the merged report stays bitwise-identical to the
-//! single-process sweep — every recovery path below preserves it, since
-//! duplicates are discarded by chunk id and chunk order fixes the merge.
+//! What each injected (or real) fault looks like end to end. Every
+//! recovery path keeps the merged report bitwise identical to the
+//! single-process sweep, since duplicates are discarded by chunk id and
+//! chunk order fixes the merge.
 //!
 //! | fault | detection | recovery | user-visible outcome |
 //! |-------|-----------|----------|----------------------|
-//! | worker crash (hangup) | coordinator recv → `Disconnected` | held chunks re-queued under [`DistConfig::retry_budget`] | run completes on surviving workers; `requeues` counted |
-//! | worker hang (silence) | coordinator recv → `Timeout` after [`DistConfig::recv_timeout`] | chunks re-queued; with [`DistConfig::hedge`] an idle worker re-runs the straggler sooner | run completes; `hedges`/`requeues` counted |
+//! | worker crash (hangup) | the link reports a disconnect | held chunks re-queued under [`DistConfig::retry_budget`] | run completes on surviving workers; `requeues` counted |
+//! | worker hang (silence) | the connection's deadline, [`DistConfig::recv_timeout`] after its last frame | chunks re-queued; with [`DistConfig::hedge`] an idle worker re-runs the straggler sooner | run completes; `hedges`/`requeues` counted |
 //! | corrupt frame | checksum/length check → `Protocol` | strike: held chunks re-queued, connection keeps serving; quarantined past [`DistConfig::quarantine_limit`] | run completes; `strikes` counted |
-//! | dropped answer | worker asks for work while its chunk is open | coordinator re-sends the chunk to the same connection (budget-bounded) | run completes; `hedges` counted |
+//! | dropped answer | worker asks for work while its chunk is open | the chunk is re-sent on the same connection (budget-bounded) | run completes; `hedges` counted |
 //! | duplicated frame | answer for an already-complete chunk | first answer wins, copy discarded by chunk id | run completes; `duplicates` counted |
 //! | version skew | `Hello`/`Welcome` version check | connection rejected with an `Error` frame, fleet keeps serving | [`DistError::VersionMismatch`] on the skewed worker only |
 //! | deterministic sweep failure | worker reports an `Error` frame | none — retrying would fail identically | [`DistError::Sweep`] aborts the run |
 //! | chunk keeps failing | attempts exceed [`DistConfig::retry_budget`] | none | [`DistError::RetryExhausted`] names the chunk |
-//! | every worker gone | scope drains with work outstanding | none | [`DistError::Incomplete`] with the remaining count |
+//! | every worker gone | all connections closed with work outstanding | none | [`DistError::Incomplete`] with the remaining count |
 //! | coordinator gone | worker recv → `Disconnected`/`Timeout` | worker reconnects under [`Backoff`] (CLI service mode) | worker exits cleanly after its last served sweep |
 //!
 //! # Wire protocol
 //!
 //! Every frame is length-prefixed and checksummed, and written and read
-//! with [`workloads::codec`], the one codec the `SYMBPERF` table file also
-//! uses. All integers are little-endian; all `f64` travel as
-//! [`f64::to_bits`] so no value is perturbed in transit (part of the
-//! bitwise-parity guarantee).
+//! with [`workloads::codec`], the codec the `SYMBPERF` table file also
+//! uses. Integers are little-endian and every `f64` travels as
+//! [`f64::to_bits`], so no value is perturbed in transit.
 //!
 //! ```text
 //! frame := len:u32  body:[len bytes]  checksum:u64
 //! body  := kind:u8  payload
 //! ```
 //!
-//! `checksum` is FNV-1a 64 over `body`. A frame longer than
-//! [`proto::MAX_FRAME_LEN`], a checksum mismatch, a truncated field, a
-//! count of items the bytes left cannot hold, a trailing-byte surplus, or
-//! an unknown `kind` all decode to [`DistError::Protocol`]. No count sizes
-//! an allocation before the codec has checked it against the bytes left.
-//!
-//! ## Version handshake
-//!
-//! The worker speaks first: `Hello { version }`. The coordinator answers
-//! `Welcome { version, table fingerprint, unit of work, spec, workload count }`
-//! only when the versions match ([`proto::PROTOCOL_VERSION`]); otherwise
-//! it answers an `Error` frame and drops the connection, and both sides
-//! surface [`DistError::VersionMismatch`].
-//!
-//! ## Frames
+//! `checksum` is FNV-1a 64 over `body`. An oversized frame
+//! ([`proto::MAX_FRAME_LEN`]), a bad checksum, a truncated field, an
+//! impossible count, trailing bytes or an unknown `kind` all decode to
+//! [`DistError::Protocol`]. The worker speaks first; `Welcome` comes only
+//! when the versions match ([`proto::PROTOCOL_VERSION`]). `Error` is
+//! terminal both ways: a worker sends it when a chunk's evaluation fails
+//! deterministically, the coordinator on version mismatch or once the
+//! run is lost. Transport failures are worker loss, not error frames.
 //!
 //! | kind | frame          | direction | payload |
 //! |------|----------------|-----------|---------|
@@ -96,44 +80,30 @@
 //! | 8    | `Drained`      | c → w     | — (no work left; disconnect cleanly) |
 //! | 9    | `Error`        | both      | human-readable fatal error |
 //!
-//! ## Error frames
-//!
-//! `Error` is terminal in both directions. A worker sends it when a
-//! chunk's evaluation fails *deterministically* (a
-//! [`session::SweepError`] — retrying elsewhere would fail identically),
-//! and the coordinator aborts the whole sweep rather than retry. The
-//! coordinator sends it on version mismatch or when another worker
-//! already surfaced a fatal error. Transport-level failures (disconnect,
-//! timeout) are *not* error frames; the coordinator treats those as
-//! worker loss and re-queues the held chunk under the retry budget.
-//!
 //! # Example
 //!
-//! Shard a sweep over three in-process workers (see
-//! `examples/distributed_sweep.rs` for the full 495-mix version):
+//! A sweep over three simulated workers, the first of which crashes
+//! holding a chunk. Over TCP, [`Coordinator::serve_listener`] and one
+//! [`run_worker`] per worker do the same (see
+//! `examples/distributed_sweep.rs`).
 //!
 //! ```no_run
-//! use dist::{Coordinator, DistConfig, TcpTransport, WorkerConfig};
+//! use dist::{ChaosPlan, Coordinator, DistConfig, Link, WorkerConfig};
 //! use session::{Policy, Session};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let table: workloads::PerfTable = unimplemented!();
-//! let sweep = Session::sweep()
-//!     .table(&table)
-//!     .workloads(symbiosis::enumerate_workloads(12, 4))
-//!     .policies([Policy::Worst, Policy::FcfsEvent, Policy::Optimal]);
-//! let coordinator = Coordinator::from_sweep(sweep, DistConfig::default())?;
-//! let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-//! let addr = listener.local_addr()?;
-//! let workers: Vec<_> = (0..3)
-//!     .map(|_| {
-//!         std::thread::spawn(move || {
-//!             let transport = TcpTransport::connect(&addr.to_string())?;
-//!             dist::run_worker(transport, &WorkerConfig::default())
-//!         })
-//!     })
-//!     .collect();
-//! let outcome = coordinator.serve_listener(&listener, 3)?;
-//! println!("{}", outcome.report); // bitwise equal to sweep.run()?
+//! let sweep = || {
+//!     Session::sweep()
+//!         .table(&table)
+//!         .workloads(symbiosis::enumerate_workloads(12, 4))
+//!         .policies([Policy::Worst, Policy::FcfsEvent, Policy::Optimal])
+//! };
+//! let coordinator = Coordinator::from_sweep(sweep(), DistConfig::default())?;
+//! let crash = Link { worker: ChaosPlan::crash_after(6), ..Link::default() };
+//! let links = [crash, Link::default(), Link::default()];
+//! let run = coordinator.simulate(&links, &WorkerConfig::default());
+//! assert_eq!(run.outcome?.report, sweep().run()?); // bitwise
+//! assert_eq!(run.faults[0].crashed, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -144,27 +114,25 @@ pub mod backoff;
 pub mod chaos;
 pub mod coordinator;
 pub mod proto;
+mod threaded;
 pub mod transport;
 pub mod worker;
 
 pub use backoff::Backoff;
-pub use chaos::{ChaosPlan, ChaosStats, ChaosTransport};
+pub use chaos::{ChaosPlan, ChaosStats, Link, Simulation};
 pub use coordinator::{Coordinator, DistConfig, DistOutcome, WorkerLog};
 pub use proto::{Frame, MAX_FRAME_LEN, PROTOCOL_VERSION};
-pub use transport::{loopback_pair, loopback_pair_with_chaos, TcpTransport, Transport};
+pub use transport::{connect_retry, loopback_pair, TcpTransport, Transport};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
 /// Everything that can go wrong in a distributed sweep, on either side of
 /// the wire.
-///
-/// `Clone` so the coordinator can record one fatal error and surface it
-/// from every worker-serving thread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistError {
     /// An I/O failure that is not a timeout or disconnect.
     Io(String),
-    /// The peer did not produce a frame within the configured read
-    /// timeout. The coordinator treats this as worker loss.
+    /// No frame arrived within the read timeout (to the coordinator: a
+    /// lost worker).
     Timeout(String),
     /// The peer hung up (EOF, reset, broken pipe, injected fault).
     Disconnected(String),

@@ -1,18 +1,15 @@
 //! Byte-faithful frame transports: std TCP and an in-process loopback.
 //!
-//! Both implementations move the *same* wire image ([`Frame::encode`] /
-//! [`Frame::decode_wire`]): the loopback pair is not a shortcut around
-//! serialization, it is TCP minus the socket — which is what lets the
-//! protocol tests (including checksum, version and fault paths) run
-//! without binding ports, and lets a [`ChaosTransport`] wrapper kill a
-//! "worker" mid-conversation deterministically (see [`crate::chaos`]).
+//! Both move the *same* wire image ([`Frame::encode`] /
+//! [`Frame::decode_wire`]): the loopback pair is TCP minus the socket, so
+//! protocol tests run every byte path without binding ports.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::time::{Duration, Instant};
 
-use crate::chaos::{ChaosPlan, ChaosTransport};
+use crate::backoff::Backoff;
 use crate::proto::{Frame, MAX_FRAME_LEN};
 use crate::DistError;
 
@@ -53,14 +50,9 @@ pub trait Transport {
     /// malformed bytes.
     fn recv(&mut self) -> Result<Frame, DistError>;
 
-    /// How long `recv` blocks before reporting [`DistError::Timeout`]
-    /// (`Duration::MAX` when it blocks indefinitely).
-    fn recv_timeout(&self) -> Duration;
-
     /// Sets how long `recv` blocks before reporting
-    /// [`DistError::Timeout`]. [`crate::Coordinator::run`] caps every
-    /// transport it serves at [`crate::DistConfig::recv_timeout`] through
-    /// this.
+    /// [`DistError::Timeout`]. [`crate::Coordinator::run`] sets every
+    /// transport it serves to [`crate::DistConfig::recv_timeout`].
     ///
     /// # Errors
     ///
@@ -69,9 +61,7 @@ pub trait Transport {
     fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError>;
 
     /// Human-readable peer label for error messages and accounting.
-    fn peer(&self) -> String {
-        "peer".into()
-    }
+    fn peer(&self) -> String;
 }
 
 // --- TCP -----------------------------------------------------------------
@@ -137,13 +127,6 @@ impl Transport for TcpTransport {
         Frame::decode_wire(&wire)
     }
 
-    fn recv_timeout(&self) -> Duration {
-        match self.stream.read_timeout() {
-            Ok(Some(timeout)) => timeout,
-            _ => Duration::MAX,
-        }
-    }
-
     fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError> {
         self.stream.set_read_timeout(Some(timeout))?;
         Ok(())
@@ -151,6 +134,28 @@ impl Transport for TcpTransport {
 
     fn peer(&self) -> String {
         self.peer.clone()
+    }
+}
+
+/// Connects to a coordinator, retrying under capped exponential backoff
+/// with seeded jitter until `patience` runs out — workers typically
+/// start before the coordinator finishes building its table, so the
+/// first connect may be early. The jitter decorrelates a fleet of
+/// workers all retrying against the same address; the `seed` fixes the
+/// schedule for reproducible tests.
+///
+/// # Errors
+///
+/// The last connection error once `patience` is spent.
+pub fn connect_retry(addr: &str, patience: Duration, seed: u64) -> Result<TcpTransport, DistError> {
+    let deadline = Instant::now() + patience;
+    let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(2), seed);
+    loop {
+        match TcpTransport::connect(addr) {
+            Ok(t) => return Ok(t),
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => backoff.sleep(),
+        }
     }
 }
 
@@ -186,25 +191,6 @@ pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
     (coordinator, worker)
 }
 
-/// An in-process transport pair whose *second* (worker) end injects the
-/// faults of `plan`. The coordinator end never fails on its own; it
-/// observes an injected crash as a disconnect (like a real dropped
-/// socket) and an injected hang as a read timeout.
-pub fn loopback_pair_with_chaos(
-    plan: ChaosPlan,
-) -> (LoopbackTransport, ChaosTransport<LoopbackTransport>) {
-    let (coordinator, worker) = loopback_pair();
-    (coordinator, ChaosTransport::new(worker, plan))
-}
-
-impl LoopbackTransport {
-    /// Overrides the read timeout (default 120 s).
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
-    }
-}
-
 impl Transport for LoopbackTransport {
     fn send(&mut self, frame: &Frame) -> Result<(), DistError> {
         let wire = frame.encode();
@@ -217,38 +203,19 @@ impl Transport for LoopbackTransport {
     }
 
     fn recv(&mut self) -> Result<Frame, DistError> {
-        let wire = match self.rx.recv_timeout(self.recv_timeout) {
-            Ok(wire) => wire,
-            Err(RecvTimeoutError::Timeout) => {
-                // Distinguish "peer is slow" from "peer is gone": a
-                // disconnected channel with no pending frames reports
-                // Disconnected on the next try_recv.
-                return match self.rx.try_recv() {
-                    Ok(wire) => {
-                        record_wire(false, wire.len());
-                        Frame::decode_wire(&wire)
-                    }
-                    Err(TryRecvError::Disconnected) => Err(DistError::Disconnected(
-                        "loopback peer dropped its sender".into(),
-                    )),
-                    Err(TryRecvError::Empty) => Err(DistError::Timeout(format!(
-                        "no frame within {:?}",
-                        self.recv_timeout
-                    ))),
-                };
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(DistError::Disconnected(
-                    "loopback peer dropped its sender".into(),
-                ))
-            }
-        };
+        let wire = self
+            .rx
+            .recv_timeout(self.recv_timeout)
+            .map_err(|e| match e {
+                RecvTimeoutError::Timeout => {
+                    DistError::Timeout(format!("no frame within {:?}", self.recv_timeout))
+                }
+                RecvTimeoutError::Disconnected => {
+                    DistError::Disconnected("loopback peer dropped its sender".into())
+                }
+            })?;
         record_wire(false, wire.len());
         Frame::decode_wire(&wire)
-    }
-
-    fn recv_timeout(&self) -> Duration {
-        self.recv_timeout
     }
 
     fn set_recv_timeout(&mut self, timeout: Duration) -> Result<(), DistError> {
@@ -277,32 +244,29 @@ mod tests {
 
     #[test]
     fn loopback_recv_times_out_when_the_peer_is_alive_but_silent() {
-        let (c, _w) = loopback_pair();
-        let mut c = c.with_recv_timeout(Duration::from_millis(10));
+        // A zero timeout answers at once: the test waits out no clock.
+        let (mut c, _w) = loopback_pair();
+        c.set_recv_timeout(Duration::ZERO).unwrap();
         assert!(matches!(c.recv(), Err(DistError::Timeout(_))));
     }
 
     #[test]
     fn recv_timeouts_are_settable_on_every_transport() {
-        let (c, w) = loopback_pair_with_chaos(ChaosPlan::default());
-        let mut c: Box<dyn Transport> = Box::new(c);
-        let mut w: Box<dyn Transport> = Box::new(w);
-        assert_eq!(c.recv_timeout(), Duration::from_secs(120));
+        let (mut c, _w) = loopback_pair();
+        assert_eq!(c.recv_timeout, Duration::from_secs(120));
         c.set_recv_timeout(Duration::from_millis(10)).unwrap();
-        assert_eq!(c.recv_timeout(), Duration::from_millis(10));
+        assert_eq!(c.recv_timeout, Duration::from_millis(10));
+        c.set_recv_timeout(Duration::ZERO).unwrap();
         assert!(matches!(c.recv(), Err(DistError::Timeout(_))));
-        // The chaos end forwards to the loopback end it wraps.
-        w.set_recv_timeout(Duration::from_millis(10)).unwrap();
-        assert_eq!(w.recv_timeout(), Duration::from_millis(10));
-        assert!(matches!(w.recv(), Err(DistError::Timeout(_))));
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let mut tcp = TcpTransport::from_stream(client, Duration::from_secs(120)).unwrap();
-        assert_eq!(tcp.recv_timeout(), Duration::from_secs(120));
+        let read_timeout = |t: &TcpTransport| t.stream.read_timeout().unwrap();
+        assert_eq!(read_timeout(&tcp), Some(Duration::from_secs(120)));
         // Socket timeouts round to kernel ticks; 100 ms is whole on any.
         tcp.set_recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(tcp.recv_timeout(), Duration::from_millis(100));
+        assert_eq!(read_timeout(&tcp), Some(Duration::from_millis(100)));
         assert!(tcp.set_recv_timeout(Duration::ZERO).is_err());
     }
 

@@ -1,23 +1,21 @@
-//! The worker half: connect, handshake, obtain the shared table, then
-//! pull chunks until the coordinator says [`Frame::Drained`].
+//! The worker half: handshake, obtain the shared table, then evaluate
+//! chunks until the coordinator says [`Frame::Drained`].
 //!
-//! Table acquisition is dedup-aware: the coordinator's `Welcome` carries
-//! the table's content fingerprint
-//! ([`workloads::PerfTable::content_fingerprint`]), and a worker with a
-//! [`TableStore`] cache first tries a fingerprint-keyed load — only on a
-//! miss does it pull the bytes over the wire (and saves them back, so
-//! the next sweep against the same table is a cache hit). Either way the
-//! table the worker evaluates is verified against the fingerprint, so a
-//! stale or mislabelled cache entry can never poison a sweep.
+//! The conversation is a value, `Worker`: each frame in gives the frames
+//! to send back and, at the end, the worker's result. It owns no
+//! transport, thread or clock; [`run_worker`] drives it over any
+//! [`Transport`], the simulated network under virtual time.
+//!
+//! The `Welcome` carries the table's content fingerprint, the key of a
+//! worker's [`TableStore`] cache: only on a miss are the bytes pulled
+//! over the wire (and saved back). Shipped bytes are checked against the
+//! fingerprint before they are parsed.
 
-use std::time::Duration;
+use session::{EvalSpec, SessionReport};
+use workloads::{PerfTable, TableStore, WorkUnit};
 
-use session::SessionReport;
-use workloads::{PerfTable, TableStore};
-
-use crate::backoff::Backoff;
 use crate::proto::{Frame, PROTOCOL_VERSION};
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::Transport;
 use crate::DistError;
 
 /// Worker-side knobs.
@@ -32,7 +30,7 @@ pub struct WorkerConfig {
 }
 
 /// What one worker did over one coordinator connection.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerSummary {
     /// Chunks evaluated.
     pub chunks: usize,
@@ -45,24 +43,140 @@ pub struct WorkerSummary {
     pub fingerprint: u64,
 }
 
-/// Connects to a coordinator, retrying under capped exponential backoff
-/// with seeded jitter until `patience` runs out — workers typically
-/// start before the coordinator finishes building its table, so the
-/// first connect may be early. The jitter decorrelates a fleet of
-/// workers all retrying against the same address; the `seed` fixes the
-/// schedule for reproducible tests.
-///
-/// # Errors
-///
-/// The last connection error once `patience` is spent.
-pub fn connect_retry(addr: &str, patience: Duration, seed: u64) -> Result<TcpTransport, DistError> {
-    let deadline = std::time::Instant::now() + patience;
-    let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(2), seed);
-    loop {
-        match TcpTransport::connect(addr) {
-            Ok(t) => return Ok(t),
-            Err(e) if std::time::Instant::now() >= deadline => return Err(e),
-            Err(_) => backoff.sleep(),
+/// What a worker does after one frame: send these frames in order, then,
+/// when a result is set, end the conversation with it.
+pub(crate) type Step = (Vec<Frame>, Option<Result<WorkerSummary, DistError>>);
+
+/// A [`Step`] that ends the conversation with `result`.
+fn done(result: Result<WorkerSummary, DistError>) -> Step {
+    (Vec::new(), Some(result))
+}
+
+/// One worker's side of the conversation as a state machine.
+pub(crate) struct Worker<'a> {
+    config: &'a WorkerConfig,
+    /// The job announced by `Welcome`; `None` until it arrives.
+    job: Option<(WorkUnit, EvalSpec)>,
+    /// The shared table, once cached or shipped.
+    table: Option<PerfTable>,
+    summary: WorkerSummary,
+}
+
+impl<'a> Worker<'a> {
+    /// A worker, and the [`Step`] that opens its conversation.
+    pub(crate) fn new(config: &'a WorkerConfig) -> (Self, Step) {
+        let worker = Worker {
+            config,
+            job: None,
+            table: None,
+            summary: WorkerSummary::default(),
+        };
+        let version = PROTOCOL_VERSION;
+        (worker, (vec![Frame::Hello { version }], None))
+    }
+
+    /// Answers one frame from the coordinator.
+    pub(crate) fn on(&mut self, frame: Frame) -> Step {
+        match (self.job.is_some(), self.table.is_some(), frame) {
+            (_, _, Frame::Error { message }) => done(Err(DistError::Remote(message))),
+            (
+                false,
+                _,
+                Frame::Welcome {
+                    version: PROTOCOL_VERSION,
+                    table_fingerprint,
+                    unit,
+                    spec,
+                    ..
+                },
+            ) => self.welcome(table_fingerprint, unit, spec),
+            (false, _, Frame::Welcome { version, .. }) => done(Err(DistError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: version,
+            })),
+            (true, false, Frame::TableBytes { bytes }) => self.table_bytes(bytes),
+            (true, true, Frame::Chunk { id, workloads }) => self.evaluate(id, workloads),
+            (true, true, Frame::Drained) => done(Ok(self.summary.clone())),
+            (job, table, other) => {
+                let expecting = match (job, table) {
+                    (false, _) => "Welcome",
+                    (true, false) => "TableBytes",
+                    (true, true) => "Chunk or Drained",
+                };
+                done(Err(DistError::Protocol(format!(
+                    "expected {expecting}, got {other:?}"
+                ))))
+            }
+        }
+    }
+
+    fn welcome(&mut self, fingerprint: u64, unit: WorkUnit, spec: EvalSpec) -> Step {
+        self.job = Some((unit, spec));
+        self.summary.fingerprint = fingerprint;
+        if let Some(cache) = &self.config.cache {
+            self.table = cache.load_content(fingerprint);
+            let lookup = match self.table {
+                Some(_) => "dist.table_cache_hit",
+                None => "dist.table_cache_miss",
+            };
+            obs::count!(lookup, 1);
+        }
+        self.summary.table_from_cache = self.table.is_some();
+        let next = match self.table {
+            Some(_) => Frame::FetchChunk,
+            None => Frame::TableRequest,
+        };
+        (vec![next], None)
+    }
+
+    fn table_bytes(&mut self, bytes: Vec<u8>) -> Step {
+        // Checked before parsing: only the announced table's bytes hash
+        // to its fingerprint.
+        let fingerprint = self.summary.fingerprint;
+        let actual = PerfTable::content_fingerprint_of(&bytes);
+        if actual != fingerprint {
+            return done(Err(DistError::Protocol(format!(
+                "table fingerprint mismatch: announced {fingerprint:#018x}, received {actual:#018x}"
+            ))));
+        }
+        match PerfTable::from_bytes(&bytes) {
+            Ok(table) => self.table = Some(table),
+            Err(e) => {
+                let unparsed = format!("table bytes did not parse: {e}");
+                return done(Err(DistError::Protocol(unparsed)));
+            }
+        }
+        // Caching is an optimisation; a full disk must not kill the sweep.
+        if let Some(Err(e)) = self.config.cache.as_ref().map(|c| c.save_content(&bytes)) {
+            let event = "dist.worker.table_cache_write_failed";
+            obs::event!(Warn, event, "could not cache table: {e}");
+        }
+        (vec![Frame::FetchChunk], None)
+    }
+
+    fn evaluate(&mut self, id: u64, workloads: Vec<Vec<usize>>) -> Step {
+        let (Some((unit, spec)), Some(table)) = (&self.job, &self.table) else {
+            unreachable!("a chunk is only evaluated after the handshake");
+        };
+        let mut sweep = spec.sweep(table, *unit).workloads(workloads);
+        if self.config.threads > 0 {
+            sweep = sweep.threads(self.config.threads);
+        }
+        match sweep.run() {
+            Ok(report) => {
+                let reports: Vec<SessionReport> =
+                    report.rows.into_iter().map(|row| row.report).collect();
+                self.summary.chunks += 1;
+                self.summary.rows += reports.len();
+                (vec![Frame::Rows { id, reports }, Frame::FetchChunk], None)
+            }
+            // Evaluation is deterministic: report it and stop, since every
+            // worker would fail the chunk the same way.
+            Err(e) => {
+                let message = e.to_string();
+                let failed = Err(DistError::Sweep(message.clone()));
+                (vec![Frame::Error { message }], Some(failed))
+            }
         }
     }
 }
@@ -81,119 +195,17 @@ pub fn run_worker<T: Transport>(
     mut transport: T,
     config: &WorkerConfig,
 ) -> Result<WorkerSummary, DistError> {
-    transport.send(&Frame::Hello {
-        version: PROTOCOL_VERSION,
-    })?;
-    let (fingerprint, unit, spec) = match transport.recv()? {
-        Frame::Welcome {
-            version: PROTOCOL_VERSION,
-            table_fingerprint,
-            unit,
-            spec,
-            ..
-        } => (table_fingerprint, unit, spec),
-        Frame::Welcome { version, .. } => {
-            return Err(DistError::VersionMismatch {
-                ours: PROTOCOL_VERSION,
-                theirs: version,
-            })
-        }
-        Frame::Error { message } => return Err(DistError::Remote(message)),
-        other => {
-            return Err(DistError::Protocol(format!(
-                "expected Welcome, got {other:?}"
-            )))
-        }
-    };
-
-    let cached = config
-        .cache
-        .as_ref()
-        .and_then(|c| c.load_content(fingerprint));
-    let table_from_cache = cached.is_some();
-    if config.cache.is_some() {
-        if table_from_cache {
-            obs::count!("dist.table_cache_hit", 1);
-        } else {
-            obs::count!("dist.table_cache_miss", 1);
-        }
-    }
-    let table = match cached {
-        Some(table) => table,
-        None => {
-            transport.send(&Frame::TableRequest)?;
-            let bytes = match transport.recv()? {
-                Frame::TableBytes { bytes } => bytes,
-                Frame::Error { message } => return Err(DistError::Remote(message)),
-                other => {
-                    return Err(DistError::Protocol(format!(
-                        "expected TableBytes, got {other:?}"
-                    )))
-                }
-            };
-            // Checked before parsing: only the announced table's bytes
-            // hash to its fingerprint.
-            let actual = PerfTable::content_fingerprint_of(&bytes);
-            if actual != fingerprint {
-                return Err(DistError::Protocol(format!(
-                    "table fingerprint mismatch: announced {fingerprint:#018x}, received {actual:#018x}"
-                )));
-            }
-            let table = PerfTable::from_bytes(&bytes)
-                .map_err(|e| DistError::Protocol(format!("table bytes did not parse: {e}")))?;
-            if let Some(cache) = &config.cache {
-                // Cache persistence is an optimisation; a full disk must
-                // not kill the sweep.
-                if let Err(e) = cache.save_content(&bytes) {
-                    obs::event!(
-                        Warn,
-                        "dist.worker.table_cache_write_failed",
-                        "could not cache table: {e}"
-                    );
-                }
-            }
-            table
-        }
-    };
-
-    let mut summary = WorkerSummary {
-        chunks: 0,
-        rows: 0,
-        table_from_cache,
-        fingerprint,
-    };
+    let (mut worker, mut step) = Worker::new(config);
     loop {
-        transport.send(&Frame::FetchChunk)?;
-        match transport.recv()? {
-            Frame::Chunk { id, workloads } => {
-                let mut sweep = spec.sweep(&table, unit).workloads(workloads);
-                if config.threads > 0 {
-                    sweep = sweep.threads(config.threads);
-                }
-                match sweep.run() {
-                    Ok(report) => {
-                        let reports: Vec<SessionReport> =
-                            report.rows.into_iter().map(|row| row.report).collect();
-                        summary.chunks += 1;
-                        summary.rows += reports.len();
-                        transport.send(&Frame::Rows { id, reports })?;
-                    }
-                    Err(e) => {
-                        let error = DistError::Sweep(e.to_string());
-                        let _ = transport.send(&Frame::Error {
-                            message: e.to_string(),
-                        });
-                        return Err(error);
-                    }
-                }
-            }
-            Frame::Drained => return Ok(summary),
-            Frame::Error { message } => return Err(DistError::Remote(message)),
-            other => {
-                return Err(DistError::Protocol(format!(
-                    "expected Chunk or Drained, got {other:?}"
-                )))
+        let (frames, done) = step;
+        for frame in &frames {
+            if let Err(e) = transport.send(frame) {
+                return done.unwrap_or(Err(e));
             }
         }
+        if let Some(done) = done {
+            return done;
+        }
+        step = worker.on(transport.recv()?);
     }
 }

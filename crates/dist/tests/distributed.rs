@@ -1,18 +1,21 @@
 //! End-to-end distributed-sweep coverage: the merged report must be
 //! bitwise identical to a single-process `Session::sweep()` run — over
-//! loopback transports, over real TCP, and under every seeded
-//! `ChaosPlan` that leaves at least one live worker (crash, hang,
-//! corrupt frames, duplicated frames, hedged stragglers) — and failure
-//! modes (retry exhaustion, total worker loss, version skew, poisoned
-//! chunks) must surface as clean errors.
+//! loopback transports, over real TCP, and on the simulated network under
+//! every seeded `ChaosPlan` that leaves at least one live worker (crash,
+//! hang, corrupt frames, duplicated frames, hedged stragglers) — and
+//! failure modes (retry exhaustion, total worker loss, version skew,
+//! poisoned chunks) must surface as clean errors.
+//!
+//! Every fault test runs on the simulated network under virtual time, so
+//! its counts are exact and no test waits out a wall-clock timeout.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use dist::{
-    loopback_pair, loopback_pair_with_chaos, run_worker, ChaosPlan, ChaosTransport, Coordinator,
-    DistConfig, DistError, TcpTransport, WorkerConfig,
+    loopback_pair, run_worker, ChaosPlan, ChaosStats, Coordinator, DistConfig, DistError,
+    DistOutcome, Link, Simulation, TcpTransport, WorkerConfig,
 };
 use queueing::{LatencyConfig, SizeDist};
 use session::{Policy, Session, SweepBuilder, SweepReport};
@@ -105,9 +108,8 @@ fn loopback_workers_reproduce_the_sweep_bitwise() {
     assert_eq!(logged, reference_report().len());
 }
 
-/// Runs `sweep` through a coordinator and two loopback workers and
-/// returns the merged report.
-fn loopback_run(sweep: SweepBuilder<'_>) -> SweepReport {
+/// Runs `sweep` through a coordinator and two loopback workers.
+fn loopback_run(sweep: SweepBuilder<'_>) -> DistOutcome {
     let coordinator = Coordinator::from_sweep(
         sweep,
         DistConfig {
@@ -130,8 +132,53 @@ fn loopback_run(sweep: SweepBuilder<'_>) -> SweepReport {
         for worker in workers {
             worker.join().unwrap().expect("worker completes");
         }
-        outcome.report
+        outcome
     })
+}
+
+/// Runs the reference sweep on the simulated network, one worker per
+/// link, each with default settings.
+fn simulate(config: DistConfig, links: &[Link]) -> Simulation {
+    Coordinator::from_sweep(reference_sweep(), config)
+        .unwrap()
+        .simulate(links, &WorkerConfig::default())
+}
+
+/// A link whose worker end follows `plan`.
+fn worker_faults(plan: ChaosPlan) -> Link {
+    Link {
+        worker: plan,
+        ..Link::default()
+    }
+}
+
+/// Chunks of two workloads: the 10-mix sweep in 5 chunks.
+fn chunks_of_two() -> DistConfig {
+    DistConfig {
+        chunk_size: 2,
+        ..DistConfig::default()
+    }
+}
+
+/// The simulated network runs the same coordinator as `Coordinator::run`:
+/// on clean links it reproduces the threaded run's report and counters.
+#[test]
+fn the_simulated_network_matches_the_threaded_run() {
+    let threaded = loopback_run(reference_sweep());
+    let config = DistConfig {
+        chunk_size: 3, // as `loopback_run`
+        ..DistConfig::default()
+    };
+    let sim = simulate(config, &[Link::default(), Link::default()]);
+    let simulated = sim.outcome.expect("clean links complete");
+    assert_bitwise_equal(&simulated.report, &threaded.report);
+    assert_bitwise_equal(&simulated.report, reference_report());
+    let counters = |o: &DistOutcome| (o.chunks, o.requeues, o.hedges, o.duplicates, o.strikes);
+    assert_eq!(counters(&simulated), counters(&threaded));
+    assert_eq!(counters(&simulated), (4, 0, 0, 0, 0));
+    assert_eq!(sim.faults, vec![ChaosStats::default(); 2]);
+    let rows: usize = sim.workers.iter().map(|w| w.as_ref().unwrap().rows).sum();
+    assert_eq!(rows, reference_report().len());
 }
 
 #[test]
@@ -158,7 +205,7 @@ fn a_latency_spec_crosses_the_wire_intact() {
     };
     let reference = sweep().run().expect("in-process sweep runs");
     assert!(reference.rows[0].report.rows[0].latency.is_some());
-    assert_bitwise_equal(&loopback_run(sweep()), &reference);
+    assert_bitwise_equal(&loopback_run(sweep()).report, &reference);
 }
 
 #[test]
@@ -179,7 +226,7 @@ fn a_plain_unit_sweep_crosses_the_wire_intact() {
         reference.throughputs(Policy::Optimal),
         reference_report().throughputs(Policy::Optimal)
     );
-    assert_bitwise_equal(&loopback_run(sweep()), &reference);
+    assert_bitwise_equal(&loopback_run(sweep()).report, &reference);
 }
 
 #[test]
@@ -205,36 +252,21 @@ fn tcp_workers_reproduce_the_sweep_bitwise() {
 
 #[test]
 fn a_worker_killed_mid_sweep_is_rerouted_and_parity_holds() {
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
-        DistConfig {
-            chunk_size: 2, // 5 chunks, so the victim dies with work left
-            ..DistConfig::default()
-        },
-    )
-    .unwrap();
     // The victim's end dies after 6 frames: Hello, Welcome, TableRequest,
     // TableBytes, FetchChunk, Chunk — then while returning its first Rows
     // frame, exactly a worker process crashing mid-sweep with a chunk
     // held. The coordinator must re-queue that chunk.
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::crash_after(6));
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator
-        .run(vec![
-            c1.with_recv_timeout(Duration::from_secs(5)),
-            c2.with_recv_timeout(Duration::from_secs(120)),
-        ])
-        .expect("run completes despite the dead worker");
+    let sim = simulate(
+        chunks_of_two(),
+        &[worker_faults(ChaosPlan::crash_after(6)), Link::default()],
+    );
+    let outcome = sim.outcome.expect("run completes despite the dead worker");
     assert_bitwise_equal(&outcome.report, reference_report());
+    assert_eq!((outcome.requeues, outcome.hedges), (1, 0));
 
     // The victim observed its own death as a transport failure.
-    assert!(matches!(
-        victim.join().unwrap(),
-        Err(DistError::Disconnected(_))
-    ));
-    let summary = survivor.join().unwrap().expect("survivor completes");
+    assert!(matches!(sim.workers[0], Err(DistError::Disconnected(_))));
+    let summary = sim.workers[1].as_ref().expect("survivor completes");
     // The survivor picked up everything, including the re-queued chunk.
     assert_eq!(summary.rows, reference_report().len());
     assert_eq!(summary.chunks, 5);
@@ -242,175 +274,117 @@ fn a_worker_killed_mid_sweep_is_rerouted_and_parity_holds() {
 
 #[test]
 fn retry_budget_exhaustion_surfaces_a_clean_error() {
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
+    let sim = simulate(
         DistConfig {
-            chunk_size: 2,
             retry_budget: 0, // first transport failure on a held chunk is fatal
-            ..DistConfig::default()
+            ..chunks_of_two()
         },
-    )
-    .unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::crash_after(6));
-    let worker = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let err = coordinator
-        .run(vec![c1.with_recv_timeout(Duration::from_secs(5))])
+        &[worker_faults(ChaosPlan::crash_after(6))],
+    );
+    let err = sim
+        .outcome
         .expect_err("budget 0 cannot absorb a worker death");
     assert!(
-        matches!(err, DistError::RetryExhausted { attempts: 1, .. }),
+        matches!(
+            err,
+            DistError::RetryExhausted {
+                chunk: 0,
+                attempts: 1,
+                ..
+            }
+        ),
         "unexpected error: {err}"
     );
-    let _ = worker.join().unwrap();
 }
 
 #[test]
 fn losing_every_worker_reports_incomplete() {
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
+    let sim = simulate(
         DistConfig {
-            chunk_size: 2,
             retry_budget: 5, // generous budget: the failure is worker loss
-            ..DistConfig::default()
+            ..chunks_of_two()
         },
-    )
-    .unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::crash_after(6));
-    let worker = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let err = coordinator
-        .run(vec![c1.with_recv_timeout(Duration::from_secs(5))])
-        .expect_err("the only worker died with chunks outstanding");
-    assert!(
-        matches!(err, DistError::Incomplete { remaining } if remaining > 0),
-        "unexpected error: {err}"
+        &[worker_faults(ChaosPlan::crash_after(6))],
     );
-    let _ = worker.join().unwrap();
+    // The only worker died on its first chunk: none of the 5 completed.
+    let err = sim
+        .outcome
+        .expect_err("the only worker died with chunks outstanding");
+    assert_eq!(err, DistError::Incomplete { remaining: 5 });
 }
 
 #[test]
 fn a_hung_worker_times_out_and_its_chunk_is_requeued() {
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
-        DistConfig {
-            chunk_size: 2,
-            ..DistConfig::default()
-        },
-    )
-    .unwrap();
     // After 6 frames the victim's end goes silent without hanging up:
-    // sends pretend to succeed, reads time out — a wedged process, not a
-    // dead one. The coordinator can only detect it by timeout, after
-    // which the held chunk must return to the queue. The survivor starts
-    // only once the victim hung, so the victim runs alone and its 6
-    // frames are always Hello, Welcome, TableRequest, TableBytes,
-    // FetchChunk and Chunk: it hangs holding a chunk.
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after(6));
-    let (c2, w2) = loopback_pair();
-    let victim_hung = w1.stats_handle();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while !victim_hung.lock().unwrap().hung && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        run_worker(w2, &WorkerConfig::default())
-    });
-    let outcome = coordinator
-        .run(vec![
-            c1.with_recv_timeout(Duration::from_secs(2)),
-            c2.with_recv_timeout(Duration::from_secs(120)),
-        ])
-        .expect("run completes despite the hung worker");
+    // sends vanish, nothing is read — a wedged process, not a dead one.
+    // The coordinator can only detect it by its (virtual) read deadline,
+    // after which the held chunk must return to the queue, where the
+    // survivor, parked with the rest done, picks it up.
+    let sim = simulate(
+        chunks_of_two(),
+        &[worker_faults(ChaosPlan::hang_after(6)), Link::default()],
+    );
+    let outcome = sim.outcome.expect("run completes despite the hung worker");
     assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(outcome.requeues >= 1, "requeues: {}", outcome.requeues);
+    assert_eq!((outcome.requeues, outcome.hedges), (1, 0));
+    assert!(outcome.workers[0].wall >= DistConfig::default().recv_timeout);
 
     // The victim observed its own hang as silence, not a hangup.
-    assert!(matches!(victim.join().unwrap(), Err(DistError::Timeout(_))));
-    let summary = survivor.join().unwrap().expect("survivor completes");
+    assert!(matches!(sim.workers[0], Err(DistError::Timeout(_))));
+    let summary = sim.workers[1].as_ref().expect("survivor completes");
     assert_eq!(summary.rows, reference_report().len());
+    assert_eq!(summary.chunks, 5);
 }
 
 #[test]
 fn a_straggler_chunk_is_hedged_to_an_idle_worker() {
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
-        DistConfig {
-            chunk_size: 2,
-            hedge: true,
-            ..DistConfig::default()
-        },
-    )
-    .unwrap();
     // The victim wedges silently on its first chunk. The survivor drains
-    // the rest of the queue in well under the victim connection's read
-    // timeout and goes idle — with hedging on, it is handed a copy of
-    // the straggler chunk and completes the sweep; the victim's answer
-    // never arrives, so the hedge's answer is the one that counts.
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after(6));
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator
-        .run(vec![
-            c1.with_recv_timeout(Duration::from_secs(3)),
-            c2.with_recv_timeout(Duration::from_secs(120)),
-        ])
-        .expect("the hedge completes the sweep");
+    // the rest of the queue and goes idle — with hedging on, it is handed
+    // a copy of the straggler chunk and completes the sweep long before
+    // the victim's deadline; the victim's answer never arrives, so the
+    // hedge's answer is the one that counts.
+    let sim = simulate(
+        DistConfig {
+            hedge: true,
+            ..chunks_of_two()
+        },
+        &[worker_faults(ChaosPlan::hang_after(6)), Link::default()],
+    );
+    let outcome = sim.outcome.expect("the hedge completes the sweep");
     assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(outcome.hedges >= 1, "hedges: {}", outcome.hedges);
+    assert_eq!((outcome.requeues, outcome.hedges), (0, 1));
 
-    assert!(matches!(victim.join().unwrap(), Err(DistError::Timeout(_))));
-    let summary = survivor.join().unwrap().expect("survivor completes");
+    assert!(matches!(sim.workers[0], Err(DistError::Timeout(_))));
+    let summary = sim.workers[1].as_ref().expect("survivor completes");
     // The survivor evaluated every chunk, the hedged straggler included.
     assert_eq!(summary.rows, reference_report().len());
+    assert_eq!(summary.chunks, 5);
 }
 
 #[test]
 fn corrupt_frames_strike_without_killing_the_run() {
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
-        DistConfig {
-            chunk_size: 2,
-            ..DistConfig::default()
-        },
-    )
-    .unwrap();
-    // Every frame the coordinator reads from w1 arrives with one flipped
-    // bit: the checksum rejects it, the connection takes a strike instead
-    // of killing the run, and the clean worker carries the sweep to
-    // bitwise parity. (Both coordinator ends wear a ChaosTransport so the
-    // transport vector is homogeneous; c2's plan is the transparent
-    // default.)
-    let (c1, w1) = loopback_pair();
-    let c1 = ChaosTransport::new(
-        c1.with_recv_timeout(Duration::from_millis(300)),
-        ChaosPlan {
+    // Every frame the coordinator reads from link 0 arrives with one
+    // flipped bit: the checksum rejects the Hello, the connection takes a
+    // strike instead of killing the run, and the clean worker carries the
+    // sweep to bitwise parity.
+    let corrupt = Link {
+        coordinator: ChaosPlan {
             corrupt: 1.0,
             seed: 7,
             ..ChaosPlan::default()
         },
-    );
-    let (c2, w2) = loopback_pair();
-    let c2 = ChaosTransport::new(c2, ChaosPlan::default());
-    let victim = std::thread::spawn(move || {
-        run_worker(
-            w1.with_recv_timeout(Duration::from_secs(2)),
-            &WorkerConfig::default(),
-        )
-    });
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator
-        .run(vec![c1, c2])
-        .expect("the clean worker carries the sweep");
+        ..Link::default()
+    };
+    let sim = simulate(chunks_of_two(), &[corrupt, Link::default()]);
+    let outcome = sim.outcome.expect("the clean worker carries the sweep");
     assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(outcome.strikes >= 1, "strikes: {}", outcome.strikes);
+    assert_eq!(outcome.strikes, 1);
+    assert_eq!(sim.faults[0].corruptions, 1);
 
-    // The victim never got a (legible) answer to its Hello: it times out
-    // waiting, or sees the hangup when its coordinator thread retires.
-    assert!(matches!(
-        victim.join().unwrap(),
-        Err(DistError::Timeout(_) | DistError::Disconnected(_))
-    ));
-    survivor.join().unwrap().expect("survivor completes");
+    // The victim never got an answer to its Hello: it sees the hangup
+    // when the coordinator writes the silent connection off.
+    assert!(matches!(sim.workers[0], Err(DistError::Disconnected(_))));
+    assert!(sim.workers[1].is_ok());
 }
 
 #[test]
@@ -454,65 +428,41 @@ fn a_babbling_worker_is_quarantined_after_repeated_strikes() {
 #[test]
 fn duplicated_frames_are_discarded_by_chunk_id() {
     let dir = temp_store_dir("dup");
+    let cached = || WorkerConfig {
+        threads: 0,
+        cache: Some(TableStore::new(dir.clone())),
+    };
+    let coordinator = |config| Coordinator::from_sweep(reference_sweep(), config).unwrap();
 
-    // Warm the table cache first so the chaos run's conversation has no
+    // Warm the table cache first so the duplicated conversation has no
     // TableRequest/TableBytes exchange — a duplicated TableRequest would
     // desynchronize the handshake beyond what this test pins.
-    let coordinator = Coordinator::from_sweep(reference_sweep(), DistConfig::default()).unwrap();
-    let (c0, w0) = loopback_pair();
-    let store = TableStore::new(dir.clone());
-    let warmer = std::thread::spawn(move || {
-        run_worker(
-            w0,
-            &WorkerConfig {
-                threads: 0,
-                cache: Some(store),
-            },
-        )
-    });
-    coordinator.run(vec![c0]).expect("warm-up run");
-    warmer.join().unwrap().expect("warmer completes");
+    let warm = coordinator(DistConfig::default()).simulate(&[Link::default()], &cached());
+    warm.outcome.expect("warm-up run");
 
-    // Now every frame the worker sends arrives twice. Duplicate Rows are
-    // discarded by chunk id; duplicate FetchChunks make the coordinator
-    // re-send this connection's own straggler (burning attempts), so give
-    // the budget headroom.
-    let coordinator = Coordinator::from_sweep(
-        reference_sweep(),
-        DistConfig {
-            chunk_size: 2,
-            retry_budget: 20,
-            ..DistConfig::default()
-        },
-    )
-    .unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan {
+    // Now every frame the worker sends arrives twice. The second Hello is
+    // a strike. Duplicate Rows are discarded by chunk id; each duplicate
+    // FetchChunk makes the coordinator re-send this connection's own
+    // straggler (burning attempts), so give the budget headroom.
+    let doubled = worker_faults(ChaosPlan {
         duplicate: 1.0,
         ..ChaosPlan::default()
     });
-    let store = TableStore::new(dir);
-    let worker = std::thread::spawn(move || {
-        run_worker(
-            w1,
-            &WorkerConfig {
-                threads: 0,
-                cache: Some(store),
-            },
-        )
-    });
-    let outcome = coordinator
-        .run(vec![c1.with_recv_timeout(Duration::from_secs(30))])
-        .expect("duplicates must not corrupt the run");
+    let sim = coordinator(DistConfig {
+        retry_budget: 20,
+        ..chunks_of_two()
+    })
+    .simulate(&[doubled], &cached());
+    let outcome = sim.outcome.expect("duplicates must not corrupt the run");
     assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(
-        outcome.duplicates >= 1,
-        "duplicates: {}",
-        outcome.duplicates
+    // Each of the 5 chunks has its answer discarded once and is re-sent
+    // once, to answer a duplicated FetchChunk.
+    assert_eq!(
+        (outcome.duplicates, outcome.hedges, outcome.strikes),
+        (5, 5, 1)
     );
-    // The worker may end cleanly (Drained) or observe the coordinator
-    // hanging up after the sweep completed mid-duplicate-storm; either
-    // way the merged report above is already pinned.
-    let _ = worker.join().unwrap();
+    let summary = sim.workers[0].as_ref().expect("the worker is drained");
+    assert!(summary.table_from_cache);
 }
 
 #[test]
@@ -701,167 +651,113 @@ fn invalid_configurations_are_rejected_before_any_worker_connects() {
 }
 
 /// Every fault class a seeded `ChaosPlan` can inject must be accounted
-/// for in `ChaosStats` exactly: one loopback mini-fleet per class, each
+/// for in `ChaosStats` exactly: one simulated mini-fleet per class, each
 /// with a conversation shape that makes the injected count deterministic.
 #[test]
 fn chaos_stats_account_for_every_injected_fault_exactly() {
-    use dist::ChaosStats;
-
     let config = || DistConfig {
         chunk_size: 3, // 10 workloads -> 4 chunks
         recv_timeout: Duration::from_secs(2),
         ..DistConfig::default()
     };
-
-    // Delay: fires on every sent frame but changes nothing else, so a
-    // lone worker completes the sweep having delayed exactly its
-    // Hello + TableRequest + 4 x (FetchChunk + Rows) + final FetchChunk.
-    let plan = ChaosPlan {
-        seed: 1,
-        delay: 1.0,
-        max_delay: Duration::from_micros(50),
-        ..ChaosPlan::default()
+    // Each leg's victim wears `plan` on its worker end; a clean survivor
+    // carries the sweep.
+    let leg = |plan: ChaosPlan, stats: ChaosStats| {
+        let sim = simulate(config(), &[worker_faults(plan), Link::default()]);
+        let outcome = sim.outcome.expect("survivor carries it");
+        assert_bitwise_equal(&outcome.report, reference_report());
+        sim.workers[1].as_ref().expect("survivor completes");
+        assert_eq!(sim.faults, vec![stats, ChaosStats::default()]);
+        sim.workers.into_iter().next().unwrap()
     };
-    let coordinator = Coordinator::from_sweep(reference_sweep(), config()).unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(plan);
-    let stats = w1.stats_handle();
-    let worker = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let outcome = coordinator.run(vec![c1]).expect("delays are not failures");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    worker.join().unwrap().expect("delayed worker completes");
-    assert_eq!(
-        *stats.lock().unwrap(),
-        ChaosStats {
-            delays: 11,
-            ..ChaosStats::default()
-        }
-    );
 
-    // The remaining classes each kill their victim at a deterministic
-    // point in the handshake; a clean survivor carries the sweep.
+    // Delay: fires on every sent frame but changes nothing else, so the
+    // victim completes having delayed exactly its Hello + TableRequest +
+    // one FetchChunk + Rows per chunk it took (two of the four) + its
+    // final FetchChunk.
+    let delayed = leg(
+        ChaosPlan {
+            seed: 1,
+            delay: 1.0,
+            max_delay: Duration::from_micros(50),
+            ..ChaosPlan::default()
+        },
+        ChaosStats {
+            delays: 7,
+            ..ChaosStats::default()
+        },
+    );
+    assert_eq!(delayed.expect("delays are not failures").chunks, 2);
+
+    // The remaining classes each stop their victim at a deterministic
+    // point in the handshake.
 
     // Crash: frames crossing the victim are Hello, Welcome, TableRequest,
     // TableBytes — the fifth operation trips the trigger.
-    let coordinator = Coordinator::from_sweep(reference_sweep(), config()).unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::crash_after(4));
-    let stats = w1.stats_handle();
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(victim.join().unwrap().is_err());
-    survivor.join().unwrap().expect("survivor completes");
-    assert_eq!(
-        *stats.lock().unwrap(),
+    let crashed = leg(
+        ChaosPlan::crash_after(4),
         ChaosStats {
-            crashed: true,
+            crashed: 1,
             ..ChaosStats::default()
-        }
+        },
     );
+    assert!(matches!(crashed, Err(DistError::Disconnected(_))));
 
     // Hang: same trip point, but the end falls silent instead of dying;
-    // the coordinator's short recv timeout writes the victim off.
-    let mut cfg = config();
-    cfg.recv_timeout = Duration::from_millis(300);
-    let coordinator = Coordinator::from_sweep(reference_sweep(), cfg).unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan::hang_after(4));
-    let stats = w1.stats_handle();
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(victim.join().unwrap().is_err());
-    survivor.join().unwrap().expect("survivor completes");
-    assert_eq!(
-        *stats.lock().unwrap(),
+    // the coordinator's read deadline writes the victim off.
+    let hung = leg(
+        ChaosPlan::hang_after(4),
         ChaosStats {
-            hung: true,
+            hung: 1,
             ..ChaosStats::default()
-        }
+        },
     );
+    assert!(matches!(hung, Err(DistError::Timeout(_))));
 
     // Corrupt: the victim's first received frame (Welcome) is bit-flipped
     // and fails decode, so exactly one corruption is ever injected.
-    let coordinator = Coordinator::from_sweep(reference_sweep(), config()).unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan {
-        seed: 7,
-        corrupt: 1.0,
-        ..ChaosPlan::default()
-    });
-    let stats = w1.stats_handle();
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(matches!(
-        victim.join().unwrap(),
-        Err(DistError::Protocol(_))
-    ));
-    survivor.join().unwrap().expect("survivor completes");
-    assert_eq!(
-        *stats.lock().unwrap(),
+    let corrupted = leg(
+        ChaosPlan {
+            seed: 7,
+            corrupt: 1.0,
+            ..ChaosPlan::default()
+        },
         ChaosStats {
             corruptions: 1,
             ..ChaosStats::default()
-        }
+        },
     );
+    assert!(matches!(corrupted, Err(DistError::Protocol(_))));
 
-    // Drop: the victim's Hello vanishes — its only send — and it then
-    // times out waiting for a Welcome that can never come.
-    let coordinator = Coordinator::from_sweep(reference_sweep(), config()).unwrap();
-    let (c1, w1) = loopback_pair();
-    let w1 = ChaosTransport::new(
-        w1.with_recv_timeout(Duration::from_millis(300)),
+    // Drop: the victim's Hello vanishes — its only send — and it waits
+    // for a Welcome that never comes until the coordinator writes the
+    // silent connection off and hangs up.
+    let dropped = leg(
         ChaosPlan {
             seed: 5,
             drop: 1.0,
             ..ChaosPlan::default()
         },
-    );
-    let stats = w1.stats_handle();
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(matches!(victim.join().unwrap(), Err(DistError::Timeout(_))));
-    survivor.join().unwrap().expect("survivor completes");
-    assert_eq!(
-        *stats.lock().unwrap(),
         ChaosStats {
             drops: 1,
             ..ChaosStats::default()
-        }
+        },
     );
+    assert!(matches!(dropped, Err(DistError::Disconnected(_))));
 
     // Duplicate: the victim doubles Hello, TableRequest and FetchChunk,
     // then dies on the echoed second TableBytes — three duplicates, no
     // more, and parity still holds through the survivor.
-    let coordinator = Coordinator::from_sweep(reference_sweep(), config()).unwrap();
-    let (c1, w1) = loopback_pair_with_chaos(ChaosPlan {
-        seed: 9,
-        duplicate: 1.0,
-        ..ChaosPlan::default()
-    });
-    let stats = w1.stats_handle();
-    let (c2, w2) = loopback_pair();
-    let victim = std::thread::spawn(move || run_worker(w1, &WorkerConfig::default()));
-    let survivor = std::thread::spawn(move || run_worker(w2, &WorkerConfig::default()));
-    let outcome = coordinator.run(vec![c1, c2]).expect("survivor carries it");
-    assert_bitwise_equal(&outcome.report, reference_report());
-    assert!(matches!(
-        victim.join().unwrap(),
-        Err(DistError::Protocol(_))
-    ));
-    survivor.join().unwrap().expect("survivor completes");
-    assert_eq!(
-        *stats.lock().unwrap(),
+    let doubled = leg(
+        ChaosPlan {
+            seed: 9,
+            duplicate: 1.0,
+            ..ChaosPlan::default()
+        },
         ChaosStats {
             duplicates: 3,
             ..ChaosStats::default()
-        }
+        },
     );
+    assert!(matches!(doubled, Err(DistError::Protocol(_))));
 }

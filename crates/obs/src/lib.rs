@@ -63,16 +63,15 @@
 //! | sweep | `sweep.pool_active` | gauge (peak) | concurrent workers at item start |
 //! | sweep | `sweep.run` | span | whole `SweepBuilder::run` |
 //! | sweep | `sweep.table_cache_hit` / `sweep.table_cache_miss` | counter | bench study `TableStore` lookups |
-//! | dist | `dist.run` | span | whole `Coordinator::run` |
-//! | dist | `dist.frames_sent` / `dist.frames_received` | counter | coordinator + worker frame I/O |
+//! | dist | `dist.run` | span | whole `Coordinator::run` or `Coordinator::simulate` |
+//! | dist | `dist.frames_sent` / `dist.frames_received` | counter | coordinator + worker frame I/O over a `Transport` |
 //! | dist | `dist.bytes_sent` / `dist.bytes_received` | counter | encoded frame bytes on the wire |
 //! | dist | `dist.chunks_completed` / `dist.requeues` / `dist.hedges` / `dist.duplicates_discarded` / `dist.strikes` | counter | coordinator accounting |
-//! | dist | `dist.chunk_us` | histogram | per-chunk worker latency (coordinator-side) |
+//! | dist | `dist.chunk_us` | histogram | per-chunk worker latency (coordinator-side; virtual time under `simulate`) |
 //! | dist | `dist.table_cache_hit` / `dist.table_cache_miss` | counter | worker `TableStore` lookups |
 //! | dist | `dist.worker_rejected` | event (warn) | coordinator version-skew rejection |
 //! | dist | `dist.strike` / `dist.quarantine` / `dist.chunk_requeued` / `dist.hedge` | event (debug) | coordinator fault handling |
 //! | dist | `dist.worker.table_cache_write_failed` | event (warn) | worker table-cache write failure |
-//! | dist | `chaos.drop` / `chaos.delay` / `chaos.duplicate` / `chaos.corrupt` / `chaos.hang` / `chaos.crash` | counter | `ChaosTransport` fault injection |
 //! | serve | `serve.run` | span | whole `run_serve` |
 //! | serve | `serve.queue_depth` | gauge (peak) | jobs waiting for a context, before each fill |
 //! | serve | `serve.shed` | counter | arrivals shed at a full waiting pool |

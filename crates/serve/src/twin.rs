@@ -350,9 +350,9 @@ impl TwinLoop {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             match model.refit(&batch) {
                 Ok(()) => {
-                    let q90 = model.residual_quantiles(&[0.9])[0];
-                    record = Some((model.samples().len(), model.fit_error().mean_abs_rel, q90));
-                    probes = Self::active_probes(&model, q90, probes_per_refit);
+                    let (mean, q90, worst) = Self::read_residuals(&model, probes_per_refit);
+                    record = Some((model.samples().len(), mean, q90));
+                    probes = worst;
                     true
                 }
                 // A failed fit keeps the previous predictor; the service
@@ -391,28 +391,51 @@ impl TwinLoop {
         shared.advanced.notify_all();
     }
 
+    /// Reads a refitted model's residual ledger once: the mean relative
+    /// throughput error (summed in input order, as
+    /// [`PredictedModel::fit_error`] does), its nearest-rank q90 (by
+    /// selection, as [`PredictedModel::residual_quantiles`] does), and up
+    /// to `limit` probes.
+    fn read_residuals(model: &PredictedModel, limit: usize) -> (f64, f64, Vec<Vec<u32>>) {
+        let mut ledger: Vec<(f64, &[u32])> = model
+            .residuals()
+            .iter()
+            .map(|r| (r.rel_throughput, r.counts.as_slice()))
+            .collect();
+        let mean = ledger.iter().map(|&(e, _)| e).sum::<f64>() / ledger.len() as f64;
+        let rank = ((ledger.len() - 1) as f64 * 0.9).round() as usize;
+        let q90 = ledger
+            .select_nth_unstable_by(rank, |a, b| a.0.total_cmp(&b.0))
+            .1
+             .0;
+        let probes = Self::active_probes(ledger, q90, limit, model.contexts());
+        (mean, q90, probes)
+    }
+
     /// Derives probe requests from the worst residuals: for each training
     /// sample at or above the `q90` error threshold (worst first), emit a
     /// neighbour multiset — one job rotated to the next type — so the
     /// next measurements land *near* the model's weakest regions rather
     /// than exactly on already-measured points.
-    fn active_probes(model: &PredictedModel, q90: f64, limit: usize) -> Vec<Vec<u32>> {
+    fn active_probes(
+        mut worst: Vec<(f64, &[u32])>,
+        q90: f64,
+        limit: usize,
+        contexts: usize,
+    ) -> Vec<Vec<u32>> {
         if limit == 0 {
             return Vec::new();
         }
-        let mut worst: Vec<(f64, &[u32])> = model
-            .residuals()
-            .iter()
-            .filter(|r| r.rel_throughput >= q90)
-            .map(|r| (r.rel_throughput, r.counts.as_slice()))
-            .collect();
+        worst.retain(|&(e, _)| e >= q90);
+        // Samples' multisets are distinct, so this order is total: the
+        // ledger's order before it does not matter.
         worst.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
         let mut probes: Vec<Vec<u32>> = Vec::new();
         for (_, counts) in worst {
             if probes.len() >= limit {
                 break;
             }
-            if let Some(probe) = Self::neighbour(counts, model.contexts()) {
+            if let Some(probe) = Self::neighbour(counts, contexts) {
                 if !probes.contains(&probe) {
                     probes.push(probe);
                 }

@@ -27,8 +27,9 @@
 //!   fault-tolerant [`prelude::Coordinator`] that re-queues chunks lost
 //!   to dead workers (with backoff, strike-based quarantine and hedged
 //!   straggler re-dispatch), [`prelude::run_worker`] for the worker
-//!   side, a seeded fault-injection layer ([`prelude::ChaosPlan`] /
-//!   [`prelude::ChaosTransport`]) for testing all of it, and a
+//!   side, a seeded virtual-time network that replays fault storms
+//!   ([`prelude::ChaosPlan`] per link end, run by
+//!   [`prelude::Coordinator::simulate`]) for testing all of it, and a
 //!   deterministic merge whose report is bitwise-identical to a
 //!   single-process `Session::sweep`;
 //! * [`serve`] — the online scheduling service: a
@@ -139,8 +140,8 @@ pub mod prelude {
     };
 
     pub use dist::{
-        run_worker, ChaosPlan, ChaosTransport, Coordinator, DistConfig, DistError, DistOutcome,
-        TcpTransport, Transport, WorkerConfig, WorkerSummary,
+        run_worker, ChaosPlan, Coordinator, DistConfig, DistError, DistOutcome, Link, TcpTransport,
+        Transport, WorkerConfig, WorkerSummary,
     };
     pub use queueing::{
         BatchConfig, BatchReport, ContentionModel, FcfsScheduler, LatencyConfig, LatencyReport,
